@@ -19,6 +19,9 @@ from .seq_core import (BiSequence, Seminorm, SeminormFamily, TrigPoly, Window,
                        as_window)
 
 SCHEMA_VERSION = 1
+#: steps left of the window over which generator-backed operators (and
+#: selections derived from them) take their certificate sup bounds
+PROBE_MARGIN = 2048
 
 KINDS = ("first_order", "inclusion", "degenerate_vb", "degenerate_vb1",
          "second_order", "system_bm", "heat", "wave", "analyze")
@@ -144,6 +147,10 @@ class ScenarioConfig:
     def family(self, dim: int | None = None) -> SeminormFamily:
         return build_family(self.seminorms, dim or self.dim)
 
+    def probe(self) -> Window:
+        """Window over which generator-backed sup bounds are probed."""
+        return self.window.extended(left=PROBE_MARGIN, right=8)
+
     def operator(self, name: str, dim: int | None = None,
                  family: SeminormFamily | None = None,
                  plain: bool = False) -> OperatorSequence:
@@ -151,7 +158,7 @@ class ScenarioConfig:
             raise InputContractError(f"config lacks operators.{name}")
         return build_operator(self.operators[name], dim or self.dim,
                               family=None if plain else (family or self.family(dim)),
-                              probe=self.window.extended(left=2048, right=8),
+                              probe=self.probe(),
                               plain=plain)
 
     def sequence(self, desc: dict | None, dim: int | None = None) -> BiSequence:

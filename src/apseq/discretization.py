@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import InputContractError, NumericError
 from .first_order import SolveReport
-from .higher_order import solve_second_order
-from .operator_model import Matrix, OperatorSequence, induced_bound
-from .resolvent import compose_selection, solve_degenerate_vb
+from .higher_order import second_order_selection, solve_second_order
+from .operator_model import Matrix, OperatorSequence
+from .resolvent import (ResolventSelection, compose_selection,
+                        solve_degenerate_vb)
 from .seq_core import (BiSequence, Seminorm, SeminormFamily, Vector, Window,
                        as_window)
 
@@ -233,7 +234,9 @@ class WaveProblem:
     """Second-order instance
     m2(k+2,.) u(k+2) + m1(k+1,.) u(k+1) = Lap u(k) - b(k) u(k) + f(k),
     rewritten with A2 = m2 multiplier, A1 = m1 multiplier,
-    A0(k) = b(k) I - Lap and C = I."""
+    A0(k) = b(k) I - Lap and C = I.  ``selection`` is the companion
+    selection whose certificates the builder validated; the solve reuses
+    it."""
 
     laplacian: GridLaplacian
     A0: OperatorSequence
@@ -242,6 +245,7 @@ class WaveProblem:
     f: BiSequence
     family: SeminormFamily
     probe: Window
+    selection: ResolventSelection
     certificate_sup: dict[str, float] = field(default_factory=dict)
 
     def solve(self, window, tol: float = 1e-10, threads: int | None = None
@@ -249,7 +253,8 @@ class WaveProblem:
         return solve_second_order(self.A0, self.A1, self.A2,
                                   np.eye(self.laplacian.size), self.f, window,
                                   tol=tol, family=self.family,
-                                  sup_probe=self.probe, threads=threads)
+                                  sup_probe=self.probe, threads=threads,
+                                  selection=self.selection)
 
 
 def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
@@ -285,23 +290,15 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
         size, lambda k: np.diag(m2prof(k).astype(np.complex128)),
         certificates={})
 
-    sups: dict[str, float] = {}
-    for sn in family:
-        worst = 0.0
-        for k in probe:
-            g = np.linalg.solve(a0_mat(k), eye)
-            worst = max(worst,
-                        induced_bound(g, sn)
-                        + induced_bound(A1.matrix(k) @ g, sn)
-                        + induced_bound(A2.matrix(k + 1), sn))
-        sups[sn.label] = worst
+    sel = second_order_selection(A0, A1, A2, eye, family, sup_probe=probe)
+    sups = dict(sel.D.sup_bounds)
     bad = {lbl: s for lbl, s in sups.items() if s >= SMALLNESS_GATE}
     if bad:
         raise InputContractError(
             f"wave multipliers are not small enough: combined certificate "
             f"sups {bad} reach the gate {SMALLNESS_GATE}")
     return WaveProblem(laplacian=L, A0=A0, A1=A1, A2=A2, f=f, family=family,
-                       probe=probe, certificate_sup=sups)
+                       probe=probe, selection=sel, certificate_sup=sups)
 
 
 def resolvent_block_selection(p: int, n: int, h: float, b_blocks,

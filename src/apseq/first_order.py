@@ -23,7 +23,7 @@ import numpy as np
 
 from .ap_analysis import APReport
 from .errors import ConvergencePreconditionError, InputContractError
-from .operator_model import OperatorSequence, V_MAX_DEFAULT
+from .operator_model import OperatorSequence, V_MAX_DEFAULT, backward_products
 from .seq_core import (BiSequence, SeminormFamily, Window, as_vector,
                        as_window)
 
@@ -245,30 +245,49 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
 
 def _attach_uniqueness(report: SolveReport, A: OperatorSequence,
                        labels) -> None:
-    by_label = {}
-    for lbl in labels:
-        prod = 1.0
-        ok = False
-        for i in range(1, UNIQUENESS_DEPTH + 1):
-            prod *= A.certificate(lbl, -i)
-            if prod < UNIQUENESS_THRESHOLD:
-                ok = True
-                break
-        by_label[lbl] = ok
+    # any() stops at the first product below the threshold
+    by_label = {lbl: any(prod < UNIQUENESS_THRESHOLD for prod in
+                         backward_products(A, lbl, 0, UNIQUENESS_DEPTH))
+                for lbl in labels}
     report.uniqueness_by_label = by_label
     report.uniqueness = ("certified" if all(by_label.values())
                          else "not certified")
 
 
+def linear_residual(x: BiSequence, coefs: dict, rhs: tuple, window,
+                    family: SeminormFamily) -> dict[str, float]:
+    """max over k in window and kappa of kappa(sum_j M_j(k) x(k+j) -
+    R(k) g(k)).  ``coefs`` maps j >= 0 to the factors of M_j and ``rhs`` is
+    (factors of R, g); a factor is a scalar, a constant matrix, or
+    (operator sequence, s) for its matrix at k + s, multiplied in the order
+    written: (C, (B, 1)) is C B(k+1) and () is the identity."""
+    window = as_window(window)
+    n = len(window)
+    xs = x.window_values(window.extended(right=max(coefs)))
+    factors, g = rhs
+    rows = -_apply_factors(factors, g.window_values(window), window.start)
+    for j, chain in coefs.items():
+        rows += _apply_factors(chain, xs[j:j + n], window.start)
+    return {sn.label: float(sn.of_rows(rows).max()) for sn in family}
+
+
+def _apply_factors(factors, rows: np.ndarray, start: int) -> np.ndarray:
+    for fac in reversed(factors):
+        if isinstance(fac, tuple):
+            seq, shift = fac
+            rows = seq.apply_rows(start + shift, rows)
+        elif np.ndim(fac):
+            rows = rows @ np.asarray(fac).T
+        else:
+            rows = fac * rows
+    return rows
+
+
 def residual(A: OperatorSequence, f: BiSequence, x: BiSequence, window,
              family: SeminormFamily) -> dict[str, float]:
     """max over k in window and kappa of kappa(x(k+1) - A(k) x(k) - f(k))."""
-    window = as_window(window)
-    xs = x.window_values(window.extended(right=1))
-    fs = f.window_values(window)
-    mats = np.stack([A.matrix(k) for k in window])
-    rows = xs[1:] - np.einsum("pij,pj->pi", mats, xs[:-1]) - fs
-    return {sn.label: float(sn.of_rows(rows).max()) for sn in family}
+    return linear_residual(x, {1: (), 0: (-1.0, (A, 0))}, ((), f), window,
+                           family)
 
 
 def forward_oracle(A: OperatorSequence, f: BiSequence, k0: int, x0,
@@ -300,12 +319,7 @@ def homogeneous_decay(A: OperatorSequence, label: str, K: int) -> list[float]:
     """
     if K < 1:
         raise InputContractError("K must be >= 1")
-    out = []
-    prod = 1.0
-    for i in range(1, K + 1):
-        prod *= A.certificate(label, -i)
-        out.append(prod)
-    return out
+    return list(backward_products(A, label, 0, K))
 
 
 def weighted_growth_check(x: BiSequence, alpha: float,

@@ -18,15 +18,15 @@ products do not decay and the series gate only opens for p = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .errors import InputContractError, NumericError, ShapeError
-from .first_order import SolveReport
-from .operator_model import (Matrix, OperatorSequence, V_MAX_DEFAULT,
-                             as_matrix, induced_bound)
-from .resolvent import COND_LIMIT, ResolventSelection, solve_inclusion
+from .first_order import SolveReport, linear_residual
+from .operator_model import (COND_LIMIT, Matrix, OperatorSequence,
+                             V_MAX_DEFAULT, as_matrix, checked_solve,
+                             induced_bound)
+from .resolvent import ResolventSelection, solve_inclusion
 from .seq_core import BiSequence, SeminormFamily, as_window
 
 
@@ -147,38 +147,40 @@ def order_p_series_gate(p: int) -> None:
             "Use build_companion for structure or forward iteration instead.")
 
 
-def _a0_inverse_sequence(A0: OperatorSequence, C: Matrix,
-                         cond_limit: float = COND_LIMIT) -> OperatorSequence:
-    def fn(k: int) -> Matrix:
-        m = A0.matrix(k)
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise NumericError(f"A0({k}) condition estimate {cond:.3e} "
-                               f"exceeds {cond_limit:.1e}")
-        return np.linalg.solve(m, C)
-
-    if A0.backend == "constant":
-        return OperatorSequence.constant(fn(0), certificates={})
-    if A0.backend == "periodic":
-        return OperatorSequence.periodic([fn(k) for k in range(A0.period)],
-                                         certificates={})
-    return OperatorSequence(A0.dim, fn, "generator", certificates={})
+def _a0_inverse_sequence(A0: OperatorSequence, C: Matrix) -> OperatorSequence:
+    return OperatorSequence.map(lambda k, a0: checked_solve(a0, C, f"A0({k})"),
+                                A0, certificates={})
 
 
-def _joint_sup_indices(seqs, sup_probe) -> list[int]:
-    backends = {s.backend for s in seqs}
-    if backends <= {"constant"}:
-        return [0]
-    if backends <= {"constant", "periodic"}:
-        period = 1
-        for s in seqs:
-            if s.backend == "periodic":
-                period = period * s.period // gcd(period, s.period)
-        return list(range(period + 1))  # +1 covers the c3(k+1) shift
-    if sup_probe is None:
-        raise InputContractError(
-            "generator-backed coefficients need a sup_probe window")
-    return list(as_window(sup_probe))
+def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
+                           A2: OperatorSequence, C, family: SeminormFamily,
+                           sup_probe=None) -> ResolventSelection:
+    """The p = 2 companion selection bold_B(k) [bold_A(k)]^{-1} bold_C on
+    the lifted family.
+
+    Per-seminorm certificates are the sum of three pieces exactly as the
+    sufficient condition combines them: c1 for [A_0]^{-1} C, c2 for
+    A_1 [A_0]^{-1} C, c3 for A_2 (taken at the index the selection block
+    actually carries).  Each (seminorm, k) is evaluated once and cached on
+    the selection; sup bounds range over the joint period of the
+    coefficients, or over sup_probe when one of them is a generator.
+    """
+    order_p_series_gate(2)
+    C = as_matrix(C, A0.dim)
+    sys = build_companion(2, [A0, A1, A2], C)
+    G = _a0_inverse_sequence(A0, C)
+
+    def pieces(sn, k: int) -> float:
+        g = G.matrix(k)
+        return (induced_bound(g, sn) + induced_bound(A1.matrix(k) @ g, sn)
+                + induced_bound(A2.matrix(k + 1), sn))
+
+    certs = {sn.label: (lambda k, _sn=sn: pieces(_sn, k)) for sn in family}
+    D = OperatorSequence.map(lambda k, *_: companion_D_block(sys, G, k),
+                             G, A1, A2, shifts=(0, 0, 1), dim=2 * A0.dim,
+                             family=family.lifted(2), certificates=certs,
+                             sup_probe=sup_probe)
+    return ResolventSelection(D, sys.bold_C(), "companion reduction")
 
 
 def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
@@ -186,54 +188,25 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
                        tol: float = 1e-10, V_max: int = V_MAX_DEFAULT,
                        family: SeminormFamily | None = None,
                        sup_probe=None, pad_right: int = 2,
-                       threads: int | None = None
+                       threads: int | None = None,
+                       selection: ResolventSelection | None = None
                        ) -> tuple[BiSequence, SolveReport]:
     """Solve C A_2(k+2) u(k+2) + C A_1(k+1) u(k+1) + A_0(k) u(k) = C f(k).
 
-    Per-seminorm certificates are the sum of three pieces exactly as the
-    sufficient condition combines them: c1 for [A_0]^{-1} C, c2 for
-    A_1 [A_0]^{-1} C, c3 for A_2 (taken at the index the selection block
-    actually carries).  The summed certificate must stay below 1.
-    The scalar-level residual of the order-2 equation is certified on the
-    returned u.
+    Runs through ``second_order_selection`` (or the given ``selection``,
+    built by it from the same coefficients); its summed certificates must
+    stay below 1.  The scalar-level residual of the order-2 equation is
+    certified on the returned u.
     """
-    order_p_series_gate(2)
     family = family or A0.family or A1.family or A2.family
     if family is None:
         raise InputContractError("need a seminorm family")
     window = as_window(window)
     C = as_matrix(C, A0.dim)
-    sys = build_companion(2, [A0, A1, A2], C)
-    G = _a0_inverse_sequence(A0, C)
+    sel = selection or second_order_selection(A0, A1, A2, C, family,
+                                              sup_probe)
+    vec_f = build_companion(2, [A0, A1, A2], C).lift(f)
     d = A0.dim
-
-    def c_pieces(label: str, k: int) -> tuple[float, float, float]:
-        sn = family.by_label(label)
-        g = G.matrix(k)
-        return (induced_bound(g, sn),
-                induced_bound(A1.matrix(k) @ g, sn),
-                induced_bound(A2.matrix(k + 1), sn))
-
-    piece_cache: dict[tuple[str, int], tuple[float, float, float]] = {}
-
-    def combined(label: str, k: int) -> float:
-        key = (label, k)
-        got = piece_cache.get(key)
-        if got is None:
-            got = piece_cache[key] = c_pieces(label, k)
-        return got[0] + got[1] + got[2]
-
-    certs = {sn.label: (lambda k, _l=sn.label: combined(_l, k))
-             for sn in family}
-    ks = _joint_sup_indices([A0, A1, A2], sup_probe)
-    sups = {lbl: max(rule(k) for k in ks) for lbl, rule in certs.items()}
-
-    lifted = family.lifted(2)
-    D = OperatorSequence(2 * d, lambda k: companion_D_block(sys, G, k),
-                         "generator", family=lifted,
-                         certificates=certs, sup_bounds=sups)
-    vec_f = sys.lift(f)
-    sel = ResolventSelection(D, sys.bold_C(), "companion reduction")
 
     amp = max(induced_bound(C, sn) for sn in family)
     inner_tol = tol / (4.0 * max(1.0, amp))
@@ -243,13 +216,14 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
                                 threads=threads)
     report.tol = tol
 
-    # vec u(k) = [bold_A(k)]^{-1} bold_C (v(k+1) - vec f(k)):
-    # block 1 is -G(k) applied to the head, block 2 passes through
+    # vec u(k) = [bold_A(k)]^{-1} bold_C (v(k+1) - vec f(k)): block 1 is
+    # -G(k) = -[A_0(k)]^{-1} C applied to the head, which is the (2,1)
+    # block of D(k); block 2 passes through
     u_window = window.extended(right=u_pad)
     vec_u = np.empty((len(u_window), 2 * d), dtype=np.complex128)
     for i, k in enumerate(u_window):
         w = np.asarray(v(k + 1)) - vec_f(k)
-        vec_u[i, :d] = -(G.matrix(k) @ w[:d])
+        vec_u[i, :d] = sel.D.matrix(k)[d:, :d] @ w[:d]
         vec_u[i, d:] = w[d:]
     u = BiSequence.from_table(u_window.start, vec_u[:, :d])
 
@@ -264,17 +238,9 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
 def second_order_residual(A0, A1, A2, C, f: BiSequence, u: BiSequence,
                           window, family: SeminormFamily) -> dict[str, float]:
     """max of kappa(C A2(k+2) u(k+2) + C A1(k+1) u(k+1) + A0(k) u(k) - C f(k))."""
-    window = as_window(window)
     C = as_matrix(C, u.dim)
-    us = u.window_values(window.extended(right=2))
-    fs = f.window_values(window)
-    m2 = np.stack([A2.matrix(k + 2) for k in window])
-    m1 = np.stack([A1.matrix(k + 1) for k in window])
-    m0 = np.stack([A0.matrix(k) for k in window])
-    rows = (np.einsum("pij,pj->pi", m2, us[2:]) @ C.T
-            + np.einsum("pij,pj->pi", m1, us[1:-1]) @ C.T
-            + np.einsum("pij,pj->pi", m0, us[:-2]) - fs @ C.T)
-    return {sn.label: float(sn.of_rows(rows).max()) for sn in family}
+    return linear_residual(u, {2: (C, (A2, 2)), 1: (C, (A1, 1)),
+                               0: ((A0, 0),)}, ((C,), f), window, family)
 
 
 def companion_forward_oracle(sys: CompanionSystem, f: BiSequence, k0: int,
@@ -333,11 +299,6 @@ def build_B_from_D(A_mat: OperatorSequence, D_mat: OperatorSequence, p: int,
                         f"block budget violated at k={k}, seminorm "
                         f"{sn.label!r}: {total:.4f} > {budget:.4f}")
 
-    def fn(j: int) -> Matrix:
-        return A_mat.matrix(j - 1) @ D_mat.matrix(j - 1)
-
-    if A_mat.backend == "constant" and D_mat.backend == "constant":
-        B = OperatorSequence.constant(fn(1), certificates={})
-    else:
-        B = OperatorSequence(A_mat.dim, fn, "generator", certificates={})
+    B = OperatorSequence.map(lambda j, a, d: a @ d, A_mat, D_mat,
+                             shifts=(-1, -1), certificates={})
     return B, warnings

@@ -24,11 +24,13 @@ up to roundoff with no fudge factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from math import lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CertificateError, InputContractError, ShapeError
+from .errors import (CertificateError, InputContractError, NumericError,
+                     ShapeError)
 from .seq_core import Seminorm, SeminormFamily, Vector, Window, as_window
 
 Matrix = np.ndarray  # (d, d) complex128
@@ -36,6 +38,8 @@ Matrix = np.ndarray  # (d, d) complex128
 #: default depth cap and tolerance for certificate-product certification
 V_MAX_DEFAULT = 10_000
 RAC_TOL_DEFAULT = 1e-12
+#: condition estimates above this make a dense solve untrustworthy
+COND_LIMIT = 1e12
 
 
 def as_matrix(m, dim: int | None = None) -> Matrix:
@@ -84,6 +88,19 @@ def induced_bound(matrix: Matrix, sn: Seminorm) -> float:
                 col_sums[j] += induced_bound(block, sn.base)
         return float(col_sums.max())
     raise InputContractError(f"unknown seminorm kind {sn.kind!r}")
+
+
+def checked_solve(matrix: Matrix, rhs, what: str = "matrix") -> np.ndarray:
+    """matrix^{-1} rhs by a dense solve with partial pivoting.
+
+    Condition estimates above COND_LIMIT raise NumericError: certificate
+    soundness requires trustworthy applies.
+    """
+    cond = np.linalg.cond(matrix)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise NumericError(f"{what} has condition estimate {cond:.3e} above "
+                           f"{COND_LIMIT:.1e}; refusing the dense solve")
+    return np.linalg.solve(matrix, rhs)
 
 
 class OperatorSequence:
@@ -162,6 +179,34 @@ class OperatorSequence:
                                 certificates=certificates,
                                 sup_bounds=sup_bounds, sup_probe=probe)
 
+    @staticmethod
+    def map(fn: Callable[..., Matrix], *seqs: "OperatorSequence",
+            shifts: Sequence[int] | None = None, dim: int | None = None,
+            family: SeminormFamily | None = None, certificates=None,
+            sup_bounds=None, sup_probe=None) -> "OperatorSequence":
+        """k -> fn(k, seqs[0].matrix(k + shifts[0]), ...): constant if every
+        input is constant, periodic with the lcm period if every input is
+        constant or periodic, else a generator of dimension ``dim`` (default
+        the first input's) with sup bounds probed on ``sup_probe`` unless
+        given.  fn sees only k = 0 .. period-1 for periodic results, so it
+        may use k only to read sequences or to name it in errors."""
+        shifts = tuple(shifts) if shifts is not None else (0,) * len(seqs)
+
+        def at(k: int) -> Matrix:
+            return fn(k, *(s.matrix(k + sh) for s, sh in zip(seqs, shifts)))
+
+        kw = dict(family=family, certificates=certificates,
+                  sup_bounds=sup_bounds)
+        backends = {s.backend for s in seqs}
+        if backends <= {"constant"}:
+            return OperatorSequence.constant(at(0), **kw)
+        if backends <= {"constant", "periodic"}:
+            period = lcm(*(s.period or 1 for s in seqs))
+            return OperatorSequence.periodic([at(k) for k in range(period)],
+                                             **kw)
+        return OperatorSequence.from_function(dim or seqs[0].dim, at,
+                                              sup_probe=sup_probe, **kw)
+
     # -- evaluation --------------------------------------------------------
 
     def matrix(self, k: int) -> Matrix:
@@ -180,6 +225,20 @@ class OperatorSequence:
         if x.shape != (self.dim,):
             raise ShapeError(f"operator dim {self.dim} vs value shape {x.shape}")
         return self.matrix(k) @ x
+
+    def apply_rows(self, start: int, rows: np.ndarray) -> np.ndarray:
+        """Row i -> A(start + i) rows[i].  Constant and periodic backends
+        apply their few distinct matrices without stacking one per row."""
+        if self.backend == "constant":
+            return rows @ self.matrix(0).T
+        if self.backend == "periodic":
+            p = self.period
+            out = np.empty(rows.shape, dtype=np.complex128)
+            for r in range(p):
+                out[r::p] = rows[r::p] @ self.matrix(start + r).T
+            return out
+        mats = np.stack([self.matrix(start + i) for i in range(rows.shape[0])])
+        return np.einsum("pij,pj->pi", mats, rows)
 
     def certificate(self, label: str, k: int) -> float:
         if label not in self.certificates:
@@ -239,6 +298,16 @@ def op_product_apply(A: OperatorSequence, k: int, v: int, x: Vector) -> Vector:
     return y
 
 
+def backward_products(A: OperatorSequence, label: str, k: int,
+                      depth: int) -> Iterator[float]:
+    """prod_{i=1..v} c(k-i) for v = 1 .. depth, lazily: callers that stop
+    at the first product they need evaluate no further certificates."""
+    prod = 1.0
+    for v in range(1, depth + 1):
+        prod *= A.certificate(label, k - v)
+        yield prod
+
+
 @dataclass
 class RacCertificate:
     """Partial sums of backward certificate products at one (seminorm, k).
@@ -272,12 +341,10 @@ def rac_certify(A: OperatorSequence, label: str, k: int,
         raise InputContractError("V_max must be >= 1")
     sup = A.sup_bound(label)
     cert = RacCertificate(seminorm_label=label, k=int(k), sup_bound=sup)
-    prod = 1.0
     total = 0.0
     small_increments = 0
     geometric = sup < 1.0
-    for v in range(1, V_max + 1):
-        prod *= A.certificate(label, k - v)
+    for v, prod in enumerate(backward_products(A, label, k, V_max), 1):
         total += prod
         cert.partial_sums.append(total)
         cert.depth = v

@@ -26,17 +26,15 @@ reduce to inclusions with selections B(k) [A(k)]^{-1} C and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .errors import InputContractError, NumericError
-from .first_order import SolveReport, solve_series
-from .operator_model import (Matrix, OperatorSequence, V_MAX_DEFAULT, as_matrix,
+from .first_order import SolveReport, linear_residual, solve_series
+from .operator_model import (COND_LIMIT, Matrix, OperatorSequence,
+                             V_MAX_DEFAULT, as_matrix, checked_solve,
                              induced_bound)
 from .seq_core import BiSequence, SeminormFamily, Window, as_window
-
-COND_LIMIT = 1e12
 
 
 @dataclass
@@ -57,33 +55,13 @@ class ResolventSelection:
     @staticmethod
     def from_matrix_inverse(A_mat: OperatorSequence, C,
                             family: SeminormFamily,
-                            cond_limit: float = COND_LIMIT,
                             sup_probe=None) -> "ResolventSelection":
-        """D(k) = [A(k)]^{-1} C by dense solves with partial pivoting.
-
-        Condition estimates above cond_limit abort: certificate soundness
-        requires trustworthy applies.
-        """
+        """D(k) = [A(k)]^{-1} C by condition-checked dense solves, with
+        certificates derived as induced bounds of the solved matrices."""
         C = as_matrix(C, A_mat.dim)
-
-        def fn(k: int) -> Matrix:
-            m = A_mat.matrix(k)
-            cond = np.linalg.cond(m)
-            if not np.isfinite(cond) or cond > cond_limit:
-                raise NumericError(
-                    f"A({k}) has condition estimate {cond:.3e} above "
-                    f"{cond_limit:.1e}; refusing to build the resolvent")
-            return np.linalg.solve(m, C)
-
-        if A_mat.backend == "constant":
-            D = OperatorSequence.constant(fn(0), family=family)
-        elif A_mat.backend == "periodic":
-            D = OperatorSequence.periodic([fn(k) for k in range(A_mat.period)],
-                                          family=family)
-        else:
-            probe = sup_probe if sup_probe is not None else A_mat.sup_probe
-            D = OperatorSequence.from_function(A_mat.dim, fn, family=family,
-                                               sup_probe=probe)
+        D = OperatorSequence.map(
+            lambda k, a: checked_solve(a, C, f"A({k})"), A_mat, family=family,
+            sup_probe=sup_probe if sup_probe is not None else A_mat.sup_probe)
         return ResolventSelection(D, C, "numeric linear solve")
 
 
@@ -160,12 +138,9 @@ def inclusion_residual(sel: ResolventSelection, f: BiSequence, x: BiSequence,
                        window, family: SeminormFamily) -> dict[str, float]:
     """max over window and kappa of kappa(x(k) - D(k) x(k+1) + D(k) f(k)),
     the verifiable membership defect under the selection."""
-    window = as_window(window)
-    xs = x.window_values(window.extended(right=1))
-    fs = f.window_values(window)
-    mats = np.stack([sel.D.matrix(k) for k in window])
-    rows = xs[:-1] - np.einsum("pij,pj->pi", mats, xs[1:] - fs)
-    return {sn.label: float(sn.of_rows(rows).max()) for sn in family}
+    minus_D = (-1.0, (sel.D, 0))
+    return linear_residual(x, {0: (), 1: minus_D}, (minus_D, f), window,
+                           family)
 
 
 def forward_form_residual(A_mat: OperatorSequence, C, f: BiSequence,
@@ -173,24 +148,9 @@ def forward_form_residual(A_mat: OperatorSequence, C, f: BiSequence,
                           family: SeminormFamily) -> dict[str, float]:
     """max of kappa(C x(k+1) - A(k) x(k) - C f(k)): the forward form of the
     inclusion for single-valued A, used for round-trip checks."""
-    window = as_window(window)
     C = as_matrix(C, x.dim)
-    xs = x.window_values(window.extended(right=1))
-    fs = f.window_values(window)
-    mats = np.stack([A_mat.matrix(k) for k in window])
-    rows = xs[1:] @ C.T - np.einsum("pij,pj->pi", mats, xs[:-1]) - fs @ C.T
-    return {sn.label: float(sn.of_rows(rows).max()) for sn in family}
-
-
-def _compose_backend(B: OperatorSequence, G: OperatorSequence):
-    if B.backend == "constant" and G.backend == "constant":
-        return "constant", None
-    if B.backend in ("constant", "periodic") and G.backend in ("constant",
-                                                               "periodic"):
-        pb = B.period or 1
-        pg = G.period or 1
-        return "periodic", pb * pg // gcd(pb, pg)
-    return "generator", None
+    return linear_residual(x, {1: (C,), 0: (-1.0, (A_mat, 0))}, ((C,), f),
+                           window, family)
 
 
 def compose_selection(B: OperatorSequence, G: OperatorSequence,
@@ -207,25 +167,15 @@ def compose_selection(B: OperatorSequence, G: OperatorSequence,
     certs = {lbl: (lambda k, _l=lbl: B.certificate(_l, k) * G.certificate(_l, k))
              for lbl in labels}
     sups = {lbl: B.sup_bound(lbl) * G.sup_bound(lbl) for lbl in labels}
-    backend, period = _compose_backend(B, G)
-    fn = lambda k: B.matrix(k) @ G.matrix(k)
-    if backend == "constant":
-        return OperatorSequence.constant(fn(0), family=family,
-                                         certificates=certs, sup_bounds=sups)
-    if backend == "periodic":
-        mats = [fn(k) for k in range(period)]
-        return OperatorSequence.periodic(mats, family=family,
-                                         certificates=certs, sup_bounds=sups)
-    return OperatorSequence(B.dim, lambda k: fn(k), "generator", family=family,
-                            certificates=certs, sup_bounds=sups)
+    return OperatorSequence.map(lambda k, b, g: b @ g, B, G, family=family,
+                                certificates=certs, sup_bounds=sups)
 
 
-def _b_inverse(B: OperatorSequence, k: int, rhs, cond_limit=COND_LIMIT):
-    m = B.matrix(k)
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > cond_limit:
+def _b_inverse(B: OperatorSequence, k: int, rhs):
+    try:
+        return checked_solve(B.matrix(k), rhs)
+    except NumericError:
         return None
-    return np.linalg.solve(m, rhs)
 
 
 def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
@@ -286,9 +236,9 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
             u_vals[i] = got
     if u_vals is None and u_recovery in ("auto", "selection"):
         route = "selection"
-        u_vals = np.empty((len(u_window), B.dim), dtype=np.complex128)
-        for i, k in enumerate(u_window):
-            u_vals[i] = Ainv_C.matrix(k) @ (np.asarray(v(k + 1)) - f(k))
+        u_vals = Ainv_C.apply_rows(u_window.start,
+                                   v.window_values(u_window.shifted(1))
+                                   - f.window_values(u_window))
     if u_vals is None:
         report.warnings.append("u not recovered; returning v only")
         return v, None, report
@@ -304,15 +254,9 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
 def vb_residual(B: OperatorSequence, A: OperatorSequence, C, f: BiSequence,
                 u: BiSequence, window, family: SeminormFamily) -> dict[str, float]:
     """max of kappa(C B(k+1) u(k+1) - A(k) u(k) - C f(k))."""
-    window = as_window(window)
     C = as_matrix(C, u.dim)
-    us = u.window_values(window.extended(right=1))
-    fs = f.window_values(window)
-    bmats = np.stack([B.matrix(k + 1) for k in window])
-    amats = np.stack([A.matrix(k) for k in window])
-    rows = (np.einsum("pij,pj->pi", bmats, us[1:]) @ C.T
-            - np.einsum("pij,pj->pi", amats, us[:-1]) - fs @ C.T)
-    return {sn.label: float(sn.of_rows(rows).max()) for sn in family}
+    return linear_residual(u, {1: (C, (B, 1)), 0: (-1.0, (A, 0))}, ((C,), f),
+                           window, family)
 
 
 def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
@@ -366,12 +310,6 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
 def vb1_residual(B: OperatorSequence, A: OperatorSequence, C, g: BiSequence,
                  u: BiSequence, window, family: SeminormFamily) -> dict[str, float]:
     """max of kappa(B(k+1) C u(k+1) - A(k) u(k) - C g(k))."""
-    window = as_window(window)
     C = as_matrix(C, u.dim)
-    us = u.window_values(window.extended(right=1))
-    gs = g.window_values(window)
-    bmats = np.stack([B.matrix(k + 1) for k in window])
-    amats = np.stack([A.matrix(k) for k in window])
-    rows = (np.einsum("pij,pj->pi", bmats, us[1:] @ C.T)
-            - np.einsum("pij,pj->pi", amats, us[:-1]) - gs @ C.T)
-    return {sn.label: float(sn.of_rows(rows).max()) for sn in family}
+    return linear_residual(u, {1: ((B, 1), C), 0: (-1.0, (A, 0))}, ((C,), g),
+                           window, family)

@@ -327,3 +327,70 @@ def test_inclusion_with_explicit_selection_and_weyl_analysis(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["analysis"]["weyl"]["value"] < 0.2  # fitted approximant
     assert report["solve"]["max_residual"]["sup"] <= 4.5e-10
+
+
+def test_example_heat_builds_its_problem_once(tmp_path, monkeypatch):
+    # the Bohr request is part of the config, so one solve covers its hull
+    from apseq import cli, discretization
+    calls = []
+    original = discretization.heat_problem
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("window"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(discretization, "heat_problem", counting)
+    out = tmp_path / "heat"
+    assert cli.main(["example", "heat", "--n", "5", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["analysis"]["bohr"]["verdict"] is True
+    assert report["analysis"]["bohr_forcing_defect"] > 0
+    assert report["solve"]["window"] == [-190, 230]  # the Bohr scan's hull
+    assert read_solution(out)[1] == list(range(-20, 21))  # config window
+
+
+def test_example_wave_evaluates_each_certificate_piece_once(tmp_path,
+                                                            monkeypatch):
+    from apseq import cli, discretization, higher_order
+    calls = []
+    problems = []
+    bound = higher_order.induced_bound
+    build = discretization.wave_problem
+
+    def counting(m, sn):
+        calls.append(sn.label)
+        return bound(m, sn)
+
+    def capture(*args, **kwargs):
+        problems.append(build(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(higher_order, "induced_bound", counting)
+    monkeypatch.setattr(discretization, "wave_problem", capture)
+    assert cli.main(["example", "wave", "--n", "4", "--out",
+                     str(tmp_path / "wave")]) == 0
+    (problem,) = problems
+    evaluated = problem.selection.D._cert_cache
+    # three pieces per evaluated (seminorm, k), plus one amplification
+    # bound of C per seminorm
+    assert len(evaluated) >= 3 * len(problem.probe)
+    assert len(calls) == 3 * len(evaluated) + len(problem.family.labels())
+
+
+def test_example_heat_exits_4_on_failed_bohr_verdict(tmp_path, monkeypatch):
+    from apseq import ap_analysis, cli
+    check = ap_analysis.bohr_check
+
+    def failing(x, sn, eps, *args):
+        rep = check(x, sn, eps, *args)
+        if eps != float("inf"):  # the solution's check, not the forcing probe
+            rep.verdict = False
+        return rep
+
+    monkeypatch.setattr(ap_analysis, "bohr_check", failing)
+    out = tmp_path / "heat"
+    assert cli.main(["example", "heat", "--n", "3", "--out", str(out)]) == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["analysis"]["bohr"]["verdict"] is False
+    assert "bohr_forcing_defect" in report["analysis"]

@@ -132,6 +132,25 @@ def test_homogeneous_decay_examples():
     assert min(got) > 1e-12
 
 
+def test_uniqueness_stops_at_first_small_product():
+    # generator certificates are evaluated lazily: the uniqueness check
+    # must stop at the first backward product below the threshold
+    from apseq.first_order import SolveReport, _attach_uniqueness
+    seen = []
+
+    def cert(k):
+        seen.append(k)
+        return 0.1
+
+    A = OperatorSequence.from_function(1, lambda k: [[0.1]],
+                                       certificates={"sup": cert},
+                                       sup_bounds={"sup": 0.1})
+    rep = SolveReport(window=(0, 0), tol=1e-10)
+    _attach_uniqueness(rep, A, ["sup"])
+    assert rep.uniqueness == "certified"
+    assert seen == list(range(-1, -14, -1))  # 0.1^13 < 1e-12 <= 0.1^12
+
+
 def test_uniqueness_reporting():
     A = half_identity()
     _, rep = solve_series(A, BiSequence.constant([1.0]), (-3, 3))

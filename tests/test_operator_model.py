@@ -194,3 +194,43 @@ def test_rac_converges_by_increments_when_geometric_tail_lags():
     assert cert.converged
     assert cert.tail_bound is not None and cert.tail_bound > 1e-12
     assert cert.depth <= 12  # the drop hits at v=1; 10 small increments later
+
+
+def test_map_joint_backend_and_period(rng):
+    fam = SeminormFamily.sup_only(2)
+    P2 = OperatorSequence.periodic([random_matrix(rng, 2) for _ in range(2)],
+                                   family=fam)
+    P3 = OperatorSequence.periodic([random_matrix(rng, 2) for _ in range(3)],
+                                   family=fam)
+    K = OperatorSequence.constant(random_matrix(rng, 2), family=fam)
+    G = OperatorSequence.from_function(2, lambda k: (1 + 0.1 * k) * np.eye(2),
+                                       certificates={})
+    prod = OperatorSequence.map(lambda k, a, b: a @ b, P2, P3, shifts=(0, 1),
+                                family=fam)
+    assert prod.backend == "periodic" and prod.period == 6
+    for k in range(-7, 8):
+        assert np.array_equal(prod.matrix(k), P2.matrix(k) @ P3.matrix(k + 1))
+        # derived certificates are the exact induced bounds
+        assert prod.certificate("sup", k) == induced_bound(prod.matrix(k),
+                                                           fam.by_label("sup"))
+    assert OperatorSequence.map(lambda k, a: 2 * a, K,
+                                certificates={}).backend == "constant"
+    mixed = OperatorSequence.map(lambda k, a, g: a @ g, K, G, certificates={})
+    assert mixed.backend == "generator"
+    assert np.array_equal(mixed.matrix(4), K.matrix(4) @ G.matrix(4))
+    with pytest.raises(InputContractError):  # no sup bound for a generator
+        OperatorSequence.map(lambda k, a, g: a @ g, K, G, family=fam)
+
+
+def test_apply_rows_matches_per_row_products(rng):
+    fam = SeminormFamily.sup_only(3)
+    mats = [random_matrix(rng, 3) for _ in range(3)]
+    seqs = [OperatorSequence.constant(mats[0], family=fam),
+            OperatorSequence.periodic(mats, family=fam),
+            OperatorSequence.from_function(3, lambda k: mats[k % 3] * k,
+                                           certificates={})]
+    rows = random_matrix(rng, 3)[:2].repeat(4, axis=0)  # 8 rows
+    for A in seqs:
+        got = A.apply_rows(-5, rows)
+        want = np.array([A.matrix(-5 + i) @ rows[i] for i in range(8)])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
