@@ -443,7 +443,8 @@ def _add_common(sp):
     sp.add_argument("--window", type=str, default=None,
                     help="override config window as A:B")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (fallback: APSEQ_THREADS)")
+                    help="recorded in the report; the solver is sequential "
+                         "(fallback: APSEQ_THREADS)")
 
 
 def _parse_window(text: str) -> Window:

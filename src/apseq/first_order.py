@@ -5,21 +5,27 @@ The bounded solution is the operator-product series
     x(k) = f(k-1) + sum_{v>=1} A(k-1) A(k-2) ... A(k-v) f(k-1-v),
 
 well defined whenever the backward products of the bound certificates are
-summable.  The solver truncates the series per k at a depth whose certified
-tail bound is below the requested tolerance for every seminorm, and reports
-the measured residual of the returned table rather than assuming it.
+summable.  The solver picks per k a certified depth V(k) whose tail bound
+is below the requested tolerance for every seminorm, then sums the series
+in one forward sweep: from a zero state at k0 = start - max V - 1 it steps
+x(k+1) = A(k) x(k) + f(k), so x(k) holds the first k - k0 terms, at least
+V(k) of them.  Tail bounds only shrink with depth, so the certified bounds
+still hold.  The report gives the measured residual of the returned table
+rather than assuming it.
 
-The independent check is forward iteration of the recurrence from a far-left
-zero initial condition (``forward_oracle``); the two routes share no code.
+``forward_oracle`` iterates the same recurrence from a caller-chosen seed
+and is the brute-force reference for longer run-ins; the tests also check
+the sweep against the explicit products of ``op_product_apply``, which
+share no code with it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, log
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ap_analysis import APReport
 from .errors import ConvergencePreconditionError, InputContractError
@@ -30,6 +36,8 @@ from .seq_core import (BiSequence, SeminormFamily, Window, as_vector,
 TOL_DEFAULT = 1e-10
 UNIQUENESS_THRESHOLD = 1e-12
 UNIQUENESS_DEPTH = 10_000
+#: certificate products held at once by the depth search
+_DEPTH_BLOCK_CELLS = 1 << 17
 
 
 @dataclass
@@ -37,7 +45,9 @@ class SolveReport:
     """Everything needed to audit one solve.
 
     max_residual is measured on the returned solution over the requested
-    window; truncation depths and per-seminorm tail bounds are per k.
+    window.  truncation_V is the certified depth per k: the sweep sums at
+    least that many terms there, and tail_bounds are the per-seminorm tail
+    bounds at that depth, which also bound the tail of the longer sum.
     """
 
     window: tuple[int, int]
@@ -79,22 +89,20 @@ class SolveReport:
         }
 
 
-def _apply_level(mats: np.ndarray, vecs: np.ndarray,
-                 threads: int | None) -> np.ndarray:
-    """Row-wise matrix-vector products mats[p] @ vecs[p], optionally chunked
-    across a thread pool.  Placement by index keeps results order-independent."""
-    if threads and threads > 1 and mats.shape[0] >= 4 * threads:
-        out = np.empty_like(vecs)
-        bounds = np.linspace(0, mats.shape[0], threads + 1, dtype=int)
-
-        def work(i):
-            a, b = bounds[i], bounds[i + 1]
-            out[a:b] = np.einsum("pij,pj->pi", mats[a:b], vecs[a:b])
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(threads)))
-        return out
-    return np.einsum("pij,pj->pi", mats, vecs)
+def _apply_level(A: OperatorSequence, f_rows: np.ndarray, k0: int,
+                 keep: int) -> np.ndarray:
+    """The forward sweep that sums the series.  From x(k0) = 0 it steps
+    x(k+1) = A(k) x(k) + f(k), with f_rows[i] = f(k0 + i), and returns the
+    last ``keep`` states.  The state at k is the series truncated at depth
+    k - k0 - 1."""
+    out = np.empty((keep, A.dim), dtype=np.complex128)
+    lead = f_rows.shape[0] - keep
+    x = np.zeros(A.dim, dtype=np.complex128)
+    for i, fk in enumerate(f_rows):
+        x = A.matrix(k0 + i) @ x + fk
+        if i >= lead:
+            out[i - lead] = x
+    return out
 
 
 def _probe_forcing(f: BiSequence, window: Window, family: SeminormFamily,
@@ -120,6 +128,50 @@ def _geometric_depth(sup_c: float, sup_f: float, tol: float) -> int:
     return max(0, ceil(log(tol / head) / log(sup_c)))
 
 
+def _truncation_depths(A: OperatorSequence, labels, sups: dict,
+                       f_sup: dict, tol: float, work: Window, margin: int
+                       ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Certified depth V(k) for k in ``work`` and the tail bound it leaves
+    per seminorm.  For a seminorm with sup certificate s whose head
+    s/(1-s) sup f exceeds tol, V(k) is the smallest v <= margin with
+    c(k-1) ... c(k-v) s/(1-s) sup f <= tol; V(k) is the largest over the
+    seminorms.  The products of all k are formed at once, row k holding
+    c(k-1), c(k-2), ..., in blocks of rows to bound the memory."""
+    n = len(work)
+    V_arr = np.zeros(n, dtype=int)
+    tails: dict[str, np.ndarray] = {}
+    failures = []
+    block = max(1, _DEPTH_BLOCK_CELLS // margin)
+    for order, lbl in enumerate(labels):
+        s = sups[lbl]
+        head = s / (1.0 - s) * f_sup[lbl]
+        if head <= tol:
+            tails[lbl] = np.full(n, max(0.0, head))
+            continue
+        certs = A.certificate_array(lbl, Window(work.start - margin,
+                                                work.end - 1))
+        rows = sliding_window_view(certs, margin)[:, ::-1]
+        tails[lbl] = np.empty(n)
+        for a in range(0, n, block):
+            bounds = np.cumprod(rows[a:a + block], axis=1)
+            bounds *= s / (1.0 - s)
+            bounds *= f_sup[lbl]
+            ok = bounds <= tol
+            reached = ok.any(axis=1)
+            if not reached.all():
+                failures.append((a + int(np.argmin(reached)), order, lbl))
+                break
+            V = np.argmax(ok, axis=1) + 1
+            np.maximum(V_arr[a:a + block], V, out=V_arr[a:a + block])
+            tails[lbl][a:a + block] = bounds[np.arange(len(V)), V - 1]
+    if failures:
+        i, _, lbl = min(failures)
+        raise ConvergencePreconditionError(
+            f"certificate products for {lbl!r} at k={work.start + i} do not "
+            f"reach tol={tol} within depth {margin}")
+    return V_arr, tails
+
+
 def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DEFAULT,
                  V_max: int = V_MAX_DEFAULT, pad_right: int = 1,
                  threads: int | None = None) -> tuple[BiSequence, SolveReport]:
@@ -130,6 +182,8 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     per-k certificate products reach the tolerance within V_max terms.
     The sup of the forcing is taken over the window extended left by the
     certified truncation depth; the probe range is recorded in the report.
+    ``threads`` is accepted for compatibility: the sweep is sequential, so
+    the thread count no longer changes the computation.
     """
     window = as_window(window)
     if A.family is None:
@@ -178,53 +232,14 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
             "forcing grows toward -inf on the probe window; tail bounds "
             "assume the probed sup extends further left")
 
-    # per-k truncation depth from actual certificate products
     labels = [sn.label for sn in family]
-    certs = {lbl: np.array([A.certificate(lbl, j)
-                            for j in range(work.start - margin - 1, work.end)])
-             for lbl in labels}
-    c0 = work.start - margin - 1  # index of certs[..][0]
-    n = len(work)
-    V_arr = np.zeros(n, dtype=int)
-    tails: dict[str, np.ndarray] = {lbl: np.zeros(n) for lbl in labels}
-    for i, k in enumerate(work):
-        for lbl in labels:
-            s = sups[lbl]
-            head = s / (1.0 - s) * f_sup[lbl]
-            if head <= tol:
-                tails[lbl][i] = max(tails[lbl][i], head)
-                continue
-            seg = certs[lbl][k - margin - c0:k - c0]  # c(k-margin) .. c(k-1)
-            prods = np.cumprod(seg[::-1])
-            bounds = prods * (s / (1.0 - s)) * f_sup[lbl]
-            ok = bounds <= tol
-            if not ok.any():
-                raise ConvergencePreconditionError(
-                    f"certificate products for {lbl!r} at k={k} do not reach "
-                    f"tol={tol} within depth {len(prods)}")
-            V = int(np.argmax(ok)) + 1
-            V_arr[i] = max(V_arr[i], V)
-            tails[lbl][i] = bounds[V - 1]
-    v_need = int(V_arr.max()) if n else 0
+    V_arr, tails = _truncation_depths(A, labels, sups, f_sup, tol, work,
+                                      margin)
+    v_need = int(V_arr.max())
 
-    # series summation via the shifted-product table
-    # t_0(k) = f(k-1), t_v(k) = A(k-1) t_{v-1}(k-1), x(k) = sum_{v<=V(k)} t_v(k)
-    ks = Window(work.start - v_need, work.end)
-    m = len(ks)
-    # f_vals covers [work.start - margin - 1, work.end]; t_0 needs f on
-    # [ks.start - 1, work.end - 1] and margin >= v_need by construction
-    off = ks.start - 1 - probe.start
-    T = f_vals[off:off + m].copy()
-    amats = np.empty((m, A.dim, A.dim), dtype=np.complex128)
-    amats[0] = np.eye(A.dim)
-    for p in range(1, m):
-        amats[p] = A.matrix(ks.start + p - 1)
-    acc = T[v_need:].copy()
-    for v in range(1, v_need + 1):
-        T[v:] = _apply_level(amats[v:], T[v - 1:-1], threads)
-        mask = V_arr >= v
-        if mask.any():
-            acc[mask] += T[v_need:][mask]
+    # f_vals covers [work.start - margin - 1, work.end] and margin >= v_need
+    k0 = work.start - v_need - 1
+    acc = _apply_level(A, f_vals[k0 - probe.start:-1], k0, len(work))
 
     x = BiSequence.from_table(work.start, acc)
 

@@ -171,11 +171,17 @@ def compose_selection(B: OperatorSequence, G: OperatorSequence,
                                 certificates=certs, sup_bounds=sups)
 
 
-def _b_inverse(B: OperatorSequence, k: int, rhs):
+def _b_inverse(B: OperatorSequence, k: int, rhs, checked: dict[int, bool]):
+    """B(k)^{-1} rhs, or None when B(k) fails its condition check.
+    ``checked`` keeps each k's verdict, so every B(k) is checked once."""
+    if k in checked:
+        return np.linalg.solve(B.matrix(k), rhs) if checked[k] else None
     try:
-        return checked_solve(B.matrix(k), rhs)
+        out = checked_solve(B.matrix(k), rhs)
     except NumericError:
-        return None
+        out = None
+    checked[k] = out is not None
+    return out
 
 
 def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
@@ -205,9 +211,10 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
 
     # tighten the inner tolerance by the measured residual amplification
     amp = max(induced_bound(C, sn) for sn in family)
+    checked: dict[int, bool] = {}
     if A is not None:
         for k in window:
-            binv_at = _b_inverse(B, k, np.eye(B.dim))
+            binv_at = _b_inverse(B, k, np.eye(B.dim), checked)
             if binv_at is not None:
                 ab = A.matrix(k) @ binv_at
                 amp = max(amp, max(induced_bound(ab, sn) for sn in family))
@@ -225,7 +232,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
         u_vals = np.empty((len(u_window), B.dim), dtype=np.complex128)
         route = "b_inverse"
         for i, k in enumerate(u_window):
-            got = _b_inverse(B, k, np.asarray(v(k)))
+            got = _b_inverse(B, k, np.asarray(v(k)), checked)
             if got is None:
                 u_vals = None
                 route = None

@@ -468,21 +468,26 @@ def seq_reverse(F: BiSequence) -> BiSequence:
 # ---------------------------------------------------------------------------
 
 FLOAT_FMT = "{:.16e}"  # 17 significant digits, lowercase scientific
+#: rows formatted per write
+_CSV_BLOCK = 256
 
 
 def write_csv(path, F: BiSequence, window) -> None:
+    """Write F on ``window`` in the bytes csv.writer would write for fields
+    formatted with FLOAT_FMT; no field needs quoting, and '%.16e' % x equals
+    FLOAT_FMT.format(x) for every float.  Rows are formatted a block at a
+    time, so the table is never converted to Python floats at once."""
     window = as_window(window)
-    vals = F.window_values(window)
+    vals = np.ascontiguousarray(F.window_values(window),
+                                dtype=np.complex128).view(np.float64)
+    row_fmt = "%d" + ",%.16e" * vals.shape[1] + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k"] + [f"{p}_{i}" for i in range(F.dim)
-                            for p in ("re", "im")])
-        for i, k in enumerate(window):
-            row = [str(k)]
-            for x in vals[i]:
-                row.append(FLOAT_FMT.format(x.real))
-                row.append(FLOAT_FMT.format(x.imag))
-            w.writerow(row)
+        fh.write(",".join(["k"] + [f"{p}_{i}" for i in range(F.dim)
+                                   for p in ("re", "im")]) + "\r\n")
+        for a in range(0, len(window), _CSV_BLOCK):
+            ks = range(window.start + a, window.end + 1)
+            fh.write("".join([row_fmt % (k, *row) for k, row in
+                              zip(ks, vals[a:a + _CSV_BLOCK].tolist())]))
 
 
 def read_csv(path) -> BiSequence:
@@ -498,5 +503,6 @@ def read_csv(path) -> BiSequence:
     vals = np.empty((len(ks), dim), dtype=np.complex128)
     for i, r in enumerate(rows[1:]):
         for j in range(dim):
-            vals[i, j] = float(r[1 + 2 * j]) + 1j * float(r[2 + 2 * j])
+            # complex() keeps the sign of a zero real part; re + 1j*im drops it
+            vals[i, j] = complex(float(r[1 + 2 * j]), float(r[2 + 2 * j]))
     return BiSequence.from_table(ks[0], vals)

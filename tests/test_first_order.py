@@ -6,11 +6,14 @@ from apseq import (BiSequence, ConvergencePreconditionError,
                    SeminormFamily, TrigPoly, bohr_check, forward_oracle,
                    homogeneous_decay, omega_c_check, residual, seq_axpy,
                    solve_series, weighted_growth_check)
+from apseq.first_order import SolveReport
 from apseq.ap_analysis import besicovitch_distance
+from apseq.operator_model import op_product_apply
 from conftest import random_certified_operator
 
 SUP = Seminorm.sup()
 FAM1 = SeminormFamily.sup_only(1)
+SUP_L1 = (Seminorm.sup(), Seminorm.p_norm(1))
 
 
 def half_identity(dim=1):
@@ -101,6 +104,115 @@ def test_oracle_convergence_tight_for_half_certificates(rng):
     for k in range(window[0], window[1] + 1):
         scale = max(1.0, SUP(x(k)))
         assert SUP(x(k) - orc(k)) / scale <= 1e-15
+
+
+def explicit_series(A, f, k, V):
+    """f(k-1) + sum_{v<=V} A(k-1) ... A(k-v) f(k-1-v), term by term."""
+    total = np.array(f(k - 1), dtype=np.complex128)
+    for v in range(1, V + 1):
+        total = total + op_product_apply(A, k, v, f(k - 1 - v))
+    return total
+
+
+@pytest.mark.parametrize("backend", ["constant", "periodic", "generator",
+                                     "zero", "permutation"])
+def test_sweep_matches_explicit_products(backend, rng):
+    # the sweep and the explicit products share no code; they differ only
+    # by the terms past V(k), which the reported tail bound covers
+    fam = SeminormFamily.of(SUP_L1, 3)
+    if backend == "zero":
+        A = OperatorSequence.constant(np.zeros((3, 3)), family=fam)
+    elif backend == "permutation":
+        # products keep exactly the certificate product as their norm, so
+        # a sweep that sums fewer than V(k) terms misses the tail bound
+        eye = np.eye(3)
+        A = OperatorSequence.periodic([0.6 * eye[[1, 2, 0]], 0.6 * eye,
+                                       0.6 * eye[[2, 0, 1]]], family=fam)
+    else:
+        A = random_certified_operator(rng, fam, 0.6, backend=backend,
+                                      probe=(-200, 40))
+    f = BiSequence.from_trig_poly(TrigPoly.of(
+        [(0.0, rng.standard_normal(3)), (0.9, rng.standard_normal(3))]))
+    window = (-20, 19)
+    x, rep = solve_series(A, f, window, tol=1e-10)
+    depth = dict(rep.truncation_V)
+    for k in range(window[0], window[1] + 1):
+        diff = x(k) - explicit_series(A, f, k, depth[k])
+        for sn in fam:
+            assert sn(diff) <= dict(rep.tail_bounds[sn.label])[k] + 1e-13
+
+
+def loop_depths(A, rep, tol):
+    """The per-k, per-seminorm truncation loop the solver ran before its
+    depth search was vectorized, on the solve's own probe and sups."""
+    start, end = rep.window[0], rep.window[1] + 1
+    margin = start - rep.f_probe[0] - 1
+    V_by_k, tails = [], {sn.label: [] for sn in A.family}
+    for k in range(start, end + 1):
+        V_k = 0
+        for sn in A.family:
+            lbl = sn.label
+            s = rep.sup_certificates[lbl]
+            head = s / (1.0 - s) * rep.f_sup[lbl]
+            if head <= tol:
+                tails[lbl].append((k, max(0.0, head)))
+                continue
+            seg = np.array([A.certificate(lbl, j)
+                            for j in range(k - margin, k)])
+            prods = np.cumprod(seg[::-1])
+            bounds = prods * (s / (1.0 - s)) * rep.f_sup[lbl]
+            ok = bounds <= tol
+            if not ok.any():
+                raise ConvergencePreconditionError(
+                    f"certificate products for {lbl!r} at k={k} do not "
+                    f"reach tol={tol} within depth {len(prods)}")
+            V = int(np.argmax(ok)) + 1
+            V_k = max(V_k, V)
+            tails[lbl].append((k, float(bounds[V - 1])))
+        V_by_k.append((k, V_k))
+    return V_by_k, tails
+
+
+@pytest.mark.parametrize("case", ["constant", "periodic", "generator",
+                                  "zero_certificate", "two_seminorms"])
+def test_depth_search_equals_per_k_loop(case, rng):
+    fam = SeminormFamily.sup_only(2)
+    if case == "zero_certificate":
+        # c(k) = 0 at even k: the products vanish after one or two steps
+        A = OperatorSequence.periodic([np.zeros((2, 2)), 0.5 * np.eye(2)],
+                                      family=fam)
+    elif case == "two_seminorms":
+        A = random_certified_operator(rng, SeminormFamily.of(SUP_L1, 2),
+                                      0.9, backend="generator",
+                                      probe=(-400, 40))
+    else:
+        A = random_certified_operator(rng, fam, 0.9, backend=case,
+                                      probe=(-400, 40))
+    f = BiSequence.from_trig_poly(TrigPoly.of(
+        [(0.0, rng.standard_normal(2)), (0.4, rng.standard_normal(2))]))
+    tol = 1e-11
+    _, rep = solve_series(A, f, (-30, 30), tol=tol)
+    V_by_k, tails = loop_depths(A, rep, tol)
+    assert rep.truncation_V == V_by_k
+    assert rep.tail_bounds == tails
+
+
+def test_depth_search_error_matches_per_k_loop():
+    # certificates above the declared sup left of k = -20: no product
+    # within the probed depth reaches tol, and the error names the first k
+    A = OperatorSequence.from_function(
+        1, lambda k: [[0.5]], family=FAM1,
+        certificates={"sup": lambda k: 0.99 if k < -20 else 0.5},
+        sup_bounds={"sup": 0.5})
+    f = BiSequence.constant([1.0])
+    with pytest.raises(ConvergencePreconditionError) as got:
+        solve_series(A, f, (-10, 10), tol=1e-10)
+    # probed depth 34 = ceil(log2(1e10)) left of the window start
+    rep = SolveReport(window=(-10, 10), tol=1e-10, f_sup={"sup": 1.0},
+                      sup_certificates={"sup": 0.5}, f_probe=(-45, 11))
+    with pytest.raises(ConvergencePreconditionError) as want:
+        loop_depths(A, rep, 1e-10)
+    assert str(got.value) == str(want.value)
 
 
 def test_solver_rejects_unit_certificates():

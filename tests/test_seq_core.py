@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from apseq import (BiSequence, InputContractError, RangeError, Seminorm,
                    SeminormFamily, ShapeError, TrigPoly, Window,
                    product_seminorm, read_csv, seq_axpy, seq_eval, seq_reverse,
                    seq_shift, write_csv)
+from apseq.seq_core import FLOAT_FMT
 
 
 def test_table_eval_is_lookup():
@@ -170,6 +173,18 @@ def test_family_lifted_product_space():
     assert fam.seminorms[0](x) == 6.0
 
 
+def csv_writer_reference(path, vals, start):
+    """The bytes of csv.writer with every float formatted by FLOAT_FMT."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k"] + [f"{p}_{i}" for i in range(vals.shape[1])
+                            for p in ("re", "im")])
+        for i, row in enumerate(vals):
+            w.writerow([str(start + i)] + [FLOAT_FMT.format(part)
+                                           for x in row
+                                           for part in (x.real, x.imag)])
+
+
 def test_csv_roundtrip_exact(tmp_path, rng):
     vals = rng.standard_normal((11, 3)) + 1j * rng.standard_normal((11, 3))
     F = BiSequence.from_table(-5, vals)
@@ -178,6 +193,19 @@ def test_csv_roundtrip_exact(tmp_path, rng):
     G = read_csv(path)
     for k in range(-5, 6):
         assert np.array_equal(F(k), G(k))
+
+    # signed zero, the smallest subnormal, extreme exponents and a repeating
+    # fraction: same bytes as csv.writer, and every bit reads back
+    edge = np.empty((2, 3), dtype=np.complex128)
+    edge.real = [[-0.0, 1e-300, 1 / 3], [1e300, -5e-324, -0.0]]
+    edge.imag = [[5e-324, -1e300, -0.0], [1 / 3, 0.0, 1e-300]]
+    path = tmp_path / "edge.csv"
+    ref = tmp_path / "edge_ref.csv"
+    write_csv(path, BiSequence.from_table(-1, edge), (-1, 0))
+    csv_writer_reference(ref, edge, -1)
+    assert path.read_bytes() == ref.read_bytes()
+    back = read_csv(path).window_values((-1, 0))
+    assert back.tobytes() == edge.tobytes()
 
 
 def test_window_validation():
