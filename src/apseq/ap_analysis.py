@@ -12,6 +12,9 @@ Three classes are checked, each relative to a seminorm kappa:
 
 The limits of the definitions are unreachable at desk scale; every checker
 states exactly which finite ranges it scanned so results are reproducible.
+
+The Bohr scan costs O(taus * |k_window| * d): one window evaluation of F,
+then one row reduction of the shifted differences per candidate tau.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def bohr_check(F: BiSequence, sn: Seminorm, epsilon: float, k_window,
     best_per_t = windows.min(axis=1)
     max_defect = float(best_per_t.max())
     verdict = bool(max_defect <= epsilon)
-    translations = [int(t) for t, d in zip(taus, defects) if d <= epsilon]
+    translations = taus[defects <= epsilon].tolist()
     return APReport(epsilon=float(epsilon), seminorm_label=sn.label,
                     verdict=verdict, witness_L=L if verdict else None,
                     translation_numbers=translations, max_defect=max_defect,

@@ -137,12 +137,15 @@ class HeatProblem:
     B(k) = multiplier by m(k,.), A(k) = Lap - b(k) I, C = I.  The selection
     certificate per seminorm is the multiplier bound times the resolvent
     bound; its sup over the probed range must stay below the smallness gate.
+    ``D`` is the composite selection B(k) Ainv_C(k) whose certificates
+    ``heat_problem`` validated; the solve reuses it.
     """
 
     laplacian: GridLaplacian
     B: OperatorSequence
     A: OperatorSequence
     Ainv_C: OperatorSequence
+    D: OperatorSequence
     f: BiSequence
     family: SeminormFamily
     probe: Window
@@ -153,7 +156,8 @@ class HeatProblem:
               ) -> tuple[BiSequence, BiSequence, SolveReport]:
         v, u, report = solve_degenerate_vb(
             self.B, self.Ainv_C, np.eye(self.laplacian.size), self.f,
-            window, tol=tol, A=self.A, u_recovery="auto", threads=threads)
+            window, tol=tol, A=self.A, u_recovery="auto", threads=threads,
+            D=self.D)
         if u is None:
             raise NumericError("heat solve failed to recover u")
         return v, u, report
@@ -225,8 +229,9 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
         raise InputContractError(
             f"multiplier is not small enough: certificate sups {bad} reach "
             f"the gate {SMALLNESS_GATE}; failing k on the window: {failing[:8]}")
-    return HeatProblem(laplacian=L, B=B, A=A, Ainv_C=Ainv, f=f, family=family,
-                       probe=probe, certificate_sup=sups, min_re_b=min_re)
+    return HeatProblem(laplacian=L, B=B, A=A, Ainv_C=Ainv, D=D, f=f,
+                       family=family, probe=probe, certificate_sup=sups,
+                       min_re_b=min_re)
 
 
 @dataclass

@@ -188,16 +188,19 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                         C, f: BiSequence, window, tol: float = 1e-10,
                         V_max: int = V_MAX_DEFAULT, A: OperatorSequence | None = None,
                         u_recovery: str = "auto", pad_right: int = 1,
-                        threads: int | None = None
+                        threads: int | None = None,
+                        D: OperatorSequence | None = None
                         ) -> tuple[BiSequence, BiSequence | None, SolveReport]:
     """Solve C B(k+1) u(k+1) = A(k) u(k) + C f(k) via v(k) = B(k) u(k).
 
     Solves the substituted inclusion for v with the composite selection
-    D(k) = B(k) Ainv_C(k).  u is recovered from v by inverting B (the
-    primary route, gated on a condition estimate) or, when B is singular
-    and u_recovery="auto", through the selection u(k) = Ainv_C(k)
-    (v(k+1) - f(k)).  With A supplied the vb residual is certified
-    directly on u; otherwise the v-level inclusion residual is reported.
+    D(k) = B(k) Ainv_C(k) (or the given ``D``, built by
+    ``compose_selection`` from the same B and Ainv_C).  u is recovered
+    from v by inverting B (the primary route, gated on a condition
+    estimate) or, when B is singular and u_recovery="auto", through the
+    selection u(k) = Ainv_C(k) (v(k+1) - f(k)).  With A supplied the vb
+    residual is certified directly on u; otherwise the v-level inclusion
+    residual is reported.
     """
     window = as_window(window)
     family = Ainv_C.family or B.family
@@ -206,7 +209,8 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     if u_recovery not in ("auto", "b_inverse_only", "selection"):
         raise InputContractError(f"unknown u_recovery {u_recovery!r}")
     C = as_matrix(C, B.dim)
-    D = compose_selection(B, Ainv_C, family)
+    if D is None:
+        D = compose_selection(B, Ainv_C, family)
     sel = ResolventSelection(D, C, "composite B * AinvC")
 
     # tighten the inner tolerance by the measured residual amplification

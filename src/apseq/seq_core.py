@@ -5,7 +5,9 @@ modeled by a finite family of seminorms rather than a single norm, so all
 quantitative statements downstream are "per seminorm".  Sequences are
 immutable after construction; derived sequences (linear combinations,
 shifts, time reversals) are lazy views, which keeps evaluation pure and
-safe to share across threads.
+safe to share across threads.  Every backend except a plain generator rule
+evaluates a whole window in one numpy pass, with the same bits as stacking
+its per-k values.
 """
 
 from __future__ import annotations
@@ -98,6 +100,14 @@ def _stencil_matrix(offsets: tuple, weights: tuple, dim: int) -> np.ndarray:
     return s
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1)`` for a real 2-D array, with the same bits (max is
+    exact).  Reducing along a short row axis pays numpy's per-row overhead;
+    reducing the transposed copy over axis 0 is one elementwise np.maximum
+    across the columns."""
+    return a.T.copy().max(axis=0)
+
+
 @dataclass(frozen=True)
 class Seminorm:
     """One seminorm kappa on C^d.
@@ -165,12 +175,12 @@ class Seminorm:
         """Vectorized evaluation; ``rows`` has one value per row."""
         rows = np.asarray(rows, dtype=np.complex128)
         if self.kind == "sup":
-            return np.abs(rows).max(axis=1)
+            return _row_max(np.abs(rows))
         if self.kind == "p":
             return (np.abs(rows) ** self.p).sum(axis=1) ** (1.0 / self.p)
         if self.kind == "stencil":
             s = _stencil_matrix(self.offsets, self.weights, rows.shape[1])
-            return np.abs(rows @ s.T).max(axis=1)
+            return _row_max(np.abs(rows @ s.T))
         if self.kind == "block_sum":
             d, rem = divmod(rows.shape[1], self.blocks)
             if rem:
@@ -276,7 +286,9 @@ class TrigPoly:
     def eval(self, k: int) -> Vector:
         acc = np.zeros(self.dim, dtype=np.complex128)
         for lam, y in self.terms:
-            acc += y * np.exp(1j * lam * k)
+            # phase first, the operand order of eval_many: complex products
+            # are not commutative bit for bit
+            acc += np.exp(1j * lam * k) * y
         acc.flags.writeable = False
         return acc
 
@@ -302,12 +314,16 @@ class BiSequence:
     Backends: finite table (optionally zero-extended), pure generator rule,
     trigonometric polynomial, and the (omega, c) extension of a base window
     which satisfies F(k + omega) = c * F(k) for all k by construction.
+    ``window_fn`` evaluates a whole window in one numpy pass with the same
+    bits as stacking ``fn``; without it windows are filled k by k.
     """
 
     def __init__(self, dim: int, fn: Callable[[int], Vector], backend: str,
-                 domain: Window | None = None):
+                 domain: Window | None = None,
+                 window_fn: Callable[[Window], np.ndarray] | None = None):
         self.dim = int(dim)
         self._fn = fn
+        self._window_fn = window_fn
         self.backend = backend
         self.domain = domain  # None means all of Z
 
@@ -336,8 +352,20 @@ class BiSequence:
             raise RangeError(f"k={k} outside table window "
                              f"[{window.start}, {window.end}]")
 
+        def window_fn(w: Window) -> np.ndarray:
+            lo, hi = max(w.start, window.start), min(w.end, window.end)
+            if extend is None and (lo, hi) != (w.start, w.end):
+                # raises the RangeError of the first k outside the table
+                fn(w.start if w.start not in window else window.end + 1)
+            out = np.zeros((len(w), dim), dtype=np.complex128)
+            if lo <= hi:
+                out[lo - w.start:hi - w.start + 1] = \
+                    vals[lo - window.start:hi - window.start + 1]
+            return out
+
         seq = BiSequence(dim, fn, "table",
-                         domain=None if extend else window)
+                         domain=None if extend else window,
+                         window_fn=window_fn)
         seq.table_window = window
         seq.table_values = vals
         return seq
@@ -350,7 +378,9 @@ class BiSequence:
     @staticmethod
     def constant(value) -> "BiSequence":
         v = as_vector(value)
-        return BiSequence(v.shape[0], lambda k: v, "generator")
+        return BiSequence(
+            v.shape[0], lambda k: v, "generator",
+            window_fn=lambda w: np.broadcast_to(v, (len(w), v.shape[0])).copy())
 
     @staticmethod
     def zeros(dim: int) -> "BiSequence":
@@ -364,7 +394,9 @@ class BiSequence:
 
     @staticmethod
     def from_trig_poly(poly: TrigPoly) -> "BiSequence":
-        seq = BiSequence(poly.dim, poly.eval, "trig_poly")
+        seq = BiSequence(poly.dim, poly.eval, "trig_poly",
+                         window_fn=lambda w: poly.eval_many(
+                             np.arange(w.start, w.end + 1)))
         seq.trig_poly = poly
         return seq
 
@@ -406,7 +438,17 @@ class BiSequence:
             v.flags.writeable = False
             return v
 
-        seq = BiSequence(base.shape[1], fn, "omega_c_extension")
+        def window_fn(w: Window) -> np.ndarray:
+            q, r = np.divmod(np.arange(w.start, w.end + 1), omega)
+            # q runs through q[0]..q[-1], each power looked up once
+            qpow = np.array([cpow(j) for j in range(int(q[0]), int(q[-1]) + 1)])
+            out = base[r]
+            # power first, as in fn: complex products are not commutative
+            # bit for bit
+            return np.multiply(qpow[q - q[0], None], out, out=out)
+
+        seq = BiSequence(base.shape[1], fn, "omega_c_extension",
+                         window_fn=window_fn)
         seq.omega = omega
         seq.c = c
         return seq
@@ -417,11 +459,14 @@ class BiSequence:
         return self._fn(int(k))
 
     def window_values(self, window) -> np.ndarray:
-        """Values on a window as a (len, dim) array, rows in k order."""
+        """Values on a window as a new (len, dim) array, rows in k order.
+
+        Every backend but a plain generator rule evaluates the window in one
+        numpy pass (views delegate to their parents' windows); the rows
+        equal ``F(k)`` bit for bit either way."""
         window = as_window(window)
-        if self.backend == "trig_poly":
-            return self.trig_poly.eval_many(
-                np.arange(window.start, window.end + 1))
+        if self._window_fn is not None:
+            return self._window_fn(window)
         out = np.empty((len(window), self.dim), dtype=np.complex128)
         for i, k in enumerate(window):
             out[i] = self._fn(k)
@@ -445,7 +490,9 @@ def seq_axpy(alpha: complex, F: BiSequence, beta: complex,
         v.flags.writeable = False
         return v
 
-    return BiSequence(F.dim, fn, "generator")
+    return BiSequence(F.dim, fn, "generator",
+                      window_fn=lambda w: (a * F.window_values(w)
+                                           + b * G.window_values(w)))
 
 
 def seq_shift(F: BiSequence, tau: int) -> BiSequence:
@@ -453,14 +500,16 @@ def seq_shift(F: BiSequence, tau: int) -> BiSequence:
     t = int(tau)
     return BiSequence(F.dim, lambda k: F(k + t), F.backend,
                       domain=None if F.domain is None
-                      else F.domain.shifted(-t))
+                      else F.domain.shifted(-t),
+                      window_fn=lambda w: F.window_values(w.shifted(t)))
 
 
 def seq_reverse(F: BiSequence) -> BiSequence:
     """G(k) = F(-k); applying it twice reproduces F's values exactly."""
     return BiSequence(F.dim, lambda k: F(-k), F.backend,
                       domain=None if F.domain is None
-                      else F.domain.reflected())
+                      else F.domain.reflected(),
+                      window_fn=lambda w: F.window_values(w.reflected())[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -43,3 +43,21 @@ def random_certified_operator(rng, family, target_sup, backend="constant",
         return OperatorSequence.from_function(dim, fn, family=family,
                                               sup_probe=probe or (-64, 64))
     raise ValueError(backend)
+
+
+def reference_row_values(sn, rows):
+    """Per-row seminorm values with every row reduction taken along axis 1,
+    the reference for the reductions Seminorm.of_rows uses."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    if sn.kind == "sup":
+        return np.abs(rows).max(axis=1)
+    if sn.kind == "p":
+        return (np.abs(rows) ** sn.p).sum(axis=1) ** (1.0 / sn.p)
+    if sn.kind == "stencil":
+        return np.abs(rows @ sn.stencil_matrix(rows.shape[1]).T).max(axis=1)
+    assert sn.kind == "block_sum"
+    d = rows.shape[1] // sn.blocks
+    out = np.zeros(rows.shape[0])
+    for i in range(sn.blocks):
+        out += reference_row_values(sn.base, rows[:, i * d:(i + 1) * d])
+    return out

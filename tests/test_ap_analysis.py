@@ -6,6 +6,7 @@ from apseq import (BiSequence, Seminorm, SeminormFamily, TrigPoly,
                    fit_trig_poly, omega_c_check, product_seminorm,
                    weyl_distance)
 from apseq.ap_analysis import translation_defects
+from conftest import reference_row_values
 
 SUP = Seminorm.sup()
 
@@ -212,3 +213,27 @@ def test_distances_are_zero_iff_pointwise_zero():
     assert weyl_distance(F, zero, SUP, 1.0, 8, (0, 0)) > 0
     assert besicovitch_distance(F, zero, SUP, 1.0, [8]).limsup_estimate > 0
     assert weyl_distance(zero, zero, SUP, 1.0, 8, (-5, 5)) == 0.0
+
+
+@pytest.mark.parametrize("sn", [SUP, Seminorm.p_norm(2), Seminorm.p_norm(1.5),
+                                Seminorm.first_difference(),
+                                Seminorm.block_sum(SUP, 2)],
+                         ids=lambda sn: sn.kind + sn.label)
+@pytest.mark.parametrize("backend", ["trig", "omega_c"])
+def test_translation_defects_match_per_tau_reference_loop(sn, backend):
+    rng = np.random.default_rng(11)
+    if backend == "trig":
+        F = BiSequence.from_trig_poly(TrigPoly.of(
+            [(lam, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+             for lam in (0.4, -1.3, 2.9)]))
+    else:
+        F = BiSequence.omega_c(rng.standard_normal((6, 4))
+                               + 1j * rng.standard_normal((6, 4)),
+                               6, 0.8 + 0.5j)
+    ks = range(-15, 12)
+    taus = np.arange(-20, 25)
+    got = translation_defects(F, sn, (ks.start, ks.stop - 1), taus)
+    ref = [reference_row_values(sn, np.stack([F(k + int(t)) - F(k)
+                                              for k in ks])).max()
+           for t in taus]
+    assert got.tobytes() == np.array(ref).tobytes()

@@ -350,6 +350,23 @@ def test_example_heat_builds_its_problem_once(tmp_path, monkeypatch):
     assert read_solution(out)[1] == list(range(-20, 21))  # config window
 
 
+def test_example_heat_composes_its_selection_once(tmp_path, monkeypatch):
+    # heat_problem validates B(k) [A(k)]^{-1}; the solve reuses that product
+    from apseq import cli, discretization, resolvent
+    calls = []
+    original = resolvent.compose_selection
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "compose_selection", counting)
+    monkeypatch.setattr(discretization, "compose_selection", counting)
+    out = tmp_path / "heat"
+    assert cli.main(["example", "heat", "--n", "5", "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
 def test_example_wave_evaluates_each_certificate_piece_once(tmp_path,
                                                             monkeypatch):
     from apseq import cli, discretization, higher_order

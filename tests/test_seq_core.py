@@ -10,6 +10,7 @@ from apseq import (BiSequence, InputContractError, RangeError, Seminorm,
                    product_seminorm, read_csv, seq_axpy, seq_eval, seq_reverse,
                    seq_shift, write_csv)
 from apseq.seq_core import FLOAT_FMT
+from conftest import reference_row_values
 
 
 def test_table_eval_is_lookup():
@@ -213,3 +214,119 @@ def test_window_validation():
         Window(3, 1)
     w = Window(-2, 4)
     assert len(w) == 7 and list(w)[0] == -2 and 0 in w
+
+
+def edge_rows(rng, n, d):
+    """Random rows with NaN, +-inf and signed zeros planted in them."""
+    rows = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    specials = [np.nan, complex(np.nan, 1.0), complex(1.0, -np.nan), np.inf,
+                complex(0.0, -np.inf), -np.inf, -0.0, complex(-0.0, -0.0)]
+    flat = rows.reshape(-1)
+    for i, v in zip(rng.choice(flat.size, min(flat.size, 2 * len(specials)),
+                               replace=False), specials * 2):
+        flat[i] = v
+    rows[n // 2] = complex(-0.0, 0.0)  # an all-zero row of signed zeros
+    return rows
+
+
+ROW_SEMINORMS = [Seminorm.sup(), Seminorm.first_difference(),
+                 Seminorm.second_difference(),
+                 Seminorm.block_sum(Seminorm.sup(), 2),
+                 Seminorm.block_sum(Seminorm.first_difference(), 2)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("sn,n,d", [
+    (sn, n, d) for sn in ROW_SEMINORMS
+    for n, d in [(40, 4), (9, 2), (30, 1), (0, 4), (3, 64)]
+    if sn.kind != "block_sum" or d % sn.blocks == 0])
+def test_of_rows_is_bit_identical_to_axis_reduction(sn, n, d, rng):
+    rows = edge_rows(rng, n, d) if n else np.zeros((0, d), np.complex128)
+    got = sn.of_rows(rows)
+    ref = reference_row_values(sn, rows)
+    assert got.shape == ref.shape == (n,)
+    assert got.tobytes() == ref.tobytes()
+
+
+def _trig():
+    # random coefficients: with short binary fractions the products are
+    # exact whatever the operand order
+    rng = np.random.default_rng(6)
+    ys = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    return BiSequence.from_trig_poly(TrigPoly.of(
+        zip([0.3, -1.7, np.sqrt(2), 0.0], ys)))
+
+
+def _omega_c(c):
+    rng = np.random.default_rng(7)
+    base = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    return BiSequence.omega_c(base, 5, c)
+
+
+def _table(extend="zero"):
+    rng = np.random.default_rng(8)
+    vals = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    vals[3] = complex(-0.0, -0.0)
+    return BiSequence.from_table(-4, vals, extend=extend)
+
+
+#: every backend and view, built fresh per call (the (omega, c) power cache
+#: is filled in the order of first use)
+WINDOW_CASES = {
+    "trig": _trig,
+    "omega_c_i": lambda: _omega_c(1j),
+    "omega_c_complex": lambda: _omega_c(0.5 + 0.2j),
+    "omega_c_2": lambda: _omega_c(2.0),
+    "table_zero": _table,
+    "constant": lambda: BiSequence.constant([1.0, -0.0, 3j]),
+    "zeros": lambda: BiSequence.zeros(3),
+    "spike": lambda: BiSequence.spike(2, [1.0, -2.0, 0.5j]),
+    "generator": lambda: BiSequence.from_function(
+        3, lambda k: [np.sin(k), 1j * k, 0.5]),
+    "shift_trig": lambda: seq_shift(_trig(), 3),
+    "shift_omega_c": lambda: seq_shift(_omega_c(0.5 + 0.2j), -7),
+    "reverse_trig": lambda: seq_reverse(_trig()),
+    "reverse_omega_c": lambda: seq_reverse(_omega_c(0.5 + 0.2j)),
+    "reverse_table": lambda: seq_reverse(_table()),
+    "axpy": lambda: seq_axpy(0.3 + 1.0j, _trig(), -2.0, _omega_c(2.0)),
+    "axpy_of_views": lambda: seq_axpy(
+        1.5, seq_shift(_table(), 2), 0.5j, seq_reverse(_omega_c(1j))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+@pytest.mark.parametrize("window", [(-23, 19), (-9, -6), (4, 4), (-1, 11)])
+def test_window_values_equal_stacked_values_bit_for_bit(name, window):
+    ks = range(window[0], window[1] + 1)
+    # window first, then k by k in descending order
+    F = WINDOW_CASES[name]()
+    got = F.window_values(window)
+    per_k = np.stack([F(k) for k in reversed(ks)])[::-1]
+    # k by k first, on a fresh instance
+    G = WINDOW_CASES[name]()
+    ref = np.stack([G(k) for k in ks])
+    assert got.shape == (len(ks), F.dim) and got.flags.writeable
+    assert np.array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes() == per_k.tobytes()
+    assert G.window_values(window).tobytes() == ref.tobytes()
+
+
+def test_table_window_outside_its_domain_raises_like_per_k():
+    F = _table(extend=None)
+    for window in [(-6, 0), (5, 9), (-9, 20), (10, 12), (-9, -6)]:
+        with pytest.raises(RangeError) as by_window:
+            F.window_values(window)
+        with pytest.raises(RangeError) as by_k:
+            np.stack([F(k) for k in range(window[0], window[1] + 1)])
+        assert str(by_window.value) == str(by_k.value)
+
+
+@pytest.mark.parametrize("parent", ["trig", "omega_c_complex", "table_zero"])
+def test_shifted_and_reversed_views_evaluate_windows(parent):
+    # views used to copy the parent's backend name but not its data, so a
+    # shifted or reversed trig polynomial raised AttributeError here
+    F = WINDOW_CASES[parent]()
+    shifted = seq_shift(F, 3).window_values((0, 3))
+    assert shifted.tobytes() == F.window_values((3, 6)).tobytes()
+    reversed_ = seq_reverse(F).window_values((0, 3))
+    assert reversed_.tobytes() == np.stack([F(-k) for k in range(4)]).tobytes()
