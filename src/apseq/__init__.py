@@ -12,19 +12,19 @@ from .discretization import (GridLaplacian, HeatProblem, WaveProblem,
 from .errors import (ApseqError, CertificateError,
                      ConvergencePreconditionError, InputContractError,
                      NumericError, RangeError, ShapeError)
-from .first_order import (SolveReport, forward_oracle, homogeneous_decay,
-                          residual, solve_series, weighted_growth_check)
+from .first_order import (SolveReport, forward_oracle, residual,
+                          solve_series, weighted_growth_check)
 from .higher_order import (CompanionSystem, build_companion, build_B_from_D,
                            companion_D_block, companion_D_dense,
                            companion_forward_oracle, solve_second_order)
-from .operator_model import (OperatorSequence, RacCertificate, induced_bound,
-                             op_apply, op_product_apply, rac_certify)
+from .operator_model import (OperatorSequence, induced_bound,
+                             op_product_apply)
 from .resolvent import (ResolventSelection, compose_selection,
                         forward_form_residual, inclusion_residual,
                         selection_consistency, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
 from .seq_core import (BiSequence, Seminorm, SeminormFamily, TrigPoly, Window,
-                       product_seminorm, read_csv, seq_axpy, seq_eval,
-                       seq_reverse, seq_shift, write_csv)
+                       product_seminorm, read_csv, seq_axpy, seq_reverse,
+                       seq_shift, write_csv)
 
 __version__ = "0.1.0"

@@ -44,9 +44,13 @@ SUBCOMMAND_KINDS = {
 
 def _threads_from(args) -> int | None:
     if args.threads is not None:
-        return max(1, int(args.threads))
+        return max(1, args.threads)
     env = os.environ.get("APSEQ_THREADS")
-    return max(1, int(env)) if env else None
+    try:
+        return max(1, int(env)) if env else None
+    except ValueError as exc:
+        raise InputContractError(
+            f"APSEQ_THREADS={env!r} is not an integer") from exc
 
 
 def _required_window(cfg: ScenarioConfig) -> tuple[Window, int]:
@@ -138,7 +142,7 @@ def _config_C(cfg: ScenarioConfig, dim: int):
     return np.eye(dim, dtype=np.complex128)
 
 
-def _dispatch(cfg: ScenarioConfig, threads: int | None):
+def _dispatch(cfg: ScenarioConfig):
     """Solve per the config kind.  Returns (solution, aux, report, family)."""
     hull, pad = _required_window(cfg)
     family = cfg.family()
@@ -149,8 +153,7 @@ def _dispatch(cfg: ScenarioConfig, threads: int | None):
     if cfg.kind == "first_order":
         f = forcing()
         A = cfg.operator("A", family=family)
-        x, rep = solve_series(A, f, hull, tol=cfg.tol, pad_right=pad,
-                              threads=threads)
+        x, rep = solve_series(A, f, hull, tol=cfg.tol, pad_right=pad)
         return x, {}, rep, family
 
     if cfg.kind == "inclusion":
@@ -162,8 +165,7 @@ def _dispatch(cfg: ScenarioConfig, threads: int | None):
             sel = ResolventSelection.from_matrix_inverse(
                 cfg.operator("A", plain=True), C, family,
                 sup_probe=cfg.probe())
-        x, rep = solve_inclusion(sel, f, hull, tol=cfg.tol, pad_right=pad,
-                                 threads=threads)
+        x, rep = solve_inclusion(sel, f, hull, tol=cfg.tol, pad_right=pad)
         return x, {}, rep, family
 
     if cfg.kind == "degenerate_vb":
@@ -173,7 +175,7 @@ def _dispatch(cfg: ScenarioConfig, threads: int | None):
         A = cfg.operator("A", plain=True)
         ainv = _ainv_c(cfg, A, C, family)
         v, u, rep = solve_degenerate_vb(B, ainv, C, f, hull, tol=cfg.tol,
-                                        A=A, pad_right=pad, threads=threads)
+                                        A=A, pad_right=pad)
         return (u if u is not None else v), {"v": v}, rep, family
 
     if cfg.kind == "degenerate_vb1":
@@ -189,7 +191,7 @@ def _dispatch(cfg: ScenarioConfig, threads: int | None):
                 lambda k, a, b_next: checked_solve(a, b_next @ C, f"A({k})"),
                 A, B, shifts=(0, 1), family=family, sup_probe=cfg.probe())
         u, rep = solve_degenerate_vb1(B, ainv_bc, C, g, f, hull, tol=cfg.tol,
-                                      A=A, pad_right=pad, threads=threads)
+                                      A=A, pad_right=pad)
         return u, {}, rep, family
 
     if cfg.kind == "second_order":
@@ -199,8 +201,7 @@ def _dispatch(cfg: ScenarioConfig, threads: int | None):
         A1 = cfg.operator("A1", plain=True)
         A2 = cfg.operator("A2", plain=True)
         u, rep = solve_second_order(A0, A1, A2, C, f, hull, tol=cfg.tol,
-                                    family=family, sup_probe=cfg.probe(),
-                                    threads=threads)
+                                    family=family, sup_probe=cfg.probe())
         return u, {}, rep, family
 
     if cfg.kind == "system_bm":
@@ -216,7 +217,7 @@ def _dispatch(cfg: ScenarioConfig, threads: int | None):
         g = BiSequence.from_function(
             block_dim, lambda k: B.matrix(k + 1) @ vec_f(k))
         u, rep = solve_degenerate_vb1(B, D, C, g, vec_f, hull, tol=cfg.tol,
-                                      A=A, pad_right=pad, threads=threads)
+                                      A=A, pad_right=pad)
         rep.warnings.extend(warnings)
         return u, {}, rep, lifted
 
@@ -229,7 +230,7 @@ def _dispatch(cfg: ScenarioConfig, threads: int | None):
             forcing(dim=n),
             family=cfg.family(n) if cfg.seminorms else None,
             window=hull)
-        v, u, rep = problem.solve(hull, tol=cfg.tol, threads=threads)
+        v, u, rep = problem.solve(hull, tol=cfg.tol)
         return u, {"v": v, "grid": True}, rep, problem.family
 
     if cfg.kind == "wave":
@@ -242,7 +243,7 @@ def _dispatch(cfg: ScenarioConfig, threads: int | None):
             forcing(dim=n),
             family=cfg.family(n) if cfg.seminorms else None,
             window=hull)
-        u, rep = problem.solve(hull, tol=cfg.tol, threads=threads)
+        u, rep = problem.solve(hull, tol=cfg.tol)
         return u, {"grid": True}, rep, problem.family
 
     if cfg.kind == "analyze":
@@ -291,10 +292,11 @@ def _summary_lines(cfg, rep, analysis) -> list[str]:
 def run(cfg: ScenarioConfig, out_dir, threads: int | None = None,
         extra_analysis: dict | None = None) -> dict:
     """Dispatch, write solution CSV + report JSON + summary, and return the
-    analysis results (with ``extra_analysis`` merged in)."""
+    analysis results (with ``extra_analysis`` merged in); ``threads`` is
+    only recorded."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    x, aux, rep, family = _dispatch(cfg, threads)
+    x, aux, rep, family = _dispatch(cfg)
     analysis = _run_analysis(cfg, x, family, rep) if cfg.analysis else {}
     analysis.update(extra_analysis or {})
 
@@ -490,13 +492,14 @@ def _load_config(args) -> ScenarioConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = _threads_from(args)
     try:
+        threads = _threads_from(args)
         if args.command == "example":
             window = (_parse_window(args.window) if args.window
                       else Window(-20, 20))
-            return run_example(args.name, args.n, args.h, window,
-                               args.tol or 1e-10, args.out, threads)
+            tol = 1e-10 if args.tol is None else args.tol
+            return run_example(args.name, args.n, args.h, window, tol,
+                               args.out, threads)
         cfg = _load_config(args)
         if args.command == "reduce-order":
             return run_reduce_order(cfg, args.out, args.k)

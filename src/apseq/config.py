@@ -8,6 +8,7 @@ so configs double as reproducible test fixtures.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -167,50 +168,63 @@ class ScenarioConfig:
         return build_sequence(desc, dim or self.dim)
 
 
+@contextmanager
+def _descriptor(what: str):
+    """A missing key or a failed conversion is an input-contract error."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputContractError(f"{what} is malformed: {exc!r}") from exc
+
+
 def build_family(descs: list[dict], dim: int) -> SeminormFamily:
     sns = []
     for d in descs:
         kind = d.get("kind")
-        if kind == "sup":
-            sns.append(Seminorm.sup(d.get("label", "sup")))
-        elif kind == "p":
-            sns.append(Seminorm.p_norm(float(d["p"]),
-                                       d.get("label") or None))
-        elif kind == "stencil":
-            sns.append(Seminorm.stencil(d["offsets"],
-                                        [cnum(w) for w in d["weights"]],
-                                        d.get("label", "stencil")))
-        elif kind == "first_difference":
-            sns.append(Seminorm.first_difference(d.get("label", "d1")))
-        elif kind == "second_difference":
-            sns.append(Seminorm.second_difference(d.get("label", "d2")))
-        else:
-            raise InputContractError(f"unknown seminorm kind {kind!r}")
+        with _descriptor(f"seminorm descriptor {d!r}"):
+            if kind == "sup":
+                sns.append(Seminorm.sup(d.get("label", "sup")))
+            elif kind == "p":
+                sns.append(Seminorm.p_norm(float(d["p"]),
+                                           d.get("label") or None))
+            elif kind == "stencil":
+                sns.append(Seminorm.stencil(d["offsets"],
+                                            [cnum(w) for w in d["weights"]],
+                                            d.get("label", "stencil")))
+            elif kind == "first_difference":
+                sns.append(Seminorm.first_difference(d.get("label", "d1")))
+            elif kind == "second_difference":
+                sns.append(Seminorm.second_difference(d.get("label", "d2")))
+            else:
+                raise InputContractError(f"unknown seminorm kind {kind!r}")
     return SeminormFamily.of(sns, dim)
 
 
 def build_sequence(desc: dict, dim: int) -> BiSequence:
     backend = desc.get("backend")
-    if backend == "constant":
-        v = cvec(desc["value"])
-        seq = BiSequence.constant(v)
-    elif backend == "table":
-        vals = np.array([cvec(row) for row in desc["values"]])
-        seq = BiSequence.from_table(int(desc["start"]), vals,
-                                    extend=desc.get("extend"))
-    elif backend == "trig_poly":
-        seq = BiSequence.from_trig_poly(TrigPoly.of(
-            [(float(t["frequency"]), cvec(t["coefficient"]))
-             for t in desc["terms"]]))
-    elif backend == "omega_c":
-        base = np.array([cvec(row) for row in desc["base"]])
-        seq = BiSequence.omega_c(base, int(desc["omega"]), cnum(desc["c"]))
-    elif backend == "spike":
-        seq = BiSequence.spike(int(desc["k"]), cvec(desc["value"]))
-    elif backend == "zeros":
-        seq = BiSequence.zeros(dim)
-    else:
-        raise InputContractError(f"unknown sequence backend {backend!r}")
+    with _descriptor(f"sequence descriptor with backend {backend!r}"):
+        if backend == "constant":
+            v = cvec(desc["value"])
+            seq = BiSequence.constant(v)
+        elif backend == "table":
+            vals = np.array([cvec(row) for row in desc["values"]])
+            seq = BiSequence.from_table(int(desc["start"]), vals,
+                                        extend=desc.get("extend"))
+        elif backend == "trig_poly":
+            seq = BiSequence.from_trig_poly(TrigPoly.of(
+                [(float(t["frequency"]), cvec(t["coefficient"]))
+                 for t in desc["terms"]]))
+        elif backend == "omega_c":
+            base = np.array([cvec(row) for row in desc["base"]])
+            seq = BiSequence.omega_c(base, int(desc["omega"]), cnum(desc["c"]))
+        elif backend == "spike":
+            seq = BiSequence.spike(int(desc["k"]), cvec(desc["value"]))
+        elif backend == "zeros":
+            seq = BiSequence.zeros(dim)
+        else:
+            raise InputContractError(f"unknown sequence backend {backend!r}")
     if seq.dim != dim and seq.dim != 1:
         raise InputContractError(f"sequence dim {seq.dim} does not match {dim}")
     return seq
@@ -220,19 +234,20 @@ def build_operator(desc: dict, dim: int, family: SeminormFamily | None,
                    probe: Window, plain: bool = False) -> OperatorSequence:
     backend = desc.get("backend")
     kw = dict(certificates={}) if plain else dict(family=family)
-    if backend == "constant":
-        return OperatorSequence.constant(cmat(desc["matrix"]), **kw)
-    if backend == "periodic":
-        return OperatorSequence.periodic([cmat(m) for m in desc["matrices"]],
-                                         **kw)
-    if backend == "scaled_constant":
-        base = as_matrix(cmat(desc["matrix"]), dim)
-        terms = [(float(t["frequency"]), cnum(t["coefficient"]))
-                 for t in desc["scale"]]
+    with _descriptor(f"operator descriptor with backend {backend!r}"):
+        if backend == "constant":
+            return OperatorSequence.constant(cmat(desc["matrix"]), **kw)
+        if backend == "periodic":
+            return OperatorSequence.periodic(
+                [cmat(m) for m in desc["matrices"]], **kw)
+        if backend == "scaled_constant":
+            base = as_matrix(cmat(desc["matrix"]), dim)
+            terms = [(float(t["frequency"]), cnum(t["coefficient"]))
+                     for t in desc["scale"]]
 
-        def scale(k: int) -> complex:
-            return sum(c * np.exp(1j * lam * k) for lam, c in terms)
+            def scale(k: int) -> complex:
+                return sum(c * np.exp(1j * lam * k) for lam, c in terms)
 
-        return OperatorSequence.from_function(
-            dim, lambda k: scale(k) * base, sup_probe=probe, **kw)
-    raise InputContractError(f"unknown operator backend {backend!r}")
+            return OperatorSequence.from_function(
+                dim, lambda k: scale(k) * base, sup_probe=probe, **kw)
+        raise InputContractError(f"unknown operator backend {backend!r}")

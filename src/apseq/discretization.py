@@ -152,18 +152,18 @@ class HeatProblem:
     certificate_sup: dict[str, float] = field(default_factory=dict)
     min_re_b: float = 0.0
 
-    def solve(self, window, tol: float = 1e-10, threads: int | None = None
+    def solve(self, window, tol: float = 1e-10
               ) -> tuple[BiSequence, BiSequence, SolveReport]:
         v, u, report = solve_degenerate_vb(
             self.B, self.Ainv_C, np.eye(self.laplacian.size), self.f,
-            window, tol=tol, A=self.A, u_recovery="auto", threads=threads,
-            D=self.D)
+            window, tol=tol, A=self.A, u_recovery="auto", D=self.D)
         if u is None:
             raise NumericError("heat solve failed to recover u")
         return v, u, report
 
 
 SMALLNESS_GATE = 0.9  # sup of the composite certificate must stay below this
+GRID_PROBE_MARGIN = 512  # steps left of the window the certificates probe
 
 
 def _heat_operators(L: GridLaplacian, m: BiSequence, b: BiSequence,
@@ -195,12 +195,11 @@ def _heat_operators(L: GridLaplacian, m: BiSequence, b: BiSequence,
 
 def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
                  f: BiSequence, family: SeminormFamily | None = None,
-                 probe_margin: int = 512,
                  window=None) -> HeatProblem:
     """Build and validate the heat instance on an n-point 1-D grid.
 
     Validation probes Re b(k) > 0 and the composite selection certificate
-    over the window extended left by probe_margin; certificate sups at or
+    over the window extended left by GRID_PROBE_MARGIN; certificate sups at or
     above the smallness gate are an input-contract error listing the
     failing k.
     """
@@ -211,7 +210,7 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     if f.dim != L.size:
         raise InputContractError(f"forcing dim {f.dim} vs grid {L.size}")
     window = as_window(window) if window is not None else Window(-64, 64)
-    probe = window.extended(left=probe_margin, right=1)
+    probe = window.extended(left=GRID_PROBE_MARGIN, right=1)
     B, A, Ainv = _heat_operators(L, m, b, family, probe)
 
     brule = _scalar_rule(b, "shift b")
@@ -253,19 +252,19 @@ class WaveProblem:
     selection: ResolventSelection
     certificate_sup: dict[str, float] = field(default_factory=dict)
 
-    def solve(self, window, tol: float = 1e-10, threads: int | None = None
+    def solve(self, window, tol: float = 1e-10
               ) -> tuple[BiSequence, SolveReport]:
         return solve_second_order(self.A0, self.A1, self.A2,
                                   np.eye(self.laplacian.size), self.f, window,
                                   tol=tol, family=self.family,
-                                  sup_probe=self.probe, threads=threads,
+                                  sup_probe=self.probe,
                                   selection=self.selection)
 
 
 def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
                  b: BiSequence, f: BiSequence,
                  family: SeminormFamily | None = None,
-                 probe_margin: int = 512, window=None) -> WaveProblem:
+                 window=None) -> WaveProblem:
     """Build and validate the wave instance (same hypotheses as heat, with
     the three-piece certificate of the order-2 route)."""
     L = laplacian_1d(n, h)
@@ -273,7 +272,7 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
     if family.dim != L.size or f.dim != L.size:
         raise InputContractError("family/forcing dimensions must match the grid")
     window = as_window(window) if window is not None else Window(-64, 64)
-    probe = window.extended(left=probe_margin, right=2)
+    probe = window.extended(left=GRID_PROBE_MARGIN, right=2)
     size = L.size
     eye = np.eye(size)
     brule = _scalar_rule(b, "shift b")

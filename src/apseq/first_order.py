@@ -29,11 +29,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .ap_analysis import APReport
 from .errors import ConvergencePreconditionError, InputContractError
-from .operator_model import OperatorSequence, V_MAX_DEFAULT, backward_products
+from .operator_model import OperatorSequence, backward_products
 from .seq_core import (BiSequence, SeminormFamily, Window, as_vector,
                        as_window)
 
 TOL_DEFAULT = 1e-10
+V_MAX_DEFAULT = 10_000  # cap on the certified truncation depth
 UNIQUENESS_THRESHOLD = 1e-12
 UNIQUENESS_DEPTH = 10_000
 #: certificate products held at once by the depth search
@@ -173,17 +174,15 @@ def _truncation_depths(A: OperatorSequence, labels, sups: dict,
 
 
 def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DEFAULT,
-                 V_max: int = V_MAX_DEFAULT, pad_right: int = 1,
-                 threads: int | None = None) -> tuple[BiSequence, SolveReport]:
+                 pad_right: int = 1) -> tuple[BiSequence, SolveReport]:
     """Truncated series solution on ``window`` (table extends pad_right further).
 
     Preconditions: every seminorm of A's family has a certified sup bound
     below 1 (otherwise no finite prefix certifies the series tail), and the
-    per-k certificate products reach the tolerance within V_max terms.
-    The sup of the forcing is taken over the window extended left by the
-    certified truncation depth; the probe range is recorded in the report.
-    ``threads`` is accepted for compatibility: the sweep is sequential, so
-    the thread count no longer changes the computation.
+    per-k certificate products reach the tolerance within V_MAX_DEFAULT
+    terms.  The sup of the forcing is taken over the window extended left by
+    the certified truncation depth; the probe range is recorded in the
+    report.
     """
     window = as_window(window)
     if A.family is None:
@@ -214,9 +213,10 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
         f_vals, f_sup, probe = _probe_forcing(f, work, family, margin)
         depth = max(_geometric_depth(sups[sn.label], f_sup[sn.label], tol)
                     for sn in family)
-        if depth > V_max:
+        if depth > V_MAX_DEFAULT:
             raise ConvergencePreconditionError(
-                f"certified truncation depth {depth} exceeds V_max={V_max}")
+                f"certified truncation depth {depth} exceeds "
+                f"V_max={V_MAX_DEFAULT}")
         if depth <= margin:
             break
         margin = depth
@@ -323,18 +323,6 @@ def forward_oracle(A: OperatorSequence, f: BiSequence, k0: int, x0,
         cur = A.matrix(k) @ cur + f(k)
         values[i + 1] = cur
     return BiSequence.from_table(k0, values)
-
-
-def homogeneous_decay(A: OperatorSequence, label: str, K: int) -> list[float]:
-    """Backward certificate products prod_{i=1..k} c(-i) for k = 1..K.
-
-    Decay below tolerance certifies that the only almost periodic solution
-    of the homogeneous equation is zero, hence uniqueness of the solved one.
-    No decay means "not certified", never "non-unique".
-    """
-    if K < 1:
-        raise InputContractError("K must be >= 1")
-    return list(backward_products(A, label, 0, K))
 
 
 def weighted_growth_check(x: BiSequence, alpha: float,

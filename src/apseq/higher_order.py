@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import InputContractError, NumericError, ShapeError
 from .first_order import SolveReport, linear_residual
-from .operator_model import (COND_LIMIT, Matrix, OperatorSequence,
-                             V_MAX_DEFAULT, as_matrix, checked_solve,
-                             induced_bound)
+from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
+                             checked_solve, induced_bound)
 from .resolvent import ResolventSelection, solve_inclusion
 from .seq_core import BiSequence, SeminormFamily, as_window
 
@@ -185,10 +184,8 @@ def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
 
 def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
                        A2: OperatorSequence, C, f: BiSequence, window,
-                       tol: float = 1e-10, V_max: int = V_MAX_DEFAULT,
-                       family: SeminormFamily | None = None,
+                       tol: float = 1e-10, family: SeminormFamily | None = None,
                        sup_probe=None, pad_right: int = 2,
-                       threads: int | None = None,
                        selection: ResolventSelection | None = None
                        ) -> tuple[BiSequence, SolveReport]:
     """Solve C A_2(k+2) u(k+2) + C A_1(k+1) u(k+1) + A_0(k) u(k) = C f(k).
@@ -212,8 +209,7 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
     inner_tol = tol / (4.0 * max(1.0, amp))
     u_pad = max(2, pad_right)  # the order-2 residual consumes u(k+2)
     v, report = solve_inclusion(sel, vec_f, window, tol=inner_tol,
-                                V_max=V_max, pad_right=u_pad + 1,
-                                threads=threads)
+                                pad_right=u_pad + 1)
     report.tol = tol
 
     # vec u(k) = [bold_A(k)]^{-1} bold_C (v(k+1) - vec f(k)): block 1 is
@@ -271,8 +267,7 @@ def companion_forward_oracle(sys: CompanionSystem, f: BiSequence, k0: int,
 
 def build_B_from_D(A_mat: OperatorSequence, D_mat: OperatorSequence, p: int,
                    base_family: SeminormFamily | None = None,
-                   window=None, budget: float | None = None
-                   ) -> tuple[OperatorSequence, list[str]]:
+                   window=None) -> tuple[OperatorSequence, list[str]]:
     """B(k+1) = A(k) D(k) as a lazy product sequence.
 
     When a base family and window are given, the per-block smallness budget
@@ -284,7 +279,7 @@ def build_B_from_D(A_mat: OperatorSequence, D_mat: OperatorSequence, p: int,
         raise ShapeError("A and D dimensions differ")
     if p < 1 or A_mat.dim % p:
         raise InputContractError(f"dimension {A_mat.dim} is not p={p} blocks")
-    budget = budget if budget is not None else 1.0 / (2 * p * p)
+    budget = 1.0 / (2 * p * p)
     warnings: list[str] = []
     if base_family is not None and window is not None:
         d = A_mat.dim // p

@@ -23,7 +23,6 @@ up to roundoff with no fudge factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -35,9 +34,6 @@ from .seq_core import Seminorm, SeminormFamily, Vector, Window, as_window
 
 Matrix = np.ndarray  # (d, d) complex128
 
-#: default depth cap and tolerance for certificate-product certification
-V_MAX_DEFAULT = 10_000
-RAC_TOL_DEFAULT = 1e-12
 #: condition estimates above this make a dense solve untrustworthy
 COND_LIMIT = 1e12
 
@@ -282,11 +278,6 @@ class OperatorSequence:
                 for label in self.certificates}
 
 
-def op_apply(A: OperatorSequence, k: int, x: Vector) -> Vector:
-    """A(k) x."""
-    return A.apply(k, x)
-
-
 def op_product_apply(A: OperatorSequence, k: int, v: int, x: Vector) -> Vector:
     """A(k-1) A(k-2) ... A(k-v) x, applied right to left as matrix-vector
     products; the full product matrix is never formed."""
@@ -307,54 +298,3 @@ def backward_products(A: OperatorSequence, label: str, k: int,
         prod *= A.certificate(label, k - v)
         yield prod
 
-
-@dataclass
-class RacCertificate:
-    """Partial sums of backward certificate products at one (seminorm, k).
-
-    partial_sums[V-1] = sum_{v=1..V} prod_{i=1..v} c(k-i), nondecreasing in V.
-    When every c <= c_sup < 1 the tail after depth V is bounded by
-    prod_{i<=V} c(k-i) * c_sup / (1 - c_sup), which reduces to the geometric
-    c_sup^(V+1) / (1 - c_sup) for constant certificates.
-    """
-
-    seminorm_label: str
-    k: int
-    partial_sums: list[float] = field(default_factory=list)
-    tail_bound: float | None = None
-    converged: bool = False
-    sup_bound: float | None = None
-    depth: int = 0
-
-
-def rac_certify(A: OperatorSequence, label: str, k: int,
-                V_max: int = V_MAX_DEFAULT,
-                tol: float = RAC_TOL_DEFAULT) -> RacCertificate:
-    """Certify summability of backward certificate products at (label, k).
-
-    Converged when the certified tail bound drops below tol, or when the
-    increments stay below tol for 10 consecutive depths with sup bound < 1.
-    Without sup bound < 1 no finite prefix certifies the tail, so the
-    certificate reports converged=False and the caller decides.
-    """
-    if V_max < 1:
-        raise InputContractError("V_max must be >= 1")
-    sup = A.sup_bound(label)
-    cert = RacCertificate(seminorm_label=label, k=int(k), sup_bound=sup)
-    total = 0.0
-    small_increments = 0
-    geometric = sup < 1.0
-    for v, prod in enumerate(backward_products(A, label, k, V_max), 1):
-        total += prod
-        cert.partial_sums.append(total)
-        cert.depth = v
-        if geometric:
-            cert.tail_bound = prod * sup / (1.0 - sup)
-            if cert.tail_bound <= tol:
-                cert.converged = True
-                break
-            small_increments = small_increments + 1 if prod < tol else 0
-            if small_increments >= 10:
-                cert.converged = True
-                break
-    return cert

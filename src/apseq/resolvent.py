@@ -31,10 +31,11 @@ import numpy as np
 
 from .errors import InputContractError, NumericError
 from .first_order import SolveReport, linear_residual, solve_series
-from .operator_model import (COND_LIMIT, Matrix, OperatorSequence,
-                             V_MAX_DEFAULT, as_matrix, checked_solve,
-                             induced_bound)
+from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
+                             checked_solve, induced_bound)
 from .seq_core import BiSequence, SeminormFamily, Window, as_window
+
+CONSISTENCY_TOL = 1e-10  # relative defect allowed in B(k+1) C f(k) = C g(k)
 
 
 @dataclass
@@ -91,9 +92,8 @@ def _time_reversed_operator(D: OperatorSequence) -> OperatorSequence:
 
 
 def solve_inclusion(sel: ResolventSelection, f: BiSequence, window,
-                    tol: float = 1e-10, V_max: int = V_MAX_DEFAULT,
-                    pad_right: int = 1,
-                    threads: int | None = None) -> tuple[BiSequence, SolveReport]:
+                    tol: float = 1e-10,
+                    pad_right: int = 1) -> tuple[BiSequence, SolveReport]:
     """Solve the inclusion through the time-reversed first-order problem.
 
     Returns x on [window.start - 1, window.end + pad_right] (table backend)
@@ -112,8 +112,7 @@ def solve_inclusion(sel: ResolventSelection, f: BiSequence, window,
     f_rev = BiSequence.from_function(
         D.dim, lambda j: -(D.matrix(-j - 1) @ f(-j - 1)))
     inner = Window(-(window.end + pad_right), -window.start)
-    v, inner_report = solve_series(A_rev, f_rev, inner, tol=tol, V_max=V_max,
-                                   pad_right=1, threads=threads)
+    v, inner_report = solve_series(A_rev, f_rev, inner, tol=tol, pad_right=1)
     # v table covers [inner.start, inner.end + 1]; x(k) = v(-k)
     tbl = v.table_values[::-1]
     x = BiSequence.from_table(-(inner.end + 1), tbl)
@@ -186,9 +185,8 @@ def _b_inverse(B: OperatorSequence, k: int, rhs, checked: dict[int, bool]):
 
 def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                         C, f: BiSequence, window, tol: float = 1e-10,
-                        V_max: int = V_MAX_DEFAULT, A: OperatorSequence | None = None,
+                        A: OperatorSequence | None = None,
                         u_recovery: str = "auto", pad_right: int = 1,
-                        threads: int | None = None,
                         D: OperatorSequence | None = None
                         ) -> tuple[BiSequence, BiSequence | None, SolveReport]:
     """Solve C B(k+1) u(k+1) = A(k) u(k) + C f(k) via v(k) = B(k) u(k).
@@ -224,8 +222,8 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                 amp = max(amp, max(induced_bound(ab, sn) for sn in family))
     inner_tol = tol / (2.0 * max(1.0, amp))
 
-    v, report = solve_inclusion(sel, f, window, tol=inner_tol, V_max=V_max,
-                                pad_right=pad_right + 1, threads=threads)
+    v, report = solve_inclusion(sel, f, window, tol=inner_tol,
+                                pad_right=pad_right + 1)
     report.tol = tol
 
     # u recovery
@@ -272,17 +270,14 @@ def vb_residual(B: OperatorSequence, A: OperatorSequence, C, f: BiSequence,
 
 def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
                          C, g: BiSequence, f: BiSequence, window,
-                         tol: float = 1e-10, V_max: int = V_MAX_DEFAULT,
-                         A: OperatorSequence | None = None,
-                         consistency_tol: float = 1e-10, pad_right: int = 1,
-                         threads: int | None = None
-                         ) -> tuple[BiSequence, SolveReport]:
+                         tol: float = 1e-10, A: OperatorSequence | None = None,
+                         pad_right: int = 1) -> tuple[BiSequence, SolveReport]:
     """Solve B(k+1) C u(k+1) = A(k) u(k) + C g(k) via the inclusion with
     selection D(k) = [A(k)]^{-1} B(k+1) C and forcing f.
 
     The supplied f must satisfy B(k+1) C f(k) = C g(k) on the window
-    (checked, relative to 1 + the data scale); with A supplied the vb1
-    residual is certified directly on u.
+    (checked to CONSISTENCY_TOL relative to 1 + the data scale); with A
+    supplied the vb1 residual is certified directly on u.
     """
     window = as_window(window)
     family = Ainv_BC.family
@@ -296,10 +291,10 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
         rhs = C @ np.asarray(g(k))
         scale = 1.0 + float(np.abs(rhs).max())
         worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
-    if worst > consistency_tol:
+    if worst > CONSISTENCY_TOL:
         raise InputContractError(
             f"consistency B(k+1) C f(k) = C g(k) fails on the window: "
-            f"max relative defect {worst:.3e} > {consistency_tol:.1e}")
+            f"max relative defect {worst:.3e} > {CONSISTENCY_TOL:.1e}")
 
     amp = max(induced_bound(C, sn) for sn in family)
     if A is not None:
@@ -309,8 +304,8 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
     inner_tol = tol / (2.0 * max(1.0, amp))
 
     sel = ResolventSelection(Ainv_BC, C, "selection Ainv * B(k+1) * C")
-    u, report = solve_inclusion(sel, f, window, tol=inner_tol, V_max=V_max,
-                                pad_right=pad_right, threads=threads)
+    u, report = solve_inclusion(sel, f, window, tol=inner_tol,
+                                pad_right=pad_right)
     report.tol = tol
     if A is not None:
         report.residual_form = "vb1_direct"

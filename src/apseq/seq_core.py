@@ -473,11 +473,6 @@ class BiSequence:
         return out
 
 
-def seq_eval(F: BiSequence, k: int) -> Vector:
-    """Deterministic value of F at k (range-checked by the backend)."""
-    return F(k)
-
-
 def seq_axpy(alpha: complex, F: BiSequence, beta: complex,
              G: BiSequence) -> BiSequence:
     """Pointwise alpha*F + beta*G as a lazy view."""

@@ -1,8 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from apseq import OperatorSequence
 from apseq.operator_model import induced_bound
+
+# CLI tests run ``python -m apseq.cli`` in subprocesses, which import the
+# package from src/ as the tests do (pyproject's pytest pythonpath)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

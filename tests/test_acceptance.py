@@ -15,11 +15,12 @@ import pytest
 from apseq import (BiSequence, OperatorSequence, ResolventSelection, Seminorm,
                    SeminormFamily, TrigPoly, besicovitch_distance, bohr_check,
                    build_companion, companion_D_block, companion_D_dense,
-                   forward_oracle, homogeneous_decay, omega_c_check, residual,
+                   forward_oracle, omega_c_check, residual,
                    solve_degenerate_vb, solve_inclusion, solve_second_order,
                    solve_series)
 from apseq.discretization import laplacian_1d, resolvent_matrix
 from apseq.first_order import SolveReport, _attach_uniqueness
+from apseq.operator_model import backward_products
 from apseq.resolvent import solve_degenerate_vb1
 from conftest import random_certified_operator, random_matrix
 
@@ -188,7 +189,7 @@ def test_criterion_05_uniqueness_diagnostic():
     # sup c <= 0.9: backward products fall below 1e-12 within K <= 300
     for target in (0.9, 0.7, 0.45):
         A = random_certified_operator(rng, fam, target, backend="periodic")
-        decay = homogeneous_decay(A, "sup", 300)
+        decay = list(backward_products(A, "sup", 0, 300))
         k_hit = next(i + 1 for i, v in enumerate(decay) if v < 1e-12)
         assert k_hit <= 300
         _, rep = solve_series(A, BiSequence.constant(np.ones(3)), (-5, 5))
@@ -196,7 +197,7 @@ def test_criterion_05_uniqueness_diagnostic():
 
     # c = 1: no decay; the reporting path says "not certified"
     ones = OperatorSequence.constant(np.eye(1), family=SeminormFamily.sup_only(1))
-    decay = homogeneous_decay(ones, "sup", 300)
+    decay = list(backward_products(ones, "sup", 0, 300))
     assert min(decay) == 1.0
     rep = SolveReport(window=(0, 0), tol=1e-10)
     _attach_uniqueness(rep, ones, ["sup"])

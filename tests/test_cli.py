@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from apseq.config import ScenarioConfig
 
@@ -153,6 +154,47 @@ def test_env_var_thread_fallback(tmp_path):
     assert res.returncode == 0
     report = json.loads((out / "report.json").read_text())
     assert report["threads"] == 2
+
+
+def test_bad_thread_env_var_is_an_input_error(tmp_path):
+    cfg = write_config(tmp_path, MINIMAL_FIRST_ORDER)
+    res = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                  env={"APSEQ_THREADS": "abc"})
+    assert res.returncode == 2
+    assert "apseq: error" in res.stderr and "APSEQ_THREADS" in res.stderr
+
+
+@pytest.mark.parametrize("patch", [
+    {"operators": {"A": {"backend": "constant"}}},
+    {"seminorms": [{"kind": "p"}]},
+    {"forcing": {"backend": "constant"}},
+    {"forcing": {"backend": "spike", "k": "x", "value": [[1.0, 0.0]]}},
+], ids=["operator-matrix", "seminorm-p", "forcing-value", "spike-k"])
+def test_malformed_descriptor_is_an_input_error(tmp_path, patch):
+    cfg = write_config(tmp_path, {**MINIMAL_FIRST_ORDER, **patch})
+    res = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert "apseq: error" in res.stderr and "descriptor" in res.stderr
+
+
+@pytest.mark.parametrize("name", ["heat", "wave"])
+def test_example_rejects_zero_tol(tmp_path, name):
+    res = run_cli("example", name, "--tol", "0", "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "apseq: error" in res.stderr
+
+
+def test_truncation_depth_cap(tmp_path):
+    # A = 0.999, f = 1: the geometric depth log(1e-10 / 999) / log(0.999)
+    # is past the fixed cap of 10000 terms
+    data = {**MINIMAL_FIRST_ORDER,
+            "operators": {"A": {"backend": "constant",
+                                "matrix": [[[0.999, 0.0]]]}}}
+    cfg = write_config(tmp_path, data)
+    res = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 3
+    assert ("certified truncation depth 29918 exceeds V_max=10000"
+            in res.stderr)
 
 
 def test_window_and_tol_overrides(tmp_path):

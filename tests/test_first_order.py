@@ -4,11 +4,11 @@ import pytest
 from apseq import (BiSequence, ConvergencePreconditionError,
                    InputContractError, OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, bohr_check, forward_oracle,
-                   homogeneous_decay, omega_c_check, residual, seq_axpy,
-                   solve_series, weighted_growth_check)
+                   omega_c_check, residual, seq_axpy, solve_series,
+                   weighted_growth_check)
 from apseq.first_order import SolveReport
 from apseq.ap_analysis import besicovitch_distance
-from apseq.operator_model import op_product_apply
+from apseq.operator_model import backward_products, op_product_apply
 from conftest import random_certified_operator
 
 SUP = Seminorm.sup()
@@ -228,18 +228,18 @@ def test_solver_rejects_non_finite_forcing():
         solve_series(A, bad, (-2, 2))
 
 
-def test_homogeneous_decay_examples():
+def test_backward_products_examples():
     A = half_identity()
-    got = homogeneous_decay(A, "sup", 10)
+    got = list(backward_products(A, "sup", 0, 10))
     assert got == [2.0 ** -v for v in range(1, 11)]
 
     ones = OperatorSequence.constant([[1.0]], family=FAM1)
-    assert homogeneous_decay(ones, "sup", 6) == [1.0] * 6
+    assert list(backward_products(ones, "sup", 0, 6)) == [1.0] * 6
 
     # c(-1) = 1/2, c(-2) = 2, ...: products alternate 1/2, 1 (bounded, no
     # decay, uniqueness not certified)
     alt = OperatorSequence.periodic([[[2.0]], [[0.5]]], family=FAM1)
-    got = homogeneous_decay(alt, "sup", 6)
+    got = list(backward_products(alt, "sup", 0, 6))
     assert got == [0.5, 1.0, 0.5, 1.0, 0.5, 1.0]
     assert min(got) > 1e-12
 
@@ -270,7 +270,7 @@ def test_uniqueness_reporting():
 
     alt = OperatorSequence.periodic([[[2.0]], [[0.5]]], family=FAM1)
     # sup bound is 2 >= 1: the solver refuses; check the diagnostic directly
-    assert min(homogeneous_decay(alt, "sup", 1000)) >= 0.5
+    assert min(backward_products(alt, "sup", 0, 1000)) >= 0.5
 
 
 def test_weighted_growth_examples(rng):
@@ -349,12 +349,13 @@ def test_besicovitch_transfer_finite_perturbation(rng):
 
 
 def test_thread_determinism(rng):
+    # the solver is sequential: a rerun gives the same table bit for bit
     fam = SeminormFamily.sup_only(5)
     A = random_certified_operator(rng, fam, 0.8, backend="periodic")
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.7, rng.standard_normal(5))]))
-    x1, _ = solve_series(A, f, (-30, 30), threads=None)
-    x4, _ = solve_series(A, f, (-30, 30), threads=4)
-    assert np.array_equal(x1.table_values, x4.table_values)
+    x1, _ = solve_series(A, f, (-30, 30))
+    x2, _ = solve_series(A, f, (-30, 30))
+    assert np.array_equal(x1.table_values, x2.table_values)
 
 
 def test_report_serialization_roundtrip():

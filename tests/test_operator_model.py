@@ -1,9 +1,14 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
-from apseq import (CertificateError, InputContractError, OperatorSequence,
-                   Seminorm, SeminormFamily, induced_bound, op_apply,
-                   op_product_apply, rac_certify)
+from apseq import (BiSequence, CertificateError,
+                   ConvergencePreconditionError, InputContractError,
+                   OperatorSequence, Seminorm, SeminormFamily, Window,
+                   induced_bound, op_product_apply, solve_series)
+from apseq.first_order import _truncation_depths
+from apseq.operator_model import backward_products
 from conftest import random_matrix
 
 SUP_FAM = SeminormFamily.sup_only(1)
@@ -16,17 +21,17 @@ def scalar_seq(values_or_value, family=SUP_FAM):
                                      family=family)
 
 
-def test_op_apply_examples():
+def test_apply_examples():
     half = OperatorSequence.constant(0.5 * np.eye(2),
                                      family=SeminormFamily.sup_only(2))
-    assert np.array_equal(op_apply(half, 3, np.array([2.0, 2.0])),
+    assert np.array_equal(half.apply(3, np.array([2.0, 2.0])),
                           np.array([1.0, 1.0]))
     zero = OperatorSequence.constant(np.zeros((2, 2)),
                                      family=SeminormFamily.sup_only(2))
-    assert np.abs(op_apply(zero, -7, np.array([5.0, 1.0]))).max() == 0.0
+    assert np.abs(zero.apply(-7, np.array([5.0, 1.0]))).max() == 0.0
 
 
-def test_op_apply_periodic_index_arithmetic(rng):
+def test_apply_periodic_index_arithmetic(rng):
     mats = [random_matrix(rng, 3) for _ in range(2)]
     A = OperatorSequence.periodic(mats, family=SeminormFamily.sup_only(3))
     # oracle: a generator evaluating the same rule directly
@@ -34,14 +39,14 @@ def test_op_apply_periodic_index_arithmetic(rng):
                                        certificates={})
     x = rng.standard_normal(3)
     for k in (-4, -1, 0, 1, 5):
-        assert np.array_equal(op_apply(A, k, x), G.matrix(k) @ x)
+        assert np.array_equal(A.apply(k, x), G.matrix(k) @ x)
     assert np.array_equal(A.matrix(5), mats[1])
 
 
 def test_op_product_single_factor_is_one_apply():
     A = scalar_seq([0.5, 0.25])
     x = np.array([1.0])
-    assert np.array_equal(op_product_apply(A, 3, 1, x), op_apply(A, 2, x))
+    assert np.array_equal(op_product_apply(A, 3, 1, x), A.apply(2, x))
 
 
 def test_op_product_constant_power_against_repeated_apply():
@@ -49,10 +54,10 @@ def test_op_product_constant_power_against_repeated_apply():
     A = scalar_seq(a)
     x = np.array([1.0])
     got = op_product_apply(A, 2, 5, x)
-    # oracle: repeated op_apply right to left
+    # oracle: repeated apply right to left
     y = np.array(x)
     for i in range(5, 0, -1):
-        y = op_apply(A, 2 - i, y)
+        y = A.apply(2 - i, y)
     assert np.array_equal(got, y)
     assert got[0] == pytest.approx(a ** 5, rel=1e-14)
 
@@ -65,40 +70,49 @@ def test_op_product_periodic_two_step():
     assert got[0] == pytest.approx(a1 * a0, rel=1e-15)
 
 
+def depths_at(A, k, tol, margin, f_sup=1.0):
+    """The solver's certified depth and tail bound at k for the sup
+    seminorm, with forcing sup f_sup."""
+    V, tails = _truncation_depths(A, ["sup"], {"sup": A.sup_bound("sup")},
+                                  {"sup": f_sup}, tol, Window(k, k), margin)
+    return int(V[0]), float(tails["sup"][0])
+
+
 def test_rac_constant_half():
     A = scalar_seq(0.5)
-    cert = rac_certify(A, "sup", 0, V_max=20, tol=0.0)
-    assert cert.partial_sums[19] == 1.0 - 2.0 ** -20
-    assert cert.tail_bound == 2.0 ** -20
-    assert not cert.converged  # tol=0 is unreachable
-    cert2 = rac_certify(A, "sup", 0)
-    assert cert2.converged and cert2.tail_bound <= 1e-12
+    sums = list(accumulate(backward_products(A, "sup", 0, 40)))
+    assert sums[19] == 1.0 - 2.0 ** -20
+    assert depths_at(A, 0, 2.0 ** -20, 20) == (20, 2.0 ** -20)
+    with pytest.raises(ConvergencePreconditionError):  # tol=0 is unreachable
+        depths_at(A, 0, 0.0, 20)
+    depth, tail = depths_at(A, 0, 1e-12, 10_000)
+    assert depth == 40 and tail <= 1e-12
     # partial sums are nondecreasing
-    assert all(b >= a for a, b in zip(cert2.partial_sums,
-                                      cert2.partial_sums[1:]))
+    assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
 def test_rac_constant_one_diverges():
     A = scalar_seq(1.0)
-    cert = rac_certify(A, "sup", 0, V_max=50)
-    assert not cert.converged
-    assert cert.tail_bound is None
-    assert cert.partial_sums == [float(v) for v in range(1, 51)]
+    sums = list(accumulate(backward_products(A, "sup", 0, 50)))
+    assert sums == [float(v) for v in range(1, 51)]
+    # sup certificate 1: no finite prefix certifies a tail
+    with pytest.raises(ConvergencePreconditionError):
+        solve_series(A, BiSequence.constant([1.0]), (0, 0))
 
 
 def test_rac_alternating_products_hand_sum():
     # c(k) = 1/2 for even k, 1/4 for odd k; at k=0 the first four terms are
     # 1/4, 1/4*1/2, 1/4*1/2*1/4, 1/4*1/2*1/4*1/2
     A = scalar_seq([0.5, 0.25])
-    cert = rac_certify(A, "sup", 0, V_max=4, tol=0.0)
+    partial_sums = list(accumulate(backward_products(A, "sup", 0, 4)))
     direct = []
     prod = 1.0
     for v in range(1, 5):  # oracle: direct loop
         prod *= (0.5 if (0 - v) % 2 == 0 else 0.25)
         direct.append(prod)
     expected = np.cumsum(direct)
-    assert np.allclose(cert.partial_sums, expected, rtol=0, atol=0)
-    assert cert.partial_sums[3] == 0.25 + 0.125 + 0.03125 + 0.015625
+    assert np.allclose(partial_sums, expected, rtol=0, atol=0)
+    assert partial_sums[3] == 0.25 + 0.125 + 0.03125 + 0.015625
 
 
 def test_rac_representation_invariance(rng):
@@ -107,9 +121,10 @@ def test_rac_representation_invariance(rng):
     P = OperatorSequence.periodic(mats, family=fam)
     G = OperatorSequence.from_function(2, lambda k: mats[k % 3], family=fam,
                                        sup_probe=(-8, 8))
-    cp = rac_certify(P, "sup", 4, V_max=30, tol=0.0)
-    cg = rac_certify(G, "sup", 4, V_max=30, tol=0.0)
-    assert cp.partial_sums == cg.partial_sums
+    assert (list(backward_products(P, "sup", 4, 30))
+            == list(backward_products(G, "sup", 4, 30)))
+    assert P.sup_bound("sup") == G.sup_bound("sup") < 1.0
+    assert depths_at(P, 4, 1e-12, 200) == depths_at(G, 4, 1e-12, 200)
 
 
 FAMILY_KINDS = [
@@ -132,7 +147,7 @@ def test_certificate_soundness_randomized(sn, rng):
     for _ in range(1000):
         k = int(rng.integers(-50, 50))
         x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        lhs = sn(op_apply(A, k, x))
+        lhs = sn(A.apply(k, x))
         rhs = A.certificate(sn.label, k) * sn(x)
         assert lhs <= rhs * (1 + 1e-12) + 1e-300
 
@@ -181,19 +196,6 @@ def test_induced_bound_interpolation_is_sound(rng):
         c = induced_bound(m, sn)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         assert sn(m @ x) <= c * sn(x) * (1 + 1e-12)
-
-
-def test_rac_converges_by_increments_when_geometric_tail_lags():
-    # certificates near 1 with a periodic deep drop: the products sit below
-    # tol for 10 consecutive depths long before the geometric tail bound
-    # (prod * s/(1-s), s = 0.999999) reaches it
-    s = 1.0 - 1e-6
-    mats = [[[1e-13]]] + [[[s]]] * 24
-    A = OperatorSequence.periodic(mats, family=SUP_FAM)
-    cert = rac_certify(A, "sup", 1, V_max=500, tol=1e-12)
-    assert cert.converged
-    assert cert.tail_bound is not None and cert.tail_bound > 1e-12
-    assert cert.depth <= 12  # the drop hits at v=1; 10 small increments later
 
 
 def test_map_joint_backend_and_period(rng):

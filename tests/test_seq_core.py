@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from apseq import (BiSequence, InputContractError, RangeError, Seminorm,
                    SeminormFamily, ShapeError, TrigPoly, Window,
-                   product_seminorm, read_csv, seq_axpy, seq_eval, seq_reverse,
+                   product_seminorm, read_csv, seq_axpy, seq_reverse,
                    seq_shift, write_csv)
 from apseq.seq_core import FLOAT_FMT
 from conftest import reference_row_values
@@ -15,8 +15,8 @@ from conftest import reference_row_values
 
 def test_table_eval_is_lookup():
     F = BiSequence.from_table(0, [[1.0], [2.0]])
-    assert seq_eval(F, 1)[0] == 2.0
-    assert seq_eval(F, 0)[0] == 1.0
+    assert F(1)[0] == 2.0
+    assert F(0)[0] == 1.0
 
 
 def test_table_out_of_window_raises_without_extension():
@@ -29,7 +29,7 @@ def test_table_out_of_window_raises_without_extension():
 
 def test_trig_poly_zero_frequency_is_constant():
     F = BiSequence.from_trig_poly(TrigPoly.of([(0.0, [3.0])]))
-    assert seq_eval(F, 17)[0] == 3.0
+    assert F(17)[0] == 3.0
 
 
 def test_omega_c_halving_extension():
