@@ -6,9 +6,7 @@ from .ap_analysis import (APReport, BesicovitchReport, besicovitch_distance,
                           omega_c_check, weyl_distance)
 from .discretization import (GridLaplacian, HeatProblem, WaveProblem,
                              difference_family, heat_problem, laplacian_1d,
-                             laplacian_2d, resolvent_apply,
-                             resolvent_block_selection, resolvent_matrix,
-                             resolvent_norm_bound, wave_problem)
+                             wave_problem)
 from .errors import (ApseqError, CertificateError,
                      ConvergencePreconditionError, InputContractError,
                      NumericError, RangeError, ShapeError)
@@ -20,11 +18,9 @@ from .higher_order import (CompanionSystem, build_companion, build_B_from_D,
 from .operator_model import (OperatorSequence, induced_bound,
                              op_product_apply)
 from .resolvent import (ResolventSelection, compose_selection,
-                        forward_form_residual, inclusion_residual,
-                        selection_consistency, solve_degenerate_vb,
+                        inclusion_residual, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
 from .seq_core import (BiSequence, Seminorm, SeminormFamily, TrigPoly, Window,
-                       product_seminorm, read_csv, seq_axpy, seq_reverse,
-                       seq_shift, write_csv)
+                       read_csv, seq_axpy, seq_reverse, seq_shift, write_csv)
 
 __version__ = "0.1.0"

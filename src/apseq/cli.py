@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import ap_analysis, discretization
-from .config import (ScenarioConfig, build_sequence, cmat, cnum, cpair,
-                     mat_out)
+from .config import (ScenarioConfig, _descriptor, build_sequence, cmat, cnum,
+                     cpair, mat_out)
 from .errors import ApseqError, InputContractError
 from .first_order import solve_series
 from .higher_order import (_a0_inverse_sequence, build_companion,
@@ -138,13 +138,15 @@ def _ainv_c(cfg: ScenarioConfig, A: OperatorSequence, C,
 
 def _config_C(cfg: ScenarioConfig, dim: int):
     if "C" in cfg.operators:
-        return as_matrix(cmat(cfg.operators["C"]), dim)
+        with _descriptor("operators.C descriptor"):
+            return as_matrix(cmat(cfg.operators["C"]), dim)
     return np.eye(dim, dtype=np.complex128)
 
 
 def _dispatch(cfg: ScenarioConfig):
     """Solve per the config kind.  Returns (solution, aux, report, family)."""
-    hull, pad = _required_window(cfg)
+    with _descriptor("analysis descriptor"):
+        hull, pad = _required_window(cfg)
     family = cfg.family()
 
     def forcing(dim=None):
@@ -176,7 +178,7 @@ def _dispatch(cfg: ScenarioConfig):
         ainv = _ainv_c(cfg, A, C, family)
         v, u, rep = solve_degenerate_vb(B, ainv, C, f, hull, tol=cfg.tol,
                                         A=A, pad_right=pad)
-        return (u if u is not None else v), {"v": v}, rep, family
+        return u, {"v": v}, rep, family
 
     if cfg.kind == "degenerate_vb1":
         f = forcing()
@@ -297,7 +299,8 @@ def run(cfg: ScenarioConfig, out_dir, threads: int | None = None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     x, aux, rep, family = _dispatch(cfg)
-    analysis = _run_analysis(cfg, x, family, rep) if cfg.analysis else {}
+    with _descriptor("analysis descriptor"):
+        analysis = _run_analysis(cfg, x, family, rep) if cfg.analysis else {}
     analysis.update(extra_analysis or {})
 
     if not aux.get("analysis_only"):

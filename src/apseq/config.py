@@ -49,10 +49,6 @@ def cpair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def vec_out(v) -> list:
-    return [cpair(complex(x)) for x in np.asarray(v).ravel()]
-
-
 def mat_out(m) -> list:
     return [[cpair(complex(x)) for x in row] for row in np.asarray(m)]
 
@@ -72,7 +68,6 @@ class ScenarioConfig:
     sequences: dict[str, dict] = field(default_factory=dict)
     analysis: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
     # -- parsing -----------------------------------------------------------
 
@@ -97,15 +92,12 @@ class ScenarioConfig:
         tol = float(data.get("tol", 1e-10))
         if not 0 < tol < 1:
             raise InputContractError(f"tol must be in (0, 1), got {tol}")
+        sections = {key: _object(data.get(key, {}), f"{key} descriptor")
+                    for key in ("operators", "sequences", "analysis", "params")}
         return ScenarioConfig(
             kind=kind, dim=dim, window=window, tol=tol,
             seminorms=list(data.get("seminorms", [{"kind": "sup"}])),
-            operators=dict(data.get("operators", {})),
-            forcing=data.get("forcing"),
-            sequences=dict(data.get("sequences", {})),
-            analysis=dict(data.get("analysis", {})),
-            params=dict(data.get("params", {})),
-            raw=data)
+            forcing=data.get("forcing"), **sections)
 
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":
@@ -168,6 +160,13 @@ class ScenarioConfig:
         return build_sequence(desc, dim or self.dim)
 
 
+def _object(value, what: str) -> dict:
+    """A copy of ``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise InputContractError(f"{what} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 @contextmanager
 def _descriptor(what: str):
     """A missing key or a failed conversion is an input-contract error."""
@@ -182,7 +181,7 @@ def _descriptor(what: str):
 def build_family(descs: list[dict], dim: int) -> SeminormFamily:
     sns = []
     for d in descs:
-        kind = d.get("kind")
+        kind = _object(d, "seminorm descriptor").get("kind")
         with _descriptor(f"seminorm descriptor {d!r}"):
             if kind == "sup":
                 sns.append(Seminorm.sup(d.get("label", "sup")))
@@ -203,7 +202,7 @@ def build_family(descs: list[dict], dim: int) -> SeminormFamily:
 
 
 def build_sequence(desc: dict, dim: int) -> BiSequence:
-    backend = desc.get("backend")
+    backend = _object(desc, "sequence descriptor").get("backend")
     with _descriptor(f"sequence descriptor with backend {backend!r}"):
         if backend == "constant":
             v = cvec(desc["value"])
@@ -232,7 +231,7 @@ def build_sequence(desc: dict, dim: int) -> BiSequence:
 
 def build_operator(desc: dict, dim: int, family: SeminormFamily | None,
                    probe: Window, plain: bool = False) -> OperatorSequence:
-    backend = desc.get("backend")
+    backend = _object(desc, "operator descriptor").get("backend")
     kw = dict(certificates={}) if plain else dict(family=family)
     with _descriptor(f"operator descriptor with backend {backend!r}"):
         if backend == "constant":

@@ -3,8 +3,7 @@ heat and wave example problems on interior grids.
 
 The grid operator is the desk-scale stand-in for the Dirichlet Laplacian:
 symmetric, negative definite, with the 1-D spectrum
--(2 - 2 cos(j pi / (n+1))) / h^2.  Resolvents (b - Lap)^{-1} for Re b > 0
-carry the certified spectral bound 1 / (Re b + mu_min) <= 1 / Re b.
+-(2 - 2 cos(j pi / (n+1))) / h^2.
 
 Seminorm families for these problems follow the derivative-seminorm idiom:
 grid sup norm plus first- and second-difference sup seminorms.
@@ -13,20 +12,16 @@ grid sup norm plus first- and second-difference sup seminorms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi
 
 import numpy as np
 
-from .errors import InputContractError, NumericError
+from .errors import InputContractError
 from .first_order import SolveReport
 from .higher_order import second_order_selection, solve_second_order
 from .operator_model import Matrix, OperatorSequence
 from .resolvent import (ResolventSelection, compose_selection,
                         solve_degenerate_vb)
-from .seq_core import (BiSequence, Seminorm, SeminormFamily, Vector, Window,
-                       as_window)
-
-MAX_GRID_2D = 32  # dense solves stay sub-second up to this per-axis size
+from .seq_core import BiSequence, Seminorm, SeminormFamily, Window, as_window
 
 
 @dataclass(frozen=True)
@@ -34,10 +29,8 @@ class GridLaplacian:
     """Dirichlet finite-difference Laplacian on an interior grid."""
 
     n: int
-    dims: int
     h: float
     matrix: Matrix
-    mu_min: float  # smallest eigenvalue of -matrix, analytic
 
     @property
     def size(self) -> int:
@@ -57,47 +50,7 @@ def laplacian_1d(n: int, h: float) -> GridLaplacian:
         m[i + 1, i] = 1.0
     m /= h * h
     m.flags.writeable = False
-    mu = (2.0 - 2.0 * cos(pi / (n + 1))) / (h * h)
-    return GridLaplacian(n=n, dims=1, h=float(h), matrix=m, mu_min=mu)
-
-
-def laplacian_2d(n: int, h: float) -> GridLaplacian:
-    """Five-point Laplacian on an n x n interior grid (Kronecker sum)."""
-    if n > MAX_GRID_2D:
-        raise InputContractError(f"2-D grids are capped at n <= {MAX_GRID_2D} "
-                                 "per axis")
-    l1 = laplacian_1d(n, h)
-    eye = np.eye(n)
-    m = np.kron(l1.matrix, eye) + np.kron(eye, l1.matrix)
-    m.flags.writeable = False
-    return GridLaplacian(n=n, dims=2, h=float(h), matrix=m,
-                         mu_min=2.0 * l1.mu_min)
-
-
-def resolvent_matrix(L: GridLaplacian, b: complex) -> Matrix:
-    """(b I - Lap)^{-1} by a dense solve with partial pivoting."""
-    b = complex(b)
-    if b.real <= 0:
-        raise InputContractError(f"resolvent needs Re b > 0, got {b}")
-    return np.linalg.solve(b * np.eye(L.size) - L.matrix, np.eye(L.size))
-
-
-def resolvent_apply(L: GridLaplacian, b: complex, y) -> Vector:
-    """Solve (b I - Lap) x = y for Re b > 0."""
-    b = complex(b)
-    if b.real <= 0:
-        raise InputContractError(f"resolvent needs Re b > 0, got {b}")
-    y = np.asarray(y, dtype=np.complex128)
-    return np.linalg.solve(b * np.eye(L.size) - L.matrix, y)
-
-
-def resolvent_norm_bound(L: GridLaplacian, b: complex) -> float:
-    """Certified spectral-norm bound 1/(Re b + mu_min) <= 1/Re b; exact for
-    real b since the grid operator is self-adjoint."""
-    b = complex(b)
-    if b.real <= 0:
-        raise InputContractError(f"bound needs Re b > 0, got {b}")
-    return 1.0 / (b.real + L.mu_min)
+    return GridLaplacian(n=n, h=float(h), matrix=m)
 
 
 def difference_family(dim: int) -> SeminormFamily:
@@ -150,16 +103,12 @@ class HeatProblem:
     family: SeminormFamily
     probe: Window
     certificate_sup: dict[str, float] = field(default_factory=dict)
-    min_re_b: float = 0.0
 
     def solve(self, window, tol: float = 1e-10
               ) -> tuple[BiSequence, BiSequence, SolveReport]:
-        v, u, report = solve_degenerate_vb(
+        return solve_degenerate_vb(
             self.B, self.Ainv_C, np.eye(self.laplacian.size), self.f,
-            window, tol=tol, A=self.A, u_recovery="auto", D=self.D)
-        if u is None:
-            raise NumericError("heat solve failed to recover u")
-        return v, u, report
+            window, tol=tol, A=self.A, D=self.D)
 
 
 SMALLNESS_GATE = 0.9  # sup of the composite certificate must stay below this
@@ -198,8 +147,9 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
                  window=None) -> HeatProblem:
     """Build and validate the heat instance on an n-point 1-D grid.
 
-    Validation probes Re b(k) > 0 and the composite selection certificate
-    over the window extended left by GRID_PROBE_MARGIN; certificate sups at or
+    Validation probes Re b(k) > 0 (the resolvent's sup bounds evaluate
+    A(k) at every probe k) and the composite selection certificate over
+    the window extended left by GRID_PROBE_MARGIN; certificate sups at or
     above the smallness gate are an input-contract error listing the
     failing k.
     """
@@ -212,13 +162,6 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     window = as_window(window) if window is not None else Window(-64, 64)
     probe = window.extended(left=GRID_PROBE_MARGIN, right=1)
     B, A, Ainv = _heat_operators(L, m, b, family, probe)
-
-    brule = _scalar_rule(b, "shift b")
-    min_re = min(brule(k).real for k in probe)
-    if min_re <= 0:
-        failing = [k for k in probe if brule(k).real <= 0]
-        raise InputContractError(f"Re b(k) <= 0 at k in {failing[:8]}")
-
     D = compose_selection(B, Ainv, family)
     sups = {lbl: D.sup_bound(lbl) for lbl in D.labels()}
     bad = {lbl: s for lbl, s in sups.items() if s >= SMALLNESS_GATE}
@@ -229,8 +172,7 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
             f"multiplier is not small enough: certificate sups {bad} reach "
             f"the gate {SMALLNESS_GATE}; failing k on the window: {failing[:8]}")
     return HeatProblem(laplacian=L, B=B, A=A, Ainv_C=Ainv, D=D, f=f,
-                       family=family, probe=probe, certificate_sup=sups,
-                       min_re_b=min_re)
+                       family=family, probe=probe, certificate_sup=sups)
 
 
 @dataclass
@@ -303,28 +245,3 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
             f"sups {bad} reach the gate {SMALLNESS_GATE}")
     return WaveProblem(laplacian=L, A0=A0, A1=A1, A2=A2, f=f, family=family,
                        probe=probe, selection=sel, certificate_sup=sups)
-
-
-def resolvent_block_selection(p: int, n: int, h: float, b_blocks,
-                              family: SeminormFamily,
-                              sup_probe=None) -> OperatorSequence:
-    """Block selection D with D_ij(k) = (b_ij(k) - Lap)^{-1} on Y^p, the
-    resolvent instantiation of the block-system construction.
-
-    b_blocks is a p x p nested list of scalar BiSequences with Re b_ij > 0.
-    """
-    L = laplacian_1d(n, h)
-    size = L.size
-    rules = [[_scalar_rule(b_blocks[i][j], f"b[{i}][{j}]") for j in range(p)]
-             for i in range(p)]
-
-    def fn(k: int) -> Matrix:
-        m = np.zeros((p * size, p * size), dtype=np.complex128)
-        for i in range(p):
-            for j in range(p):
-                m[i * size:(i + 1) * size, j * size:(j + 1) * size] = \
-                    resolvent_matrix(L, rules[i][j](k))
-        return m
-
-    return OperatorSequence.from_function(p * size, fn, family=family.lifted(p),
-                                          sup_probe=sup_probe)

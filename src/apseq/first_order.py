@@ -22,7 +22,7 @@ share no code with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log
+from math import ceil, inf, log
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -185,6 +185,8 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     report.
     """
     window = as_window(window)
+    if not 0 < tol < inf:
+        raise InputContractError(f"tol must be a finite number > 0, got {tol}")
     if A.family is None:
         raise InputContractError("operator sequence carries no seminorm family")
     if f.dim != A.dim:

@@ -12,7 +12,7 @@ with boldA(k) = diag(-A_0(k), C, ..., C), boldB carrying the shifted
 coefficients in its first row and identities on the subdiagonal, and
 boldC = C on every block.  The reduction selection boldB(k) [boldA(k)]^{-1}
 boldC keeps unit-size subdiagonal blocks for p >= 3, so its certificate
-products do not decay and the series gate only opens for p = 2.
+products do not decay; the series route therefore exists only for p = 2.
 """
 
 from __future__ import annotations
@@ -134,18 +134,6 @@ def companion_D_dense(sys: CompanionSystem, k: int) -> Matrix:
     return sys.bold_B(k) @ np.linalg.solve(sys.bold_A(k), sys.bold_C())
 
 
-def order_p_series_gate(p: int) -> None:
-    """The series route is only certified for p = 2: for p >= 3 the selection
-    keeps identity blocks on its subdiagonal, the per-seminorm certificates
-    cannot fall below 1, and the backward certificate products do not decay."""
-    if p != 2:
-        raise InputContractError(
-            f"order p={p} is not solvable by the companion series route; "
-            "the selection has unit-size subdiagonal blocks for p >= 3, so "
-            "the certificate-product summability condition fails. "
-            "Use build_companion for structure or forward iteration instead.")
-
-
 def _a0_inverse_sequence(A0: OperatorSequence, C: Matrix) -> OperatorSequence:
     return OperatorSequence.map(lambda k, a0: checked_solve(a0, C, f"A0({k})"),
                                 A0, certificates={})
@@ -164,7 +152,6 @@ def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
     the selection; sup bounds range over the joint period of the
     coefficients, or over sup_probe when one of them is a generator.
     """
-    order_p_series_gate(2)
     C = as_matrix(C, A0.dim)
     sys = build_companion(2, [A0, A1, A2], C)
     G = _a0_inverse_sequence(A0, C)
@@ -179,7 +166,7 @@ def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
                              G, A1, A2, shifts=(0, 0, 1), dim=2 * A0.dim,
                              family=family.lifted(2), certificates=certs,
                              sup_probe=sup_probe)
-    return ResolventSelection(D, sys.bold_C(), "companion reduction")
+    return ResolventSelection(D, sys.bold_C())
 
 
 def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,

@@ -40,15 +40,10 @@ CONSISTENCY_TOL = 1e-10  # relative defect allowed in B(k+1) C f(k) = C g(k)
 
 @dataclass
 class ResolventSelection:
-    """Single-valued selection D(k) of [Amlo(k)]^{-1} C, plus the regularizer.
-
-    description records how D was built ("analytic inverse" or
-    "numeric linear solve").
-    """
+    """Single-valued selection D(k) of [Amlo(k)]^{-1} C, plus the regularizer."""
 
     D: OperatorSequence
     C: Matrix
-    description: str = "analytic inverse"
 
     def __post_init__(self):
         self.C = as_matrix(self.C, self.D.dim)
@@ -63,23 +58,7 @@ class ResolventSelection:
         D = OperatorSequence.map(
             lambda k, a: checked_solve(a, C, f"A({k})"), A_mat, family=family,
             sup_probe=sup_probe if sup_probe is not None else A_mat.sup_probe)
-        return ResolventSelection(D, C, "numeric linear solve")
-
-
-def selection_consistency(sel: ResolventSelection, A_mat: OperatorSequence,
-                          ks, samples: int = 16, seed: int = 0) -> float:
-    """max relative defect of A(k) D(k) x = C x over sampled k and random x."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for k in ks:
-        AD = A_mat.matrix(k) @ sel.D.matrix(k)
-        for _ in range(samples):
-            x = rng.standard_normal(sel.D.dim) + 1j * rng.standard_normal(sel.D.dim)
-            lhs = AD @ x
-            rhs = sel.C @ x
-            scale = max(1.0, float(np.abs(rhs).max()))
-            worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
-    return worst
+        return ResolventSelection(D, C)
 
 
 def _time_reversed_operator(D: OperatorSequence) -> OperatorSequence:
@@ -142,16 +121,6 @@ def inclusion_residual(sel: ResolventSelection, f: BiSequence, x: BiSequence,
                            family)
 
 
-def forward_form_residual(A_mat: OperatorSequence, C, f: BiSequence,
-                          x: BiSequence, window,
-                          family: SeminormFamily) -> dict[str, float]:
-    """max of kappa(C x(k+1) - A(k) x(k) - C f(k)): the forward form of the
-    inclusion for single-valued A, used for round-trip checks."""
-    C = as_matrix(C, x.dim)
-    return linear_residual(x, {1: (C,), 0: (-1.0, (A_mat, 0))}, ((C,), f),
-                           window, family)
-
-
 def compose_selection(B: OperatorSequence, G: OperatorSequence,
                       family: SeminormFamily) -> OperatorSequence:
     """Lazy product sequence k -> B(k) G(k) with product-rule certificates
@@ -186,17 +155,17 @@ def _b_inverse(B: OperatorSequence, k: int, rhs, checked: dict[int, bool]):
 def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                         C, f: BiSequence, window, tol: float = 1e-10,
                         A: OperatorSequence | None = None,
-                        u_recovery: str = "auto", pad_right: int = 1,
+                        pad_right: int = 1,
                         D: OperatorSequence | None = None
-                        ) -> tuple[BiSequence, BiSequence | None, SolveReport]:
+                        ) -> tuple[BiSequence, BiSequence, SolveReport]:
     """Solve C B(k+1) u(k+1) = A(k) u(k) + C f(k) via v(k) = B(k) u(k).
 
     Solves the substituted inclusion for v with the composite selection
     D(k) = B(k) Ainv_C(k) (or the given ``D``, built by
-    ``compose_selection`` from the same B and Ainv_C).  u is recovered
-    from v by inverting B (the primary route, gated on a condition
-    estimate) or, when B is singular and u_recovery="auto", through the
-    selection u(k) = Ainv_C(k) (v(k+1) - f(k)).  With A supplied the vb
+    ``compose_selection`` from the same B and Ainv_C).  The recovery route
+    is chosen automatically: u is recovered from v by inverting B, or,
+    when some B(k) fails its condition check, through the selection
+    u(k) = Ainv_C(k) (v(k+1) - f(k)).  With A supplied the vb
     residual is certified directly on u; otherwise the v-level inclusion
     residual is reported.
     """
@@ -204,12 +173,10 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     family = Ainv_C.family or B.family
     if family is None:
         raise InputContractError("need a seminorm family on B or Ainv_C")
-    if u_recovery not in ("auto", "b_inverse_only", "selection"):
-        raise InputContractError(f"unknown u_recovery {u_recovery!r}")
     C = as_matrix(C, B.dim)
     if D is None:
         D = compose_selection(B, Ainv_C, family)
-    sel = ResolventSelection(D, C, "composite B * AinvC")
+    sel = ResolventSelection(D, C)
 
     # tighten the inner tolerance by the measured residual amplification
     amp = max(induced_bound(C, sn) for sn in family)
@@ -228,29 +195,20 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
 
     # u recovery
     u_window = window.extended(right=pad_right)
-    route = None
-    u_vals = None
-    if u_recovery in ("auto", "b_inverse_only"):
-        u_vals = np.empty((len(u_window), B.dim), dtype=np.complex128)
-        route = "b_inverse"
-        for i, k in enumerate(u_window):
-            got = _b_inverse(B, k, np.asarray(v(k)), checked)
-            if got is None:
-                u_vals = None
-                route = None
-                report.warnings.append(
-                    f"B({k}) condition estimate above {COND_LIMIT:.1e}; "
-                    f"B-inverse recovery abandoned")
-                break
-            u_vals[i] = got
-    if u_vals is None and u_recovery in ("auto", "selection"):
-        route = "selection"
-        u_vals = Ainv_C.apply_rows(u_window.start,
-                                   v.window_values(u_window.shifted(1))
-                                   - f.window_values(u_window))
-    if u_vals is None:
-        report.warnings.append("u not recovered; returning v only")
-        return v, None, report
+    u_vals = np.empty((len(u_window), B.dim), dtype=np.complex128)
+    route = "b_inverse"
+    for i, k in enumerate(u_window):
+        got = _b_inverse(B, k, np.asarray(v(k)), checked)
+        if got is None:
+            report.warnings.append(
+                f"B({k}) condition estimate above {COND_LIMIT:.1e}; "
+                f"B-inverse recovery abandoned")
+            route = "selection"
+            u_vals = Ainv_C.apply_rows(u_window.start,
+                                       v.window_values(u_window.shifted(1))
+                                       - f.window_values(u_window))
+            break
+        u_vals[i] = got
 
     u = BiSequence.from_table(u_window.start, u_vals)
     report.warnings.append(f"u recovered via {route}")
@@ -303,7 +261,7 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
                                for sn in family))
     inner_tol = tol / (2.0 * max(1.0, amp))
 
-    sel = ResolventSelection(Ainv_BC, C, "selection Ainv * B(k+1) * C")
+    sel = ResolventSelection(Ainv_BC, C)
     u, report = solve_inclusion(sel, f, window, tol=inner_tol,
                                 pad_right=pad_right)
     report.tol = tol

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -199,13 +199,6 @@ class Seminorm:
         return _stencil_matrix(self.offsets, self.weights, dim)
 
 
-def product_seminorm(parts: Sequence[tuple[Seminorm, Vector]]) -> float:
-    """Sum of component seminorm values, the product-space seminorm."""
-    if not parts:
-        raise InputContractError("product_seminorm needs at least one part")
-    return float(sum(sn(x) for sn, x in parts))
-
-
 @dataclass(frozen=True)
 class SeminormFamily:
     """Finite family of seminorms standing in for the topology of the space.
@@ -318,14 +311,11 @@ class BiSequence:
     bits as stacking ``fn``; without it windows are filled k by k.
     """
 
-    def __init__(self, dim: int, fn: Callable[[int], Vector], backend: str,
-                 domain: Window | None = None,
+    def __init__(self, dim: int, fn: Callable[[int], Vector],
                  window_fn: Callable[[Window], np.ndarray] | None = None):
         self.dim = int(dim)
         self._fn = fn
         self._window_fn = window_fn
-        self.backend = backend
-        self.domain = domain  # None means all of Z
 
     # -- constructors -----------------------------------------------------
 
@@ -363,23 +353,19 @@ class BiSequence:
                     vals[lo - window.start:hi - window.start + 1]
             return out
 
-        seq = BiSequence(dim, fn, "table",
-                         domain=None if extend else window,
-                         window_fn=window_fn)
-        seq.table_window = window
+        seq = BiSequence(dim, fn, window_fn=window_fn)
         seq.table_values = vals
         return seq
 
     @staticmethod
-    def from_function(dim: int, fn: Callable[[int], Vector],
-                      backend: str = "generator") -> "BiSequence":
-        return BiSequence(dim, lambda k: as_vector(fn(k), dim), backend)
+    def from_function(dim: int, fn: Callable[[int], Vector]) -> "BiSequence":
+        return BiSequence(dim, lambda k: as_vector(fn(k), dim))
 
     @staticmethod
     def constant(value) -> "BiSequence":
         v = as_vector(value)
         return BiSequence(
-            v.shape[0], lambda k: v, "generator",
+            v.shape[0], lambda k: v,
             window_fn=lambda w: np.broadcast_to(v, (len(w), v.shape[0])).copy())
 
     @staticmethod
@@ -394,11 +380,9 @@ class BiSequence:
 
     @staticmethod
     def from_trig_poly(poly: TrigPoly) -> "BiSequence":
-        seq = BiSequence(poly.dim, poly.eval, "trig_poly",
-                         window_fn=lambda w: poly.eval_many(
-                             np.arange(w.start, w.end + 1)))
-        seq.trig_poly = poly
-        return seq
+        return BiSequence(poly.dim, poly.eval,
+                          window_fn=lambda w: poly.eval_many(
+                              np.arange(w.start, w.end + 1)))
 
     @staticmethod
     def omega_c(base_values, omega: int, c: complex) -> "BiSequence":
@@ -447,11 +431,7 @@ class BiSequence:
             # bit for bit
             return np.multiply(qpow[q - q[0], None], out, out=out)
 
-        seq = BiSequence(base.shape[1], fn, "omega_c_extension",
-                         window_fn=window_fn)
-        seq.omega = omega
-        seq.c = c
-        return seq
+        return BiSequence(base.shape[1], fn, window_fn=window_fn)
 
     # -- evaluation --------------------------------------------------------
 
@@ -485,7 +465,7 @@ def seq_axpy(alpha: complex, F: BiSequence, beta: complex,
         v.flags.writeable = False
         return v
 
-    return BiSequence(F.dim, fn, "generator",
+    return BiSequence(F.dim, fn,
                       window_fn=lambda w: (a * F.window_values(w)
                                            + b * G.window_values(w)))
 
@@ -493,17 +473,13 @@ def seq_axpy(alpha: complex, F: BiSequence, beta: complex,
 def seq_shift(F: BiSequence, tau: int) -> BiSequence:
     """G(k) = F(k + tau)."""
     t = int(tau)
-    return BiSequence(F.dim, lambda k: F(k + t), F.backend,
-                      domain=None if F.domain is None
-                      else F.domain.shifted(-t),
+    return BiSequence(F.dim, lambda k: F(k + t),
                       window_fn=lambda w: F.window_values(w.shifted(t)))
 
 
 def seq_reverse(F: BiSequence) -> BiSequence:
     """G(k) = F(-k); applying it twice reproduces F's values exactly."""
-    return BiSequence(F.dim, lambda k: F(-k), F.backend,
-                      domain=None if F.domain is None
-                      else F.domain.reflected(),
+    return BiSequence(F.dim, lambda k: F(-k),
                       window_fn=lambda w: F.window_values(w.reflected())[::-1])
 
 

@@ -3,8 +3,7 @@ import pytest
 
 from apseq import (BiSequence, Seminorm, SeminormFamily, TrigPoly,
                    besicovitch_distance, bohr_check, bohr_fourier_coefficient,
-                   fit_trig_poly, omega_c_check, product_seminorm,
-                   weyl_distance)
+                   fit_trig_poly, omega_c_check, weyl_distance)
 from apseq.ap_analysis import translation_defects
 from conftest import reference_row_values
 
@@ -181,16 +180,16 @@ def test_linear_combination_defect_bound(rng):
 
 def test_pair_sequence_defect_is_additive(rng):
     # under the product seminorm the pair defect equals the sum, pointwise
-    F = BiSequence.from_trig_poly(TrigPoly.of([(1.0, [1.0])]))
+    F = BiSequence.from_trig_poly(TrigPoly.of([(1.0, [1.0, -0.5])]))
     G = BiSequence.from_trig_poly(TrigPoly.of([(0.3, [2.0, 1.0])]))
-    sup1, sup2 = Seminorm.sup("s1"), Seminorm.sup("s2")
+    pair_sn = Seminorm.block_sum(SUP, 2)
     for _ in range(50):
         k = int(rng.integers(-50, 50))
         tau = int(rng.integers(-50, 50))
         dF = F(k + tau) - F(k)
         dG = G(k + tau) - G(k)
-        pair = product_seminorm([(sup1, dF), (sup2, dG)])
-        assert pair == pytest.approx(sup1(dF) + sup2(dG), abs=1e-15)
+        pair = pair_sn(np.concatenate([dF, dG]))
+        assert pair == pytest.approx(SUP(dF) + SUP(dG), abs=1e-15)
 
 
 def test_weyl_bounds_besicovitch_up_to_edge_factor(rng):

@@ -169,10 +169,26 @@ def test_bad_thread_env_var_is_an_input_error(tmp_path):
     {"seminorms": [{"kind": "p"}]},
     {"forcing": {"backend": "constant"}},
     {"forcing": {"backend": "spike", "k": "x", "value": [[1.0, 0.0]]}},
-], ids=["operator-matrix", "seminorm-p", "forcing-value", "spike-k"])
+    {"seminorms": ["sup"]},
+    {"forcing": [[1.0, 0.0]]},
+    {"operators": {"A": [1]}},
+    {"kind": "inclusion",
+     "operators": {**MINIMAL_FIRST_ORDER["operators"],
+                   "C": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}},
+    {"analysis": ["bohr"]},
+    {"analysis": {"bohr": {"epsilon": 0.1, "k_window": [-5, 5],
+                           "tau_range": [0, 10]}}},
+    {"analysis": {"weyl": {"s_range": [-10, 10]}}},
+    {"analysis": {"omega_c": {"omega": "x", "c": [1.0, 0.0]}}},
+], ids=["operator-matrix", "seminorm-p", "forcing-value", "spike-k",
+        "seminorm-not-object", "forcing-not-object", "operator-not-object",
+        "ragged-C", "analysis-not-object", "bohr-without-L",
+        "weyl-without-l", "omega_c-omega-not-int"])
 def test_malformed_descriptor_is_an_input_error(tmp_path, patch):
-    cfg = write_config(tmp_path, {**MINIMAL_FIRST_ORDER, **patch})
-    res = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    data = {**MINIMAL_FIRST_ORDER, **patch}
+    command = "solve-inclusion" if data["kind"] == "inclusion" else "solve"
+    cfg = write_config(tmp_path, data)
+    res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert "apseq: error" in res.stderr and "descriptor" in res.stderr
 

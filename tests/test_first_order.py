@@ -228,6 +228,13 @@ def test_solver_rejects_non_finite_forcing():
         solve_series(A, bad, (-2, 2))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+def test_solver_rejects_tol_that_is_not_finite_positive(tol):
+    with pytest.raises(InputContractError, match="tol"):
+        solve_series(half_identity(), BiSequence.constant([1.0]), (0, 0),
+                     tol=tol)
+
+
 def test_backward_products_examples():
     A = half_identity()
     got = list(backward_products(A, "sup", 0, 10))

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from apseq import (BiSequence, InputContractError, OperatorSequence,
-                   SeminormFamily, TrigPoly, build_companion, build_B_from_D,
-                   companion_D_block, companion_D_dense,
-                   companion_forward_oracle, omega_c_check,
+from apseq import (BiSequence, OperatorSequence, SeminormFamily, TrigPoly,
+                   build_companion, build_B_from_D, companion_D_block,
+                   companion_D_dense, companion_forward_oracle, omega_c_check,
                    solve_second_order)
-from apseq.higher_order import order_p_series_gate, second_order_residual
+from apseq.higher_order import second_order_residual
 from conftest import random_matrix
 
 FAM1 = SeminormFamily.sup_only(1)
@@ -93,13 +92,6 @@ def test_selection_block_matches_dense_on_random_draws(p, rng):
         dense = companion_D_dense(sys_, k)
         scale = max(1.0, np.abs(dense).max())
         assert np.abs(got - dense).max() / scale <= 1e-13
-
-
-def test_series_gate_rejects_p_not_2():
-    order_p_series_gate(2)
-    for p in (3, 4, 7):
-        with pytest.raises(InputContractError):
-            order_p_series_gate(p)
 
 
 def test_second_order_zero_forcing():

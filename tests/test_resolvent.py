@@ -3,9 +3,9 @@ import pytest
 
 from apseq import (BiSequence, InputContractError, OperatorSequence,
                    ResolventSelection, SeminormFamily, TrigPoly,
-                   forward_form_residual, forward_oracle, inclusion_residual,
-                   omega_c_check, selection_consistency, seq_reverse,
-                   solve_degenerate_vb, solve_degenerate_vb1, solve_inclusion)
+                   forward_oracle, inclusion_residual, omega_c_check,
+                   seq_reverse, solve_degenerate_vb, solve_degenerate_vb1,
+                   solve_inclusion)
 from apseq.resolvent import compose_selection, vb1_residual, vb_residual
 from conftest import random_certified_operator
 
@@ -64,12 +64,15 @@ def test_round_trip_forward_form(rng):
         [rng.standard_normal((3, 3)) + 4 * np.eye(3) for _ in range(2)],
         certificates={})
     sel = ResolventSelection.from_matrix_inverse(A_mat, C, fam)
-    assert sel.description == "numeric linear solve"
-    assert selection_consistency(sel, A_mat, range(-3, 3)) <= 1e-10
+    for k in range(-3, 3):
+        AD = A_mat.matrix(k) @ sel.D.matrix(k)
+        assert np.abs(AD - C).max() <= 1e-10
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.4, rng.standard_normal(3))]))
     tol = 1e-10
     x, rep = solve_inclusion(sel, f, (-6, 6), tol=tol)
-    res = forward_form_residual(A_mat, C, f, x, (-6, 6), fam)
+    # vb residual with B = I: C x(k+1) - A(k) x(k) - C f(k)
+    eye = OperatorSequence.constant(C, certificates={})
+    res = vb_residual(eye, A_mat, C, f, x, (-6, 6), fam)
     amp = max(np.abs(A_mat.matrix(k)).sum(axis=1).max() for k in range(-6, 7))
     assert res["sup"] <= 10 * tol * max(1.0, amp)
 
@@ -137,18 +140,9 @@ def test_vb_singular_B_selection_recovery():
     assert all(v(k)[0] == 0.0 for k in range(-4, 5))
     # 0 = a u + f -> u = -f/a = 0.5
     assert all(abs(u(k)[0] - 0.5) <= 1e-12 for k in range(-4, 5))
+    assert any("abandoned" in w for w in rep.warnings)
     assert any("selection" in w for w in rep.warnings)
     assert rep.max_residual["sup"] <= 1e-12
-
-
-def test_vb_b_inverse_only_returns_v_when_singular():
-    fam = FAM1
-    B = OperatorSequence.constant([[0.0]], family=fam)
-    AinvC = OperatorSequence.constant([[0.5]], family=fam)
-    v, u, rep = solve_degenerate_vb(B, AinvC, [[1.0]], BiSequence.constant([1.0]),
-                                    (-3, 3), u_recovery="b_inverse_only")
-    assert u is None
-    assert any("abandoned" in w for w in rep.warnings)
 
 
 def test_vb1_identity_B_with_matching_g_reduces_to_inclusion(rng):

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apseq import (BiSequence, InputContractError, RangeError, Seminorm,
-                   SeminormFamily, ShapeError, TrigPoly, Window,
-                   product_seminorm, read_csv, seq_axpy, seq_reverse,
-                   seq_shift, write_csv)
+                   SeminormFamily, ShapeError, TrigPoly, Window, read_csv,
+                   seq_axpy, seq_reverse, seq_shift, write_csv)
 from apseq.seq_core import FLOAT_FMT
 from conftest import reference_row_values
 
@@ -108,16 +107,6 @@ def test_reverse_is_an_involution_bit_identical(rng):
     G = seq_reverse(seq_reverse(F))
     for k in range(-4, 5):
         assert np.array_equal(G(k), F(k))
-
-
-def test_product_seminorm_examples():
-    sup = Seminorm.sup()
-    assert product_seminorm([(sup, np.array([3.0, -4.0]))]) == 4.0
-    assert product_seminorm([(sup, np.array([1.0])),
-                             (sup, np.array([2.0]))]) == 3.0
-    assert product_seminorm([(sup, np.zeros(2)), (sup, np.zeros(3))]) == 0.0
-    with pytest.raises(InputContractError):
-        product_seminorm([])
 
 
 ALL_SEMINORMS = [
