@@ -207,7 +207,7 @@ def _dispatch(cfg: ScenarioConfig):
         return u, {}, rep, family
 
     if cfg.kind == "system_bm":
-        p = int(cfg.params.get("p", 1))
+        p = cfg.param("p", int, 1)
         block_dim = p * cfg.dim
         lifted = family.lifted(p)
         A = cfg.operator("A", dim=block_dim, plain=True)
@@ -224,9 +224,9 @@ def _dispatch(cfg: ScenarioConfig):
         return u, {}, rep, lifted
 
     if cfg.kind == "heat":
-        n = int(cfg.params["n"])
+        n = cfg.param("n", int)
         problem = discretization.heat_problem(
-            n, float(cfg.params.get("h", 1.0)),
+            n, cfg.param("h", float, 1.0),
             cfg.sequence(cfg.sequences.get("m"), dim=1),
             cfg.sequence(cfg.sequences.get("b"), dim=1),
             forcing(dim=n),
@@ -236,9 +236,9 @@ def _dispatch(cfg: ScenarioConfig):
         return u, {"v": v, "grid": True}, rep, problem.family
 
     if cfg.kind == "wave":
-        n = int(cfg.params["n"])
+        n = cfg.param("n", int)
         problem = discretization.wave_problem(
-            n, float(cfg.params.get("h", 1.0)),
+            n, cfg.param("h", float, 1.0),
             cfg.sequence(cfg.sequences.get("m1"), dim=1),
             cfg.sequence(cfg.sequences.get("m2"), dim=1),
             cfg.sequence(cfg.sequences.get("b"), dim=1),
@@ -411,7 +411,7 @@ def run_example(name: str, n: int, h: float, window: Window, tol: float,
 
 def run_reduce_order(cfg: ScenarioConfig, out_dir, k: int) -> int:
     """Emit the companion matrices and the reduction selection at index k."""
-    p = int(cfg.params.get("p", 2))
+    p = cfg.param("p", int, 2)
     family = cfg.family()
     seqs = [cfg.operator(f"A{j}", plain=True) for j in range(p + 1)]
     C = _config_C(cfg, cfg.dim)

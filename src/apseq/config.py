@@ -82,21 +82,22 @@ class ScenarioConfig:
         kind = data.get("kind")
         if kind not in KINDS:
             raise InputContractError(f"unknown problem kind {kind!r}")
-        try:
+        with _descriptor("window descriptor [start, end]"):
             window = as_window(data["window"])
-        except (KeyError, TypeError, IndexError) as exc:
-            raise InputContractError("config needs window: [start, end]") from exc
-        dim = int(data.get("dim", 1))
+        with _descriptor("dim descriptor"):
+            dim = int(data.get("dim", 1))
         if dim < 1:
             raise InputContractError("dim must be >= 1")
-        tol = float(data.get("tol", 1e-10))
+        with _descriptor("tol descriptor"):
+            tol = float(data.get("tol", 1e-10))
         if not 0 < tol < 1:
             raise InputContractError(f"tol must be in (0, 1), got {tol}")
+        with _descriptor("seminorms descriptor"):
+            seminorms = list(data.get("seminorms", [{"kind": "sup"}]))
         sections = {key: _object(data.get(key, {}), f"{key} descriptor")
                     for key in ("operators", "sequences", "analysis", "params")}
         return ScenarioConfig(
-            kind=kind, dim=dim, window=window, tol=tol,
-            seminorms=list(data.get("seminorms", [{"kind": "sup"}])),
+            kind=kind, dim=dim, window=window, tol=tol, seminorms=seminorms,
             forcing=data.get("forcing"), **sections)
 
     @staticmethod
@@ -136,6 +137,14 @@ class ScenarioConfig:
         return out
 
     # -- materialization ----------------------------------------------------
+
+    def param(self, name: str, convert, default=None):
+        """convert(params[name]), or convert(default) for an absent key when
+        a default is given; a missing or unconvertible value is an input
+        error."""
+        with _descriptor(f"params descriptor {name!r}"):
+            return convert(self.params[name] if default is None
+                           else self.params.get(name, default))
 
     def family(self, dim: int | None = None) -> SeminormFamily:
         return build_family(self.seminorms, dim or self.dim)

@@ -70,3 +70,23 @@ def reference_row_values(sn, rows):
     for i in range(sn.blocks):
         out += reference_row_values(sn.base, rows[:, i * d:(i + 1) * d])
     return out
+
+
+def exhaustive_bohr_check(F, sn, epsilon, k_window, tau_range, L):
+    """The Bohr scan with an exact defect for every candidate tau, the
+    reference for bohr_check's pruned scan."""
+    from apseq.ap_analysis import APReport, translation_defects
+    from apseq.seq_core import as_window
+
+    k_window, tau_range = as_window(k_window), as_window(tau_range)
+    taus = np.arange(tau_range.start, tau_range.end + L + 1)
+    defects = translation_defects(F, sn, k_window, taus)
+    windows = np.lib.stride_tricks.sliding_window_view(defects, L + 1)
+    max_defect = float(windows.min(axis=1).max())
+    verdict = bool(max_defect <= epsilon)
+    return APReport(epsilon=float(epsilon), seminorm_label=sn.label,
+                    verdict=verdict, witness_L=L if verdict else None,
+                    translation_numbers=taus[defects <= epsilon].tolist(),
+                    max_defect=max_defect,
+                    k_window=(k_window.start, k_window.end),
+                    tau_range=(tau_range.start, tau_range.end))

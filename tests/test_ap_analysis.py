@@ -4,8 +4,10 @@ import pytest
 from apseq import (BiSequence, Seminorm, SeminormFamily, TrigPoly,
                    besicovitch_distance, bohr_check, bohr_fourier_coefficient,
                    fit_trig_poly, omega_c_check, weyl_distance)
+from apseq import ap_analysis
 from apseq.ap_analysis import translation_defects
-from conftest import reference_row_values
+from apseq.errors import InputContractError
+from conftest import exhaustive_bohr_check, reference_row_values
 
 SUP = Seminorm.sup()
 
@@ -236,3 +238,102 @@ def test_translation_defects_match_per_tau_reference_loop(sn, backend):
                                               for k in ks])).max()
            for t in taus]
     assert got.tobytes() == np.array(ref).tobytes()
+
+
+def test_translation_defects_of_no_taus_is_empty():
+    F = BiSequence.constant([1.0, 2.0])
+    got = translation_defects(F, SUP, (-5, 5), np.array([], dtype=np.int64))
+    assert got.shape == (0,) and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), -1e-300])
+def test_bohr_rejects_epsilon_that_is_not_a_number_ge_zero(epsilon):
+    F = BiSequence.constant([1.0])
+    with pytest.raises(InputContractError):
+        bohr_check(F, SUP, epsilon, (-5, 5), (0, 10), 2)
+
+
+def bohr_target(name: str) -> BiSequence:
+    rng = np.random.default_rng(23)
+    base = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    if name == "trig":
+        return BiSequence.from_trig_poly(TrigPoly.of(
+            [(lam, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+             for lam in (0.4, -1.3, 2.9)]))
+    if name == "omega_c-unimodular":
+        return BiSequence.omega_c(base, 6, 1j)
+    if name == "omega_c-contracting":
+        return BiSequence.omega_c(base, 6, 0.8 + 0.5j)
+    table = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+    if name == "nan-table":
+        table[190, 1] = np.nan
+    elif name == "inf-table":
+        table[160, 0], table[170, 3] = np.inf, -1j * np.inf
+    return BiSequence.from_table(-40, table, extend="zero")
+
+
+#: (k_window, tau_range, L): a plain scan, L = 1, a k-window shorter than
+#: the lower bounds' k-stride, and a negative tau range
+BOHR_SHAPES = [((-70, 70), (0, 200), 24), ((-70, 70), (-20, 60), 1),
+               ((3, 40), (0, 150), 10), ((-70, 70), (-260, -40), 17)]
+
+
+@pytest.mark.parametrize("sn", [SUP, Seminorm.p_norm(2), Seminorm.p_norm(1.5),
+                                Seminorm.first_difference(),
+                                Seminorm.block_sum(Seminorm.first_difference(),
+                                                   2)],
+                         ids=lambda sn: sn.kind + sn.label)
+@pytest.mark.parametrize("target", ["trig", "omega_c-unimodular",
+                                    "omega_c-contracting", "zero-table",
+                                    "nan-table", "inf-table"])
+def test_bohr_check_matches_exhaustive_scan(target, sn):
+    F = bohr_target(target)
+    for k_window, tau_range, L in BOHR_SHAPES:
+        exact = exhaustive_bohr_check(F, sn, np.inf, k_window, tau_range,
+                                      L).max_defect
+        for epsilon in (0.0, 1e-12, exact, np.inf):
+            if np.isnan(epsilon):
+                continue
+            got = bohr_check(F, sn, epsilon, k_window, tau_range, L)
+            ref = exhaustive_bohr_check(F, sn, epsilon, k_window, tau_range,
+                                        L)
+            assert repr(got.to_dict()) == repr(ref.to_dict()), \
+                (k_window, tau_range, L, epsilon)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("epsilon", [1.0, np.inf])
+def test_bohr_check_keeps_nan_from_stencil_overflow(epsilon):
+    # finite values, but F(20) - F(10) overflows to inf and the d1 stencil
+    # makes the defect at tau = 10 NaN through k = 10, which the lower
+    # bounds skip; their bound 1.5e308 at tau = 10 exceeds every other
+    # defect, so a scan pruned on it alone would miss the NaN
+    table = np.zeros((31, 2), dtype=complex)
+    table[0, 0], table[10, 0], table[20, 0] = 0.5e308, -1e308, 1e308
+    F = BiSequence.from_table(0, table, extend="zero")
+    args = (F, Seminorm.first_difference(), epsilon, (0, 100), (0, 20), 5)
+    got = bohr_check(*args)
+    assert np.isnan(got.max_defect) and 10 not in got.translation_numbers
+    assert repr(got.to_dict()) == repr(exhaustive_bohr_check(*args).to_dict())
+
+
+@pytest.mark.parametrize("epsilon", [0.5, np.inf])
+def test_bohr_check_evaluates_few_taus_exactly(monkeypatch, epsilon):
+    # a trig target of the benchmark's ap-scan size: 2,001 k and 6,201 taus
+    rng = np.random.default_rng(5)
+    F = BiSequence.from_trig_poly(TrigPoly.of(
+        [(lam, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+         for lam in rng.uniform(0.1, 3.0, size=3)]))
+    args = (F, SUP, epsilon, (-1000, 1000), (0, 6000), 200)
+    evaluated = []
+
+    def spy(F, sn, k_window, taus):
+        evaluated.extend(np.asarray(taus).tolist())
+        return translation_defects(F, sn, k_window, taus)
+
+    monkeypatch.setattr(ap_analysis, "translation_defects", spy)
+    got = bohr_check(*args)
+    monkeypatch.undo()
+    assert len(evaluated) <= 0.05 * 6201
+    assert len(set(evaluated)) == len(evaluated)
+    assert repr(got.to_dict()) == repr(exhaustive_bohr_check(*args).to_dict())

@@ -180,13 +180,21 @@ def test_bad_thread_env_var_is_an_input_error(tmp_path):
                            "tau_range": [0, 10]}}},
     {"analysis": {"weyl": {"s_range": [-10, 10]}}},
     {"analysis": {"omega_c": {"omega": "x", "c": [1.0, 0.0]}}},
+    {"tol": "x"},
+    {"dim": "x"},
+    {"window": ["a", 3]},
+    {"seminorms": 5},
+    {"kind": "heat", "params": {"n": "x"}},
 ], ids=["operator-matrix", "seminorm-p", "forcing-value", "spike-k",
         "seminorm-not-object", "forcing-not-object", "operator-not-object",
         "ragged-C", "analysis-not-object", "bohr-without-L",
-        "weyl-without-l", "omega_c-omega-not-int"])
+        "weyl-without-l", "omega_c-omega-not-int", "tol-not-number",
+        "dim-not-int", "window-not-int", "seminorms-not-list",
+        "heat-n-not-int"])
 def test_malformed_descriptor_is_an_input_error(tmp_path, patch):
     data = {**MINIMAL_FIRST_ORDER, **patch}
-    command = "solve-inclusion" if data["kind"] == "inclusion" else "solve"
+    command = {"inclusion": "solve-inclusion",
+               "heat": "solve-degenerate"}.get(data["kind"], "solve")
     cfg = write_config(tmp_path, data)
     res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert res.returncode == 2
@@ -315,6 +323,19 @@ def test_analyze_scenario(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["analysis"]["omega_c"]["defect"] <= 1e-13
     assert not (out / "solution.csv").exists()
+
+
+def test_analyze_rejects_nan_epsilon(tmp_path):
+    data = {"schema_version": 1, "kind": "analyze", "dim": 1,
+            "window": [-10, 10], "sequences": {"target": {
+                "backend": "constant", "value": [[1.0, 0.0]]}},
+            "analysis": {"bohr": {"k_window": [-5, 5], "tau_range": [0, 10],
+                                  "L": 2, "epsilon": float("nan")}}}
+    cfg = write_config(tmp_path, data)
+    res = run_cli("analyze", "--config", str(cfg), "--out",
+                  str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert "apseq: error" in res.stderr and "epsilon" in res.stderr
 
 
 def test_reduce_order_emits_reduction(tmp_path):
