@@ -63,23 +63,42 @@ def difference_family(dim: int) -> SeminormFamily:
     return SeminormFamily.of(sns, dim)
 
 
-def _grid_profile(seq: BiSequence, size: int, what: str):
-    """Evaluate a multiplier sequence; dim 1 broadcasts to the grid."""
+def _grid_operator(seq: BiSequence, size: int, build,
+                   family: SeminormFamily | None = None,
+                   probe: Window | None = None) -> OperatorSequence:
+    """k -> build(k, seq(k)[None])[0] on the grid, certified over ``family``
+    when given.  ``build(k0, values)`` maps the (len, dim) values of seq at
+    k0, k0+1, ... to (len, size, size) matrices.  Constant data gives a
+    constant sequence, certified once; other data a generator whose
+    windows are one ``build`` over ``seq.window_values``."""
+    kw = dict(family=family) if family is not None else dict(certificates={})
+    if seq.constant_value is not None:
+        return OperatorSequence.constant(
+            build(0, seq.constant_value[None])[0], **kw)
+    return OperatorSequence.from_function(
+        size, lambda k: build(k, seq(k)[None])[0], sup_probe=probe,
+        window_fn=lambda w: build(w.start, seq.window_values(w)), **kw)
+
+
+def _multiplier(seq: BiSequence, size: int, what: str):
+    """``_grid_operator`` rule for diag(seq(k)); dim 1 broadcasts to the
+    grid."""
     if seq.dim not in (1, size):
         raise InputContractError(f"{what} must have dim 1 or {size}, "
                                  f"got {seq.dim}")
+    diag = np.arange(size)
 
-    def profile(k: int) -> np.ndarray:
-        v = np.asarray(seq(k))
-        return np.full(size, v[0]) if v.shape[0] == 1 else v
+    def build(k0: int, vals: np.ndarray) -> np.ndarray:
+        out = np.zeros((vals.shape[0], size, size), dtype=np.complex128)
+        out[:, diag, diag] = vals
+        return out
 
-    return profile
+    return build
 
 
-def _scalar_rule(seq: BiSequence, what: str):
+def _check_scalar(seq: BiSequence, what: str) -> None:
     if seq.dim != 1:
         raise InputContractError(f"{what} must be a scalar sequence")
-    return lambda k: complex(np.asarray(seq(k))[0])
 
 
 @dataclass
@@ -90,6 +109,9 @@ class HeatProblem:
     B(k) = multiplier by m(k,.), A(k) = Lap - b(k) I, C = I.  The selection
     certificate per seminorm is the multiplier bound times the resolvent
     bound; its sup over the probed range must stay below the smallness gate.
+    B is a constant sequence when m is constant, and A and Ainv_C when b is;
+    otherwise they are generators whose matrices come a window at a time
+    (Ainv_C as one stacked solve of Lap - b(k) I per block).
     ``D`` is the composite selection B(k) Ainv_C(k) whose certificates
     ``heat_problem`` validated; the solve reuses it.
     """
@@ -118,27 +140,23 @@ GRID_PROBE_MARGIN = 512  # steps left of the window the certificates probe
 def _heat_operators(L: GridLaplacian, m: BiSequence, b: BiSequence,
                     family: SeminormFamily, probe: Window):
     size = L.size
-    mprof = _grid_profile(m, size, "multiplier m")
-    brule = _scalar_rule(b, "shift b")
+    mult = _multiplier(m, size, "multiplier m")
+    _check_scalar(b, "shift b")
     eye = np.eye(size)
 
-    def b_mat(k: int) -> Matrix:
-        return np.diag(mprof(k).astype(np.complex128))
+    def a_stack(k0: int, vals: np.ndarray) -> np.ndarray:
+        re = vals[:, 0].real
+        bad = np.flatnonzero(re <= 0)
+        if bad.size:
+            raise InputContractError(f"Re b({k0 + int(bad[0])}) = "
+                                     f"{float(re[bad[0]])} is not positive")
+        return L.matrix - vals[:, 0, None, None] * eye
 
-    def a_mat(k: int) -> Matrix:
-        bk = brule(k)
-        if bk.real <= 0:
-            raise InputContractError(f"Re b({k}) = {bk.real} is not positive")
-        return L.matrix - bk * eye
-
-    def ainv_mat(k: int) -> Matrix:
-        return np.linalg.solve(a_mat(k), eye)
-
-    B = OperatorSequence.from_function(size, b_mat, family=family,
-                                       sup_probe=probe)
-    A = OperatorSequence.from_function(size, a_mat, certificates={})
-    Ainv = OperatorSequence.from_function(size, ainv_mat, family=family,
-                                          sup_probe=probe)
+    B = _grid_operator(m, size, mult, family=family, probe=probe)
+    A = _grid_operator(b, size, a_stack)
+    Ainv = _grid_operator(
+        b, size, lambda k0, vals: np.linalg.solve(a_stack(k0, vals), eye),
+        family=family, probe=probe)
     return B, A, Ainv
 
 
@@ -151,7 +169,8 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     A(k) at every probe k) and the composite selection certificate over
     the window extended left by GRID_PROBE_MARGIN; certificate sups at or
     above the smallness gate are an input-contract error listing the
-    failing k.
+    failing k.  Constant m and b are certified once, not per probe k; a
+    non-constant b has its resolvent certified in blocks of CERT_BLOCK k.
     """
     L = laplacian_1d(n, h)
     family = family or difference_family(L.size)
@@ -208,7 +227,8 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
                  family: SeminormFamily | None = None,
                  window=None) -> WaveProblem:
     """Build and validate the wave instance (same hypotheses as heat, with
-    the three-piece certificate of the order-2 route)."""
+    the three-piece certificate of the order-2 route).  Constant m1, m2
+    and b give a constant selection, certified once."""
     L = laplacian_1d(n, h)
     family = family or difference_family(L.size)
     if family.dim != L.size or f.dim != L.size:
@@ -217,24 +237,14 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
     probe = window.extended(left=GRID_PROBE_MARGIN, right=2)
     size = L.size
     eye = np.eye(size)
-    brule = _scalar_rule(b, "shift b")
-    m1prof = _grid_profile(m1, size, "multiplier m1")
-    m2prof = _grid_profile(m2, size, "multiplier m2")
+    _check_scalar(b, "shift b")
+    A1 = _grid_operator(m1, size, _multiplier(m1, size, "multiplier m1"))
+    A2 = _grid_operator(m2, size, _multiplier(m2, size, "multiplier m2"))
 
-    min_re = min(brule(k).real for k in probe)
-    if min_re <= 0:
+    if b.window_values(probe)[:, 0].real.min() <= 0:
         raise InputContractError("Re b(k) must be positive on the probe window")
-
-    def a0_mat(k: int) -> Matrix:
-        return brule(k) * eye - L.matrix
-
-    A0 = OperatorSequence.from_function(size, a0_mat, certificates={})
-    A1 = OperatorSequence.from_function(
-        size, lambda k: np.diag(m1prof(k).astype(np.complex128)),
-        certificates={})
-    A2 = OperatorSequence.from_function(
-        size, lambda k: np.diag(m2prof(k).astype(np.complex128)),
-        certificates={})
+    A0 = _grid_operator(
+        b, size, lambda k0, vals: vals[:, 0, None, None] * eye - L.matrix)
 
     sel = second_order_selection(A0, A1, A2, eye, family, sup_probe=probe)
     sups = dict(sel.D.sup_bounds)

@@ -13,12 +13,15 @@ derived here as exact induced bounds of the concrete matrices:
   l1            max absolute column sum
   l2            largest singular value
   lp, 1<p<inf   interpolation bound ||A||_1^(1/p) * ||A||_inf^(1-1/p)
-  stencil S     max absolute row sum of S A S^{-1} (S is the zero-padded
-                stencil matrix, which is invertible for difference stencils)
+  stencil S     max absolute row sum of (S A) S^{-1} (S is the zero-padded
+                stencil matrix, which is invertible for difference stencils;
+                S^{-1} is formed once per stencil and dimension)
   block_sum     max over block columns j of sum_i c_base(A_ij)
 
 All of these are sound upper bounds, so randomized soundness checks hold
-up to roundoff with no fudge factor.
+up to roundoff with no fudge factor.  They apply to stacks of matrices
+too, which is how generator sequences derive their certificates: one stack
+per block of at most CERT_BLOCK consecutive k.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ Matrix = np.ndarray  # (d, d) complex128
 
 #: condition estimates above this make a dense solve untrustworthy
 COND_LIMIT = 1e12
+#: most matrices stacked at once when certificates are derived over a
+#: window; bounds the memory a block takes besides the cached matrices
+CERT_BLOCK = 64
 
 
 def as_matrix(m, dim: int | None = None) -> Matrix:
@@ -49,40 +55,51 @@ def as_matrix(m, dim: int | None = None) -> Matrix:
     return a
 
 
-def induced_bound(matrix: Matrix, sn: Seminorm) -> float:
-    """Sound upper bound c with sn(A x) <= c * sn(x) for all x."""
+def _bound(x) -> float | np.ndarray:
+    """A bound as a float for one matrix, an array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def induced_bound(matrix: Matrix, sn: Seminorm) -> float | np.ndarray:
+    """Sound upper bound c with sn(A x) <= c * sn(x) for all x.
+
+    A stack (..., d, d) gives an array of bounds, one per matrix, each
+    with the bits of its own call."""
     a = np.abs(matrix)
     if sn.kind == "sup":
-        return float(a.sum(axis=1).max())
+        return _bound(a.sum(axis=-1).max(axis=-1))
     if sn.kind == "p":
-        n1 = float(a.sum(axis=0).max())
+        n1 = a.sum(axis=-2).max(axis=-1)
         if sn.p == 1:
-            return n1
+            return _bound(n1)
         if sn.p == 2:
-            return float(np.linalg.norm(matrix, 2))
-        ninf = float(a.sum(axis=1).max())
-        return n1 ** (1.0 / sn.p) * ninf ** (1.0 - 1.0 / sn.p)
+            return _bound(np.linalg.norm(matrix, 2, axis=(-2, -1)))
+        ninf = a.sum(axis=-1).max(axis=-1)
+        # Python float powers: numpy's vectorized power rounds differently
+        lp = np.vectorize(lambda x, y: float(x) ** (1.0 / sn.p)
+                          * float(y) ** (1.0 - 1.0 / sn.p), otypes=[float])
+        return _bound(lp(n1, ninf))
     if sn.kind == "stencil":
-        s = sn.stencil_matrix(matrix.shape[0])
-        try:
-            conj = np.linalg.solve(s.T.conj(), (s @ matrix).T.conj()).T.conj()
-        except np.linalg.LinAlgError as exc:
+        d = matrix.shape[-1]
+        s_inv = sn.stencil_inverse(d)
+        if s_inv is None:
             raise CertificateError(
                 f"stencil seminorm {sn.label!r} has a singular stencil matrix; "
-                f"supply an analytic certificate instead") from exc
-        return float(np.abs(conj).sum(axis=1).max())
+                f"supply an analytic certificate instead")
+        conj = (sn.stencil_matrix(d) @ matrix) @ s_inv
+        return _bound(np.abs(conj).sum(axis=-1).max(axis=-1))
     if sn.kind == "block_sum":
         p = sn.blocks
-        d, rem = divmod(matrix.shape[0], p)
+        d, rem = divmod(matrix.shape[-1], p)
         if rem:
-            raise ShapeError(f"matrix of size {matrix.shape[0]} is not "
+            raise ShapeError(f"matrix of size {matrix.shape[-1]} is not "
                              f"{p}x{p} blocks")
-        col_sums = np.zeros(p)
+        col_sums = np.zeros(matrix.shape[:-2] + (p,))
         for j in range(p):
             for i in range(p):
-                block = matrix[i * d:(i + 1) * d, j * d:(j + 1) * d]
-                col_sums[j] += induced_bound(block, sn.base)
-        return float(col_sums.max())
+                block = matrix[..., i * d:(i + 1) * d, j * d:(j + 1) * d]
+                col_sums[..., j] += induced_bound(block, sn.base)
+        return _bound(col_sums.max(axis=-1))
     raise InputContractError(f"unknown seminorm kind {sn.kind!r}")
 
 
@@ -99,17 +116,28 @@ def checked_solve(matrix: Matrix, rhs, what: str = "matrix") -> np.ndarray:
     return np.linalg.solve(matrix, rhs)
 
 
+def window_blocks(window: Window) -> Iterator[Window]:
+    """Consecutive sub-windows of at most CERT_BLOCK k covering ``window``."""
+    for a in range(window.start, window.end + 1, CERT_BLOCK):
+        yield Window(a, min(a + CERT_BLOCK - 1, window.end))
+
+
 class OperatorSequence:
     """k -> A(k) with bound certificates and per-seminorm sup bounds.
 
     Backends: constant matrix, periodic list of matrices, or a pure
     generator rule.  Matrices produced by generators are memoized per k
-    (windows are small and evaluation must be deterministic).
+    (windows are small and evaluation must be deterministic).  A generator
+    may also carry ``window_fn``, which evaluates a window as one
+    (len, dim, dim) stack with the same bits as stacking ``fn``.
 
     ``certificates[label]`` is a rule k -> c(k); ``sup_bounds[label]`` caps
     c(k) over the range the solver will touch.  For constant and periodic
-    backends the sup is exact; generator backends take it from a declared
-    probe window recorded in ``sup_probe``.
+    backends the sup is exact and each distinct matrix is certified once;
+    generator backends take it from a declared probe window recorded in
+    ``sup_probe``.  Certificates derived from the family are evaluated on
+    the probe and by ``certificate_array`` one block of at most CERT_BLOCK
+    k at a time, and the per-k caches hold views into the blocks.
     """
 
     def __init__(self, dim: int, fn: Callable[[int], Matrix], backend: str,
@@ -117,15 +145,18 @@ class OperatorSequence:
                  certificates: dict[str, Callable[[int], float]] | None = None,
                  sup_bounds: dict[str, float] | None = None,
                  sup_probe: Window | None = None,
-                 period: int | None = None):
+                 period: int | None = None,
+                 window_fn: Callable[[Window], np.ndarray] | None = None):
         self.dim = int(dim)
         self.backend = backend
         self.period = period
         self.family = family
         self._fn = fn
+        self._window_fn = window_fn
         self._mat_cache: dict[int, Matrix] = {}
         self._cert_cache: dict[tuple[str, int], float] = {}
         self.sup_probe = sup_probe
+        self._derived = certificates is None
         if certificates is None:
             if family is None:
                 raise InputContractError(
@@ -168,12 +199,16 @@ class OperatorSequence:
     def from_function(dim: int, fn: Callable[[int], Matrix],
                       family: SeminormFamily | None = None,
                       certificates=None, sup_bounds=None,
-                      sup_probe=None) -> "OperatorSequence":
+                      sup_probe=None, window_fn=None) -> "OperatorSequence":
+        """Generator k -> fn(k); ``window_fn(w)``, when given, returns the
+        matrices of the window w as a (len(w), dim, dim) stack with the
+        bits of fn."""
         probe = as_window(sup_probe) if sup_probe is not None else None
         return OperatorSequence(dim, lambda k: as_matrix(fn(k), dim),
                                 "generator", family=family,
                                 certificates=certificates,
-                                sup_bounds=sup_bounds, sup_probe=probe)
+                                sup_bounds=sup_bounds, sup_probe=probe,
+                                window_fn=window_fn)
 
     @staticmethod
     def map(fn: Callable[..., Matrix], *seqs: "OperatorSequence",
@@ -205,16 +240,40 @@ class OperatorSequence:
 
     # -- evaluation --------------------------------------------------------
 
-    def matrix(self, k: int) -> Matrix:
+    def residue(self, k: int) -> int:
+        """The index that stands for k among the distinct matrices: 0 for
+        a constant, k mod the period for a periodic backend, else k."""
         k = int(k)
         if self.backend == "constant":
-            return self._fn(0)
+            return 0
         if self.backend == "periodic":
+            return k % self.period
+        return k
+
+    def matrix(self, k: int) -> Matrix:
+        k = self.residue(k)
+        if self.backend != "generator":
             return self._fn(k)
         m = self._mat_cache.get(k)
         if m is None:
             m = self._mat_cache[k] = self._fn(k)
         return m
+
+    def matrices(self, window) -> np.ndarray:
+        """A(k) for k in ``window`` as a (len, dim, dim) stack.  A generator
+        with a ``window_fn`` evaluates the window in one pass and caches
+        views into the stack for the k it had not cached."""
+        window = as_window(window)
+        if self._window_fn is None:
+            return np.stack([self.matrix(k) for k in window])
+        stack = np.asarray(self._window_fn(window), dtype=np.complex128)
+        if stack.shape != (len(window), self.dim, self.dim):
+            raise ShapeError(f"window rule gave shape {stack.shape} for "
+                             f"{len(window)} matrices of dimension {self.dim}")
+        stack.flags.writeable = False
+        for k, m in zip(window, stack):
+            self._mat_cache.setdefault(k, m)
+        return stack
 
     def apply(self, k: int, x: Vector) -> Vector:
         x = np.asarray(x, dtype=np.complex128)
@@ -233,17 +292,13 @@ class OperatorSequence:
             for r in range(p):
                 out[r::p] = rows[r::p] @ self.matrix(start + r).T
             return out
-        mats = np.stack([self.matrix(start + i) for i in range(rows.shape[0])])
+        mats = self.matrices(Window(start, start + rows.shape[0] - 1))
         return np.einsum("pij,pj->pi", mats, rows)
 
     def certificate(self, label: str, k: int) -> float:
         if label not in self.certificates:
             raise CertificateError(f"no certificate for seminorm {label!r}")
-        k = int(k)
-        if self.backend == "constant":
-            k = 0
-        elif self.backend == "periodic":
-            k = k % self.period
+        k = self.residue(k)
         key = (label, k)
         c = self._cert_cache.get(key)
         if c is None:
@@ -251,7 +306,22 @@ class OperatorSequence:
         return c
 
     def certificate_array(self, label: str, window: Window) -> np.ndarray:
+        self._derive_certificates(window)
         return np.array([self.certificate(label, k) for k in window])
+
+    def _derive_certificates(self, window: Window) -> None:
+        """Cache a generator's family-derived certificates on ``window``,
+        one stack of matrices per block; a no-op for other sequences."""
+        if self.backend != "generator" or not self._derived:
+            return
+        labels = [sn.label for sn in self.family]
+        for w in window_blocks(window):
+            if all((lbl, k) in self._cert_cache for k in w for lbl in labels):
+                continue
+            stack = self.matrices(w)
+            for sn in self.family:
+                for k, c in zip(w, induced_bound(stack, sn).tolist()):
+                    self._cert_cache.setdefault((sn.label, k), c)
 
     def sup_bound(self, label: str) -> float:
         if label not in self.sup_bounds:
@@ -274,6 +344,7 @@ class OperatorSequence:
                     "generator-backed operator sequences need either explicit "
                     "sup_bounds or a sup_probe window")
             ks = self.sup_probe
+            self._derive_certificates(ks)
         return {label: max(self.certificate(label, k) for k in ks)
                 for label in self.certificates}
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InputContractError, NumericError
 from .first_order import SolveReport, linear_residual, solve_series
 from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
-                             checked_solve, induced_bound)
+                             checked_solve, induced_bound, window_blocks)
 from .seq_core import BiSequence, SeminormFamily, Window, as_window
 
 CONSISTENCY_TOL = 1e-10  # relative defect allowed in B(k+1) C f(k) = C g(k)
@@ -139,17 +139,18 @@ def compose_selection(B: OperatorSequence, G: OperatorSequence,
                                 certificates=certs, sup_bounds=sups)
 
 
-def _b_inverse(B: OperatorSequence, k: int, rhs, checked: dict[int, bool]):
-    """B(k)^{-1} rhs, or None when B(k) fails its condition check.
-    ``checked`` keeps each k's verdict, so every B(k) is checked once."""
-    if k in checked:
-        return np.linalg.solve(B.matrix(k), rhs) if checked[k] else None
-    try:
-        out = checked_solve(B.matrix(k), rhs)
-    except NumericError:
-        out = None
-    checked[k] = out is not None
-    return out
+def _b_inverse(B: OperatorSequence, k: int,
+               inverses: dict[int, Matrix | None]) -> Matrix | None:
+    """B(k)^{-1}, or None when B(k) fails its condition check.
+    ``inverses`` keeps one entry per distinct matrix (keyed by
+    ``B.residue(k)``), so a constant B is checked and inverted once."""
+    key = B.residue(k)
+    if key not in inverses:
+        try:
+            inverses[key] = checked_solve(B.matrix(k), np.eye(B.dim))
+        except NumericError:
+            inverses[key] = None
+    return inverses[key]
 
 
 def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
@@ -178,15 +179,18 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
         D = compose_selection(B, Ainv_C, family)
     sel = ResolventSelection(D, C)
 
-    # tighten the inner tolerance by the measured residual amplification
+    # tighten the inner tolerance by the measured residual amplification;
+    # a B(k) that fails its check contributes a zero product
     amp = max(induced_bound(C, sn) for sn in family)
-    checked: dict[int, bool] = {}
+    inverses: dict[int, Matrix | None] = {}
     if A is not None:
-        for k in window:
-            binv_at = _b_inverse(B, k, np.eye(B.dim), checked)
-            if binv_at is not None:
-                ab = A.matrix(k) @ binv_at
-                amp = max(amp, max(induced_bound(ab, sn) for sn in family))
+        zero = np.zeros((B.dim, B.dim), dtype=np.complex128)
+        for w in window_blocks(window):
+            binvs = [_b_inverse(B, k, inverses) for k in w]
+            ab = A.matrices(w) @ np.stack([zero if m is None else m
+                                           for m in binvs])
+            amp = max(amp, *(float(induced_bound(ab, sn).max())
+                             for sn in family))
     inner_tol = tol / (2.0 * max(1.0, amp))
 
     v, report = solve_inclusion(sel, f, window, tol=inner_tol,
@@ -198,8 +202,8 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     u_vals = np.empty((len(u_window), B.dim), dtype=np.complex128)
     route = "b_inverse"
     for i, k in enumerate(u_window):
-        got = _b_inverse(B, k, np.asarray(v(k)), checked)
-        if got is None:
+        binv = _b_inverse(B, k, inverses)
+        if binv is None:
             report.warnings.append(
                 f"B({k}) condition estimate above {COND_LIMIT:.1e}; "
                 f"B-inverse recovery abandoned")
@@ -208,7 +212,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                                        v.window_values(u_window.shifted(1))
                                        - f.window_values(u_window))
             break
-        u_vals[i] = got
+        u_vals[i] = binv @ v(k)
 
     u = BiSequence.from_table(u_window.start, u_vals)
     report.warnings.append(f"u recovered via {route}")

@@ -100,6 +100,19 @@ def _stencil_matrix(offsets: tuple, weights: tuple, dim: int) -> np.ndarray:
     return s
 
 
+@lru_cache(maxsize=None)
+def _stencil_inverse(offsets: tuple, weights: tuple,
+                     dim: int) -> np.ndarray | None:
+    """Inverse of ``_stencil_matrix``, or None when that matrix is singular."""
+    try:
+        inv = np.linalg.solve(_stencil_matrix(offsets, weights, dim),
+                              np.eye(dim))
+    except np.linalg.LinAlgError:
+        return None
+    inv.flags.writeable = False
+    return inv
+
+
 def _row_max(a: np.ndarray) -> np.ndarray:
     """``a.max(axis=1)`` for a real 2-D array, with the same bits (max is
     exact).  Reducing along a short row axis pays numpy's per-row overhead;
@@ -197,6 +210,13 @@ class Seminorm:
         if self.kind != "stencil":
             raise InputContractError("not a stencil seminorm")
         return _stencil_matrix(self.offsets, self.weights, dim)
+
+    def stencil_inverse(self, dim: int) -> np.ndarray | None:
+        """Inverse of ``stencil_matrix(dim)``, formed once per stencil and
+        dimension; None when the stencil matrix is singular."""
+        if self.kind != "stencil":
+            raise InputContractError("not a stencil seminorm")
+        return _stencil_inverse(self.offsets, self.weights, dim)
 
 
 @dataclass(frozen=True)
@@ -309,7 +329,10 @@ class BiSequence:
     which satisfies F(k + omega) = c * F(k) for all k by construction.
     ``window_fn`` evaluates a whole window in one numpy pass with the same
     bits as stacking ``fn``; without it windows are filled k by k.
+    ``constant_value`` is the value of a constant sequence, else None.
     """
+
+    constant_value: Vector | None = None
 
     def __init__(self, dim: int, fn: Callable[[int], Vector],
                  window_fn: Callable[[Window], np.ndarray] | None = None):
@@ -364,9 +387,11 @@ class BiSequence:
     @staticmethod
     def constant(value) -> "BiSequence":
         v = as_vector(value)
-        return BiSequence(
+        seq = BiSequence(
             v.shape[0], lambda k: v,
             window_fn=lambda w: np.broadcast_to(v, (len(w), v.shape[0])).copy())
+        seq.constant_value = v
+        return seq
 
     @staticmethod
     def zeros(dim: int) -> "BiSequence":

@@ -446,8 +446,9 @@ def test_example_heat_composes_its_selection_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_example_wave_evaluates_each_certificate_piece_once(tmp_path,
-                                                            monkeypatch):
+def _wave_piece_counts(monkeypatch, argv):
+    """Run the CLI on a wave problem; return the problem it built and the
+    seminorm label of every induced bound higher_order evaluated."""
     from apseq import cli, discretization, higher_order
     calls = []
     problems = []
@@ -464,10 +465,43 @@ def test_example_wave_evaluates_each_certificate_piece_once(tmp_path,
 
     monkeypatch.setattr(higher_order, "induced_bound", counting)
     monkeypatch.setattr(discretization, "wave_problem", capture)
-    assert cli.main(["example", "wave", "--n", "4", "--out",
-                     str(tmp_path / "wave")]) == 0
+    assert cli.main(argv) == 0
     (problem,) = problems
+    return problem, calls
+
+
+def test_example_wave_evaluates_each_certificate_piece_once(tmp_path,
+                                                            monkeypatch):
+    problem, calls = _wave_piece_counts(
+        monkeypatch, ["example", "wave", "--n", "4", "--out",
+                      str(tmp_path / "wave")])
     evaluated = problem.selection.D._cert_cache
+    labels = problem.family.labels()
+    # constant data give a constant selection: one certificate per
+    # seminorm, three pieces each, plus one amplification bound of C per
+    # seminorm
+    assert problem.selection.D.backend == "constant"
+    assert sorted(lbl for lbl, _ in evaluated) == sorted(labels)
+    assert len(calls) == 3 * len(evaluated) + len(labels)
+
+
+def test_wave_varying_multiplier_evaluates_each_piece_once(tmp_path,
+                                                           monkeypatch):
+    from apseq import cli
+    from apseq.seq_core import Window
+    data = cli.example_config("wave", 4, 1.0, Window(-20, 20), 1e-10)
+    # m1(k) = 0.05 + 0.01 cos k makes the selection a generator
+    data["sequences"]["m1"] = {"backend": "trig_poly", "terms": [
+        {"frequency": 0.0, "coefficient": [[0.05, 0.0]]},
+        {"frequency": 1.0, "coefficient": [[0.005, 0.0]]},
+        {"frequency": -1.0, "coefficient": [[0.005, 0.0]]}]}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(data))
+    problem, calls = _wave_piece_counts(
+        monkeypatch, ["solve-p2", "--config", str(path), "--out",
+                      str(tmp_path / "wave")])
+    evaluated = problem.selection.D._cert_cache
+    assert problem.selection.D.backend == "generator"
     # three pieces per evaluated (seminorm, k), plus one amplification
     # bound of C per seminorm
     assert len(evaluated) >= 3 * len(problem.probe)

@@ -95,6 +95,51 @@ def test_heat_rejects_nonpositive_re_b_on_the_probe():
                      BiSequence.zeros(4), window=(-10, 10))
 
 
+def _per_k_generators(monkeypatch):
+    """Drop every window rule, so generators evaluate k by k."""
+    plain = OperatorSequence.from_function
+    monkeypatch.setattr(OperatorSequence, "from_function", staticmethod(
+        lambda *args, window_fn=None, **kw: plain(*args, **kw)))
+
+
+@pytest.mark.parametrize("per_k", [False, True])
+def test_heat_reports_the_first_nonpositive_re_b(per_k, monkeypatch):
+    if per_k:
+        _per_k_generators(monkeypatch)
+    # two bad k in one certificate block of the probe: the first is named
+    b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0, seq_axpy(
+        1.0, BiSequence.spike(-300, [-4.0]), 1.0,
+        BiSequence.spike(-290, [-5.0])))
+    with pytest.raises(InputContractError,
+                       match=r"Re b\(-300\) = -1\.0 is not positive"):
+        heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
+                     BiSequence.zeros(4), window=(-10, 10))
+
+
+def test_heat_window_rules_match_per_k_generators(monkeypatch):
+    # non-constant m and b make B, A and Ainv generators with window rules
+    n = 6
+    m = BiSequence.from_trig_poly(TrigPoly.of(
+        [(0.0, [0.05]), (0.7, [0.01]), (-0.7, [0.01])]))
+    b = BiSequence.from_trig_poly(TrigPoly.of(
+        [(0.0, [3.0]), (1.0, [-0.5j]), (-1.0, [0.5j])]))
+    f = grid_forcing(n)
+    runs = []
+    for per_k in (False, True):
+        if per_k:
+            _per_k_generators(monkeypatch)
+        hp = heat_problem(n, 1.0, m, b, f, window=(-30, 30))
+        assert {hp.B.backend, hp.A.backend, hp.Ainv_C.backend} == {"generator"}
+        assert (hp.Ainv_C._window_fn is None) == per_k
+        _, _, rep = hp.solve((-30, 30), tol=1e-10)
+        runs.append((hp.certificate_sup, rep.truncation_V))
+    (sups, V), (sups_k, V_k) = runs
+    assert V == V_k
+    assert sups.keys() == sups_k.keys()
+    for lbl, s in sups.items():
+        assert abs(s - sups_k[lbl]) <= 1e-14 * s
+
+
 def test_heat_ap_data_residual_and_bohr():
     n = 5
     m = BiSequence.constant([0.1])

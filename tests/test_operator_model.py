@@ -5,8 +5,8 @@ import pytest
 
 from apseq import (BiSequence, CertificateError,
                    ConvergencePreconditionError, InputContractError,
-                   OperatorSequence, Seminorm, SeminormFamily, Window,
-                   induced_bound, op_product_apply, solve_series)
+                   OperatorSequence, Seminorm, SeminormFamily, ShapeError,
+                   Window, induced_bound, op_product_apply, solve_series)
 from apseq.first_order import _truncation_depths
 from apseq.operator_model import backward_products
 from conftest import random_matrix
@@ -236,3 +236,68 @@ def test_apply_rows_matches_per_row_products(rng):
         got = A.apply_rows(-5, rows)
         want = np.array([A.matrix(-5 + i) @ rows[i] for i in range(8)])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+STENCILS = [
+    Seminorm.first_difference(),
+    Seminorm.second_difference(),
+    # diagonally dominant, so invertible at every dimension
+    Seminorm.stencil((-1, 0, 2), (0.5j, 2.0, -1.0), "skew"),
+]
+
+
+@pytest.mark.parametrize("sn", STENCILS, ids=lambda s: s.label)
+def test_stencil_bound_matches_solve_conjugation(sn, rng):
+    for d in range(2, 33):
+        m = random_matrix(rng, d)
+        s = sn.stencil_matrix(d)
+        # independent route: S A S^{-1} as the X solving X S = S A
+        conj = np.linalg.solve(s.T, (s @ m).T).T
+        want = np.abs(conj).sum(axis=1).max()
+        assert abs(induced_bound(m, sn) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("sn", FAMILY_KINDS + STENCILS[2:] + [
+    Seminorm.block_sum(Seminorm.first_difference(), 2)],
+    ids=lambda s: f"{s.kind}-{s.label}")
+def test_stacked_bounds_have_per_matrix_bits(sn, rng):
+    for d in range(2, 33, 2):
+        stack = random_matrix(rng, d)[None] * rng.standard_normal((7, 1, 1))
+        stack += 0.1 * random_matrix(rng, d)
+        got = induced_bound(stack, sn)
+        assert got.shape == (7,)
+        assert got.tolist() == [induced_bound(m, sn) for m in stack]
+    nested = induced_bound(stack.reshape(7, 1, d, d), sn)
+    assert nested.shape == (7, 1)
+    assert np.array_equal(nested[:, 0], got)
+
+
+def test_singular_stencil_raises_certificate_error(rng):
+    sn = Seminorm.stencil((0, 1), (0.0, 1.0), "shift")
+    for m in (random_matrix(rng, 4), random_matrix(rng, 4)[None].repeat(3, 0)):
+        with pytest.raises(CertificateError, match="singular stencil"):
+            induced_bound(m, sn)
+
+
+def test_window_rule_generator_matches_per_k_rule(rng):
+    fam = SeminormFamily.of(STENCILS[:2] + [Seminorm.sup()], 5)
+    base = [random_matrix(rng, 5) for _ in range(3)]
+
+    def stack(w):
+        return np.stack([base[k % 3] * np.cos(k) for k in w])
+
+    kw = dict(family=fam, sup_probe=(-150, 20))
+    per_k = OperatorSequence.from_function(5, lambda k: stack([k])[0], **kw)
+    blocked = OperatorSequence.from_function(
+        5, lambda k: stack([k])[0], window_fn=lambda w: stack(w), **kw)
+    assert blocked.sup_bounds == per_k.sup_bounds
+    w = Window(-200, 30)
+    for sn in fam:
+        assert np.array_equal(blocked.certificate_array(sn.label, w),
+                              [induced_bound(per_k.matrix(k), sn) for k in w])
+    assert np.array_equal(blocked.matrices(w), per_k.matrices(w))
+    bad = OperatorSequence.from_function(5, lambda k: stack([k])[0],
+                                         window_fn=lambda w: stack(w)[:-1],
+                                         certificates={})
+    with pytest.raises(ShapeError):
+        bad.matrices(w)
