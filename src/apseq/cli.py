@@ -132,8 +132,7 @@ def _ainv_c(cfg: ScenarioConfig, A: OperatorSequence, C,
             family: SeminormFamily) -> OperatorSequence:
     if "Ainv_C" in cfg.operators:
         return cfg.operator("Ainv_C", family=family)
-    return ResolventSelection.from_matrix_inverse(
-        A, C, family, sup_probe=cfg.probe()).D
+    return ResolventSelection.from_matrix_inverse(A, C, family).D
 
 
 def _config_C(cfg: ScenarioConfig, dim: int):
@@ -165,8 +164,7 @@ def _dispatch(cfg: ScenarioConfig):
             sel = ResolventSelection(cfg.operator("D", family=family), C)
         else:
             sel = ResolventSelection.from_matrix_inverse(
-                cfg.operator("A", plain=True), C, family,
-                sup_probe=cfg.probe())
+                cfg.operator("A", plain=True), C, family)
         x, rep = solve_inclusion(sel, f, hull, tol=cfg.tol, pad_right=pad)
         return x, {}, rep, family
 
@@ -191,7 +189,7 @@ def _dispatch(cfg: ScenarioConfig):
         else:
             ainv_bc = OperatorSequence.map(
                 lambda k, a, b_next: checked_solve(a, b_next @ C, f"A({k})"),
-                A, B, shifts=(0, 1), family=family, sup_probe=cfg.probe())
+                A, B, shifts=(0, 1), family=family)
         u, rep = solve_degenerate_vb1(B, ainv_bc, C, g, f, hull, tol=cfg.tol,
                                       A=A, pad_right=pad)
         return u, {}, rep, family
@@ -203,7 +201,7 @@ def _dispatch(cfg: ScenarioConfig):
         A1 = cfg.operator("A1", plain=True)
         A2 = cfg.operator("A2", plain=True)
         u, rep = solve_second_order(A0, A1, A2, C, f, hull, tol=cfg.tol,
-                                    family=family, sup_probe=cfg.probe())
+                                    family=family)
         return u, {}, rep, family
 
     if cfg.kind == "system_bm":

@@ -15,14 +15,11 @@ from typing import Any
 import numpy as np
 
 from .errors import InputContractError
-from .operator_model import OperatorSequence, as_matrix
+from .operator_model import OperatorSequence, as_matrix, induced_bound
 from .seq_core import (BiSequence, Seminorm, SeminormFamily, TrigPoly, Window,
                        as_window)
 
 SCHEMA_VERSION = 1
-#: steps left of the window over which generator-backed operators (and
-#: selections derived from them) take their certificate sup bounds
-PROBE_MARGIN = 2048
 
 KINDS = ("first_order", "inclusion", "degenerate_vb", "degenerate_vb1",
          "second_order", "system_bm", "heat", "wave", "analyze")
@@ -149,10 +146,6 @@ class ScenarioConfig:
     def family(self, dim: int | None = None) -> SeminormFamily:
         return build_family(self.seminorms, dim or self.dim)
 
-    def probe(self) -> Window:
-        """Window over which generator-backed sup bounds are probed."""
-        return self.window.extended(left=PROBE_MARGIN, right=8)
-
     def operator(self, name: str, dim: int | None = None,
                  family: SeminormFamily | None = None,
                  plain: bool = False) -> OperatorSequence:
@@ -160,7 +153,6 @@ class ScenarioConfig:
             raise InputContractError(f"config lacks operators.{name}")
         return build_operator(self.operators[name], dim or self.dim,
                               family=None if plain else (family or self.family(dim)),
-                              probe=self.probe(),
                               plain=plain)
 
     def sequence(self, desc: dict | None, dim: int | None = None) -> BiSequence:
@@ -239,7 +231,10 @@ def build_sequence(desc: dict, dim: int) -> BiSequence:
 
 
 def build_operator(desc: dict, dim: int, family: SeminormFamily | None,
-                   probe: Window, plain: bool = False) -> OperatorSequence:
+                   plain: bool = False) -> OperatorSequence:
+    """The operator sequence a descriptor names.  ``scaled_constant``
+    (k -> sum_j c_j e^(i lam_j k) M) declares the global sup
+    sum_j |c_j| c(M) per seminorm, so its sups are exact."""
     backend = _object(desc, "operator descriptor").get("backend")
     kw = dict(certificates={}) if plain else dict(family=family)
     with _descriptor(f"operator descriptor with backend {backend!r}"):
@@ -256,6 +251,10 @@ def build_operator(desc: dict, dim: int, family: SeminormFamily | None,
             def scale(k: int) -> complex:
                 return sum(c * np.exp(1j * lam * k) for lam, c in terms)
 
+            if not plain and family is not None:
+                kw["sup_bounds"] = {
+                    sn.label: sum(abs(c) for _, c in terms)
+                    * induced_bound(base, sn) for sn in family}
             return OperatorSequence.from_function(
-                dim, lambda k: scale(k) * base, sup_probe=probe, **kw)
+                dim, lambda k: scale(k) * base, **kw)
         raise InputContractError(f"unknown operator backend {backend!r}")

@@ -64,8 +64,7 @@ def difference_family(dim: int) -> SeminormFamily:
 
 
 def _grid_operator(seq: BiSequence, size: int, build,
-                   family: SeminormFamily | None = None,
-                   probe: Window | None = None) -> OperatorSequence:
+                   family: SeminormFamily | None = None) -> OperatorSequence:
     """k -> build(k, seq(k)[None])[0] on the grid, certified over ``family``
     when given.  ``build(k0, values)`` maps the (len, dim) values of seq at
     k0, k0+1, ... to (len, size, size) matrices.  Constant data gives a
@@ -76,7 +75,7 @@ def _grid_operator(seq: BiSequence, size: int, build,
         return OperatorSequence.constant(
             build(0, seq.constant_value[None])[0], **kw)
     return OperatorSequence.from_function(
-        size, lambda k: build(k, seq(k)[None])[0], sup_probe=probe,
+        size, lambda k: build(k, seq(k)[None])[0],
         window_fn=lambda w: build(w.start, seq.window_values(w)), **kw)
 
 
@@ -108,10 +107,9 @@ class HeatProblem:
     In the degenerate form C B(k+1) u(k+1) = A(k) u(k) + C f(k) this is
     B(k) = multiplier by m(k,.), A(k) = Lap - b(k) I, C = I.  The selection
     certificate per seminorm is the multiplier bound times the resolvent
-    bound; its sup over the probed range must stay below the smallness gate.
-    B is a constant sequence when m is constant, and A and Ainv_C when b is;
-    otherwise they are generators whose matrices come a window at a time
-    (Ainv_C as one stacked solve of Lap - b(k) I per block).
+    bound.  B is a constant sequence when m is constant, and A and Ainv_C
+    when b is; otherwise they are generators whose matrices come a window
+    at a time (Ainv_C as one stacked solve of Lap - b(k) I per block).
     ``D`` is the composite selection B(k) Ainv_C(k) whose certificates
     ``heat_problem`` validated; the solve reuses it.
     """
@@ -123,7 +121,6 @@ class HeatProblem:
     D: OperatorSequence
     f: BiSequence
     family: SeminormFamily
-    probe: Window
     certificate_sup: dict[str, float] = field(default_factory=dict)
 
     def solve(self, window, tol: float = 1e-10
@@ -134,11 +131,10 @@ class HeatProblem:
 
 
 SMALLNESS_GATE = 0.9  # sup of the composite certificate must stay below this
-GRID_PROBE_MARGIN = 512  # steps left of the window the certificates probe
 
 
 def _heat_operators(L: GridLaplacian, m: BiSequence, b: BiSequence,
-                    family: SeminormFamily, probe: Window):
+                    family: SeminormFamily):
     size = L.size
     mult = _multiplier(m, size, "multiplier m")
     _check_scalar(b, "shift b")
@@ -152,11 +148,11 @@ def _heat_operators(L: GridLaplacian, m: BiSequence, b: BiSequence,
                                      f"{float(re[bad[0]])} is not positive")
         return L.matrix - vals[:, 0, None, None] * eye
 
-    B = _grid_operator(m, size, mult, family=family, probe=probe)
+    B = _grid_operator(m, size, mult, family=family)
     A = _grid_operator(b, size, a_stack)
     Ainv = _grid_operator(
         b, size, lambda k0, vals: np.linalg.solve(a_stack(k0, vals), eye),
-        family=family, probe=probe)
+        family=family)
     return B, A, Ainv
 
 
@@ -165,12 +161,12 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
                  window=None) -> HeatProblem:
     """Build and validate the heat instance on an n-point 1-D grid.
 
-    Validation probes Re b(k) > 0 (the resolvent's sup bounds evaluate
-    A(k) at every probe k) and the composite selection certificate over
-    the window extended left by GRID_PROBE_MARGIN; certificate sups at or
-    above the smallness gate are an input-contract error listing the
-    failing k.  Constant m and b are certified once, not per probe k; a
-    non-constant b has its resolvent certified in blocks of CERT_BLOCK k.
+    Validation checks Re b(k) > 0 and the composite selection certificate
+    on the gate window [window.start - 1, window.end + 1]; sups at or above
+    the smallness gate are an input-contract error listing the failing k.
+    Constant m and b are certified once, with exact sups.  The solve reads
+    D further right, up to its truncation depth, takes the sup of a
+    generator D there itself, and evaluating A(k) checks Re b(k) there.
     """
     L = laplacian_1d(n, h)
     family = family or difference_family(L.size)
@@ -179,19 +175,19 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     if f.dim != L.size:
         raise InputContractError(f"forcing dim {f.dim} vs grid {L.size}")
     window = as_window(window) if window is not None else Window(-64, 64)
-    probe = window.extended(left=GRID_PROBE_MARGIN, right=1)
-    B, A, Ainv = _heat_operators(L, m, b, family, probe)
+    gate = window.extended(left=1, right=1)
+    B, A, Ainv = _heat_operators(L, m, b, family)
     D = compose_selection(B, Ainv, family)
-    sups = {lbl: D.sup_bound(lbl) for lbl in D.labels()}
+    sups = {lbl: D.sup_over(lbl, gate) for lbl in D.labels()}
     bad = {lbl: s for lbl, s in sups.items() if s >= SMALLNESS_GATE}
     if bad:
-        failing = [k for k in window
+        failing = [k for k in gate
                    if any(D.certificate(lbl, k) >= SMALLNESS_GATE for lbl in bad)]
         raise InputContractError(
             f"multiplier is not small enough: certificate sups {bad} reach "
-            f"the gate {SMALLNESS_GATE}; failing k on the window: {failing[:8]}")
+            f"the gate {SMALLNESS_GATE}; failing k on the gate: {failing[:8]}")
     return HeatProblem(laplacian=L, B=B, A=A, Ainv_C=Ainv, D=D, f=f,
-                       family=family, probe=probe, certificate_sup=sups)
+                       family=family, certificate_sup=sups)
 
 
 @dataclass
@@ -209,7 +205,6 @@ class WaveProblem:
     A2: OperatorSequence
     f: BiSequence
     family: SeminormFamily
-    probe: Window
     selection: ResolventSelection
     certificate_sup: dict[str, float] = field(default_factory=dict)
 
@@ -218,7 +213,6 @@ class WaveProblem:
         return solve_second_order(self.A0, self.A1, self.A2,
                                   np.eye(self.laplacian.size), self.f, window,
                                   tol=tol, family=self.family,
-                                  sup_probe=self.probe,
                                   selection=self.selection)
 
 
@@ -227,31 +221,32 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
                  family: SeminormFamily | None = None,
                  window=None) -> WaveProblem:
     """Build and validate the wave instance (same hypotheses as heat, with
-    the three-piece certificate of the order-2 route).  Constant m1, m2
-    and b give a constant selection, certified once."""
+    the three-piece certificate of the order-2 route, checked on the gate
+    window [window.start - 1, window.end + 2]).  Constant m1, m2 and b give
+    a constant selection, certified once with exact sups."""
     L = laplacian_1d(n, h)
     family = family or difference_family(L.size)
     if family.dim != L.size or f.dim != L.size:
         raise InputContractError("family/forcing dimensions must match the grid")
     window = as_window(window) if window is not None else Window(-64, 64)
-    probe = window.extended(left=GRID_PROBE_MARGIN, right=2)
+    gate = window.extended(left=1, right=2)
     size = L.size
     eye = np.eye(size)
     _check_scalar(b, "shift b")
     A1 = _grid_operator(m1, size, _multiplier(m1, size, "multiplier m1"))
     A2 = _grid_operator(m2, size, _multiplier(m2, size, "multiplier m2"))
 
-    if b.window_values(probe)[:, 0].real.min() <= 0:
-        raise InputContractError("Re b(k) must be positive on the probe window")
+    if b.window_values(gate)[:, 0].real.min() <= 0:
+        raise InputContractError("Re b(k) must be positive on the gate window")
     A0 = _grid_operator(
         b, size, lambda k0, vals: vals[:, 0, None, None] * eye - L.matrix)
 
-    sel = second_order_selection(A0, A1, A2, eye, family, sup_probe=probe)
-    sups = dict(sel.D.sup_bounds)
+    sel = second_order_selection(A0, A1, A2, eye, family)
+    sups = {lbl: sel.D.sup_over(lbl, gate) for lbl in sel.D.labels()}
     bad = {lbl: s for lbl, s in sups.items() if s >= SMALLNESS_GATE}
     if bad:
         raise InputContractError(
             f"wave multipliers are not small enough: combined certificate "
             f"sups {bad} reach the gate {SMALLNESS_GATE}")
     return WaveProblem(laplacian=L, A0=A0, A1=A1, A2=A2, f=f, family=family,
-                       probe=probe, selection=sel, certificate_sup=sups)
+                       selection=sel, certificate_sup=sups)

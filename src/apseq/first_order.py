@@ -29,14 +29,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .ap_analysis import APReport
 from .errors import ConvergencePreconditionError, InputContractError
-from .operator_model import OperatorSequence, backward_products
+from .operator_model import OperatorSequence
 from .seq_core import (BiSequence, SeminormFamily, Window, as_vector,
                        as_window)
 
 TOL_DEFAULT = 1e-10
 V_MAX_DEFAULT = 10_000  # cap on the certified truncation depth
-UNIQUENESS_THRESHOLD = 1e-12
-UNIQUENESS_DEPTH = 10_000
 #: certificate products held at once by the depth search
 _DEPTH_BLOCK_CELLS = 1 << 17
 
@@ -49,6 +47,8 @@ class SolveReport:
     window.  truncation_V is the certified depth per k: the sweep sums at
     least that many terms there, and tail_bounds are the per-seminorm tail
     bounds at that depth, which also bound the tail of the longer sum.
+    sup_probe is the k-range a generator's sups were taken over, None when
+    every sup is global; uniqueness is "certified" exactly then.
     """
 
     window: tuple[int, int]
@@ -59,6 +59,7 @@ class SolveReport:
     residual_form: str = "first_order"
     f_sup: dict[str, float] = field(default_factory=dict)
     f_probe: tuple[int, int] | None = None
+    sup_probe: tuple[int, int] | None = None
     sup_certificates: dict[str, float] = field(default_factory=dict)
     uniqueness: str = "not certified"
     uniqueness_by_label: dict[str, bool] = field(default_factory=dict)
@@ -79,6 +80,7 @@ class SolveReport:
             "residual_form": self.residual_form,
             "f_sup": dict(sorted(self.f_sup.items())),
             "f_probe": list(self.f_probe) if self.f_probe else None,
+            "sup_probe": list(self.sup_probe) if self.sup_probe else None,
             "sup_certificates": dict(sorted(self.sup_certificates.items())),
             "uniqueness": self.uniqueness,
             "uniqueness_by_label": dict(sorted(self.uniqueness_by_label.items())),
@@ -177,12 +179,13 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
                  pad_right: int = 1) -> tuple[BiSequence, SolveReport]:
     """Truncated series solution on ``window`` (table extends pad_right further).
 
-    Preconditions: every seminorm of A's family has a certified sup bound
+    Preconditions: every seminorm of A's family has a sup certificate
     below 1 (otherwise no finite prefix certifies the series tail), and the
     per-k certificate products reach the tolerance within V_MAX_DEFAULT
-    terms.  The sup of the forcing is taken over the window extended left by
-    the certified truncation depth; the probe range is recorded in the
-    report.
+    terms.  The sup of the forcing, and of a certificate with no global sup
+    bound, is taken where the sweep and depth search read them (f_probe,
+    sup_probe).  Global sups below 1 make every backward product decay
+    geometrically, so the bounded solution is unique: "certified".
     """
     window = as_window(window)
     if not 0 < tol < inf:
@@ -199,19 +202,24 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     if missing:
         raise InputContractError(
             f"operator sequence lacks certificates for seminorms {missing}")
-    sups = {sn.label: A.sup_bound(sn.label) for sn in family}
-    bad = [lbl for lbl, s in sups.items() if not s < 1.0]
-    if bad:
-        raise ConvergencePreconditionError(
-            "certificate sup bounds not below 1 for seminorms "
-            f"{bad}; the series tail cannot be certified")
+    labels = [sn.label for sn in family]
+    is_global = {lbl: lbl in A.sup_bounds for lbl in labels}
+    exact = all(is_global.values())
 
-    # forcing probe: iterate the depth estimate to a fixpoint (the probe must
-    # cover everything the truncated series consumes).  For forcings that
-    # grow toward -inf the iteration diverges unless the certificates beat
-    # the growth, which is exactly the convergence condition.
+    # forcing and certificate probe: iterate the depth estimate to a
+    # fixpoint (the probe must cover everything the truncated series and
+    # the depth search consume).  For forcings that grow toward -inf the
+    # iteration diverges unless the certificates beat the growth, which is
+    # exactly the convergence condition.
     margin = 8
     for _ in range(256):
+        certs = Window(work.start - margin, work.end - 1)
+        sups = {lbl: A.sup_over(lbl, certs) for lbl in labels}
+        bad = [lbl for lbl, s in sups.items() if not s < 1.0]
+        if bad:
+            raise ConvergencePreconditionError(
+                "certificate sup bounds not below 1 for seminorms "
+                f"{bad}; the series tail cannot be certified")
         f_vals, f_sup, probe = _probe_forcing(f, work, family, margin)
         depth = max(_geometric_depth(sups[sn.label], f_sup[sn.label], tol)
                     for sn in family)
@@ -234,7 +242,6 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
             "forcing grows toward -inf on the probe window; tail bounds "
             "assume the probed sup extends further left")
 
-    labels = [sn.label for sn in family]
     V_arr, tails = _truncation_depths(A, labels, sups, f_sup, tol, work,
                                       margin)
     v_need = int(V_arr.max())
@@ -252,23 +259,14 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
                           for lbl in labels}
     report.f_sup = f_sup
     report.f_probe = (probe.start, probe.end)
+    report.sup_probe = None if exact else (certs.start, certs.end)
     report.sup_certificates = sups
+    report.uniqueness_by_label = is_global
+    report.uniqueness = "certified" if exact else "not certified"
     report.max_residual = residual(A, f, x, window, family)
     if growth_warning:
         report.warnings.append(growth_warning)
-    _attach_uniqueness(report, A, labels)
     return x, report
-
-
-def _attach_uniqueness(report: SolveReport, A: OperatorSequence,
-                       labels) -> None:
-    # any() stops at the first product below the threshold
-    by_label = {lbl: any(prod < UNIQUENESS_THRESHOLD for prod in
-                         backward_products(A, lbl, 0, UNIQUENESS_DEPTH))
-                for lbl in labels}
-    report.uniqueness_by_label = by_label
-    report.uniqueness = ("certified" if all(by_label.values())
-                         else "not certified")
 
 
 def linear_residual(x: BiSequence, coefs: dict, rhs: tuple, window,

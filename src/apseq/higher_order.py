@@ -140,8 +140,8 @@ def _a0_inverse_sequence(A0: OperatorSequence, C: Matrix) -> OperatorSequence:
 
 
 def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
-                           A2: OperatorSequence, C, family: SeminormFamily,
-                           sup_probe=None) -> ResolventSelection:
+                           A2: OperatorSequence, C, family: SeminormFamily
+                           ) -> ResolventSelection:
     """The p = 2 companion selection bold_B(k) [bold_A(k)]^{-1} bold_C on
     the lifted family.
 
@@ -149,8 +149,9 @@ def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
     sufficient condition combines them: c1 for [A_0]^{-1} C, c2 for
     A_1 [A_0]^{-1} C, c3 for A_2 (taken at the index the selection block
     actually carries).  Each (seminorm, k) is evaluated once and cached on
-    the selection; sup bounds range over the joint period of the
-    coefficients, or over sup_probe when one of them is a generator.
+    the selection.  Sup bounds are exact over the joint period of constant
+    or periodic coefficients; when one of them is a generator the
+    selection is one too, and its sups are taken where they are read.
     """
     C = as_matrix(C, A0.dim)
     sys = build_companion(2, [A0, A1, A2], C)
@@ -164,15 +165,14 @@ def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
     certs = {sn.label: (lambda k, _sn=sn: pieces(_sn, k)) for sn in family}
     D = OperatorSequence.map(lambda k, *_: companion_D_block(sys, G, k),
                              G, A1, A2, shifts=(0, 0, 1), dim=2 * A0.dim,
-                             family=family.lifted(2), certificates=certs,
-                             sup_probe=sup_probe)
+                             family=family.lifted(2), certificates=certs)
     return ResolventSelection(D, sys.bold_C())
 
 
 def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
                        A2: OperatorSequence, C, f: BiSequence, window,
                        tol: float = 1e-10, family: SeminormFamily | None = None,
-                       sup_probe=None, pad_right: int = 2,
+                       pad_right: int = 2,
                        selection: ResolventSelection | None = None
                        ) -> tuple[BiSequence, SolveReport]:
     """Solve C A_2(k+2) u(k+2) + C A_1(k+1) u(k+1) + A_0(k) u(k) = C f(k).
@@ -187,8 +187,7 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
         raise InputContractError("need a seminorm family")
     window = as_window(window)
     C = as_matrix(C, A0.dim)
-    sel = selection or second_order_selection(A0, A1, A2, C, family,
-                                              sup_probe)
+    sel = selection or second_order_selection(A0, A1, A2, C, family)
     vec_f = build_companion(2, [A0, A1, A2], C).lift(f)
     d = A0.dim
 

@@ -4,7 +4,9 @@ A bound certificate for a seminorm kappa is a rule k -> c(k) > 0 with
 kappa(A(k) x) <= c(k) * kappa(x) for all x.  Certificates gate everything
 downstream: the solution series converges when the backward products
 c(k-1) * ... * c(k-v) are summable over v, and the truncation tail bounds
-are built from those same products.
+are built from those same products.  A global sup s >= c(k) on all of Z
+(exact for constant and periodic sequences, declared for a generator)
+below 1 also makes the bounded solution unique.
 
 Certificates are either supplied analytically by the problem builder or
 derived here as exact induced bounds of the concrete matrices:
@@ -21,13 +23,13 @@ derived here as exact induced bounds of the concrete matrices:
 All of these are sound upper bounds, so randomized soundness checks hold
 up to roundoff with no fudge factor.  They apply to stacks of matrices
 too, which is how generator sequences derive their certificates: one stack
-per block of at most CERT_BLOCK consecutive k.
+per CERT_BLOCK-aligned block of k.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -117,9 +119,10 @@ def checked_solve(matrix: Matrix, rhs, what: str = "matrix") -> np.ndarray:
 
 
 def window_blocks(window: Window) -> Iterator[Window]:
-    """Consecutive sub-windows of at most CERT_BLOCK k covering ``window``."""
-    for a in range(window.start, window.end + 1, CERT_BLOCK):
-        yield Window(a, min(a + CERT_BLOCK - 1, window.end))
+    """Sub-windows covering ``window``, cut at the multiples of CERT_BLOCK."""
+    for a in range(window.start - window.start % CERT_BLOCK, window.end + 1,
+                   CERT_BLOCK):
+        yield Window(max(a, window.start), min(a + CERT_BLOCK - 1, window.end))
 
 
 class OperatorSequence:
@@ -132,19 +135,17 @@ class OperatorSequence:
     (len, dim, dim) stack with the same bits as stacking ``fn``.
 
     ``certificates[label]`` is a rule k -> c(k); ``sup_bounds[label]`` caps
-    c(k) over the range the solver will touch.  For constant and periodic
-    backends the sup is exact and each distinct matrix is certified once;
-    generator backends take it from a declared probe window recorded in
-    ``sup_probe``.  Certificates derived from the family are evaluated on
-    the probe and by ``certificate_array`` one block of at most CERT_BLOCK
-    k at a time, and the per-k caches hold views into the blocks.
+    c(k) on all of Z: exact for constant and periodic backends, which
+    certify each distinct matrix once; a generator has only those it
+    declares.  Its family-derived certificates are evaluated one
+    CERT_BLOCK-aligned block at a time (a cache miss derives its block),
+    and the per-k caches hold views into the blocks.
     """
 
     def __init__(self, dim: int, fn: Callable[[int], Matrix], backend: str,
                  family: SeminormFamily | None = None,
                  certificates: dict[str, Callable[[int], float]] | None = None,
                  sup_bounds: dict[str, float] | None = None,
-                 sup_probe: Window | None = None,
                  period: int | None = None,
                  window_fn: Callable[[Window], np.ndarray] | None = None):
         self.dim = int(dim)
@@ -155,7 +156,6 @@ class OperatorSequence:
         self._window_fn = window_fn
         self._mat_cache: dict[int, Matrix] = {}
         self._cert_cache: dict[tuple[str, int], float] = {}
-        self.sup_probe = sup_probe
         self._derived = certificates is None
         if certificates is None:
             if family is None:
@@ -166,9 +166,8 @@ class OperatorSequence:
                 sn.label: (lambda k, _sn=sn: induced_bound(self.matrix(k), _sn))
                 for sn in family}
         self.certificates = certificates
-        if sup_bounds is None:
-            sup_bounds = self._derive_sup_bounds()
-        self.sup_bounds = sup_bounds
+        self.sup_bounds = (self._exact_sup_bounds() if sup_bounds is None
+                           else sup_bounds)
 
     # -- constructors -----------------------------------------------------
 
@@ -199,35 +198,32 @@ class OperatorSequence:
     def from_function(dim: int, fn: Callable[[int], Matrix],
                       family: SeminormFamily | None = None,
                       certificates=None, sup_bounds=None,
-                      sup_probe=None, window_fn=None) -> "OperatorSequence":
+                      window_fn=None) -> "OperatorSequence":
         """Generator k -> fn(k); ``window_fn(w)``, when given, returns the
         matrices of the window w as a (len(w), dim, dim) stack with the
         bits of fn."""
-        probe = as_window(sup_probe) if sup_probe is not None else None
         return OperatorSequence(dim, lambda k: as_matrix(fn(k), dim),
                                 "generator", family=family,
                                 certificates=certificates,
-                                sup_bounds=sup_bounds, sup_probe=probe,
-                                window_fn=window_fn)
+                                sup_bounds=sup_bounds, window_fn=window_fn)
 
     @staticmethod
     def map(fn: Callable[..., Matrix], *seqs: "OperatorSequence",
             shifts: Sequence[int] | None = None, dim: int | None = None,
-            family: SeminormFamily | None = None, certificates=None,
-            sup_bounds=None, sup_probe=None) -> "OperatorSequence":
+            family: SeminormFamily | None = None,
+            certificates=None) -> "OperatorSequence":
         """k -> fn(k, seqs[0].matrix(k + shifts[0]), ...): constant if every
         input is constant, periodic with the lcm period if every input is
         constant or periodic, else a generator of dimension ``dim`` (default
-        the first input's) with sup bounds probed on ``sup_probe`` unless
-        given.  fn sees only k = 0 .. period-1 for periodic results, so it
-        may use k only to read sequences or to name it in errors."""
+        the first input's) with no global sup bounds.  fn sees only
+        k = 0 .. period-1 for periodic results, so it may use k only to
+        read sequences or to name it in errors."""
         shifts = tuple(shifts) if shifts is not None else (0,) * len(seqs)
 
         def at(k: int) -> Matrix:
             return fn(k, *(s.matrix(k + sh) for s, sh in zip(seqs, shifts)))
 
-        kw = dict(family=family, certificates=certificates,
-                  sup_bounds=sup_bounds)
+        kw = dict(family=family, certificates=certificates)
         backends = {s.backend for s in seqs}
         if backends <= {"constant"}:
             return OperatorSequence.constant(at(0), **kw)
@@ -235,8 +231,22 @@ class OperatorSequence:
             period = lcm(*(s.period or 1 for s in seqs))
             return OperatorSequence.periodic([at(k) for k in range(period)],
                                              **kw)
-        return OperatorSequence.from_function(dim or seqs[0].dim, at,
-                                              sup_probe=sup_probe, **kw)
+        return OperatorSequence.from_function(dim or seqs[0].dim, at, **kw)
+
+    def reversed(self) -> "OperatorSequence":
+        """j -> A(-j-1) with A's certificates and sup bounds, on the same
+        backend (a constant sequence is its own reversal)."""
+        if self.backend == "constant":
+            return self
+        kw = dict(family=self.family, sup_bounds=dict(self.sup_bounds),
+                  certificates={lbl: (lambda j, _l=lbl:
+                                      self.certificate(_l, -j - 1))
+                                for lbl in self.certificates})
+        if self.backend == "periodic":
+            return OperatorSequence.periodic(
+                [self.matrix(-j - 1) for j in range(self.period)], **kw)
+        return OperatorSequence(self.dim, lambda j: self.matrix(-j - 1),
+                                "generator", **kw)
 
     # -- evaluation --------------------------------------------------------
 
@@ -300,10 +310,13 @@ class OperatorSequence:
             raise CertificateError(f"no certificate for seminorm {label!r}")
         k = self.residue(k)
         key = (label, k)
-        c = self._cert_cache.get(key)
-        if c is None:
-            c = self._cert_cache[key] = float(self.certificates[label](k))
-        return c
+        if key not in self._cert_cache:
+            if self._derived and self.backend == "generator":
+                a = k - k % CERT_BLOCK
+                self._derive_certificates(Window(a, a + CERT_BLOCK - 1))
+            else:
+                self._cert_cache[key] = float(self.certificates[label](k))
+        return self._cert_cache[key]
 
     def certificate_array(self, label: str, window: Window) -> np.ndarray:
         self._derive_certificates(window)
@@ -325,27 +338,25 @@ class OperatorSequence:
 
     def sup_bound(self, label: str) -> float:
         if label not in self.sup_bounds:
-            raise CertificateError(f"no sup bound for seminorm {label!r}")
+            raise CertificateError(f"no global sup bound for {label!r}")
         return self.sup_bounds[label]
+
+    def sup_over(self, label: str, window: Window) -> float:
+        """The global sup bound when there is one, else the max of c(k)
+        over ``window``."""
+        if label in self.sup_bounds:
+            return self.sup_bounds[label]
+        return float(self.certificate_array(label, window).max())
 
     def labels(self) -> list[str]:
         return sorted(self.certificates)
 
-    def _derive_sup_bounds(self) -> dict[str, float]:
-        if not self.certificates:
+    def _exact_sup_bounds(self) -> dict[str, float]:
+        """max c(k) over the distinct matrices; none for a generator."""
+        if self.backend == "generator":
             return {}
-        if self.backend == "constant":
-            ks: Iterable[int] = (0,)
-        elif self.backend == "periodic":
-            ks = range(self.period)
-        else:
-            if self.sup_probe is None:
-                raise InputContractError(
-                    "generator-backed operator sequences need either explicit "
-                    "sup_bounds or a sup_probe window")
-            ks = self.sup_probe
-            self._derive_certificates(ks)
-        return {label: max(self.certificate(label, k) for k in ks)
+        return {label: max(self.certificate(label, k)
+                           for k in range(self.period or 1))
                 for label in self.certificates}
 
 
@@ -358,14 +369,3 @@ def op_product_apply(A: OperatorSequence, k: int, v: int, x: Vector) -> Vector:
     for i in range(v, 0, -1):
         y = A.apply(k - i, y)
     return y
-
-
-def backward_products(A: OperatorSequence, label: str, k: int,
-                      depth: int) -> Iterator[float]:
-    """prod_{i=1..v} c(k-i) for v = 1 .. depth, lazily: callers that stop
-    at the first product they need evaluate no further certificates."""
-    prod = 1.0
-    for v in range(1, depth + 1):
-        prod *= A.certificate(label, k - v)
-        yield prod
-

@@ -50,24 +50,18 @@ class ResolventSelection:
 
     @staticmethod
     def from_matrix_inverse(A_mat: OperatorSequence, C,
-                            family: SeminormFamily,
-                            sup_probe=None) -> "ResolventSelection":
+                            family: SeminormFamily) -> "ResolventSelection":
         """D(k) = [A(k)]^{-1} C by condition-checked dense solves, with
         certificates derived as induced bounds of the solved matrices."""
         C = as_matrix(C, A_mat.dim)
         D = OperatorSequence.map(
-            lambda k, a: checked_solve(a, C, f"A({k})"), A_mat, family=family,
-            sup_probe=sup_probe if sup_probe is not None else A_mat.sup_probe)
+            lambda k, a: checked_solve(a, C, f"A({k})"), A_mat, family=family)
         return ResolventSelection(D, C)
 
 
-def _time_reversed_operator(D: OperatorSequence) -> OperatorSequence:
-    """j -> D(-j-1) with certificates and sup bounds carried along."""
-    certs = {lbl: (lambda j, _l=lbl: D.certificate(_l, -j - 1))
-             for lbl in D.certificates}
-    return OperatorSequence(D.dim, lambda j: D.matrix(-j - 1), "generator",
-                            family=D.family, certificates=certs,
-                            sup_bounds=dict(D.sup_bounds))
+def _reflected(pair: tuple[int, int] | None) -> tuple[int, int] | None:
+    """The k-range [-b-1, -a-1] of the reversed-time range j in [a, b]."""
+    return None if pair is None else (-pair[1] - 1, -pair[0] - 1)
 
 
 def solve_inclusion(sel: ResolventSelection, f: BiSequence, window,
@@ -87,9 +81,13 @@ def solve_inclusion(sel: ResolventSelection, f: BiSequence, window,
         raise InputContractError(f"forcing dim {f.dim} vs operator dim {D.dim}")
     pad_right = max(1, pad_right)
 
-    A_rev = _time_reversed_operator(D)
-    f_rev = BiSequence.from_function(
-        D.dim, lambda j: -(D.matrix(-j - 1) @ f(-j - 1)))
+    def f_rev_window(w: Window) -> np.ndarray:
+        ks = w.reflected().shifted(-1)
+        return -D.apply_rows(ks.start, f.window_values(ks))[::-1]
+
+    A_rev = D.reversed()
+    f_rev = BiSequence(D.dim, lambda j: -D.apply(-j - 1, f(-j - 1)),
+                       window_fn=f_rev_window)
     inner = Window(-(window.end + pad_right), -window.start)
     v, inner_report = solve_series(A_rev, f_rev, inner, tol=tol, pad_right=1)
     # v table covers [inner.start, inner.end + 1]; x(k) = v(-k)
@@ -103,7 +101,8 @@ def solve_inclusion(sel: ResolventSelection, f: BiSequence, window,
         lbl: sorted((-j, b) for j, b in pairs)
         for lbl, pairs in inner_report.tail_bounds.items()}
     report.f_sup = inner_report.f_sup
-    report.f_probe = inner_report.f_probe
+    report.f_probe = _reflected(inner_report.f_probe)
+    report.sup_probe = _reflected(inner_report.sup_probe)
     report.sup_certificates = inner_report.sup_certificates
     report.uniqueness = inner_report.uniqueness
     report.uniqueness_by_label = inner_report.uniqueness_by_label
@@ -124,7 +123,9 @@ def inclusion_residual(sel: ResolventSelection, f: BiSequence, x: BiSequence,
 def compose_selection(B: OperatorSequence, G: OperatorSequence,
                       family: SeminormFamily) -> OperatorSequence:
     """Lazy product sequence k -> B(k) G(k) with product-rule certificates
-    c_B(k) * c_G(k) (sound: kappa(B G x) <= c_B kappa(G x) <= c_B c_G kappa(x))."""
+    c_B(k) * c_G(k) (sound: kappa(B G x) <= c_B kappa(G x) <= c_B c_G kappa(x)).
+    Constant or periodic factors give exact sups; a generator product has
+    none, and the solve probes it."""
     if B.dim != G.dim:
         raise InputContractError(f"dims differ: {B.dim} vs {G.dim}")
     labels = set(B.certificates) & set(G.certificates)
@@ -134,9 +135,8 @@ def compose_selection(B: OperatorSequence, G: OperatorSequence,
             f"factors lack certificates for seminorms {sorted(needed - labels)}")
     certs = {lbl: (lambda k, _l=lbl: B.certificate(_l, k) * G.certificate(_l, k))
              for lbl in labels}
-    sups = {lbl: B.sup_bound(lbl) * G.sup_bound(lbl) for lbl in labels}
     return OperatorSequence.map(lambda k, b, g: b @ g, B, G, family=family,
-                                certificates=certs, sup_bounds=sups)
+                                certificates=certs)
 
 
 def _b_inverse(B: OperatorSequence, k: int,

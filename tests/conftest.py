@@ -31,8 +31,10 @@ def scaled_to_certificate(m, family, target):
 
 
 def random_certified_operator(rng, family, target_sup, backend="constant",
-                              period=3, probe=None):
-    """Random operator sequence whose auto-certificates stay at target_sup."""
+                              period=3):
+    """Random operator sequence whose auto-certificates stay at or below
+    target_sup.  The generator backend declares no global sup bound, so
+    solves take its sup over the certificates they read."""
     dim = family.dim
     if backend == "constant":
         m = scaled_to_certificate(random_matrix(rng, dim), family, target_sup)
@@ -49,8 +51,7 @@ def random_certified_operator(rng, family, target_sup, backend="constant",
         def fn(k, _b=base):
             return _b * (0.55 + 0.45 * np.sin(0.7 * k))
 
-        return OperatorSequence.from_function(dim, fn, family=family,
-                                              sup_probe=probe or (-64, 64))
+        return OperatorSequence.from_function(dim, fn, family=family)
     raise ValueError(backend)
 
 

@@ -12,15 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apseq import (BiSequence, OperatorSequence, ResolventSelection, Seminorm,
-                   SeminormFamily, TrigPoly, besicovitch_distance, bohr_check,
+from apseq import (BiSequence, ConvergencePreconditionError,
+                   OperatorSequence, ResolventSelection, Seminorm,
+                   SeminormFamily, TrigPoly, Window, besicovitch_distance, bohr_check,
                    build_companion, companion_D_block, companion_D_dense,
                    forward_oracle, omega_c_check, residual,
                    solve_degenerate_vb, solve_inclusion, solve_second_order,
                    solve_series)
 from apseq.discretization import laplacian_1d
-from apseq.first_order import SolveReport, _attach_uniqueness
-from apseq.operator_model import backward_products
 from apseq.resolvent import solve_degenerate_vb1
 from conftest import random_certified_operator, random_matrix
 
@@ -42,9 +41,9 @@ def test_criterion_01_oracle_equivalence():
         fam = SeminormFamily.sup_only(d)
         backend = ("constant", "periodic", "generator")[trial % 3]
         target = float(rng.uniform(0.25, 0.85))  # sup c^kappa <= 0.9
-        A = random_certified_operator(rng, fam, target, backend=backend,
-                                      probe=(-400, 40))
-        assert A.sup_bound("sup") <= 0.9
+        A = random_certified_operator(rng, fam, target, backend=backend)
+        # over the oracle's run-in and the window
+        assert A.sup_over("sup", Window(-220, 20)) <= 0.9
         f = BiSequence.from_trig_poly(TrigPoly.of(
             [(float(rng.uniform(0, 3)), rng.standard_normal(d))
              for _ in range(2)]))
@@ -186,24 +185,28 @@ def test_criterion_04_non_uniqueness_witness():
 def test_criterion_05_uniqueness_diagnostic():
     rng = np.random.default_rng(55)
     fam = SeminormFamily.sup_only(3)
-    # sup c <= 0.9: backward products fall below 1e-12 within K <= 300
+    # a global sup c <= 0.9: backward products fall below 1e-12 within
+    # K <= 300, and the solve certifies uniqueness
     for target in (0.9, 0.7, 0.45):
         A = random_certified_operator(rng, fam, target, backend="periodic")
-        decay = list(backward_products(A, "sup", 0, 300))
-        k_hit = next(i + 1 for i, v in enumerate(decay) if v < 1e-12)
-        assert k_hit <= 300
+        decay = np.cumprod(A.certificate_array("sup", Window(-300, -1))[::-1])
+        assert decay[-1] < 1e-12
         _, rep = solve_series(A, BiSequence.constant(np.ones(3)), (-5, 5))
-        assert rep.uniqueness == "certified"
+        assert rep.uniqueness == "certified" and rep.sup_probe is None
 
-    # c = 1: no decay; the reporting path says "not certified"
+    # the same bound on a generator rests on the probed window only
+    A = random_certified_operator(rng, fam, 0.7, backend="generator")
+    _, rep = solve_series(A, BiSequence.constant(np.ones(3)), (-5, 5))
+    assert rep.uniqueness == "not certified" and rep.sup_probe is not None
+
+    # c = 1: no decay, and the solve refuses
     ones = OperatorSequence.constant(np.eye(1), family=SeminormFamily.sup_only(1))
-    decay = list(backward_products(ones, "sup", 0, 300))
-    assert min(decay) == 1.0
-    rep = SolveReport(window=(0, 0), tol=1e-10)
-    _attach_uniqueness(rep, ones, ["sup"])
-    assert rep.uniqueness == "not certified"
-    _report(5, "decay < 1e-12 within K <= 300 for sup c <= 0.9; c = 1 "
-               "reports 'not certified'")
+    assert ones.sup_bound("sup") == 1.0
+    with pytest.raises(ConvergencePreconditionError):
+        solve_series(ones, BiSequence.constant([1.0]), (0, 0))
+    _report(5, "decay < 1e-12 within K <= 300 for a global sup c <= 0.9 "
+               "and 'certified'; a generator reports 'not certified'; c = 1 "
+               "is refused")
 
 
 def test_criterion_06_bohr_transfer():

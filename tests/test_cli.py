@@ -502,9 +502,11 @@ def test_wave_varying_multiplier_evaluates_each_piece_once(tmp_path,
                       str(tmp_path / "wave")])
     evaluated = problem.selection.D._cert_cache
     assert problem.selection.D.backend == "generator"
-    # three pieces per evaluated (seminorm, k), plus one amplification
-    # bound of C per seminorm
-    assert len(evaluated) >= 3 * len(problem.probe)
+    # every (seminorm, k) of the gate window [-21, 22] around the window
+    # [-20, 20] is evaluated; three pieces per evaluated (seminorm, k),
+    # plus one amplification bound of C per seminorm
+    labels = problem.selection.D.labels()
+    assert {(lbl, k) for lbl in labels for k in range(-21, 23)} <= set(evaluated)
     assert len(calls) == 3 * len(evaluated) + len(problem.family.labels())
 
 
@@ -524,3 +526,63 @@ def test_example_heat_exits_4_on_failed_bohr_verdict(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert report["analysis"]["bohr"]["verdict"] is False
     assert "bohr_forcing_defect" in report["analysis"]
+
+
+SCALED_CONSTANT = {
+    "schema_version": 1,
+    "kind": "first_order",
+    "dim": 2,
+    "window": [-15, 15],
+    "tol": 1e-10,
+    "seminorms": [{"kind": "sup"}, {"kind": "p", "p": 1}],
+    # A(k) = (0.6 + 0.3i e^{1.3ik}) M with |c| summing to 0.9
+    "operators": {"A": {"backend": "scaled_constant",
+                        "matrix": [[[0.3, 0.0], [0.1, 0.1]],
+                                   [[-0.2, 0.0], [0.25, 0.0]]],
+                        "scale": [{"frequency": 0.0,
+                                   "coefficient": [0.6, 0.0]},
+                                  {"frequency": 1.3,
+                                   "coefficient": [0.0, 0.3]}]}},
+    "forcing": {"backend": "trig_poly", "terms": [
+        {"frequency": 0.7, "coefficient": [[1.0, 0.0], [0.0, -0.5]]}]},
+}
+
+
+def _solve_scaled_constant(tmp_path):
+    from apseq import cli
+    cfg = write_config(tmp_path, SCALED_CONSTANT)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    return cfg, out, json.loads((out / "report.json").read_text())["solve"]
+
+
+def test_scaled_constant_solves_within_tol(tmp_path):
+    _, _, rep = _solve_scaled_constant(tmp_path)
+    assert max(rep["max_residual"].values()) <= SCALED_CONSTANT["tol"]
+
+
+def test_scaled_constant_matches_forward_oracle_within_tail(tmp_path):
+    from apseq import forward_oracle, read_csv
+    cfg_path, out, rep = _solve_scaled_constant(tmp_path)
+    cfg = ScenarioConfig.load(cfg_path)
+    A, f = cfg.operator("A"), cfg.sequence(cfg.forcing)
+    # run-in of 80 steps: 0.45^80 sup f / (1 - 0.45) is far below 1e-20
+    w = (-15, 15)
+    oracle = forward_oracle(A, f, -95, np.zeros(2), w).window_values(w)
+    x = read_csv(out / "solution.csv").window_values(w)
+    err = np.abs(x - oracle).max(axis=1)
+    tails = dict((k, b) for k, b in rep["tail_bounds"]["sup"])
+    allow = np.array([tails[k] for k in range(-15, 16)]) + 1e-13
+    assert (err <= allow).all()
+
+
+def test_scaled_constant_declares_a_global_sup(tmp_path):
+    _, _, rep = _solve_scaled_constant(tmp_path)
+    assert rep["uniqueness"] == "certified" and rep["sup_probe"] is None
+    # sum |c_j| times the base bound: row sums 0.3 + 0.1414.., column sums
+    # 0.5 + 0.1414..
+    base = np.array([[0.3, 0.1 + 0.1j], [-0.2, 0.25]])
+    assert rep["sup_certificates"]["sup"] == pytest.approx(
+        0.9 * np.abs(base).sum(axis=1).max(), rel=1e-15)
+    assert rep["sup_certificates"]["l1"] == pytest.approx(
+        0.9 * np.abs(base).sum(axis=0).max(), rel=1e-15)

@@ -85,12 +85,12 @@ def test_heat_zero_forcing():
 
 
 def test_heat_rejects_nonpositive_re_b_on_the_probe():
-    # b = 3 except b(-300) = -1: k = -300 lies left of the window but on
-    # the certificate probe, which extends GRID_PROBE_MARGIN steps left
+    # b = 3 except b(-11) = -1: k = -11 lies left of the window but on the
+    # gate window [window.start - 1, window.end + 1], which the solve reads
     b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0,
-                 BiSequence.spike(-300, [-4.0]))
+                 BiSequence.spike(-11, [-4.0]))
     with pytest.raises(InputContractError,
-                       match=r"Re b\(-300\) = -1\.0 is not positive"):
+                       match=r"Re b\(-11\) = -1\.0 is not positive"):
         heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
                      BiSequence.zeros(4), window=(-10, 10))
 
@@ -106,12 +106,13 @@ def _per_k_generators(monkeypatch):
 def test_heat_reports_the_first_nonpositive_re_b(per_k, monkeypatch):
     if per_k:
         _per_k_generators(monkeypatch)
-    # two bad k in one certificate block of the probe: the first is named
+    # two bad k in one certificate block of the gate window: the first is
+    # named
     b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0, seq_axpy(
-        1.0, BiSequence.spike(-300, [-4.0]), 1.0,
-        BiSequence.spike(-290, [-5.0])))
+        1.0, BiSequence.spike(-8, [-4.0]), 1.0,
+        BiSequence.spike(-3, [-5.0])))
     with pytest.raises(InputContractError,
-                       match=r"Re b\(-300\) = -1\.0 is not positive"):
+                       match=r"Re b\(-8\) = -1\.0 is not positive"):
         heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
                      BiSequence.zeros(4), window=(-10, 10))
 
@@ -297,3 +298,44 @@ def test_vb_explicit_selection_recovery_route():
     for k in range(-5, 6):
         u_sel = AinvC.matrix(k) @ (v(k + 1) - f(k))
         assert abs(u_sel[0] - u(k)[0]) <= 1e-9
+
+
+def test_heat_sup_covers_every_certificate_the_solve_multiplies():
+    # a trig b makes D a generator: its sup is the max over the k the solve
+    # reads, which lie right of the window by the truncation depth
+    n = 5
+    b = BiSequence.from_trig_poly(TrigPoly.of(
+        [(0.0, [3.0]), (1.0, [-0.5j]), (-1.0, [0.5j])]))
+    hp = heat_problem(n, 1.0, BiSequence.constant([0.1]), b, grid_forcing(n),
+                      window=(-20, 20))
+    read = []
+    certificate = hp.D.certificate
+
+    def recording(label, k):
+        c = certificate(label, k)
+        read.append((label, k, c))
+        return c
+
+    hp.D.certificate = recording
+    _, _, rep = hp.solve((-20, 20), tol=1e-10)
+    assert rep.uniqueness == "not certified"
+    lo, hi = rep.sup_probe
+    assert (lo, hi) == (min(k for _, k, _ in read), max(k for _, k, _ in read))
+    assert lo == -21 and hi >= 20 + max(V for _, V in rep.truncation_V)
+    for label, k, c in read:
+        assert c <= rep.sup_certificates[label]
+
+
+def test_constant_grid_data_certify_uniqueness():
+    n = 5
+    hp = heat_problem(n, 1.0, BiSequence.constant([0.1]),
+                      BiSequence.constant([3.0]), grid_forcing(n),
+                      window=(-8, 8))
+    _, _, rep = hp.solve((-8, 8), tol=1e-10)
+    assert rep.uniqueness == "certified" and rep.sup_probe is None
+    assert rep.sup_certificates == hp.certificate_sup
+    wp = wave_problem(n, 1.0, BiSequence.constant([0.05]),
+                      BiSequence.constant([0.05]), BiSequence.constant([3.0]),
+                      grid_forcing(n), window=(-8, 8))
+    _, rep = wp.solve((-8, 8), tol=1e-10)
+    assert rep.uniqueness == "certified" and rep.sup_probe is None

@@ -3,12 +3,12 @@ import pytest
 
 from apseq import (BiSequence, ConvergencePreconditionError,
                    InputContractError, OperatorSequence, Seminorm,
-                   SeminormFamily, TrigPoly, bohr_check, forward_oracle,
+                   SeminormFamily, TrigPoly, Window, bohr_check, forward_oracle,
                    omega_c_check, residual, seq_axpy, solve_series,
                    weighted_growth_check)
 from apseq.first_order import SolveReport
 from apseq.ap_analysis import besicovitch_distance
-from apseq.operator_model import backward_products, op_product_apply
+from apseq.operator_model import op_product_apply
 from conftest import random_certified_operator
 
 SUP = Seminorm.sup()
@@ -80,8 +80,7 @@ def test_residual_zero_solution_zero_forcing():
 @pytest.mark.parametrize("backend", ["constant", "periodic", "generator"])
 def test_series_matches_forward_oracle(backend, rng):
     fam = SeminormFamily.sup_only(4)
-    A = random_certified_operator(rng, fam, 0.7, backend=backend,
-                                  probe=(-300, 30))
+    A = random_certified_operator(rng, fam, 0.7, backend=backend)
     f = BiSequence.from_trig_poly(TrigPoly.of(
         [(0.0, rng.standard_normal(4)), (1.0, rng.standard_normal(4) * 0.5)]))
     window = (-15, 15)
@@ -129,8 +128,7 @@ def test_sweep_matches_explicit_products(backend, rng):
         A = OperatorSequence.periodic([0.6 * eye[[1, 2, 0]], 0.6 * eye,
                                        0.6 * eye[[2, 0, 1]]], family=fam)
     else:
-        A = random_certified_operator(rng, fam, 0.6, backend=backend,
-                                      probe=(-200, 40))
+        A = random_certified_operator(rng, fam, 0.6, backend=backend)
     f = BiSequence.from_trig_poly(TrigPoly.of(
         [(0.0, rng.standard_normal(3)), (0.9, rng.standard_normal(3))]))
     window = (-20, 19)
@@ -183,11 +181,9 @@ def test_depth_search_equals_per_k_loop(case, rng):
                                       family=fam)
     elif case == "two_seminorms":
         A = random_certified_operator(rng, SeminormFamily.of(SUP_L1, 2),
-                                      0.9, backend="generator",
-                                      probe=(-400, 40))
+                                      0.9, backend="generator")
     else:
-        A = random_certified_operator(rng, fam, 0.9, backend=case,
-                                      probe=(-400, 40))
+        A = random_certified_operator(rng, fam, 0.9, backend=case)
     f = BiSequence.from_trig_poly(TrigPoly.of(
         [(0.0, rng.standard_normal(2)), (0.4, rng.standard_normal(2))]))
     tol = 1e-11
@@ -235,39 +231,42 @@ def test_solver_rejects_tol_that_is_not_finite_positive(tol):
                      tol=tol)
 
 
+def backward_products(A, label, k, depth):
+    """c(k-1), c(k-1) c(k-2), ..., down to c(k-depth)."""
+    return np.cumprod(A.certificate_array(label, Window(k - depth, k - 1))[::-1])
+
+
 def test_backward_products_examples():
     A = half_identity()
-    got = list(backward_products(A, "sup", 0, 10))
-    assert got == [2.0 ** -v for v in range(1, 11)]
+    got = backward_products(A, "sup", 0, 10)
+    assert got.tolist() == [2.0 ** -v for v in range(1, 11)]
 
     ones = OperatorSequence.constant([[1.0]], family=FAM1)
-    assert list(backward_products(ones, "sup", 0, 6)) == [1.0] * 6
+    assert backward_products(ones, "sup", 0, 6).tolist() == [1.0] * 6
 
     # c(-1) = 1/2, c(-2) = 2, ...: products alternate 1/2, 1 (bounded, no
-    # decay, uniqueness not certified)
+    # decay)
     alt = OperatorSequence.periodic([[[2.0]], [[0.5]]], family=FAM1)
-    got = list(backward_products(alt, "sup", 0, 6))
-    assert got == [0.5, 1.0, 0.5, 1.0, 0.5, 1.0]
-    assert min(got) > 1e-12
+    got = backward_products(alt, "sup", 0, 6)
+    assert got.tolist() == [0.5, 1.0, 0.5, 1.0, 0.5, 1.0]
 
 
-def test_uniqueness_stops_at_first_small_product():
-    # generator certificates are evaluated lazily: the uniqueness check
-    # must stop at the first backward product below the threshold
-    from apseq.first_order import SolveReport, _attach_uniqueness
+def test_uniqueness_reads_no_certificate_beyond_the_solve():
+    # a declared sup below 1 certifies uniqueness by itself: the only
+    # certificates evaluated are the ones the depth search multiplies
     seen = []
 
     def cert(k):
         seen.append(k)
         return 0.1
 
-    A = OperatorSequence.from_function(1, lambda k: [[0.1]],
+    A = OperatorSequence.from_function(1, lambda k: [[0.1]], family=FAM1,
                                        certificates={"sup": cert},
                                        sup_bounds={"sup": 0.1})
-    rep = SolveReport(window=(0, 0), tol=1e-10)
-    _attach_uniqueness(rep, A, ["sup"])
-    assert rep.uniqueness == "certified"
-    assert seen == list(range(-1, -14, -1))  # 0.1^13 < 1e-12 <= 0.1^12
+    _, rep = solve_series(A, BiSequence.constant([1.0]), (0, 0), tol=1e-10)
+    assert rep.uniqueness == "certified" and rep.sup_probe is None
+    assert rep.uniqueness_by_label == {"sup": True}
+    assert seen and rep.f_probe[0] < min(seen) and max(seen) <= 0
 
 
 def test_uniqueness_reporting():
@@ -276,8 +275,39 @@ def test_uniqueness_reporting():
     assert rep.uniqueness == "certified"
 
     alt = OperatorSequence.periodic([[[2.0]], [[0.5]]], family=FAM1)
-    # sup bound is 2 >= 1: the solver refuses; check the diagnostic directly
-    assert min(backward_products(alt, "sup", 0, 1000)) >= 0.5
+    # sup bound is 2 >= 1: the solver refuses; the products do not decay
+    assert alt.sup_bound("sup") == 2.0
+    assert backward_products(alt, "sup", 0, 1000).min() >= 0.5
+
+
+def test_slow_constant_decay_is_certified():
+    # c = 0.999 needs depth ~2300 at tol 0.1, and 0.999^10000 ~ 4.5e-5 is
+    # far above 1e-12; uniqueness rests on the exact sup, not on a walk
+    A = OperatorSequence.constant([[0.999]], family=FAM1)
+    _, rep = solve_series(A, BiSequence.constant([1e-3]), (-5, 5), tol=0.1)
+    assert max(V for _, V in rep.truncation_V) > 2000
+    assert rep.uniqueness == "certified" and rep.sup_probe is None
+    assert rep.to_dict()["sup_probe"] is None
+
+
+def test_generator_sup_is_probed_where_the_solve_reads(rng):
+    fam = SeminormFamily.sup_only(2)
+    A = random_certified_operator(rng, fam, 0.7, backend="generator")
+    f = BiSequence.constant([1.0, -1.0])
+    _, rep = solve_series(A, f, (-10, 10), tol=1e-10)
+    assert rep.uniqueness == "not certified"
+    assert rep.uniqueness_by_label == {"sup": False}
+    # the depth search reads c on [work.start - margin, work.end - 1]
+    margin = -10 - rep.f_probe[0] - 1
+    assert rep.sup_probe == (-10 - margin, 10)
+    assert rep.to_dict()["sup_probe"] == [-10 - margin, 10]
+    probed = A.certificate_array("sup", Window(*rep.sup_probe))
+    assert rep.sup_certificates["sup"] == probed.max()
+    # a declared global sup makes the same operator certified
+    B = OperatorSequence.from_function(2, A.matrix, family=fam,
+                                       sup_bounds={"sup": 0.7})
+    _, rep_b = solve_series(B, f, (-10, 10), tol=1e-10)
+    assert rep_b.uniqueness == "certified" and rep_b.sup_probe is None
 
 
 def test_weighted_growth_examples(rng):

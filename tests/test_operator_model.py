@@ -1,5 +1,3 @@
-from itertools import accumulate
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from apseq import (BiSequence, CertificateError,
                    OperatorSequence, Seminorm, SeminormFamily, ShapeError,
                    Window, induced_bound, op_product_apply, solve_series)
 from apseq.first_order import _truncation_depths
-from apseq.operator_model import backward_products
+from apseq.operator_model import CERT_BLOCK, window_blocks
 from conftest import random_matrix
 
 SUP_FAM = SeminormFamily.sup_only(1)
@@ -70,17 +68,24 @@ def test_op_product_periodic_two_step():
     assert got[0] == pytest.approx(a1 * a0, rel=1e-15)
 
 
+def partial_sums(A, label, k, depth):
+    """Partial sums of the backward products c(k-1) ... c(k-v), v <= depth."""
+    certs = A.certificate_array(label, Window(k - depth, k - 1))
+    return np.cumsum(np.cumprod(certs[::-1])).tolist()
+
+
 def depths_at(A, k, tol, margin, f_sup=1.0):
     """The solver's certified depth and tail bound at k for the sup
     seminorm, with forcing sup f_sup."""
-    V, tails = _truncation_depths(A, ["sup"], {"sup": A.sup_bound("sup")},
+    sup = A.sup_over("sup", Window(k - margin, k - 1))
+    V, tails = _truncation_depths(A, ["sup"], {"sup": sup},
                                   {"sup": f_sup}, tol, Window(k, k), margin)
     return int(V[0]), float(tails["sup"][0])
 
 
 def test_rac_constant_half():
     A = scalar_seq(0.5)
-    sums = list(accumulate(backward_products(A, "sup", 0, 40)))
+    sums = partial_sums(A, "sup", 0, 40)
     assert sums[19] == 1.0 - 2.0 ** -20
     assert depths_at(A, 0, 2.0 ** -20, 20) == (20, 2.0 ** -20)
     with pytest.raises(ConvergencePreconditionError):  # tol=0 is unreachable
@@ -93,7 +98,7 @@ def test_rac_constant_half():
 
 def test_rac_constant_one_diverges():
     A = scalar_seq(1.0)
-    sums = list(accumulate(backward_products(A, "sup", 0, 50)))
+    sums = partial_sums(A, "sup", 0, 50)
     assert sums == [float(v) for v in range(1, 51)]
     # sup certificate 1: no finite prefix certifies a tail
     with pytest.raises(ConvergencePreconditionError):
@@ -104,26 +109,24 @@ def test_rac_alternating_products_hand_sum():
     # c(k) = 1/2 for even k, 1/4 for odd k; at k=0 the first four terms are
     # 1/4, 1/4*1/2, 1/4*1/2*1/4, 1/4*1/2*1/4*1/2
     A = scalar_seq([0.5, 0.25])
-    partial_sums = list(accumulate(backward_products(A, "sup", 0, 4)))
+    sums = partial_sums(A, "sup", 0, 4)
     direct = []
     prod = 1.0
     for v in range(1, 5):  # oracle: direct loop
         prod *= (0.5 if (0 - v) % 2 == 0 else 0.25)
         direct.append(prod)
     expected = np.cumsum(direct)
-    assert np.allclose(partial_sums, expected, rtol=0, atol=0)
-    assert partial_sums[3] == 0.25 + 0.125 + 0.03125 + 0.015625
+    assert np.allclose(sums, expected, rtol=0, atol=0)
+    assert sums[3] == 0.25 + 0.125 + 0.03125 + 0.015625
 
 
 def test_rac_representation_invariance(rng):
     mats = [random_matrix(rng, 2) * 0.2 for _ in range(3)]
     fam = SeminormFamily.sup_only(2)
     P = OperatorSequence.periodic(mats, family=fam)
-    G = OperatorSequence.from_function(2, lambda k: mats[k % 3], family=fam,
-                                       sup_probe=(-8, 8))
-    assert (list(backward_products(P, "sup", 4, 30))
-            == list(backward_products(G, "sup", 4, 30)))
-    assert P.sup_bound("sup") == G.sup_bound("sup") < 1.0
+    G = OperatorSequence.from_function(2, lambda k: mats[k % 3], family=fam)
+    assert partial_sums(P, "sup", 4, 30) == partial_sums(G, "sup", 4, 30)
+    assert P.sup_bound("sup") == G.sup_over("sup", Window(-8, 8)) < 1.0
     assert depths_at(P, 4, 1e-12, 200) == depths_at(G, 4, 1e-12, 200)
 
 
@@ -177,15 +180,23 @@ def test_product_bound_randomized(rng):
         assert lhs <= prod * Seminorm.sup()(x) * (1 + 1e-10) + 1e-300
 
 
-def test_generator_requires_probe_or_sup(rng):
+def test_generator_sup_is_global_only_when_declared(rng):
     fam = SeminormFamily.sup_only(2)
-    with pytest.raises(InputContractError):
-        OperatorSequence.from_function(2, lambda k: np.eye(2), family=fam)
-    A = OperatorSequence.from_function(2, lambda k: np.eye(2) * 0.5,
-                                       family=fam, sup_probe=(-4, 4))
-    assert A.sup_bound("sup") == 0.5
+    A = OperatorSequence.from_function(
+        2, lambda k: np.eye(2) * (0.5 if k < 0 else 0.25), family=fam)
+    assert A.sup_bounds == {}
+    with pytest.raises(CertificateError, match="no global sup bound"):
+        A.sup_bound("sup")
+    assert A.sup_over("sup", Window(-4, 4)) == 0.5
+    assert A.sup_over("sup", Window(0, 4)) == 0.25
+    D = OperatorSequence.from_function(2, lambda k: np.eye(2) * 0.25,
+                                       family=fam, sup_bounds={"sup": 0.5})
+    assert D.sup_bound("sup") == D.sup_over("sup", Window(0, 4)) == 0.5
     with pytest.raises(CertificateError):
-        A.sup_bound("nope")
+        D.sup_bound("nope")
+    P = OperatorSequence.periodic([np.eye(2) * 0.5, np.eye(2) * 0.25],
+                                  family=fam)
+    assert P.sup_over("sup", Window(1, 1)) == P.sup_bound("sup") == 0.5
 
 
 def test_induced_bound_interpolation_is_sound(rng):
@@ -220,8 +231,13 @@ def test_map_joint_backend_and_period(rng):
     mixed = OperatorSequence.map(lambda k, a, g: a @ g, K, G, certificates={})
     assert mixed.backend == "generator"
     assert np.array_equal(mixed.matrix(4), K.matrix(4) @ G.matrix(4))
-    with pytest.raises(InputContractError):  # no sup bound for a generator
-        OperatorSequence.map(lambda k, a, g: a @ g, K, G, family=fam)
+    # a generator result has no global sup; the solve probes it
+    derived = OperatorSequence.map(lambda k, a, g: a @ g, K, G, family=fam)
+    assert derived.backend == "generator" and derived.sup_bounds == {}
+    w = Window(-3, 3)
+    assert derived.sup_over("sup", w) == max(
+        induced_bound(K.matrix(k) @ G.matrix(k), fam.by_label("sup"))
+        for k in w)
 
 
 def test_apply_rows_matches_per_row_products(rng):
@@ -286,11 +302,13 @@ def test_window_rule_generator_matches_per_k_rule(rng):
     def stack(w):
         return np.stack([base[k % 3] * np.cos(k) for k in w])
 
-    kw = dict(family=fam, sup_probe=(-150, 20))
-    per_k = OperatorSequence.from_function(5, lambda k: stack([k])[0], **kw)
+    per_k = OperatorSequence.from_function(5, lambda k: stack([k])[0],
+                                           family=fam)
     blocked = OperatorSequence.from_function(
-        5, lambda k: stack([k])[0], window_fn=lambda w: stack(w), **kw)
-    assert blocked.sup_bounds == per_k.sup_bounds
+        5, lambda k: stack([k])[0], window_fn=lambda w: stack(w), family=fam)
+    for sn in fam:
+        assert (blocked.sup_over(sn.label, Window(-150, 20))
+                == per_k.sup_over(sn.label, Window(-150, 20)))
     w = Window(-200, 30)
     for sn in fam:
         assert np.array_equal(blocked.certificate_array(sn.label, w),
@@ -301,3 +319,49 @@ def test_window_rule_generator_matches_per_k_rule(rng):
                                          certificates={})
     with pytest.raises(ShapeError):
         bad.matrices(w)
+
+
+def test_window_blocks_are_cut_at_aligned_multiples():
+    w = Window(-70, 70)
+    blocks = list(window_blocks(w))
+    assert [(b.start, b.end) for b in blocks] == [
+        (-70, -65), (-64, -1), (0, 63), (64, 70)]
+    assert list(window_blocks(Window(5, 9))) == [Window(5, 9)]
+
+
+def test_certificate_miss_derives_its_aligned_block(rng):
+    fam = SeminormFamily.of([Seminorm.sup(), Seminorm.p_norm(1)], 3)
+    base = random_matrix(rng, 3)
+    windows = []
+
+    def stack(w):
+        windows.append(w)
+        return np.stack([base * np.cos(k) for k in w])
+
+    A = OperatorSequence.from_function(3, lambda k: stack(Window(k, k))[0],
+                                       window_fn=stack, family=fam)
+    c = A.certificate("sup", -5)
+    assert windows == [Window(-CERT_BLOCK, -1)]
+    assert c == induced_bound(base * np.cos(-5), fam.by_label("sup"))
+    # the whole block is cached for every seminorm: no further evaluation
+    for k in range(-CERT_BLOCK, 0):
+        for sn in fam:
+            assert A.certificate(sn.label, k) == induced_bound(
+                base * np.cos(k), sn)
+    assert windows == [Window(-CERT_BLOCK, -1)]
+
+
+def test_reversed_keeps_the_backend_and_its_exact_sups(rng):
+    fam = SeminormFamily.sup_only(2)
+    mats = [random_matrix(rng, 2) * 0.2 for _ in range(3)]
+    K = OperatorSequence.constant(mats[0], family=fam)
+    assert K.reversed() is K
+    P = OperatorSequence.periodic(mats, family=fam)
+    G = OperatorSequence.from_function(2, lambda k: mats[k % 3], family=fam)
+    for A in (P, G):
+        R = A.reversed()
+        assert R.backend == A.backend and R.sup_bounds == A.sup_bounds
+        for j in range(-7, 8):
+            assert np.array_equal(R.matrix(j), A.matrix(-j - 1))
+            assert R.certificate("sup", j) == A.certificate("sup", -j - 1)
+    assert P.reversed().period == 3

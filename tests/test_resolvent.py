@@ -247,3 +247,42 @@ def test_triple_equivalence_vb_inclusion_reversed_series(rng):
     for k in range(-7, 8):
         assert np.abs(u_vb(k) - x_inc(k)).max() <= 10 * tol
         assert np.abs(x_inc(k) - w(-k)).max() <= 10 * tol
+
+
+def test_inclusion_reports_probes_in_the_callers_k(rng):
+    # the reversed series reads f and D to the right of the window in k;
+    # the outer report names those ranges in k, the inner one in j = -k-1
+    fam = SeminormFamily.sup_only(2)
+    D = random_certified_operator(rng, fam, 0.5, backend="generator")
+    f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(2))]))
+    _, rep = solve_inclusion(ResolventSelection(D, np.eye(2)), f, (-10, 10),
+                             tol=1e-10)
+    inner = rep.inner
+    assert rep.f_probe == (-inner.f_probe[1] - 1, -inner.f_probe[0] - 1)
+    assert rep.sup_probe == (-inner.sup_probe[1] - 1, -inner.sup_probe[0] - 1)
+    depth = max(V for _, V in rep.truncation_V)
+    assert rep.f_probe[0] < -10 and rep.f_probe[1] > 10 + depth
+    assert rep.sup_probe[0] == -11 and rep.sup_probe[1] >= 10 + depth
+    assert rep.uniqueness == inner.uniqueness == "not certified"
+
+
+def test_reversed_forcing_is_evaluated_a_window_at_a_time(rng, monkeypatch):
+    # -D(-j-1) f(-j-1) comes from one apply_rows per window, which reads a
+    # periodic D's few distinct matrices, not one matrix per probed k
+    fam = SeminormFamily.sup_only(3)
+    D = random_certified_operator(rng, fam, 0.6, backend="periodic")
+    f = BiSequence.from_trig_poly(TrigPoly.of([(0.3, rng.standard_normal(3))]))
+    calls = []
+    matrix = OperatorSequence.matrix
+
+    def counting(self, k):
+        if self is D:
+            calls.append(k)
+        return matrix(self, k)
+
+    monkeypatch.setattr(OperatorSequence, "matrix", counting)
+    _, rep = solve_inclusion(ResolventSelection(D, np.eye(3)), f, (-12, 12),
+                             tol=1e-10)
+    probed = rep.f_probe[1] - rep.f_probe[0] + 1
+    assert probed > 60
+    assert len(calls) <= 30
