@@ -152,8 +152,7 @@ class ScenarioConfig:
         if name not in self.operators:
             raise InputContractError(f"config lacks operators.{name}")
         return build_operator(self.operators[name], dim or self.dim,
-                              family=None if plain else (family or self.family(dim)),
-                              plain=plain)
+                              None if plain else (family or self.family(dim)))
 
     def sequence(self, desc: dict | None, dim: int | None = None) -> BiSequence:
         if desc is None:
@@ -230,13 +229,14 @@ def build_sequence(desc: dict, dim: int) -> BiSequence:
     return seq
 
 
-def build_operator(desc: dict, dim: int, family: SeminormFamily | None,
-                   plain: bool = False) -> OperatorSequence:
-    """The operator sequence a descriptor names.  ``scaled_constant``
-    (k -> sum_j c_j e^(i lam_j k) M) declares the global sup
-    sum_j |c_j| c(M) per seminorm, so its sups are exact."""
+def build_operator(desc: dict, dim: int,
+                   family: SeminormFamily | None) -> OperatorSequence:
+    """The operator sequence a descriptor names, certified over ``family``
+    (plain without one).  ``scaled_constant`` (k -> sum_j c_j e^(i lam_j k)
+    M) declares the global sup sum_j |c_j| c(M) per seminorm, so its sups
+    are exact."""
     backend = _object(desc, "operator descriptor").get("backend")
-    kw = dict(certificates={}) if plain else dict(family=family)
+    kw = dict(family=family)
     with _descriptor(f"operator descriptor with backend {backend!r}"):
         if backend == "constant":
             return OperatorSequence.constant(cmat(desc["matrix"]), **kw)
@@ -251,7 +251,7 @@ def build_operator(desc: dict, dim: int, family: SeminormFamily | None,
             def scale(k: int) -> complex:
                 return sum(c * np.exp(1j * lam * k) for lam, c in terms)
 
-            if not plain and family is not None:
+            if family is not None:
                 kw["sup_bounds"] = {
                     sn.label: sum(abs(c) for _, c in terms)
                     * induced_bound(base, sn) for sn in family}

@@ -70,13 +70,13 @@ def _grid_operator(seq: BiSequence, size: int, build,
     k0, k0+1, ... to (len, size, size) matrices.  Constant data gives a
     constant sequence, certified once; other data a generator whose
     windows are one ``build`` over ``seq.window_values``."""
-    kw = dict(family=family) if family is not None else dict(certificates={})
     if seq.constant_value is not None:
         return OperatorSequence.constant(
-            build(0, seq.constant_value[None])[0], **kw)
+            build(0, seq.constant_value[None])[0], family=family)
     return OperatorSequence.from_function(
         size, lambda k: build(k, seq(k)[None])[0],
-        window_fn=lambda w: build(w.start, seq.window_values(w)), **kw)
+        window_fn=lambda w: build(w.start, seq.window_values(w)),
+        family=family)
 
 
 def _multiplier(seq: BiSequence, size: int, what: str):
@@ -106,12 +106,12 @@ class HeatProblem:
 
     In the degenerate form C B(k+1) u(k+1) = A(k) u(k) + C f(k) this is
     B(k) = multiplier by m(k,.), A(k) = Lap - b(k) I, C = I.  The selection
-    certificate per seminorm is the multiplier bound times the resolvent
-    bound.  B is a constant sequence when m is constant, and A and Ainv_C
-    when b is; otherwise they are generators whose matrices come a window
-    at a time (Ainv_C as one stacked solve of Lap - b(k) I per block).
-    ``D`` is the composite selection B(k) Ainv_C(k) whose certificates
-    ``heat_problem`` validated; the solve reuses it.
+    certificate per seminorm is the induced bound of D(k) = B(k) Ainv_C(k).
+    B is a constant sequence when m is constant, and A and Ainv_C when b
+    is; otherwise they are generators whose matrices come a window at a
+    time (Ainv_C as one stacked solve of Lap - b(k) I per block, which D
+    reads through its window rule).  ``D`` is the composite selection
+    whose certificates ``heat_problem`` validated; the solve reuses it.
     """
 
     laplacian: GridLaplacian
@@ -151,8 +151,7 @@ def _heat_operators(L: GridLaplacian, m: BiSequence, b: BiSequence,
     B = _grid_operator(m, size, mult, family=family)
     A = _grid_operator(b, size, a_stack)
     Ainv = _grid_operator(
-        b, size, lambda k0, vals: np.linalg.solve(a_stack(k0, vals), eye),
-        family=family)
+        b, size, lambda k0, vals: np.linalg.solve(a_stack(k0, vals), eye))
     return B, A, Ainv
 
 
@@ -181,8 +180,8 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     sups = {lbl: D.sup_over(lbl, gate) for lbl in D.labels()}
     bad = {lbl: s for lbl, s in sups.items() if s >= SMALLNESS_GATE}
     if bad:
-        failing = [k for k in gate
-                   if any(D.certificate(lbl, k) >= SMALLNESS_GATE for lbl in bad)]
+        worst = np.max([D.certificate_array(lbl, gate) for lbl in bad], axis=0)
+        failing = [k for k, c in zip(gate, worst) if c >= SMALLNESS_GATE]
         raise InputContractError(
             f"multiplier is not small enough: certificate sups {bad} reach "
             f"the gate {SMALLNESS_GATE}; failing k on the gate: {failing[:8]}")
@@ -221,9 +220,9 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
                  family: SeminormFamily | None = None,
                  window=None) -> WaveProblem:
     """Build and validate the wave instance (same hypotheses as heat, with
-    the three-piece certificate of the order-2 route, checked on the gate
-    window [window.start - 1, window.end + 2]).  Constant m1, m2 and b give
-    a constant selection, certified once with exact sups."""
+    the certificate of the order-2 selection on the lifted family, checked
+    on the gate window [window.start - 1, window.end + 2]).  Constant m1,
+    m2 and b give a constant selection, certified once with exact sups."""
     L = laplacian_1d(n, h)
     family = family or difference_family(L.size)
     if family.dim != L.size or f.dim != L.size:

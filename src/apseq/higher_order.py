@@ -24,8 +24,8 @@ import numpy as np
 from .errors import InputContractError, NumericError, ShapeError
 from .first_order import SolveReport, linear_residual
 from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
-                             checked_solve, induced_bound)
-from .resolvent import ResolventSelection, solve_inclusion
+                             checked_solve, induced_bound, window_blocks)
+from .resolvent import ResolventSelection, amplification, solve_inclusion
 from .seq_core import BiSequence, SeminormFamily, as_window
 
 
@@ -136,36 +136,28 @@ def companion_D_dense(sys: CompanionSystem, k: int) -> Matrix:
 
 def _a0_inverse_sequence(A0: OperatorSequence, C: Matrix) -> OperatorSequence:
     return OperatorSequence.map(lambda k, a0: checked_solve(a0, C, f"A0({k})"),
-                                A0, certificates={})
+                                A0)
 
 
 def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
                            A2: OperatorSequence, C, family: SeminormFamily
                            ) -> ResolventSelection:
-    """The p = 2 companion selection bold_B(k) [bold_A(k)]^{-1} bold_C on
-    the lifted family.
+    """The p = 2 companion selection bold_B(k) [bold_A(k)]^{-1} bold_C,
+    certified by its induced bounds on the lifted family.
 
-    Per-seminorm certificates are the sum of three pieces exactly as the
-    sufficient condition combines them: c1 for [A_0]^{-1} C, c2 for
-    A_1 [A_0]^{-1} C, c3 for A_2 (taken at the index the selection block
-    actually carries).  Each (seminorm, k) is evaluated once and cached on
-    the selection.  Sup bounds are exact over the joint period of constant
-    or periodic coefficients; when one of them is a generator the
-    selection is one too, and its sups are taken where they are read.
+    In a block column the bound sums the blocks, so the certificate is
+    max(c1 + c2, c3), with c1 for [A_0]^{-1} C, c2 for A_1 [A_0]^{-1} C
+    and c3 for A_2 (at the index the selection block actually carries).
+    Sup bounds are exact over the joint period of constant or periodic
+    coefficients; when one of them is a generator the selection is one
+    too, and its sups are taken where they are read.
     """
     C = as_matrix(C, A0.dim)
     sys = build_companion(2, [A0, A1, A2], C)
     G = _a0_inverse_sequence(A0, C)
-
-    def pieces(sn, k: int) -> float:
-        g = G.matrix(k)
-        return (induced_bound(g, sn) + induced_bound(A1.matrix(k) @ g, sn)
-                + induced_bound(A2.matrix(k + 1), sn))
-
-    certs = {sn.label: (lambda k, _sn=sn: pieces(_sn, k)) for sn in family}
     D = OperatorSequence.map(lambda k, *_: companion_D_block(sys, G, k),
                              G, A1, A2, shifts=(0, 0, 1), dim=2 * A0.dim,
-                             family=family.lifted(2), certificates=certs)
+                             family=family.lifted(2))
     return ResolventSelection(D, sys.bold_C())
 
 
@@ -178,7 +170,7 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
     """Solve C A_2(k+2) u(k+2) + C A_1(k+1) u(k+1) + A_0(k) u(k) = C f(k).
 
     Runs through ``second_order_selection`` (or the given ``selection``,
-    built by it from the same coefficients); its summed certificates must
+    built by it from the same coefficients); its certificate sups must
     stay below 1.  The scalar-level residual of the order-2 equation is
     certified on the returned u.
     """
@@ -191,8 +183,7 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
     vec_f = build_companion(2, [A0, A1, A2], C).lift(f)
     d = A0.dim
 
-    amp = max(induced_bound(C, sn) for sn in family)
-    inner_tol = tol / (4.0 * max(1.0, amp))
+    inner_tol = tol / (4.0 * amplification(family, C))
     u_pad = max(2, pad_right)  # the order-2 residual consumes u(k+2)
     v, report = solve_inclusion(sel, vec_f, window, tol=inner_tol,
                                 pad_right=u_pad + 1)
@@ -269,17 +260,18 @@ def build_B_from_D(A_mat: OperatorSequence, D_mat: OperatorSequence, p: int,
     warnings: list[str] = []
     if base_family is not None and window is not None:
         d = A_mat.dim // p
-        for k in as_window(window):
-            m = D_mat.matrix(k)
-            for sn in base_family:
-                total = sum(
-                    induced_bound(m[i * d:(i + 1) * d, j * d:(j + 1) * d], sn)
-                    for i in range(p) for j in range(p))
-                if total > budget:
-                    warnings.append(
-                        f"block budget violated at k={k}, seminorm "
-                        f"{sn.label!r}: {total:.4f} > {budget:.4f}")
+        for w in window_blocks(as_window(window)):
+            stack = D_mat.matrices(w)
+            totals = [sum(induced_bound(
+                stack[:, i * d:(i + 1) * d, j * d:(j + 1) * d], sn)
+                for i in range(p) for j in range(p)) for sn in base_family]
+            for n, k in enumerate(w):
+                for sn, total in zip(base_family, totals):
+                    if total[n] > budget:
+                        warnings.append(
+                            f"block budget violated at k={k}, seminorm "
+                            f"{sn.label!r}: {total[n]:.4f} > {budget:.4f}")
 
     B = OperatorSequence.map(lambda j, a, d: a @ d, A_mat, D_mat,
-                             shifts=(-1, -1), certificates={})
+                             shifts=(-1, -1))
     return B, warnings

@@ -8,8 +8,10 @@ are built from those same products.  A global sup s >= c(k) on all of Z
 (exact for constant and periodic sequences, declared for a generator)
 below 1 also makes the bounded solution unique.
 
-Certificates are either supplied analytically by the problem builder or
-derived here as exact induced bounds of the concrete matrices:
+A sequence with a seminorm family derives its certificates from its own
+matrices, as exact induced bounds; one without a family is plain and has
+none.  Analytic knowledge enters only as a declared global sup
+(``sup_bounds``) or as the induced bound of a seminorm kind:
 
   sup norm      max absolute row sum
   l1            max absolute column sum
@@ -22,14 +24,14 @@ derived here as exact induced bounds of the concrete matrices:
 
 All of these are sound upper bounds, so randomized soundness checks hold
 up to roundoff with no fudge factor.  They apply to stacks of matrices
-too, which is how generator sequences derive their certificates: one stack
-per CERT_BLOCK-aligned block of k.
+too: a generator derives the certificates of exactly the windows it is
+asked for, one stack per CERT_BLOCK-aligned run of k it has not cached.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Container, Iterator, Sequence
 
 import numpy as np
 
@@ -86,8 +88,8 @@ def induced_bound(matrix: Matrix, sn: Seminorm) -> float | np.ndarray:
         s_inv = sn.stencil_inverse(d)
         if s_inv is None:
             raise CertificateError(
-                f"stencil seminorm {sn.label!r} has a singular stencil matrix; "
-                f"supply an analytic certificate instead")
+                f"stencil seminorm {sn.label!r} has a singular stencil "
+                f"matrix, so it has no induced bound")
         conj = (sn.stencil_matrix(d) @ matrix) @ s_inv
         return _bound(np.abs(conj).sum(axis=-1).max(axis=-1))
     if sn.kind == "block_sum":
@@ -118,11 +120,15 @@ def checked_solve(matrix: Matrix, rhs, what: str = "matrix") -> np.ndarray:
     return np.linalg.solve(matrix, rhs)
 
 
-def window_blocks(window: Window) -> Iterator[Window]:
-    """Sub-windows covering ``window``, cut at the multiples of CERT_BLOCK."""
-    for a in range(window.start - window.start % CERT_BLOCK, window.end + 1,
-                   CERT_BLOCK):
-        yield Window(max(a, window.start), min(a + CERT_BLOCK - 1, window.end))
+def window_blocks(window: Window, done: Container[int] = ()
+                  ) -> Iterator[Window]:
+    """Runs of consecutive k in ``window`` that are not in ``done``, cut at
+    the multiples of CERT_BLOCK."""
+    todo = [k for k in range(window.start, window.end + 1) if k not in done]
+    starts = [i for i, k in enumerate(todo)
+              if i == 0 or k != todo[i - 1] + 1 or k % CERT_BLOCK == 0]
+    for a, b in zip(starts, starts[1:] + [len(todo)]):
+        yield Window(todo[a], todo[b - 1])
 
 
 class OperatorSequence:
@@ -134,17 +140,15 @@ class OperatorSequence:
     may also carry ``window_fn``, which evaluates a window as one
     (len, dim, dim) stack with the same bits as stacking ``fn``.
 
-    ``certificates[label]`` is a rule k -> c(k); ``sup_bounds[label]`` caps
-    c(k) on all of Z: exact for constant and periodic backends, which
-    certify each distinct matrix once; a generator has only those it
-    declares.  Its family-derived certificates are evaluated one
-    CERT_BLOCK-aligned block at a time (a cache miss derives its block),
-    and the per-k caches hold views into the blocks.
+    With a ``family``, c(k) for each of its seminorms is the induced bound
+    of A(k), derived once per distinct matrix and cached; without one the
+    sequence is plain.  ``sup_bounds[label]`` caps c(k) on all of Z: exact
+    for constant and periodic backends, and for a generator only what it
+    declares.
     """
 
     def __init__(self, dim: int, fn: Callable[[int], Matrix], backend: str,
                  family: SeminormFamily | None = None,
-                 certificates: dict[str, Callable[[int], float]] | None = None,
                  sup_bounds: dict[str, float] | None = None,
                  period: int | None = None,
                  window_fn: Callable[[Window], np.ndarray] | None = None):
@@ -155,17 +159,7 @@ class OperatorSequence:
         self._fn = fn
         self._window_fn = window_fn
         self._mat_cache: dict[int, Matrix] = {}
-        self._cert_cache: dict[tuple[str, int], float] = {}
-        self._derived = certificates is None
-        if certificates is None:
-            if family is None:
-                raise InputContractError(
-                    "need a seminorm family to derive certificates, or "
-                    "explicit certificate rules")
-            certificates = {
-                sn.label: (lambda k, _sn=sn: induced_bound(self.matrix(k), _sn))
-                for sn in family}
-        self.certificates = certificates
+        self._cert_cache: dict[int, dict[str, float]] = {}
         self.sup_bounds = (self._exact_sup_bounds() if sup_bounds is None
                            else sup_bounds)
 
@@ -173,15 +167,14 @@ class OperatorSequence:
 
     @staticmethod
     def constant(matrix, family: SeminormFamily | None = None,
-                 certificates=None, sup_bounds=None) -> "OperatorSequence":
+                 sup_bounds=None) -> "OperatorSequence":
         m = as_matrix(matrix)
         return OperatorSequence(m.shape[0], lambda k: m, "constant",
-                                family=family, certificates=certificates,
-                                sup_bounds=sup_bounds)
+                                family=family, sup_bounds=sup_bounds)
 
     @staticmethod
     def periodic(matrices: Sequence, family: SeminormFamily | None = None,
-                 certificates=None, sup_bounds=None) -> "OperatorSequence":
+                 sup_bounds=None) -> "OperatorSequence":
         mats = [as_matrix(m) for m in matrices]
         if not mats:
             raise InputContractError("periodic backend needs >= 1 matrix")
@@ -191,62 +184,58 @@ class OperatorSequence:
                 raise ShapeError("periodic matrices have mixed dimensions")
         omega = len(mats)
         return OperatorSequence(dim, lambda k: mats[k % omega], "periodic",
-                                family=family, certificates=certificates,
-                                sup_bounds=sup_bounds, period=omega)
+                                family=family, sup_bounds=sup_bounds,
+                                period=omega)
 
     @staticmethod
     def from_function(dim: int, fn: Callable[[int], Matrix],
                       family: SeminormFamily | None = None,
-                      certificates=None, sup_bounds=None,
-                      window_fn=None) -> "OperatorSequence":
+                      sup_bounds=None, window_fn=None) -> "OperatorSequence":
         """Generator k -> fn(k); ``window_fn(w)``, when given, returns the
         matrices of the window w as a (len(w), dim, dim) stack with the
         bits of fn."""
         return OperatorSequence(dim, lambda k: as_matrix(fn(k), dim),
                                 "generator", family=family,
-                                certificates=certificates,
                                 sup_bounds=sup_bounds, window_fn=window_fn)
 
     @staticmethod
     def map(fn: Callable[..., Matrix], *seqs: "OperatorSequence",
             shifts: Sequence[int] | None = None, dim: int | None = None,
-            family: SeminormFamily | None = None,
-            certificates=None) -> "OperatorSequence":
+            family: SeminormFamily | None = None) -> "OperatorSequence":
         """k -> fn(k, seqs[0].matrix(k + shifts[0]), ...): constant if every
         input is constant, periodic with the lcm period if every input is
         constant or periodic, else a generator of dimension ``dim`` (default
-        the first input's) with no global sup bounds.  fn sees only
-        k = 0 .. period-1 for periodic results, so it may use k only to
+        the first input's) with no global sup bounds, which evaluates a
+        window through the ``matrices`` of its generator inputs.  fn sees
+        only k = 0 .. period-1 for periodic results, so it may use k only to
         read sequences or to name it in errors."""
         shifts = tuple(shifts) if shifts is not None else (0,) * len(seqs)
 
-        def at(k: int) -> Matrix:
-            return fn(k, *(s.matrix(k + sh) for s, sh in zip(seqs, shifts)))
+        def at(w: Window) -> np.ndarray:
+            stacks = [s.matrices(w.shifted(sh)) if s.backend == "generator"
+                      else None for s, sh in zip(seqs, shifts)]
+            return np.stack([
+                fn(k, *(s.matrix(k + sh) if st is None else st[i]
+                        for s, sh, st in zip(seqs, shifts, stacks)))
+                for i, k in enumerate(w)])
 
-        kw = dict(family=family, certificates=certificates)
         backends = {s.backend for s in seqs}
         if backends <= {"constant"}:
-            return OperatorSequence.constant(at(0), **kw)
+            return OperatorSequence.constant(at(Window(0, 0))[0],
+                                             family=family)
         if backends <= {"constant", "periodic"}:
             period = lcm(*(s.period or 1 for s in seqs))
-            return OperatorSequence.periodic([at(k) for k in range(period)],
-                                             **kw)
-        return OperatorSequence.from_function(dim or seqs[0].dim, at, **kw)
+            return OperatorSequence.periodic(at(Window(0, period - 1)),
+                                             family=family)
+        return OperatorSequence.from_function(
+            dim or seqs[0].dim, lambda k: at(Window(k, k))[0], family=family,
+            window_fn=at)
 
     def reversed(self) -> "OperatorSequence":
-        """j -> A(-j-1) with A's certificates and sup bounds, on the same
-        backend (a constant sequence is its own reversal)."""
-        if self.backend == "constant":
-            return self
-        kw = dict(family=self.family, sup_bounds=dict(self.sup_bounds),
-                  certificates={lbl: (lambda j, _l=lbl:
-                                      self.certificate(_l, -j - 1))
-                                for lbl in self.certificates})
-        if self.backend == "periodic":
-            return OperatorSequence.periodic(
-                [self.matrix(-j - 1) for j in range(self.period)], **kw)
-        return OperatorSequence(self.dim, lambda j: self.matrix(-j - 1),
-                                "generator", **kw)
+        """j -> A(-j-1) on the same backend, with A's matrix objects,
+        certificates and sup bounds (a constant sequence is its own
+        reversal)."""
+        return self if self.backend == "constant" else _Reversal(self)
 
     # -- evaluation --------------------------------------------------------
 
@@ -271,19 +260,20 @@ class OperatorSequence:
 
     def matrices(self, window) -> np.ndarray:
         """A(k) for k in ``window`` as a (len, dim, dim) stack.  A generator
-        with a ``window_fn`` evaluates the window in one pass and caches
-        views into the stack for the k it had not cached."""
+        with a ``window_fn`` evaluates it once per CERT_BLOCK-aligned run of
+        the k it has not cached, and caches views into those stacks."""
         window = as_window(window)
         if self._window_fn is None:
             return np.stack([self.matrix(k) for k in window])
-        stack = np.asarray(self._window_fn(window), dtype=np.complex128)
-        if stack.shape != (len(window), self.dim, self.dim):
-            raise ShapeError(f"window rule gave shape {stack.shape} for "
-                             f"{len(window)} matrices of dimension {self.dim}")
-        stack.flags.writeable = False
-        for k, m in zip(window, stack):
-            self._mat_cache.setdefault(k, m)
-        return stack
+        for w in window_blocks(window, self._mat_cache):
+            stack = np.asarray(self._window_fn(w), dtype=np.complex128)
+            if stack.shape != (len(w), self.dim, self.dim):
+                raise ShapeError(
+                    f"window rule gave shape {stack.shape} for {len(w)} "
+                    f"matrices of dimension {self.dim}")
+            stack.flags.writeable = False
+            self._mat_cache.update(zip(w, stack))
+        return np.stack([self._mat_cache[k] for k in window])
 
     def apply(self, k: int, x: Vector) -> Vector:
         x = np.asarray(x, dtype=np.complex128)
@@ -306,35 +296,31 @@ class OperatorSequence:
         return np.einsum("pij,pj->pi", mats, rows)
 
     def certificate(self, label: str, k: int) -> float:
-        if label not in self.certificates:
+        k = int(k)
+        return float(self.certificate_array(label, Window(k, k))[0])
+
+    def certificate_array(self, label: str, window) -> np.ndarray:
+        """c(k) for k in ``window``.  A cache miss derives every seminorm of
+        the family from one stack of matrices: the distinct matrices of a
+        constant or periodic backend, else the runs of ``window`` not yet
+        derived."""
+        if self.family is None or label not in self.family.labels():
             raise CertificateError(f"no certificate for seminorm {label!r}")
-        k = self.residue(k)
-        key = (label, k)
-        if key not in self._cert_cache:
-            if self._derived and self.backend == "generator":
-                a = k - k % CERT_BLOCK
-                self._derive_certificates(Window(a, a + CERT_BLOCK - 1))
-            else:
-                self._cert_cache[key] = float(self.certificates[label](k))
-        return self._cert_cache[key]
-
-    def certificate_array(self, label: str, window: Window) -> np.ndarray:
-        self._derive_certificates(window)
-        return np.array([self.certificate(label, k) for k in window])
-
-    def _derive_certificates(self, window: Window) -> None:
-        """Cache a generator's family-derived certificates on ``window``,
-        one stack of matrices per block; a no-op for other sequences."""
-        if self.backend != "generator" or not self._derived:
-            return
-        labels = [sn.label for sn in self.family]
-        for w in window_blocks(window):
-            if all((lbl, k) in self._cert_cache for k in w for lbl in labels):
-                continue
+        window = as_window(window)
+        if self.backend == "generator":
+            span, index = window, slice(None)
+        else:
+            n = self.period or 1
+            span = Window(0, n - 1)
+            index = np.arange(window.start, window.end + 1) % n
+        for w in window_blocks(span, self._cert_cache):
             stack = self.matrices(w)
-            for sn in self.family:
-                for k, c in zip(w, induced_bound(stack, sn).tolist()):
-                    self._cert_cache.setdefault((sn.label, k), c)
+            bounds = {sn.label: induced_bound(stack, sn).tolist()
+                      for sn in self.family}
+            self._cert_cache.update(
+                (k, {lbl: b[i] for lbl, b in bounds.items()})
+                for i, k in enumerate(w))
+        return np.array([self._cert_cache[k][label] for k in span])[index]
 
     def sup_bound(self, label: str) -> float:
         if label not in self.sup_bounds:
@@ -349,15 +335,41 @@ class OperatorSequence:
         return float(self.certificate_array(label, window).max())
 
     def labels(self) -> list[str]:
-        return sorted(self.certificates)
+        return sorted(self.family.labels()) if self.family else []
 
     def _exact_sup_bounds(self) -> dict[str, float]:
         """max c(k) over the distinct matrices; none for a generator."""
-        if self.backend == "generator":
+        if self.backend == "generator" or self.family is None:
             return {}
-        return {label: max(self.certificate(label, k)
-                           for k in range(self.period or 1))
-                for label in self.certificates}
+        distinct = Window(0, (self.period or 1) - 1)
+        return {sn.label: float(self.certificate_array(sn.label,
+                                                       distinct).max())
+                for sn in self.family}
+
+
+def _mirror(window) -> Window:
+    """The k = -j-1 of the j in ``window``, as a window."""
+    return as_window(window).reflected().shifted(-1)
+
+
+class _Reversal(OperatorSequence):
+    """j -> A(-j-1) for a periodic or generator A.  It holds A's matrix
+    objects and reads A's certificates over the mirrored window, so nothing
+    is copied or derived twice."""
+
+    def __init__(self, A: OperatorSequence):
+        mats = [A.matrix(-j - 1) for j in range(A.period or 0)]
+        super().__init__(A.dim,
+                         lambda j: mats[j] if mats else A.matrix(-j - 1),
+                         A.backend, family=A.family,
+                         sup_bounds=dict(A.sup_bounds), period=A.period)
+        self._source = A
+
+    def matrices(self, window) -> np.ndarray:
+        return self._source.matrices(_mirror(window))[::-1]
+
+    def certificate_array(self, label: str, window) -> np.ndarray:
+        return self._source.certificate_array(label, _mirror(window))[::-1]
 
 
 def op_product_apply(A: OperatorSequence, k: int, v: int, x: Vector) -> Vector:

@@ -26,6 +26,7 @@ reduce to inclusions with selections B(k) [A(k)]^{-1} C and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -122,21 +123,21 @@ def inclusion_residual(sel: ResolventSelection, f: BiSequence, x: BiSequence,
 
 def compose_selection(B: OperatorSequence, G: OperatorSequence,
                       family: SeminormFamily) -> OperatorSequence:
-    """Lazy product sequence k -> B(k) G(k) with product-rule certificates
-    c_B(k) * c_G(k) (sound: kappa(B G x) <= c_B kappa(G x) <= c_B c_G kappa(x)).
-    Constant or periodic factors give exact sups; a generator product has
-    none, and the solve probes it."""
+    """Lazy product sequence k -> B(k) G(k), certified by the induced bounds
+    of the products, which are never above c_B(k) c_G(k).  Constant or
+    periodic factors give exact sups; a generator product has none, and
+    the solve probes it."""
     if B.dim != G.dim:
         raise InputContractError(f"dims differ: {B.dim} vs {G.dim}")
-    labels = set(B.certificates) & set(G.certificates)
-    needed = {sn.label for sn in family}
-    if not needed <= labels:
-        raise InputContractError(
-            f"factors lack certificates for seminorms {sorted(needed - labels)}")
-    certs = {lbl: (lambda k, _l=lbl: B.certificate(_l, k) * G.certificate(_l, k))
-             for lbl in labels}
-    return OperatorSequence.map(lambda k, b, g: b @ g, B, G, family=family,
-                                certificates=certs)
+    return OperatorSequence.map(lambda k, b, g: b @ g, B, G, family=family)
+
+
+def amplification(family: SeminormFamily, C: Matrix, stacks=()) -> float:
+    """max(1, the induced bounds of C and of every matrix in ``stacks``, an
+    iterable of (len, d, d) stacks, over the family): the factor an inner
+    tolerance is tightened by."""
+    return max(1.0, *(float(np.max(induced_bound(m, sn)))
+                      for m in chain([C], stacks) for sn in family))
 
 
 def _b_inverse(B: OperatorSequence, k: int,
@@ -179,19 +180,18 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
         D = compose_selection(B, Ainv_C, family)
     sel = ResolventSelection(D, C)
 
-    # tighten the inner tolerance by the measured residual amplification;
-    # a B(k) that fails its check contributes a zero product
-    amp = max(induced_bound(C, sn) for sn in family)
+    # tighten the inner tolerance by the measured residual amplification
+    # of A(k) B(k)^{-1}; a B(k) that fails its check contributes zero
     inverses: dict[int, Matrix | None] = {}
-    if A is not None:
-        zero = np.zeros((B.dim, B.dim), dtype=np.complex128)
-        for w in window_blocks(window):
-            binvs = [_b_inverse(B, k, inverses) for k in w]
-            ab = A.matrices(w) @ np.stack([zero if m is None else m
-                                           for m in binvs])
-            amp = max(amp, *(float(induced_bound(ab, sn).max())
-                             for sn in family))
-    inner_tol = tol / (2.0 * max(1.0, amp))
+    zero = np.zeros((B.dim, B.dim), dtype=np.complex128)
+
+    def a_binv(w: Window) -> np.ndarray:
+        binvs = [_b_inverse(B, k, inverses) for k in w]
+        return A.matrices(w) @ np.stack([zero if m is None else m
+                                         for m in binvs])
+
+    products = () if A is None else map(a_binv, window_blocks(window))
+    inner_tol = tol / (2.0 * amplification(family, C, products))
 
     v, report = solve_inclusion(sel, f, window, tol=inner_tol,
                                 pad_right=pad_right + 1)
@@ -247,23 +247,17 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
         raise InputContractError("Ainv_BC carries no seminorm family")
     C = as_matrix(C, B.dim)
 
-    worst = 0.0
-    for k in window:
-        lhs = B.matrix(k + 1) @ (C @ np.asarray(f(k)))
-        rhs = C @ np.asarray(g(k))
-        scale = 1.0 + float(np.abs(rhs).max())
-        worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
+    rhs = g.window_values(window) @ C.T
+    lhs = B.apply_rows(window.start + 1, f.window_values(window) @ C.T)
+    scale = 1.0 + np.abs(rhs).max(axis=1)
+    worst = float((np.abs(lhs - rhs).max(axis=1) / scale).max())
     if worst > CONSISTENCY_TOL:
         raise InputContractError(
             f"consistency B(k+1) C f(k) = C g(k) fails on the window: "
             f"max relative defect {worst:.3e} > {CONSISTENCY_TOL:.1e}")
 
-    amp = max(induced_bound(C, sn) for sn in family)
-    if A is not None:
-        for k in window:
-            amp = max(amp, max(induced_bound(A.matrix(k), sn)
-                               for sn in family))
-    inner_tol = tol / (2.0 * max(1.0, amp))
+    stacks = () if A is None else map(A.matrices, window_blocks(window))
+    inner_tol = tol / (2.0 * amplification(family, C, stacks))
 
     sel = ResolventSelection(Ainv_BC, C)
     u, report = solve_inclusion(sel, f, window, tol=inner_tol,

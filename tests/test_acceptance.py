@@ -80,8 +80,7 @@ def test_criterion_02_residual_certification():
     results["inclusion"] = (rep.max_residual, rep.sup_certificates)
 
     B = OperatorSequence.constant(np.diag([0.5, 0.4]), family=fam)
-    Amat = OperatorSequence.constant(np.eye(2) + 0.2 * random_matrix(rng, 2),
-                                     certificates={})
+    Amat = OperatorSequence.constant(np.eye(2) + 0.2 * random_matrix(rng, 2))
     AinvC = ResolventSelection.from_matrix_inverse(Amat, np.eye(2), fam).D
     _, _, rep = solve_degenerate_vb(B, AinvC, np.eye(2), f, window, tol=tol,
                                     A=Amat)
@@ -94,9 +93,9 @@ def test_criterion_02_residual_certification():
                                   A=Amat)
     results["vb1"] = (rep.max_residual, rep.sup_certificates)
 
-    A0 = OperatorSequence.constant([[-8.0]], certificates={})
-    A1 = OperatorSequence.constant([[1.0]], certificates={})
-    A2 = OperatorSequence.constant([[0.125]], certificates={})
+    A0 = OperatorSequence.constant([[-8.0]])
+    A1 = OperatorSequence.constant([[1.0]])
+    A2 = OperatorSequence.constant([[0.125]])
     f1 = BiSequence.from_trig_poly(TrigPoly.of([(1.0, [1.0]), (0.0, [0.3])]))
     _, rep = solve_second_order(A0, A1, A2, [[1.0]], f1, window, tol=tol,
                                 family=SeminormFamily.sup_only(1))
@@ -151,12 +150,9 @@ def test_criterion_03_omega_c_transfer(omega, c):
     base1 = rng.standard_normal((omega, 1))
     f1 = BiSequence.omega_c(base1, omega, c)
     # three-piece certificate 1/10 + 3/100 + 1/10 stays below every cert gate
-    A0 = OperatorSequence.periodic([[[-10.0 - j]] for j in range(omega)],
-                                   certificates={})
-    A1 = OperatorSequence.periodic([[[0.3 + 0.05 * j]] for j in range(omega)],
-                                   certificates={})
-    A2 = OperatorSequence.periodic([[[0.1]] for _ in range(omega)],
-                                   certificates={})
+    A0 = OperatorSequence.periodic([[[-10.0 - j]] for j in range(omega)])
+    A1 = OperatorSequence.periodic([[[0.3 + 0.05 * j]] for j in range(omega)])
+    A2 = OperatorSequence.periodic([[[0.1]] for _ in range(omega)])
     u, _ = solve_second_order(A0, A1, A2, [[1.0]], f1, window, tol=tol,
                               family=fam1, pad_right=omega)
     worst = max(worst, omega_c_check(u, omega, c, fam1, window))
@@ -262,12 +258,12 @@ def test_criterion_08_companion_structure():
         for _ in range(34):
             d = 2
             seqs = [OperatorSequence.constant(
-                        random_matrix(rng, d) + 3 * np.eye(d),
-                        certificates={}) for _ in range(p + 1)]
+                        random_matrix(rng, d) + 3 * np.eye(d))
+                    for _ in range(p + 1)]
             C = random_matrix(rng, d)
             sys_ = build_companion(p, seqs, C)
             G = OperatorSequence.constant(
-                np.linalg.solve(seqs[0].matrix(0), C), certificates={})
+                np.linalg.solve(seqs[0].matrix(0), C))
             k = int(rng.integers(-6, 6))
             got = companion_D_block(sys_, G, k)
             dense = companion_D_dense(sys_, k)
@@ -280,11 +276,11 @@ def test_criterion_08_companion_structure():
     # oracle fixes the exact matrix [[-0.5, 1], [-0.5, 0]]; the printed form
     # with a global minus carries a sign misprint in its first row, so the
     # oracle value is the binding one (see decisions ledger).
-    sys2 = build_companion(2, [OperatorSequence.constant([[2.0]], certificates={}),
-                               OperatorSequence.constant([[1.0]], certificates={}),
-                               OperatorSequence.constant([[1.0]], certificates={})],
+    sys2 = build_companion(2, [OperatorSequence.constant([[2.0]]),
+                               OperatorSequence.constant([[1.0]]),
+                               OperatorSequence.constant([[1.0]])],
                            [[1.0]])
-    G2 = OperatorSequence.constant([[0.5]], certificates={})
+    G2 = OperatorSequence.constant([[0.5]])
     got = companion_D_block(sys2, G2, 0)
     dense = companion_D_dense(sys2, 0)
     assert np.abs(got - dense).max() <= 1e-15

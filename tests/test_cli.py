@@ -446,47 +446,48 @@ def test_example_heat_composes_its_selection_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def _wave_piece_counts(monkeypatch, argv):
-    """Run the CLI on a wave problem; return the problem it built and the
-    seminorm label of every induced bound higher_order evaluated."""
-    from apseq import cli, discretization, higher_order
-    calls = []
+def _wave_derivations(monkeypatch, argv):
+    """Run the CLI on a wave problem; return the problem it built and, per
+    seminorm label, how many matrices a lifted-family bound was taken of."""
+    from collections import Counter
+
+    from apseq import cli, discretization, operator_model
+    counts = Counter()
     problems = []
-    bound = higher_order.induced_bound
+    bound = operator_model.induced_bound
     build = discretization.wave_problem
 
     def counting(m, sn):
-        calls.append(sn.label)
+        if sn.kind == "block_sum":
+            counts[sn.label] += 1 if np.ndim(m) == 2 else len(m)
         return bound(m, sn)
 
     def capture(*args, **kwargs):
         problems.append(build(*args, **kwargs))
         return problems[-1]
 
-    monkeypatch.setattr(higher_order, "induced_bound", counting)
+    monkeypatch.setattr(operator_model, "induced_bound", counting)
     monkeypatch.setattr(discretization, "wave_problem", capture)
     assert cli.main(argv) == 0
     (problem,) = problems
-    return problem, calls
+    return problem, counts
 
 
-def test_example_wave_evaluates_each_certificate_piece_once(tmp_path,
-                                                            monkeypatch):
-    problem, calls = _wave_piece_counts(
+def test_example_wave_derives_each_certificate_once(tmp_path, monkeypatch):
+    problem, counts = _wave_derivations(
         monkeypatch, ["example", "wave", "--n", "4", "--out",
                       str(tmp_path / "wave")])
     evaluated = problem.selection.D._cert_cache
     labels = problem.family.labels()
     # constant data give a constant selection: one certificate per
-    # seminorm, three pieces each, plus one amplification bound of C per
-    # seminorm
+    # seminorm, derived once from its one matrix
     assert problem.selection.D.backend == "constant"
-    assert sorted(lbl for lbl, _ in evaluated) == sorted(labels)
-    assert len(calls) == 3 * len(evaluated) + len(labels)
+    assert list(evaluated) == [0] and sorted(evaluated[0]) == sorted(labels)
+    assert counts == {lbl: 1 for lbl in labels}
 
 
-def test_wave_varying_multiplier_evaluates_each_piece_once(tmp_path,
-                                                           monkeypatch):
+def test_wave_varying_multiplier_derives_each_certificate_once(
+        tmp_path, monkeypatch):
     from apseq import cli
     from apseq.seq_core import Window
     data = cli.example_config("wave", 4, 1.0, Window(-20, 20), 1e-10)
@@ -497,17 +498,16 @@ def test_wave_varying_multiplier_evaluates_each_piece_once(tmp_path,
         {"frequency": -1.0, "coefficient": [[0.005, 0.0]]}]}
     path = tmp_path / "wave.json"
     path.write_text(json.dumps(data))
-    problem, calls = _wave_piece_counts(
+    problem, counts = _wave_derivations(
         monkeypatch, ["solve-p2", "--config", str(path), "--out",
                       str(tmp_path / "wave")])
     evaluated = problem.selection.D._cert_cache
     assert problem.selection.D.backend == "generator"
     # every (seminorm, k) of the gate window [-21, 22] around the window
-    # [-20, 20] is evaluated; three pieces per evaluated (seminorm, k),
-    # plus one amplification bound of C per seminorm
-    labels = problem.selection.D.labels()
-    assert {(lbl, k) for lbl in labels for k in range(-21, 23)} <= set(evaluated)
-    assert len(calls) == 3 * len(evaluated) + len(problem.family.labels())
+    # [-20, 20] is derived, and each derived (seminorm, k) exactly once
+    assert set(range(-21, 23)) <= set(evaluated)
+    assert counts == {lbl: len(evaluated)
+                      for lbl in problem.selection.D.labels()}
 
 
 def test_example_heat_exits_4_on_failed_bohr_verdict(tmp_path, monkeypatch):

@@ -95,6 +95,17 @@ def test_heat_rejects_nonpositive_re_b_on_the_probe():
                      BiSequence.zeros(4), window=(-10, 10))
 
 
+def test_heat_reads_b_only_where_build_and_solve_read_it():
+    # b(-60) = -1 lies left of the gate window [-11, 11], and the solve
+    # reads b only from there rightwards: neither rejects it
+    b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0,
+                 BiSequence.spike(-60, [-4.0]))
+    hp = heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
+                      BiSequence.zeros(4), window=(-10, 10))
+    _, u, _ = hp.solve((-10, 10))
+    assert all(np.abs(u(k)).max() == 0.0 for k in range(-10, 11))
+
+
 def _per_k_generators(monkeypatch):
     """Drop every window rule, so generators evaluate k by k."""
     plain = OperatorSequence.from_function
@@ -251,7 +262,7 @@ def test_resolvent_block_selection_and_system_solve(rng):
         np.kron(np.ones((p, p)), resolvent(L, 16.0 * p * p)),
         family=fam.lifted(p))
     A_blocks = np.kron(np.eye(p), 2.0 * np.eye(n) - L.matrix)
-    A = OperatorSequence.constant(A_blocks, certificates={})
+    A = OperatorSequence.constant(A_blocks)
     B, warnings = build_B_from_D(A, D, p, base_family=fam, window=(-2, 2))
     assert not warnings  # sum of block resolvent norms <= 1/(2 p^2)
     vec_f = BiSequence.constant(np.ones(p * n))
@@ -290,7 +301,7 @@ def test_vb_explicit_selection_recovery_route():
     from apseq import solve_degenerate_vb
     fam = SeminormFamily.sup_only(1)
     B = OperatorSequence.constant([[0.4]], family=fam)
-    A = OperatorSequence.constant([[1.0]], certificates={})
+    A = OperatorSequence.constant([[1.0]])
     AinvC = OperatorSequence.constant([[1.0]], family=fam)
     f = BiSequence.constant([1.0])
     v, u, rep = solve_degenerate_vb(B, AinvC, [[1.0]], f, (-5, 5), A=A)
@@ -309,14 +320,14 @@ def test_heat_sup_covers_every_certificate_the_solve_multiplies():
     hp = heat_problem(n, 1.0, BiSequence.constant([0.1]), b, grid_forcing(n),
                       window=(-20, 20))
     read = []
-    certificate = hp.D.certificate
+    certificate_array = hp.D.certificate_array
 
-    def recording(label, k):
-        c = certificate(label, k)
-        read.append((label, k, c))
-        return c
+    def recording(label, window):
+        cs = certificate_array(label, window)
+        read.extend((label, k, c) for k, c in zip(window, cs))
+        return cs
 
-    hp.D.certificate = recording
+    hp.D.certificate_array = recording
     _, _, rep = hp.solve((-20, 20), tol=1e-10)
     assert rep.uniqueness == "not certified"
     lo, hi = rep.sup_probe
@@ -339,3 +350,69 @@ def test_constant_grid_data_certify_uniqueness():
                       grid_forcing(n), window=(-8, 8))
     _, rep = wp.solve((-8, 8), tol=1e-10)
     assert rep.uniqueness == "certified" and rep.sup_probe is None
+
+
+def test_heat_solve_derives_each_certificate_of_D_once(monkeypatch):
+    # B is the only other certified sequence (constant: one matrix per
+    # seminorm); the reversed D of the solve reads D's certificates
+    from apseq import operator_model
+    counts = {}
+    bound = operator_model.induced_bound
+    reversals = []
+    reversed_ = OperatorSequence.reversed
+
+    def counting(m, sn):
+        counts[sn.label] = counts.get(sn.label, 0) + (
+            1 if np.ndim(m) == 2 else len(m))
+        return bound(m, sn)
+
+    def capture(self):
+        reversals.append(reversed_(self))
+        return reversals[-1]
+
+    monkeypatch.setattr(operator_model, "induced_bound", counting)
+    monkeypatch.setattr(OperatorSequence, "reversed", capture)
+    n = 5
+    b = BiSequence.from_trig_poly(TrigPoly.of(
+        [(0.0, [3.0]), (1.0, [-0.5j]), (-1.0, [0.5j])]))
+    hp = heat_problem(n, 1.0, BiSequence.constant([0.1]), b, grid_forcing(n),
+                      window=(-20, 20))
+    _, _, rep = hp.solve((-20, 20), tol=1e-10)
+    assert hp.D.backend == "generator" and hp.B.backend == "constant"
+    derived = hp.D._cert_cache
+    assert counts == {lbl: 1 + len(derived) for lbl in hp.D.labels()}
+    (R,) = reversals
+    assert R._cert_cache == {}
+    lo, hi = rep.sup_probe
+    assert set(derived) >= set(range(lo, hi + 1))
+
+
+def test_canned_wave_sup_is_the_induced_bound_of_its_selection():
+    from apseq.cli import example_config
+    from apseq.config import ScenarioConfig
+    from apseq.operator_model import induced_bound
+    from apseq.seq_core import Window
+    n = 12
+    cfg = ScenarioConfig.from_dict(
+        example_config("wave", n, 1.0, Window(-20, 20), 1e-10))
+
+    def seq(name):
+        return cfg.sequence(cfg.sequences[name], dim=1)
+
+    wp = wave_problem(n, 1.0, seq("m1"), seq("m2"), seq("b"),
+                      cfg.sequence(cfg.forcing), window=cfg.window)
+    # D(0) = [[-m1 G, m2 I], [-G, 0]] with G = (3 I - Lap)^{-1}
+    eye = np.eye(n)
+    G = np.linalg.solve(3.0 * eye - laplacian_1d(n, 1.0).matrix, eye)
+    D0 = wp.selection.D.matrix(0)
+    assert np.abs(D0 - np.block([[-0.05 * G, 0.05 * eye],
+                                 [-G, 0 * eye]])).max() <= 1e-15
+    lifted = wp.family.lifted(2)
+    for sn in wp.family:
+        sup = wp.certificate_sup[sn.label]
+        assert sup == induced_bound(D0, lifted.by_label(sn.label))
+        # the block-column bound max(c1 + c2, c3) is the sum c1 + c2 here,
+        # |m2| = 0.05 below the three-piece sum c1 + c2 + c3
+        three = (induced_bound(G, sn) + induced_bound(0.05 * G, sn)
+                 + induced_bound(0.05 * eye, sn))
+        assert abs(three - 0.05 - sup) <= 1e-12

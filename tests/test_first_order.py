@@ -197,15 +197,15 @@ def test_depth_search_error_matches_per_k_loop():
     # certificates above the declared sup left of k = -20: no product
     # within the probed depth reaches tol, and the error names the first k
     A = OperatorSequence.from_function(
-        1, lambda k: [[0.5]], family=FAM1,
-        certificates={"sup": lambda k: 0.99 if k < -20 else 0.5},
+        1, lambda k: [[0.99 if k < -20 else 0.5]], family=FAM1,
         sup_bounds={"sup": 0.5})
     f = BiSequence.constant([1.0])
     with pytest.raises(ConvergencePreconditionError) as got:
         solve_series(A, f, (-10, 10), tol=1e-10)
     # probed depth 34 = ceil(log2(1e10)) left of the window start
     rep = SolveReport(window=(-10, 10), tol=1e-10, f_sup={"sup": 1.0},
-                      sup_certificates={"sup": 0.5}, f_probe=(-45, 11))
+                      f_probe=(-45, 11))
+    rep.sup_certificates["sup"] = 0.5
     with pytest.raises(ConvergencePreconditionError) as want:
         loop_depths(A, rep, 1e-10)
     assert str(got.value) == str(want.value)
@@ -253,20 +253,15 @@ def test_backward_products_examples():
 
 def test_uniqueness_reads_no_certificate_beyond_the_solve():
     # a declared sup below 1 certifies uniqueness by itself: the only
-    # certificates evaluated are the ones the depth search multiplies
-    seen = []
-
-    def cert(k):
-        seen.append(k)
-        return 0.1
-
+    # certificates derived are the ones the depth search multiplies
     A = OperatorSequence.from_function(1, lambda k: [[0.1]], family=FAM1,
-                                       certificates={"sup": cert},
                                        sup_bounds={"sup": 0.1})
     _, rep = solve_series(A, BiSequence.constant([1.0]), (0, 0), tol=1e-10)
     assert rep.uniqueness == "certified" and rep.sup_probe is None
     assert rep.uniqueness_by_label == {"sup": True}
+    seen = list(A._cert_cache)
     assert seen and rep.f_probe[0] < min(seen) and max(seen) <= 0
+    assert all(c == {"sup": 0.1} for c in A._cert_cache.values())
 
 
 def test_uniqueness_reporting():

@@ -15,7 +15,7 @@ def const(value, dim=1):
     m = np.asarray(value, dtype=complex)
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    return OperatorSequence.constant(m, certificates={})
+    return OperatorSequence.constant(m)
 
 
 def scalar_system(a0, a1, a2, c=1.0):
@@ -39,7 +39,7 @@ def test_companion_zero_coefficients():
 def test_companion_p3_pattern_matches_independent_assembly(rng):
     # oracle: literal entry-by-entry assembly of the displayed pattern
     d, p = 2, 3
-    seqs = [OperatorSequence.constant(random_matrix(rng, d), certificates={})
+    seqs = [OperatorSequence.constant(random_matrix(rng, d))
             for _ in range(p + 1)]
     C = random_matrix(rng, d)
     sys_ = build_companion(p, seqs, C)
@@ -79,15 +79,13 @@ def test_selection_block_matches_dense_on_random_draws(p, rng):
     d = 2
     for _ in range(25):
         seqs = [OperatorSequence.periodic(
-                    [random_matrix(rng, d) + 3 * np.eye(d) for _ in range(2)],
-                    certificates={})
+                    [random_matrix(rng, d) + 3 * np.eye(d) for _ in range(2)])
                 for _ in range(p + 1)]
         C = random_matrix(rng, d)
         sys_ = build_companion(p, seqs, C)
         k = int(rng.integers(-5, 5))
         G = OperatorSequence.from_function(
-            d, lambda j: np.linalg.solve(seqs[0].matrix(j), C),
-            certificates={})
+            d, lambda j: np.linalg.solve(seqs[0].matrix(j), C))
         got = companion_D_block(sys_, G, k)
         dense = companion_D_dense(sys_, k)
         scale = max(1.0, np.abs(dense).max())
@@ -166,12 +164,11 @@ def test_second_order_degenerate_leading_coefficient():
 def test_second_order_matrix_coefficients_shift_consistency(rng):
     d = 2
     fam = SeminormFamily.sup_only(d)
-    A0 = OperatorSequence.constant(5.0 * np.eye(d) + 0.4 * random_matrix(rng, d),
-                                   certificates={})
-    A1 = OperatorSequence.constant(0.15 * random_matrix(rng, d),
-                                   certificates={})
+    A0 = OperatorSequence.constant(
+        5.0 * np.eye(d) + 0.4 * random_matrix(rng, d))
+    A1 = OperatorSequence.constant(0.15 * random_matrix(rng, d))
     A2 = OperatorSequence.constant(0.05 * random_matrix(rng, d) +
-                                   0.1 * np.eye(d), certificates={})
+                                   0.1 * np.eye(d))
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(d))]))
     tol = 1e-10
     u, rep = solve_second_order(A0, A1, A2, np.eye(d), f, (-6, 6), tol=tol,
@@ -189,9 +186,9 @@ def test_second_order_omega_c_transfer(omega, c, rng):
     mats0 = [[[-(6.0 + rng.uniform(0, 2))]] for _ in range(omega)]
     mats1 = [[[rng.uniform(0.2, 0.8)]] for _ in range(omega)]
     mats2 = [[[rng.uniform(0.1, 0.3)]] for _ in range(omega)]
-    A0 = OperatorSequence.periodic(mats0, certificates={})
-    A1 = OperatorSequence.periodic(mats1, certificates={})
-    A2 = OperatorSequence.periodic(mats2, certificates={})
+    A0 = OperatorSequence.periodic(mats0)
+    A1 = OperatorSequence.periodic(mats1)
+    A2 = OperatorSequence.periodic(mats2)
     base = rng.standard_normal((omega, 1)) + 1j * rng.standard_normal((omega, 1))
     f = BiSequence.omega_c(base, omega, c)
     u, _ = solve_second_order(A0, A1, A2, [[1.0]], f, (-9, 9), tol=1e-10,
@@ -202,8 +199,8 @@ def test_second_order_omega_c_transfer(omega, c, rng):
 def test_build_B_from_D_examples(rng):
     fam = SeminormFamily.sup_only(2)
     # D = 0 gives B = 0
-    A = OperatorSequence.constant(random_matrix(rng, 2), certificates={})
-    D0 = OperatorSequence.constant(np.zeros((2, 2)), certificates={})
+    A = OperatorSequence.constant(random_matrix(rng, 2))
+    D0 = OperatorSequence.constant(np.zeros((2, 2)))
     B, warnings = build_B_from_D(A, D0, 2)
     assert np.abs(B.matrix(1)).max() == 0.0 and not warnings
 
@@ -213,8 +210,8 @@ def test_build_B_from_D_examples(rng):
     assert B1.matrix(1)[0, 0] == pytest.approx(a * dsel)
 
     # p = 2 diagonal: A = 2I, D = I/8 -> B = I/4
-    A2 = OperatorSequence.constant(2.0 * np.eye(2), certificates={})
-    D2 = OperatorSequence.constant(np.eye(2) / 8.0, certificates={})
+    A2 = OperatorSequence.constant(2.0 * np.eye(2))
+    D2 = OperatorSequence.constant(np.eye(2) / 8.0)
     B2, warnings = build_B_from_D(A2, D2, 1, base_family=fam, window=(0, 0))
     assert np.allclose(B2.matrix(3), np.eye(2) / 4.0)
 

@@ -33,8 +33,7 @@ def test_apply_periodic_index_arithmetic(rng):
     mats = [random_matrix(rng, 3) for _ in range(2)]
     A = OperatorSequence.periodic(mats, family=SeminormFamily.sup_only(3))
     # oracle: a generator evaluating the same rule directly
-    G = OperatorSequence.from_function(3, lambda k: mats[k % 2],
-                                       certificates={})
+    G = OperatorSequence.from_function(3, lambda k: mats[k % 2])
     x = rng.standard_normal(3)
     for k in (-4, -1, 0, 1, 5):
         assert np.array_equal(A.apply(k, x), G.matrix(k) @ x)
@@ -144,9 +143,8 @@ FAMILY_KINDS = [
 def test_certificate_soundness_randomized(sn, rng):
     dim = 6
     mats = [random_matrix(rng, dim) for _ in range(3)]
-    A = OperatorSequence.periodic(mats, certificates={
-        sn.label: lambda k: induced_bound(mats[k % 3], sn)},
-        sup_bounds={sn.label: max(induced_bound(m, sn) for m in mats)})
+    A = OperatorSequence.periodic(mats, family=SeminormFamily.of([sn], dim))
+    assert A.sup_bound(sn.label) == max(induced_bound(m, sn) for m in mats)
     for _ in range(1000):
         k = int(rng.integers(-50, 50))
         x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -216,8 +214,7 @@ def test_map_joint_backend_and_period(rng):
     P3 = OperatorSequence.periodic([random_matrix(rng, 2) for _ in range(3)],
                                    family=fam)
     K = OperatorSequence.constant(random_matrix(rng, 2), family=fam)
-    G = OperatorSequence.from_function(2, lambda k: (1 + 0.1 * k) * np.eye(2),
-                                       certificates={})
+    G = OperatorSequence.from_function(2, lambda k: (1 + 0.1 * k) * np.eye(2))
     prod = OperatorSequence.map(lambda k, a, b: a @ b, P2, P3, shifts=(0, 1),
                                 family=fam)
     assert prod.backend == "periodic" and prod.period == 6
@@ -226,9 +223,8 @@ def test_map_joint_backend_and_period(rng):
         # derived certificates are the exact induced bounds
         assert prod.certificate("sup", k) == induced_bound(prod.matrix(k),
                                                            fam.by_label("sup"))
-    assert OperatorSequence.map(lambda k, a: 2 * a, K,
-                                certificates={}).backend == "constant"
-    mixed = OperatorSequence.map(lambda k, a, g: a @ g, K, G, certificates={})
+    assert OperatorSequence.map(lambda k, a: 2 * a, K).backend == "constant"
+    mixed = OperatorSequence.map(lambda k, a, g: a @ g, K, G)
     assert mixed.backend == "generator"
     assert np.array_equal(mixed.matrix(4), K.matrix(4) @ G.matrix(4))
     # a generator result has no global sup; the solve probes it
@@ -245,8 +241,7 @@ def test_apply_rows_matches_per_row_products(rng):
     mats = [random_matrix(rng, 3) for _ in range(3)]
     seqs = [OperatorSequence.constant(mats[0], family=fam),
             OperatorSequence.periodic(mats, family=fam),
-            OperatorSequence.from_function(3, lambda k: mats[k % 3] * k,
-                                           certificates={})]
+            OperatorSequence.from_function(3, lambda k: mats[k % 3] * k)]
     rows = random_matrix(rng, 3)[:2].repeat(4, axis=0)  # 8 rows
     for A in seqs:
         got = A.apply_rows(-5, rows)
@@ -315,8 +310,7 @@ def test_window_rule_generator_matches_per_k_rule(rng):
                               [induced_bound(per_k.matrix(k), sn) for k in w])
     assert np.array_equal(blocked.matrices(w), per_k.matrices(w))
     bad = OperatorSequence.from_function(5, lambda k: stack([k])[0],
-                                         window_fn=lambda w: stack(w)[:-1],
-                                         certificates={})
+                                         window_fn=lambda w: stack(w)[:-1])
     with pytest.raises(ShapeError):
         bad.matrices(w)
 
@@ -329,7 +323,7 @@ def test_window_blocks_are_cut_at_aligned_multiples():
     assert list(window_blocks(Window(5, 9))) == [Window(5, 9)]
 
 
-def test_certificate_miss_derives_its_aligned_block(rng):
+def test_certificate_miss_derives_only_the_asked_window(rng):
     fam = SeminormFamily.of([Seminorm.sup(), Seminorm.p_norm(1)], 3)
     base = random_matrix(rng, 3)
     windows = []
@@ -341,14 +335,20 @@ def test_certificate_miss_derives_its_aligned_block(rng):
     A = OperatorSequence.from_function(3, lambda k: stack(Window(k, k))[0],
                                        window_fn=stack, family=fam)
     c = A.certificate("sup", -5)
-    assert windows == [Window(-CERT_BLOCK, -1)]
+    assert windows == [Window(-5, -5)]
     assert c == induced_bound(base * np.cos(-5), fam.by_label("sup"))
-    # the whole block is cached for every seminorm: no further evaluation
-    for k in range(-CERT_BLOCK, 0):
-        for sn in fam:
-            assert A.certificate(sn.label, k) == induced_bound(
-                base * np.cos(k), sn)
-    assert windows == [Window(-CERT_BLOCK, -1)]
+    # every seminorm of k = -5 is cached: no further evaluation
+    assert A.certificate("l1", -5) == induced_bound(base * np.cos(-5),
+                                                    fam.by_label("l1"))
+    assert windows == [Window(-5, -5)]
+    # a window derives the runs it has not cached, cut at the block multiples
+    w = Window(-CERT_BLOCK - 6, 3)
+    for sn in fam:
+        assert np.array_equal(A.certificate_array(sn.label, w),
+                              [induced_bound(base * np.cos(k), sn) for k in w])
+    assert windows == [Window(-5, -5),
+                       Window(-CERT_BLOCK - 6, -CERT_BLOCK - 1),
+                       Window(-CERT_BLOCK, -6), Window(-4, -1), Window(0, 3)]
 
 
 def test_reversed_keeps_the_backend_and_its_exact_sups(rng):

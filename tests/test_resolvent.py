@@ -6,6 +6,7 @@ from apseq import (BiSequence, InputContractError, OperatorSequence,
                    forward_oracle, inclusion_residual, omega_c_check,
                    seq_reverse, solve_degenerate_vb, solve_degenerate_vb1,
                    solve_inclusion)
+from apseq.operator_model import induced_bound
 from apseq.resolvent import compose_selection, vb1_residual, vb_residual
 from conftest import random_certified_operator
 
@@ -61,8 +62,7 @@ def test_round_trip_forward_form(rng):
     fam = SeminormFamily.sup_only(3)
     C = np.eye(3)
     A_mat = OperatorSequence.periodic(
-        [rng.standard_normal((3, 3)) + 4 * np.eye(3) for _ in range(2)],
-        certificates={})
+        [rng.standard_normal((3, 3)) + 4 * np.eye(3) for _ in range(2)])
     sel = ResolventSelection.from_matrix_inverse(A_mat, C, fam)
     for k in range(-3, 3):
         AD = A_mat.matrix(k) @ sel.D.matrix(k)
@@ -71,7 +71,7 @@ def test_round_trip_forward_form(rng):
     tol = 1e-10
     x, rep = solve_inclusion(sel, f, (-6, 6), tol=tol)
     # vb residual with B = I: C x(k+1) - A(k) x(k) - C f(k)
-    eye = OperatorSequence.constant(C, certificates={})
+    eye = OperatorSequence.constant(C)
     res = vb_residual(eye, A_mat, C, f, x, (-6, 6), fam)
     amp = max(np.abs(A_mat.matrix(k)).sum(axis=1).max() for k in range(-6, 7))
     assert res["sup"] <= 10 * tol * max(1.0, amp)
@@ -103,7 +103,7 @@ def test_vb_scalar_fixed_point_and_residual():
     b, a = 0.4, 1.0
     fam = FAM1
     B = OperatorSequence.constant([[b]], family=fam)
-    A = OperatorSequence.constant([[a]], certificates={})
+    A = OperatorSequence.constant([[a]])
     AinvC = OperatorSequence.constant([[1.0 / a]], family=fam)
     f = BiSequence.constant([1.0])
     v, u, rep = solve_degenerate_vb(B, AinvC, [[1.0]], f, (-6, 6),
@@ -133,7 +133,7 @@ def test_vb_singular_B_selection_recovery():
     fam = FAM1
     B = OperatorSequence.constant([[0.0]], family=fam)
     a = -2.0
-    A = OperatorSequence.constant([[a]], certificates={})
+    A = OperatorSequence.constant([[a]])
     AinvC = OperatorSequence.constant([[1.0 / a]], family=fam)
     f = BiSequence.constant([1.0])
     v, u, rep = solve_degenerate_vb(B, AinvC, [[1.0]], f, (-4, 4), A=A)
@@ -147,7 +147,7 @@ def test_vb_singular_B_selection_recovery():
 
 def test_vb1_identity_B_with_matching_g_reduces_to_inclusion(rng):
     fam = SeminormFamily.sup_only(2)
-    B = OperatorSequence.constant(np.eye(2), certificates={})
+    B = OperatorSequence.constant(np.eye(2))
     G = random_certified_operator(rng, fam, 0.45)
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.9, rng.standard_normal(2))]))
     u, rep = solve_degenerate_vb1(B, G, np.eye(2), f, f, (-6, 6), tol=1e-10)
@@ -161,8 +161,8 @@ def test_vb1_scalar_example():
     # A = a, B = b, C = 1, g = 1, f = 1/b: u = -1/(a-b)
     a, b = 1.0, 0.4
     fam = FAM1
-    B = OperatorSequence.constant([[b]], certificates={})
-    A = OperatorSequence.constant([[a]], certificates={})
+    B = OperatorSequence.constant([[b]])
+    A = OperatorSequence.constant([[a]])
     AinvBC = OperatorSequence.constant([[b / a]], family=fam)
     g = BiSequence.constant([1.0])
     f = BiSequence.constant([1.0 / b])
@@ -178,7 +178,7 @@ def test_vb1_scalar_example():
 
 def test_vb1_zero_data():
     fam = FAM1
-    B = OperatorSequence.constant([[0.5]], certificates={})
+    B = OperatorSequence.constant([[0.5]])
     AinvBC = OperatorSequence.constant([[0.25]], family=fam)
     u, _ = solve_degenerate_vb1(B, AinvBC, [[1.0]], BiSequence.zeros(1),
                                 BiSequence.zeros(1), (-4, 4))
@@ -187,7 +187,7 @@ def test_vb1_zero_data():
 
 def test_vb1_consistency_check_fails_loudly():
     fam = FAM1
-    B = OperatorSequence.constant([[0.5]], certificates={})
+    B = OperatorSequence.constant([[0.5]])
     AinvBC = OperatorSequence.constant([[0.25]], family=fam)
     g = BiSequence.constant([1.0])
     f = BiSequence.constant([1.0])  # should be 2.0 for b = 0.5
@@ -212,9 +212,14 @@ def test_compose_selection_product_certificates(rng):
     B = random_certified_operator(rng, fam, 0.8)
     G = random_certified_operator(rng, fam, 0.6)
     D = compose_selection(B, G, fam)
-    assert np.array_equal(D.matrix(3), B.matrix(3) @ G.matrix(3))
-    assert D.certificate("sup", 5) == pytest.approx(
-        B.certificate("sup", 5) * G.certificate("sup", 5))
+    sup = fam.by_label("sup")
+    for k in range(-4, 6):
+        assert np.array_equal(D.matrix(k), B.matrix(k) @ G.matrix(k))
+        # the induced bound of the product, never above the product rule
+        assert D.certificate("sup", k) == induced_bound(D.matrix(k), sup)
+        assert D.certificate("sup", k) <= (B.certificate("sup", k)
+                                           * G.certificate("sup", k)
+                                           * (1 + 1e-12))
     assert D.sup_bound("sup") <= 0.8 * 0.6 * (1 + 1e-12)
 
 
@@ -238,7 +243,6 @@ def test_triple_equivalence_vb_inclusion_reversed_series(rng):
     # manual reversal: w(j+1) = D(-j-1) w(j) - D(-j-1) f(-j-1), x(k) = w(-k)
     A_rev = OperatorSequence.from_function(
         2, lambda j: D.matrix(-j - 1), family=fam,
-        certificates={"sup": lambda j: D.certificate("sup", -j - 1)},
         sup_bounds=dict(D.sup_bounds))
     f_rev = BiSequence.from_function(
         2, lambda j: -(D.matrix(-j - 1) @ f(-j - 1)))
@@ -286,3 +290,16 @@ def test_reversed_forcing_is_evaluated_a_window_at_a_time(rng, monkeypatch):
     probed = rep.f_probe[1] - rep.f_probe[0] + 1
     assert probed > 60
     assert len(calls) <= 30
+
+
+def test_inclusion_reads_A_only_where_the_solve_reads_it():
+    # A(-50) = 0 is singular but lies left of everything the reversed
+    # series reads, which starts at k = -6
+    fam = SeminormFamily.sup_only(1)
+    A = OperatorSequence.from_function(
+        1, lambda k: [[0.0 if k == -50 else 4.0]])
+    sel = ResolventSelection.from_matrix_inverse(A, [[1.0]], fam)
+    x, rep = solve_inclusion(sel, BiSequence.constant([1.0]), (-5, 5))
+    # x(k) = (x(k+1) - 1) / 4 has the fixed point -1/3
+    assert all(abs(x(k)[0] + 1 / 3) <= 1e-9 for k in range(-5, 6))
+    assert rep.max_residual["sup"] <= 1e-9
