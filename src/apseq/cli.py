@@ -201,7 +201,7 @@ def _dispatch(cfg: ScenarioConfig):
         A1 = cfg.operator("A1", plain=True)
         A2 = cfg.operator("A2", plain=True)
         u, rep = solve_second_order(A0, A1, A2, C, f, hull, tol=cfg.tol,
-                                    family=family)
+                                    family=family, pad_right=pad)
         return u, {}, rep, family
 
     if cfg.kind == "system_bm":
@@ -230,7 +230,7 @@ def _dispatch(cfg: ScenarioConfig):
             forcing(dim=n),
             family=cfg.family(n) if cfg.seminorms else None,
             window=hull)
-        v, u, rep = problem.solve(hull, tol=cfg.tol)
+        v, u, rep = problem.solve(hull, tol=cfg.tol, pad_right=pad)
         return u, {"v": v, "grid": True}, rep, problem.family
 
     if cfg.kind == "wave":
@@ -243,7 +243,7 @@ def _dispatch(cfg: ScenarioConfig):
             forcing(dim=n),
             family=cfg.family(n) if cfg.seminorms else None,
             window=hull)
-        u, rep = problem.solve(hull, tol=cfg.tol)
+        u, rep = problem.solve(hull, tol=cfg.tol, pad_right=pad)
         return u, {"grid": True}, rep, problem.family
 
     if cfg.kind == "analyze":

@@ -123,11 +123,11 @@ class HeatProblem:
     family: SeminormFamily
     certificate_sup: dict[str, float] = field(default_factory=dict)
 
-    def solve(self, window, tol: float = 1e-10
+    def solve(self, window, tol: float = 1e-10, pad_right: int = 1
               ) -> tuple[BiSequence, BiSequence, SolveReport]:
         return solve_degenerate_vb(
             self.B, self.Ainv_C, np.eye(self.laplacian.size), self.f,
-            window, tol=tol, A=self.A, D=self.D)
+            window, tol=tol, A=self.A, pad_right=pad_right, D=self.D)
 
 
 SMALLNESS_GATE = 0.9  # sup of the composite certificate must stay below this
@@ -207,11 +207,12 @@ class WaveProblem:
     selection: ResolventSelection
     certificate_sup: dict[str, float] = field(default_factory=dict)
 
-    def solve(self, window, tol: float = 1e-10
+    def solve(self, window, tol: float = 1e-10, pad_right: int = 2
               ) -> tuple[BiSequence, SolveReport]:
         return solve_second_order(self.A0, self.A1, self.A2,
                                   np.eye(self.laplacian.size), self.f, window,
                                   tol=tol, family=self.family,
+                                  pad_right=pad_right,
                                   selection=self.selection)
 
 

@@ -1,17 +1,25 @@
-"""Series solver for x(k+1) = A(k) x(k) + f(k) on the integer line.
+"""Series solver for x(k+1) = A(k) x(k) + f(k) on the integer line, and
+for the backward equation x(k) = A(k) x(k+1) + f(k).
 
-The bounded solution is the operator-product series
+The bounded solution of the forward equation is the operator-product series
 
     x(k) = f(k-1) + sum_{v>=1} A(k-1) A(k-2) ... A(k-v) f(k-1-v),
 
-well defined whenever the backward products of the bound certificates are
-summable.  The solver picks per k a certified depth V(k) whose tail bound
-is below the requested tolerance for every seminorm, then sums the series
-in one forward sweep: from a zero state at k0 = start - max V - 1 it steps
-x(k+1) = A(k) x(k) + f(k), so x(k) holds the first k - k0 terms, at least
-V(k) of them.  Tail bounds only shrink with depth, so the certified bounds
-still hold.  The report gives the measured residual of the returned table
-rather than assuming it.
+and that of the backward equation the series
+
+    x(k) = f(k) + sum_{v>=1} A(k) A(k+1) ... A(k+v-1) f(k+v),
+
+which reads A and f to the right of k instead of the left.  Either is well
+defined whenever the products of the bound certificates are summable.  The
+solver picks per k a certified depth V(k) whose tail bound is below the
+requested tolerance for every seminorm, then sums the series in one sweep
+in the direction the equation runs: forward from a zero state at
+k0 = start - max V - 1 it steps x(k+1) = A(k) x(k) + f(k), so x(k) holds the
+first k - k0 terms, at least V(k) of them; backward it steps
+x(k) = A(k) x(k+1) + f(k) down from a zero state at end + max V + 1.  Tail
+bounds only shrink with depth, so the certified bounds still hold.  The
+report gives the measured residual of the returned table rather than
+assuming it.
 
 ``forward_oracle`` iterates the same recurrence from a caller-chosen seed
 and is the brute-force reference for longer run-ins; the tests also check
@@ -48,7 +56,8 @@ class SolveReport:
     least that many terms there, and tail_bounds are the per-seminorm tail
     bounds at that depth, which also bound the tail of the longer sum.
     sup_probe is the k-range a generator's sups were taken over, None when
-    every sup is global; uniqueness is "certified" exactly then.
+    every sup is global; uniqueness is "certified" exactly then.  Every
+    k-range is in the caller's k, whichever way the equation runs.
     """
 
     window: tuple[int, int]
@@ -67,7 +76,6 @@ class SolveReport:
     ap_report: APReport | None = None
     warnings: list[str] = field(default_factory=list)
     extras: dict[str, float] = field(default_factory=dict)
-    inner: "SolveReport | None" = None
 
     def to_dict(self) -> dict:
         return {
@@ -88,35 +96,34 @@ class SolveReport:
             "ap_report": self.ap_report.to_dict() if self.ap_report else None,
             "warnings": list(self.warnings),
             "extras": dict(sorted(self.extras.items())),
-            "inner": self.inner.to_dict() if self.inner else None,
         }
 
 
-def _apply_level(A: OperatorSequence, f_rows: np.ndarray, k0: int,
+def _apply_level(A: OperatorSequence, f_rows: np.ndarray, ks: range,
                  keep: int) -> np.ndarray:
-    """The forward sweep that sums the series.  From x(k0) = 0 it steps
-    x(k+1) = A(k) x(k) + f(k), with f_rows[i] = f(k0 + i), and returns the
-    last ``keep`` states.  The state at k is the series truncated at depth
-    k - k0 - 1."""
+    """The sweep that sums the series.  From a zero state it steps
+    x <- A(k) x + f(k) for k in ``ks``, with f_rows[i] = f(ks[i]), and
+    returns the last ``keep`` states in sweep order.  With ks rising the
+    state after step k is x(k+1), with ks falling it is x(k); either way it
+    holds as many terms of the series as steps were taken."""
     out = np.empty((keep, A.dim), dtype=np.complex128)
-    lead = f_rows.shape[0] - keep
+    lead = len(ks) - keep
     x = np.zeros(A.dim, dtype=np.complex128)
-    for i, fk in enumerate(f_rows):
-        x = A.matrix(k0 + i) @ x + fk
+    for i, (k, fk) in enumerate(zip(ks, f_rows)):
+        x = A.matrix(k) @ x + fk
         if i >= lead:
             out[i - lead] = x
     return out
 
 
-def _probe_forcing(f: BiSequence, window: Window, family: SeminormFamily,
-                   margin: int) -> tuple[np.ndarray, dict[str, float], Window]:
-    probe = window.extended(left=margin + 1)
+def _probe_forcing(f: BiSequence, probe: Window, family: SeminormFamily
+                   ) -> tuple[np.ndarray, dict[str, float]]:
     vals = f.window_values(probe)
     if not np.isfinite(vals).all():
         raise InputContractError("forcing has non-finite values on the probe "
                                  f"window [{probe.start}, {probe.end}]")
     sup = {sn.label: float(sn.of_rows(vals).max()) for sn in family}
-    return vals, sup, probe
+    return vals, sup
 
 
 def _geometric_depth(sup_c: float, sup_f: float, tol: float) -> int:
@@ -131,15 +138,25 @@ def _geometric_depth(sup_c: float, sup_f: float, tol: float) -> int:
     return max(0, ceil(log(tol / head) / log(sup_c)))
 
 
+def _certificate_window(work: Window, margin: int, backward: bool) -> Window:
+    """The certificates the depth search multiplies: c(k-1) .. c(k-margin)
+    for k in ``work``, or backward c(k) .. c(k+margin-1)."""
+    if backward:
+        return Window(work.start, work.end + margin - 1)
+    return Window(work.start - margin, work.end - 1)
+
+
 def _truncation_depths(A: OperatorSequence, labels, sups: dict,
-                       f_sup: dict, tol: float, work: Window, margin: int
+                       f_sup: dict, tol: float, work: Window, margin: int,
+                       backward: bool = False
                        ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Certified depth V(k) for k in ``work`` and the tail bound it leaves
     per seminorm.  For a seminorm with sup certificate s whose head
     s/(1-s) sup f exceeds tol, V(k) is the smallest v <= margin with
-    c(k-1) ... c(k-v) s/(1-s) sup f <= tol; V(k) is the largest over the
-    seminorms.  The products of all k are formed at once, row k holding
-    c(k-1), c(k-2), ..., in blocks of rows to bound the memory."""
+    c(k-1) ... c(k-v) s/(1-s) sup f <= tol (backward c(k) ... c(k+v-1));
+    V(k) is the largest over the seminorms.  The products of all k are
+    formed at once, row k holding c(k-1), c(k-2), ... (backward c(k),
+    c(k+1), ...), in blocks of rows to bound the memory."""
     n = len(work)
     V_arr = np.zeros(n, dtype=int)
     tails: dict[str, np.ndarray] = {}
@@ -151,9 +168,11 @@ def _truncation_depths(A: OperatorSequence, labels, sups: dict,
         if head <= tol:
             tails[lbl] = np.full(n, max(0.0, head))
             continue
-        certs = A.certificate_array(lbl, Window(work.start - margin,
-                                                work.end - 1))
-        rows = sliding_window_view(certs, margin)[:, ::-1]
+        certs = A.certificate_array(
+            lbl, _certificate_window(work, margin, backward))
+        rows = sliding_window_view(certs, margin)
+        if not backward:
+            rows = rows[:, ::-1]
         tails[lbl] = np.empty(n)
         for a in range(0, n, block):
             bounds = np.cumprod(rows[a:a + block], axis=1)
@@ -176,16 +195,20 @@ def _truncation_depths(A: OperatorSequence, labels, sups: dict,
 
 
 def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DEFAULT,
-                 pad_right: int = 1) -> tuple[BiSequence, SolveReport]:
+                 pad_right: int = 1, *, backward: bool = False
+                 ) -> tuple[BiSequence, SolveReport]:
     """Truncated series solution on ``window`` (table extends pad_right further).
 
-    Preconditions: every seminorm of A's family has a sup certificate
-    below 1 (otherwise no finite prefix certifies the series tail), and the
-    per-k certificate products reach the tolerance within V_MAX_DEFAULT
-    terms.  The sup of the forcing, and of a certificate with no global sup
-    bound, is taken where the sweep and depth search read them (f_probe,
-    sup_probe).  Global sups below 1 make every backward product decay
-    geometrically, so the bounded solution is unique: "certified".
+    Solves x(k+1) = A(k) x(k) + f(k), or with ``backward`` the equation
+    x(k) = A(k) x(k+1) + f(k), in the caller's k.  Preconditions: every
+    seminorm of A's family has a sup certificate below 1 (otherwise no
+    finite prefix certifies the series tail), and the per-k certificate
+    products reach the tolerance within V_MAX_DEFAULT terms.  The sup of the
+    forcing, and of a certificate with no global sup bound, is taken where
+    the sweep and depth search read them (f_probe, sup_probe): left of the
+    window forward, right of it backward.  Global sups below 1 make every
+    certificate product decay geometrically, so the bounded solution is
+    unique: "certified".
     """
     window = as_window(window)
     if not 0 < tol < inf:
@@ -197,6 +220,7 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     family = A.family
     # the table always extends one step right so the residual is measurable
     work = window.extended(right=max(1, pad_right))
+    far, side = ("+inf", "right") if backward else ("-inf", "left")
 
     labels = [sn.label for sn in family]
     is_global = {lbl: lbl in A.sup_bounds for lbl in labels}
@@ -204,19 +228,21 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
 
     # forcing and certificate probe: iterate the depth estimate to a
     # fixpoint (the probe must cover everything the truncated series and
-    # the depth search consume).  For forcings that grow toward -inf the
-    # iteration diverges unless the certificates beat the growth, which is
-    # exactly the convergence condition.
+    # the depth search consume).  For forcings that grow toward the far
+    # side the iteration diverges unless the certificates beat the growth,
+    # which is exactly the convergence condition.
     margin = 8
     for _ in range(256):
-        certs = Window(work.start - margin, work.end - 1)
+        certs = _certificate_window(work, margin, backward)
         sups = {lbl: A.sup_over(lbl, certs) for lbl in labels}
         bad = [lbl for lbl, s in sups.items() if not s < 1.0]
         if bad:
             raise ConvergencePreconditionError(
                 "certificate sup bounds not below 1 for seminorms "
                 f"{bad}; the series tail cannot be certified")
-        f_vals, f_sup, probe = _probe_forcing(f, work, family, margin)
+        probe = (work.extended(left=1, right=margin) if backward
+                 else work.extended(left=margin + 1))
+        f_vals, f_sup = _probe_forcing(f, probe, family)
         depth = max(_geometric_depth(sups[sn.label], f_sup[sn.label], tol)
                     for sn in family)
         if depth > V_MAX_DEFAULT:
@@ -228,25 +254,31 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
         margin = depth
     else:
         raise ConvergencePreconditionError(
-            "forcing probe did not stabilize: the forcing grows toward -inf "
+            f"forcing probe did not stabilize: the forcing grows toward {far} "
             "faster than the certificates decay")
+    # the probe's rows, farthest from the window first
+    rows = f_vals[::-1] if backward else f_vals
     growth_warning = None
-    left_edge = max(sn.of_rows(f_vals[:8]).max() for sn in family)
-    on_window = max(sn.of_rows(f_vals[-len(work):]).max() for sn in family)
-    if left_edge > 2.0 * on_window and on_window > 0:
+    far_edge = max(sn.of_rows(rows[:8]).max() for sn in family)
+    on_window = max(sn.of_rows(rows[-len(work):]).max() for sn in family)
+    if far_edge > 2.0 * on_window and on_window > 0:
         growth_warning = (
-            "forcing grows toward -inf on the probe window; tail bounds "
-            "assume the probed sup extends further left")
+            f"forcing grows toward {far} on the probe window; tail bounds "
+            f"assume the probed sup extends further {side}")
 
     V_arr, tails = _truncation_depths(A, labels, sups, f_sup, tol, work,
-                                      margin)
+                                      margin, backward)
     v_need = int(V_arr.max())
 
-    # f_vals covers [work.start - margin - 1, work.end] and margin >= v_need
-    k0 = work.start - v_need - 1
-    acc = _apply_level(A, f_vals[k0 - probe.start:-1], k0, len(work))
+    # the sweep starts v_need + 1 steps beyond work on the far side, at
+    # row margin - v_need (margin >= v_need), and runs across work
+    if backward:
+        ks = range(work.end + v_need, work.start - 1, -1)
+    else:
+        ks = range(work.start - v_need - 1, work.end)
+    acc = _apply_level(A, rows[margin - v_need:-1], ks, len(work))
 
-    x = BiSequence.from_table(work.start, acc)
+    x = BiSequence.from_table(work.start, acc[::-1] if backward else acc)
 
     report = SolveReport(window=(window.start, window.end), tol=tol)
     report.truncation_V = [(k, int(V_arr[i])) for i, k in enumerate(work)]
@@ -259,7 +291,7 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     report.sup_certificates = sups
     report.uniqueness_by_label = is_global
     report.uniqueness = "certified" if exact else "not certified"
-    report.max_residual = residual(A, f, x, window, family)
+    report.max_residual = residual(A, f, x, window, family, backward)
     if growth_warning:
         report.warnings.append(growth_warning)
     return x, report
@@ -283,7 +315,7 @@ def linear_residual(x: BiSequence, coefs: dict, rhs: tuple, window,
 
 
 def _apply_factors(factors, rows: np.ndarray, start: int) -> np.ndarray:
-    for fac in reversed(factors):
+    for fac in factors[::-1]:
         if isinstance(fac, tuple):
             seq, shift = fac
             rows = seq.apply_rows(start + shift, rows)
@@ -295,10 +327,13 @@ def _apply_factors(factors, rows: np.ndarray, start: int) -> np.ndarray:
 
 
 def residual(A: OperatorSequence, f: BiSequence, x: BiSequence, window,
-             family: SeminormFamily) -> dict[str, float]:
-    """max over k in window and kappa of kappa(x(k+1) - A(k) x(k) - f(k))."""
-    return linear_residual(x, {1: (), 0: (-1.0, (A, 0))}, ((), f), window,
-                           family)
+             family: SeminormFamily, backward: bool = False
+             ) -> dict[str, float]:
+    """max over k in window and kappa of kappa(x(k+1) - A(k) x(k) - f(k)),
+    or with ``backward`` of kappa(x(k) - A(k) x(k+1) - f(k))."""
+    lhs, rhs = (0, 1) if backward else (1, 0)
+    return linear_residual(x, {lhs: (), rhs: (-1.0, (A, 0))}, ((), f),
+                           window, family)
 
 
 def forward_oracle(A: OperatorSequence, f: BiSequence, k0: int, x0,

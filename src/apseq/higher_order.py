@@ -183,9 +183,9 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
     vec_f = build_companion(2, [A0, A1, A2], C).lift(f)
     d = A0.dim
 
-    inner_tol = tol / (4.0 * amplification(family, C))
+    series_tol = tol / (4.0 * amplification(family, C))
     u_pad = max(2, pad_right)  # the order-2 residual consumes u(k+2)
-    v, report = solve_inclusion(sel, vec_f, window, tol=inner_tol,
+    v, report = solve_inclusion(sel, vec_f, window, tol=series_tol,
                                 pad_right=u_pad + 1)
     report.tol = tol
 

@@ -231,12 +231,6 @@ class OperatorSequence:
             dim or seqs[0].dim, lambda k: at(Window(k, k))[0], family=family,
             window_fn=at)
 
-    def reversed(self) -> "OperatorSequence":
-        """j -> A(-j-1) on the same backend, with A's matrix objects,
-        certificates and sup bounds (a constant sequence is its own
-        reversal)."""
-        return self if self.backend == "constant" else _Reversal(self)
-
     # -- evaluation --------------------------------------------------------
 
     def residue(self, k: int) -> int:
@@ -345,31 +339,6 @@ class OperatorSequence:
         return {sn.label: float(self.certificate_array(sn.label,
                                                        distinct).max())
                 for sn in self.family}
-
-
-def _mirror(window) -> Window:
-    """The k = -j-1 of the j in ``window``, as a window."""
-    return as_window(window).reflected().shifted(-1)
-
-
-class _Reversal(OperatorSequence):
-    """j -> A(-j-1) for a periodic or generator A.  It holds A's matrix
-    objects and reads A's certificates over the mirrored window, so nothing
-    is copied or derived twice."""
-
-    def __init__(self, A: OperatorSequence):
-        mats = [A.matrix(-j - 1) for j in range(A.period or 0)]
-        super().__init__(A.dim,
-                         lambda j: mats[j] if mats else A.matrix(-j - 1),
-                         A.backend, family=A.family,
-                         sup_bounds=dict(A.sup_bounds), period=A.period)
-        self._source = A
-
-    def matrices(self, window) -> np.ndarray:
-        return self._source.matrices(_mirror(window))[::-1]
-
-    def certificate_array(self, label: str, window) -> np.ndarray:
-        return self._source.certificate_array(label, _mirror(window))[::-1]
 
 
 def op_product_apply(A: OperatorSequence, k: int, v: int, x: Vector) -> Vector:

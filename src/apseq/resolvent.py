@@ -9,12 +9,12 @@ D(k) of [Amlo(k)]^{-1} C, under which it is equivalent to
 
     x(k) = D(k) x(k+1) - D(k) f(k).
 
-Reversing time (k -> -k) turns this into a forward first-order equation
+Its bounded solution is the backward series
 
-    v(k+1) = D(-k-1) v(k) - D(-k-1) f(-k-1),      v(k) = x(-k),
+    x(k) = -sum_{v>=0} D(k) ... D(k+v-1) D(k+v) f(k+v),
 
-which the series solver handles; undoing the substitution yields x.  The
-degenerate equations
+which the series solver sums in one backward sweep.  The degenerate
+equations
 
     C B(k+1) u(k+1) = A(k) u(k) + C f(k)           (vb)
     B(k+1) C u(k+1) = A(k) u(k) + C g(k)           (vb1)
@@ -60,15 +60,11 @@ class ResolventSelection:
         return ResolventSelection(D, C)
 
 
-def _reflected(pair: tuple[int, int] | None) -> tuple[int, int] | None:
-    """The k-range [-b-1, -a-1] of the reversed-time range j in [a, b]."""
-    return None if pair is None else (-pair[1] - 1, -pair[0] - 1)
-
-
 def solve_inclusion(sel: ResolventSelection, f: BiSequence, window,
                     tol: float = 1e-10,
                     pad_right: int = 1) -> tuple[BiSequence, SolveReport]:
-    """Solve the inclusion through the time-reversed first-order problem.
+    """Solve the inclusion as the backward series of the equation
+    x(k) = D(k) x(k+1) + g(k) with g = -D f.
 
     Returns x on [window.start - 1, window.end + pad_right] (table backend)
     with the selection-form residual x(k) - D(k) x(k+1) + D(k) f(k) measured
@@ -80,35 +76,14 @@ def solve_inclusion(sel: ResolventSelection, f: BiSequence, window,
         raise InputContractError("selection operator carries no seminorm family")
     if f.dim != D.dim:
         raise InputContractError(f"forcing dim {f.dim} vs operator dim {D.dim}")
-    pad_right = max(1, pad_right)
-
-    def f_rev_window(w: Window) -> np.ndarray:
-        ks = w.reflected().shifted(-1)
-        return -D.apply_rows(ks.start, f.window_values(ks))[::-1]
-
-    A_rev = D.reversed()
-    f_rev = BiSequence(D.dim, lambda j: -D.apply(-j - 1, f(-j - 1)),
-                       window_fn=f_rev_window)
-    inner = Window(-(window.end + pad_right), -window.start)
-    v, inner_report = solve_series(A_rev, f_rev, inner, tol=tol, pad_right=1)
-    # v table covers [inner.start, inner.end + 1]; x(k) = v(-k)
-    tbl = v.table_values[::-1]
-    x = BiSequence.from_table(-(inner.end + 1), tbl)
-
-    report = SolveReport(window=(window.start, window.end), tol=tol)
+    g = BiSequence(D.dim, lambda k: -D.apply(k, f(k)),
+                   window_fn=lambda w: -D.apply_rows(w.start,
+                                                     f.window_values(w)))
+    x, report = solve_series(D, g, window.extended(left=1), tol=tol,
+                             pad_right=pad_right, backward=True)
+    report.window = (window.start, window.end)
     report.residual_form = "inclusion_selection"
-    report.truncation_V = sorted(((-j, V) for j, V in inner_report.truncation_V))
-    report.tail_bounds = {
-        lbl: sorted((-j, b) for j, b in pairs)
-        for lbl, pairs in inner_report.tail_bounds.items()}
-    report.f_sup = inner_report.f_sup
-    report.f_probe = _reflected(inner_report.f_probe)
-    report.sup_probe = _reflected(inner_report.sup_probe)
-    report.sup_certificates = inner_report.sup_certificates
-    report.uniqueness = inner_report.uniqueness
-    report.uniqueness_by_label = inner_report.uniqueness_by_label
     report.max_residual = inclusion_residual(sel, f, x, window, D.family)
-    report.inner = inner_report
     return x, report
 
 
@@ -134,7 +109,7 @@ def compose_selection(B: OperatorSequence, G: OperatorSequence,
 
 def amplification(family: SeminormFamily, C: Matrix, stacks=()) -> float:
     """max(1, the induced bounds of C and of every matrix in ``stacks``, an
-    iterable of (len, d, d) stacks, over the family): the factor an inner
+    iterable of (len, d, d) stacks, over the family): the factor a series
     tolerance is tightened by."""
     return max(1.0, *(float(np.max(induced_bound(m, sn)))
                       for m in chain([C], stacks) for sn in family))
@@ -180,7 +155,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
         D = compose_selection(B, Ainv_C, family)
     sel = ResolventSelection(D, C)
 
-    # tighten the inner tolerance by the measured residual amplification
+    # tighten the series tolerance by the measured residual amplification
     # of A(k) B(k)^{-1}; a B(k) that fails its check contributes zero
     inverses: dict[int, Matrix | None] = {}
     zero = np.zeros((B.dim, B.dim), dtype=np.complex128)
@@ -191,9 +166,9 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                                          for m in binvs])
 
     products = () if A is None else map(a_binv, window_blocks(window))
-    inner_tol = tol / (2.0 * amplification(family, C, products))
+    series_tol = tol / (2.0 * amplification(family, C, products))
 
-    v, report = solve_inclusion(sel, f, window, tol=inner_tol,
+    v, report = solve_inclusion(sel, f, window, tol=series_tol,
                                 pad_right=pad_right + 1)
     report.tol = tol
 
@@ -257,10 +232,10 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
             f"max relative defect {worst:.3e} > {CONSISTENCY_TOL:.1e}")
 
     stacks = () if A is None else map(A.matrices, window_blocks(window))
-    inner_tol = tol / (2.0 * amplification(family, C, stacks))
+    series_tol = tol / (2.0 * amplification(family, C, stacks))
 
     sel = ResolventSelection(Ainv_BC, C)
-    u, report = solve_inclusion(sel, f, window, tol=inner_tol,
+    u, report = solve_inclusion(sel, f, window, tol=series_tol,
                                 pad_right=pad_right)
     report.tol = tol
     if A is not None:

@@ -586,3 +586,77 @@ def test_scaled_constant_declares_a_global_sup(tmp_path):
         0.9 * np.abs(base).sum(axis=1).max(), rel=1e-15)
     assert rep["sup_certificates"]["l1"] == pytest.approx(
         0.9 * np.abs(base).sum(axis=0).max(), rel=1e-15)
+
+
+def _omega_c_run(tmp_path, data, subcommand, omega):
+    # an (omega, c) check reads the solution omega steps right of the
+    # window, which the solve's table must cover
+    from apseq import cli
+    data = dict(data, analysis={"omega_c": {"omega": omega, "c": [1.0, 0.0]}})
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())["analysis"]
+
+
+def test_heat_config_pads_its_table_for_the_omega_c_check(tmp_path):
+    from apseq.cli import example_config
+    from apseq.seq_core import Window
+    data = example_config("heat", 5, 1.0, Window(-10, 10), 1e-10)
+    analysis = _omega_c_run(tmp_path, data, "solve-degenerate", 3)
+    assert analysis["omega_c"]["omega"] == 3
+
+
+def test_wave_config_pads_its_table_for_the_omega_c_check(tmp_path):
+    from apseq.cli import example_config
+    from apseq.seq_core import Window
+    data = example_config("wave", 5, 1.0, Window(-10, 10), 1e-10)
+    # constant data: the solution is constant, so any period fits
+    analysis = _omega_c_run(tmp_path, data, "solve-p2", 3)
+    assert analysis["omega_c"]["defect"] <= 2e-10
+
+
+def test_second_order_config_pads_its_table_for_the_omega_c_check(tmp_path):
+    data = {
+        "schema_version": 1,
+        "kind": "second_order",
+        "dim": 1,
+        "window": [-7, 7],
+        "tol": 1e-10,
+        "seminorms": [{"kind": "sup"}],
+        "operators": {
+            "A0": {"backend": "constant", "matrix": [[[4.0, 0.0]]]},
+            "A1": {"backend": "constant", "matrix": [[[0.1, 0.0]]]},
+            "A2": {"backend": "constant", "matrix": [[[0.1, 0.0]]]},
+        },
+        "forcing": {"backend": "constant", "value": [[1.0, 0.0]]},
+    }
+    analysis = _omega_c_run(tmp_path, data, "solve-p2", 4)
+    assert analysis["omega_c"]["defect"] <= 1e-12
+
+
+def test_inclusion_growth_warning_reaches_the_report(tmp_path):
+    # f(k) = 1.5^(k div 5) grows toward +inf, where the backward series
+    # reads it
+    from apseq import cli
+    data = {
+        "schema_version": 1,
+        "kind": "inclusion",
+        "dim": 1,
+        "window": [-10, 10],
+        "tol": 1e-10,
+        "seminorms": [{"kind": "sup"}],
+        "operators": {"D": {"backend": "constant", "matrix": [[[0.5, 0.0]]]}},
+        "forcing": {"backend": "omega_c", "base": [[[1.0, 0.0]]] * 5,
+                    "omega": 5, "c": [1.5, 0.0]},
+    }
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main(["solve-inclusion", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+    warning = ("forcing grows toward +inf on the probe window; tail bounds "
+               "assume the probed sup extends further right")
+    report = json.loads((out / "report.json").read_text())
+    assert report["solve"]["warnings"] == [warning]
+    assert "inner" not in report["solve"]
+    assert f"warning: {warning}" in (out / "summary.txt").read_text()

@@ -349,19 +349,3 @@ def test_certificate_miss_derives_only_the_asked_window(rng):
     assert windows == [Window(-5, -5),
                        Window(-CERT_BLOCK - 6, -CERT_BLOCK - 1),
                        Window(-CERT_BLOCK, -6), Window(-4, -1), Window(0, 3)]
-
-
-def test_reversed_keeps_the_backend_and_its_exact_sups(rng):
-    fam = SeminormFamily.sup_only(2)
-    mats = [random_matrix(rng, 2) * 0.2 for _ in range(3)]
-    K = OperatorSequence.constant(mats[0], family=fam)
-    assert K.reversed() is K
-    P = OperatorSequence.periodic(mats, family=fam)
-    G = OperatorSequence.from_function(2, lambda k: mats[k % 3], family=fam)
-    for A in (P, G):
-        R = A.reversed()
-        assert R.backend == A.backend and R.sup_bounds == A.sup_bounds
-        for j in range(-7, 8):
-            assert np.array_equal(R.matrix(j), A.matrix(-j - 1))
-            assert R.certificate("sup", j) == A.certificate("sup", -j - 1)
-    assert P.reversed().period == 3

@@ -253,43 +253,82 @@ def test_triple_equivalence_vb_inclusion_reversed_series(rng):
         assert np.abs(x_inc(k) - w(-k)).max() <= 10 * tol
 
 
+def test_backward_depth_search_matches_the_reversed_series(rng):
+    # certificates that vary with k over two seminorms: the depth of each k
+    # and its tail bounds must be those of the hand-built reversed series at
+    # j = -k, which pins the orientation of the depth-search rows
+    from apseq import Seminorm
+    fam = SeminormFamily.of([Seminorm.sup(), Seminorm.p_norm(1)], 2)
+    D = random_certified_operator(rng, fam, 0.6, backend="generator")
+    f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(2)),
+                                               (0.0, rng.standard_normal(2))]))
+    window = (-9, 9)
+    _, rep = solve_inclusion(ResolventSelection(D, np.eye(2)), f, window,
+                             tol=1e-10)
+    # hand-built reversal as in the triple equivalence above: its table on
+    # j in [-10, 10] holds x(k) = w(-k) for k in [-10, 10]
+    from apseq import solve_series
+    A_rev = OperatorSequence.from_function(
+        2, lambda j: D.matrix(-j - 1), family=fam)
+    f_rev = BiSequence.from_function(
+        2, lambda j: -(D.matrix(-j - 1) @ f(-j - 1)))
+    _, hand = solve_series(A_rev, f_rev, (-10, 9), tol=1e-10)
+    assert rep.truncation_V == sorted((-j, V) for j, V in hand.truncation_V)
+    assert len({V for _, V in rep.truncation_V}) > 1
+    for lbl in fam.labels():
+        got = np.array([b for _, b in rep.tail_bounds[lbl]])
+        want = np.array(sorted((-j, b) for j, b in hand.tail_bounds[lbl]))
+        assert [k for k, _ in rep.tail_bounds[lbl]] == want[:, 0].tolist()
+        assert np.allclose(got, want[:, 1], rtol=1e-12, atol=0)
+
+
 def test_inclusion_reports_probes_in_the_callers_k(rng):
-    # the reversed series reads f and D to the right of the window in k;
-    # the outer report names those ranges in k, the inner one in j = -k-1
+    # the backward series reads f and D to the right of the window: the
+    # table covers work = [-11, 11], the certificates [work.start,
+    # work.end + margin - 1] and the forcing probe one step wider each way
     fam = SeminormFamily.sup_only(2)
     D = random_certified_operator(rng, fam, 0.5, backend="generator")
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(2))]))
     _, rep = solve_inclusion(ResolventSelection(D, np.eye(2)), f, (-10, 10),
                              tol=1e-10)
-    inner = rep.inner
-    assert rep.f_probe == (-inner.f_probe[1] - 1, -inner.f_probe[0] - 1)
-    assert rep.sup_probe == (-inner.sup_probe[1] - 1, -inner.sup_probe[0] - 1)
+    assert [k for k, _ in rep.truncation_V] == list(range(-11, 12))
     depth = max(V for _, V in rep.truncation_V)
-    assert rep.f_probe[0] < -10 and rep.f_probe[1] > 10 + depth
-    assert rep.sup_probe[0] == -11 and rep.sup_probe[1] >= 10 + depth
-    assert rep.uniqueness == inner.uniqueness == "not certified"
+    assert rep.f_probe[0] == -12 and rep.f_probe[1] >= 11 + depth
+    assert rep.sup_probe == (-11, rep.f_probe[1] - 1)
+    assert rep.sup_certificates["sup"] == D.certificate_array(
+        "sup", rep.sup_probe).max()
+    assert rep.uniqueness == "not certified"
 
 
-def test_reversed_forcing_is_evaluated_a_window_at_a_time(rng, monkeypatch):
-    # -D(-j-1) f(-j-1) comes from one apply_rows per window, which reads a
-    # periodic D's few distinct matrices, not one matrix per probed k
+def test_inclusion_with_exact_sups_is_certified(rng):
+    # constant and periodic selections bring their exact sups to the
+    # backward solve: no certificate is probed
+    fam = SeminormFamily.sup_only(2)
+    f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(2))]))
+    for backend in ("constant", "periodic"):
+        D = random_certified_operator(rng, fam, 0.5, backend=backend)
+        _, rep = solve_inclusion(ResolventSelection(D, np.eye(2)), f,
+                                 (-10, 10), tol=1e-10)
+        assert rep.uniqueness == "certified" and rep.sup_probe is None
+        assert rep.sup_certificates == D.sup_bounds
+        assert rep.to_dict()["sup_probe"] is None
+
+
+def test_inclusion_forcing_is_evaluated_a_window_at_a_time(rng):
+    # -D(k) f(k) comes from one apply_rows per window: the forcing is read
+    # a window at a time, never k by k
     fam = SeminormFamily.sup_only(3)
     D = random_certified_operator(rng, fam, 0.6, backend="periodic")
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.3, rng.standard_normal(3))]))
-    calls = []
-    matrix = OperatorSequence.matrix
-
-    def counting(self, k):
-        if self is D:
-            calls.append(k)
-        return matrix(self, k)
-
-    monkeypatch.setattr(OperatorSequence, "matrix", counting)
+    per_k, windows = [], []
+    fn, window_fn = f._fn, f._window_fn
+    f._fn = lambda k: per_k.append(k) or fn(k)
+    f._window_fn = lambda w: windows.append(w) or window_fn(w)
     _, rep = solve_inclusion(ResolventSelection(D, np.eye(3)), f, (-12, 12),
                              tol=1e-10)
     probed = rep.f_probe[1] - rep.f_probe[0] + 1
     assert probed > 60
-    assert len(calls) <= 30
+    assert per_k == [] and len(windows) <= 4
 
 
 def test_inclusion_reads_A_only_where_the_solve_reads_it():
