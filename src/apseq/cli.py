@@ -29,8 +29,8 @@ from .higher_order import (_a0_inverse_sequence, build_companion,
 from .operator_model import OperatorSequence, as_matrix, checked_solve
 from .resolvent import (ResolventSelection, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
-from .seq_core import (FLOAT_FMT, BiSequence, Seminorm, SeminormFamily,
-                       Window, as_window, write_csv)
+from .seq_core import (BiSequence, Seminorm, SeminormFamily, Window,
+                       as_window, write_csv, write_grid_csv)
 
 SUBCOMMAND_KINDS = {
     "solve": ("first_order",),
@@ -254,14 +254,22 @@ def _dispatch(cfg: ScenarioConfig):
     raise InputContractError(f"unhandled kind {cfg.kind!r}")
 
 
-def _write_grid_csv(path, x: BiSequence, window: Window) -> None:
-    vals = x.window_values(window)
-    with open(path, "w", newline="") as fh:
-        fh.write("k,idx,re,im\n")
-        for i, k in enumerate(window):
-            for j in range(x.dim):
-                fh.write(f"{k},{j},{FLOAT_FMT.format(vals[i, j].real)},"
-                         f"{FLOAT_FMT.format(vals[i, j].imag)}\n")
+def _json_text(value, indent: str = "") -> str:
+    """``value`` as JSON with each dict entry on its own line, keys sorted,
+    and every list or scalar on its key's line in the C encoder's compact
+    form: the data of json.dumps(indent=2, sort_keys=True) in fewer lines."""
+    if not isinstance(value, dict) or not value:
+        return json.dumps(value, sort_keys=True)
+    inner = indent + "  "
+    return ("{\n" + ",\n".join(f"{inner}{json.dumps(key)}: "
+                                f"{_json_text(v, inner)}"
+                                for key, v in sorted(value.items()))
+            + "\n" + indent + "}")
+
+
+def _write_json(path, value: dict) -> None:
+    with open(path, "w") as fh:
+        fh.write(_json_text(value) + "\n")
 
 
 def _summary_lines(cfg, rep, analysis) -> list[str]:
@@ -306,7 +314,7 @@ def run(cfg: ScenarioConfig, out_dir, threads: int | None = None,
         if "v" in aux:
             write_csv(out / "solution_v.csv", aux["v"], cfg.window)
         if aux.get("grid"):
-            _write_grid_csv(out / "grid_solution.csv", x, cfg.window)
+            write_grid_csv(out / "grid_solution.csv", x, cfg.window)
 
     report = {
         "schema_version": 1,
@@ -318,9 +326,7 @@ def run(cfg: ScenarioConfig, out_dir, threads: int | None = None,
         "solve": rep.to_dict() if rep is not None else None,
         "analysis": analysis,
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", report)
     with open(out / "summary.txt", "w") as fh:
         fh.write("\n".join(_summary_lines(cfg, rep, analysis)) + "\n")
     return analysis
@@ -427,9 +433,7 @@ def run_reduce_order(cfg: ScenarioConfig, out_dir, k: int) -> int:
         "bold_C": mat_out(sys_.bold_C()),
         "selection_D": mat_out(companion_D_block(sys_, G, k)),
     }
-    with open(out / "reduction.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "reduction.json", payload)
     return 0
 
 

@@ -105,12 +105,19 @@ def _apply_level(A: OperatorSequence, f_rows: np.ndarray, ks: range,
     x <- A(k) x + f(k) for k in ``ks``, with f_rows[i] = f(ks[i]), and
     returns the last ``keep`` states in sweep order.  With ks rising the
     state after step k is x(k+1), with ks falling it is x(k); either way it
-    holds as many terms of the series as steps were taken."""
+    holds as many terms of the series as steps were taken.  A constant or
+    periodic A is read once per distinct matrix."""
+    p = A.period
+    if p is None:
+        mats = map(A.matrix, ks)
+    else:
+        distinct = [A.matrix(r) for r in range(p)]
+        mats = [distinct[k % p] for k in ks]
     out = np.empty((keep, A.dim), dtype=np.complex128)
     lead = len(ks) - keep
     x = np.zeros(A.dim, dtype=np.complex128)
-    for i, (k, fk) in enumerate(zip(ks, f_rows)):
-        x = A.matrix(k) @ x + fk
+    for i, (m, fk) in enumerate(zip(mats, f_rows)):
+        x = m @ x + fk
         if i >= lead:
             out[i - lead] = x
     return out
@@ -156,8 +163,11 @@ def _truncation_depths(A: OperatorSequence, labels, sups: dict,
     c(k-1) ... c(k-v) s/(1-s) sup f <= tol (backward c(k) ... c(k+v-1));
     V(k) is the largest over the seminorms.  The products of all k are
     formed at once, row k holding c(k-1), c(k-2), ... (backward c(k),
-    c(k+1), ...), in blocks of rows to bound the memory."""
-    n = len(work)
+    c(k+1), ...), in blocks of rows to bound the memory.  The rows of a
+    constant or periodic A repeat with its period, so only the first period
+    is formed and its depths and tails are tiled over ``work``."""
+    size = len(work)
+    n = size if A.period is None else min(size, A.period)
     V_arr = np.zeros(n, dtype=int)
     tails: dict[str, np.ndarray] = {}
     failures = []
@@ -168,8 +178,8 @@ def _truncation_depths(A: OperatorSequence, labels, sups: dict,
         if head <= tol:
             tails[lbl] = np.full(n, max(0.0, head))
             continue
-        certs = A.certificate_array(
-            lbl, _certificate_window(work, margin, backward))
+        certs = A.certificate_array(lbl, _certificate_window(
+            Window(work.start, work.start + n - 1), margin, backward))
         rows = sliding_window_view(certs, margin)
         if not backward:
             rows = rows[:, ::-1]
@@ -191,7 +201,8 @@ def _truncation_depths(A: OperatorSequence, labels, sups: dict,
         raise ConvergencePreconditionError(
             f"certificate products for {lbl!r} at k={work.start + i} do not "
             f"reach tol={tol} within depth {margin}")
-    return V_arr, tails
+    return np.resize(V_arr, size), {lbl: np.resize(t, size)
+                                    for lbl, t in tails.items()}
 
 
 def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DEFAULT,
@@ -281,9 +292,8 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     x = BiSequence.from_table(work.start, acc[::-1] if backward else acc)
 
     report = SolveReport(window=(window.start, window.end), tol=tol)
-    report.truncation_V = [(k, int(V_arr[i])) for i, k in enumerate(work)]
-    report.tail_bounds = {lbl: [(k, float(tails[lbl][i]))
-                                for i, k in enumerate(work)]
+    report.truncation_V = list(zip(work, V_arr.tolist()))
+    report.tail_bounds = {lbl: list(zip(work, tails[lbl].tolist()))
                           for lbl in labels}
     report.f_sup = f_sup
     report.f_probe = (probe.start, probe.end)

@@ -135,7 +135,9 @@ class OperatorSequence:
     """k -> A(k) with bound certificates and per-seminorm sup bounds.
 
     Backends: constant matrix, periodic list of matrices, or a pure
-    generator rule.  Matrices produced by generators are memoized per k
+    generator rule.  ``period`` is the number of distinct matrices A(k)
+    cycles through, 1 for a constant and None for a generator.  Matrices
+    produced by generators are memoized per k
     (windows are small and evaluation must be deterministic).  A generator
     may also carry ``window_fn``, which evaluates a window as one
     (len, dim, dim) stack with the same bits as stacking ``fn``.
@@ -170,7 +172,8 @@ class OperatorSequence:
                  sup_bounds=None) -> "OperatorSequence":
         m = as_matrix(matrix)
         return OperatorSequence(m.shape[0], lambda k: m, "constant",
-                                family=family, sup_bounds=sup_bounds)
+                                family=family, sup_bounds=sup_bounds,
+                                period=1)
 
     @staticmethod
     def periodic(matrices: Sequence, family: SeminormFamily | None = None,
@@ -224,7 +227,7 @@ class OperatorSequence:
             return OperatorSequence.constant(at(Window(0, 0))[0],
                                              family=family)
         if backends <= {"constant", "periodic"}:
-            period = lcm(*(s.period or 1 for s in seqs))
+            period = lcm(*(s.period for s in seqs))
             return OperatorSequence.periodic(at(Window(0, period - 1)),
                                              family=family)
         return OperatorSequence.from_function(
@@ -237,11 +240,7 @@ class OperatorSequence:
         """The index that stands for k among the distinct matrices: 0 for
         a constant, k mod the period for a periodic backend, else k."""
         k = int(k)
-        if self.backend == "constant":
-            return 0
-        if self.backend == "periodic":
-            return k % self.period
-        return k
+        return k if self.period is None else k % self.period
 
     def matrix(self, k: int) -> Matrix:
         k = self.residue(k)
@@ -304,7 +303,7 @@ class OperatorSequence:
         if self.backend == "generator":
             span, index = window, slice(None)
         else:
-            n = self.period or 1
+            n = self.period
             span = Window(0, n - 1)
             index = np.arange(window.start, window.end + 1) % n
         for w in window_blocks(span, self._cert_cache):
@@ -335,7 +334,7 @@ class OperatorSequence:
         """max c(k) over the distinct matrices; none for a generator."""
         if self.backend == "generator" or self.family is None:
             return {}
-        distinct = Window(0, (self.period or 1) - 1)
+        distinct = Window(0, self.period - 1)
         return {sn.label: float(self.certificate_array(sn.label,
                                                        distinct).max())
                 for sn in self.family}

@@ -517,22 +517,47 @@ FLOAT_FMT = "{:.16e}"  # 17 significant digits, lowercase scientific
 _CSV_BLOCK = 256
 
 
+def _write_rows(path, header: str, row_fmt: str, keys: np.ndarray,
+                vals: np.ndarray) -> None:
+    """Write ``header``, then row_fmt % (*keys[i], *vals[i]) for each row of
+    the int table ``keys`` and the float table ``vals``.  Rows are formatted
+    a block at a time, so the tables are never converted to Python numbers
+    at once."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for a in range(0, len(vals), _CSV_BLOCK):
+            b = a + _CSV_BLOCK
+            fh.write("".join([row_fmt % (*key, *row) for key, row in
+                              zip(keys[a:b].tolist(), vals[a:b].tolist())]))
+
+
+def _float_table(F: BiSequence, window: Window) -> np.ndarray:
+    """F on ``window`` as rows re_0, im_0, ..., re_{d-1}, im_{d-1}."""
+    return np.ascontiguousarray(F.window_values(window),
+                                dtype=np.complex128).view(np.float64)
+
+
 def write_csv(path, F: BiSequence, window) -> None:
     """Write F on ``window`` in the bytes csv.writer would write for fields
     formatted with FLOAT_FMT; no field needs quoting, and '%.16e' % x equals
-    FLOAT_FMT.format(x) for every float.  Rows are formatted a block at a
-    time, so the table is never converted to Python floats at once."""
+    FLOAT_FMT.format(x) for every float."""
     window = as_window(window)
-    vals = np.ascontiguousarray(F.window_values(window),
-                                dtype=np.complex128).view(np.float64)
-    row_fmt = "%d" + ",%.16e" * vals.shape[1] + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["k"] + [f"{p}_{i}" for i in range(F.dim)
-                                   for p in ("re", "im")]) + "\r\n")
-        for a in range(0, len(window), _CSV_BLOCK):
-            ks = range(window.start + a, window.end + 1)
-            fh.write("".join([row_fmt % (k, *row) for k, row in
-                              zip(ks, vals[a:a + _CSV_BLOCK].tolist())]))
+    header = ",".join(["k"] + [f"{p}_{i}" for i in range(F.dim)
+                               for p in ("re", "im")]) + "\r\n"
+    _write_rows(path, header, "%d" + ",%.16e" * (2 * F.dim) + "\r\n",
+                np.arange(window.start, window.end + 1)[:, None],
+                _float_table(F, window))
+
+
+def write_grid_csv(path, F: BiSequence, window) -> None:
+    """Write F on ``window`` one component per line, as columns k, idx, re,
+    im with FLOAT_FMT fields and '\\n' line ends."""
+    window = as_window(window)
+    ks = np.arange(window.start, window.end + 1)
+    keys = np.stack([np.repeat(ks, F.dim), np.tile(np.arange(F.dim),
+                                                   len(ks))], axis=1)
+    _write_rows(path, "k,idx,re,im\n", "%d,%d,%.16e,%.16e\n", keys,
+                _float_table(F, window).reshape(-1, 2))
 
 
 def read_csv(path) -> BiSequence:

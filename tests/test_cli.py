@@ -49,6 +49,28 @@ def strip_timestamp(text: str) -> str:
     return "\n".join(l for l in text.splitlines() if "generated_at" not in l)
 
 
+def assert_json_layout(text: str) -> None:
+    """One dict entry per line with keys sorted, and every list or scalar
+    on its key's line: each line opens or closes a dict or holds an entry
+    whole."""
+    open_keys: list[list] = []
+    for line in text.splitlines():
+        body = line.strip().rstrip(",")
+        if body == "{":
+            open_keys.append([])
+        elif body == "}":
+            keys = open_keys.pop()
+            assert keys == sorted(keys)
+        else:
+            # '"key": {' opens a dict; anything else is a whole entry
+            closed = body + "}" if body.endswith("{") else body
+            (key, _), = json.loads("{" + closed + "}").items()
+            open_keys[-1].append(key)
+            if body.endswith("{"):
+                open_keys.append([])
+    assert open_keys == []
+
+
 def test_minimal_first_order_scenario(tmp_path):
     cfg = write_config(tmp_path, MINIMAL_FIRST_ORDER)
     out = tmp_path / "out"
@@ -358,12 +380,22 @@ def test_reduce_order_emits_reduction(tmp_path):
     res = run_cli("reduce-order", "--config", str(cfg), "--out", str(out),
                   "--k", "0")
     assert res.returncode == 0, res.stderr
-    payload = json.loads((out / "reduction.json").read_text())
+    text = (out / "reduction.json").read_text()
+    payload = json.loads(text)
     D = np.array([[c[0] + 1j * c[1] for c in row]
                   for row in payload["selection_D"]])
     assert np.array_equal(D.real, np.array([[-0.5, 1.0], [-0.5, 0.0]]))
     A = np.array([[c[0] for c in row] for row in payload["bold_A"]])
     assert np.array_equal(A, np.array([[-2.0, 0.0], [0.0, 1.0]]))
+    # the payload json.dump(indent=2) wrote, signed zeros included
+    assert payload == {
+        "bold_A": [[[-2.0, -0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "bold_B_next": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+        "bold_C": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "k": 0, "kind": "reduce_order", "p": 2, "schema_version": 1,
+        "selection_D": [[[-0.5, -0.0], [1.0, 0.0]],
+                        [[-0.5, -0.0], [0.0, 0.0]]]}
+    assert_json_layout(text)
 
 
 def test_example_heat_and_wave(tmp_path):
@@ -381,6 +413,74 @@ def test_example_heat_and_wave(tmp_path):
     assert res2.returncode == 0, res2.stderr
     report2 = json.loads((out2 / "report.json").read_text())
     assert report2["analysis"]["omega_c"]["defect"] <= 2e-10
+
+
+def _run_capturing_json(monkeypatch, argv) -> dict:
+    """Run the CLI in-process; return the dicts it wrote as JSON, by file
+    name."""
+    from apseq import cli
+    written = {}
+    original = cli._write_json
+
+    def capture(path, value):
+        written[Path(path).name] = value
+        original(path, value)
+
+    monkeypatch.setattr(cli, "_write_json", capture)
+    assert cli.main(argv) == 0
+    return written
+
+
+@pytest.mark.parametrize("command", ["solve", "example heat"])
+def test_report_layout(tmp_path, monkeypatch, command):
+    out = tmp_path / "out"
+    if command == "solve":
+        argv = ["solve", "--config",
+                str(write_config(tmp_path, MINIMAL_FIRST_ORDER))]
+    else:
+        argv = ["example", "heat", "--n", "5"]
+    report = _run_capturing_json(
+        monkeypatch, argv + ["--out", str(out), "--threads", "3"]
+    )["report.json"]
+    text = (out / "report.json").read_text()
+    # the data json.dump(indent=2, sort_keys=True) writes, in fewer lines
+    reference = json.dumps(report, indent=2, sort_keys=True)
+    assert json.loads(text) == json.loads(reference)
+    assert len(text.splitlines()) < len(reference.splitlines())
+    assert_json_layout(text)
+    lines = text.splitlines()
+    for key in ("generated_at", "threads"):
+        mine = [l.rstrip(",") for l in lines if f'"{key}"' in l]
+        assert mine == [f'  "{key}": {json.dumps(report[key])}']
+    # what the benchmark's oracle reads: [k, value] pairs over the hull
+    solve = json.loads(text)["solve"]
+    lo, hi = solve["window"]
+    for pairs in [solve["truncation_V"], *solve["tail_bounds"].values()]:
+        assert all(len(pair) == 2 for pair in pairs)
+        ks = [k for k, _ in pairs]
+        assert ks == list(range(ks[0], ks[-1] + 1))
+        assert ks[0] <= lo and hi < ks[-1]
+        if command == "solve":
+            assert ks == list(range(-20, 22))
+    assert sorted(solve["tail_bounds"]) == (
+        ["sup"] if command == "solve" else ["d1", "d2", "sup"])
+
+
+def test_grid_solution_csv_bytes(tmp_path):
+    # one line per (k, component), FLOAT_FMT fields and '\n' line ends, as
+    # the element-by-element writer this reference keeps
+    from apseq.seq_core import FLOAT_FMT
+    out = tmp_path / "heat"
+    res = run_cli("example", "heat", "--n", "5", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    _, ks, vals = read_solution(out)
+    expected = ["k,idx,re,im\n"]
+    for k, row in zip(ks, vals):
+        for j in range(5):
+            expected.append(f"{k},{j},{FLOAT_FMT.format(row[2 * j])},"
+                            f"{FLOAT_FMT.format(row[2 * j + 1])}\n")
+    assert (out / "grid_solution.csv").read_bytes() == "".join(
+        expected).encode()
 
 
 def test_inclusion_with_explicit_selection_and_weyl_analysis(tmp_path):

@@ -211,6 +211,54 @@ def test_depth_search_error_matches_per_k_loop():
     assert str(got.value) == str(want.value)
 
 
+def generator_twin(A):
+    """A's matrices served k by k through a generator with A's global sups,
+    so a solve forms every row of the depth search and reads A(k) per k."""
+    return OperatorSequence.from_function(A.dim, A.matrix, family=A.family,
+                                          sup_bounds=dict(A.sup_bounds))
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("period", [1, 3, 40])
+def test_periodic_solve_is_bit_identical_to_its_generator_twin(
+        period, backward, rng):
+    # one depth row and one matrix per residue: the same depths, tails and
+    # table as forming every row and reading every matrix; period 40 is
+    # longer than the 13 k of the solve
+    fam = SeminormFamily.of(SUP_L1, 3)
+    A = random_certified_operator(rng, fam, 0.9, backend="periodic",
+                                  period=period)
+    if period == 1:
+        A = OperatorSequence.constant(A.matrix(0), family=fam)
+    f = BiSequence.from_trig_poly(TrigPoly.of(
+        [(0.0, rng.standard_normal(3)), (0.9, rng.standard_normal(3))]))
+    x, rep = solve_series(A, f, (-6, 5), tol=1e-11, backward=backward)
+    x2, rep2 = solve_series(generator_twin(A), f, (-6, 5), tol=1e-11,
+                            backward=backward)
+    assert rep.truncation_V == rep2.truncation_V
+    assert rep.tail_bounds == rep2.tail_bounds
+    # distinct matrices give depths that vary with k
+    assert (len({V for _, V in rep.truncation_V}) > 1) == (period > 1)
+    work = (-6, 6)
+    assert x.window_values(work).tobytes() == x2.window_values(work).tobytes()
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_periodic_depth_failure_matches_its_generator_twin(backward):
+    # a declared sup below the third matrix's certificate: the products do
+    # not reach tol within the depth the sup promises, at the same first k
+    A = OperatorSequence.periodic([[[0.5]], [[0.5]], [[0.99]]], family=FAM1,
+                                  sup_bounds={"sup": 0.5})
+    f = BiSequence.constant([1.0])
+    with pytest.raises(ConvergencePreconditionError) as got:
+        solve_series(A, f, (-10, 10), tol=1e-10, backward=backward)
+    with pytest.raises(ConvergencePreconditionError) as want:
+        solve_series(generator_twin(A), f, (-10, 10), tol=1e-10,
+                     backward=backward)
+    assert str(got.value) == str(want.value)
+    assert "do not reach tol" in str(got.value)
+
+
 def test_solver_rejects_unit_certificates():
     A = OperatorSequence.constant([[1.0]], family=FAM1)
     with pytest.raises(ConvergencePreconditionError):

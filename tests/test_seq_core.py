@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from apseq import (BiSequence, InputContractError, RangeError, Seminorm,
                    SeminormFamily, ShapeError, TrigPoly, Window, read_csv,
                    seq_axpy, seq_reverse, seq_shift, write_csv)
-from apseq.seq_core import FLOAT_FMT
+from apseq.seq_core import FLOAT_FMT, write_grid_csv
 from conftest import reference_row_values
 
 
@@ -196,6 +196,20 @@ def test_csv_roundtrip_exact(tmp_path, rng):
     assert path.read_bytes() == ref.read_bytes()
     back = read_csv(path).window_values((-1, 0))
     assert back.tobytes() == edge.tobytes()
+
+
+def test_grid_csv_edge_values(tmp_path):
+    # the long layout shares write_csv's formatter: same fields, one line
+    # per (k, component), '\n' line ends
+    edge = np.empty((2, 3), dtype=np.complex128)
+    edge.real = [[-0.0, 1e-300, 1 / 3], [1e300, -5e-324, -0.0]]
+    edge.imag = [[5e-324, -1e300, -0.0], [1 / 3, 0.0, 1e-300]]
+    path = tmp_path / "grid.csv"
+    write_grid_csv(path, BiSequence.from_table(-1, edge), (-1, 0))
+    expected = "k,idx,re,im\n" + "".join(
+        f"{k},{j},{FLOAT_FMT.format(x.real)},{FLOAT_FMT.format(x.imag)}\n"
+        for k, row in zip((-1, 0), edge) for j, x in enumerate(row))
+    assert path.read_bytes() == expected.encode()
 
 
 def test_window_validation():
