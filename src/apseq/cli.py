@@ -214,8 +214,10 @@ def _dispatch(cfg: ScenarioConfig):
                                      window=cfg.window)
         vec_f = forcing(dim=block_dim)
         C = np.eye(block_dim, dtype=np.complex128)
-        g = BiSequence.from_function(
-            block_dim, lambda k: B.matrix(k + 1) @ vec_f(k))
+        # g(k) = B(k+1) vec f(k), as stacked mat-vecs
+        g = BiSequence(block_dim, lambda w: (
+            B.matrices(w.shifted(1))
+            @ vec_f.window_values(w)[..., None])[..., 0])
         u, rep = solve_degenerate_vb1(B, D, C, g, vec_f, hull, tol=cfg.tol,
                                       A=A, pad_right=pad)
         rep.warnings.extend(warnings)

@@ -41,8 +41,9 @@ def laplacian_1d(n: int, h: float) -> GridLaplacian:
     """Tridiagonal (1, -2, 1)/h^2 with Dirichlet truncation."""
     if n < 1:
         raise InputContractError("need at least one interior point")
-    if h <= 0:
-        raise InputContractError("grid spacing must be positive")
+    if not 0 < h < np.inf:
+        raise InputContractError(f"grid spacing must be a finite number > 0, "
+                                 f"got {h}")
     m = np.zeros((n, n), dtype=np.complex128)
     np.fill_diagonal(m, -2.0)
     for i in range(n - 1):
@@ -65,7 +66,7 @@ def difference_family(dim: int) -> SeminormFamily:
 
 def _grid_operator(seq: BiSequence, size: int, build,
                    family: SeminormFamily | None = None) -> OperatorSequence:
-    """k -> build(k, seq(k)[None])[0] on the grid, certified over ``family``
+    """The grid operators ``build`` makes of seq, certified over ``family``
     when given.  ``build(k0, values)`` maps the (len, dim) values of seq at
     k0, k0+1, ... to (len, size, size) matrices.  Constant data gives a
     constant sequence, certified once; other data a generator whose
@@ -73,10 +74,8 @@ def _grid_operator(seq: BiSequence, size: int, build,
     if seq.constant_value is not None:
         return OperatorSequence.constant(
             build(0, seq.constant_value[None])[0], family=family)
-    return OperatorSequence.from_function(
-        size, lambda k: build(k, seq(k)[None])[0],
-        window_fn=lambda w: build(w.start, seq.window_values(w)),
-        family=family)
+    return OperatorSequence(
+        size, lambda w: build(w.start, seq.window_values(w)), family=family)
 
 
 def _multiplier(seq: BiSequence, size: int, what: str):

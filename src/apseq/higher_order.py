@@ -83,14 +83,14 @@ class CompanionSystem:
         """vec f(k) = [f(k), 0, ..., 0]."""
         if f.dim != self.dim:
             raise ShapeError(f"forcing dim {f.dim} vs base dim {self.dim}")
-        p, d = self.p, self.dim
+        d = self.dim
 
-        def fn(k: int):
-            out = np.zeros(p * d, dtype=np.complex128)
-            out[:d] = f(k)
+        def window_fn(w):
+            out = np.zeros((len(w), self.block_dim), dtype=np.complex128)
+            out[:, :d] = f.window_values(w)
             return out
 
-        return BiSequence.from_function(p * d, fn)
+        return BiSequence(self.block_dim, window_fn)
 
 
 def build_companion(p: int, A_seqs, C) -> CompanionSystem:
@@ -193,11 +193,10 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
     # -G(k) = -[A_0(k)]^{-1} C applied to the head, which is the (2,1)
     # block of D(k); block 2 passes through
     u_window = window.extended(right=u_pad)
-    vec_u = np.empty((len(u_window), 2 * d), dtype=np.complex128)
-    for i, k in enumerate(u_window):
-        w = np.asarray(v(k + 1)) - vec_f(k)
-        vec_u[i, :d] = sel.D.matrix(k)[d:, :d] @ w[:d]
-        vec_u[i, d:] = w[d:]
+    vec_u = (v.window_values(u_window.shifted(1))
+             - vec_f.window_values(u_window))
+    vec_u[:, :d] = (sel.D.matrices(u_window)[:, d:, :d]
+                    @ vec_u[:, :d, None])[..., 0]
     u = BiSequence.from_table(u_window.start, vec_u[:, :d])
 
     shift_defect = float(np.abs(vec_u[:-1, d:] - vec_u[1:, :d]).max())

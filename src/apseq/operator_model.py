@@ -8,10 +8,13 @@ are built from those same products.  A global sup s >= c(k) on all of Z
 (exact for constant and periodic sequences, declared for a generator)
 below 1 also makes the bounded solution unique.
 
-A sequence with a seminorm family derives its certificates from its own
-matrices, as exact induced bounds; one without a family is plain and has
-none.  Analytic knowledge enters only as a declared global sup
-(``sup_bounds``) or as the induced bound of a seminorm kind:
+A sequence holds one rule for its matrices: the distinct matrices it
+cycles through, or a generator's window rule, whose A(k) is the matrix of
+the one-k window.  A sequence with a seminorm family derives its
+certificates from its own matrices, as exact induced bounds; one without
+a family is plain and has none.  Analytic knowledge enters only as a
+declared global sup (``sup_bounds``) or as the induced bound of a
+seminorm kind:
 
   sup norm      max absolute row sum
   l1            max absolute column sum
@@ -134,46 +137,49 @@ def window_blocks(window: Window, done: Container[int] = ()
 class OperatorSequence:
     """k -> A(k) with bound certificates and per-seminorm sup bounds.
 
-    Backends: constant matrix, periodic list of matrices, or a pure
-    generator rule.  ``period`` is the number of distinct matrices A(k)
-    cycles through, 1 for a constant and None for a generator.  Matrices
-    produced by generators are memoized per k
-    (windows are small and evaluation must be deterministic).  A generator
-    may also carry ``window_fn``, which evaluates a window as one
-    (len, dim, dim) stack with the same bits as stacking ``fn``.
+    A sequence holds one rule: either its distinct matrices A(0), ...,
+    A(period - 1), which it cycles through (a constant has period 1), or a
+    generator's window rule ``window_fn(w)`` -> the (len(w), dim, dim) stack
+    of A(k) for k in w (``period`` None).  A generator memoizes its matrices
+    per k as views into the stacks it evaluated (windows are small and
+    evaluation must be deterministic), and ``matrix(k)`` on a miss reads
+    the one-k window.  ``backend`` is read off ``period``: "constant",
+    "periodic" or "generator".
 
     With a ``family``, c(k) for each of its seminorms is the induced bound
     of A(k), derived once per distinct matrix and cached; without one the
     sequence is plain.  ``sup_bounds[label]`` caps c(k) on all of Z: exact
-    for constant and periodic backends, and for a generator only what it
+    for constant and periodic sequences, and for a generator only what it
     declares.
     """
 
-    def __init__(self, dim: int, fn: Callable[[int], Matrix], backend: str,
-                 family: SeminormFamily | None = None,
-                 sup_bounds: dict[str, float] | None = None,
-                 period: int | None = None,
-                 window_fn: Callable[[Window], np.ndarray] | None = None):
+    def __init__(self, dim: int, rule, family: SeminormFamily | None = None,
+                 sup_bounds: dict[str, float] | None = None):
+        """``rule`` is the sequence of distinct matrices or a window rule."""
         self.dim = int(dim)
-        self.backend = backend
-        self.period = period
         self.family = family
-        self._fn = fn
-        self._window_fn = window_fn
+        if callable(rule):
+            self._window_fn, self._distinct = rule, None
+            self.period = None
+        else:
+            self._window_fn, self._distinct = None, tuple(rule)
+            self.period = len(self._distinct)
         self._mat_cache: dict[int, Matrix] = {}
         self._cert_cache: dict[int, dict[str, float]] = {}
         self.sup_bounds = (self._exact_sup_bounds() if sup_bounds is None
                            else sup_bounds)
+
+    @property
+    def backend(self) -> str:
+        return {None: "generator", 1: "constant"}.get(self.period, "periodic")
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def constant(matrix, family: SeminormFamily | None = None,
                  sup_bounds=None) -> "OperatorSequence":
-        m = as_matrix(matrix)
-        return OperatorSequence(m.shape[0], lambda k: m, "constant",
-                                family=family, sup_bounds=sup_bounds,
-                                period=1)
+        return OperatorSequence.periodic([matrix], family=family,
+                                         sup_bounds=sup_bounds)
 
     @staticmethod
     def periodic(matrices: Sequence, family: SeminormFamily | None = None,
@@ -185,54 +191,45 @@ class OperatorSequence:
         for m in mats:
             if m.shape[0] != dim:
                 raise ShapeError("periodic matrices have mixed dimensions")
-        omega = len(mats)
-        return OperatorSequence(dim, lambda k: mats[k % omega], "periodic",
-                                family=family, sup_bounds=sup_bounds,
-                                period=omega)
+        return OperatorSequence(dim, mats, family=family,
+                                sup_bounds=sup_bounds)
 
     @staticmethod
     def from_function(dim: int, fn: Callable[[int], Matrix],
                       family: SeminormFamily | None = None,
-                      sup_bounds=None, window_fn=None) -> "OperatorSequence":
-        """Generator k -> fn(k); ``window_fn(w)``, when given, returns the
-        matrices of the window w as a (len(w), dim, dim) stack with the
-        bits of fn."""
-        return OperatorSequence(dim, lambda k: as_matrix(fn(k), dim),
-                                "generator", family=family,
-                                sup_bounds=sup_bounds, window_fn=window_fn)
+                      sup_bounds=None) -> "OperatorSequence":
+        """Generator of the user rule k -> fn(k), read k by k over each
+        window."""
+        return OperatorSequence(
+            dim, lambda w: np.stack([as_matrix(fn(k), dim) for k in w]),
+            family=family, sup_bounds=sup_bounds)
 
     @staticmethod
     def map(fn: Callable[..., Matrix], *seqs: "OperatorSequence",
             shifts: Sequence[int] | None = None, dim: int | None = None,
             family: SeminormFamily | None = None) -> "OperatorSequence":
-        """k -> fn(k, seqs[0].matrix(k + shifts[0]), ...): constant if every
-        input is constant, periodic with the lcm period if every input is
-        constant or periodic, else a generator of dimension ``dim`` (default
-        the first input's) with no global sup bounds, which evaluates a
-        window through the ``matrices`` of its generator inputs.  fn sees
-        only k = 0 .. period-1 for periodic results, so it may use k only to
-        read sequences or to name it in errors."""
+        """k -> fn(k, seqs[0].matrix(k + shifts[0]), ...): periodic with the
+        lcm period (constant for period 1) if every input is constant or
+        periodic, else a generator of dimension ``dim`` (default the first
+        input's) with no global sup bounds, which evaluates a window through
+        the ``matrices`` of its generator inputs.  fn sees only
+        k = 0 .. period-1 for periodic results, so it may use k only to read
+        sequences or to name it in errors."""
         shifts = tuple(shifts) if shifts is not None else (0,) * len(seqs)
 
         def at(w: Window) -> np.ndarray:
-            stacks = [s.matrices(w.shifted(sh)) if s.backend == "generator"
+            stacks = [s.matrices(w.shifted(sh)) if s.period is None
                       else None for s, sh in zip(seqs, shifts)]
             return np.stack([
                 fn(k, *(s.matrix(k + sh) if st is None else st[i]
                         for s, sh, st in zip(seqs, shifts, stacks)))
                 for i, k in enumerate(w)])
 
-        backends = {s.backend for s in seqs}
-        if backends <= {"constant"}:
-            return OperatorSequence.constant(at(Window(0, 0))[0],
-                                             family=family)
-        if backends <= {"constant", "periodic"}:
+        if all(s.period is not None for s in seqs):
             period = lcm(*(s.period for s in seqs))
             return OperatorSequence.periodic(at(Window(0, period - 1)),
                                              family=family)
-        return OperatorSequence.from_function(
-            dim or seqs[0].dim, lambda k: at(Window(k, k))[0], family=family,
-            window_fn=at)
+        return OperatorSequence(dim or seqs[0].dim, at, family=family)
 
     # -- evaluation --------------------------------------------------------
 
@@ -244,20 +241,19 @@ class OperatorSequence:
 
     def matrix(self, k: int) -> Matrix:
         k = self.residue(k)
-        if self.backend != "generator":
-            return self._fn(k)
-        m = self._mat_cache.get(k)
-        if m is None:
-            m = self._mat_cache[k] = self._fn(k)
-        return m
+        if self._distinct is not None:
+            return self._distinct[k]
+        if k not in self._mat_cache:
+            self.matrices(Window(k, k))
+        return self._mat_cache[k]
 
     def matrices(self, window) -> np.ndarray:
         """A(k) for k in ``window`` as a (len, dim, dim) stack.  A generator
-        with a ``window_fn`` evaluates it once per CERT_BLOCK-aligned run of
-        the k it has not cached, and caches views into those stacks."""
+        evaluates its window rule once per CERT_BLOCK-aligned run of the k
+        it has not cached, and caches views into those stacks."""
         window = as_window(window)
-        if self._window_fn is None:
-            return np.stack([self.matrix(k) for k in window])
+        if self._distinct is not None:
+            return np.stack([self._distinct[k % self.period] for k in window])
         for w in window_blocks(window, self._mat_cache):
             stack = np.asarray(self._window_fn(w), dtype=np.complex128)
             if stack.shape != (len(w), self.dim, self.dim):
@@ -277,9 +273,7 @@ class OperatorSequence:
     def apply_rows(self, start: int, rows: np.ndarray) -> np.ndarray:
         """Row i -> A(start + i) rows[i].  Constant and periodic backends
         apply their few distinct matrices without stacking one per row."""
-        if self.backend == "constant":
-            return rows @ self.matrix(0).T
-        if self.backend == "periodic":
+        if self.period is not None:
             p = self.period
             out = np.empty(rows.shape, dtype=np.complex128)
             for r in range(p):
@@ -300,7 +294,7 @@ class OperatorSequence:
         if self.family is None or label not in self.family.labels():
             raise CertificateError(f"no certificate for seminorm {label!r}")
         window = as_window(window)
-        if self.backend == "generator":
+        if self.period is None:
             span, index = window, slice(None)
         else:
             n = self.period
@@ -332,7 +326,7 @@ class OperatorSequence:
 
     def _exact_sup_bounds(self) -> dict[str, float]:
         """max c(k) over the distinct matrices; none for a generator."""
-        if self.backend == "generator" or self.family is None:
+        if self.period is None or self.family is None:
             return {}
         distinct = Window(0, self.period - 1)
         return {sn.label: float(self.certificate_array(sn.label,

@@ -76,9 +76,8 @@ def solve_inclusion(sel: ResolventSelection, f: BiSequence, window,
         raise InputContractError("selection operator carries no seminorm family")
     if f.dim != D.dim:
         raise InputContractError(f"forcing dim {f.dim} vs operator dim {D.dim}")
-    g = BiSequence(D.dim, lambda k: -D.apply(k, f(k)),
-                   window_fn=lambda w: -D.apply_rows(w.start,
-                                                     f.window_values(w)))
+    g = BiSequence(D.dim,
+                   lambda w: -D.apply_rows(w.start, f.window_values(w)))
     x, report = solve_series(D, g, window.extended(left=1), tol=tol,
                              pad_right=pad_right, backward=True)
     report.window = (window.start, window.end)
@@ -160,34 +159,36 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     inverses: dict[int, Matrix | None] = {}
     zero = np.zeros((B.dim, B.dim), dtype=np.complex128)
 
-    def a_binv(w: Window) -> np.ndarray:
-        binvs = [_b_inverse(B, k, inverses) for k in w]
-        return A.matrices(w) @ np.stack([zero if m is None else m
-                                         for m in binvs])
+    def b_inverses(w: Window) -> np.ndarray:
+        return np.stack([zero if m is None else m
+                         for m in (_b_inverse(B, k, inverses) for k in w)])
 
-    products = () if A is None else map(a_binv, window_blocks(window))
+    products = () if A is None else (A.matrices(w) @ b_inverses(w)
+                                     for w in window_blocks(window))
     series_tol = tol / (2.0 * amplification(family, C, products))
 
     v, report = solve_inclusion(sel, f, window, tol=series_tol,
                                 pad_right=pad_right + 1)
     report.tol = tol
 
-    # u recovery
+    # u recovery: u(k) = B(k)^{-1} v(k) as stacked mat-vecs, which keep the
+    # bits of each B(k)^{-1} @ v(k)
     u_window = window.extended(right=pad_right)
-    u_vals = np.empty((len(u_window), B.dim), dtype=np.complex128)
-    route = "b_inverse"
-    for i, k in enumerate(u_window):
-        binv = _b_inverse(B, k, inverses)
-        if binv is None:
-            report.warnings.append(
-                f"B({k}) condition estimate above {COND_LIMIT:.1e}; "
-                f"B-inverse recovery abandoned")
-            route = "selection"
-            u_vals = Ainv_C.apply_rows(u_window.start,
-                                       v.window_values(u_window.shifted(1))
-                                       - f.window_values(u_window))
-            break
-        u_vals[i] = binv @ v(k)
+    bad = next((k for k in u_window if _b_inverse(B, k, inverses) is None),
+               None)
+    if bad is None:
+        route = "b_inverse"
+        u_vals = np.concatenate([
+            (b_inverses(w) @ v.window_values(w)[..., None])[..., 0]
+            for w in window_blocks(u_window)])
+    else:
+        report.warnings.append(
+            f"B({bad}) condition estimate above {COND_LIMIT:.1e}; "
+            f"B-inverse recovery abandoned")
+        route = "selection"
+        u_vals = Ainv_C.apply_rows(u_window.start,
+                                   v.window_values(u_window.shifted(1))
+                                   - f.window_values(u_window))
 
     u = BiSequence.from_table(u_window.start, u_vals)
     report.warnings.append(f"u recovered via {route}")

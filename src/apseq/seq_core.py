@@ -4,10 +4,10 @@ Values live in C^d.  The topology of the (locally convex) state space is
 modeled by a finite family of seminorms rather than a single norm, so all
 quantitative statements downstream are "per seminorm".  Sequences are
 immutable after construction; derived sequences (linear combinations,
-shifts, time reversals) are lazy views, which keeps evaluation pure and
-safe to share across threads.  Every backend except a plain generator rule
-evaluates a whole window in one numpy pass, with the same bits as stacking
-its per-k values.
+shifts, reflections k -> -k) are lazy views, which keeps evaluation pure and
+safe to share across threads.  Each sequence has exactly one evaluation
+rule, which maps a window to its values; F(k) is the read-only row of the
+one-k window.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class Seminorm:
     """One seminorm kappa on C^d.
 
     kind "sup"     : max_i |x_i|
-    kind "p"       : (sum_i |x_i|^p)^(1/p), p >= 1
+    kind "p"       : (sum_i |x_i|^p)^(1/p), finite p >= 1
     kind "stencil" : sup norm of a zero-padded difference stencil applied to x,
                      the grid stand-in for a derivative seminorm ||f^(alpha)||
     kind "block_sum": sum of a base seminorm over ``blocks`` equal chunks,
@@ -149,8 +149,9 @@ class Seminorm:
 
     @staticmethod
     def p_norm(p: float, label: str | None = None) -> "Seminorm":
-        if p < 1:
-            raise InputContractError(f"p norm requires p >= 1, got {p}")
+        if not 1 <= p < np.inf:
+            raise InputContractError(f"p norm requires a finite p >= 1, got "
+                                     f"{p} (the sup kind is the inf-norm)")
         return Seminorm(kind="p", label=label or f"l{p:g}", p=float(p))
 
     @staticmethod
@@ -296,15 +297,6 @@ class TrigPoly:
     def dim(self) -> int:
         return self.terms[0][1].shape[0]
 
-    def eval(self, k: int) -> Vector:
-        acc = np.zeros(self.dim, dtype=np.complex128)
-        for lam, y in self.terms:
-            # phase first, the operand order of eval_many: complex products
-            # are not commutative bit for bit
-            acc += np.exp(1j * lam * k) * y
-        acc.flags.writeable = False
-        return acc
-
     def eval_many(self, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.float64)
         out = np.zeros((ks.shape[0], self.dim), dtype=np.complex128)
@@ -324,20 +316,19 @@ class TrigPoly:
 class BiSequence:
     """A Z-indexed sequence of C^dim values, evaluable on any finite window.
 
-    Backends: finite table (optionally zero-extended), pure generator rule,
+    Backends: finite table (optionally zero-extended), user rule k -> F(k),
     trigonometric polynomial, and the (omega, c) extension of a base window
     which satisfies F(k + omega) = c * F(k) for all k by construction.
-    ``window_fn`` evaluates a whole window in one numpy pass with the same
-    bits as stacking ``fn``; without it windows are filled k by k.
+    Each holds one window rule, ``window_fn(w)`` -> a new (len(w), dim)
+    array of the values on w; ``F(k)`` is the read-only row of the one-k
+    window, so a value has the same bits however it is read.
     ``constant_value`` is the value of a constant sequence, else None.
     """
 
     constant_value: Vector | None = None
 
-    def __init__(self, dim: int, fn: Callable[[int], Vector],
-                 window_fn: Callable[[Window], np.ndarray] | None = None):
+    def __init__(self, dim: int, window_fn: Callable[[Window], np.ndarray]):
         self.dim = int(dim)
-        self._fn = fn
         self._window_fn = window_fn
 
     # -- constructors -----------------------------------------------------
@@ -353,43 +344,37 @@ class BiSequence:
         vals.flags.writeable = False
         dim = vals.shape[1]
         window = Window(start, start + vals.shape[0] - 1)
-        zero = as_vector(np.zeros(dim))
         if extend not in (None, "zero"):
             raise InputContractError(f"unknown table extension {extend!r}")
-
-        def fn(k: int) -> Vector:
-            if k in window:
-                return vals[k - window.start]
-            if extend == "zero":
-                return zero
-            raise RangeError(f"k={k} outside table window "
-                             f"[{window.start}, {window.end}]")
 
         def window_fn(w: Window) -> np.ndarray:
             lo, hi = max(w.start, window.start), min(w.end, window.end)
             if extend is None and (lo, hi) != (w.start, w.end):
-                # raises the RangeError of the first k outside the table
-                fn(w.start if w.start not in window else window.end + 1)
+                # name the first k of w outside the table
+                k = w.start if w.start not in window else window.end + 1
+                raise RangeError(f"k={k} outside table window "
+                                 f"[{window.start}, {window.end}]")
             out = np.zeros((len(w), dim), dtype=np.complex128)
             if lo <= hi:
                 out[lo - w.start:hi - w.start + 1] = \
                     vals[lo - window.start:hi - window.start + 1]
             return out
 
-        seq = BiSequence(dim, fn, window_fn=window_fn)
+        seq = BiSequence(dim, window_fn)
         seq.table_values = vals
         return seq
 
     @staticmethod
     def from_function(dim: int, fn: Callable[[int], Vector]) -> "BiSequence":
-        return BiSequence(dim, lambda k: as_vector(fn(k), dim))
+        """The user rule k -> fn(k), read k by k over each window."""
+        return BiSequence(dim, lambda w: np.stack([as_vector(fn(k), dim)
+                                                   for k in w]))
 
     @staticmethod
     def constant(value) -> "BiSequence":
         v = as_vector(value)
-        seq = BiSequence(
-            v.shape[0], lambda k: v,
-            window_fn=lambda w: np.broadcast_to(v, (len(w), v.shape[0])).copy())
+        seq = BiSequence(v.shape[0], lambda w: np.broadcast_to(
+            v, (len(w), v.shape[0])).copy())
         seq.constant_value = v
         return seq
 
@@ -405,9 +390,8 @@ class BiSequence:
 
     @staticmethod
     def from_trig_poly(poly: TrigPoly) -> "BiSequence":
-        return BiSequence(poly.dim, poly.eval,
-                          window_fn=lambda w: poly.eval_many(
-                              np.arange(w.start, w.end + 1)))
+        return BiSequence(poly.dim, lambda w: poly.eval_many(
+            np.arange(w.start, w.end + 1)))
 
     @staticmethod
     def omega_c(base_values, omega: int, c: complex) -> "BiSequence":
@@ -441,41 +425,27 @@ class BiSequence:
                     bot -= 1
             return powers[q]
 
-        def fn(k: int) -> Vector:
-            q, r = divmod(k, omega)
-            v = cpow(q) * base[r]
-            v.flags.writeable = False
-            return v
-
         def window_fn(w: Window) -> np.ndarray:
             q, r = np.divmod(np.arange(w.start, w.end + 1), omega)
             # q runs through q[0]..q[-1], each power looked up once
             qpow = np.array([cpow(j) for j in range(int(q[0]), int(q[-1]) + 1)])
             out = base[r]
-            # power first, as in fn: complex products are not commutative
-            # bit for bit
             return np.multiply(qpow[q - q[0], None], out, out=out)
 
-        return BiSequence(base.shape[1], fn, window_fn=window_fn)
+        return BiSequence(base.shape[1], window_fn)
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, k: int) -> Vector:
-        return self._fn(int(k))
+        k = int(k)
+        v = self._window_fn(Window(k, k))[0]
+        v.flags.writeable = False
+        return v
 
     def window_values(self, window) -> np.ndarray:
-        """Values on a window as a new (len, dim) array, rows in k order.
-
-        Every backend but a plain generator rule evaluates the window in one
-        numpy pass (views delegate to their parents' windows); the rows
-        equal ``F(k)`` bit for bit either way."""
-        window = as_window(window)
-        if self._window_fn is not None:
-            return self._window_fn(window)
-        out = np.empty((len(window), self.dim), dtype=np.complex128)
-        for i, k in enumerate(window):
-            out[i] = self._fn(k)
-        return out
+        """Values on a window as a new (len, dim) array, rows in k order,
+        from one call of the window rule (views call their parents')."""
+        return self._window_fn(as_window(window))
 
 
 def seq_axpy(alpha: complex, F: BiSequence, beta: complex,
@@ -484,28 +454,19 @@ def seq_axpy(alpha: complex, F: BiSequence, beta: complex,
     if F.dim != G.dim:
         raise ShapeError(f"dimension mismatch {F.dim} vs {G.dim}")
     a, b = complex(alpha), complex(beta)
-
-    def fn(k: int) -> Vector:
-        v = a * F(k) + b * G(k)
-        v.flags.writeable = False
-        return v
-
-    return BiSequence(F.dim, fn,
-                      window_fn=lambda w: (a * F.window_values(w)
-                                           + b * G.window_values(w)))
+    return BiSequence(F.dim, lambda w: (a * F.window_values(w)
+                                        + b * G.window_values(w)))
 
 
 def seq_shift(F: BiSequence, tau: int) -> BiSequence:
     """G(k) = F(k + tau)."""
     t = int(tau)
-    return BiSequence(F.dim, lambda k: F(k + t),
-                      window_fn=lambda w: F.window_values(w.shifted(t)))
+    return BiSequence(F.dim, lambda w: F.window_values(w.shifted(t)))
 
 
 def seq_reverse(F: BiSequence) -> BiSequence:
     """G(k) = F(-k); applying it twice reproduces F's values exactly."""
-    return BiSequence(F.dim, lambda k: F(-k),
-                      window_fn=lambda w: F.window_values(w.reflected())[::-1])
+    return BiSequence(F.dim, lambda w: F.window_values(w.reflected())[::-1])
 
 
 # ---------------------------------------------------------------------------

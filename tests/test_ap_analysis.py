@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -288,17 +290,21 @@ BOHR_SHAPES = [((-70, 70), (0, 200), 24), ((-70, 70), (-20, 60), 1),
                                     "nan-table", "inf-table"])
 def test_bohr_check_matches_exhaustive_scan(target, sn):
     F = bohr_target(target)
-    for k_window, tau_range, L in BOHR_SHAPES:
-        exact = exhaustive_bohr_check(F, sn, np.inf, k_window, tau_range,
-                                      L).max_defect
-        for epsilon in (0.0, 1e-12, exact, np.inf):
-            if np.isnan(epsilon):
-                continue
-            got = bohr_check(F, sn, epsilon, k_window, tau_range, L)
-            ref = exhaustive_bohr_check(F, sn, epsilon, k_window, tau_range,
-                                        L)
-            assert repr(got.to_dict()) == repr(ref.to_dict()), \
-                (k_window, tau_range, L, epsilon)
+    # a difference stencil over the +-inf entries meets inf - inf
+    overflow = target == "inf-table" and sn.kind in ("stencil", "block_sum")
+    with (pytest.warns(RuntimeWarning, match="invalid value") if overflow
+          else contextlib.nullcontext()):
+        for k_window, tau_range, L in BOHR_SHAPES:
+            exact = exhaustive_bohr_check(F, sn, np.inf, k_window, tau_range,
+                                          L).max_defect
+            for epsilon in (0.0, 1e-12, exact, np.inf):
+                if np.isnan(epsilon):
+                    continue
+                got = bohr_check(F, sn, epsilon, k_window, tau_range, L)
+                ref = exhaustive_bohr_check(F, sn, epsilon, k_window,
+                                            tau_range, L)
+                assert repr(got.to_dict()) == repr(ref.to_dict()), \
+                    (k_window, tau_range, L, epsilon)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -760,3 +760,47 @@ def test_inclusion_growth_warning_reaches_the_report(tmp_path):
     assert report["solve"]["warnings"] == [warning]
     assert "inner" not in report["solve"]
     assert f"warning: {warning}" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("p", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_p_seminorm_needs_a_finite_exponent(tmp_path, capsys, p):
+    # at p = inf every value of (sum_i |x_i|^p)^(1/p) is 1: the solve read
+    # a residual of 1 at tol 1e-10 and still certified uniqueness
+    from apseq import cli
+    cfg = write_config(tmp_path, {**MINIMAL_FIRST_ORDER,
+                                  "seminorms": [{"kind": "p", "p": p}]})
+    assert cli.main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "finite p >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", ["nan", "inf"])
+@pytest.mark.parametrize("name", ["heat", "wave"])
+def test_grid_spacing_must_be_finite(tmp_path, capsys, name, h):
+    # h = inf made an all-zero Laplacian; h = nan failed in the solve
+    from apseq import cli
+    from apseq.seq_core import Window
+    assert cli.main(["example", name, "--h", h, "--out",
+                     str(tmp_path / "example")]) == 2
+    cfg = write_config(tmp_path, cli.example_config(
+        name, 5, float(h), Window(-10, 10), 1e-10))
+    command = {"heat": "solve-degenerate", "wave": "solve-p2"}[name]
+    assert cli.main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "config")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("grid spacing must be a finite number > 0") == 2
+
+
+@pytest.mark.parametrize("name,n", [("heat", 8), ("wave", 12)])
+def test_grid_examples_read_no_sequence_k_by_k(tmp_path, monkeypatch, name,
+                                               n):
+    # every solver layer reads its sequences a window at a time
+    from apseq import cli
+    from apseq.seq_core import BiSequence
+    calls = []
+    original = BiSequence.__call__
+    monkeypatch.setattr(BiSequence, "__call__",
+                        lambda self, k: calls.append(k) or original(self, k))
+    assert cli.main(["example", name, "--n", str(n), "--out",
+                     str(tmp_path / name)]) == 0
+    assert calls == []

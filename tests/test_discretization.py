@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from apseq import (BiSequence, InputContractError, OperatorSequence, Seminorm,
-                   SeminormFamily, TrigPoly, bohr_check, omega_c_check,
-                   seq_axpy)
+                   SeminormFamily, TrigPoly, Window, bohr_check,
+                   omega_c_check, seq_axpy)
 from apseq.discretization import (difference_family, heat_problem,
                                   laplacian_1d, wave_problem)
 from apseq.higher_order import build_B_from_D
@@ -106,30 +106,25 @@ def test_heat_reads_b_only_where_build_and_solve_read_it():
     assert all(np.abs(u(k)).max() == 0.0 for k in range(-10, 11))
 
 
-def _per_k_generators(monkeypatch):
-    """Drop every window rule, so generators evaluate k by k."""
-    plain = OperatorSequence.from_function
-    monkeypatch.setattr(OperatorSequence, "from_function", staticmethod(
-        lambda *args, window_fn=None, **kw: plain(*args, **kw)))
-
-
 @pytest.mark.parametrize("per_k", [False, True])
-def test_heat_reports_the_first_nonpositive_re_b(per_k, monkeypatch):
-    if per_k:
-        _per_k_generators(monkeypatch)
+def test_heat_reports_the_first_nonpositive_re_b(per_k):
     # two bad k in one certificate block of the gate window: the first is
-    # named
+    # named, also when b is a user rule read k by k within each window
     b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0, seq_axpy(
         1.0, BiSequence.spike(-8, [-4.0]), 1.0,
         BiSequence.spike(-3, [-5.0])))
+    if per_k:
+        b = BiSequence.from_function(1, b)
     with pytest.raises(InputContractError,
                        match=r"Re b\(-8\) = -1\.0 is not positive"):
         heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
                      BiSequence.zeros(4), window=(-10, 10))
 
 
-def test_heat_window_rules_match_per_k_generators(monkeypatch):
-    # non-constant m and b make B, A and Ainv generators with window rules
+def test_heat_window_rules_match_per_k_generators():
+    # non-constant m and b make B, A, Ainv and D generators; matrices read
+    # k by k, through one-k windows, have the bits of whole windows, so the
+    # solve does not depend on the order the k are read in
     n = 6
     m = BiSequence.from_trig_poly(TrigPoly.of(
         [(0.0, [0.05]), (0.7, [0.01]), (-0.7, [0.01])]))
@@ -138,18 +133,18 @@ def test_heat_window_rules_match_per_k_generators(monkeypatch):
     f = grid_forcing(n)
     runs = []
     for per_k in (False, True):
-        if per_k:
-            _per_k_generators(monkeypatch)
         hp = heat_problem(n, 1.0, m, b, f, window=(-30, 30))
-        assert {hp.B.backend, hp.A.backend, hp.Ainv_C.backend} == {"generator"}
-        assert (hp.Ainv_C._window_fn is None) == per_k
-        _, _, rep = hp.solve((-30, 30), tol=1e-10)
-        runs.append((hp.certificate_sup, rep.truncation_V))
-    (sups, V), (sups_k, V_k) = runs
-    assert V == V_k
-    assert sups.keys() == sups_k.keys()
-    for lbl, s in sups.items():
-        assert abs(s - sups_k[lbl]) <= 1e-14 * s
+        ops = (hp.B, hp.A, hp.Ainv_C, hp.D)
+        assert {op.backend for op in ops} == {"generator"}
+        if per_k:
+            for op in ops:
+                for k in range(60, -80, -1):
+                    op.matrix(k)
+        _, u, rep = hp.solve((-30, 30), tol=1e-10)
+        runs.append((hp.certificate_sup, rep.truncation_V,
+                     u.window_values((-30, 30)).tobytes(),
+                     [op.matrices(Window(-79, 60)).tobytes() for op in ops]))
+    assert runs[0] == runs[1]
 
 
 def test_heat_ap_data_residual_and_bohr():

@@ -180,6 +180,36 @@ def test_second_order_matrix_coefficients_shift_consistency(rng):
     assert res["sup"] == rep.max_residual["sup"]
 
 
+@pytest.mark.parametrize("generator", [False, True])
+def test_second_order_recovery_is_the_per_k_product_bit_for_bit(
+        generator, rng, monkeypatch):
+    # u(k) = -G(k) (v(k+1) - vec f(k))_head as stacked mat-vecs keeps the
+    # bits of the product taken one k at a time
+    from apseq import higher_order
+    d = 3
+    fam = SeminormFamily.sup_only(d)
+    a0 = 5.0 * np.eye(d) + 0.4 * random_matrix(rng, d)
+    A0 = (OperatorSequence.from_function(
+        d, lambda k: a0 * (1 + 0.1 * np.sin(k))) if generator
+        else OperatorSequence.constant(a0))
+    A1 = OperatorSequence.constant(0.15 * random_matrix(rng, d))
+    A2 = OperatorSequence.constant(0.1 * np.eye(d))
+    f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(d))]))
+    solves = []
+    solve = higher_order.solve_inclusion
+    monkeypatch.setattr(higher_order, "solve_inclusion",
+                        lambda *a, **kw: solves.append(solve(*a, **kw))
+                        or solves[-1])
+    sel = higher_order.second_order_selection(A0, A1, A2, np.eye(d), fam)
+    u, _ = solve_second_order(A0, A1, A2, np.eye(d), f, (-8, 8),
+                              family=fam, selection=sel)
+    (v, _), = solves
+    vec_f = build_companion(2, [A0, A1, A2], np.eye(d)).lift(f)
+    ref = np.stack([sel.D.matrix(k)[d:, :d] @ (v(k + 1) - vec_f(k))[:d]
+                    for k in range(-8, 11)])
+    assert u.window_values((-8, 10)).tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("omega,c", [(1, 0.5), (2, 1.0), (3, 1j)])
 def test_second_order_omega_c_transfer(omega, c, rng):
     fam = FAM1

@@ -291,6 +291,8 @@ def test_singular_stencil_raises_certificate_error(rng):
 
 
 def test_window_rule_generator_matches_per_k_rule(rng):
+    # a per-k user rule adapted by from_function and the same rule given as
+    # a window rule derive the same matrices and certificates
     fam = SeminormFamily.of(STENCILS[:2] + [Seminorm.sup()], 5)
     base = [random_matrix(rng, 5) for _ in range(3)]
 
@@ -299,8 +301,8 @@ def test_window_rule_generator_matches_per_k_rule(rng):
 
     per_k = OperatorSequence.from_function(5, lambda k: stack([k])[0],
                                            family=fam)
-    blocked = OperatorSequence.from_function(
-        5, lambda k: stack([k])[0], window_fn=lambda w: stack(w), family=fam)
+    blocked = OperatorSequence(5, stack, family=fam)
+    assert blocked.backend == per_k.backend == "generator"
     for sn in fam:
         assert (blocked.sup_over(sn.label, Window(-150, 20))
                 == per_k.sup_over(sn.label, Window(-150, 20)))
@@ -309,10 +311,13 @@ def test_window_rule_generator_matches_per_k_rule(rng):
         assert np.array_equal(blocked.certificate_array(sn.label, w),
                               [induced_bound(per_k.matrix(k), sn) for k in w])
     assert np.array_equal(blocked.matrices(w), per_k.matrices(w))
-    bad = OperatorSequence.from_function(5, lambda k: stack([k])[0],
-                                         window_fn=lambda w: stack(w)[:-1])
+    # matrix(k) on a miss reads the one-k window
+    assert np.array_equal(blocked.matrix(40), stack([40])[0])
+    bad = OperatorSequence(5, lambda w: stack(w)[:-1])
     with pytest.raises(ShapeError):
         bad.matrices(w)
+    with pytest.raises(ShapeError):
+        bad.matrix(0)
 
 
 def test_window_blocks_are_cut_at_aligned_multiples():
@@ -332,8 +337,7 @@ def test_certificate_miss_derives_only_the_asked_window(rng):
         windows.append(w)
         return np.stack([base * np.cos(k) for k in w])
 
-    A = OperatorSequence.from_function(3, lambda k: stack(Window(k, k))[0],
-                                       window_fn=stack, family=fam)
+    A = OperatorSequence(3, stack, family=fam)
     c = A.certificate("sup", -5)
     assert windows == [Window(-5, -5)]
     assert c == induced_bound(base * np.cos(-5), fam.by_label("sup"))
