@@ -17,8 +17,8 @@ from .higher_order import (CompanionSystem, build_companion, build_B_from_D,
                            companion_forward_oracle, solve_second_order)
 from .operator_model import (OperatorSequence, induced_bound,
                              op_product_apply)
-from .resolvent import (ResolventSelection, compose_selection,
-                        inclusion_residual, solve_degenerate_vb,
+from .resolvent import (compose_selection, inclusion_residual,
+                        inverse_selection, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
 from .seq_core import (BiSequence, Seminorm, SeminormFamily, TrigPoly, Window,
                        read_csv, seq_axpy, seq_reverse, seq_shift, write_csv)

@@ -230,8 +230,9 @@ def weyl_distance(F: BiSequence, P: BiSequence, sn: Seminorm, p: float,
     """
     if l < 1:
         raise InputContractError("window length l must be >= 1")
-    if p < 1:
-        raise InputContractError("exponent p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise InputContractError(f"exponent p must be a finite number >= 1, "
+                                 f"got {p}")
     s_range = as_window(s_range)
     vals = _difference_values(F, P, sn,
                               Window(s_range.start, s_range.end + l)) ** p
@@ -251,8 +252,9 @@ def besicovitch_distance(F: BiSequence, P: BiSequence, sn: Seminorm, p: float,
     grid = [int(l) for l in l_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise InputContractError("l_grid must be nonempty and increasing")
-    if p < 1:
-        raise InputContractError("exponent p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise InputContractError(f"exponent p must be a finite number >= 1, "
+                                 f"got {p}")
     lmax = grid[-1]
     vals = _difference_values(F, P, sn, Window(-lmax, lmax)) ** p
     csum = np.concatenate([[0.0], np.cumsum(vals)])

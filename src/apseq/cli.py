@@ -23,11 +23,10 @@ from .config import (ScenarioConfig, _descriptor, build_sequence, cmat, cnum,
                      cpair, mat_out)
 from .errors import ApseqError, InputContractError
 from .first_order import solve_series
-from .higher_order import (_a0_inverse_sequence, build_companion,
-                           build_B_from_D, companion_D_block,
-                           solve_second_order)
+from .higher_order import (build_companion, build_B_from_D,
+                           companion_D_block, solve_second_order)
 from .operator_model import OperatorSequence, as_matrix, checked_solve
-from .resolvent import (ResolventSelection, solve_degenerate_vb,
+from .resolvent import (inverse_selection, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
 from .seq_core import (BiSequence, Seminorm, SeminormFamily, Window,
                        as_window, write_csv, write_grid_csv)
@@ -132,7 +131,7 @@ def _ainv_c(cfg: ScenarioConfig, A: OperatorSequence, C,
             family: SeminormFamily) -> OperatorSequence:
     if "Ainv_C" in cfg.operators:
         return cfg.operator("Ainv_C", family=family)
-    return ResolventSelection.from_matrix_inverse(A, C, family).D
+    return inverse_selection(A, C, family)
 
 
 def _config_C(cfg: ScenarioConfig, dim: int):
@@ -161,11 +160,10 @@ def _dispatch(cfg: ScenarioConfig):
         f = forcing()
         C = _config_C(cfg, cfg.dim)
         if "D" in cfg.operators:
-            sel = ResolventSelection(cfg.operator("D", family=family), C)
+            D = cfg.operator("D", family=family)
         else:
-            sel = ResolventSelection.from_matrix_inverse(
-                cfg.operator("A", plain=True), C, family)
-        x, rep = solve_inclusion(sel, f, hull, tol=cfg.tol, pad_right=pad)
+            D = inverse_selection(cfg.operator("A", plain=True), C, family)
+        x, rep = solve_inclusion(D, f, hull, tol=cfg.tol, pad_right=pad)
         return x, {}, rep, family
 
     if cfg.kind == "degenerate_vb":
@@ -188,7 +186,7 @@ def _dispatch(cfg: ScenarioConfig):
             ainv_bc = cfg.operator("Ainv_BC", family=family)
         else:
             ainv_bc = OperatorSequence.map(
-                lambda k, a, b_next: checked_solve(a, b_next @ C, f"A({k})"),
+                lambda w, a, b_next: checked_solve(a, b_next @ C, "A", w),
                 A, B, shifts=(0, 1), family=family)
         u, rep = solve_degenerate_vb1(B, ainv_bc, C, g, f, hull, tol=cfg.tol,
                                       A=A, pad_right=pad)
@@ -422,7 +420,7 @@ def run_reduce_order(cfg: ScenarioConfig, out_dir, k: int) -> int:
     seqs = [cfg.operator(f"A{j}", plain=True) for j in range(p + 1)]
     C = _config_C(cfg, cfg.dim)
     sys_ = build_companion(p, seqs, C)
-    G = _a0_inverse_sequence(seqs[0], C)
+    G = inverse_selection(seqs[0], C, name="A0")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -433,7 +431,7 @@ def run_reduce_order(cfg: ScenarioConfig, out_dir, k: int) -> int:
         "bold_A": mat_out(sys_.bold_A(k)),
         "bold_B_next": mat_out(sys_.bold_B(k + 1)),
         "bold_C": mat_out(sys_.bold_C()),
-        "selection_D": mat_out(companion_D_block(sys_, G, k)),
+        "selection_D": mat_out(companion_D_block(sys_, G, (k, k))[0]),
     }
     _write_json(out / "reduction.json", payload)
     return 0

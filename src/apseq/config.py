@@ -239,10 +239,11 @@ def build_operator(desc: dict, dim: int,
     kw = dict(family=family)
     with _descriptor(f"operator descriptor with backend {backend!r}"):
         if backend == "constant":
-            return OperatorSequence.constant(cmat(desc["matrix"]), **kw)
+            return OperatorSequence.constant(
+                as_matrix(cmat(desc["matrix"]), dim), **kw)
         if backend == "periodic":
             return OperatorSequence.periodic(
-                [cmat(m) for m in desc["matrices"]], **kw)
+                [as_matrix(cmat(m), dim) for m in desc["matrices"]], **kw)
         if backend == "scaled_constant":
             base = as_matrix(cmat(desc["matrix"]), dim)
             terms = [(float(t["frequency"]), cnum(t["coefficient"]))

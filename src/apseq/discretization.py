@@ -19,8 +19,7 @@ from .errors import InputContractError
 from .first_order import SolveReport
 from .higher_order import second_order_selection, solve_second_order
 from .operator_model import Matrix, OperatorSequence
-from .resolvent import (ResolventSelection, compose_selection,
-                        solve_degenerate_vb)
+from .resolvent import compose_selection, solve_degenerate_vb
 from .seq_core import BiSequence, Seminorm, SeminormFamily, Window, as_window
 
 
@@ -108,9 +107,10 @@ class HeatProblem:
     certificate per seminorm is the induced bound of D(k) = B(k) Ainv_C(k).
     B is a constant sequence when m is constant, and A and Ainv_C when b
     is; otherwise they are generators whose matrices come a window at a
-    time (Ainv_C as one stacked solve of Lap - b(k) I per block, which D
-    reads through its window rule).  ``D`` is the composite selection
-    whose certificates ``heat_problem`` validated; the solve reuses it.
+    time (Ainv_C as one stacked solve of Lap - b(k) I per block).  ``D``
+    is the composite selection whose certificates ``heat_problem``
+    validated, one stacked product B Ainv_C per window; the solve reuses
+    it and derives B(k)^{-1} the same way, as a window rule over B.
     """
 
     laplacian: GridLaplacian
@@ -193,9 +193,10 @@ class WaveProblem:
     """Second-order instance
     m2(k+2,.) u(k+2) + m1(k+1,.) u(k+1) = Lap u(k) - b(k) u(k) + f(k),
     rewritten with A2 = m2 multiplier, A1 = m1 multiplier,
-    A0(k) = b(k) I - Lap and C = I.  ``selection`` is the companion
-    selection whose certificates the builder validated; the solve reuses
-    it."""
+    A0(k) = b(k) I - Lap and C = I.  ``D`` is the companion selection
+    whose certificates the builder validated; the solve reuses it.  It is
+    constant when m1, m2 and b are, and otherwise a generator whose window
+    rule is one stacked solve of A0 and one stacked block assembly."""
 
     laplacian: GridLaplacian
     A0: OperatorSequence
@@ -203,7 +204,7 @@ class WaveProblem:
     A2: OperatorSequence
     f: BiSequence
     family: SeminormFamily
-    selection: ResolventSelection
+    D: OperatorSequence
     certificate_sup: dict[str, float] = field(default_factory=dict)
 
     def solve(self, window, tol: float = 1e-10, pad_right: int = 2
@@ -211,8 +212,7 @@ class WaveProblem:
         return solve_second_order(self.A0, self.A1, self.A2,
                                   np.eye(self.laplacian.size), self.f, window,
                                   tol=tol, family=self.family,
-                                  pad_right=pad_right,
-                                  selection=self.selection)
+                                  pad_right=pad_right, D=self.D)
 
 
 def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
@@ -240,12 +240,12 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
     A0 = _grid_operator(
         b, size, lambda k0, vals: vals[:, 0, None, None] * eye - L.matrix)
 
-    sel = second_order_selection(A0, A1, A2, eye, family)
-    sups = {lbl: sel.D.sup_over(lbl, gate) for lbl in sel.D.labels()}
+    D = second_order_selection(A0, A1, A2, eye, family)
+    sups = {lbl: D.sup_over(lbl, gate) for lbl in D.labels()}
     bad = {lbl: s for lbl, s in sups.items() if s >= SMALLNESS_GATE}
     if bad:
         raise InputContractError(
             f"wave multipliers are not small enough: combined certificate "
             f"sups {bad} reach the gate {SMALLNESS_GATE}")
     return WaveProblem(laplacian=L, A0=A0, A1=A1, A2=A2, f=f, family=family,
-                       selection=sel, certificate_sup=sups)
+                       D=D, certificate_sup=sups)

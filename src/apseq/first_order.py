@@ -129,7 +129,13 @@ def _probe_forcing(f: BiSequence, probe: Window, family: SeminormFamily
     if not np.isfinite(vals).all():
         raise InputContractError("forcing has non-finite values on the probe "
                                  f"window [{probe.start}, {probe.end}]")
-    sup = {sn.label: float(sn.of_rows(vals).max()) for sn in family}
+    with np.errstate(over="ignore"):
+        sup = {sn.label: float(sn.of_rows(vals).max()) for sn in family}
+    bad = [lbl for lbl, s in sup.items() if not np.isfinite(s)]
+    if bad:
+        raise InputContractError(
+            f"forcing has non-finite {bad[0]} sup on the probe window "
+            f"[{probe.start}, {probe.end}]")
     return vals, sup
 
 

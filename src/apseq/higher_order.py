@@ -24,8 +24,8 @@ import numpy as np
 from .errors import InputContractError, NumericError, ShapeError
 from .first_order import SolveReport, linear_residual
 from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
-                             checked_solve, induced_bound, window_blocks)
-from .resolvent import ResolventSelection, amplification, solve_inclusion
+                             induced_bound, window_blocks)
+from .resolvent import amplification, inverse_selection, solve_inclusion
 from .seq_core import BiSequence, SeminormFamily, as_window
 
 
@@ -45,13 +45,14 @@ class CompanionSystem:
     def block_dim(self) -> int:
         return self.p * self.dim
 
-    def _zeros(self) -> np.ndarray:
+    def _zeros(self, *stack: int) -> np.ndarray:
         n = self.block_dim
-        return np.zeros((n, n), dtype=np.complex128)
+        return np.zeros((*stack, n, n), dtype=np.complex128)
 
     def _set_block(self, m: np.ndarray, i: int, j: int, block) -> None:
+        """Block (i, j) of a block matrix, or of each matrix of a stack."""
         d = self.dim
-        m[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
+        m[..., i * d:(i + 1) * d, j * d:(j + 1) * d] = block
 
     def bold_A(self, k: int) -> Matrix:
         """diag(-A_0(k), C, ..., C)."""
@@ -109,19 +110,22 @@ def build_companion(p: int, A_seqs, C) -> CompanionSystem:
 
 
 def companion_D_block(sys: CompanionSystem, A0inv_C: OperatorSequence,
-                      k: int) -> Matrix:
-    """The reduction selection bold_B(k) [bold_A(k)]^{-1} bold_C, assembled
-    blockwise: only the first row, the (2,1) resolvent block, and the
-    subdiagonal identities are nonzero.  Equals the dense triple product.
+                      window) -> np.ndarray:
+    """The reduction selection bold_B(k) [bold_A(k)]^{-1} bold_C for k in
+    ``window``, as a (len, p d, p d) stack assembled blockwise: only the
+    first row, the (2,1) resolvent block, and the subdiagonal identities
+    are nonzero.  Equals the dense triple product.
     """
     if A0inv_C.dim != sys.dim:
         raise ShapeError("A0inv_C dimension mismatch")
+    window = as_window(window)
     d, p = sys.dim, sys.p
-    g = A0inv_C.matrix(k)                    # [A_0(k)]^{-1} C
-    m = sys._zeros()
-    sys._set_block(m, 0, 0, -(sys.A_seqs[1].matrix(k) @ g))
+    g = A0inv_C.matrices(window)             # [A_0(k)]^{-1} C
+    m = sys._zeros(len(window))
+    sys._set_block(m, 0, 0, -(sys.A_seqs[1].matrices(window) @ g))
     for col in range(1, p):
-        sys._set_block(m, 0, col, sys.A_seqs[col + 1].matrix(k + col))
+        sys._set_block(m, 0, col,
+                       sys.A_seqs[col + 1].matrices(window.shifted(col)))
     sys._set_block(m, 1, 0, -g)
     eye = np.eye(d)
     for row in range(2, p):
@@ -134,14 +138,9 @@ def companion_D_dense(sys: CompanionSystem, k: int) -> Matrix:
     return sys.bold_B(k) @ np.linalg.solve(sys.bold_A(k), sys.bold_C())
 
 
-def _a0_inverse_sequence(A0: OperatorSequence, C: Matrix) -> OperatorSequence:
-    return OperatorSequence.map(lambda k, a0: checked_solve(a0, C, f"A0({k})"),
-                                A0)
-
-
 def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
                            A2: OperatorSequence, C, family: SeminormFamily
-                           ) -> ResolventSelection:
+                           ) -> OperatorSequence:
     """The p = 2 companion selection bold_B(k) [bold_A(k)]^{-1} bold_C,
     certified by its induced bounds on the lifted family.
 
@@ -154,38 +153,38 @@ def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
     """
     C = as_matrix(C, A0.dim)
     sys = build_companion(2, [A0, A1, A2], C)
-    G = _a0_inverse_sequence(A0, C)
-    D = OperatorSequence.map(lambda k, *_: companion_D_block(sys, G, k),
-                             G, A1, A2, shifts=(0, 0, 1), dim=2 * A0.dim,
-                             family=family.lifted(2))
-    return ResolventSelection(D, sys.bold_C())
+    G = inverse_selection(A0, C, name="A0")
+    return OperatorSequence.map(lambda w, *_: companion_D_block(sys, G, w),
+                                G, A1, A2, shifts=(0, 0, 1), dim=2 * A0.dim,
+                                family=family.lifted(2))
 
 
 def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
                        A2: OperatorSequence, C, f: BiSequence, window,
                        tol: float = 1e-10, family: SeminormFamily | None = None,
                        pad_right: int = 2,
-                       selection: ResolventSelection | None = None
+                       D: OperatorSequence | None = None
                        ) -> tuple[BiSequence, SolveReport]:
     """Solve C A_2(k+2) u(k+2) + C A_1(k+1) u(k+1) + A_0(k) u(k) = C f(k).
 
-    Runs through ``second_order_selection`` (or the given ``selection``,
-    built by it from the same coefficients); its certificate sups must
-    stay below 1.  The scalar-level residual of the order-2 equation is
-    certified on the returned u.
+    Runs through the selection D of ``second_order_selection`` (or the
+    given ``D``, built by it from the same coefficients); its certificate
+    sups must stay below 1.  The scalar-level residual of the order-2
+    equation is certified on the returned u.
     """
     family = family or A0.family or A1.family or A2.family
     if family is None:
         raise InputContractError("need a seminorm family")
     window = as_window(window)
     C = as_matrix(C, A0.dim)
-    sel = selection or second_order_selection(A0, A1, A2, C, family)
+    if D is None:
+        D = second_order_selection(A0, A1, A2, C, family)
     vec_f = build_companion(2, [A0, A1, A2], C).lift(f)
     d = A0.dim
 
     series_tol = tol / (4.0 * amplification(family, C))
     u_pad = max(2, pad_right)  # the order-2 residual consumes u(k+2)
-    v, report = solve_inclusion(sel, vec_f, window, tol=series_tol,
+    v, report = solve_inclusion(D, vec_f, window, tol=series_tol,
                                 pad_right=u_pad + 1)
     report.tol = tol
 
@@ -195,7 +194,7 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
     u_window = window.extended(right=u_pad)
     vec_u = (v.window_values(u_window.shifted(1))
              - vec_f.window_values(u_window))
-    vec_u[:, :d] = (sel.D.matrices(u_window)[:, d:, :d]
+    vec_u[:, :d] = (D.matrices(u_window)[:, d:, :d]
                     @ vec_u[:, :d, None])[..., 0]
     u = BiSequence.from_table(u_window.start, vec_u[:, :d])
 
@@ -271,6 +270,6 @@ def build_B_from_D(A_mat: OperatorSequence, D_mat: OperatorSequence, p: int,
                             f"block budget violated at k={k}, seminorm "
                             f"{sn.label!r}: {total[n]:.4f} > {budget:.4f}")
 
-    B = OperatorSequence.map(lambda j, a, d: a @ d, A_mat, D_mat,
+    B = OperatorSequence.map(lambda w, a, d: a @ d, A_mat, D_mat,
                              shifts=(-1, -1))
     return B, warnings

@@ -110,17 +110,29 @@ def induced_bound(matrix: Matrix, sn: Seminorm) -> float | np.ndarray:
     raise InputContractError(f"unknown seminorm kind {sn.kind!r}")
 
 
-def checked_solve(matrix: Matrix, rhs, what: str = "matrix") -> np.ndarray:
-    """matrix^{-1} rhs by a dense solve with partial pivoting.
+def well_conditioned(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition estimates of a stack (..., d, d) and where they allow a
+    dense solve: finite and at most COND_LIMIT."""
+    cond = np.linalg.cond(stack)
+    return cond, np.isfinite(cond) & (cond <= COND_LIMIT)
 
-    Condition estimates above COND_LIMIT raise NumericError: certificate
-    soundness requires trustworthy applies.
+
+def checked_solve(stack: np.ndarray, rhs, name: str,
+                  window: Window) -> np.ndarray:
+    """A(k)^{-1} rhs for the stack of A(k), k in ``window``, by dense solves
+    with partial pivoting; ``rhs`` is one matrix or a stack.
+
+    A condition estimate above COND_LIMIT raises NumericError naming the
+    first such ``name``(k): certificate soundness requires trustworthy
+    applies.
     """
-    cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericError(f"{what} has condition estimate {cond:.3e} above "
-                           f"{COND_LIMIT:.1e}; refusing the dense solve")
-    return np.linalg.solve(matrix, rhs)
+    cond, ok = well_conditioned(stack)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise NumericError(f"{name}({window.start + i}) has condition "
+                           f"estimate {cond[i]:.3e} above {COND_LIMIT:.1e}; "
+                           f"refusing the dense solve")
+    return np.linalg.solve(stack, rhs)
 
 
 def window_blocks(window: Window, done: Container[int] = ()
@@ -205,25 +217,22 @@ class OperatorSequence:
             family=family, sup_bounds=sup_bounds)
 
     @staticmethod
-    def map(fn: Callable[..., Matrix], *seqs: "OperatorSequence",
+    def map(fn: Callable[..., np.ndarray], *seqs: "OperatorSequence",
             shifts: Sequence[int] | None = None, dim: int | None = None,
             family: SeminormFamily | None = None) -> "OperatorSequence":
-        """k -> fn(k, seqs[0].matrix(k + shifts[0]), ...): periodic with the
-        lcm period (constant for period 1) if every input is constant or
-        periodic, else a generator of dimension ``dim`` (default the first
-        input's) with no global sup bounds, which evaluates a window through
-        the ``matrices`` of its generator inputs.  fn sees only
-        k = 0 .. period-1 for periodic results, so it may use k only to read
-        sequences or to name it in errors."""
+        """The derived sequence with the window rule w -> fn(w, *stacks),
+        where stacks[i] = seqs[i].matrices(w.shifted(shifts[i])) and fn
+        returns the (len(w), dim, dim) stack of its matrices on w.  It is
+        periodic with the lcm period (constant for period 1) if every input
+        is constant or periodic, and fn is then called once, on
+        [0, period - 1], so it may use w only to read sequences or to name
+        k in errors.  Otherwise it is a generator of dimension ``dim``
+        (default the first input's) with no global sup bounds."""
         shifts = tuple(shifts) if shifts is not None else (0,) * len(seqs)
 
         def at(w: Window) -> np.ndarray:
-            stacks = [s.matrices(w.shifted(sh)) if s.period is None
-                      else None for s, sh in zip(seqs, shifts)]
-            return np.stack([
-                fn(k, *(s.matrix(k + sh) if st is None else st[i]
-                        for s, sh, st in zip(seqs, shifts, stacks)))
-                for i, k in enumerate(w)])
+            return fn(w, *(s.matrices(w.shifted(sh))
+                           for s, sh in zip(seqs, shifts)))
 
         if all(s.period is not None for s in seqs):
             period = lcm(*(s.period for s in seqs))
@@ -233,25 +242,23 @@ class OperatorSequence:
 
     # -- evaluation --------------------------------------------------------
 
-    def residue(self, k: int) -> int:
-        """The index that stands for k among the distinct matrices: 0 for
-        a constant, k mod the period for a periodic backend, else k."""
-        k = int(k)
-        return k if self.period is None else k % self.period
-
     def matrix(self, k: int) -> Matrix:
-        k = self.residue(k)
+        k = int(k)
         if self._distinct is not None:
-            return self._distinct[k]
+            return self._distinct[k % self.period]
         if k not in self._mat_cache:
             self.matrices(Window(k, k))
         return self._mat_cache[k]
 
     def matrices(self, window) -> np.ndarray:
-        """A(k) for k in ``window`` as a (len, dim, dim) stack.  A generator
-        evaluates its window rule once per CERT_BLOCK-aligned run of the k
-        it has not cached, and caches views into those stacks."""
+        """A(k) for k in ``window`` as a (len, dim, dim) stack; a constant
+        gives a read-only view of its one matrix.  A generator evaluates its
+        window rule once per CERT_BLOCK-aligned run of the k it has not
+        cached, and caches views into those stacks."""
         window = as_window(window)
+        if self.period == 1:
+            return np.broadcast_to(self._distinct[0],
+                                   (len(window), self.dim, self.dim))
         if self._distinct is not None:
             return np.stack([self._distinct[k % self.period] for k in window])
         for w in window_blocks(window, self._mat_cache):

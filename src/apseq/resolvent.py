@@ -21,57 +21,52 @@ equations
 
 reduce to inclusions with selections B(k) [A(k)]^{-1} C and
 [A(k)]^{-1} B(k+1) C respectively.
+
+Every selection is an ``OperatorSequence`` derived by
+``OperatorSequence.map``: one window rule over the stacks of its inputs,
+such as the condition-checked stacked solve of ``inverse_selection`` or
+the stacked product of ``compose_selection``.  The solvers read only the
+selection D, which carries the regularizer C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import InputContractError, NumericError
+from .errors import InputContractError
 from .first_order import SolveReport, linear_residual, solve_series
 from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
-                             checked_solve, induced_bound, window_blocks)
+                             checked_solve, induced_bound, well_conditioned,
+                             window_blocks)
 from .seq_core import BiSequence, SeminormFamily, Window, as_window
 
 CONSISTENCY_TOL = 1e-10  # relative defect allowed in B(k+1) C f(k) = C g(k)
 
 
-@dataclass
-class ResolventSelection:
-    """Single-valued selection D(k) of [Amlo(k)]^{-1} C, plus the regularizer."""
-
-    D: OperatorSequence
-    C: Matrix
-
-    def __post_init__(self):
-        self.C = as_matrix(self.C, self.D.dim)
-
-    @staticmethod
-    def from_matrix_inverse(A_mat: OperatorSequence, C,
-                            family: SeminormFamily) -> "ResolventSelection":
-        """D(k) = [A(k)]^{-1} C by condition-checked dense solves, with
-        certificates derived as induced bounds of the solved matrices."""
-        C = as_matrix(C, A_mat.dim)
-        D = OperatorSequence.map(
-            lambda k, a: checked_solve(a, C, f"A({k})"), A_mat, family=family)
-        return ResolventSelection(D, C)
+def inverse_selection(A: OperatorSequence, C,
+                      family: SeminormFamily | None = None,
+                      name: str = "A") -> OperatorSequence:
+    """D(k) = [A(k)]^{-1} C by condition-checked stacked dense solves,
+    certified over ``family`` by the induced bounds of the solved matrices
+    (plain without one).  A failing check names ``name``(k)."""
+    C = as_matrix(C, A.dim)
+    return OperatorSequence.map(lambda w, a: checked_solve(a, C, name, w), A,
+                                family=family)
 
 
-def solve_inclusion(sel: ResolventSelection, f: BiSequence, window,
+def solve_inclusion(D: OperatorSequence, f: BiSequence, window,
                     tol: float = 1e-10,
                     pad_right: int = 1) -> tuple[BiSequence, SolveReport]:
-    """Solve the inclusion as the backward series of the equation
-    x(k) = D(k) x(k+1) + g(k) with g = -D f.
+    """Solve the inclusion through its selection D as the backward series
+    of the equation x(k) = D(k) x(k+1) + g(k) with g = -D f.
 
     Returns x on [window.start - 1, window.end + pad_right] (table backend)
     with the selection-form residual x(k) - D(k) x(k+1) + D(k) f(k) measured
     over the requested window.
     """
     window = as_window(window)
-    D = sel.D
     if D.family is None:
         raise InputContractError("selection operator carries no seminorm family")
     if f.dim != D.dim:
@@ -82,15 +77,15 @@ def solve_inclusion(sel: ResolventSelection, f: BiSequence, window,
                              pad_right=pad_right, backward=True)
     report.window = (window.start, window.end)
     report.residual_form = "inclusion_selection"
-    report.max_residual = inclusion_residual(sel, f, x, window, D.family)
+    report.max_residual = inclusion_residual(D, f, x, window, D.family)
     return x, report
 
 
-def inclusion_residual(sel: ResolventSelection, f: BiSequence, x: BiSequence,
+def inclusion_residual(D: OperatorSequence, f: BiSequence, x: BiSequence,
                        window, family: SeminormFamily) -> dict[str, float]:
     """max over window and kappa of kappa(x(k) - D(k) x(k+1) + D(k) f(k)),
-    the verifiable membership defect under the selection."""
-    minus_D = (-1.0, (sel.D, 0))
+    the verifiable membership defect under the selection D."""
+    minus_D = (-1.0, (D, 0))
     return linear_residual(x, {0: (), 1: minus_D}, (minus_D, f), window,
                            family)
 
@@ -103,7 +98,7 @@ def compose_selection(B: OperatorSequence, G: OperatorSequence,
     the solve probes it."""
     if B.dim != G.dim:
         raise InputContractError(f"dims differ: {B.dim} vs {G.dim}")
-    return OperatorSequence.map(lambda k, b, g: b @ g, B, G, family=family)
+    return OperatorSequence.map(lambda w, b, g: b @ g, B, G, family=family)
 
 
 def amplification(family: SeminormFamily, C: Matrix, stacks=()) -> float:
@@ -114,18 +109,14 @@ def amplification(family: SeminormFamily, C: Matrix, stacks=()) -> float:
                       for m in chain([C], stacks) for sn in family))
 
 
-def _b_inverse(B: OperatorSequence, k: int,
-               inverses: dict[int, Matrix | None]) -> Matrix | None:
-    """B(k)^{-1}, or None when B(k) fails its condition check.
-    ``inverses`` keeps one entry per distinct matrix (keyed by
-    ``B.residue(k)``), so a constant B is checked and inverted once."""
-    key = B.residue(k)
-    if key not in inverses:
-        try:
-            inverses[key] = checked_solve(B.matrix(k), np.eye(B.dim))
-        except NumericError:
-            inverses[key] = None
-    return inverses[key]
+def _inverse_or_zero(w: Window, b: np.ndarray) -> np.ndarray:
+    """B(k)^{-1} for each B(k) of the stack, or zero where B(k) fails its
+    condition check; a true inverse is never zero, so zero marks the
+    failure."""
+    _, ok = well_conditioned(b)
+    out = np.zeros(b.shape, dtype=np.complex128)
+    out[ok] = np.linalg.solve(b[ok], np.eye(b.shape[-1]))
+    return out
 
 
 def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
@@ -152,36 +143,28 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     C = as_matrix(C, B.dim)
     if D is None:
         D = compose_selection(B, Ainv_C, family)
-    sel = ResolventSelection(D, C)
 
     # tighten the series tolerance by the measured residual amplification
     # of A(k) B(k)^{-1}; a B(k) that fails its check contributes zero
-    inverses: dict[int, Matrix | None] = {}
-    zero = np.zeros((B.dim, B.dim), dtype=np.complex128)
-
-    def b_inverses(w: Window) -> np.ndarray:
-        return np.stack([zero if m is None else m
-                         for m in (_b_inverse(B, k, inverses) for k in w)])
-
-    products = () if A is None else (A.matrices(w) @ b_inverses(w)
+    B_inv = OperatorSequence.map(_inverse_or_zero, B)
+    products = () if A is None else (A.matrices(w) @ B_inv.matrices(w)
                                      for w in window_blocks(window))
     series_tol = tol / (2.0 * amplification(family, C, products))
 
-    v, report = solve_inclusion(sel, f, window, tol=series_tol,
+    v, report = solve_inclusion(D, f, window, tol=series_tol,
                                 pad_right=pad_right + 1)
     report.tol = tol
 
     # u recovery: u(k) = B(k)^{-1} v(k) as stacked mat-vecs, which keep the
     # bits of each B(k)^{-1} @ v(k)
     u_window = window.extended(right=pad_right)
-    bad = next((k for k in u_window if _b_inverse(B, k, inverses) is None),
-               None)
-    if bad is None:
+    inverses = B_inv.matrices(u_window)
+    failed = ~inverses.any(axis=(1, 2))
+    if not failed.any():
         route = "b_inverse"
-        u_vals = np.concatenate([
-            (b_inverses(w) @ v.window_values(w)[..., None])[..., 0]
-            for w in window_blocks(u_window)])
+        u_vals = (inverses @ v.window_values(u_window)[..., None])[..., 0]
     else:
+        bad = u_window.start + int(np.argmax(failed))
         report.warnings.append(
             f"B({bad}) condition estimate above {COND_LIMIT:.1e}; "
             f"B-inverse recovery abandoned")
@@ -235,8 +218,7 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
     stacks = () if A is None else map(A.matrices, window_blocks(window))
     series_tol = tol / (2.0 * amplification(family, C, stacks))
 
-    sel = ResolventSelection(Ainv_BC, C)
-    u, report = solve_inclusion(sel, f, window, tol=series_tol,
+    u, report = solve_inclusion(Ainv_BC, f, window, tol=series_tol,
                                 pad_right=pad_right)
     report.tol = tol
     if A is not None:

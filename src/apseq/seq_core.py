@@ -304,10 +304,6 @@ class TrigPoly:
             out += np.exp(1j * lam * ks)[:, None] * y[None, :]
         return out
 
-    def shifted(self, tau: int) -> "TrigPoly":
-        return TrigPoly(tuple((lam, as_vector(y * np.exp(1j * lam * tau)))
-                              for lam, y in self.terms))
-
 
 # ---------------------------------------------------------------------------
 # Bi-infinite sequences

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from apseq import (BiSequence, ConvergencePreconditionError,
-                   OperatorSequence, ResolventSelection, Seminorm,
+                   OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, Window, besicovitch_distance, bohr_check,
                    build_companion, companion_D_block, companion_D_dense,
                    forward_oracle, omega_c_check, residual,
                    solve_degenerate_vb, solve_inclusion, solve_second_order,
                    solve_series)
 from apseq.discretization import laplacian_1d
-from apseq.resolvent import solve_degenerate_vb1
+from apseq.resolvent import inverse_selection, solve_degenerate_vb1
 from conftest import random_certified_operator, random_matrix
 
 SUP = Seminorm.sup()
@@ -75,13 +75,12 @@ def test_criterion_02_residual_certification():
     results["first_order"] = (rep.max_residual, rep.sup_certificates)
 
     D = random_certified_operator(rng, fam, 0.6)
-    _, rep = solve_inclusion(ResolventSelection(D, np.eye(2)), f, window,
-                             tol=tol)
+    _, rep = solve_inclusion(D, f, window, tol=tol)
     results["inclusion"] = (rep.max_residual, rep.sup_certificates)
 
     B = OperatorSequence.constant(np.diag([0.5, 0.4]), family=fam)
     Amat = OperatorSequence.constant(np.eye(2) + 0.2 * random_matrix(rng, 2))
-    AinvC = ResolventSelection.from_matrix_inverse(Amat, np.eye(2), fam).D
+    AinvC = inverse_selection(Amat, np.eye(2), fam)
     _, _, rep = solve_degenerate_vb(B, AinvC, np.eye(2), f, window, tol=tol,
                                     A=Amat)
     results["vb"] = (rep.max_residual, rep.sup_certificates)
@@ -134,8 +133,7 @@ def test_criterion_03_omega_c_transfer(omega, c):
 
     D = random_certified_operator(rng, fam, cert, backend="periodic",
                                   period=omega)
-    x, _ = solve_inclusion(ResolventSelection(D, np.eye(2)), f, window,
-                           tol=tol, pad_right=omega)
+    x, _ = solve_inclusion(D, f, window, tol=tol, pad_right=omega)
     worst = max(worst, omega_c_check(x, omega, c, fam, window))
 
     B = OperatorSequence.periodic(
@@ -265,7 +263,7 @@ def test_criterion_08_companion_structure():
             G = OperatorSequence.constant(
                 np.linalg.solve(seqs[0].matrix(0), C))
             k = int(rng.integers(-6, 6))
-            got = companion_D_block(sys_, G, k)
+            got = companion_D_block(sys_, G, (k, k))[0]
             dense = companion_D_dense(sys_, k)
             scale = max(1.0, float(np.abs(dense).max()))
             assert np.abs(got - dense).max() / scale <= 1e-13
@@ -281,7 +279,7 @@ def test_criterion_08_companion_structure():
                                OperatorSequence.constant([[1.0]])],
                            [[1.0]])
     G2 = OperatorSequence.constant([[0.5]])
-    got = companion_D_block(sys2, G2, 0)
+    got = companion_D_block(sys2, G2, (0, 0))[0]
     dense = companion_D_dense(sys2, 0)
     assert np.abs(got - dense).max() <= 1e-15
     assert np.array_equal(got, np.array([[-0.5, 1.0], [-0.5, 0.0]]))

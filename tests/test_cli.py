@@ -577,11 +577,11 @@ def test_example_wave_derives_each_certificate_once(tmp_path, monkeypatch):
     problem, counts = _wave_derivations(
         monkeypatch, ["example", "wave", "--n", "4", "--out",
                       str(tmp_path / "wave")])
-    evaluated = problem.selection.D._cert_cache
+    evaluated = problem.D._cert_cache
     labels = problem.family.labels()
     # constant data give a constant selection: one certificate per
     # seminorm, derived once from its one matrix
-    assert problem.selection.D.backend == "constant"
+    assert problem.D.backend == "constant"
     assert list(evaluated) == [0] and sorted(evaluated[0]) == sorted(labels)
     assert counts == {lbl: 1 for lbl in labels}
 
@@ -601,13 +601,13 @@ def test_wave_varying_multiplier_derives_each_certificate_once(
     problem, counts = _wave_derivations(
         monkeypatch, ["solve-p2", "--config", str(path), "--out",
                       str(tmp_path / "wave")])
-    evaluated = problem.selection.D._cert_cache
-    assert problem.selection.D.backend == "generator"
+    evaluated = problem.D._cert_cache
+    assert problem.D.backend == "generator"
     # every (seminorm, k) of the gate window [-21, 22] around the window
     # [-20, 20] is derived, and each derived (seminorm, k) exactly once
     assert set(range(-21, 23)) <= set(evaluated)
     assert counts == {lbl: len(evaluated)
-                      for lbl in problem.selection.D.labels()}
+                      for lbl in problem.D.labels()}
 
 
 def test_example_heat_exits_4_on_failed_bohr_verdict(tmp_path, monkeypatch):
@@ -804,3 +804,103 @@ def test_grid_examples_read_no_sequence_k_by_k(tmp_path, monkeypatch, name,
     assert cli.main(["example", name, "--n", str(n), "--out",
                      str(tmp_path / name)]) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("operator", [
+    {"backend": "constant", "matrix": [[[0.5, 0.0]]]},
+    {"backend": "periodic", "matrices": [[[[0.5, 0.0]]], [[[0.25, 0.0]]]]}],
+    ids=["constant", "periodic"])
+@pytest.mark.parametrize("kind,name", [("first_order", "A"),
+                                       ("inclusion", "D")])
+def test_operator_dimension_must_match_the_config(tmp_path, capsys, operator,
+                                                  kind, name):
+    # a 1x1 operator in a dim 2 config solved as a 1-component problem
+    from apseq import cli
+    cfg = write_config(tmp_path, {
+        **MINIMAL_FIRST_ORDER, "kind": kind, "dim": 2,
+        "operators": {name: operator}})
+    command = {"first_order": "solve", "inclusion": "solve-inclusion"}[kind]
+    assert cli.main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "expected dimension 2, got 1" in capsys.readouterr().err
+
+
+def test_forcing_sup_overflow_is_an_input_error(tmp_path, capsys):
+    # finite values whose l1 sup overflows made log(tol / inf) fail
+    from apseq import cli
+    cfg = write_config(tmp_path, {
+        **MINIMAL_FIRST_ORDER, "dim": 2,
+        "seminorms": [{"kind": "sup"}, {"kind": "p", "p": 1}],
+        "operators": {"A": {"backend": "constant",
+                            "matrix": [[[0.5, 0.0], [0.0, 0.0]],
+                                       [[0.0, 0.0], [0.5, 0.0]]]}},
+        "forcing": {"backend": "constant",
+                    "value": [[1.5e308, 0.0], [1.5e308, 0.0]]}})
+    assert cli.main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "forcing has non-finite l1 sup" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("analysis", [
+    {"weyl": {"l": 8, "s_range": [-10, 10]}},
+    {"besicovitch": {"l_grid": [8, 16]}}], ids=["weyl", "besicovitch"])
+def test_ap_distances_need_a_finite_exponent(tmp_path, capsys, analysis, p):
+    # NaN gave a NaN distance, and inf a zero Weyl value and an inf limsup
+    from apseq import cli
+    (name, req), = analysis.items()
+    cfg = write_config(tmp_path, {
+        "schema_version": 1, "kind": "analyze", "dim": 1,
+        "window": [-10, 10], "seminorms": [{"kind": "sup"}],
+        "sequences": {"target": {"backend": "constant",
+                                 "value": [[1.0, 0.0]]}},
+        "analysis": {name: {**req, "p": p}}})
+    assert cli.main(["analyze", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "exponent p must be a finite number >= 1" in capsys.readouterr().err
+
+
+SINGULAR = {"backend": "scaled_constant",
+            "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            "scale": [{"frequency": 0.0, "coefficient": [1.0, 0.0]},
+                      {"frequency": 1.3, "coefficient": [0.0, 0.3]}]}
+GOOD = {"backend": "constant",
+        "matrix": [[[2.0, 0.0], [0.3, 0.0]], [[-0.1, 0.0], [2.5, 0.0]]]}
+SMALL = {"backend": "constant",
+         "matrix": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]}
+TWO_DIM = {**MINIMAL_FIRST_ORDER, "dim": 2, "window": [-5, 5],
+           "forcing": {"backend": "constant",
+                       "value": [[1.0, 0.0], [-0.5, 0.0]]}}
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("solve-inclusion", {"kind": "inclusion", "operators": {"A": SINGULAR}},
+     "A(-6)"),
+    ("solve-inclusion",
+     {"kind": "inclusion", "operators": {"A": {
+         "backend": "periodic", "matrices": [GOOD["matrix"]] * 2
+         + [SINGULAR["matrix"], GOOD["matrix"]]}}}, "A(2)"),
+    ("solve-degenerate",
+     {"kind": "degenerate_vb1", "operators": {"A": SINGULAR, "B": SMALL},
+      "sequences": {"g": {"backend": "constant",
+                          "value": [[0.1, 0.0], [-0.05, 0.0]]}}}, "A(-6)"),
+    ("solve-p2",
+     {"kind": "second_order", "window": [-12, 12],
+      "operators": {"A0": SINGULAR, "A1": SMALL, "A2": SMALL}}, "A0(-13)"),
+    ("solve-p2",
+     {"kind": "second_order",
+      "operators": {"A0": {"backend": "periodic",
+                           "matrices": [GOOD["matrix"], SINGULAR["matrix"]]},
+                    "A1": SMALL, "A2": SMALL}}, "A0(1)")],
+    ids=["inclusion-generator", "inclusion-periodic", "vb1-generator",
+         "second-order-generator", "second-order-periodic"])
+def test_singular_derived_inverse_names_its_first_k(tmp_path, capsys,
+                                                    command, data, message):
+    # the first k the solve reads, or the residue of a periodic operator
+    from apseq import cli
+    cfg = write_config(tmp_path, {**TWO_DIM, **data})
+    assert cli.main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == (
+        f"apseq: error: {message} has condition estimate inf above 1.0e+12; "
+        f"refusing the dense solve\n")

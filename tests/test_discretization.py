@@ -390,7 +390,7 @@ def test_canned_wave_sup_is_the_induced_bound_of_its_selection():
     # D(0) = [[-m1 G, m2 I], [-G, 0]] with G = (3 I - Lap)^{-1}
     eye = np.eye(n)
     G = np.linalg.solve(3.0 * eye - laplacian_1d(n, 1.0).matrix, eye)
-    D0 = wp.selection.D.matrix(0)
+    D0 = wp.D.matrix(0)
     assert np.abs(D0 - np.block([[-0.05 * G, 0.05 * eye],
                                  [-G, 0 * eye]])).max() <= 1e-15
     lifted = wp.family.lifted(2)

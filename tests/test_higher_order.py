@@ -61,7 +61,7 @@ def test_selection_block_p2_scalar_matches_dense_product():
     # A0=2, A1=1, A2=1, C=1: dense oracle gives [[-0.5, 1], [-0.5, 0]]
     sys_ = scalar_system(2.0, 1.0, 1.0)
     G = const(0.5)  # [A0]^{-1} C
-    got = companion_D_block(sys_, G, 0)
+    got = companion_D_block(sys_, G, (0, 0))[0]
     dense = companion_D_dense(sys_, 0)
     assert np.abs(got - dense).max() <= 1e-15
     assert np.array_equal(got, np.array([[-0.5, 1.0], [-0.5, 0.0]]))
@@ -70,7 +70,7 @@ def test_selection_block_p2_scalar_matches_dense_product():
 def test_selection_block_vanishing_first_row():
     # A1 = A2 = 0: only the resolvent block below the diagonal survives
     sys_ = scalar_system(2.0, 0.0, 0.0)
-    got = companion_D_block(sys_, const(0.5), 3)
+    got = companion_D_block(sys_, const(0.5), (3, 3))[0]
     assert np.array_equal(got, np.array([[0.0, 0.0], [-0.5, 0.0]]))
 
 
@@ -86,7 +86,7 @@ def test_selection_block_matches_dense_on_random_draws(p, rng):
         k = int(rng.integers(-5, 5))
         G = OperatorSequence.from_function(
             d, lambda j: np.linalg.solve(seqs[0].matrix(j), C))
-        got = companion_D_block(sys_, G, k)
+        got = companion_D_block(sys_, G, (k, k))[0]
         dense = companion_D_dense(sys_, k)
         scale = max(1.0, np.abs(dense).max())
         assert np.abs(got - dense).max() / scale <= 1e-13
@@ -200,12 +200,12 @@ def test_second_order_recovery_is_the_per_k_product_bit_for_bit(
     monkeypatch.setattr(higher_order, "solve_inclusion",
                         lambda *a, **kw: solves.append(solve(*a, **kw))
                         or solves[-1])
-    sel = higher_order.second_order_selection(A0, A1, A2, np.eye(d), fam)
+    D = higher_order.second_order_selection(A0, A1, A2, np.eye(d), fam)
     u, _ = solve_second_order(A0, A1, A2, np.eye(d), f, (-8, 8),
-                              family=fam, selection=sel)
+                              family=fam, D=D)
     (v, _), = solves
     vec_f = build_companion(2, [A0, A1, A2], np.eye(d)).lift(f)
-    ref = np.stack([sel.D.matrix(k)[d:, :d] @ (v(k + 1) - vec_f(k))[:d]
+    ref = np.stack([D.matrix(k)[d:, :d] @ (v(k + 1) - vec_f(k))[:d]
                     for k in range(-8, 11)])
     assert u.window_values((-8, 10)).tobytes() == ref.tobytes()
 

@@ -215,7 +215,7 @@ def test_map_joint_backend_and_period(rng):
                                    family=fam)
     K = OperatorSequence.constant(random_matrix(rng, 2), family=fam)
     G = OperatorSequence.from_function(2, lambda k: (1 + 0.1 * k) * np.eye(2))
-    prod = OperatorSequence.map(lambda k, a, b: a @ b, P2, P3, shifts=(0, 1),
+    prod = OperatorSequence.map(lambda w, a, b: a @ b, P2, P3, shifts=(0, 1),
                                 family=fam)
     assert prod.backend == "periodic" and prod.period == 6
     for k in range(-7, 8):
@@ -223,12 +223,12 @@ def test_map_joint_backend_and_period(rng):
         # derived certificates are the exact induced bounds
         assert prod.certificate("sup", k) == induced_bound(prod.matrix(k),
                                                            fam.by_label("sup"))
-    assert OperatorSequence.map(lambda k, a: 2 * a, K).backend == "constant"
-    mixed = OperatorSequence.map(lambda k, a, g: a @ g, K, G)
+    assert OperatorSequence.map(lambda w, a: 2 * a, K).backend == "constant"
+    mixed = OperatorSequence.map(lambda w, a, g: a @ g, K, G)
     assert mixed.backend == "generator"
     assert np.array_equal(mixed.matrix(4), K.matrix(4) @ G.matrix(4))
     # a generator result has no global sup; the solve probes it
-    derived = OperatorSequence.map(lambda k, a, g: a @ g, K, G, family=fam)
+    derived = OperatorSequence.map(lambda w, a, g: a @ g, K, G, family=fam)
     assert derived.backend == "generator" and derived.sup_bounds == {}
     w = Window(-3, 3)
     assert derived.sup_over("sup", w) == max(
@@ -353,3 +353,24 @@ def test_certificate_miss_derives_only_the_asked_window(rng):
     assert windows == [Window(-5, -5),
                        Window(-CERT_BLOCK - 6, -CERT_BLOCK - 1),
                        Window(-CERT_BLOCK, -6), Window(-4, -1), Window(0, 3)]
+
+
+def test_generator_map_calls_its_rule_once_per_block(rng):
+    # the rule sees each input's whole stack for a block, never one k
+    K = OperatorSequence.constant(random_matrix(rng, 2))
+    G = OperatorSequence.from_function(2, lambda k: (1 + 0.1 * k) * np.eye(2))
+    calls = []
+
+    def rule(w, a, g):
+        calls.append((w, a.shape, g.shape))
+        return a @ g
+
+    prod = OperatorSequence.map(rule, K, G, shifts=(0, 1))
+    w = Window(-CERT_BLOCK - 6, 3)
+    stack = prod.matrices(w)
+    assert [c[0] for c in calls] == list(window_blocks(w))
+    assert all(a == g == (len(b), 2, 2) for b, a, g in calls)
+    assert np.array_equal(stack, [K.matrix(k) @ G.matrix(k + 1) for k in w])
+    # a constant input reaches the rule as a read-only view, not copies
+    assert K.matrices(w).strides[0] == 0
+    assert not K.matrices(w).flags.writeable

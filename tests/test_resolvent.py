@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from apseq import (BiSequence, InputContractError, OperatorSequence,
-                   ResolventSelection, SeminormFamily, TrigPoly,
+                   SeminormFamily, TrigPoly, Window,
                    forward_oracle, inclusion_residual, omega_c_check,
                    seq_reverse, solve_degenerate_vb, solve_degenerate_vb1,
                    solve_inclusion)
 from apseq.operator_model import induced_bound
-from apseq.resolvent import compose_selection, vb1_residual, vb_residual
+from apseq.resolvent import (compose_selection, inverse_selection,
+                             vb1_residual, vb_residual)
 from conftest import random_certified_operator
 
 FAM1 = SeminormFamily.sup_only(1)
 
 
-def scalar_selection(d_value, c_value=1.0, family=FAM1):
-    D = OperatorSequence.constant([[d_value]], family=family)
-    return ResolventSelection(D, [[c_value]])
+def scalar_selection(d_value, family=FAM1):
+    return OperatorSequence.constant([[d_value]], family=family)
 
 
 def test_scalar_inclusion_fixed_point():
@@ -40,7 +40,7 @@ def test_inclusion_zero_forcing_and_zero_regularizer():
     x, _ = solve_inclusion(sel, BiSequence.zeros(1), (-5, 5))
     assert all(x(k)[0] == 0.0 for k in range(-5, 6))
     # C = 0 forces D = 0 and the solution collapses to zero
-    sel0 = scalar_selection(0.0, 0.0)
+    sel0 = scalar_selection(0.0)
     x0, _ = solve_inclusion(sel0, BiSequence.constant([3.0]), (-5, 5))
     assert all(x0(k)[0] == 0.0 for k in range(-5, 6))
 
@@ -63,9 +63,9 @@ def test_round_trip_forward_form(rng):
     C = np.eye(3)
     A_mat = OperatorSequence.periodic(
         [rng.standard_normal((3, 3)) + 4 * np.eye(3) for _ in range(2)])
-    sel = ResolventSelection.from_matrix_inverse(A_mat, C, fam)
+    sel = inverse_selection(A_mat, C, fam)
     for k in range(-3, 3):
-        AD = A_mat.matrix(k) @ sel.D.matrix(k)
+        AD = A_mat.matrix(k) @ sel.matrix(k)
         assert np.abs(AD - C).max() <= 1e-10
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.4, rng.standard_normal(3))]))
     tol = 1e-10
@@ -91,8 +91,7 @@ def test_vb_identity_B_reduces_to_inclusion(rng):
     f = BiSequence.from_trig_poly(TrigPoly.of([(1.1, rng.standard_normal(2))]))
     tol = 1e-10
     v, u, rep = solve_degenerate_vb(B, G, np.eye(2), f, (-6, 6), tol=tol)
-    x, _ = solve_inclusion(ResolventSelection(G, np.eye(2)), f, (-6, 6),
-                           tol=tol)
+    x, _ = solve_inclusion(G, f, (-6, 6), tol=tol)
     worst = max(np.abs(v(k) - x(k)).max() for k in range(-6, 7))
     assert worst <= 10 * tol
     assert all(np.array_equal(u(k), v(k)) for k in range(-6, 7))
@@ -157,7 +156,8 @@ def test_vb_u_recovery_is_the_per_k_inverse_bit_for_bit(backend, rng):
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.6, rng.standard_normal(d))]))
     v, u, rep = solve_degenerate_vb(B, G, np.eye(d), f, (-70, 10))
     assert rep.warnings[-1] == "u recovered via b_inverse"
-    ref = np.stack([checked_solve(B.matrix(k), np.eye(d)) @ v(k)
+    ref = np.stack([checked_solve(B.matrices((k, k)), np.eye(d), "B",
+                                  Window(k, k))[0] @ v(k)
                     for k in range(-70, 12)])
     assert u.window_values((-70, 11)).tobytes() == ref.tobytes()
 
@@ -168,8 +168,7 @@ def test_vb1_identity_B_with_matching_g_reduces_to_inclusion(rng):
     G = random_certified_operator(rng, fam, 0.45)
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.9, rng.standard_normal(2))]))
     u, rep = solve_degenerate_vb1(B, G, np.eye(2), f, f, (-6, 6), tol=1e-10)
-    x, _ = solve_inclusion(ResolventSelection(G, np.eye(2)), f, (-6, 6),
-                           tol=1e-10)
+    x, _ = solve_inclusion(G, f, (-6, 6), tol=1e-10)
     worst = max(np.abs(u(k) - x(k)).max() for k in range(-6, 7))
     assert worst <= 10e-10
 
@@ -217,7 +216,7 @@ def test_inclusion_omega_c_transfer(omega, c, rng):
     fam = SeminormFamily.sup_only(2)
     D = random_certified_operator(rng, fam, 0.55, backend="periodic",
                                   period=omega)
-    sel = ResolventSelection(D, np.eye(2))
+    sel = D
     base = rng.standard_normal((omega, 2)) + 1j * rng.standard_normal((omega, 2))
     f = BiSequence.omega_c(base, omega, c)
     x, _ = solve_inclusion(sel, f, (-10, 10), tol=1e-10, pad_right=omega)
@@ -254,8 +253,7 @@ def test_triple_equivalence_vb_inclusion_reversed_series(rng):
     window = (-7, 7)
 
     v_vb, u_vb, _ = solve_degenerate_vb(B, D, np.eye(2), f, window, tol=tol)
-    x_inc, _ = solve_inclusion(ResolventSelection(D, np.eye(2)), f, window,
-                               tol=tol)
+    x_inc, _ = solve_inclusion(D, f, window, tol=tol)
 
     # manual reversal: w(j+1) = D(-j-1) w(j) - D(-j-1) f(-j-1), x(k) = w(-k)
     A_rev = OperatorSequence.from_function(
@@ -280,8 +278,7 @@ def test_backward_depth_search_matches_the_reversed_series(rng):
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(2)),
                                                (0.0, rng.standard_normal(2))]))
     window = (-9, 9)
-    _, rep = solve_inclusion(ResolventSelection(D, np.eye(2)), f, window,
-                             tol=1e-10)
+    _, rep = solve_inclusion(D, f, window, tol=1e-10)
     # hand-built reversal as in the triple equivalence above: its table on
     # j in [-10, 10] holds x(k) = w(-k) for k in [-10, 10]
     from apseq import solve_series
@@ -306,8 +303,7 @@ def test_inclusion_reports_probes_in_the_callers_k(rng):
     fam = SeminormFamily.sup_only(2)
     D = random_certified_operator(rng, fam, 0.5, backend="generator")
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(2))]))
-    _, rep = solve_inclusion(ResolventSelection(D, np.eye(2)), f, (-10, 10),
-                             tol=1e-10)
+    _, rep = solve_inclusion(D, f, (-10, 10), tol=1e-10)
     assert [k for k, _ in rep.truncation_V] == list(range(-11, 12))
     depth = max(V for _, V in rep.truncation_V)
     assert rep.f_probe[0] == -12 and rep.f_probe[1] >= 11 + depth
@@ -324,8 +320,7 @@ def test_inclusion_with_exact_sups_is_certified(rng):
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(2))]))
     for backend in ("constant", "periodic"):
         D = random_certified_operator(rng, fam, 0.5, backend=backend)
-        _, rep = solve_inclusion(ResolventSelection(D, np.eye(2)), f,
-                                 (-10, 10), tol=1e-10)
+        _, rep = solve_inclusion(D, f, (-10, 10), tol=1e-10)
         assert rep.uniqueness == "certified" and rep.sup_probe is None
         assert rep.sup_certificates == D.sup_bounds
         assert rep.to_dict()["sup_probe"] is None
@@ -340,8 +335,7 @@ def test_inclusion_forcing_is_evaluated_a_window_at_a_time(rng):
     windows = []
     window_fn = f._window_fn
     f._window_fn = lambda w: windows.append(w) or window_fn(w)
-    _, rep = solve_inclusion(ResolventSelection(D, np.eye(3)), f, (-12, 12),
-                             tol=1e-10)
+    _, rep = solve_inclusion(D, f, (-12, 12), tol=1e-10)
     probed = rep.f_probe[1] - rep.f_probe[0] + 1
     assert probed > 60
     assert all(len(w) > 1 for w in windows) and len(windows) <= 4
@@ -353,7 +347,7 @@ def test_inclusion_reads_A_only_where_the_solve_reads_it():
     fam = SeminormFamily.sup_only(1)
     A = OperatorSequence.from_function(
         1, lambda k: [[0.0 if k == -50 else 4.0]])
-    sel = ResolventSelection.from_matrix_inverse(A, [[1.0]], fam)
+    sel = inverse_selection(A, [[1.0]], fam)
     x, rep = solve_inclusion(sel, BiSequence.constant([1.0]), (-5, 5))
     # x(k) = (x(k+1) - 1) / 4 has the fixed point -1/3
     assert all(abs(x(k)[0] + 1 / 3) <= 1e-9 for k in range(-5, 6))
