@@ -28,12 +28,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputContractError
-from .seq_core import (BiSequence, Seminorm, SeminormFamily, TrigPoly,
-                       Vector, Window, as_window)
+from .seq_core import (BiSequence, Record, Seminorm, SeminormFamily,
+                       TrigPoly, Vector, Window, as_window)
 
 
 @dataclass
-class APReport:
+class APReport(Record):
     """Outcome of a Bohr translation-number scan.
 
     max_defect is the minimax defect: the worst over window starts t of the
@@ -51,35 +51,15 @@ class APReport:
     k_window: tuple[int, int] | None = None
     tau_range: tuple[int, int] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "seminorm_label": self.seminorm_label,
-            "verdict": self.verdict,
-            "witness_L": self.witness_L,
-            "translation_numbers": list(self.translation_numbers),
-            "max_defect": self.max_defect,
-            "k_window": list(self.k_window) if self.k_window else None,
-            "tau_range": list(self.tau_range) if self.tau_range else None,
-        }
-
 
 @dataclass
-class BesicovitchReport:
+class BesicovitchReport(Record):
     """Cesaro averages per grid length l and the declared limit estimator."""
 
     p: float
     values_by_l: list[tuple[int, float]]
     limsup_estimate: float
     seminorm_label: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "values_by_l": [[l, v] for l, v in self.values_by_l],
-            "limsup_estimate": self.limsup_estimate,
-            "seminorm_label": self.seminorm_label,
-        }
 
 
 #: the Bohr scan's lower bounds take every LB_STRIDE-th k of the k-window

@@ -10,9 +10,7 @@ summary into --out.  Exit codes: 0 success, 2 input-contract error,
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -41,17 +39,6 @@ SUBCOMMAND_KINDS = {
 }
 
 
-def _threads_from(args) -> int | None:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("APSEQ_THREADS")
-    try:
-        return max(1, int(env)) if env else None
-    except ValueError as exc:
-        raise InputContractError(
-            f"APSEQ_THREADS={env!r} is not an integer") from exc
-
-
 def _required_window(cfg: ScenarioConfig) -> tuple[Window, int]:
     """Hull of the config window and everything the analyses will touch."""
     lo, hi = cfg.window.start, cfg.window.end
@@ -63,8 +50,10 @@ def _required_window(cfg: ScenarioConfig) -> tuple[Window, int]:
         kw = as_window(a["bohr"]["k_window"])
         tr = as_window(a["bohr"]["tau_range"])
         L = int(a["bohr"]["L"])
-        lo = min(lo, kw.start + tr.start)
-        hi = max(hi, kw.end + tr.end + L)
+        # the scan reads k_window itself and its shifts by tau in
+        # [tau_range.start, tau_range.end + L]
+        lo = min(lo, kw.start + min(0, tr.start))
+        hi = max(hi, kw.end + max(0, tr.end + L))
     if "besicovitch" in a:
         lmax = max(int(l) for l in a["besicovitch"]["l_grid"])
         fit = int(a["besicovitch"].get("fit_N", lmax))
@@ -79,7 +68,7 @@ def _required_window(cfg: ScenarioConfig) -> tuple[Window, int]:
 
 
 def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
-                  family: SeminormFamily, solve_report=None) -> dict:
+                  family: SeminormFamily) -> dict:
     out: dict = {}
     a = cfg.analysis
     if "omega_c" in a:
@@ -89,8 +78,6 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
                                            cfg.window)
         out["omega_c"] = {"omega": int(req["omega"]),
                           "c": cpair(cnum(req["c"])), "defect": defect}
-        if solve_report is not None:
-            solve_report.periodicity_defect = defect
     if "bohr" in a:
         req = a["bohr"]
         sn = family.by_label(req.get("seminorm", family.labels()[0]))
@@ -99,8 +86,6 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
                                      as_window(req["tau_range"]),
                                      int(req["L"]))
         out["bohr"] = rep.to_dict()
-        if solve_report is not None:
-            solve_report.ap_report = rep
     if "besicovitch" in a:
         req = a["besicovitch"]
         sn = family.by_label(req.get("seminorm", family.labels()[0]))
@@ -297,16 +282,17 @@ def _summary_lines(cfg, rep, analysis) -> list[str]:
     return lines
 
 
-def run(cfg: ScenarioConfig, out_dir, threads: int | None = None,
+def run(cfg: ScenarioConfig, out_dir,
         extra_analysis: dict | None = None) -> dict:
     """Dispatch, write solution CSV + report JSON + summary, and return the
-    analysis results (with ``extra_analysis`` merged in); ``threads`` is
-    only recorded."""
+    analysis results (with ``extra_analysis`` merged in).  The report holds
+    the config, the solve report and the analysis results, each once, and
+    nothing about the run itself, so a rerun writes the same bytes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     x, aux, rep, family = _dispatch(cfg)
     with _descriptor("analysis descriptor"):
-        analysis = _run_analysis(cfg, x, family, rep) if cfg.analysis else {}
+        analysis = _run_analysis(cfg, x, family) if cfg.analysis else {}
     analysis.update(extra_analysis or {})
 
     if not aux.get("analysis_only"):
@@ -317,11 +303,8 @@ def run(cfg: ScenarioConfig, out_dir, threads: int | None = None,
             write_grid_csv(out / "grid_solution.csv", x, cfg.window)
 
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "kind": cfg.kind,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc)
-                        .isoformat(),
-        "threads": threads,
         "config": cfg.to_dict(),
         "solve": rep.to_dict() if rep is not None else None,
         "analysis": analysis,
@@ -390,7 +373,7 @@ def example_config(name: str, n: int, h: float, window: Window,
 
 
 def run_example(name: str, n: int, h: float, window: Window, tol: float,
-                out_dir, threads: int | None) -> int:
+                out_dir) -> int:
     """Run a canned example; the heat example exits 4 when its Bohr
     transfer check fails."""
     data = example_config(name, n, h, window, tol)
@@ -408,7 +391,7 @@ def run_example(name: str, n: int, h: float, window: Window, tol: float,
         data["analysis"] = {"bohr": {**scan, "epsilon": 2 * eps_f,
                                      "seminorm": "sup"}}
         extra = {"bohr_forcing_defect": eps_f}
-    analysis = run(ScenarioConfig.from_dict(data), out_dir, threads=threads,
+    analysis = run(ScenarioConfig.from_dict(data), out_dir,
                    extra_analysis=extra)
     return 0 if analysis.get("bohr", {}).get("verdict", True) else 4
 
@@ -441,17 +424,19 @@ def run_reduce_order(cfg: ScenarioConfig, out_dir, k: int) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--config", type=Path, help="scenario config JSON")
-    sp.add_argument("--out", type=Path, default=Path("apseq-out"),
-                    help="output directory")
-    sp.add_argument("--tol", type=float, default=None,
-                    help="override config tolerance")
-    sp.add_argument("--window", type=str, default=None,
-                    help="override config window as A:B")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="recorded in the report; the solver is sequential "
-                         "(fallback: APSEQ_THREADS)")
+OPTIONS = {
+    "--config": dict(type=Path, help="scenario config JSON"),
+    "--out": dict(type=Path, default=Path("apseq-out"),
+                  help="output directory"),
+    "--tol": dict(type=float, default=None, help="override config tolerance"),
+    "--window": dict(type=str, default=None,
+                     help="override config window as A:B"),
+}
+
+
+def _add_options(sp, *flags):
+    for flag in flags:
+        sp.add_argument(flag, **OPTIONS[flag])
 
 
 def _parse_window(text: str) -> Window:
@@ -470,27 +455,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("solve", "solve-inclusion", "solve-degenerate", "solve-p2",
                  "analyze"):
-        _add_common(sub.add_parser(name))
+        _add_options(sub.add_parser(name), "--config", "--out", "--tol",
+                     "--window")
     rp = sub.add_parser("reduce-order")
-    _add_common(rp)
+    _add_options(rp, "--config", "--out")
     rp.add_argument("--k", type=int, default=0, help="index to assemble at")
     ep = sub.add_parser("example")
     ep.add_argument("name", choices=("heat", "wave"))
     ep.add_argument("--n", type=int, default=5)
     ep.add_argument("--h", type=float, default=1.0)
-    _add_common(ep)
+    _add_options(ep, "--out", "--tol", "--window")
     return ap
 
 
-def _load_config(args) -> ScenarioConfig:
-    if args.config is None:
+def _load_config(path, tol: float | None = None,
+                 window: str | None = None) -> ScenarioConfig:
+    if path is None:
         raise InputContractError("--config is required for this subcommand")
-    cfg = ScenarioConfig.load(args.config)
+    cfg = ScenarioConfig.load(path)
     data = cfg.to_dict()
-    if args.tol is not None:
-        data["tol"] = args.tol
-    if args.window is not None:
-        w = _parse_window(args.window)
+    if tol is not None:
+        data["tol"] = tol
+    if window is not None:
+        w = _parse_window(window)
         data["window"] = [w.start, w.end]
     return ScenarioConfig.from_dict(data)
 
@@ -498,22 +485,22 @@ def _load_config(args) -> ScenarioConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = _threads_from(args)
         if args.command == "example":
             window = (_parse_window(args.window) if args.window
                       else Window(-20, 20))
             tol = 1e-10 if args.tol is None else args.tol
             return run_example(args.name, args.n, args.h, window, tol,
-                               args.out, threads)
-        cfg = _load_config(args)
+                               args.out)
         if args.command == "reduce-order":
-            return run_reduce_order(cfg, args.out, args.k)
+            return run_reduce_order(_load_config(args.config), args.out,
+                                    args.k)
+        cfg = _load_config(args.config, args.tol, args.window)
         allowed = SUBCOMMAND_KINDS[args.command]
         if cfg.kind not in allowed:
             raise InputContractError(
                 f"subcommand {args.command} expects a config kind in "
                 f"{allowed}, got {cfg.kind!r}")
-        run(cfg, args.out, threads=threads)
+        run(cfg, args.out)
         return 0
     except ApseqError as exc:
         print(f"apseq: error: {exc}", file=sys.stderr)

@@ -35,11 +35,11 @@ from math import ceil, inf, log
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ap_analysis import APReport
-from .errors import ConvergencePreconditionError, InputContractError
+from .errors import (ConvergencePreconditionError, InputContractError,
+                     NumericError)
 from .operator_model import OperatorSequence
-from .seq_core import (BiSequence, SeminormFamily, Window, as_vector,
-                       as_window)
+from .seq_core import (BiSequence, Record, SeminormFamily, Window,
+                       as_vector, as_window)
 
 TOL_DEFAULT = 1e-10
 V_MAX_DEFAULT = 10_000  # cap on the certified truncation depth
@@ -48,7 +48,7 @@ _DEPTH_BLOCK_CELLS = 1 << 17
 
 
 @dataclass
-class SolveReport:
+class SolveReport(Record):
     """Everything needed to audit one solve.
 
     max_residual is measured on the returned solution over the requested
@@ -57,7 +57,9 @@ class SolveReport:
     bounds at that depth, which also bound the tail of the longer sum.
     sup_probe is the k-range a generator's sups were taken over, None when
     every sup is global; uniqueness is "certified" exactly then.  Every
-    k-range is in the caller's k, whichever way the equation runs.
+    k-range is in the caller's k, whichever way the equation runs.  It
+    holds the solve's results only: analyses of the solution are reported
+    beside it, and to_dict is the fields as held.
     """
 
     window: tuple[int, int]
@@ -72,31 +74,8 @@ class SolveReport:
     sup_certificates: dict[str, float] = field(default_factory=dict)
     uniqueness: str = "not certified"
     uniqueness_by_label: dict[str, bool] = field(default_factory=dict)
-    periodicity_defect: float | None = None
-    ap_report: APReport | None = None
     warnings: list[str] = field(default_factory=list)
     extras: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "window": list(self.window),
-            "tol": self.tol,
-            "truncation_V": [[k, v] for k, v in self.truncation_V],
-            "tail_bounds": {lbl: [[k, b] for k, b in pairs]
-                            for lbl, pairs in sorted(self.tail_bounds.items())},
-            "max_residual": dict(sorted(self.max_residual.items())),
-            "residual_form": self.residual_form,
-            "f_sup": dict(sorted(self.f_sup.items())),
-            "f_probe": list(self.f_probe) if self.f_probe else None,
-            "sup_probe": list(self.sup_probe) if self.sup_probe else None,
-            "sup_certificates": dict(sorted(self.sup_certificates.items())),
-            "uniqueness": self.uniqueness,
-            "uniqueness_by_label": dict(sorted(self.uniqueness_by_label.items())),
-            "periodicity_defect": self.periodicity_defect,
-            "ap_report": self.ap_report.to_dict() if self.ap_report else None,
-            "warnings": list(self.warnings),
-            "extras": dict(sorted(self.extras.items())),
-        }
 
 
 def _apply_level(A: OperatorSequence, f_rows: np.ndarray, ks: range,
@@ -106,7 +85,8 @@ def _apply_level(A: OperatorSequence, f_rows: np.ndarray, ks: range,
     returns the last ``keep`` states in sweep order.  With ks rising the
     state after step k is x(k+1), with ks falling it is x(k); either way it
     holds as many terms of the series as steps were taken.  A constant or
-    periodic A is read once per distinct matrix."""
+    periodic A is read once per distinct matrix.  A state that overflows
+    is kept as it comes out, inf or nan, for the caller to reject."""
     p = A.period
     if p is None:
         mats = map(A.matrix, ks)
@@ -116,10 +96,11 @@ def _apply_level(A: OperatorSequence, f_rows: np.ndarray, ks: range,
     out = np.empty((keep, A.dim), dtype=np.complex128)
     lead = len(ks) - keep
     x = np.zeros(A.dim, dtype=np.complex128)
-    for i, (m, fk) in enumerate(zip(mats, f_rows)):
-        x = m @ x + fk
-        if i >= lead:
-            out[i - lead] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (m, fk) in enumerate(zip(mats, f_rows)):
+            x = m @ x + fk
+            if i >= lead:
+                out[i - lead] = x
     return out
 
 
@@ -144,6 +125,9 @@ def _geometric_depth(sup_c: float, sup_f: float, tol: float) -> int:
     if sup_f == 0.0:
         return 0
     head = sup_c / (1.0 - sup_c) * sup_f
+    if head == inf:
+        raise NumericError(f"tail bound {sup_c:g}/(1-{sup_c:g}) * {sup_f:g} "
+                           "of the series overflows")
     if head <= tol:
         return 0
     if sup_c <= 0.0:
@@ -276,9 +260,11 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     # the probe's rows, farthest from the window first
     rows = f_vals[::-1] if backward else f_vals
     growth_warning = None
+    lead = work.start - probe.start
     far_edge = max(sn.of_rows(rows[:8]).max() for sn in family)
-    on_window = max(sn.of_rows(rows[-len(work):]).max() for sn in family)
-    if far_edge > 2.0 * on_window and on_window > 0:
+    on_window = max(sn.of_rows(f_vals[lead:lead + len(work)]).max()
+                    for sn in family)
+    if far_edge / 2.0 > on_window and on_window > 0:
         growth_warning = (
             f"forcing grows toward {far} on the probe window; tail bounds "
             f"assume the probed sup extends further {side}")
@@ -294,6 +280,11 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     else:
         ks = range(work.start - v_need - 1, work.end)
     acc = _apply_level(A, rows[margin - v_need:-1], ks, len(work))
+    finite = np.isfinite(acc).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericError("the series solution overflows at k="
+                           f"{work.end - i if backward else work.start + i}")
 
     x = BiSequence.from_table(work.start, acc[::-1] if backward else acc)
 

@@ -13,7 +13,7 @@ one-k window.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -466,8 +466,20 @@ def seq_reverse(F: BiSequence) -> BiSequence:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: columns k, re_0, im_0, ..., re_{d-1}, im_{d-1}
+# Serialization: report records, and CSV with columns k, re_0, im_0, ...,
+# re_{d-1}, im_{d-1}
 # ---------------------------------------------------------------------------
+
+class Record:
+    """Base of the report dataclasses."""
+
+    def to_dict(self) -> dict:
+        """The fields as held, a tuple field as a list: the JSON writer
+        sorts keys and writes nested tuples as arrays."""
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name),
+                                              tuple) else v
+                for f in fields(self)}
+
 
 FLOAT_FMT = "{:.16e}"  # 17 significant digits, lowercase scientific
 #: rows formatted per write

@@ -45,10 +45,6 @@ def read_solution(out_dir):
     return header, ks, vals
 
 
-def strip_timestamp(text: str) -> str:
-    return "\n".join(l for l in text.splitlines() if "generated_at" not in l)
-
-
 def assert_json_layout(text: str) -> None:
     """One dict entry per line with keys sorted, and every list or scalar
     on its key's line: each line opens or closes a dict or holds an entry
@@ -151,39 +147,42 @@ def test_determinism_across_runs_and_threads(tmp_path):
     }
     cfg = write_config(tmp_path, data)
     outs = []
-    for i, threads in enumerate(("1", "1", "8")):
+    for i in range(2):
         out = tmp_path / f"out{i}"
-        res = run_cli("solve", "--config", str(cfg), "--out", str(out),
-                      "--threads", threads)
+        res = run_cli("solve", "--config", str(cfg), "--out", str(out))
         assert res.returncode == 0, res.stderr
         outs.append(out)
-    base_csv = (outs[0] / "solution.csv").read_bytes()
-    base_rep = strip_timestamp((outs[0] / "report.json").read_text())
-    for out in outs[1:]:
-        assert (out / "solution.csv").read_bytes() == base_csv
-        got = strip_timestamp((out / "report.json").read_text())
-        # the threads field differs by design; drop it too
-        drop = lambda t: "\n".join(l for l in t.splitlines()
-                                   if '"threads"' not in l)
-        assert drop(got) == drop(base_rep)
+    for name in ("solution.csv", "report.json", "summary.txt"):
+        assert ((outs[1] / name).read_bytes()
+                == (outs[0] / name).read_bytes())
 
 
-def test_env_var_thread_fallback(tmp_path):
-    cfg = write_config(tmp_path, MINIMAL_FIRST_ORDER)
-    out = tmp_path / "out"
+def _solve_outputs(tmp_path, cfg, env):
+    out = tmp_path / f"out-{env}"
     res = run_cli("solve", "--config", str(cfg), "--out", str(out),
-                  env={"APSEQ_THREADS": "2"})
-    assert res.returncode == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["threads"] == 2
+                  env=env and {"APSEQ_THREADS": env})
+    assert res.returncode == 0, res.stderr
+    return (res.stdout, res.stderr,
+            *((out / name).read_bytes() for name in
+              ("solution.csv", "report.json", "summary.txt")))
 
 
-def test_bad_thread_env_var_is_an_input_error(tmp_path):
+def test_thread_env_var_is_not_read(tmp_path):
+    # the solver is sequential: APSEQ_THREADS changes nothing and --threads
+    # is not an option
     cfg = write_config(tmp_path, MINIMAL_FIRST_ORDER)
-    res = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                  env={"APSEQ_THREADS": "abc"})
+    assert (_solve_outputs(tmp_path, cfg, "8")
+            == _solve_outputs(tmp_path, cfg, None))
+    res = run_cli("solve", "--config", str(cfg), "--out",
+                  str(tmp_path / "out"), "--threads", "2")
     assert res.returncode == 2
-    assert "apseq: error" in res.stderr and "APSEQ_THREADS" in res.stderr
+    assert "unrecognized arguments: --threads 2" in res.stderr
+
+
+def test_bad_thread_env_var_is_not_an_input_error(tmp_path):
+    cfg = write_config(tmp_path, MINIMAL_FIRST_ORDER)
+    assert (_solve_outputs(tmp_path, cfg, "abc")
+            == _solve_outputs(tmp_path, cfg, None))
 
 
 @pytest.mark.parametrize("patch", [
@@ -440,18 +439,15 @@ def test_report_layout(tmp_path, monkeypatch, command):
     else:
         argv = ["example", "heat", "--n", "5"]
     report = _run_capturing_json(
-        monkeypatch, argv + ["--out", str(out), "--threads", "3"]
-    )["report.json"]
+        monkeypatch, argv + ["--out", str(out)])["report.json"]
     text = (out / "report.json").read_text()
     # the data json.dump(indent=2, sort_keys=True) writes, in fewer lines
     reference = json.dumps(report, indent=2, sort_keys=True)
     assert json.loads(text) == json.loads(reference)
     assert len(text.splitlines()) < len(reference.splitlines())
     assert_json_layout(text)
-    lines = text.splitlines()
-    for key in ("generated_at", "threads"):
-        mine = [l.rstrip(",") for l in lines if f'"{key}"' in l]
-        assert mine == [f'  "{key}": {json.dumps(report[key])}']
+    assert "generated_at" not in report and "threads" not in report
+    assert report["schema_version"] == 2
     # what the benchmark's oracle reads: [k, value] pairs over the hull
     solve = json.loads(text)["solve"]
     lo, hi = solve["window"]
@@ -904,3 +900,81 @@ def test_singular_derived_inverse_names_its_first_k(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"apseq: error: {message} has condition estimate inf above 1.0e+12; "
         f"refusing the dense solve\n")
+
+
+@pytest.mark.parametrize("tau_range", [[5, 10], [-30, -25]],
+                         ids=["right", "left"])
+def test_bohr_scan_with_tau_range_excluding_zero(tmp_path, tau_range):
+    # the solve's table must cover k_window itself as well as its shifts
+    data = {**MINIMAL_FIRST_ORDER, "window": [-5, 5],
+            "forcing": {"backend": "trig_poly", "terms": [
+                {"frequency": 1.0, "coefficient": [[1.0, 0.5]]},
+                {"frequency": 0.0, "coefficient": [[0.2, 0.0]]}]},
+            "analysis": {"bohr": {"k_window": [-20, 20],
+                                  "tau_range": tau_range, "L": 3,
+                                  "epsilon": 10.0}}}
+    out = tmp_path / "out"
+    res = run_cli("solve", "--config", str(write_config(tmp_path, data)),
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    bohr = json.loads((out / "report.json").read_text())["analysis"]["bohr"]
+    assert bohr["tau_range"] == tau_range and bohr["verdict"] is True
+    # x is the bounded solution, so its Bohr defects are those of the
+    # series on the whole k_window
+    from apseq import Seminorm, bohr_check
+    from apseq.first_order import solve_series
+    cfg = ScenarioConfig.from_dict(data)
+    x, _ = solve_series(cfg.operator("A", family=cfg.family()),
+                        cfg.sequence(cfg.forcing), (-60, 60))
+    ref = bohr_check(x, Seminorm.sup(), 10.0, (-20, 20), tau_range, 3)
+    assert abs(bohr["max_defect"] - ref.max_defect) <= 1e-9
+
+
+OVERFLOW = {**MINIMAL_FIRST_ORDER, "dim": 2,
+            "operators": {"A": {"backend": "constant",
+                                "matrix": [[[0.5, 0.0], [0.0, 0.0]],
+                                           [[0.0, 0.0], [0.5, 0.0]]]}},
+            "forcing": {"backend": "constant",
+                        "value": [[1.5e308, 0.0], [1.5e308, 0.0]]}}
+
+
+def test_overflowing_solution_is_a_numeric_failure(tmp_path, capsys):
+    # finite forcing and sups whose solution overflows was reported
+    # certified with a solution of nan; in-process, any RuntimeWarning fails
+    from apseq import cli
+    cfg = write_config(tmp_path, OVERFLOW)
+    assert cli.main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == (
+        "apseq: error: the series solution overflows at k=-20\n")
+    res = run_cli("solve", "--config", str(cfg), "--out",
+                  str(tmp_path / "out2"))
+    assert res.returncode == 4
+    assert res.stderr == "apseq: error: the series solution overflows at k=-20\n"
+    assert not (tmp_path / "out2" / "summary.txt").exists()
+
+
+def test_overflowing_tail_bound_is_a_numeric_failure(tmp_path, capsys):
+    # s/(1-s) * sup f above the float max made log(tol / inf) fail
+    from apseq import cli
+    cfg = write_config(tmp_path, {**OVERFLOW, "operators": {"A": {
+        "backend": "constant", "matrix": [[[0.9, 0.0], [0.0, 0.0]],
+                                          [[0.0, 0.0], [0.9, 0.0]]]}}})
+    assert cli.main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 4
+    assert "tail bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra", [
+    (["example", "heat", "--n", "3"], ["--config", "cfg.json"]),
+    (["reduce-order"], ["--tol", "1e-3"]),
+    (["reduce-order"], ["--window=-50:50"])],
+    ids=["example-config", "reduce-order-tol", "reduce-order-window"])
+def test_subcommands_take_only_the_options_they_read(tmp_path, capsys,
+                                                     command, extra):
+    from apseq import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--out", str(tmp_path / "out"), *extra])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

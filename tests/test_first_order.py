@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apseq import (BiSequence, ConvergencePreconditionError,
-                   InputContractError, OperatorSequence, Seminorm,
+                   InputContractError, NumericError, OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, Window, bohr_check, forward_oracle,
                    omega_c_check, residual, seq_axpy, solve_series,
                    weighted_growth_check)
@@ -270,6 +270,36 @@ def test_solver_rejects_non_finite_forcing():
     bad = BiSequence.from_function(1, lambda k: np.array([np.nan]))
     with pytest.raises(InputContractError):
         solve_series(A, bad, (-2, 2))
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_solver_rejects_an_overflowing_solution(backward):
+    # finite forcing and sups, but x = f + A x is above the float max; the
+    # first k the sweep reaches is named, and no RuntimeWarning escapes
+    f = BiSequence.constant([1.5e308, 1.5e308])
+    with pytest.raises(NumericError, match=f"k={4 if backward else -3}$"):
+        solve_series(half_identity(2), f, (-3, 3), backward=backward)
+
+
+def zero_extended(points: dict) -> BiSequence:
+    lo = min(points)
+    values = np.zeros((max(points) - lo + 1, 1))
+    for k, v in points.items():
+        values[k - lo] = v
+    return BiSequence.from_table(lo, values, extend="zero")
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_growth_warning_compares_the_far_edge_with_the_window(backward):
+    # mirrored inputs: f is 1 at the window's edge (the backward series
+    # reads f(11), the forward one f(-10)) and 3 near the far probe edge
+    side = 1 if backward else -1
+    edge = 11 if backward else -10
+    f = zero_extended({edge: 1.0, **{side * k: 3.0 for k in range(30, 41)}})
+    _, rep = solve_series(half_identity(), f, (-10, 10), backward=backward)
+    far = "+inf" if backward else "-inf"
+    assert [w.split(";")[0] for w in rep.warnings] == [
+        f"forcing grows toward {far} on the probe window"]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
