@@ -482,22 +482,194 @@ class Record:
 
 
 FLOAT_FMT = "{:.16e}"  # 17 significant digits, lowercase scientific
-#: rows formatted per write
-_CSV_BLOCK = 256
+#: floats formatted per block of rows, which keeps the scratch arrays small
+_CSV_BLOCK_FLOATS = 4096
+#: the vector path's range of |x|: 10^s, its splits and every partial
+#: product stay normal and finite for each exponent s it needs
+_SAFE_MIN, _SAFE_MAX = 1e-250, 1e250
+#: a field with |frac(y) - 1/2| at or below this is formatted by '%'
+_TIE_MARGIN = 1e-6
+#: bytes per float field: sign, digit, '.', 16 digits, 'e', sign, 3 digits
+_FIELD = 24
 
 
-def _write_rows(path, header: str, row_fmt: str, keys: np.ndarray,
+@lru_cache(maxsize=None)
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """As one uint32 each: the four ASCII digits of 0..9999, and the four
+    bytes after 'e' of each exponent E in [-400, 400] (at E + 400): sign,
+    hundreds digit (a zero pad byte below 100) and two digits.  Built on
+    the first write, so a run that writes no CSV never pays for them."""
+    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
+                          dtype=np.uint8).reshape(100, 2)
+    quads = np.empty((100, 100, 4), dtype=np.uint8)
+    quads[..., :2] = pairs[:, None]
+    quads[..., 2:] = pairs[None, :]
+    e = np.arange(-400, 401)
+    exps = np.empty((len(e), 4), dtype=np.uint8)
+    exps[:, 0] = np.where(e < 0, ord("-"), ord("+"))
+    exps[:, 1] = np.where(abs(e) >= 100, abs(e) // 100 + ord("0"), 0)
+    exps[:, 2:] = pairs[abs(e) % 100]
+    tables = quads.view(np.uint32).reshape(-1), exps.view(np.uint32)[:, 0]
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _pow10_pair(s: int) -> tuple[float, float]:
+    """(hi, lo) with hi = fl(10^s) and lo = fl(10^s - hi); int / int is
+    correctly rounded, so both are exact roundings."""
+    p, q = 10 ** max(s, 0), 10 ** max(-s, 0)
+    hi = p / q
+    num, den = hi.as_integer_ratio()
+    return hi, (p * den - num * q) / (q * den)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = h + l, each half of at most 26 significant bits,
+    so products of halves are exact."""
+    c = a * 134217729.0  # 2^27 + 1
+    h = c - (c - a)
+    return h, a - h
+
+
+def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^s as a double-double (y_hi, y_lo) with y_hi = fl(a * hi):
+    Dekker's product gives a * hi - y_hi exactly, and y_lo adds a * lo."""
+    s0 = int(s.min())
+    s = s - s0
+    his, los = np.zeros((2, int(s.max()) + 1))
+    for i in np.flatnonzero(np.bincount(s.ravel())):
+        his[i], los[i] = _pow10_pair(s0 + int(i))
+    hi = np.take(his, s)
+    y_hi = a * hi
+    (ah, al), (bh, bl) = _split(a), _split(hi)
+    err = (((ah * bh - y_hi) + ah * bl) + al * bh) + al * bl
+    return y_hi, err + a * np.take(los, s)
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, E, exact) for the float array x: |v| rounds to N 10^(E - 16) at
+    17 significant digits, N in [10^16, 10^17) (N = 0, E = 0 for a zero),
+    except where ``exact`` marks a field to be formatted by '%'.
+
+    For 1e-250 < |v| < 1e250, N = round(y), y = |v| 10^s, s = 16 - E,
+    where E = floor(log10 |v|) puts y in [10^16, 10^17).  y is formed as a
+    double-double (y_hi, y_lo): the product with hi = fl(10^s) is exact,
+    and the rounding of lo, of |v| lo and of their sum each add at most
+    2^-49 since y < 2^57, so y_hi + y_lo is within 2^-47 of y.  y_hi >=
+    2^53 is an integer, so N = y_hi + floor(y_lo) + [frac(y_lo) > 1/2] is
+    the correctly rounded N unless y is within 2^-47 of a half-integer.
+    Every field with |frac(y_lo) - 1/2| <= _TIE_MARGIN (1e-6, far above
+    2^-47) is marked exact, and so are the exact ties, which '%' rounds
+    half-even.  The log10 guess of E is checked on y_hi + y_lo, never on N:
+    a v just below 10^E has y just below 10^16, and its digits are those of
+    10 y at E - 1.  A carry to N = 10^17 moves to E + 1.  inf, nan and every
+    other nonzero |v| are marked exact.
+    """
+    ax = np.abs(x)
+    vec = (ax > _SAFE_MIN) & (ax < _SAFE_MAX)
+    a = np.where(vec, ax, 1.0)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    y_hi, y_lo = _scaled(a, 16 - E)
+    low = (y_hi - 1e16) + y_lo < 0
+    fix = low | ((y_hi - 1e17) + y_lo >= 0)
+    if fix.any():
+        E[fix] += np.where(low[fix], -1, 1)
+        y_hi[fix], y_lo[fix] = _scaled(a[fix], 16 - E[fix])
+    floor = np.floor(y_lo)
+    frac = y_lo - floor
+    N = y_hi.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = N == 10 ** 17
+    N[carry] = 10 ** 16
+    E += carry
+    zero = ax == 0
+    N[zero] = 0
+    E[zero] = 0
+    exact = ~(vec | zero) | vec & (np.abs(frac - 0.5) <= _TIE_MARGIN)
+    return N, E, exact
+
+
+def _format_floats(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the bytes of '%.16e' % v for each v of the float array x into
+    ``out[..., :_FIELD]``, which holds zero bytes: in fixed columns (sign,
+    digit, '.', 16 digits, 'e', exponent sign, 3 exponent digits) with a
+    zero byte for an absent sign or hundreds digit, from _decimal's digits,
+    or left-aligned for a field it marks exact, formatted by '%'."""
+    N, E, exact = _decimal(x)
+    # N = q 10^8 + r; q < 10^9 and r < 10^8 are exact as floats
+    q = N // 10 ** 8
+    r = (N - q * 10 ** 8).astype(np.float64)
+    q = q.astype(np.float64)
+    d0 = np.floor(q / 1e8)
+    q -= d0 * 1e8
+    q_hi, r_hi = np.floor(q / 1e4), np.floor(r / 1e4)
+    quads = np.stack([q_hi, q - q_hi * 1e4, r_hi, r - r_hi * 1e4], axis=-1)
+
+    digits4, exponents = _digit_tables()
+    out[..., 0] = np.signbit(x) * np.uint8(ord("-"))
+    out[..., 1] = d0 + ord("0")
+    out[..., 2] = ord(".")
+    out[..., 3:19] = np.take(digits4, quads.astype(np.intp)).view(np.uint8)
+    out[..., 19] = ord("e")
+    out[..., 20:24] = np.take(exponents, E + 400)[..., None].view(np.uint8)
+    for i in zip(*np.nonzero(exact)):
+        field = ("%.16e" % x[i]).encode()
+        out[i] = 0
+        out[i][:len(field)] = np.frombuffer(field, dtype=np.uint8)
+
+
+def _format_ints(k: np.ndarray, out: np.ndarray) -> None:
+    """Write the bytes of '%d' % v for each v of the 1-D int array k into
+    ``out`` (zero bytes beforehand, one more column than the widest |v| has
+    digits): a sign column, then the digits right-aligned after zero pad
+    bytes."""
+    a = np.abs(k)
+    out[k < 0, 0] = ord("-")
+    width = out.shape[1] - 1
+    for j in range(width):
+        p = 10 ** j
+        col = out[:, width - j]
+        col[:] = a // p % 10 + ord("0")
+        if j:
+            col[a < p] = 0
+
+
+def _write_rows(path, header: str, eol: str, keys: np.ndarray,
                 vals: np.ndarray) -> None:
-    """Write ``header``, then row_fmt % (*keys[i], *vals[i]) for each row of
-    the int table ``keys`` and the float table ``vals``.  Rows are formatted
-    a block at a time, so the tables are never converted to Python numbers
-    at once."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for a in range(0, len(vals), _CSV_BLOCK):
-            b = a + _CSV_BLOCK
-            fh.write("".join([row_fmt % (*key, *row) for key, row in
-                              zip(keys[a:b].tolist(), vals[a:b].tolist())]))
+    """Write ``header``, then for each row i the bytes of
+
+        ",".join(["%d"] * nk + ["%.16e"] * m) % (*keys[i], *vals[i]) + eol
+
+    for the (n, nk) int table ``keys`` and the (n, m) float table ``vals``.
+
+    A block of rows is laid out as one uint8 matrix of zero bytes, each
+    field in columns of its own, filled by _format_ints and _format_floats
+    and written with one call once the zero pad bytes are dropped.  Both
+    match '%' byte for byte; _format_floats hands each float it cannot
+    decide within its error bound to '%' itself.
+    """
+    n, m = vals.shape
+    step = max(1, _CSV_BLOCK_FLOATS // m)
+    widths = [len(str(np.abs(col).max())) + 1 for col in keys.T]
+    # each int, then a ',' (the last is the first float's), then ',' and
+    # a field per float, then eol
+    ends = np.cumsum([w + 1 for w in widths])
+    width = ends[-1] - 1 + m * (_FIELD + 1) + len(eol)
+    tail = np.frombuffer(eol.encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for a in range(0, n, step):
+            kb, vb = keys[a:a + step], vals[a:a + step]
+            rows = np.zeros((len(vb), width), dtype=np.uint8)
+            for j, w in enumerate(widths):
+                _format_ints(kb[:, j], rows[:, ends[j] - 1 - w:ends[j] - 1])
+            fields = rows[:, ends[-1] - 1:width - len(tail)].reshape(
+                len(vb), m, _FIELD + 1)
+            rows[:, ends - 1] = fields[..., 0] = ord(",")
+            _format_floats(vb, fields[..., 1:])
+            rows[:, width - len(tail):] = tail
+            fh.write(rows.tobytes().replace(b"\0", b""))
 
 
 def _float_table(F: BiSequence, window: Window) -> np.ndarray:
@@ -508,12 +680,17 @@ def _float_table(F: BiSequence, window: Window) -> np.ndarray:
 
 def write_csv(path, F: BiSequence, window) -> None:
     """Write F on ``window`` in the bytes csv.writer would write for fields
-    formatted with FLOAT_FMT; no field needs quoting, and '%.16e' % x equals
-    FLOAT_FMT.format(x) for every float."""
+    formatted with FLOAT_FMT: the header k, re_0, im_0, ..., then per k of
+    the window '%d' % k and the '%.16e' fields of re and im of each
+    component, ',' between fields and '\\r\\n' line ends.  No field needs
+    quoting, and '%.16e' % x equals FLOAT_FMT.format(x) for every float.
+    The fields come from _write_rows' vector kernel, which formats nan,
+    +-inf, |x| outside (1e-250, 1e250) and fields within 1e-6 of a rounding
+    tie by '%' itself."""
     window = as_window(window)
     header = ",".join(["k"] + [f"{p}_{i}" for i in range(F.dim)
                                for p in ("re", "im")]) + "\r\n"
-    _write_rows(path, header, "%d" + ",%.16e" * (2 * F.dim) + "\r\n",
+    _write_rows(path, header, "\r\n",
                 np.arange(window.start, window.end + 1)[:, None],
                 _float_table(F, window))
 
@@ -525,7 +702,7 @@ def write_grid_csv(path, F: BiSequence, window) -> None:
     ks = np.arange(window.start, window.end + 1)
     keys = np.stack([np.repeat(ks, F.dim), np.tile(np.arange(F.dim),
                                                    len(ks))], axis=1)
-    _write_rows(path, "k,idx,re,im\n", "%d,%d,%.16e,%.16e\n", keys,
+    _write_rows(path, "k,idx,re,im\n", "\n", keys,
                 _float_table(F, window).reshape(-1, 2))
 
 

@@ -1,4 +1,5 @@
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from apseq import (BiSequence, InputContractError, RangeError, Seminorm,
                    SeminormFamily, ShapeError, TrigPoly, Window, read_csv,
                    seq_axpy, seq_reverse, seq_shift, write_csv)
-from apseq.seq_core import FLOAT_FMT, write_grid_csv
+from apseq.seq_core import (_CSV_BLOCK_FLOATS, _FIELD, FLOAT_FMT,
+                            _format_floats, write_grid_csv)
 from conftest import reference_row_values
 
 
@@ -209,6 +211,94 @@ def test_grid_csv_edge_values(tmp_path):
     expected = "k,idx,re,im\n" + "".join(
         f"{k},{j},{FLOAT_FMT.format(x.real)},{FLOAT_FMT.format(x.imag)}\n"
         for k, row in zip((-1, 0), edge) for j, x in enumerate(row))
+    assert path.read_bytes() == expected.encode()
+
+
+def kernel_fields(values) -> list[bytes]:
+    """The CSV kernel's bytes for each float, pad bytes dropped."""
+    x = np.asarray(values, dtype=np.float64)
+    out = np.zeros(x.shape + (_FIELD,), dtype=np.uint8)
+    _format_floats(x, out)
+    return [bytes(f[f != 0]) for f in out]
+
+
+def assert_fields_exact(values):
+    x = np.asarray(values, dtype=np.float64)
+    expected = [("%.16e" % v).encode() for v in x.tolist()]
+    got = kernel_fields(x)
+    bad = [(v, e, g) for v, e, g in zip(x.tolist(), expected, got) if e != g]
+    assert not bad, bad[:5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_csv_kernel_matches_percent_on_any_bits(bits):
+    # every float64 bit pattern: nan payloads, +-inf, subnormals, zeros
+    assert_fields_exact(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_csv_kernel_adversarial_values():
+    values = [0.0, 5e-324, 1e300, 1e-300, 1e-250, 1e250, np.inf, np.nan]
+    for p in range(-300, 301):
+        v = float(f"1e{p}")
+        # a power of ten, its neighbours, and a decade carry below it
+        values += [v, np.nextafter(v, 0), np.nextafter(v, np.inf),
+                   float(f"9.99999999999999999e{p}"),
+                   float(f"9.9999999999999995e{p}")]
+    values += [2.0 ** e for e in range(-1074, 1024)]
+    # exact ties, which '%' rounds half-even: x.25 and x.75 with 16 integer
+    # digits, x.125 etc. with 15
+    values += [1e15 + k / 8 for k in range(-4000, 4001)]
+    values += [2.0 ** 52 + k / 2 for k in range(-100, 101)]
+    x = np.array(values)
+    assert_fields_exact(np.concatenate([x, -x]))
+
+
+def test_csv_kernel_decade_and_carry():
+    # 1e-248 lies below 10^-248, so its digits belong to exponent -249:
+    # decided on the scaled value, not on its rounded digits
+    assert Fraction(1e-248) < Fraction(1, 10 ** 248)
+    # 1e-14 and 1e98 lie below their powers of ten too, but round up to
+    # them at 17 digits: the carry N = 10^17 moves the exponent back up
+    assert Fraction(1e-14) < Fraction(1, 10 ** 14)
+    assert Fraction(1e98) < 10 ** 98
+    assert kernel_fields([1e-248, 1e-14, 1e98, -0.0, 0.0]) == [
+        b"9.9999999999999998e-249", b"1.0000000000000000e-14",
+        b"1.0000000000000000e+98", b"-0.0000000000000000e+00",
+        b"0.0000000000000000e+00"]
+
+
+@pytest.mark.parametrize("dim, start, n", [(1, -10000, 20001),
+                                           (8, -10000, 20001),
+                                           (32, -150, 301)])
+def test_csv_multi_block_exact(tmp_path, rng, dim, start, n):
+    # longer than two blocks, every %d width and sign (all of them over
+    # -10000..10000), and fields formatted by '%' (a tie, out of range,
+    # non-finite) mid-block and at block edges
+    scale = np.exp(rng.uniform(-30, 30, (n, dim)))
+    vals = (rng.standard_normal((n, dim)) * scale
+            + 1j * rng.standard_normal((n, dim)))
+    step = _CSV_BLOCK_FLOATS // (2 * dim)
+    assert n > 4 * step
+    specials = [1e15 + 0.25, 1e300, -np.inf, np.nan, -5e-324, -0.0, 0.0]
+    flat = vals.view(np.float64)
+    for i, r in enumerate([0, step - 1, step, 2 * step - 1, 2 * step,
+                           n // 2, n - 1]):
+        flat[r, 0] = specials[i]
+        flat[r, -1] = specials[-1 - i]
+        flat[r, dim] = specials[(i + 3) % len(specials)]
+    F = BiSequence.from_table(start, vals)
+    window = (start, start + n - 1)
+    path, ref = tmp_path / "seq.csv", tmp_path / "ref.csv"
+    write_csv(path, F, window)
+    csv_writer_reference(ref, vals, start)
+    assert path.read_bytes() == ref.read_bytes()
+
+    write_grid_csv(path, F, window)
+    expected = "k,idx,re,im\n" + "".join(
+        f"{start + i},{j},{FLOAT_FMT.format(x.real)},"
+        f"{FLOAT_FMT.format(x.imag)}\n"
+        for i, row in enumerate(vals.tolist()) for j, x in enumerate(row))
     assert path.read_bytes() == expected.encode()
 
 
