@@ -14,9 +14,12 @@ The limits of the definitions are unreachable at desk scale; every checker
 states exactly which finite ranges it scanned so results are reproducible.
 
 The Bohr scan costs O(taus * |k_window| * d / 64) plus O(|k_window| * d)
-per tau it evaluates exactly: one window evaluation of F, a lower bound for
-every candidate tau from every 64th k, then exact defects only for the few
-taus whose bounds leave the answer open.
+per tau it evaluates exactly: a lower bound for every candidate tau from
+every 64th k, then exact defects only for the few taus whose bounds leave
+the answer open.  Each checker reads F through ``window_values`` on the
+windows it scans; ``apseq analyze`` hands them F as a table evaluated once
+over the hull of every request, so those reads are slices of one
+evaluation.
 """
 
 from __future__ import annotations
@@ -199,7 +202,9 @@ def _difference_values(F: BiSequence, P: BiSequence, sn: Seminorm,
                        window: Window) -> np.ndarray:
     if F.dim != P.dim:
         raise InputContractError(f"dimension mismatch {F.dim} vs {P.dim}")
-    return sn.of_rows(F.window_values(window) - P.window_values(window))
+    vals = F.window_values(window)
+    vals -= P.window_values(window)
+    return sn.of_rows(vals)
 
 
 def weyl_distance(F: BiSequence, P: BiSequence, sn: Seminorm, p: float,
@@ -269,9 +274,12 @@ def bohr_fourier_coefficient(F: BiSequence, lam: float, N: int) -> Vector:
     """Empirical mean (2N+1)^{-1} sum_{k=-N}^{N} F(k) exp(-i lam k)."""
     if N < 1:
         raise InputContractError("N must be >= 1")
-    ks = np.arange(-N, N + 1)
-    vals = F.window_values(Window(-N, N))
-    phases = np.exp(-1j * float(lam) * ks)
+    return _fourier_mean(F.window_values(Window(-N, N)), lam, N)
+
+
+def _fourier_mean(vals: np.ndarray, lam: float, N: int) -> Vector:
+    """bohr_fourier_coefficient from ``vals``, F on [-N, N]."""
+    phases = np.exp(-1j * float(lam) * np.arange(-N, N + 1))
     return (phases[:, None] * vals).sum(axis=0) / (2 * N + 1)
 
 
@@ -279,10 +287,14 @@ def fit_trig_poly(F: BiSequence, frequencies, N: int) -> TrigPoly:
     """Trig-polynomial approximant on a user-declared frequency list.
 
     There is no automatic frequency discovery; coefficients are the
-    empirical means at the declared frequencies.
+    empirical means at the declared frequencies, all from one read of F
+    on [-N, N].
     """
     freqs = [float(l) for l in frequencies]
     if not freqs:
         raise InputContractError("need at least one frequency")
-    return TrigPoly.of([(lam, bohr_fourier_coefficient(F, lam, N))
+    if N < 1:
+        raise InputContractError("N must be >= 1")
+    vals = F.window_values(Window(-N, N))
+    return TrigPoly.of([(lam, _fourier_mean(vals, lam, N))
                         for lam in freqs])

@@ -39,32 +39,61 @@ SUBCOMMAND_KINDS = {
 }
 
 
-def _required_window(cfg: ScenarioConfig) -> tuple[Window, int]:
-    """Hull of the config window and everything the analyses will touch."""
+#: fit_N of a Weyl request that declares none
+WEYL_FIT_N = 256
+
+
+def _fit_N(name: str, req: dict) -> int:
+    """N of the window [-N, N] a Weyl or Besicovitch request fits its trig
+    polynomial on: the declared fit_N, else WEYL_FIT_N for Weyl and the
+    largest l of the grid for Besicovitch."""
+    default = (WEYL_FIT_N if name == "weyl"
+               else max(int(l) for l in req["l_grid"]))
+    return int(req.get("fit_N", default))
+
+
+def _required_window(cfg: ScenarioConfig
+                     ) -> tuple[Window, int, list[tuple[int, int]]]:
+    """Hull of the config window and everything the analyses will touch,
+    the pad the omega_c request reads beyond its end (at least 1), and the
+    (start, end) of each window the analysis requests read."""
     lo, hi = cfg.window.start, cfg.window.end
-    pad = 1
     a = cfg.analysis
-    if "omega_c" in a:
-        pad = max(pad, int(a["omega_c"]["omega"]))
+    omega = int(a["omega_c"]["omega"]) if "omega_c" in a else 1
+    reads = []
     if "bohr" in a:
         kw = as_window(a["bohr"]["k_window"])
         tr = as_window(a["bohr"]["tau_range"])
         L = int(a["bohr"]["L"])
         # the scan reads k_window itself and its shifts by tau in
         # [tau_range.start, tau_range.end + L]
-        lo = min(lo, kw.start + min(0, tr.start))
-        hi = max(hi, kw.end + max(0, tr.end + L))
+        reads.append((kw.start + min(0, tr.start),
+                      kw.end + max(0, tr.end + L)))
     if "besicovitch" in a:
         lmax = max(int(l) for l in a["besicovitch"]["l_grid"])
-        fit = int(a["besicovitch"].get("fit_N", lmax))
-        span = max(lmax, fit)
-        lo, hi = min(lo, -span), max(hi, span)
+        fit = _fit_N("besicovitch", a["besicovitch"])
+        reads += [(-lmax, lmax), (-fit, fit)]
     if "weyl" in a:
         sr = as_window(a["weyl"]["s_range"])
-        fit = int(a["weyl"].get("fit_N", 256))
-        lo = min(lo, sr.start, -fit)
-        hi = max(hi, sr.end + int(a["weyl"]["l"]), fit)
-    return Window(lo, hi), pad
+        fit = _fit_N("weyl", a["weyl"])
+        reads += [(sr.start, sr.end + int(a["weyl"]["l"])), (-fit, fit)]
+    for start, end in reads:
+        lo, hi = min(lo, start), max(hi, end)
+    if "omega_c" in a:
+        reads.append((cfg.window.start, cfg.window.end + omega))
+    return Window(lo, hi), max(1, omega), reads
+
+
+def _table_window(reads: list[tuple[int, int]]) -> Window | None:
+    """Hull of the (start, end) windows ``reads`` if it holds no more k
+    than they do together, else None: a table over the hull of reads far
+    apart would hold the gap between them."""
+    if not reads:
+        return None
+    lo = min(start for start, _ in reads)
+    hi = max(end for _, end in reads)
+    rows = sum(max(0, end - start + 1) for start, end in reads)
+    return Window(lo, hi) if 0 < hi - lo + 1 <= rows else None
 
 
 def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
@@ -91,8 +120,8 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
         sn = family.by_label(req.get("seminorm", family.labels()[0]))
         grid = [int(l) for l in req["l_grid"]]
         freqs = [float(v) for v in req.get("frequencies", [0.0])]
-        poly = ap_analysis.fit_trig_poly(x, freqs, int(req.get("fit_N",
-                                                               grid[-1])))
+        poly = ap_analysis.fit_trig_poly(x, freqs,
+                                         _fit_N("besicovitch", req))
         rep = ap_analysis.besicovitch_distance(
             x, BiSequence.from_trig_poly(poly), sn,
             float(req.get("p", 1.0)), grid)
@@ -102,7 +131,7 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
         req = a["weyl"]
         sn = family.by_label(req.get("seminorm", family.labels()[0]))
         freqs = [float(v) for v in req.get("frequencies", [0.0])]
-        poly = ap_analysis.fit_trig_poly(x, freqs, int(req.get("fit_N", 256)))
+        poly = ap_analysis.fit_trig_poly(x, freqs, _fit_N("weyl", req))
         val = ap_analysis.weyl_distance(x, BiSequence.from_trig_poly(poly),
                                         sn, float(req.get("p", 1.0)),
                                         int(req["l"]),
@@ -129,7 +158,7 @@ def _config_C(cfg: ScenarioConfig, dim: int):
 def _dispatch(cfg: ScenarioConfig):
     """Solve per the config kind.  Returns (solution, aux, report, family)."""
     with _descriptor("analysis descriptor"):
-        hull, pad = _required_window(cfg)
+        hull, pad, reads = _required_window(cfg)
     family = cfg.family()
 
     def forcing(dim=None):
@@ -232,8 +261,12 @@ def _dispatch(cfg: ScenarioConfig):
         return u, {"grid": True}, rep, problem.family
 
     if cfg.kind == "analyze":
-        target = cfg.sequences.get("target", cfg.forcing)
-        x = cfg.sequence(target)
+        x = cfg.sequence(cfg.sequences.get("target", cfg.forcing))
+        # evaluate the target once where the analyses read it, as a strict
+        # table, so that each of them reads slices of one evaluation
+        table = _table_window(reads)
+        if table is not None:
+            x = BiSequence.from_table(table.start, x.window_values(table))
         return x, {"analysis_only": True}, None, family
 
     raise InputContractError(f"unhandled kind {cfg.kind!r}")

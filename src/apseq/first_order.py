@@ -211,6 +211,16 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     certificate product decay geometrically, so the bounded solution is
     unique: "certified".
     """
+    x, report = _solve_series(A, f, window, tol, pad_right, backward)
+    report.max_residual = residual(A, f, x, window, A.family, backward)
+    return x, report
+
+
+def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
+                  pad_right: int, backward: bool
+                  ) -> tuple[BiSequence, SolveReport]:
+    """solve_series without the residual, for callers that report the
+    residual of another equation."""
     window = as_window(window)
     if not 0 < tol < inf:
         raise InputContractError(f"tol must be a finite number > 0, got {tol}")
@@ -298,7 +308,6 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     report.sup_certificates = sups
     report.uniqueness_by_label = is_global
     report.uniqueness = "certified" if exact else "not certified"
-    report.max_residual = residual(A, f, x, window, family, backward)
     if growth_warning:
         report.warnings.append(growth_warning)
     return x, report

@@ -25,7 +25,7 @@ from .errors import InputContractError, NumericError, ShapeError
 from .first_order import SolveReport, linear_residual
 from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
                              induced_bound, window_blocks)
-from .resolvent import amplification, inverse_selection, solve_inclusion
+from .resolvent import _solve_inclusion, amplification, inverse_selection
 from .seq_core import BiSequence, SeminormFamily, as_window
 
 
@@ -184,8 +184,7 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
 
     series_tol = tol / (4.0 * amplification(family, C))
     u_pad = max(2, pad_right)  # the order-2 residual consumes u(k+2)
-    v, report = solve_inclusion(D, vec_f, window, tol=series_tol,
-                                pad_right=u_pad + 1)
+    v, report = _solve_inclusion(D, vec_f, window, series_tol, u_pad + 1)
     report.tol = tol
 
     # vec u(k) = [bold_A(k)]^{-1} bold_C (v(k+1) - vec f(k)): block 1 is

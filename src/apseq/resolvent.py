@@ -36,7 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputContractError
-from .first_order import SolveReport, linear_residual, solve_series
+from .first_order import SolveReport, _solve_series, linear_residual
 from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
                              checked_solve, induced_bound, well_conditioned,
                              window_blocks)
@@ -66,6 +66,15 @@ def solve_inclusion(D: OperatorSequence, f: BiSequence, window,
     with the selection-form residual x(k) - D(k) x(k+1) + D(k) f(k) measured
     over the requested window.
     """
+    x, report = _solve_inclusion(D, f, window, tol, pad_right)
+    report.max_residual = inclusion_residual(D, f, x, window, D.family)
+    return x, report
+
+
+def _solve_inclusion(D: OperatorSequence, f: BiSequence, window, tol: float,
+                     pad_right: int) -> tuple[BiSequence, SolveReport]:
+    """solve_inclusion without the residual, for callers that report the
+    residual of the equation they reduced to the inclusion."""
     window = as_window(window)
     if D.family is None:
         raise InputContractError("selection operator carries no seminorm family")
@@ -73,11 +82,10 @@ def solve_inclusion(D: OperatorSequence, f: BiSequence, window,
         raise InputContractError(f"forcing dim {f.dim} vs operator dim {D.dim}")
     g = BiSequence(D.dim,
                    lambda w: -D.apply_rows(w.start, f.window_values(w)))
-    x, report = solve_series(D, g, window.extended(left=1), tol=tol,
-                             pad_right=pad_right, backward=True)
+    x, report = _solve_series(D, g, window.extended(left=1), tol,
+                              pad_right, backward=True)
     report.window = (window.start, window.end)
     report.residual_form = "inclusion_selection"
-    report.max_residual = inclusion_residual(D, f, x, window, D.family)
     return x, report
 
 
@@ -151,9 +159,10 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                                      for w in window_blocks(window))
     series_tol = tol / (2.0 * amplification(family, C, products))
 
-    v, report = solve_inclusion(D, f, window, tol=series_tol,
-                                pad_right=pad_right + 1)
+    v, report = _solve_inclusion(D, f, window, series_tol, pad_right + 1)
     report.tol = tol
+    if A is None:
+        report.max_residual = inclusion_residual(D, f, v, window, D.family)
 
     # u recovery: u(k) = B(k)^{-1} v(k) as stacked mat-vecs, which keep the
     # bits of each B(k)^{-1} @ v(k)
@@ -218,10 +227,12 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
     stacks = () if A is None else map(A.matrices, window_blocks(window))
     series_tol = tol / (2.0 * amplification(family, C, stacks))
 
-    u, report = solve_inclusion(Ainv_BC, f, window, tol=series_tol,
-                                pad_right=pad_right)
+    u, report = _solve_inclusion(Ainv_BC, f, window, series_tol, pad_right)
     report.tol = tol
-    if A is not None:
+    if A is None:
+        report.max_residual = inclusion_residual(Ainv_BC, f, u, window,
+                                                 family)
+    else:
         report.residual_form = "vb1_direct"
         report.max_residual = vb1_residual(B, A, C, g, u, window, family)
     return u, report

@@ -12,7 +12,6 @@ one-k window.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -345,7 +344,9 @@ class BiSequence:
 
         def window_fn(w: Window) -> np.ndarray:
             lo, hi = max(w.start, window.start), min(w.end, window.end)
-            if extend is None and (lo, hi) != (w.start, w.end):
+            if (lo, hi) == (w.start, w.end):
+                return vals[lo - window.start:hi - window.start + 1].copy()
+            if extend is None:
                 # name the first k of w outside the table
                 k = w.start if w.start not in window else window.end + 1
                 raise RangeError(f"k={k} outside table window "
@@ -407,24 +408,23 @@ class BiSequence:
             raise InputContractError("c must be nonzero")
         base = base.copy()
         base.flags.writeable = False
-        powers = {0: 1.0 + 0.0j}
+        # up[j] = c^j and down[j] = c^-j, each one multiplication (division)
+        # by c from the last
+        up, down = [1.0 + 0.0j], [1.0 + 0.0j]
 
-        def cpow(q: int) -> complex:
-            if q not in powers:
-                top = max(powers)
-                while top < q:
-                    powers[top + 1] = powers[top] * c
-                    top += 1
-                bot = min(powers)
-                while bot > q:
-                    powers[bot - 1] = powers[bot] / c
-                    bot -= 1
-            return powers[q]
+        def powers(q0: int, q1: int) -> np.ndarray:
+            """c^q for q in [q0, q1]."""
+            while len(up) <= q1:
+                up.append(up[-1] * c)
+            while len(down) <= -q0:
+                down.append(down[-1] / c)
+            return np.array(down[max(1, -q1):max(1, 1 - q0)][::-1]
+                            + up[max(0, q0):max(0, q1 + 1)])
 
         def window_fn(w: Window) -> np.ndarray:
             q, r = np.divmod(np.arange(w.start, w.end + 1), omega)
             # q runs through q[0]..q[-1], each power looked up once
-            qpow = np.array([cpow(j) for j in range(int(q[0]), int(q[-1]) + 1)])
+            qpow = powers(int(q[0]), int(q[-1]))
             out = base[r]
             return np.multiply(qpow[q - q[0], None], out, out=out)
 
@@ -707,18 +707,24 @@ def write_grid_csv(path, F: BiSequence, window) -> None:
 
 
 def read_csv(path) -> BiSequence:
+    """The table of a CSV in write_csv's layout: a header k, re_0, im_0,
+    ..., then one row per consecutive k.  The columns are parsed whole by
+    numpy, every float bit for bit (a signed zero and the sign of an inf
+    included)."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
+        header = fh.readline()
+        lines = fh.read().splitlines()
+    if not any(line.strip() for line in lines):
         raise InputContractError(f"no data rows in {path}")
-    header = rows[0]
-    dim = (len(header) - 1) // 2
-    ks = [int(r[0]) for r in rows[1:]]
-    if ks != list(range(ks[0], ks[0] + len(ks))):
+    dim = (len(header.split(",")) - 1) // 2
+    rows = np.loadtxt(lines, delimiter=",", ndmin=1, dtype=np.dtype(
+        [("k", np.int64), ("v", np.float64, (dim, 2))]))
+    ks = rows["k"]
+    if (ks != ks[0] + np.arange(len(ks))).any():
         raise InputContractError("CSV rows must cover consecutive k")
+    # the parts are set apart: re + 1j*im would drop the sign of a zero
+    # real part
     vals = np.empty((len(ks), dim), dtype=np.complex128)
-    for i, r in enumerate(rows[1:]):
-        for j in range(dim):
-            # complex() keeps the sign of a zero real part; re + 1j*im drops it
-            vals[i, j] = complex(float(r[1 + 2 * j]), float(r[2 + 2 * j]))
-    return BiSequence.from_table(ks[0], vals)
+    vals.real[:] = rows["v"][..., 0]
+    vals.imag[:] = rows["v"][..., 1]
+    return BiSequence.from_table(int(ks[0]), vals)

@@ -7,12 +7,15 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from apseq import cli
+from apseq import cli, first_order, higher_order, resolvent
+from apseq.seq_core import as_window
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
-#: traced functions each canned example and a first-order solve must reach
+#: traced functions the canned examples, a first-order solve and an
+#: inclusion solve must reach
 SOLVER_PATHS = ("first_order.residual", "resolvent.inclusion_residual",
                 "resolvent.vb_residual", "higher_order.second_order_residual",
                 "resolvent.compose_selection",
@@ -40,6 +43,16 @@ def test_every_traced_name_resolves():
                 assert callable(getattr(owner, name, None)), f"{layer}.{name}"
 
 
+def solve_config(kind: str) -> dict:
+    """x(k+1) = x(k)/2 + 1 as a first-order equation, or the inclusion
+    2 x(k+1) in x(k) + 2 with A = C = 1 and f = 1 (x = -1)."""
+    A = [[[0.5, 0.0]]] if kind == "first_order" else [[[2.0, 0.0]]]
+    return {"schema_version": 1, "kind": kind, "dim": 1, "window": [-8, 8],
+            "tol": 1e-10, "seminorms": [{"kind": "sup"}],
+            "operators": {"A": {"backend": "constant", "matrix": A}},
+            "forcing": {"backend": "constant", "value": [[1.0, 0.0]]}}
+
+
 def test_traced_examples_reach_every_solver_path(tmp_path):
     tracing = load_tracing()
     tracer = tracing.Tracer()
@@ -50,6 +63,14 @@ def test_traced_examples_reach_every_solver_path(tmp_path):
                          str(tmp_path / "heat")]) == 0
         assert cli.main(["example", "wave", "--n", "3", "--out",
                          str(tmp_path / "wave")]) == 0
+        # the examples report their own equations' residuals; the
+        # first-order and selection-form residuals are those of these
+        for command, kind in (("solve", "first_order"),
+                              ("solve-inclusion", "inclusion")):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(solve_config(kind)))
+            assert cli.main([command, "--config", str(path), "--out",
+                             str(tmp_path / kind)]) == 0
     finally:
         tracer.op = -1
         tracer.uninstall()
@@ -58,6 +79,37 @@ def test_traced_examples_reach_every_solver_path(tmp_path):
     assert not any(tracer.errors)
     assert np.isfinite(tracer.metrics(2, 1.0)[
         "operator_model.cert_cache_hit_ratio"][0])
+
+
+@pytest.mark.parametrize("argv, form", [
+    (["example", "heat", "--n", "3"], "vb_direct"),
+    (["example", "wave", "--n", "3"], "second_order_direct"),
+    (["solve"], "first_order"),
+    (["solve-inclusion"], "inclusion_selection")])
+def test_each_cli_solve_measures_one_residual(tmp_path, monkeypatch, argv,
+                                             form):
+    """A solve measures only the residual its report holds: the series and
+    inclusion residuals a reduction discards are not computed."""
+    calls = []
+    original = first_order.linear_residual
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    for module in (first_order, resolvent, higher_order):
+        monkeypatch.setattr(module, "linear_residual", counted)
+    if argv[0] != "example":
+        kind = "first_order" if argv[0] == "solve" else "inclusion"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(solve_config(kind)))
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["solve"]["residual_form"] == form
+    assert len(calls) == 1
+    window = as_window(calls[0])
+    assert [window.start, window.end] == report["solve"]["window"]
 
 
 #: traced functions a trig and an (omega, c) ``analyze`` run must reach

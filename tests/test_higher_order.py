@@ -196,8 +196,8 @@ def test_second_order_recovery_is_the_per_k_product_bit_for_bit(
     A2 = OperatorSequence.constant(0.1 * np.eye(d))
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(d))]))
     solves = []
-    solve = higher_order.solve_inclusion
-    monkeypatch.setattr(higher_order, "solve_inclusion",
+    solve = higher_order._solve_inclusion
+    monkeypatch.setattr(higher_order, "_solve_inclusion",
                         lambda *a, **kw: solves.append(solve(*a, **kw))
                         or solves[-1])
     D = higher_order.second_order_selection(A0, A1, A2, np.eye(d), fam)

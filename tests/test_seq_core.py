@@ -200,6 +200,35 @@ def test_csv_roundtrip_exact(tmp_path, rng):
     assert back.tobytes() == edge.tobytes()
 
 
+def test_csv_roundtrip_keeps_the_bits_of_special_values(tmp_path):
+    # every pairing of re and im over signed zeros and infinities, nan,
+    # subnormals and 1e+-300 reads back bit for bit
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               2.225073858507201e-308, 1e300, -1e300, 1e-300, -1e-300]
+    re, im = np.meshgrid(special, special)
+    vals = np.empty((re.size, 1), dtype=np.complex128)
+    vals.real[:, 0], vals.imag[:, 0] = re.ravel(), im.ravel()
+    path = tmp_path / "special.csv"
+    write_csv(path, BiSequence.from_table(-3, vals), (-3, re.size - 4))
+    back = read_csv(path)
+    assert back.window_values((-3, re.size - 4)).tobytes() == vals.tobytes()
+    with pytest.raises(RangeError):
+        back(re.size - 3)
+
+
+def test_read_csv_errors(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("k,re_0,im_0\r\n")
+    with pytest.raises(InputContractError) as exc:
+        read_csv(path)
+    assert str(exc.value) == f"no data rows in {path}"
+    path = tmp_path / "gap.csv"
+    path.write_text("k,re_0,im_0\r\n0,1.0,2.0\r\n2,3.0,4.0\r\n")
+    with pytest.raises(InputContractError) as exc:
+        read_csv(path)
+    assert str(exc.value) == "CSV rows must cover consecutive k"
+
+
 def test_grid_csv_edge_values(tmp_path):
     # the long layout shares write_csv's formatter: same fields, one line
     # per (k, component), '\n' line ends
