@@ -26,7 +26,7 @@ from .higher_order import (build_companion, build_B_from_D,
 from .operator_model import OperatorSequence, as_matrix, checked_solve
 from .resolvent import (inverse_selection, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
-from .seq_core import (BiSequence, Seminorm, SeminormFamily, Window,
+from .seq_core import (BiSequence, PerK, Seminorm, SeminormFamily, Window,
                        as_window, write_csv, write_grid_csv)
 
 SUBCOMMAND_KINDS = {
@@ -52,6 +52,15 @@ def _fit_N(name: str, req: dict) -> int:
     return int(req.get("fit_N", default))
 
 
+def _bohr_read(req: dict) -> tuple[int, int]:
+    """(start, end) of the k a Bohr request's scan reads: its k_window and
+    the shifts of it by tau in [tau_range.start, tau_range.end + L]."""
+    kw = as_window(req["k_window"])
+    tr = as_window(req["tau_range"])
+    return (kw.start + min(0, tr.start),
+            kw.end + max(0, tr.end + int(req["L"])))
+
+
 def _required_window(cfg: ScenarioConfig
                      ) -> tuple[Window, int, list[tuple[int, int]]]:
     """Hull of the config window and everything the analyses will touch,
@@ -62,13 +71,7 @@ def _required_window(cfg: ScenarioConfig
     omega = int(a["omega_c"]["omega"]) if "omega_c" in a else 1
     reads = []
     if "bohr" in a:
-        kw = as_window(a["bohr"]["k_window"])
-        tr = as_window(a["bohr"]["tau_range"])
-        L = int(a["bohr"]["L"])
-        # the scan reads k_window itself and its shifts by tau in
-        # [tau_range.start, tau_range.end + L]
-        reads.append((kw.start + min(0, tr.start),
-                      kw.end + max(0, tr.end + L)))
+        reads.append(_bohr_read(a["bohr"]))
     if "besicovitch" in a:
         lmax = max(int(l) for l in a["besicovitch"]["l_grid"])
         fit = _fit_N("besicovitch", a["besicovitch"])
@@ -263,7 +266,11 @@ def _dispatch(cfg: ScenarioConfig):
     if cfg.kind == "analyze":
         x = cfg.sequence(cfg.sequences.get("target", cfg.forcing))
         # evaluate the target once where the analyses read it, as a strict
-        # table, so that each of them reads slices of one evaluation
+        # table, so that each of them reads slices of one evaluation.  The
+        # table is a copy: under glibc's malloc, holding the evaluated array
+        # itself left the checkers' temporaries about 1,300 more fresh pages
+        # to fault in per op on a 16,385 x 4 target, which cost more time
+        # than the copy saves
         table = _table_window(reads)
         if table is not None:
             x = BiSequence.from_table(table.start, x.window_values(table))
@@ -275,7 +282,11 @@ def _dispatch(cfg: ScenarioConfig):
 def _json_text(value, indent: str = "") -> str:
     """``value`` as JSON with each dict entry on its own line, keys sorted,
     and every list or scalar on its key's line in the C encoder's compact
-    form: the data of json.dumps(indent=2, sort_keys=True) in fewer lines."""
+    form: the data of json.dumps(indent=2, sort_keys=True) in fewer lines.
+    A PerK record is the list of its (k, value) pairs, written by its
+    vector kernel in the bytes json.dumps gives that list."""
+    if isinstance(value, PerK):
+        return value.to_json()
     if not isinstance(value, dict) or not value:
         return json.dumps(value, sort_keys=True)
     inner = indent + "  "
@@ -339,7 +350,7 @@ def run(cfg: ScenarioConfig, out_dir,
         "schema_version": 2,
         "kind": cfg.kind,
         "config": cfg.to_dict(),
-        "solve": rep.to_dict() if rep is not None else None,
+        "solve": rep._held() if rep is not None else None,
         "analysis": analysis,
     }
     _write_json(out / "report.json", report)
@@ -407,18 +418,25 @@ def example_config(name: str, n: int, h: float, window: Window,
 
 def run_example(name: str, n: int, h: float, window: Window, tol: float,
                 out_dir) -> int:
-    """Run a canned example; the heat example exits 4 when its Bohr
-    transfer check fails."""
+    """Run a canned example on an n-point grid (n >= 1); the heat example
+    exits 4 when its Bohr transfer check fails."""
+    if n < 1:
+        raise InputContractError(f"example {name} needs a grid of n >= 1 "
+                                 f"points, got n={n}")
     data = example_config(name, n, h, window, tol)
     extra = None
     if name == "heat":
         # Bohr transfer check with epsilon matched to the forcing: measure
         # the forcing's minimax defect, allow the solution twice that.  The
         # request goes into the config, so the one solve covers the hull
-        # the scan consumes.
+        # the scan consumes.  The scan reads the forcing as a table over
+        # what it reads, evaluated once.
         scan = {"k_window": [-40, 40], "tau_range": [-150, 150], "L": 40}
+        read = Window(*_bohr_read(scan))
+        forcing = BiSequence._adopt_table(read.start, build_sequence(
+            data["forcing"], n).window_values(read))
         eps_f = ap_analysis.bohr_check(
-            build_sequence(data["forcing"], n), Seminorm.sup(), float("inf"),
+            forcing, Seminorm.sup(), float("inf"),
             as_window(scan["k_window"]), as_window(scan["tau_range"]),
             scan["L"]).max_defect * (1 + 1e-9)
         data["analysis"] = {"bohr": {**scan, "epsilon": 2 * eps_f,

@@ -209,8 +209,8 @@ def build_sequence(desc: dict, dim: int) -> BiSequence:
             seq = BiSequence.constant(v)
         elif backend == "table":
             vals = np.array([cvec(row) for row in desc["values"]])
-            seq = BiSequence.from_table(int(desc["start"]), vals,
-                                        extend=desc.get("extend"))
+            seq = BiSequence._adopt_table(int(desc["start"]), vals,
+                                          extend=desc.get("extend"))
         elif backend == "trig_poly":
             seq = BiSequence.from_trig_poly(TrigPoly.of(
                 [(float(t["frequency"]), cvec(t["coefficient"]))

@@ -38,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (ConvergencePreconditionError, InputContractError,
                      NumericError)
 from .operator_model import OperatorSequence
-from .seq_core import (BiSequence, Record, SeminormFamily, Window,
+from .seq_core import (BiSequence, PerK, Record, SeminormFamily, Window,
                        as_vector, as_window)
 
 TOL_DEFAULT = 1e-10
@@ -55,17 +55,21 @@ class SolveReport(Record):
     window.  truncation_V is the certified depth per k: the sweep sums at
     least that many terms there, and tail_bounds are the per-seminorm tail
     bounds at that depth, which also bound the tail of the longer sum.
-    sup_probe is the k-range a generator's sups were taken over, None when
-    every sup is global; uniqueness is "certified" exactly then.  Every
-    k-range is in the caller's k, whichever way the equation runs.  It
-    holds the solve's results only: analyses of the solution are reported
-    beside it, and to_dict is the fields as held.
+    Both are PerK records, one array over the solved k each, which iterate
+    and compare as lists of (k, value) pairs and reach report.json through
+    PerK.to_json as such lists.  sup_probe is the k-range a generator's
+    sups were taken over, None when every sup is global; uniqueness is
+    "certified" exactly then.  Every k-range is in the caller's k,
+    whichever way the equation runs.  It holds the solve's results only:
+    analyses of the solution are reported beside it, and to_dict is the
+    fields as plain JSON data, a PerK record as its list of pairs.
     """
 
     window: tuple[int, int]
     tol: float
-    truncation_V: list[tuple[int, int]] = field(default_factory=list)
-    tail_bounds: dict[str, list[tuple[int, float]]] = field(default_factory=dict)
+    truncation_V: PerK = field(
+        default_factory=lambda: PerK(0, np.zeros(0, dtype=int)))
+    tail_bounds: dict[str, PerK] = field(default_factory=dict)
     max_residual: dict[str, float] = field(default_factory=dict)
     residual_form: str = "first_order"
     f_sup: dict[str, float] = field(default_factory=dict)
@@ -104,12 +108,32 @@ def _apply_level(A: OperatorSequence, f_rows: np.ndarray, ks: range,
     return out
 
 
-def _probe_forcing(f: BiSequence, probe: Window, family: SeminormFamily
+def _probe_forcing(f: BiSequence, probe: Window, family: SeminormFamily,
+                   seen: tuple[Window, np.ndarray] | None = None
                    ) -> tuple[np.ndarray, dict[str, float]]:
-    vals = f.window_values(probe)
-    if not np.isfinite(vals).all():
-        raise InputContractError("forcing has non-finite values on the probe "
-                                 f"window [{probe.start}, {probe.end}]")
+    """f on ``probe`` and its sup per seminorm there.  ``seen`` is a
+    sub-window of probe and f's values on it, read by an earlier probe:
+    only the rows of probe outside it are evaluated, so each k is read
+    once however often the probe grows.  The sups are taken over the whole
+    table, as one read of probe would give them."""
+    def read(w: Window) -> np.ndarray:
+        vals = f.window_values(w)
+        if not np.isfinite(vals).all():
+            raise InputContractError(
+                "forcing has non-finite values on the probe window "
+                f"[{probe.start}, {probe.end}]")
+        return vals
+
+    if seen is None:
+        vals = read(probe)
+    else:
+        known, vals = seen
+        parts = [vals]
+        if probe.start < known.start:
+            parts.insert(0, read(Window(probe.start, known.start - 1)))
+        if known.end < probe.end:
+            parts.append(read(Window(known.end + 1, probe.end)))
+        vals = np.concatenate(parts)
     with np.errstate(over="ignore"):
         sup = {sn.label: float(sn.of_rows(vals).max()) for sn in family}
     bad = [lbl for lbl, s in sup.items() if not np.isfinite(s)]
@@ -211,16 +235,17 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     certificate product decay geometrically, so the bounded solution is
     unique: "certified".
     """
-    x, report = _solve_series(A, f, window, tol, pad_right, backward)
-    report.max_residual = residual(A, f, x, window, A.family, backward)
+    x, report, f_rows = _solve_series(A, f, window, tol, pad_right, backward)
+    report.max_residual = residual(A, f_rows, x, window, A.family, backward)
     return x, report
 
 
 def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
                   pad_right: int, backward: bool
-                  ) -> tuple[BiSequence, SolveReport]:
+                  ) -> tuple[BiSequence, SolveReport, np.ndarray]:
     """solve_series without the residual, for callers that report the
-    residual of another equation."""
+    residual of another equation; also returns f's rows on ``window``,
+    which the forcing probe read."""
     window = as_window(window)
     if not 0 < tol < inf:
         raise InputContractError(f"tol must be a finite number > 0, got {tol}")
@@ -243,6 +268,7 @@ def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
     # side the iteration diverges unless the certificates beat the growth,
     # which is exactly the convergence condition.
     margin = 8
+    seen = None
     for _ in range(256):
         certs = _certificate_window(work, margin, backward)
         sups = {lbl: A.sup_over(lbl, certs) for lbl in labels}
@@ -253,7 +279,8 @@ def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
                 f"{bad}; the series tail cannot be certified")
         probe = (work.extended(left=1, right=margin) if backward
                  else work.extended(left=margin + 1))
-        f_vals, f_sup = _probe_forcing(f, probe, family)
+        f_vals, f_sup = _probe_forcing(f, probe, family, seen)
+        seen = probe, f_vals
         depth = max(_geometric_depth(sups[sn.label], f_sup[sn.label], tol)
                     for sn in family)
         if depth > V_MAX_DEFAULT:
@@ -296,12 +323,12 @@ def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
         raise NumericError("the series solution overflows at k="
                            f"{work.end - i if backward else work.start + i}")
 
-    x = BiSequence.from_table(work.start, acc[::-1] if backward else acc)
+    x = BiSequence._adopt_table(work.start,
+                                acc[::-1] if backward else acc)
 
     report = SolveReport(window=(window.start, window.end), tol=tol)
-    report.truncation_V = list(zip(work, V_arr.tolist()))
-    report.tail_bounds = {lbl: list(zip(work, tails[lbl].tolist()))
-                          for lbl in labels}
+    report.truncation_V = PerK(work.start, V_arr)
+    report.tail_bounds = {lbl: PerK(work.start, tails[lbl]) for lbl in labels}
     report.f_sup = f_sup
     report.f_probe = (probe.start, probe.end)
     report.sup_probe = None if exact else (certs.start, certs.end)
@@ -310,7 +337,8 @@ def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
     report.uniqueness = "certified" if exact else "not certified"
     if growth_warning:
         report.warnings.append(growth_warning)
-    return x, report
+    at = window.start - probe.start
+    return x, report, f_vals[at:at + len(window)]
 
 
 def linear_residual(x: BiSequence, coefs: dict, rhs: tuple, window,
@@ -319,12 +347,15 @@ def linear_residual(x: BiSequence, coefs: dict, rhs: tuple, window,
     R(k) g(k)).  ``coefs`` maps j >= 0 to the factors of M_j and ``rhs`` is
     (factors of R, g); a factor is a scalar, a constant matrix, or
     (operator sequence, s) for its matrix at k + s, multiplied in the order
-    written: (C, (B, 1)) is C B(k+1) and () is the identity."""
+    written: (C, (B, 1)) is C B(k+1) and () is the identity.  g may also
+    be given as its rows on the window, as an array."""
     window = as_window(window)
     n = len(window)
     xs = x.window_values(window.extended(right=max(coefs)))
     factors, g = rhs
-    rows = -_apply_factors(factors, g.window_values(window), window.start)
+    if isinstance(g, BiSequence):
+        g = g.window_values(window)
+    rows = -_apply_factors(factors, g, window.start)
     for j, chain in coefs.items():
         rows += _apply_factors(chain, xs[j:j + n], window.start)
     return {sn.label: float(sn.of_rows(rows).max()) for sn in family}
@@ -342,11 +373,12 @@ def _apply_factors(factors, rows: np.ndarray, start: int) -> np.ndarray:
     return rows
 
 
-def residual(A: OperatorSequence, f: BiSequence, x: BiSequence, window,
-             family: SeminormFamily, backward: bool = False
+def residual(A: OperatorSequence, f: BiSequence | np.ndarray, x: BiSequence,
+             window, family: SeminormFamily, backward: bool = False
              ) -> dict[str, float]:
     """max over k in window and kappa of kappa(x(k+1) - A(k) x(k) - f(k)),
-    or with ``backward`` of kappa(x(k) - A(k) x(k+1) - f(k))."""
+    or with ``backward`` of kappa(x(k) - A(k) x(k+1) - f(k)).  f is the
+    forcing, or its rows on the window as an array."""
     lhs, rhs = (0, 1) if backward else (1, 0)
     return linear_residual(x, {lhs: (), rhs: (-1.0, (A, 0))}, ((), f),
                            window, family)
@@ -369,7 +401,7 @@ def forward_oracle(A: OperatorSequence, f: BiSequence, k0: int, x0,
     for i, k in enumerate(range(k0, window.end)):
         cur = A.matrix(k) @ cur + f(k)
         values[i + 1] = cur
-    return BiSequence.from_table(k0, values)
+    return BiSequence._adopt_table(k0, values)
 
 
 def weighted_growth_check(x: BiSequence, alpha: float,

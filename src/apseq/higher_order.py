@@ -236,7 +236,7 @@ def companion_forward_oracle(sys: CompanionSystem, f: BiSequence, k0: int,
             raise NumericError(f"companion step at k={k} is singular")
         cur = np.linalg.solve(lhs, rhs)
         values[i + 1] = cur
-    return BiSequence.from_table(k0, values)
+    return BiSequence._adopt_table(k0, values)
 
 
 def build_B_from_D(A_mat: OperatorSequence, D_mat: OperatorSequence, p: int,

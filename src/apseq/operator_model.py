@@ -278,13 +278,20 @@ class OperatorSequence:
         return self.matrix(k) @ x
 
     def apply_rows(self, start: int, rows: np.ndarray) -> np.ndarray:
-        """Row i -> A(start + i) rows[i].  Constant and periodic backends
-        apply their few distinct matrices without stacking one per row."""
+        """Row i -> A(start + i) rows[i], with the same bits for each row
+        however the rows are cut.  Constant and periodic backends apply
+        their few distinct matrices without stacking one per row."""
         if self.period is not None:
             p = self.period
             out = np.empty(rows.shape, dtype=np.complex128)
             for r in range(p):
-                out[r::p] = rows[r::p] @ self.matrix(start + r).T
+                part = rows[r::p]
+                m = len(part)
+                if m == 1:
+                    # numpy multiplies a lone row by gemv, whose bits
+                    # differ from gemm's on the same row in a longer slice
+                    part = np.repeat(part, 2, axis=0)
+                out[r::p] = (part @ self.matrix(start + r).T)[:m]
             return out
         mats = self.matrices(Window(start, start + rows.shape[0] - 1))
         return np.einsum("pij,pj->pi", mats, rows)

@@ -82,8 +82,8 @@ def _solve_inclusion(D: OperatorSequence, f: BiSequence, window, tol: float,
         raise InputContractError(f"forcing dim {f.dim} vs operator dim {D.dim}")
     g = BiSequence(D.dim,
                    lambda w: -D.apply_rows(w.start, f.window_values(w)))
-    x, report = _solve_series(D, g, window.extended(left=1), tol,
-                              pad_right, backward=True)
+    x, report, _ = _solve_series(D, g, window.extended(left=1), tol,
+                                 pad_right, backward=True)
     report.window = (window.start, window.end)
     report.residual_form = "inclusion_selection"
     return x, report
@@ -182,7 +182,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                                    v.window_values(u_window.shifted(1))
                                    - f.window_values(u_window))
 
-    u = BiSequence.from_table(u_window.start, u_vals)
+    u = BiSequence._adopt_table(u_window.start, u_vals)
     report.warnings.append(f"u recovered via {route}")
     if A is not None:
         report.residual_form = "vb_direct"

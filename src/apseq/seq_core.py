@@ -330,12 +330,29 @@ class BiSequence:
 
     @staticmethod
     def from_table(start: int, values, extend: str | None = None) -> "BiSequence":
+        """The table of ``values`` (one row per k from ``start``), zero
+        outside it with ``extend="zero"``; the values are copied."""
+        return BiSequence._table(start, values, extend, adopt=False)
+
+    @staticmethod
+    def _adopt_table(start: int, values,
+                     extend: str | None = None) -> "BiSequence":
+        """from_table for an array its caller built and hands over: a
+        C-contiguous complex array that owns its data is held as is, made
+        read-only, any other (a view, such as a reversed sweep) is
+        copied."""
+        return BiSequence._table(start, values, extend, adopt=True)
+
+    @staticmethod
+    def _table(start: int, values, extend: str | None,
+               adopt: bool) -> "BiSequence":
         vals = np.asarray(values, dtype=np.complex128)
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.ndim != 2 or vals.shape[0] == 0:
             raise ShapeError("table needs a nonempty 2-D value array")
-        vals = vals.copy()
+        if not (adopt and vals.flags.owndata and vals.flags.c_contiguous):
+            vals = vals.copy()
         vals.flags.writeable = False
         dim = vals.shape[1]
         window = Window(start, start + vals.shape[0] - 1)
@@ -474,11 +491,91 @@ class Record:
     """Base of the report dataclasses."""
 
     def to_dict(self) -> dict:
-        """The fields as held, a tuple field as a list: the JSON writer
-        sorts keys and writes nested tuples as arrays."""
+        """The fields as plain JSON data: a tuple as a list, a PerK record,
+        also one in a dict field, as the list of its (k, value) pairs."""
+        def plain(v):
+            if isinstance(v, PerK):
+                return list(v)
+            if isinstance(v, dict):
+                return {key: plain(u) for key, u in v.items()}
+            return v
+        return {name: plain(v) for name, v in self._held().items()}
+
+    def _held(self) -> dict:
+        """The fields as held, a tuple field as a list, for the report
+        writer, which sorts keys, writes nested tuples as arrays and a PerK
+        record through PerK.to_json."""
         return {f.name: list(v) if isinstance(v := getattr(self, f.name),
                                               tuple) else v
                 for f in fields(self)}
+
+
+class PerK:
+    """Values v(k) for k = start, start + 1, ..., held as one int or float
+    array.  It iterates and compares as the list of (k, v(k)) pairs it
+    stands for, v(k) a Python int or float, and ``to_json`` gives the bytes
+    json.dumps gives that list."""
+
+    __slots__ = ("start", "values")
+    __hash__ = None
+
+    def __init__(self, start: int, values: np.ndarray):
+        self.start = int(start)
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return zip(range(self.start, self.start + len(self.values)),
+                   self.values.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (PerK, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PerK({self.start}, {self.values!r})"
+
+    def to_json(self) -> str:
+        """json.dumps(list(self)), from one uint8 row per pair laid out
+        like a CSV row (see _write_rows): _format_ints writes the k and int
+        values, and each distinct float is formatted once, as json.dumps
+        formats it, and gathered into the rows it appears in."""
+        n = len(self.values)
+        if n == 0:
+            return "[]"
+        ks = np.arange(self.start, self.start + n)
+        vals = self.values
+        if vals.dtype.kind == "f":
+            # distinct by bits, which keeps -0.0 apart from 0.0;
+            # float.__repr__ is what json.dumps writes for a finite float
+            bits, index = np.unique(
+                np.ascontiguousarray(vals, dtype=np.float64).view(np.int64),
+                return_inverse=True)
+            floats = bits.view(np.float64)
+            texts = list(map(float.__repr__, floats.tolist()))
+            for i in np.flatnonzero(~np.isfinite(floats)):
+                texts[i] = _JSON_NONFINITE[texts[i]]
+            cells = np.take(np.array(texts, dtype="S").view(np.uint8).reshape(
+                len(texts), -1), index, axis=0)
+        else:
+            cells = np.zeros((n, _int_width(vals)), dtype=np.uint8)
+            _format_ints(vals, cells)
+        # '[', k, ', ', v, '], '
+        kw = _int_width(ks)
+        rows = np.zeros((n, kw + cells.shape[1] + 6), dtype=np.uint8)
+        rows[:, 0] = ord("[")
+        _format_ints(ks, rows[:, 1:kw + 1])
+        rows[:, kw + 1:kw + 3] = np.frombuffer(b", ", dtype=np.uint8)
+        rows[:, kw + 3:-3] = cells
+        rows[:, -3:] = np.frombuffer(b"], ", dtype=np.uint8)
+        return "[" + _packed(rows)[:-2].decode() + "]"
+
+
+#: json.dumps' names of the floats whose repr is nan, inf or -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 FLOAT_FMT = "{:.16e}"  # 17 significant digits, lowercase scientific
@@ -635,6 +732,17 @@ def _format_ints(k: np.ndarray, out: np.ndarray) -> None:
             col[a < p] = 0
 
 
+def _int_width(k: np.ndarray) -> int:
+    """Columns _format_ints needs for the int array k: a sign column and
+    the digits of the largest |v|."""
+    return len(str(np.abs(k).max())) + 1
+
+
+def _packed(rows: np.ndarray) -> bytes:
+    """The bytes of a uint8 row matrix without its zero pad bytes."""
+    return rows.tobytes().replace(b"\0", b"")
+
+
 def _write_rows(path, header: str, eol: str, keys: np.ndarray,
                 vals: np.ndarray) -> None:
     """Write ``header``, then for each row i the bytes of
@@ -651,7 +759,7 @@ def _write_rows(path, header: str, eol: str, keys: np.ndarray,
     """
     n, m = vals.shape
     step = max(1, _CSV_BLOCK_FLOATS // m)
-    widths = [len(str(np.abs(col).max())) + 1 for col in keys.T]
+    widths = [_int_width(col) for col in keys.T]
     # each int, then a ',' (the last is the first float's), then ',' and
     # a field per float, then eol
     ends = np.cumsum([w + 1 for w in widths])
@@ -669,7 +777,7 @@ def _write_rows(path, header: str, eol: str, keys: np.ndarray,
             rows[:, ends - 1] = fields[..., 0] = ord(",")
             _format_floats(vb, fields[..., 1:])
             rows[:, width - len(tail):] = tail
-            fh.write(rows.tobytes().replace(b"\0", b""))
+            fh.write(_packed(rows))
 
 
 def _float_table(F: BiSequence, window: Window) -> np.ndarray:
@@ -727,4 +835,4 @@ def read_csv(path) -> BiSequence:
     vals = np.empty((len(ks), dim), dtype=np.complex128)
     vals.real[:] = rows["v"][..., 0]
     vals.imag[:] = rows["v"][..., 1]
-    return BiSequence.from_table(int(ks[0]), vals)
+    return BiSequence._adopt_table(int(ks[0]), vals)

@@ -91,3 +91,18 @@ def exhaustive_bohr_check(F, sn, epsilon, k_window, tau_range, L):
                     max_defect=max_defect,
                     k_window=(k_window.start, k_window.end),
                     tau_range=(tau_range.start, tau_range.end))
+
+
+def reference_json_text(value, indent: str = "") -> str:
+    """report.json's text written list by list: every list through
+    json.dumps, a per-k record as the list of its (k, value) pairs.  The
+    reference for cli._json_text, which writes per-k records by their
+    vector kernel."""
+    import json
+    if not isinstance(value, dict) or not value:
+        return json.dumps(value, sort_keys=True, default=list)
+    inner = indent + "  "
+    return ("{\n" + ",\n".join(f"{inner}{json.dumps(key)}: "
+                                f"{reference_json_text(v, inner)}"
+                                for key, v in sorted(value.items()))
+            + "\n" + indent + "}")

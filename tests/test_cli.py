@@ -229,6 +229,46 @@ def test_example_rejects_zero_tol(tmp_path, name):
     assert "apseq: error" in res.stderr
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("name", ["heat", "wave"])
+def test_example_rejects_a_grid_without_points(tmp_path, name, n):
+    # the check comes before heat's Bohr scan of its forcing, which fails
+    # on an empty grid
+    res = run_cli("example", name, "--n", str(n), "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("apseq: error") and f"n={n}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_example_heat_evaluates_its_forcing_once_for_the_bohr_check(
+        tmp_path, monkeypatch):
+    # the forcing's Bohr scan reads one table over what it reads; its
+    # defect has the bits of the scan of the lazy forcing
+    from apseq import Seminorm, ap_analysis, cli
+    from apseq.seq_core import BiSequence
+    calls = []
+    build = cli.build_sequence
+
+    def recording(desc, dim):
+        seq = build(desc, dim)
+
+        def rule(w):
+            calls.append((w.start, w.end))
+            return seq.window_values(w)
+        return BiSequence(seq.dim, rule)
+
+    monkeypatch.setattr(cli, "build_sequence", recording)
+    out = tmp_path / "heat"
+    assert cli.main(["example", "heat", "--n", "4", "--out", str(out)]) == 0
+    assert calls == [(-190, 230)]
+    lazy = build(cli.example_config("heat", 4, 1.0, cli.Window(-20, 20),
+                                    1e-10)["forcing"], 4)
+    want = ap_analysis.bohr_check(lazy, Seminorm.sup(), float("inf"),
+                                  (-40, 40), (-150, 150), 40).max_defect
+    report = json.loads((out / "report.json").read_text())
+    assert report["analysis"]["bohr_forcing_defect"] == want * (1 + 1e-9)
+
+
 def test_truncation_depth_cap(tmp_path):
     # A = 0.999, f = 1: the geometric depth log(1e-10 / 999) / log(0.999)
     # is past the fixed cap of 10000 terms
@@ -441,8 +481,9 @@ def test_report_layout(tmp_path, monkeypatch, command):
     report = _run_capturing_json(
         monkeypatch, argv + ["--out", str(out)])["report.json"]
     text = (out / "report.json").read_text()
-    # the data json.dump(indent=2, sort_keys=True) writes, in fewer lines
-    reference = json.dumps(report, indent=2, sort_keys=True)
+    # the data json.dump(indent=2, sort_keys=True) writes, in fewer lines,
+    # a per-k record written as its list of pairs
+    reference = json.dumps(report, indent=2, sort_keys=True, default=list)
     assert json.loads(text) == json.loads(reference)
     assert len(text.splitlines()) < len(reference.splitlines())
     assert_json_layout(text)
@@ -460,6 +501,67 @@ def test_report_layout(tmp_path, monkeypatch, command):
             assert ks == list(range(-20, 22))
     assert sorted(solve["tail_bounds"]) == (
         ["sup"] if command == "solve" else ["d1", "d2", "sup"])
+
+
+TRIG2 = {"backend": "trig_poly", "terms": [
+    {"frequency": 0.7, "coefficient": [[0.3, 0.1], [-0.2, 0.4]]},
+    {"frequency": 0.0, "coefficient": [[0.1, 0.0], [0.05, 0.0]]}]}
+PERIODIC2 = {"backend": "periodic", "matrices": [
+    [[[0.3, 0.0], [0.1, 0.1]], [[-0.2, 0.0], [0.25, 0.0]]],
+    [[[0.1, 0.0], [0.0, -0.3]], [[0.2, 0.0], [-0.4, 0.0]]],
+    [[[0.05, 0.0], [0.2, 0.0]], [[0.0, 0.1], [0.3, 0.0]]]]}
+BASE2 = {"schema_version": 1, "dim": 2, "window": [-12, 12], "tol": 1e-10,
+         "seminorms": [{"kind": "sup"}, {"kind": "p", "p": 1}],
+         "forcing": TRIG2}
+REPORT_CASES = {
+    "solve": {**BASE2, "kind": "first_order",
+              "operators": {"A": PERIODIC2}},
+    "solve-inclusion": {**BASE2, "kind": "inclusion",
+                        "operators": {"D": PERIODIC2},
+                        "analysis": {"omega_c": {"omega": 3,
+                                                 "c": [1.0, 0.0]}}},
+    "solve-degenerate": {**BASE2, "kind": "degenerate_vb", "operators": {
+        "B": PERIODIC2, "A": {"backend": "constant",
+                              "matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                         [[0.0, 0.0], [1.0, 0.0]]]}}},
+    "solve-p2": {**BASE2, "kind": "second_order", "dim": 1,
+                 "seminorms": [{"kind": "sup"}],
+                 "forcing": {"backend": "constant", "value": [[1.0, 0.0]]},
+                 "operators": {
+                     "A0": {"backend": "constant", "matrix": [[[4.0, 0.0]]]},
+                     "A1": {"backend": "constant", "matrix": [[[0.1, 0.0]]]},
+                     "A2": {"backend": "constant",
+                            "matrix": [[[0.1, 0.0]]]}}},
+    "analyze": {**BASE2, "kind": "analyze", "sequences": {"target": TRIG2},
+                "analysis": {
+                    "bohr": {"k_window": [-30, 30], "tau_range": [-5, 40],
+                             "L": 10, "epsilon": 0.5},
+                    "weyl": {"l": 16, "s_range": [-20, 20],
+                             "frequencies": [0.7]},
+                    "besicovitch": {"l_grid": [8, 16, 32],
+                                    "frequencies": [0.7, 0.0]}}},
+}
+
+
+@pytest.mark.parametrize("case", [*REPORT_CASES, "example heat",
+                                  "example wave"])
+def test_report_bytes_equal_the_reference_writer(tmp_path, monkeypatch,
+                                                 case):
+    # the per-k records go through their vector kernel; the whole file is
+    # the one the list-by-list writer gives
+    from conftest import reference_json_text
+    out = tmp_path / "out"
+    if case.startswith("example"):
+        argv = case.split() + ["--n", "5"]
+    else:
+        argv = [case, "--config",
+                str(write_config(tmp_path, REPORT_CASES[case]))]
+    report = _run_capturing_json(
+        monkeypatch, argv + ["--out", str(out)])["report.json"]
+    assert (out / "report.json").read_text() == (
+        reference_json_text(report) + "\n")
+    if case != "analyze":
+        assert len(report["solve"]["truncation_V"]) > 20
 
 
 def test_grid_solution_csv_bytes(tmp_path):

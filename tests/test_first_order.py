@@ -494,3 +494,61 @@ def test_polynomial_weight_forcing_and_growth(rng):
     # x(k) = sum_v 2^{-v} f(k-1-v): the weighted sup transfers with a
     # constant factor sum_v 2^{-v} (1 + (v+1)/(1+|k|))^alpha <= sum 2^{-v}(v+2)
     assert w_x <= w_f * sum(2.0 ** -v * (v + 2) for v in range(200))
+
+
+def recording(f, reads):
+    """f with the window of every read of its window rule appended to
+    reads."""
+    def rule(w):
+        reads.append(w)
+        return f.window_values(w)
+    return BiSequence(f.dim, rule)
+
+
+def assert_probe_read_once(reads, rep):
+    ks = sorted(k for w in reads for k in w)
+    assert ks == list(range(rep.f_probe[0], rep.f_probe[1] + 1))
+
+
+@pytest.mark.parametrize("backend", ["periodic", "generator"])
+@pytest.mark.parametrize("backward", [False, True])
+def test_solve_reads_each_k_of_the_forcing_once(backward, backend, rng):
+    # the probe grows from margin 8 to the certified depth, and the
+    # residual reads the probe's rows: every k of f_probe is read once, and
+    # the residual has the bits of one that reads f afresh
+    fam = SeminormFamily.of(SUP_L1, 3)
+    A = random_certified_operator(rng, fam, 0.9, backend=backend)
+    f = BiSequence.from_trig_poly(TrigPoly.of(
+        [(0.0, rng.standard_normal(3)), (0.9, rng.standard_normal(3))]))
+    reads = []
+    window = (-20, 20)
+    x, rep = solve_series(A, recording(f, reads), window, tol=1e-11,
+                          backward=backward)
+    assert_probe_read_once(reads, rep)
+    assert len(reads) > 1 and rep.f_probe[1] - rep.f_probe[0] > 60 + 8
+    assert rep.max_residual == residual(A, f, x, window, fam, backward)
+
+
+@pytest.mark.parametrize("backend", ["periodic", "generator"])
+def test_inclusion_probe_reads_each_k_of_the_forcing_once(backend, rng):
+    # the backward probe of g = -D f reads f through g's window rule, in
+    # pieces as the probe grows; x has the bits of a solve whose g is read
+    # over the whole probe at once, also where a piece is shorter than two
+    # periods of D, so that one of D's residues has a lone row in it
+    from apseq.first_order import _solve_series
+    from apseq.resolvent import _solve_inclusion
+    fam = SeminormFamily.of(SUP_L1, 2)
+    D = random_certified_operator(rng, fam, 0.9, backend=backend)
+    f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(2))]))
+    short = 0
+    for tol in np.geomspace(10.0, 1e-8, 80):
+        reads = []
+        x, rep = _solve_inclusion(D, recording(f, reads), (-10, 10), tol, 1)
+        assert_probe_read_once(reads, rep)
+        short += any(len(w) < 2 * 3 for w in reads[1:])
+        probe = Window(*rep.f_probe)
+        g = BiSequence.from_table(probe.start, -D.apply_rows(
+            probe.start, f.window_values(probe)))
+        want, _, _ = _solve_series(D, g, (-11, 10), tol, 1, backward=True)
+        assert x.table_values.tobytes() == want.table_values.tobytes()
+    assert short > 0

@@ -249,6 +249,23 @@ def test_apply_rows_matches_per_row_products(rng):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("period", [1, 3])
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_apply_rows_gives_each_k_its_bits_however_the_rows_are_cut(
+        rng, d, period):
+    # a read of 1 to 2 * period rows holds a residue with a lone row, which
+    # numpy would multiply through gemv instead of gemm
+    mats = [random_matrix(rng, d) for _ in range(period)]
+    A = (OperatorSequence.constant(mats[0]) if period == 1
+         else OperatorSequence.periodic(mats))
+    rows = rng.standard_normal((101, d)) + 1j * rng.standard_normal((101, d))
+    whole = A.apply_rows(-50, rows)
+    for n in range(1, 2 * period + 2):
+        for i in range(0, 101 - n + 1, 7):
+            part = A.apply_rows(-50 + i, rows[i:i + n].copy())
+            assert part.tobytes() == whole[i:i + n].tobytes(), (n, i)
+
+
 STENCILS = [
     Seminorm.first_difference(),
     Seminorm.second_difference(),

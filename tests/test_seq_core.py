@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from apseq import (BiSequence, InputContractError, RangeError, Seminorm,
                    SeminormFamily, ShapeError, TrigPoly, Window, read_csv,
                    seq_axpy, seq_reverse, seq_shift, write_csv)
-from apseq.seq_core import (_CSV_BLOCK_FLOATS, _FIELD, FLOAT_FMT,
+from apseq.seq_core import (_CSV_BLOCK_FLOATS, _FIELD, FLOAT_FMT, PerK,
                             _format_floats, write_grid_csv)
 from conftest import reference_row_values
 
@@ -452,3 +452,73 @@ def test_shifted_and_reversed_views_evaluate_windows(parent):
     assert shifted.tobytes() == F.window_values((3, 6)).tobytes()
     reversed_ = seq_reverse(F).window_values((0, 3))
     assert reversed_.tobytes() == np.stack([F(-k) for k in range(4)]).tobytes()
+
+
+def test_from_table_copies_the_callers_array():
+    vals = np.arange(6, dtype=np.complex128).reshape(3, 2)
+    F = BiSequence.from_table(-1, vals)
+    vals[0, 0] = 99.0
+    assert vals.flags.writeable and F.table_values is not vals
+    assert F(-1)[0] == 0.0
+
+
+def test_adopted_table_holds_a_fresh_array_and_copies_a_view():
+    # an array its builder hands over is held as is, made read-only
+    vals = np.empty((3, 2), dtype=np.complex128)
+    vals[:] = np.arange(6).reshape(3, 2)
+    F = BiSequence._adopt_table(-1, vals)
+    assert F.table_values is vals and not vals.flags.writeable
+    # a reversed view (a backward sweep) is copied, in k order, and its
+    # base stays the caller's
+    sweep = np.arange(6, dtype=np.complex128).reshape(3, 2)
+    G = BiSequence._adopt_table(-1, sweep[::-1])
+    assert G.table_values.base is None
+    assert G.table_values.flags.c_contiguous
+    assert sweep.flags.writeable
+    assert G.window_values((-1, 1)).tobytes() == sweep[::-1].tobytes()
+    sweep[:] = 0
+    assert G(-1)[0] == 4.0
+    # a non-complex array is converted, once
+    H = BiSequence._adopt_table(0, np.array([[1.0], [2.0]]))
+    assert H.table_values.dtype == np.complex128 and H(1)[0] == 2.0
+
+
+ADVERSARIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      0.1, -0.1, 1e-5, 1e-7, 1e16, 1e17, 1e300, -1e300,
+                      1.7976931348623157e308, 123456789.0, 2.0 ** 53,
+                      float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("start, values", [
+    (-3, ADVERSARIAL_FLOATS),
+    # k of mixed sign and width, int values with a sign
+    (-1005, list(range(-7, 2003))),
+    (-2, [-12, 0, 3, 10 ** 12]),
+    (1, [7]),
+    (5, [0.1]),
+    (0, np.array([], dtype=int)),
+    (0, np.array([], dtype=float)),
+    (-40, [1e-11] * 90),
+    (-2000, [1e-11, 2.5e-12, 3e-12] * 1334),
+    (-99, list(np.random.default_rng(7).standard_normal(201))),
+    (10 ** 9, [0.5, -0.0, 0.0, -0.0]),
+])
+def test_per_k_json_is_json_dumps_of_its_pairs(start, values):
+    import json
+    per_k = PerK(start, np.asarray(values))
+    pairs = list(zip(range(start, start + len(values)),
+                     np.asarray(values).tolist()))
+    assert per_k.to_json() == json.dumps(pairs, sort_keys=True)
+    assert len(per_k) == len(pairs)
+    assert repr(list(per_k)) == repr(pairs)
+    if all(v == v for _, v in pairs):
+        assert per_k == pairs and pairs == per_k
+
+
+def test_per_k_compares_as_its_pairs():
+    a = PerK(-1, np.array([3, 4]))
+    assert a == [(-1, 3), (0, 4)] and a == PerK(-1, np.array([3.0, 4.0]))
+    assert a != [(-1, 3)] and a != PerK(0, np.array([3, 4]))
+    assert dict(a) == {-1: 3, 0: 4}
+    assert type(next(iter(a))[1]) is int
+    assert {"sup": [(-1, 3), (0, 4)]} == {"sup": a}
