@@ -43,6 +43,11 @@ def laplacian_1d(n: int, h: float) -> GridLaplacian:
     if not 0 < h < np.inf:
         raise InputContractError(f"grid spacing must be a finite number > 0, "
                                  f"got {h}")
+    h2 = float(h) * float(h)
+    if not (0.0 < h2 < np.inf and 2.0 / h2 < np.inf):
+        raise InputContractError(
+            f"grid spacing h = {h} is out of range: the Laplacian's entries "
+            f"1/h^2 and -2/h^2 must be finite and nonzero")
     m = np.zeros((n, n), dtype=np.complex128)
     np.fill_diagonal(m, -2.0)
     for i in range(n - 1):

@@ -30,6 +30,7 @@ share no code with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import ceil, inf, log
 
 import numpy as np
@@ -82,30 +83,48 @@ class SolveReport(Record):
     extras: dict[str, float] = field(default_factory=dict)
 
 
-def _apply_level(A: OperatorSequence, f_rows: np.ndarray, ks: range,
-                 keep: int) -> np.ndarray:
-    """The sweep that sums the series.  From a zero state it steps
-    x <- A(k) x + f(k) for k in ``ks``, with f_rows[i] = f(ks[i]), and
-    returns the last ``keep`` states in sweep order.  With ks rising the
-    state after step k is x(k+1), with ks falling it is x(k); either way it
-    holds as many terms of the series as steps were taken.  A constant or
-    periodic A is read once per distinct matrix.  A state that overflows
-    is kept as it comes out, inf or nan, for the caller to reject."""
+def _apply_level(A: OperatorSequence, f_rows: np.ndarray, start: int,
+                 keep: int, backward: bool = False) -> np.ndarray:
+    """The sweep that sums the series.  f_rows[i] = f(start + i) are the
+    forcing rows the sweep reads, in k order.  From a zero state it steps
+    x <- A(k) x + f(k) over them, k rising, or with ``backward`` k falling,
+    and returns the last ``keep`` states in k order: with k rising the
+    state after step k is x(k+1), with k falling it is x(k); either way it
+    holds as many terms of the series as steps were taken.
+
+    It sums in place and allocates nothing per step: the rows are copied
+    once, the ``keep`` that become the returned table apart from the
+    run-in, and each state overwrites the row that held its forcing, as
+    f(k) + A(k) x (IEEE addition commutes, so the state has the bits of
+    A(k) x + f(k)).  A constant or periodic A is read once per distinct
+    matrix.  A state that overflows is kept as it comes out, inf or nan,
+    for the caller to reject."""
+    n = len(f_rows)
+    if backward:
+        ks = range(start + n - 1, start - 1, -1)
+        table, run_in = f_rows[:keep].copy(), f_rows[keep:].copy()
+        rows = chain(run_in[::-1], table[::-1])
+    else:
+        ks = range(start, start + n)
+        run_in, table = f_rows[:n - keep].copy(), f_rows[n - keep:].copy()
+        rows = chain(run_in, table)
     p = A.period
     if p is None:
         mats = map(A.matrix, ks)
     else:
         distinct = [A.matrix(r) for r in range(p)]
         mats = [distinct[k % p] for k in ks]
-    out = np.empty((keep, A.dim), dtype=np.complex128)
-    lead = len(ks) - keep
     x = np.zeros(A.dim, dtype=np.complex128)
+    ax = np.empty(A.dim, dtype=np.complex128)
+    # the ufuncs with their outputs passed positionally: each call is most
+    # of a step's cost, and keyword parsing a measurable part of it
+    matmul, add = np.matmul, np.add
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (m, fk) in enumerate(zip(mats, f_rows)):
-            x = m @ x + fk
-            if i >= lead:
-                out[i - lead] = x
-    return out
+        for m, row in zip(mats, rows):
+            matmul(m, x, ax)
+            add(row, ax, row)
+            x = row
+    return table
 
 
 def _probe_forcing(f: BiSequence, probe: Window, family: SeminormFamily,
@@ -215,8 +234,9 @@ def _truncation_depths(A: OperatorSequence, labels, sups: dict,
         raise ConvergencePreconditionError(
             f"certificate products for {lbl!r} at k={work.start + i} do not "
             f"reach tol={tol} within depth {margin}")
-    return np.resize(V_arr, size), {lbl: np.resize(t, size)
-                                    for lbl, t in tails.items()}
+    reps = -(-size // n)
+    return np.tile(V_arr, reps)[:size], {lbl: np.tile(t, reps)[:size]
+                                         for lbl, t in tails.items()}
 
 
 def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DEFAULT,
@@ -241,11 +261,12 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
 
 
 def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
-                  pad_right: int, backward: bool
+                  pad_right: int, backward: bool, probe_reads_A: bool = False
                   ) -> tuple[BiSequence, SolveReport, np.ndarray]:
     """solve_series without the residual, for callers that report the
     residual of another equation; also returns f's rows on ``window``,
-    which the forcing probe read."""
+    which the forcing probe read.  ``probe_reads_A`` says that reading f
+    reads A at the same k, as an inclusion's g = -D f does."""
     window = as_window(window)
     if not 0 < tol < inf:
         raise InputContractError(f"tol must be a finite number > 0, got {tol}")
@@ -271,14 +292,20 @@ def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
     seen = None
     for _ in range(256):
         certs = _certificate_window(work, margin, backward)
+        probe = (work.extended(left=1, right=margin) if backward
+                 else work.extended(left=margin + 1))
+        if probe_reads_A and A.period is None:
+            # derive a generator once over its certificates and the probe
+            # rows right of them (a lone k there would be a window rule
+            # call of its own); the probe's row left of them is read after
+            # the certificates, so a failing rule names their first k
+            A._evaluate(Window(certs.start, probe.end))
         sups = {lbl: A.sup_over(lbl, certs) for lbl in labels}
         bad = [lbl for lbl, s in sups.items() if not s < 1.0]
         if bad:
             raise ConvergencePreconditionError(
                 "certificate sup bounds not below 1 for seminorms "
                 f"{bad}; the series tail cannot be certified")
-        probe = (work.extended(left=1, right=margin) if backward
-                 else work.extended(left=margin + 1))
         f_vals, f_sup = _probe_forcing(f, probe, family, seen)
         seen = probe, f_vals
         depth = max(_geometric_depth(sups[sn.label], f_sup[sn.label], tol)
@@ -310,21 +337,22 @@ def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
                                       margin, backward)
     v_need = int(V_arr.max())
 
-    # the sweep starts v_need + 1 steps beyond work on the far side, at
-    # row margin - v_need (margin >= v_need), and runs across work
+    # the sweep starts v_need + 1 steps beyond work on the far side
+    # (margin >= v_need) and runs across work
     if backward:
-        ks = range(work.end + v_need, work.start - 1, -1)
+        start, f_rows = work.start, f_vals[1:len(work) + v_need + 1]
     else:
-        ks = range(work.start - v_need - 1, work.end)
-    acc = _apply_level(A, rows[margin - v_need:-1], ks, len(work))
-    finite = np.isfinite(acc).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NumericError("the series solution overflows at k="
-                           f"{work.end - i if backward else work.start + i}")
+        start = work.start - v_need - 1
+        f_rows = f_vals[margin - v_need:-1]
+    acc = _apply_level(A, f_rows, start, len(work), backward)
+    bad = np.flatnonzero(~np.isfinite(acc).all(axis=1))
+    if bad.size:
+        # the first state the sweep reached
+        i = int(bad[-1] if backward else bad[0])
+        raise NumericError(
+            f"the series solution overflows at k={work.start + i}")
 
-    x = BiSequence._adopt_table(work.start,
-                                acc[::-1] if backward else acc)
+    x = BiSequence._adopt_table(work.start, acc)
 
     report = SolveReport(window=(window.start, window.end), tol=tol)
     report.truncation_V = PerK(work.start, V_arr)

@@ -22,7 +22,9 @@ seminorm kind:
   lp, 1<p<inf   interpolation bound ||A||_1^(1/p) * ||A||_inf^(1-1/p)
   stencil S     max absolute row sum of (S A) S^{-1} (S is the zero-padded
                 stencil matrix, which is invertible for difference stencils;
-                S^{-1} is formed once per stencil and dimension)
+                S^{-1} is formed once per stencil and dimension; a stencil
+                whose S and S^{-1} are real, as every difference stencil's
+                are, multiplies in real arithmetic)
   block_sum     max over block columns j of sum_i c_base(A_ij)
 
 All of these are sound upper bounds, so randomized soundness checks hold
@@ -33,6 +35,7 @@ asked for, one stack per CERT_BLOCK-aligned run of k it has not cached.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Container, Iterator, Sequence
 
@@ -72,10 +75,10 @@ def induced_bound(matrix: Matrix, sn: Seminorm) -> float | np.ndarray:
 
     A stack (..., d, d) gives an array of bounds, one per matrix, each
     with the bits of its own call."""
-    a = np.abs(matrix)
     if sn.kind == "sup":
-        return _bound(a.sum(axis=-1).max(axis=-1))
+        return _bound(np.abs(matrix).sum(axis=-1).max(axis=-1))
     if sn.kind == "p":
+        a = np.abs(matrix)
         n1 = a.sum(axis=-2).max(axis=-1)
         if sn.p == 1:
             return _bound(n1)
@@ -93,7 +96,11 @@ def induced_bound(matrix: Matrix, sn: Seminorm) -> float | np.ndarray:
             raise CertificateError(
                 f"stencil seminorm {sn.label!r} has a singular stencil "
                 f"matrix, so it has no induced bound")
-        conj = (sn.stencil_matrix(d) @ matrix) @ s_inv
+        real = _real_stencil(sn, d)
+        if real is None:
+            conj = (sn.stencil_matrix(d) @ matrix) @ s_inv
+        else:
+            conj = _real_conjugate(matrix, *real)
         return _bound(np.abs(conj).sum(axis=-1).max(axis=-1))
     if sn.kind == "block_sum":
         p = sn.blocks
@@ -108,6 +115,34 @@ def induced_bound(matrix: Matrix, sn: Seminorm) -> float | np.ndarray:
                 col_sums[..., j] += induced_bound(block, sn.base)
         return _bound(col_sums.max(axis=-1))
     raise InputContractError(f"unknown seminorm kind {sn.kind!r}")
+
+
+@lru_cache(maxsize=None)
+def _real_stencil(sn: Seminorm, dim: int
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The real planes of the stencil matrix S and of S^{-1} when both are
+    real, as they are for every difference stencil; else None."""
+    s, s_inv = sn.stencil_matrix(dim), sn.stencil_inverse(dim)
+    if s.imag.any() or s_inv.imag.any():
+        return None
+    planes = np.ascontiguousarray(s.real), np.ascontiguousarray(s_inv.real)
+    for a in planes:
+        a.flags.writeable = False
+    return planes
+
+
+def _real_conjugate(matrix: np.ndarray, s: np.ndarray,
+                    s_inv: np.ndarray) -> np.ndarray:
+    """(S M) S^{-1} for real S and S^{-1} in real arithmetic: S M as one
+    product over M's interleaved re/im columns, then its real and imaginary
+    planes times S^{-1}, at half the multiplications of the complex
+    products."""
+    m = np.ascontiguousarray(matrix, dtype=np.complex128)
+    sm = s @ m.view(np.float64)
+    conj = np.empty(m.shape, dtype=np.complex128)
+    np.matmul(sm[..., 0::2], s_inv, out=conj.real)
+    np.matmul(sm[..., 1::2], s_inv, out=conj.imag)
+    return conj
 
 
 def well_conditioned(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,13 +289,24 @@ class OperatorSequence:
         """A(k) for k in ``window`` as a (len, dim, dim) stack; a constant
         gives a read-only view of its one matrix.  A generator evaluates its
         window rule once per CERT_BLOCK-aligned run of the k it has not
-        cached, and caches views into those stacks."""
+        cached, and caches views into those stacks; a window that is exactly
+        one such run gets the read-only stack it evaluated."""
         window = as_window(window)
         if self.period == 1:
             return np.broadcast_to(self._distinct[0],
                                    (len(window), self.dim, self.dim))
         if self._distinct is not None:
             return np.stack([self._distinct[k % self.period] for k in window])
+        fresh = self._evaluate(window)
+        if len(fresh) == 1 and fresh[0][0] == window:
+            return fresh[0][1]
+        return np.stack([self._mat_cache[k] for k in window])
+
+    def _evaluate(self, window: Window) -> list[tuple[Window, np.ndarray]]:
+        """Evaluate a generator's window rule on the runs of ``window`` it
+        has not cached and cache their matrices; returns (run, stack) per
+        run evaluated."""
+        fresh = []
         for w in window_blocks(window, self._mat_cache):
             stack = np.asarray(self._window_fn(w), dtype=np.complex128)
             if stack.shape != (len(w), self.dim, self.dim):
@@ -269,7 +315,8 @@ class OperatorSequence:
                     f"matrices of dimension {self.dim}")
             stack.flags.writeable = False
             self._mat_cache.update(zip(w, stack))
-        return np.stack([self._mat_cache[k] for k in window])
+            fresh.append((w, stack))
+        return fresh
 
     def apply(self, k: int, x: Vector) -> Vector:
         x = np.asarray(x, dtype=np.complex128)

@@ -83,7 +83,7 @@ def _solve_inclusion(D: OperatorSequence, f: BiSequence, window, tol: float,
     g = BiSequence(D.dim,
                    lambda w: -D.apply_rows(w.start, f.window_values(w)))
     x, report, _ = _solve_series(D, g, window.extended(left=1), tol,
-                                 pad_right, backward=True)
+                                 pad_right, backward=True, probe_reads_A=True)
     report.window = (window.start, window.end)
     report.residual_form = "inclusion_selection"
     return x, report

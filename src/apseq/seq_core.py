@@ -339,8 +339,7 @@ class BiSequence:
                      extend: str | None = None) -> "BiSequence":
         """from_table for an array its caller built and hands over: a
         C-contiguous complex array that owns its data is held as is, made
-        read-only, any other (a view, such as a reversed sweep) is
-        copied."""
+        read-only, any other (a view, such as a slice) is copied."""
         return BiSequence._table(start, values, extend, adopt=True)
 
     @staticmethod

@@ -55,6 +55,26 @@ def random_certified_operator(rng, family, target_sup, backend="constant",
     raise ValueError(backend)
 
 
+def reference_sweep(A, f_rows, start, keep, backward=False):
+    """The series sweep as it was first written, x = A(k) x + f(k) into a
+    fresh array at every step; the reference for the in-place sweep of
+    first_order._apply_level, with its arguments and result."""
+    n = len(f_rows)
+    if backward:
+        ks, rows = range(start + n - 1, start - 1, -1), f_rows[::-1]
+    else:
+        ks, rows = range(start, start + n), f_rows
+    out = np.empty((keep, A.dim), dtype=np.complex128)
+    lead = n - keep
+    x = np.zeros(A.dim, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (k, fk) in enumerate(zip(ks, rows)):
+            x = A.matrix(k) @ x + fk
+            if i >= lead:
+                out[i - lead] = x
+    return out[::-1] if backward else out
+
+
 def reference_row_values(sn, rows):
     """Per-row seminorm values with every row reduction taken along axis 1,
     the reference for the reductions Seminorm.of_rows uses."""

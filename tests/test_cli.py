@@ -889,6 +889,21 @@ def test_grid_spacing_must_be_finite(tmp_path, capsys, name, h):
     assert err.count("grid spacing must be a finite number > 0") == 2
 
 
+@pytest.mark.parametrize("h", ["1e-160", "1e200"])
+@pytest.mark.parametrize("name", ["heat", "wave"])
+def test_grid_spacing_must_keep_the_laplacian_finite_and_nonzero(
+        tmp_path, name, h):
+    # 1/h^2 overflowed at h = 1e-160 (heat then failed its certificate
+    # sups with a RuntimeWarning, wave its SVD) and rounded to zero at
+    # h = 1e200, which solved with an all-zero Laplacian
+    res = run_cli("example", name, "--n", "3", "--h", h, "--out",
+                  str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert res.stderr == (f"apseq: error: grid spacing h = {float(h)} is out "
+                          f"of range: the Laplacian's entries 1/h^2 and "
+                          f"-2/h^2 must be finite and nonzero\n")
+
+
 @pytest.mark.parametrize("name,n", [("heat", 8), ("wave", 12)])
 def test_grid_examples_read_no_sequence_k_by_k(tmp_path, monkeypatch, name,
                                                n):

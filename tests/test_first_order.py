@@ -6,10 +6,10 @@ from apseq import (BiSequence, ConvergencePreconditionError,
                    SeminormFamily, TrigPoly, Window, bohr_check, forward_oracle,
                    omega_c_check, residual, seq_axpy, solve_series,
                    weighted_growth_check)
-from apseq.first_order import SolveReport
+from apseq.first_order import SolveReport, _apply_level
 from apseq.ap_analysis import besicovitch_distance
 from apseq.operator_model import op_product_apply
-from conftest import random_certified_operator
+from conftest import random_certified_operator, reference_sweep
 
 SUP = Seminorm.sup()
 FAM1 = SeminormFamily.sup_only(1)
@@ -138,6 +138,73 @@ def test_sweep_matches_explicit_products(backend, rng):
         diff = x(k) - explicit_series(A, f, k, depth[k])
         for sn in fam:
             assert sn(diff) <= dict(rep.tail_bounds[sn.label])[k] + 1e-13
+
+
+def sweep_operator(rng, backend, dim, real, gain=0.9, with_zero=True):
+    """A plain sequence of the backend whose matrices have norm ``gain``
+    (within 10% for the generator), real-valued when ``real``.  With
+    ``with_zero``, periodic and generator sequences are zero at some k,
+    where A(k) x is a zero whose sign depends on how the product is
+    formed."""
+    def draw():
+        m = rng.standard_normal((dim, dim))
+        if not real:
+            m = m + 1j * rng.standard_normal((dim, dim))
+        return gain * m / np.linalg.norm(m, 2)
+
+    zero = np.zeros((dim, dim)) if with_zero else draw()
+    if backend == "constant":
+        return OperatorSequence.constant(draw())
+    if backend == "periodic":
+        return OperatorSequence.periodic([draw(), zero, draw()])
+    base = [draw(), zero, draw(), draw(), draw()]
+    return OperatorSequence.from_function(
+        dim, lambda k: base[k % 5] * (1.0 + 0.1 * np.cos(0.3 * k)))
+
+
+def sweep_rows(rng, n, dim, real, scale=1.0):
+    rows = rng.standard_normal((n, dim))
+    if not real:
+        rows = rows + 1j * rng.standard_normal((n, dim))
+    rows = scale * np.asarray(rows, dtype=np.complex128)
+    rows[::5] = 0.0
+    rows[2::7] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("dim", [1, 2, 8, 32])
+@pytest.mark.parametrize("backend", ["constant", "periodic", "generator"])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_in_place_sweep_has_the_bits_of_the_reference(backend, dim,
+                                                      backward, real, rng):
+    # real data carries signed zeros, which f(k) + A(k) x must give as
+    # A(k) x + f(k) does; the table is handed over without a copy, and the
+    # caller's rows are left as they were
+    A = sweep_operator(rng, backend, dim, real)
+    rows = sweep_rows(rng, 40, dim, real)
+    before = rows.copy()
+    for keep in (25, 40, 1):
+        got = _apply_level(A, rows, -13, keep, backward)
+        want = reference_sweep(A, rows, -13, keep, backward)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.owndata and got.flags.c_contiguous
+    assert rows.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("backend", ["constant", "periodic", "generator"])
+def test_in_place_sweep_keeps_an_overflowing_state_as_it_comes(backend,
+                                                               backward, rng):
+    A = sweep_operator(rng, backend, 3, False, gain=2.5, with_zero=False)
+    rows = sweep_rows(rng, 60, 3, False, scale=1e300)
+    got = _apply_level(A, rows, 4, 50, backward)
+    want = reference_sweep(A, rows, 4, 50, backward)
+    assert np.isnan(want).any()
+    assert got.tobytes() == want.tobytes()
 
 
 def loop_depths(A, rep, tol):

@@ -352,3 +352,26 @@ def test_inclusion_reads_A_only_where_the_solve_reads_it():
     # x(k) = (x(k+1) - 1) / 4 has the fixed point -1/3
     assert all(abs(x(k)[0] + 1 / 3) <= 1e-9 for k in range(-5, 6))
     assert rep.max_residual["sup"] <= 1e-9
+
+
+def test_inclusion_derives_its_selection_once_over_what_it_reads():
+    # each probe round derives D in one window rule call over its
+    # certificates and the probe rows right of them, instead of a call of
+    # its own for each lone k there; only the probe's row left of the
+    # certificates comes after them, so a failing rule still names their
+    # first k
+    windows = []
+
+    def rule(w):
+        windows.append((w.start, w.end))
+        return np.stack([[[4.0 + np.cos(k)]] for k in w])
+
+    A = OperatorSequence(1, rule)
+    sel = inverse_selection(A, [[1.0]], FAM1)
+    x, rep = solve_inclusion(sel, BiSequence.constant([1.0]), (-5, 5))
+    assert rep.max_residual["sup"] <= 1e-9
+    lo, hi = rep.f_probe
+    # two probe rounds: depth 8, then the depth the probed sups need
+    assert len(windows) == 4
+    assert windows[:2] == [(lo + 1, -1), (0, windows[1][1])]
+    assert windows[2:] == [(lo, lo), (windows[1][1] + 1, hi)]
