@@ -13,6 +13,9 @@ coefficients in its first row and identities on the subdiagonal, and
 boldC = C on every block.  The reduction selection boldB(k) [boldA(k)]^{-1}
 boldC keeps unit-size subdiagonal blocks for p >= 3, so its certificate
 products do not decay; the series route therefore exists only for p = 2.
+
+``solve_second_order`` is a builder on the reduction core of
+``resolvent``, as order p would be one more; its ``family`` is required.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import InputContractError, NumericError, ShapeError
 from .first_order import SolveReport, linear_residual
 from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
                              induced_bound, window_blocks)
-from .resolvent import _solve_inclusion, amplification, inverse_selection
+from .resolvent import _solve_reduced, amplification, inverse_selection
 from .seq_core import BiSequence, SeminormFamily, as_window
 
 
@@ -161,7 +164,7 @@ def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
 
 def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
                        A2: OperatorSequence, C, f: BiSequence, window,
-                       tol: float = 1e-10, family: SeminormFamily | None = None,
+                       tol: float = 1e-10, *, family: SeminormFamily,
                        pad_right: int = 2,
                        D: OperatorSequence | None = None
                        ) -> tuple[BiSequence, SolveReport]:
@@ -172,36 +175,28 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
     sups must stay below 1.  The scalar-level residual of the order-2
     equation is certified on the returned u.
     """
-    family = family or A0.family or A1.family or A2.family
-    if family is None:
-        raise InputContractError("need a seminorm family")
-    window = as_window(window)
     C = as_matrix(C, A0.dim)
     if D is None:
         D = second_order_selection(A0, A1, A2, C, family)
     vec_f = build_companion(2, [A0, A1, A2], C).lift(f)
     d = A0.dim
 
-    series_tol = tol / (4.0 * amplification(family, C))
-    u_pad = max(2, pad_right)  # the order-2 residual consumes u(k+2)
-    v, report = _solve_inclusion(D, vec_f, window, series_tol, u_pad + 1)
-    report.tol = tol
+    def recover(v, u_window, report):
+        # vec u(k) = [bold_A(k)]^{-1} bold_C (v(k+1) - vec f(k)): block 1 is
+        # -G(k) = -[A_0(k)]^{-1} C applied to the head, which is the (2,1)
+        # block of D(k); block 2 passes through
+        vec_u = (v.window_values(u_window.shifted(1))
+                 - vec_f.window_values(u_window))
+        vec_u[:, :d] = (D.matrices(u_window)[:, d:, :d]
+                        @ vec_u[:, :d, None])[..., 0]
+        report.extras["shift_consistency_defect"] = float(
+            np.abs(vec_u[:-1, d:] - vec_u[1:, :d]).max())
+        return BiSequence.from_table(u_window.start, vec_u[:, :d])
 
-    # vec u(k) = [bold_A(k)]^{-1} bold_C (v(k+1) - vec f(k)): block 1 is
-    # -G(k) = -[A_0(k)]^{-1} C applied to the head, which is the (2,1)
-    # block of D(k); block 2 passes through
-    u_window = window.extended(right=u_pad)
-    vec_u = (v.window_values(u_window.shifted(1))
-             - vec_f.window_values(u_window))
-    vec_u[:, :d] = (D.matrices(u_window)[:, d:, :d]
-                    @ vec_u[:, :d, None])[..., 0]
-    u = BiSequence.from_table(u_window.start, vec_u[:, :d])
-
-    shift_defect = float(np.abs(vec_u[:-1, d:] - vec_u[1:, :d]).max())
-    report.residual_form = "second_order_direct"
-    report.max_residual = second_order_residual(A0, A1, A2, C, f, u, window,
-                                                family)
-    report.extras["shift_consistency_defect"] = shift_defect
+    _, u, report = _solve_reduced(
+        D, vec_f, window, tol, pad_right, "second_order_direct",
+        lambda u, w: second_order_residual(A0, A1, A2, C, f, u, w, family),
+        amplify=4.0 * amplification(family, C), reach=2, recover=recover)
     return u, report
 
 

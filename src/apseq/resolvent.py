@@ -22,6 +22,11 @@ equations
 reduce to inclusions with selections B(k) [A(k)]^{-1} C and
 [A(k)]^{-1} B(k+1) C respectively.
 
+One core, ``_solve_reduced``, solves every reduction; the inclusion
+itself, vb, vb1 and order 2 are builders on it.  A is required for vb
+and vb1, as their residuals read it.  A bound on the error of the
+recovered u, and orders p > 2, belong in the core.
+
 Every selection is an ``OperatorSequence`` derived by
 ``OperatorSequence.map``: one window rule over the stacks of its inputs,
 such as the condition-checked stacked solve of ``inverse_selection`` or
@@ -66,27 +71,39 @@ def solve_inclusion(D: OperatorSequence, f: BiSequence, window,
     with the selection-form residual x(k) - D(k) x(k+1) + D(k) f(k) measured
     over the requested window.
     """
-    x, report = _solve_inclusion(D, f, window, tol, pad_right)
-    report.max_residual = inclusion_residual(D, f, x, window, D.family)
+    _, x, report = _solve_reduced(
+        D, f, window, tol, pad_right, "inclusion_selection",
+        lambda x, w: inclusion_residual(D, f, x, w, D.family))
     return x, report
 
 
-def _solve_inclusion(D: OperatorSequence, f: BiSequence, window, tol: float,
-                     pad_right: int) -> tuple[BiSequence, SolveReport]:
-    """solve_inclusion without the residual, for callers that report the
-    residual of the equation they reduced to the inclusion."""
+def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
+                   pad_right: int, form: str, residual, amplify: float = 1.0,
+                   reach: int = 1, recover=None
+                   ) -> tuple[BiSequence, BiSequence, SolveReport]:
+    """(v, u, report) of an equation reduced to the inclusion with
+    selection D and forcing f: v solved at tol / ``amplify``, the
+    reduction's residual amplification; u = ``recover(v, u_window,
+    report)``, a window rule reading v one k right of u_window, or v
+    itself; u padded to the ``reach`` of its ``residual(u, window)``,
+    which the report holds as max_residual under ``form``."""
     window = as_window(window)
     if D.family is None:
         raise InputContractError("selection operator carries no seminorm family")
     if f.dim != D.dim:
         raise InputContractError(f"forcing dim {f.dim} vs operator dim {D.dim}")
+    u_pad = max(reach, pad_right)
     g = BiSequence(D.dim,
                    lambda w: -D.apply_rows(w.start, f.window_values(w)))
-    x, report, _ = _solve_series(D, g, window.extended(left=1), tol,
-                                 pad_right, backward=True, probe_reads_A=True)
+    v, report, _ = _solve_series(D, g, window.extended(left=1), tol / amplify,
+                                 u_pad + (recover is not None), backward=True,
+                                 probe_reads_A=True)
     report.window = (window.start, window.end)
-    report.residual_form = "inclusion_selection"
-    return x, report
+    report.tol = tol
+    u = v if recover is None else recover(v, window.extended(right=u_pad),
+                                          report)
+    report.residual_form, report.max_residual = form, residual(u, window)
+    return v, u, report
 
 
 def inclusion_residual(D: OperatorSequence, f: BiSequence, x: BiSequence,
@@ -128,9 +145,8 @@ def _inverse_or_zero(w: Window, b: np.ndarray) -> np.ndarray:
 
 
 def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
-                        C, f: BiSequence, window, tol: float = 1e-10,
-                        A: OperatorSequence | None = None,
-                        pad_right: int = 1,
+                        C, f: BiSequence, window, tol: float = 1e-10, *,
+                        A: OperatorSequence, pad_right: int = 1,
                         D: OperatorSequence | None = None
                         ) -> tuple[BiSequence, BiSequence, SolveReport]:
     """Solve C B(k+1) u(k+1) = A(k) u(k) + C f(k) via v(k) = B(k) u(k).
@@ -140,9 +156,8 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     ``compose_selection`` from the same B and Ainv_C).  The recovery route
     is chosen automatically: u is recovered from v by inverting B, or,
     when some B(k) fails its condition check, through the selection
-    u(k) = Ainv_C(k) (v(k+1) - f(k)).  With A supplied the vb
-    residual is certified directly on u; otherwise the v-level inclusion
-    residual is reported.
+    u(k) = Ainv_C(k) (v(k+1) - f(k)).  The vb residual is certified
+    directly on u.
     """
     window = as_window(window)
     family = Ainv_C.family or B.family
@@ -155,39 +170,33 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     # tighten the series tolerance by the measured residual amplification
     # of A(k) B(k)^{-1}; a B(k) that fails its check contributes zero
     B_inv = OperatorSequence.map(_inverse_or_zero, B)
-    products = () if A is None else (A.matrices(w) @ B_inv.matrices(w)
-                                     for w in window_blocks(window))
-    series_tol = tol / (2.0 * amplification(family, C, products))
+    products = (A.matrices(w) @ B_inv.matrices(w)
+                for w in window_blocks(window))
 
-    v, report = _solve_inclusion(D, f, window, series_tol, pad_right + 1)
-    report.tol = tol
-    if A is None:
-        report.max_residual = inclusion_residual(D, f, v, window, D.family)
+    def recover(v, u_window, report):
+        # u(k) = B(k)^{-1} v(k) as stacked mat-vecs, which keep the bits of
+        # each B(k)^{-1} @ v(k)
+        inverses = B_inv.matrices(u_window)
+        failed = ~inverses.any(axis=(1, 2))
+        if not failed.any():
+            route = "b_inverse"
+            u_vals = (inverses @ v.window_values(u_window)[..., None])[..., 0]
+        else:
+            bad = u_window.start + int(np.argmax(failed))
+            report.warnings.append(
+                f"B({bad}) condition estimate above {COND_LIMIT:.1e}; "
+                f"B-inverse recovery abandoned")
+            route = "selection"
+            u_vals = Ainv_C.apply_rows(u_window.start,
+                                       v.window_values(u_window.shifted(1))
+                                       - f.window_values(u_window))
+        report.warnings.append(f"u recovered via {route}")
+        return BiSequence._adopt_table(u_window.start, u_vals)
 
-    # u recovery: u(k) = B(k)^{-1} v(k) as stacked mat-vecs, which keep the
-    # bits of each B(k)^{-1} @ v(k)
-    u_window = window.extended(right=pad_right)
-    inverses = B_inv.matrices(u_window)
-    failed = ~inverses.any(axis=(1, 2))
-    if not failed.any():
-        route = "b_inverse"
-        u_vals = (inverses @ v.window_values(u_window)[..., None])[..., 0]
-    else:
-        bad = u_window.start + int(np.argmax(failed))
-        report.warnings.append(
-            f"B({bad}) condition estimate above {COND_LIMIT:.1e}; "
-            f"B-inverse recovery abandoned")
-        route = "selection"
-        u_vals = Ainv_C.apply_rows(u_window.start,
-                                   v.window_values(u_window.shifted(1))
-                                   - f.window_values(u_window))
-
-    u = BiSequence._adopt_table(u_window.start, u_vals)
-    report.warnings.append(f"u recovered via {route}")
-    if A is not None:
-        report.residual_form = "vb_direct"
-        report.max_residual = vb_residual(B, A, C, f, u, window, family)
-    return v, u, report
+    return _solve_reduced(
+        D, f, window, tol, pad_right, "vb_direct",
+        lambda u, w: vb_residual(B, A, C, f, u, w, family),
+        amplify=2.0 * amplification(family, C, products), recover=recover)
 
 
 def vb_residual(B: OperatorSequence, A: OperatorSequence, C, f: BiSequence,
@@ -200,14 +209,14 @@ def vb_residual(B: OperatorSequence, A: OperatorSequence, C, f: BiSequence,
 
 def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
                          C, g: BiSequence, f: BiSequence, window,
-                         tol: float = 1e-10, A: OperatorSequence | None = None,
+                         tol: float = 1e-10, *, A: OperatorSequence,
                          pad_right: int = 1) -> tuple[BiSequence, SolveReport]:
     """Solve B(k+1) C u(k+1) = A(k) u(k) + C g(k) via the inclusion with
     selection D(k) = [A(k)]^{-1} B(k+1) C and forcing f.
 
     The supplied f must satisfy B(k+1) C f(k) = C g(k) on the window
-    (checked to CONSISTENCY_TOL relative to 1 + the data scale); with A
-    supplied the vb1 residual is certified directly on u.
+    (checked to CONSISTENCY_TOL relative to 1 + the data scale); the vb1
+    residual is certified directly on u.
     """
     window = as_window(window)
     family = Ainv_BC.family
@@ -224,17 +233,11 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
             f"consistency B(k+1) C f(k) = C g(k) fails on the window: "
             f"max relative defect {worst:.3e} > {CONSISTENCY_TOL:.1e}")
 
-    stacks = () if A is None else map(A.matrices, window_blocks(window))
-    series_tol = tol / (2.0 * amplification(family, C, stacks))
-
-    u, report = _solve_inclusion(Ainv_BC, f, window, series_tol, pad_right)
-    report.tol = tol
-    if A is None:
-        report.max_residual = inclusion_residual(Ainv_BC, f, u, window,
-                                                 family)
-    else:
-        report.residual_form = "vb1_direct"
-        report.max_residual = vb1_residual(B, A, C, g, u, window, family)
+    stacks = map(A.matrices, window_blocks(window))
+    _, u, report = _solve_reduced(
+        Ainv_BC, f, window, tol, pad_right, "vb1_direct",
+        lambda u, w: vb1_residual(B, A, C, g, u, w, family),
+        amplify=2.0 * amplification(family, C, stacks))
     return u, report
 
 

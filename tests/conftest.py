@@ -55,6 +55,12 @@ def random_certified_operator(rng, family, target_sup, backend="constant",
     raise ValueError(backend)
 
 
+def inverse_of(G):
+    """The plain sequence k -> G(k)^{-1}: the A(k) whose [A(k)]^{-1} C is
+    G(k) when C = I."""
+    return OperatorSequence.map(lambda w, g: np.linalg.inv(g), G)
+
+
 def reference_sweep(A, f_rows, start, keep, backward=False):
     """The series sweep as it was first written, x = A(k) x + f(k) into a
     fresh array at every step; the reference for the in-place sweep of

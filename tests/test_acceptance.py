@@ -21,7 +21,7 @@ from apseq import (BiSequence, ConvergencePreconditionError,
                    solve_series)
 from apseq.discretization import laplacian_1d
 from apseq.resolvent import inverse_selection, solve_degenerate_vb1
-from conftest import random_certified_operator, random_matrix
+from conftest import inverse_of, random_certified_operator, random_matrix
 
 SUP = Seminorm.sup()
 
@@ -141,7 +141,7 @@ def test_criterion_03_omega_c_transfer(omega, c):
     AinvC = random_certified_operator(rng, fam, min(0.5, cert),
                                       backend="periodic", period=omega)
     _, u, _ = solve_degenerate_vb(B, AinvC, np.eye(2), f, window, tol=tol,
-                                  pad_right=omega)
+                                  A=inverse_of(AinvC), pad_right=omega)
     worst = max(worst, omega_c_check(u, omega, c, fam, window))
 
     fam1 = SeminormFamily.sup_only(1)

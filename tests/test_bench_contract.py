@@ -43,14 +43,37 @@ def test_every_traced_name_resolves():
                 assert callable(getattr(owner, name, None)), f"{layer}.{name}"
 
 
+def constant(*rows) -> dict:
+    """A constant operator descriptor of real matrix rows."""
+    return {"backend": "constant",
+            "matrix": [[[v, 0.0] for v in row] for row in rows]}
+
+
 def solve_config(kind: str) -> dict:
-    """x(k+1) = x(k)/2 + 1 as a first-order equation, or the inclusion
-    2 x(k+1) in x(k) + 2 with A = C = 1 and f = 1 (x = -1)."""
+    """x(k+1) = x(k)/2 + 1 as a first-order equation, the inclusion
+    2 x(k+1) in x(k) + 2 with A = C = 1 and f = 1 (x = -1), or a scalar
+    vb, vb1 or order-2 equation or a p = 2 system_bm with f = 1 and
+    small coefficients."""
     A = [[[0.5, 0.0]]] if kind == "first_order" else [[[2.0, 0.0]]]
-    return {"schema_version": 1, "kind": kind, "dim": 1, "window": [-8, 8],
-            "tol": 1e-10, "seminorms": [{"kind": "sup"}],
-            "operators": {"A": {"backend": "constant", "matrix": A}},
-            "forcing": {"backend": "constant", "value": [[1.0, 0.0]]}}
+    cfg = {"schema_version": 1, "kind": kind, "dim": 1, "window": [-8, 8],
+           "tol": 1e-10, "seminorms": [{"kind": "sup"}],
+           "operators": {"A": {"backend": "constant", "matrix": A}},
+           "forcing": {"backend": "constant", "value": [[1.0, 0.0]]}}
+    if kind in ("degenerate_vb", "degenerate_vb1"):
+        cfg["operators"]["B"] = constant([0.4])
+    if kind == "degenerate_vb1":
+        # g = B f
+        cfg["sequences"] = {"g": {"backend": "constant",
+                                  "value": [[0.4, 0.0]]}}
+    if kind == "system_bm":
+        cfg["params"] = {"p": 2}
+        cfg["operators"] = {"A": constant([2.0, 0.0], [0.0, 2.0]),
+                            "D": constant([0.125, 0.0], [0.0, 0.125])}
+        cfg["forcing"]["value"] = [[1.0, 0.0], [2.0, 0.0]]
+    if kind == "second_order":
+        cfg["operators"] = {"A0": constant([4.0]), "A1": constant([0.1]),
+                            "A2": constant([0.1])}
+    return cfg
 
 
 def test_traced_examples_reach_every_solver_path(tmp_path):
@@ -84,8 +107,12 @@ def test_traced_examples_reach_every_solver_path(tmp_path):
 @pytest.mark.parametrize("argv, form", [
     (["example", "heat", "--n", "3"], "vb_direct"),
     (["example", "wave", "--n", "3"], "second_order_direct"),
-    (["solve"], "first_order"),
-    (["solve-inclusion"], "inclusion_selection")])
+    (["solve", "first_order"], "first_order"),
+    (["solve-inclusion", "inclusion"], "inclusion_selection"),
+    (["solve-degenerate", "degenerate_vb"], "vb_direct"),
+    (["solve-degenerate", "degenerate_vb1"], "vb1_direct"),
+    (["solve-degenerate", "system_bm"], "vb1_direct"),
+    (["solve-p2", "second_order"], "second_order_direct")])
 def test_each_cli_solve_measures_one_residual(tmp_path, monkeypatch, argv,
                                              form):
     """A solve measures only the residual its report holds: the series and
@@ -100,10 +127,10 @@ def test_each_cli_solve_measures_one_residual(tmp_path, monkeypatch, argv,
     for module in (first_order, resolvent, higher_order):
         monkeypatch.setattr(module, "linear_residual", counted)
     if argv[0] != "example":
-        kind = "first_order" if argv[0] == "solve" else "inclusion"
+        command, kind = argv
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(solve_config(kind)))
-        argv = argv + ["--config", str(path)]
+        argv = [command, "--config", str(path)]
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["solve"]["residual_form"] == form

@@ -603,14 +603,16 @@ def test_inclusion_probe_reads_each_k_of_the_forcing_once(backend, rng):
     # over the whole probe at once, also where a piece is shorter than two
     # periods of D, so that one of D's residues has a lone row in it
     from apseq.first_order import _solve_series
-    from apseq.resolvent import _solve_inclusion
+    from apseq.resolvent import _solve_reduced
     fam = SeminormFamily.of(SUP_L1, 2)
     D = random_certified_operator(rng, fam, 0.9, backend=backend)
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(2))]))
     short = 0
     for tol in np.geomspace(10.0, 1e-8, 80):
         reads = []
-        x, rep = _solve_inclusion(D, recording(f, reads), (-10, 10), tol, 1)
+        # a residual that reads nothing, so that only the probe reads f
+        _, x, rep = _solve_reduced(D, recording(f, reads), (-10, 10), tol, 1,
+                                   "none", lambda x, w: {})
         assert_probe_read_once(reads, rep)
         short += any(len(w) < 2 * 3 for w in reads[1:])
         probe = Window(*rep.f_probe)

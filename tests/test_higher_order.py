@@ -196,14 +196,14 @@ def test_second_order_recovery_is_the_per_k_product_bit_for_bit(
     A2 = OperatorSequence.constant(0.1 * np.eye(d))
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.8, rng.standard_normal(d))]))
     solves = []
-    solve = higher_order._solve_inclusion
-    monkeypatch.setattr(higher_order, "_solve_inclusion",
+    solve = higher_order._solve_reduced
+    monkeypatch.setattr(higher_order, "_solve_reduced",
                         lambda *a, **kw: solves.append(solve(*a, **kw))
                         or solves[-1])
     D = higher_order.second_order_selection(A0, A1, A2, np.eye(d), fam)
     u, _ = solve_second_order(A0, A1, A2, np.eye(d), f, (-8, 8),
                               family=fam, D=D)
-    (v, _), = solves
+    (v, _, _), = solves
     vec_f = build_companion(2, [A0, A1, A2], np.eye(d)).lift(f)
     ref = np.stack([D.matrix(k)[d:, :d] @ (v(k + 1) - vec_f(k))[:d]
                     for k in range(-8, 11)])

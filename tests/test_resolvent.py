@@ -9,7 +9,7 @@ from apseq import (BiSequence, InputContractError, OperatorSequence,
 from apseq.operator_model import induced_bound
 from apseq.resolvent import (compose_selection, inverse_selection,
                              vb1_residual, vb_residual)
-from conftest import random_certified_operator
+from conftest import inverse_of, random_certified_operator
 
 FAM1 = SeminormFamily.sup_only(1)
 
@@ -90,7 +90,8 @@ def test_vb_identity_B_reduces_to_inclusion(rng):
     G = random_certified_operator(rng, fam, 0.5)
     f = BiSequence.from_trig_poly(TrigPoly.of([(1.1, rng.standard_normal(2))]))
     tol = 1e-10
-    v, u, rep = solve_degenerate_vb(B, G, np.eye(2), f, (-6, 6), tol=tol)
+    v, u, rep = solve_degenerate_vb(B, G, np.eye(2), f, (-6, 6), tol=tol,
+                                    A=inverse_of(G))
     x, _ = solve_inclusion(G, f, (-6, 6), tol=tol)
     worst = max(np.abs(v(k) - x(k)).max() for k in range(-6, 7))
     assert worst <= 10 * tol
@@ -121,8 +122,9 @@ def test_vb_zero_forcing():
     fam = FAM1
     B = OperatorSequence.constant([[0.3]], family=fam)
     AinvC = OperatorSequence.constant([[0.9]], family=fam)
+    A = OperatorSequence.constant([[1.0 / 0.9]])
     v, u, _ = solve_degenerate_vb(B, AinvC, [[1.0]], BiSequence.zeros(1),
-                                  (-4, 4))
+                                  (-4, 4), A=A)
     assert all(v(k)[0] == 0.0 and u(k)[0] == 0.0 for k in range(-4, 5))
 
 
@@ -154,7 +156,8 @@ def test_vb_u_recovery_is_the_per_k_inverse_bit_for_bit(backend, rng):
     B = random_certified_operator(rng, fam, 0.8, backend=backend)
     G = random_certified_operator(rng, fam, 0.5, backend="periodic")
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.6, rng.standard_normal(d))]))
-    v, u, rep = solve_degenerate_vb(B, G, np.eye(d), f, (-70, 10))
+    v, u, rep = solve_degenerate_vb(B, G, np.eye(d), f, (-70, 10),
+                                    A=inverse_of(G))
     assert rep.warnings[-1] == "u recovered via b_inverse"
     ref = np.stack([checked_solve(B.matrices((k, k)), np.eye(d), "B",
                                   Window(k, k))[0] @ v(k)
@@ -162,12 +165,44 @@ def test_vb_u_recovery_is_the_per_k_inverse_bit_for_bit(backend, rng):
     assert u.window_values((-70, 11)).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["vb", "vb1", "second_order"])
+def test_reductions_pad_u_to_their_residuals_reach(kind):
+    # pad_right=0 still leaves u the k past the window its residual reads:
+    # one for vb and vb1, two for order 2.  Each u is the constant
+    # solution of a scalar equation with C = 1 and f = 1.
+    from apseq import solve_second_order
+
+    def const(value, family=None):
+        return OperatorSequence.constant([[value]], family=family)
+
+    window, one = (-5, 5), BiSequence.constant([1.0])
+    if kind == "vb":
+        _, u, rep = solve_degenerate_vb(const(0.4, FAM1), const(1.0, FAM1),
+                                        [[1.0]], one, window, A=const(1.0),
+                                        pad_right=0)
+        want, reach = -1.0 / 0.6, 1
+    elif kind == "vb1":
+        u, rep = solve_degenerate_vb1(const(0.4), const(0.4, FAM1), [[1.0]],
+                                      one, BiSequence.constant([2.5]),
+                                      window, A=const(1.0), pad_right=0)
+        want, reach = -1.0 / 0.6, 1
+    else:
+        u, rep = solve_second_order(const(-8.0), const(1.0), const(0.125),
+                                    [[1.0]], one, window, family=FAM1,
+                                    pad_right=0)
+        want, reach = 1.0 / (0.125 + 1.0 - 8.0), 2
+    vals = u.window_values((-5, 5 + reach))
+    assert np.abs(vals - want).max() <= 1e-9
+    assert rep.max_residual["sup"] <= 1e-9
+
+
 def test_vb1_identity_B_with_matching_g_reduces_to_inclusion(rng):
     fam = SeminormFamily.sup_only(2)
     B = OperatorSequence.constant(np.eye(2))
     G = random_certified_operator(rng, fam, 0.45)
     f = BiSequence.from_trig_poly(TrigPoly.of([(0.9, rng.standard_normal(2))]))
-    u, rep = solve_degenerate_vb1(B, G, np.eye(2), f, f, (-6, 6), tol=1e-10)
+    u, rep = solve_degenerate_vb1(B, G, np.eye(2), f, f, (-6, 6), tol=1e-10,
+                                  A=inverse_of(G))
     x, _ = solve_inclusion(G, f, (-6, 6), tol=1e-10)
     worst = max(np.abs(u(k) - x(k)).max() for k in range(-6, 7))
     assert worst <= 10e-10
@@ -196,8 +231,9 @@ def test_vb1_zero_data():
     fam = FAM1
     B = OperatorSequence.constant([[0.5]])
     AinvBC = OperatorSequence.constant([[0.25]], family=fam)
+    A = OperatorSequence.constant([[2.0]])  # A^{-1} B C = 0.25
     u, _ = solve_degenerate_vb1(B, AinvBC, [[1.0]], BiSequence.zeros(1),
-                                BiSequence.zeros(1), (-4, 4))
+                                BiSequence.zeros(1), (-4, 4), A=A)
     assert all(u(k)[0] == 0.0 for k in range(-4, 5))
 
 
@@ -207,8 +243,9 @@ def test_vb1_consistency_check_fails_loudly():
     AinvBC = OperatorSequence.constant([[0.25]], family=fam)
     g = BiSequence.constant([1.0])
     f = BiSequence.constant([1.0])  # should be 2.0 for b = 0.5
+    A = OperatorSequence.constant([[2.0]])  # A^{-1} B C = 0.25
     with pytest.raises(InputContractError):
-        solve_degenerate_vb1(B, AinvBC, [[1.0]], g, f, (-3, 3))
+        solve_degenerate_vb1(B, AinvBC, [[1.0]], g, f, (-3, 3), A=A)
 
 
 @pytest.mark.parametrize("omega,c", [(1, 0.5), (2, 1.0), (3, 2.0), (2, 1j)])
@@ -252,7 +289,8 @@ def test_triple_equivalence_vb_inclusion_reversed_series(rng):
     tol = 1e-10
     window = (-7, 7)
 
-    v_vb, u_vb, _ = solve_degenerate_vb(B, D, np.eye(2), f, window, tol=tol)
+    v_vb, u_vb, _ = solve_degenerate_vb(B, D, np.eye(2), f, window, tol=tol,
+                                        A=inverse_of(D))
     x_inc, _ = solve_inclusion(D, f, window, tol=tol)
 
     # manual reversal: w(j+1) = D(-j-1) w(j) - D(-j-1) f(-j-1), x(k) = w(-k)
