@@ -14,7 +14,8 @@ from .first_order import (SolveReport, forward_oracle, residual,
                           solve_series, weighted_growth_check)
 from .higher_order import (CompanionSystem, build_companion, build_B_from_D,
                            companion_D_block, companion_D_dense,
-                           companion_forward_oracle, solve_second_order)
+                           companion_forward_oracle, companion_selection,
+                           solve_second_order)
 from .operator_model import (OperatorSequence, induced_bound,
                              op_product_apply)
 from .resolvent import (compose_selection, inclusion_residual,

@@ -22,7 +22,7 @@ from .config import (ScenarioConfig, _descriptor, build_sequence, cmat, cnum,
 from .errors import ApseqError, InputContractError
 from .first_order import solve_series
 from .higher_order import (build_companion, build_B_from_D,
-                           companion_D_block, solve_second_order)
+                           companion_selection, solve_second_order)
 from .operator_model import OperatorSequence, as_matrix, checked_solve
 from .resolvent import (inverse_selection, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
@@ -229,10 +229,16 @@ def _dispatch(cfg: ScenarioConfig):
                                      window=cfg.window)
         vec_f = forcing(dim=block_dim)
         C = np.eye(block_dim, dtype=np.complex128)
-        # g(k) = B(k+1) vec f(k), as stacked mat-vecs
-        g = BiSequence(block_dim, lambda w: (
-            B.matrices(w.shifted(1))
-            @ vec_f.window_values(w)[..., None])[..., 0])
+        def g_rule(w):
+            # g(k) = B(k+1) vec f(k), as stacked mat-vecs run by run
+            rows = vec_f.window_values(w)
+            out = np.empty_like(rows)
+            for r, b in B.runs(w.shifted(1)):
+                i = slice(r.start - 1 - w.start, r.end - w.start)
+                out[i] = (b @ rows[i, :, None])[..., 0]
+            return out
+
+        g = BiSequence(block_dim, g_rule)
         u, rep = solve_degenerate_vb1(B, D, C, g, vec_f, hull, tol=cfg.tol,
                                       A=A, pad_right=pad)
         rep.warnings.extend(warnings)
@@ -465,7 +471,7 @@ def run_reduce_order(cfg: ScenarioConfig, out_dir, k: int) -> int:
         "bold_A": mat_out(sys_.bold_A(k)),
         "bold_B_next": mat_out(sys_.bold_B(k + 1)),
         "bold_C": mat_out(sys_.bold_C()),
-        "selection_D": mat_out(companion_D_block(sys_, G, (k, k))[0]),
+        "selection_D": mat_out(companion_selection(sys_, G).matrix(k)),
     }
     _write_json(out / "reduction.json", payload)
     return 0

@@ -112,7 +112,8 @@ class HeatProblem:
     certificate per seminorm is the induced bound of D(k) = B(k) Ainv_C(k).
     B is a constant sequence when m is constant, and A and Ainv_C when b
     is; otherwise they are generators whose matrices come a window at a
-    time (Ainv_C as one stacked solve of Lap - b(k) I per block).  ``D``
+    time (Ainv_C as one stacked solve of Lap - b(k) I per block, read
+    through by D's rule and not cached).  ``D``
     is the composite selection whose certificates ``heat_problem``
     validated, one stacked product B Ainv_C per window; the solve reuses
     it and derives B(k)^{-1} the same way, as a window rule over B.
@@ -156,6 +157,7 @@ def _heat_operators(L: GridLaplacian, m: BiSequence, b: BiSequence,
     A = _grid_operator(b, size, a_stack)
     Ainv = _grid_operator(
         b, size, lambda k0, vals: np.linalg.solve(a_stack(k0, vals), eye))
+    Ainv.cache = False  # read only by the rule of D = B Ainv
     return B, A, Ainv
 
 

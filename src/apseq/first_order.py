@@ -299,7 +299,7 @@ def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
             # rows right of them (a lone k there would be a window rule
             # call of its own); the probe's row left of them is read after
             # the certificates, so a failing rule names their first k
-            A._evaluate(Window(certs.start, probe.end))
+            A.runs(Window(certs.start, probe.end))
         sups = {lbl: A.sup_over(lbl, certs) for lbl in labels}
         bad = [lbl for lbl, s in sups.items() if not s < 1.0]
         if bad:

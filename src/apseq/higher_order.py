@@ -112,28 +112,39 @@ def build_companion(p: int, A_seqs, C) -> CompanionSystem:
     return CompanionSystem(p=p, dim=dim, A_seqs=seqs, C=as_matrix(C, dim))
 
 
-def companion_D_block(sys: CompanionSystem, A0inv_C: OperatorSequence,
-                      window) -> np.ndarray:
-    """The reduction selection bold_B(k) [bold_A(k)]^{-1} bold_C for k in
-    ``window``, as a (len, p d, p d) stack assembled blockwise: only the
-    first row, the (2,1) resolvent block, and the subdiagonal identities
-    are nonzero.  Equals the dense triple product.
+def companion_D_block(sys: CompanionSystem, g: np.ndarray,
+                      *heads: np.ndarray) -> np.ndarray:
+    """The reduction selection bold_B(k) [bold_A(k)]^{-1} bold_C over a
+    window, as a (len, p d, p d) stack assembled blockwise from the stacks
+    read there: g of [A_0(k)]^{-1} C, and heads of the first-row
+    coefficients A_1(k), A_2(k+1), ..., A_p(k+p-1).  Only the first row,
+    the (2,1) resolvent block, and the subdiagonal identities are nonzero.
+    Equals the dense triple product.
     """
-    if A0inv_C.dim != sys.dim:
-        raise ShapeError("A0inv_C dimension mismatch")
-    window = as_window(window)
     d, p = sys.dim, sys.p
-    g = A0inv_C.matrices(window)             # [A_0(k)]^{-1} C
-    m = sys._zeros(len(window))
-    sys._set_block(m, 0, 0, -(sys.A_seqs[1].matrices(window) @ g))
+    m = sys._zeros(len(g))
+    sys._set_block(m, 0, 0, -(heads[0] @ g))
     for col in range(1, p):
-        sys._set_block(m, 0, col,
-                       sys.A_seqs[col + 1].matrices(window.shifted(col)))
+        sys._set_block(m, 0, col, heads[col])
     sys._set_block(m, 1, 0, -g)
     eye = np.eye(d)
     for row in range(2, p):
         sys._set_block(m, row, row - 1, eye)
     return m
+
+
+def companion_selection(sys: CompanionSystem, A0inv_C: OperatorSequence,
+                        family: SeminormFamily | None = None
+                        ) -> OperatorSequence:
+    """k -> bold_B(k) [bold_A(k)]^{-1} bold_C as one ``companion_D_block``
+    window rule over A0inv_C = [A_0]^{-1} C and the first-row coefficients,
+    certified over ``family`` when given (plain without one)."""
+    if A0inv_C.dim != sys.dim:
+        raise ShapeError("A0inv_C dimension mismatch")
+    return OperatorSequence.map(
+        lambda w, g, *heads: companion_D_block(sys, g, *heads),
+        A0inv_C, *sys.A_seqs[1:], shifts=(0, *range(sys.p)),
+        dim=sys.block_dim, family=family)
 
 
 def companion_D_dense(sys: CompanionSystem, k: int) -> Matrix:
@@ -155,11 +166,10 @@ def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
     too, and its sups are taken where they are read.
     """
     C = as_matrix(C, A0.dim)
-    sys = build_companion(2, [A0, A1, A2], C)
     G = inverse_selection(A0, C, name="A0")
-    return OperatorSequence.map(lambda w, *_: companion_D_block(sys, G, w),
-                                G, A1, A2, shifts=(0, 0, 1), dim=2 * A0.dim,
-                                family=family.lifted(2))
+    G.cache = False  # the selection's rule is its only reader
+    return companion_selection(build_companion(2, [A0, A1, A2], C), G,
+                               family.lifted(2))
 
 
 def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
@@ -187,15 +197,18 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
         # block of D(k); block 2 passes through
         vec_u = (v.window_values(u_window.shifted(1))
                  - vec_f.window_values(u_window))
-        vec_u[:, :d] = (D.matrices(u_window)[:, d:, :d]
-                        @ vec_u[:, :d, None])[..., 0]
+        for w, stack in D.runs(u_window):
+            head = vec_u[w.start - u_window.start:w.end - u_window.start + 1,
+                         :d]
+            head[...] = (stack[:, d:, :d] @ head[..., None])[..., 0]
         report.extras["shift_consistency_defect"] = float(
             np.abs(vec_u[:-1, d:] - vec_u[1:, :d]).max())
         return BiSequence.from_table(u_window.start, vec_u[:, :d])
 
     _, u, report = _solve_reduced(
         D, vec_f, window, tol, pad_right, "second_order_direct",
-        lambda u, w: second_order_residual(A0, A1, A2, C, f, u, w, family),
+        lambda u, w, _: second_order_residual(A0, A1, A2, C, f, u, w,
+                                              family),
         amplify=4.0 * amplification(family, C), reach=2, recover=recover)
     return u, report
 

@@ -187,11 +187,15 @@ class OperatorSequence:
     A sequence holds one rule: either its distinct matrices A(0), ...,
     A(period - 1), which it cycles through (a constant has period 1), or a
     generator's window rule ``window_fn(w)`` -> the (len(w), dim, dim) stack
-    of A(k) for k in w (``period`` None).  A generator memoizes its matrices
-    per k as views into the stacks it evaluated (windows are small and
-    evaluation must be deterministic), and ``matrix(k)`` on a miss reads
-    the one-k window.  ``backend`` is read off ``period``: "constant",
-    "periodic" or "generator".
+    of A(k) for k in w (``period`` None).  Evaluation must be
+    deterministic.  A generator evaluates its rule once per
+    CERT_BLOCK-aligned run of the k a read has not cached, and caches each
+    run's read-only stack: ``_mat_cache`` maps k to (run, stack).  One
+    whose ``cache`` is set False keeps none of its matrices; that is for an
+    input that only a derived sequence's rule reads (see ``map``), so that
+    the derived sequence alone holds what the rule made of them.
+    ``matrix(k)`` on a miss reads the one-k window.  ``backend`` is read
+    off ``period``: "constant", "periodic" or "generator".
 
     With a ``family``, c(k) for each of its seminorms is the induced bound
     of A(k), derived once per distinct matrix and cached; without one the
@@ -205,13 +209,14 @@ class OperatorSequence:
         """``rule`` is the sequence of distinct matrices or a window rule."""
         self.dim = int(dim)
         self.family = family
+        self.cache = True
         if callable(rule):
             self._window_fn, self._distinct = rule, None
             self.period = None
         else:
             self._window_fn, self._distinct = None, tuple(rule)
             self.period = len(self._distinct)
-        self._mat_cache: dict[int, Matrix] = {}
+        self._mat_cache: dict[int, tuple[Window, np.ndarray]] = {}
         self._cert_cache: dict[int, dict[str, float]] = {}
         self.sup_bounds = (self._exact_sup_bounds() if sup_bounds is None
                            else sup_bounds)
@@ -257,12 +262,15 @@ class OperatorSequence:
             family: SeminormFamily | None = None) -> "OperatorSequence":
         """The derived sequence with the window rule w -> fn(w, *stacks),
         where stacks[i] = seqs[i].matrices(w.shifted(shifts[i])) and fn
-        returns the (len(w), dim, dim) stack of its matrices on w.  It is
+        returns the (len(w), dim, dim) stack of its matrices on w from
+        those stacks alone, reading no sequence itself.  An input whose
+        ``cache`` is False is read through: its stacks are evaluated for fn
+        and not kept, and the derived sequence caches its own.  It is
         periodic with the lcm period (constant for period 1) if every input
         is constant or periodic, and fn is then called once, on
-        [0, period - 1], so it may use w only to read sequences or to name
-        k in errors.  Otherwise it is a generator of dimension ``dim``
-        (default the first input's) with no global sup bounds."""
+        [0, period - 1], so it may use w only to name k in errors.
+        Otherwise it is a generator of dimension ``dim`` (default the first
+        input's) with no global sup bounds."""
         shifts = tuple(shifts) if shifts is not None else (0,) * len(seqs)
 
         def at(w: Window) -> np.ndarray:
@@ -282,41 +290,63 @@ class OperatorSequence:
         if self._distinct is not None:
             return self._distinct[k % self.period]
         if k not in self._mat_cache:
-            self.matrices(Window(k, k))
-        return self._mat_cache[k]
+            return self.runs(Window(k, k))[0][1][0]
+        run, stack = self._mat_cache[k]
+        return stack[k - run.start]
 
     def matrices(self, window) -> np.ndarray:
-        """A(k) for k in ``window`` as a (len, dim, dim) stack; a constant
-        gives a read-only view of its one matrix.  A generator evaluates its
-        window rule once per CERT_BLOCK-aligned run of the k it has not
-        cached, and caches views into those stacks; a window that is exactly
-        one such run gets the read-only stack it evaluated."""
+        """A(k) for k in ``window`` as a (len, dim, dim) stack: the one
+        piece of ``runs`` when there is one, so a constant gives a
+        read-only view of its matrix and a generator the read-only stack
+        of the run that ``window`` is, or a view into it; only a window
+        across runs is copied."""
+        runs = self.runs(window)
+        if len(runs) == 1:
+            return runs[0][1]
+        return np.concatenate([stack for _, stack in runs])
+
+    def runs(self, window) -> list[tuple[Window, np.ndarray]]:
+        """A(k) for k in ``window`` as (run, stack) pieces in k order, so a
+        long window is read without one stack over all of it.  A constant
+        gives one read-only view of its matrix and a periodic sequence one
+        stack.  A generator gives views of the runs it has cached (a whole
+        run is its own stack) and its rule's stacks on the CERT_BLOCK-aligned
+        runs it has not cached, which it caches unless its ``cache`` is
+        False."""
         window = as_window(window)
         if self.period == 1:
-            return np.broadcast_to(self._distinct[0],
-                                   (len(window), self.dim, self.dim))
+            return [(window, np.broadcast_to(
+                self._distinct[0], (len(window), self.dim, self.dim)))]
         if self._distinct is not None:
-            return np.stack([self._distinct[k % self.period] for k in window])
-        fresh = self._evaluate(window)
-        if len(fresh) == 1 and fresh[0][0] == window:
-            return fresh[0][1]
-        return np.stack([self._mat_cache[k] for k in window])
+            return [(window, np.stack([self._distinct[k % self.period]
+                                       for k in window]))]
+        fresh = iter(list(window_blocks(window, self._mat_cache)))
+        runs = []
+        k = window.start
+        while k <= window.end:
+            if k in self._mat_cache:
+                run, stack = self._mat_cache[k]
+                w = Window(k, min(run.end, window.end))
+                if w != run:
+                    stack = stack[k - run.start:w.end - run.start + 1]
+            else:
+                w = next(fresh)
+                stack = self._rule(w)
+                if self.cache:
+                    self._mat_cache.update((j, (w, stack)) for j in w)
+            runs.append((w, stack))
+            k = w.end + 1
+        return runs
 
-    def _evaluate(self, window: Window) -> list[tuple[Window, np.ndarray]]:
-        """Evaluate a generator's window rule on the runs of ``window`` it
-        has not cached and cache their matrices; returns (run, stack) per
-        run evaluated."""
-        fresh = []
-        for w in window_blocks(window, self._mat_cache):
-            stack = np.asarray(self._window_fn(w), dtype=np.complex128)
-            if stack.shape != (len(w), self.dim, self.dim):
-                raise ShapeError(
-                    f"window rule gave shape {stack.shape} for {len(w)} "
-                    f"matrices of dimension {self.dim}")
-            stack.flags.writeable = False
-            self._mat_cache.update(zip(w, stack))
-            fresh.append((w, stack))
-        return fresh
+    def _rule(self, w: Window) -> np.ndarray:
+        """The window rule's read-only stack on ``w``, shape-checked."""
+        stack = np.asarray(self._window_fn(w), dtype=np.complex128)
+        if stack.shape != (len(w), self.dim, self.dim):
+            raise ShapeError(
+                f"window rule gave shape {stack.shape} for {len(w)} "
+                f"matrices of dimension {self.dim}")
+        stack.flags.writeable = False
+        return stack
 
     def apply(self, k: int, x: Vector) -> Vector:
         x = np.asarray(x, dtype=np.complex128)
@@ -327,10 +357,11 @@ class OperatorSequence:
     def apply_rows(self, start: int, rows: np.ndarray) -> np.ndarray:
         """Row i -> A(start + i) rows[i], with the same bits for each row
         however the rows are cut.  Constant and periodic backends apply
-        their few distinct matrices without stacking one per row."""
+        their few distinct matrices without stacking one per row; a
+        generator applies the runs it caches one by one, into the output."""
+        out = np.empty(rows.shape, dtype=np.complex128)
         if self.period is not None:
             p = self.period
-            out = np.empty(rows.shape, dtype=np.complex128)
             for r in range(p):
                 part = rows[r::p]
                 m = len(part)
@@ -340,8 +371,10 @@ class OperatorSequence:
                     part = np.repeat(part, 2, axis=0)
                 out[r::p] = (part @ self.matrix(start + r).T)[:m]
             return out
-        mats = self.matrices(Window(start, start + rows.shape[0] - 1))
-        return np.einsum("pij,pj->pi", mats, rows)
+        for w, stack in self.runs(Window(start, start + len(rows) - 1)):
+            i = slice(w.start - start, w.end - start + 1)
+            np.einsum("pij,pj->pi", stack, rows[i], out=out[i])
+        return out
 
     def certificate(self, label: str, k: int) -> float:
         k = int(k)

@@ -69,11 +69,11 @@ def solve_inclusion(D: OperatorSequence, f: BiSequence, window,
 
     Returns x on [window.start - 1, window.end + pad_right] (table backend)
     with the selection-form residual x(k) - D(k) x(k+1) + D(k) f(k) measured
-    over the requested window.
+    over the requested window, from the rows of g the solve read.
     """
     _, x, report = _solve_reduced(
         D, f, window, tol, pad_right, "inclusion_selection",
-        lambda x, w: inclusion_residual(D, f, x, w, D.family))
+        lambda x, w, g_rows: inclusion_residual(D, f, x, w, D.family, g_rows))
     return x, report
 
 
@@ -85,8 +85,10 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
     selection D and forcing f: v solved at tol / ``amplify``, the
     reduction's residual amplification; u = ``recover(v, u_window,
     report)``, a window rule reading v one k right of u_window, or v
-    itself; u padded to the ``reach`` of its ``residual(u, window)``,
-    which the report holds as max_residual under ``form``."""
+    itself; u padded to the ``reach`` of its ``residual(u, window,
+    g_rows)``, which the report holds as max_residual under ``form``.
+    g_rows are the rows of the reduced forcing g = -D f on the window, as
+    the solve read them."""
     window = as_window(window)
     if D.family is None:
         raise InputContractError("selection operator carries no seminorm family")
@@ -95,24 +97,28 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
     u_pad = max(reach, pad_right)
     g = BiSequence(D.dim,
                    lambda w: -D.apply_rows(w.start, f.window_values(w)))
-    v, report, _ = _solve_series(D, g, window.extended(left=1), tol / amplify,
-                                 u_pad + (recover is not None), backward=True,
-                                 probe_reads_A=True)
+    v, report, g_rows = _solve_series(
+        D, g, window.extended(left=1), tol / amplify,
+        u_pad + (recover is not None), backward=True, probe_reads_A=True)
     report.window = (window.start, window.end)
     report.tol = tol
     u = v if recover is None else recover(v, window.extended(right=u_pad),
                                           report)
-    report.residual_form, report.max_residual = form, residual(u, window)
+    report.residual_form = form
+    report.max_residual = residual(u, window, g_rows[1:])
     return v, u, report
 
 
 def inclusion_residual(D: OperatorSequence, f: BiSequence, x: BiSequence,
-                       window, family: SeminormFamily) -> dict[str, float]:
+                       window, family: SeminormFamily,
+                       g_rows: np.ndarray | None = None) -> dict[str, float]:
     """max over window and kappa of kappa(x(k) - D(k) x(k+1) + D(k) f(k)),
-    the verifiable membership defect under the selection D."""
+    the verifiable membership defect under the selection D.  ``g_rows``,
+    the rows of -D f on the window when the caller holds them, stand in
+    for D f, which is then not read again."""
     minus_D = (-1.0, (D, 0))
-    return linear_residual(x, {0: (), 1: minus_D}, (minus_D, f), window,
-                           family)
+    rhs = (minus_D, f) if g_rows is None else ((), g_rows)
+    return linear_residual(x, {0: (), 1: minus_D}, rhs, window, family)
 
 
 def compose_selection(B: OperatorSequence, G: OperatorSequence,
@@ -174,15 +180,19 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                 for w in window_blocks(window))
 
     def recover(v, u_window, report):
-        # u(k) = B(k)^{-1} v(k) as stacked mat-vecs, which keep the bits of
-        # each B(k)^{-1} @ v(k)
-        inverses = B_inv.matrices(u_window)
-        failed = ~inverses.any(axis=(1, 2))
-        if not failed.any():
+        # u(k) = B(k)^{-1} v(k) as stacked mat-vecs run by run, which keep
+        # the bits of each B(k)^{-1} @ v(k)
+        runs = B_inv.runs(u_window)
+        ok = np.concatenate([inv.any(axis=(1, 2)) for _, inv in runs])
+        if ok.all():
             route = "b_inverse"
-            u_vals = (inverses @ v.window_values(u_window)[..., None])[..., 0]
+            v_vals = v.window_values(u_window)
+            u_vals = np.empty_like(v_vals)
+            for w, inv in runs:
+                i = slice(w.start - u_window.start, w.end - u_window.start + 1)
+                u_vals[i] = (inv @ v_vals[i, :, None])[..., 0]
         else:
-            bad = u_window.start + int(np.argmax(failed))
+            bad = u_window.start + int(np.argmin(ok))
             report.warnings.append(
                 f"B({bad}) condition estimate above {COND_LIMIT:.1e}; "
                 f"B-inverse recovery abandoned")
@@ -195,7 +205,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
 
     return _solve_reduced(
         D, f, window, tol, pad_right, "vb_direct",
-        lambda u, w: vb_residual(B, A, C, f, u, w, family),
+        lambda u, w, _: vb_residual(B, A, C, f, u, w, family),
         amplify=2.0 * amplification(family, C, products), recover=recover)
 
 
@@ -236,7 +246,7 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
     stacks = map(A.matrices, window_blocks(window))
     _, u, report = _solve_reduced(
         Ainv_BC, f, window, tol, pad_right, "vb1_direct",
-        lambda u, w: vb1_residual(B, A, C, g, u, w, family),
+        lambda u, w, _: vb1_residual(B, A, C, g, u, w, family),
         amplify=2.0 * amplification(family, C, stacks))
     return u, report
 

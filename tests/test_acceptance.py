@@ -15,7 +15,7 @@ import pytest
 from apseq import (BiSequence, ConvergencePreconditionError,
                    OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, Window, besicovitch_distance, bohr_check,
-                   build_companion, companion_D_block, companion_D_dense,
+                   build_companion, companion_selection, companion_D_dense,
                    forward_oracle, omega_c_check, residual,
                    solve_degenerate_vb, solve_inclusion, solve_second_order,
                    solve_series)
@@ -263,7 +263,7 @@ def test_criterion_08_companion_structure():
             G = OperatorSequence.constant(
                 np.linalg.solve(seqs[0].matrix(0), C))
             k = int(rng.integers(-6, 6))
-            got = companion_D_block(sys_, G, (k, k))[0]
+            got = companion_selection(sys_, G).matrix(k)
             dense = companion_D_dense(sys_, k)
             scale = max(1.0, float(np.abs(dense).max()))
             assert np.abs(got - dense).max() / scale <= 1e-13
@@ -279,7 +279,7 @@ def test_criterion_08_companion_structure():
                                OperatorSequence.constant([[1.0]])],
                            [[1.0]])
     G2 = OperatorSequence.constant([[0.5]])
-    got = companion_D_block(sys2, G2, (0, 0))[0]
+    got = companion_selection(sys2, G2).matrix(0)
     dense = companion_D_dense(sys2, 0)
     assert np.abs(got - dense).max() <= 1e-15
     assert np.array_equal(got, np.array([[-0.5, 1.0], [-0.5, 0.0]]))

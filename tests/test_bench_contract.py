@@ -100,8 +100,9 @@ def test_traced_examples_reach_every_solver_path(tmp_path):
     calls = dict(zip(tracer.names, tracer.calls))
     assert not [n for n in SOLVER_PATHS if not calls[n]]
     assert not any(tracer.errors)
-    assert np.isfinite(tracer.metrics(2, 1.0)[
-        "operator_model.cert_cache_hit_ratio"][0])
+    metrics = tracer.metrics(2, 1.0)
+    assert np.isfinite(metrics["operator_model.cert_cache_hit_ratio"][0])
+    assert np.isfinite(metrics["operator_model.matrix_cache_hit_ratio"][0])
 
 
 @pytest.mark.parametrize("argv, form", [

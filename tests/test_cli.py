@@ -696,6 +696,7 @@ def test_wave_varying_multiplier_derives_each_certificate_once(
         {"frequency": -1.0, "coefficient": [[0.005, 0.0]]}]}
     path = tmp_path / "wave.json"
     path.write_text(json.dumps(data))
+    seen = _rule_reads(monkeypatch)
     problem, counts = _wave_derivations(
         monkeypatch, ["solve-p2", "--config", str(path), "--out",
                       str(tmp_path / "wave")])
@@ -706,6 +707,54 @@ def test_wave_varying_multiplier_derives_each_certificate_once(
     assert set(range(-21, 23)) <= set(evaluated)
     assert counts == {lbl: len(evaluated)
                       for lbl in problem.D.labels()}
+    # A1 is evaluated once, for the selection's rule, and the residual
+    # reads what it cached; each generator's rule sees each k once
+    assert set(seen) == {problem.A1, problem.D}
+    assert all(max(c.values()) == 1 for c in seen.values())
+    assert [sum(seen[s].values()) for s in (problem.A1, problem.D)] == [68, 68]
+
+
+def _rule_reads(monkeypatch):
+    """Per generator, how often its window rule is evaluated at each k."""
+    from collections import Counter, defaultdict
+
+    from apseq.operator_model import OperatorSequence
+    seen = defaultdict(Counter)
+    rule = OperatorSequence._rule
+
+    def counting(seq, w):
+        seen[seq].update(w)
+        return rule(seq, w)
+
+    monkeypatch.setattr(OperatorSequence, "_rule", counting)
+    return seen
+
+
+def test_example_heat_evaluates_each_generator_once_and_keeps_no_resolvent(
+        tmp_path, monkeypatch):
+    # each generator's rule sees each k once; Ainv_C = (L - b(k) I)^{-1},
+    # which only the rule of D = B Ainv_C reads, caches none of its
+    # matrices, while D and A, which the solve reads directly, cache theirs
+    from apseq import cli, discretization
+    seen = _rule_reads(monkeypatch)
+    problems = []
+    build = discretization.heat_problem
+
+    def capture(*args, **kwargs):
+        problems.append(build(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(discretization, "heat_problem", capture)
+    assert cli.main(["example", "heat", "--n", "32", "--out",
+                     str(tmp_path / "heat")]) == 0
+    (problem,) = problems
+    assert set(seen) == {problem.A, problem.Ainv_C, problem.D}
+    assert all(max(c.values()) == 1 for c in seen.values())
+    assert [sum(seen[s].values()) for s in (problem.A, problem.Ainv_C,
+                                            problem.D)] == [421, 445, 445]
+    assert problem.Ainv_C._mat_cache == {}
+    assert len(problem.A._mat_cache) == 421
+    assert len(problem.D._mat_cache) == 445
 
 
 def test_example_heat_exits_4_on_failed_bohr_verdict(tmp_path, monkeypatch):

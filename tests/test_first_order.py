@@ -597,6 +597,22 @@ def test_solve_reads_each_k_of_the_forcing_once(backward, backend, rng):
 
 
 @pytest.mark.parametrize("backend", ["periodic", "generator"])
+def test_solve_inclusion_reads_each_k_of_the_forcing_once(backend, rng):
+    # the selection-form residual takes -D f from the probe's rows instead
+    # of reading f and applying D again, and keeps the bits of one that does
+    from apseq.resolvent import inclusion_residual, solve_inclusion
+    fam = SeminormFamily.of(SUP_L1, 3)
+    D = random_certified_operator(rng, fam, 0.9, backend=backend)
+    f = BiSequence.from_trig_poly(TrigPoly.of(
+        [(0.0, rng.standard_normal(3)), (0.9, rng.standard_normal(3))]))
+    reads = []
+    window = (-20, 20)
+    x, rep = solve_inclusion(D, recording(f, reads), window, tol=1e-11)
+    assert_probe_read_once(reads, rep)
+    assert rep.max_residual == inclusion_residual(D, f, x, window, fam)
+
+
+@pytest.mark.parametrize("backend", ["periodic", "generator"])
 def test_inclusion_probe_reads_each_k_of_the_forcing_once(backend, rng):
     # the backward probe of g = -D f reads f through g's window rule, in
     # pieces as the probe grows; x has the bits of a solve whose g is read
@@ -612,7 +628,7 @@ def test_inclusion_probe_reads_each_k_of_the_forcing_once(backend, rng):
         reads = []
         # a residual that reads nothing, so that only the probe reads f
         _, x, rep = _solve_reduced(D, recording(f, reads), (-10, 10), tol, 1,
-                                   "none", lambda x, w: {})
+                                   "none", lambda x, w, _: {})
         assert_probe_read_once(reads, rep)
         short += any(len(w) < 2 * 3 for w in reads[1:])
         probe = Window(*rep.f_probe)

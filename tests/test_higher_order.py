@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apseq import (BiSequence, OperatorSequence, SeminormFamily, TrigPoly,
-                   build_companion, build_B_from_D, companion_D_block,
+                   build_companion, build_B_from_D, companion_selection,
                    companion_D_dense, companion_forward_oracle, omega_c_check,
                    solve_second_order)
 from apseq.higher_order import second_order_residual
@@ -61,7 +61,7 @@ def test_selection_block_p2_scalar_matches_dense_product():
     # A0=2, A1=1, A2=1, C=1: dense oracle gives [[-0.5, 1], [-0.5, 0]]
     sys_ = scalar_system(2.0, 1.0, 1.0)
     G = const(0.5)  # [A0]^{-1} C
-    got = companion_D_block(sys_, G, (0, 0))[0]
+    got = companion_selection(sys_, G).matrix(0)
     dense = companion_D_dense(sys_, 0)
     assert np.abs(got - dense).max() <= 1e-15
     assert np.array_equal(got, np.array([[-0.5, 1.0], [-0.5, 0.0]]))
@@ -70,7 +70,7 @@ def test_selection_block_p2_scalar_matches_dense_product():
 def test_selection_block_vanishing_first_row():
     # A1 = A2 = 0: only the resolvent block below the diagonal survives
     sys_ = scalar_system(2.0, 0.0, 0.0)
-    got = companion_D_block(sys_, const(0.5), (3, 3))[0]
+    got = companion_selection(sys_, const(0.5)).matrix(3)
     assert np.array_equal(got, np.array([[0.0, 0.0], [-0.5, 0.0]]))
 
 
@@ -86,7 +86,7 @@ def test_selection_block_matches_dense_on_random_draws(p, rng):
         k = int(rng.integers(-5, 5))
         G = OperatorSequence.from_function(
             d, lambda j: np.linalg.solve(seqs[0].matrix(j), C))
-        got = companion_D_block(sys_, G, (k, k))[0]
+        got = companion_selection(sys_, G).matrix(k)
         dense = companion_D_dense(sys_, k)
         scale = max(1.0, np.abs(dense).max())
         assert np.abs(got - dense).max() / scale <= 1e-13

@@ -266,6 +266,40 @@ def test_apply_rows_gives_each_k_its_bits_however_the_rows_are_cut(
             assert part.tobytes() == whole[i:i + n].tobytes(), (n, i)
 
 
+def test_generator_apply_rows_gives_each_k_its_bits_however_the_rows_are_cut(
+        rng):
+    # a generator applies each cached run into its slice of the output; a
+    # read across runs, inside one, or of a lone row keeps the bits of the
+    # whole read
+    base = random_matrix(rng, 5)
+    A = OperatorSequence(5, lambda w: np.stack([base * np.cos(k) for k in w]))
+    rows = rng.standard_normal((150, 5)) + 1j * rng.standard_normal((150, 5))
+    whole = A.apply_rows(-75, rows)
+    for n in (1, 2, 7, 64, 65, 130):
+        for i in range(0, 150 - n + 1, 11):
+            part = A.apply_rows(-75 + i, rows[i:i + n].copy())
+            assert part.tobytes() == whole[i:i + n].tobytes(), (n, i)
+
+
+def test_generator_apply_rows_allocates_little_beyond_its_output(rng):
+    # the runs are applied where they are cached: no stack of the whole
+    # window is built, which would be dim times the output's size
+    import tracemalloc
+    base = random_matrix(rng, 4)
+    A = OperatorSequence(4, lambda w: np.cos(np.arange(w.start, w.end + 1))[
+        :, None, None] * base)
+    w = Window(-2048, 2047)
+    A.runs(w)
+    rows = rng.standard_normal((len(w), 4)) + 0j
+    tracemalloc.start()
+    try:
+        out = A.apply_rows(w.start, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * out.nbytes
+
+
 STENCILS = [
     Seminorm.first_difference(),
     Seminorm.second_difference(),
@@ -372,9 +406,9 @@ def test_window_rule_generator_matches_per_k_rule(rng):
 
 
 def test_fresh_window_gives_the_stack_its_rule_evaluated(rng):
-    # a window that is exactly one run the generator has not cached gets
-    # the read-only stack the rule returned; other windows are restacked
-    # from the cache, with the same bytes
+    # a window that is exactly one run gets the read-only stack the rule
+    # returned, fresh or cached, and a window inside it a view of it; only
+    # a window across runs is restacked from the cache, with the same bytes
     base = random_matrix(rng, 4)
     stacks = []
 
@@ -389,8 +423,10 @@ def test_fresh_window_gives_the_stack_its_rule_evaluated(rng):
     per_k = np.stack([A.matrix(k) for k in w])
     assert fresh.tobytes() == per_k.tobytes()
     assert len(stacks) == 1
-    again = A.matrices(w)
-    assert again is not fresh and again.tobytes() == fresh.tobytes()
+    assert A.matrices(w) is fresh
+    inner = A.matrices(Window(5, 9))
+    assert inner.base is fresh and not inner.flags.writeable
+    assert inner.tobytes() == fresh[2:7].tobytes()
     # a window cut at a block multiple evaluates two runs and restacks
     cut = Window(CERT_BLOCK - 3, CERT_BLOCK + 2)
     both = A.matrices(cut)
