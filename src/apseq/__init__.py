@@ -2,19 +2,17 @@
 difference equations on the integers, with certified truncation control."""
 
 from .ap_analysis import (APReport, BesicovitchReport, besicovitch_distance,
-                          bohr_check, bohr_fourier_coefficient, fit_trig_poly,
-                          omega_c_check, weyl_distance)
+                          bohr_check, fit_trig_poly, omega_c_check,
+                          weyl_distance)
 from .discretization import (GridLaplacian, HeatProblem, WaveProblem,
                              difference_family, heat_problem, laplacian_1d,
                              wave_problem)
 from .errors import (ApseqError, CertificateError,
                      ConvergencePreconditionError, InputContractError,
                      NumericError, RangeError, ShapeError)
-from .first_order import (SolveReport, forward_oracle, residual,
-                          solve_series, weighted_growth_check)
+from .first_order import SolveReport, forward_oracle, residual, solve_series
 from .higher_order import (CompanionSystem, build_companion, build_B_from_D,
-                           companion_D_block, companion_D_dense,
-                           companion_forward_oracle, companion_selection,
+                           companion_D_block, companion_selection,
                            solve_second_order)
 from .operator_model import (OperatorSequence, induced_bound,
                              op_product_apply)
@@ -22,6 +20,6 @@ from .resolvent import (compose_selection, inclusion_residual,
                         inverse_selection, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
 from .seq_core import (BiSequence, Seminorm, SeminormFamily, TrigPoly, Window,
-                       read_csv, seq_axpy, seq_reverse, seq_shift, write_csv)
+                       read_csv, seq_axpy, write_csv)
 
 __version__ = "0.1.0"

@@ -270,15 +270,9 @@ def omega_c_check(F: BiSequence, omega: int, c: complex,
     return float(max(sn.of_rows(diff).max() for sn in family))
 
 
-def bohr_fourier_coefficient(F: BiSequence, lam: float, N: int) -> Vector:
-    """Empirical mean (2N+1)^{-1} sum_{k=-N}^{N} F(k) exp(-i lam k)."""
-    if N < 1:
-        raise InputContractError("N must be >= 1")
-    return _fourier_mean(F.window_values(Window(-N, N)), lam, N)
-
-
 def _fourier_mean(vals: np.ndarray, lam: float, N: int) -> Vector:
-    """bohr_fourier_coefficient from ``vals``, F on [-N, N]."""
+    """Empirical mean (2N+1)^{-1} sum_{k=-N}^{N} F(k) exp(-i lam k) from
+    ``vals``, F on [-N, N]."""
     phases = np.exp(-1j * float(lam) * np.arange(-N, N + 1))
     return (phases[:, None] * vals).sum(axis=0) / (2 * N + 1)
 

@@ -27,7 +27,7 @@ from .operator_model import OperatorSequence, as_matrix, checked_solve
 from .resolvent import (inverse_selection, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
 from .seq_core import (BiSequence, PerK, Seminorm, SeminormFamily, Window,
-                       as_window, write_csv, write_grid_csv)
+                       as_int, as_window, write_csv, write_grid_csv)
 
 SUBCOMMAND_KINDS = {
     "solve": ("first_order",),
@@ -47,9 +47,9 @@ def _fit_N(name: str, req: dict) -> int:
     """N of the window [-N, N] a Weyl or Besicovitch request fits its trig
     polynomial on: the declared fit_N, else WEYL_FIT_N for Weyl and the
     largest l of the grid for Besicovitch."""
-    default = (WEYL_FIT_N if name == "weyl"
-               else max(int(l) for l in req["l_grid"]))
-    return int(req.get("fit_N", default))
+    default = (WEYL_FIT_N if name == "weyl" else
+               max(as_int(l, "besicovitch l_grid") for l in req["l_grid"]))
+    return as_int(req.get("fit_N", default), f"{name} fit_N")
 
 
 def _bohr_read(req: dict) -> tuple[int, int]:
@@ -58,7 +58,7 @@ def _bohr_read(req: dict) -> tuple[int, int]:
     kw = as_window(req["k_window"])
     tr = as_window(req["tau_range"])
     return (kw.start + min(0, tr.start),
-            kw.end + max(0, tr.end + int(req["L"])))
+            kw.end + max(0, tr.end + as_int(req["L"], "bohr L")))
 
 
 def _required_window(cfg: ScenarioConfig
@@ -68,18 +68,21 @@ def _required_window(cfg: ScenarioConfig
     (start, end) of each window the analysis requests read."""
     lo, hi = cfg.window.start, cfg.window.end
     a = cfg.analysis
-    omega = int(a["omega_c"]["omega"]) if "omega_c" in a else 1
+    omega = (as_int(a["omega_c"]["omega"], "omega_c omega")
+             if "omega_c" in a else 1)
     reads = []
     if "bohr" in a:
         reads.append(_bohr_read(a["bohr"]))
     if "besicovitch" in a:
-        lmax = max(int(l) for l in a["besicovitch"]["l_grid"])
+        lmax = max(as_int(l, "besicovitch l_grid")
+                   for l in a["besicovitch"]["l_grid"])
         fit = _fit_N("besicovitch", a["besicovitch"])
         reads += [(-lmax, lmax), (-fit, fit)]
     if "weyl" in a:
         sr = as_window(a["weyl"]["s_range"])
         fit = _fit_N("weyl", a["weyl"])
-        reads += [(sr.start, sr.end + int(a["weyl"]["l"])), (-fit, fit)]
+        reads += [(sr.start, sr.end + as_int(a["weyl"]["l"], "weyl l")),
+                  (-fit, fit)]
     for start, end in reads:
         lo, hi = min(lo, start), max(hi, end)
     if "omega_c" in a:
@@ -105,10 +108,10 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
     a = cfg.analysis
     if "omega_c" in a:
         req = a["omega_c"]
-        defect = ap_analysis.omega_c_check(x, int(req["omega"]),
-                                           cnum(req["c"]), family,
+        omega = as_int(req["omega"], "omega_c omega")
+        defect = ap_analysis.omega_c_check(x, omega, cnum(req["c"]), family,
                                            cfg.window)
-        out["omega_c"] = {"omega": int(req["omega"]),
+        out["omega_c"] = {"omega": omega,
                           "c": cpair(cnum(req["c"])), "defect": defect}
     if "bohr" in a:
         req = a["bohr"]
@@ -116,12 +119,12 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
         rep = ap_analysis.bohr_check(x, sn, float(req["epsilon"]),
                                      as_window(req["k_window"]),
                                      as_window(req["tau_range"]),
-                                     int(req["L"]))
+                                     as_int(req["L"], "bohr L"))
         out["bohr"] = rep.to_dict()
     if "besicovitch" in a:
         req = a["besicovitch"]
         sn = family.by_label(req.get("seminorm", family.labels()[0]))
-        grid = [int(l) for l in req["l_grid"]]
+        grid = [as_int(l, "besicovitch l_grid") for l in req["l_grid"]]
         freqs = [float(v) for v in req.get("frequencies", [0.0])]
         poly = ap_analysis.fit_trig_poly(x, freqs,
                                          _fit_N("besicovitch", req))
@@ -134,12 +137,12 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
         req = a["weyl"]
         sn = family.by_label(req.get("seminorm", family.labels()[0]))
         freqs = [float(v) for v in req.get("frequencies", [0.0])]
+        l = as_int(req["l"], "weyl l")
         poly = ap_analysis.fit_trig_poly(x, freqs, _fit_N("weyl", req))
         val = ap_analysis.weyl_distance(x, BiSequence.from_trig_poly(poly),
-                                        sn, float(req.get("p", 1.0)),
-                                        int(req["l"]),
+                                        sn, float(req.get("p", 1.0)), l,
                                         as_window(req["s_range"]))
-        out["weyl"] = {"l": int(req["l"]), "value": val,
+        out["weyl"] = {"l": l, "value": val,
                        "seminorm_label": sn.label, "frequencies": freqs}
     return out
 
@@ -251,8 +254,7 @@ def _dispatch(cfg: ScenarioConfig):
             cfg.sequence(cfg.sequences.get("m"), dim=1),
             cfg.sequence(cfg.sequences.get("b"), dim=1),
             forcing(dim=n),
-            family=cfg.family(n) if cfg.seminorms else None,
-            window=hull)
+            family=cfg.family(n), window=hull)
         v, u, rep = problem.solve(hull, tol=cfg.tol, pad_right=pad)
         return u, {"v": v, "grid": True}, rep, problem.family
 
@@ -264,8 +266,7 @@ def _dispatch(cfg: ScenarioConfig):
             cfg.sequence(cfg.sequences.get("m2"), dim=1),
             cfg.sequence(cfg.sequences.get("b"), dim=1),
             forcing(dim=n),
-            family=cfg.family(n) if cfg.seminorms else None,
-            window=hull)
+            family=cfg.family(n), window=hull)
         u, rep = problem.solve(hull, tol=cfg.tol, pad_right=pad)
         return u, {"grid": True}, rep, problem.family
 

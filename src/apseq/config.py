@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InputContractError
 from .operator_model import OperatorSequence, as_matrix, induced_bound
 from .seq_core import (BiSequence, Seminorm, SeminormFamily, TrigPoly, Window,
-                       as_window)
+                       as_int, as_window)
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +82,7 @@ class ScenarioConfig:
         with _descriptor("window descriptor [start, end]"):
             window = as_window(data["window"])
         with _descriptor("dim descriptor"):
-            dim = int(data.get("dim", 1))
+            dim = as_int(data.get("dim", 1), "dim descriptor")
         if dim < 1:
             raise InputContractError("dim must be >= 1")
         with _descriptor("tol descriptor"):
@@ -137,11 +137,13 @@ class ScenarioConfig:
 
     def param(self, name: str, convert, default=None):
         """convert(params[name]), or convert(default) for an absent key when
-        a default is given; a missing or unconvertible value is an input
-        error."""
-        with _descriptor(f"params descriptor {name!r}"):
-            return convert(self.params[name] if default is None
-                           else self.params.get(name, default))
+        a default is given, an int by as_int; a missing or unconvertible
+        value is an input error."""
+        what = f"params descriptor {name!r}"
+        with _descriptor(what):
+            value = (self.params[name] if default is None
+                     else self.params.get(name, default))
+            return as_int(value, what) if convert is int else convert(value)
 
     def family(self, dim: int | None = None) -> SeminormFamily:
         return build_family(self.seminorms, dim or self.dim)
@@ -209,7 +211,8 @@ def build_sequence(desc: dict, dim: int) -> BiSequence:
             seq = BiSequence.constant(v)
         elif backend == "table":
             vals = np.array([cvec(row) for row in desc["values"]])
-            seq = BiSequence._adopt_table(int(desc["start"]), vals,
+            start = as_int(desc["start"], "table start")
+            seq = BiSequence._adopt_table(start, vals,
                                           extend=desc.get("extend"))
         elif backend == "trig_poly":
             seq = BiSequence.from_trig_poly(TrigPoly.of(
@@ -217,9 +220,11 @@ def build_sequence(desc: dict, dim: int) -> BiSequence:
                  for t in desc["terms"]]))
         elif backend == "omega_c":
             base = np.array([cvec(row) for row in desc["base"]])
-            seq = BiSequence.omega_c(base, int(desc["omega"]), cnum(desc["c"]))
+            omega = as_int(desc["omega"], "omega_c omega")
+            seq = BiSequence.omega_c(base, omega, cnum(desc["c"]))
         elif backend == "spike":
-            seq = BiSequence.spike(int(desc["k"]), cvec(desc["value"]))
+            seq = BiSequence.spike(as_int(desc["k"], "spike k"),
+                                   cvec(desc["value"]))
         elif backend == "zeros":
             seq = BiSequence.zeros(dim)
         else:

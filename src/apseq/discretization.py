@@ -31,10 +31,6 @@ class GridLaplacian:
     h: float
     matrix: Matrix
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
 
 def laplacian_1d(n: int, h: float) -> GridLaplacian:
     """Tridiagonal (1, -2, 1)/h^2 with Dirichlet truncation."""
@@ -131,7 +127,7 @@ class HeatProblem:
     def solve(self, window, tol: float = 1e-10, pad_right: int = 1
               ) -> tuple[BiSequence, BiSequence, SolveReport]:
         return solve_degenerate_vb(
-            self.B, self.Ainv_C, np.eye(self.laplacian.size), self.f,
+            self.B, self.Ainv_C, np.eye(self.laplacian.n), self.f,
             window, tol=tol, A=self.A, pad_right=pad_right, D=self.D)
 
 
@@ -140,7 +136,7 @@ SMALLNESS_GATE = 0.9  # sup of the composite certificate must stay below this
 
 def _heat_operators(L: GridLaplacian, m: BiSequence, b: BiSequence,
                     family: SeminormFamily):
-    size = L.size
+    size = L.n
     mult = _multiplier(m, size, "multiplier m")
     _check_scalar(b, "shift b")
     eye = np.eye(size)
@@ -174,11 +170,11 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     generator D there itself, and evaluating A(k) checks Re b(k) there.
     """
     L = laplacian_1d(n, h)
-    family = family or difference_family(L.size)
-    if family.dim != L.size:
-        raise InputContractError(f"family dim {family.dim} vs grid {L.size}")
-    if f.dim != L.size:
-        raise InputContractError(f"forcing dim {f.dim} vs grid {L.size}")
+    family = family or difference_family(n)
+    if family.dim != n:
+        raise InputContractError(f"family dim {family.dim} vs grid {n}")
+    if f.dim != n:
+        raise InputContractError(f"forcing dim {f.dim} vs grid {n}")
     window = as_window(window) if window is not None else Window(-64, 64)
     gate = window.extended(left=1, right=1)
     B, A, Ainv = _heat_operators(L, m, b, family)
@@ -217,7 +213,7 @@ class WaveProblem:
     def solve(self, window, tol: float = 1e-10, pad_right: int = 2
               ) -> tuple[BiSequence, SolveReport]:
         return solve_second_order(self.A0, self.A1, self.A2,
-                                  np.eye(self.laplacian.size), self.f, window,
+                                  np.eye(self.laplacian.n), self.f, window,
                                   tol=tol, family=self.family,
                                   pad_right=pad_right, D=self.D)
 
@@ -231,21 +227,20 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
     on the gate window [window.start - 1, window.end + 2]).  Constant m1,
     m2 and b give a constant selection, certified once with exact sups."""
     L = laplacian_1d(n, h)
-    family = family or difference_family(L.size)
-    if family.dim != L.size or f.dim != L.size:
+    family = family or difference_family(n)
+    if family.dim != n or f.dim != n:
         raise InputContractError("family/forcing dimensions must match the grid")
     window = as_window(window) if window is not None else Window(-64, 64)
     gate = window.extended(left=1, right=2)
-    size = L.size
-    eye = np.eye(size)
+    eye = np.eye(n)
     _check_scalar(b, "shift b")
-    A1 = _grid_operator(m1, size, _multiplier(m1, size, "multiplier m1"))
-    A2 = _grid_operator(m2, size, _multiplier(m2, size, "multiplier m2"))
+    A1 = _grid_operator(m1, n, _multiplier(m1, n, "multiplier m1"))
+    A2 = _grid_operator(m2, n, _multiplier(m2, n, "multiplier m2"))
 
     if b.window_values(gate)[:, 0].real.min() <= 0:
         raise InputContractError("Re b(k) must be positive on the gate window")
     A0 = _grid_operator(
-        b, size, lambda k0, vals: vals[:, 0, None, None] * eye - L.matrix)
+        b, n, lambda k0, vals: vals[:, 0, None, None] * eye - L.matrix)
 
     D = second_order_selection(A0, A1, A2, eye, family)
     sups = {lbl: D.sup_over(lbl, gate) for lbl in D.labels()}

@@ -261,12 +261,12 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
 
 
 def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
-                  pad_right: int, backward: bool, probe_reads_A: bool = False
+                  pad_right: int, backward: bool
                   ) -> tuple[BiSequence, SolveReport, np.ndarray]:
     """solve_series without the residual, for callers that report the
     residual of another equation; also returns f's rows on ``window``,
-    which the forcing probe read.  ``probe_reads_A`` says that reading f
-    reads A at the same k, as an inclusion's g = -D f does."""
+    which the forcing probe read.  A generator A is derived once per probe
+    round where its certificates and an inclusion's g = -D f read it."""
     window = as_window(window)
     if not 0 < tol < inf:
         raise InputContractError(f"tol must be a finite number > 0, got {tol}")
@@ -294,11 +294,9 @@ def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
         certs = _certificate_window(work, margin, backward)
         probe = (work.extended(left=1, right=margin) if backward
                  else work.extended(left=margin + 1))
-        if probe_reads_A and A.period is None:
-            # derive a generator once over its certificates and the probe
-            # rows right of them (a lone k there would be a window rule
-            # call of its own); the probe's row left of them is read after
-            # the certificates, so a failing rule names their first k
+        if A.period is None:
+            # the probe's row left of the certificates is read after them,
+            # so a failing rule names their first k
             A.runs(Window(certs.start, probe.end))
         sups = {lbl: A.sup_over(lbl, certs) for lbl in labels}
         bad = [lbl for lbl, s in sups.items() if not s < 1.0]
@@ -431,14 +429,3 @@ def forward_oracle(A: OperatorSequence, f: BiSequence, k0: int, x0,
         values[i + 1] = cur
     return BiSequence._adopt_table(k0, values)
 
-
-def weighted_growth_check(x: BiSequence, alpha: float,
-                          family: SeminormFamily, window) -> float:
-    """max over window and kappa of (1+|k|)^(-alpha) * kappa(x(k)), the
-    finite-window proxy for polynomial boundedness."""
-    if alpha < 0:
-        raise InputContractError("alpha must be >= 0")
-    window = as_window(window)
-    vals = x.window_values(window)
-    weights = (1.0 + np.abs(np.arange(window.start, window.end + 1))) ** (-alpha)
-    return float(max((sn.of_rows(vals) * weights).max() for sn in family))

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputContractError, NumericError, ShapeError
+from .errors import InputContractError, ShapeError
 from .first_order import SolveReport, linear_residual
-from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
+from .operator_model import (Matrix, OperatorSequence, as_matrix,
                              induced_bound, window_blocks)
 from .resolvent import _solve_reduced, amplification, inverse_selection
 from .seq_core import BiSequence, SeminormFamily, as_window
@@ -147,11 +147,6 @@ def companion_selection(sys: CompanionSystem, A0inv_C: OperatorSequence,
         dim=sys.block_dim, family=family)
 
 
-def companion_D_dense(sys: CompanionSystem, k: int) -> Matrix:
-    """Independent dense route: bold_B(k) @ solve(bold_A(k), bold_C)."""
-    return sys.bold_B(k) @ np.linalg.solve(sys.bold_A(k), sys.bold_C())
-
-
 def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
                            A2: OperatorSequence, C, family: SeminormFamily
                            ) -> OperatorSequence:
@@ -221,41 +216,15 @@ def second_order_residual(A0, A1, A2, C, f: BiSequence, u: BiSequence,
                                0: ((A0, 0),)}, ((C,), f), window, family)
 
 
-def companion_forward_oracle(sys: CompanionSystem, f: BiSequence, k0: int,
-                             vec0, window) -> BiSequence:
-    """Forward iteration of the companion system from vec u(k0) = vec0,
-    solving boldC boldB(k+1) vec u(k+1) = boldA(k) vec u(k) + boldC vec f(k)
-    step by step (needs invertible boldC boldB)."""
-    window = as_window(window)
-    if k0 > window.start:
-        raise InputContractError("k0 must not exceed the window start")
-    vec_f = sys.lift(f)
-    bc = sys.bold_C()
-    cur = np.asarray(vec0, dtype=np.complex128)
-    if cur.shape != (sys.block_dim,):
-        raise ShapeError(f"initial state needs shape ({sys.block_dim},)")
-    values = np.empty((window.end - k0 + 1, sys.block_dim), dtype=np.complex128)
-    values[0] = cur
-    for i, k in enumerate(range(k0, window.end)):
-        rhs = sys.bold_A(k) @ cur + bc @ vec_f(k)
-        lhs = bc @ sys.bold_B(k + 1)
-        cond = np.linalg.cond(lhs)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise NumericError(f"companion step at k={k} is singular")
-        cur = np.linalg.solve(lhs, rhs)
-        values[i + 1] = cur
-    return BiSequence._adopt_table(k0, values)
-
-
 def build_B_from_D(A_mat: OperatorSequence, D_mat: OperatorSequence, p: int,
-                   base_family: SeminormFamily | None = None,
-                   window=None) -> tuple[OperatorSequence, list[str]]:
+                   base_family: SeminormFamily,
+                   window) -> tuple[OperatorSequence, list[str]]:
     """B(k+1) = A(k) D(k) as a lazy product sequence.
 
-    When a base family and window are given, the per-block smallness budget
-    sum_{i,j} ||D_ij(k)|| <= 1/(2 p^2) is checked with induced bounds and
+    The per-block smallness budget sum_{i,j} ||D_ij(k)|| <= 1/(2 p^2) is
+    checked on ``window`` with the induced bounds of ``base_family``, and
     violations are reported as warnings; the certificate condition on the
-    solve remains the binding gate either way.
+    solve remains the binding gate.
     """
     if A_mat.dim != D_mat.dim:
         raise ShapeError("A and D dimensions differ")
@@ -263,19 +232,18 @@ def build_B_from_D(A_mat: OperatorSequence, D_mat: OperatorSequence, p: int,
         raise InputContractError(f"dimension {A_mat.dim} is not p={p} blocks")
     budget = 1.0 / (2 * p * p)
     warnings: list[str] = []
-    if base_family is not None and window is not None:
-        d = A_mat.dim // p
-        for w in window_blocks(as_window(window)):
-            stack = D_mat.matrices(w)
-            totals = [sum(induced_bound(
-                stack[:, i * d:(i + 1) * d, j * d:(j + 1) * d], sn)
-                for i in range(p) for j in range(p)) for sn in base_family]
-            for n, k in enumerate(w):
-                for sn, total in zip(base_family, totals):
-                    if total[n] > budget:
-                        warnings.append(
-                            f"block budget violated at k={k}, seminorm "
-                            f"{sn.label!r}: {total[n]:.4f} > {budget:.4f}")
+    d = A_mat.dim // p
+    for w in window_blocks(as_window(window)):
+        stack = D_mat.matrices(w)
+        totals = [sum(induced_bound(
+            stack[:, i * d:(i + 1) * d, j * d:(j + 1) * d], sn)
+            for i in range(p) for j in range(p)) for sn in base_family]
+        for n, k in enumerate(w):
+            for sn, total in zip(base_family, totals):
+                if total[n] > budget:
+                    warnings.append(
+                        f"block budget violated at k={k}, seminorm "
+                        f"{sn.label!r}: {total[n]:.4f} > {budget:.4f}")
 
     B = OperatorSequence.map(lambda w, a, d: a @ d, A_mat, D_mat,
                              shifts=(-1, -1))

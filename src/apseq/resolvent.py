@@ -88,7 +88,8 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
     itself; u padded to the ``reach`` of its ``residual(u, window,
     g_rows)``, which the report holds as max_residual under ``form``.
     g_rows are the rows of the reduced forcing g = -D f on the window, as
-    the solve read them."""
+    the solve read them; ``_solve_series`` derives a generator D once per
+    probe round where its certificates and g read it."""
     window = as_window(window)
     if D.family is None:
         raise InputContractError("selection operator carries no seminorm family")
@@ -99,7 +100,7 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
                    lambda w: -D.apply_rows(w.start, f.window_values(w)))
     v, report, g_rows = _solve_series(
         D, g, window.extended(left=1), tol / amplify,
-        u_pad + (recover is not None), backward=True, probe_reads_A=True)
+        u_pad + (recover is not None), backward=True)
     report.window = (window.start, window.end)
     report.tol = tol
     u = v if recover is None else recover(v, window.extended(right=u_pad),

@@ -3,11 +3,10 @@
 Values live in C^d.  The topology of the (locally convex) state space is
 modeled by a finite family of seminorms rather than a single norm, so all
 quantitative statements downstream are "per seminorm".  Sequences are
-immutable after construction; derived sequences (linear combinations,
-shifts, reflections k -> -k) are lazy views, which keeps evaluation pure and
-safe to share across threads.  Each sequence has exactly one evaluation
-rule, which maps a window to its values; F(k) is the read-only row of the
-one-k window.
+immutable after construction; derived sequences (linear combinations)
+are lazy views, which keeps evaluation pure and safe to share across
+threads.  Each sequence has exactly one evaluation rule, which maps a
+window to its values; F(k) is the read-only row of the one-k window.
 """
 
 from __future__ import annotations
@@ -67,15 +66,20 @@ class Window:
     def shifted(self, tau: int) -> "Window":
         return Window(self.start + tau, self.end + tau)
 
-    def reflected(self) -> "Window":
-        return Window(-self.end, -self.start)
+
+def as_int(v, what: str) -> int:
+    """``v`` as an int, from an int or an integral float; a boolean or a
+    non-integral number is an input-contract error naming ``what``."""
+    if isinstance(v, (bool, np.bool_)) or (
+            isinstance(v, (float, np.floating)) and not float(v).is_integer()):
+        raise InputContractError(f"{what} must be an integer, got {v!r}")
+    return int(v)
 
 
 def as_window(w) -> Window:
     if isinstance(w, Window):
         return w
-    a, b = int(w[0]), int(w[1])
-    return Window(a, b)
+    return Window(as_int(w[0], "window start"), as_int(w[1], "window end"))
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +472,6 @@ def seq_axpy(alpha: complex, F: BiSequence, beta: complex,
     a, b = complex(alpha), complex(beta)
     return BiSequence(F.dim, lambda w: (a * F.window_values(w)
                                         + b * G.window_values(w)))
-
-
-def seq_shift(F: BiSequence, tau: int) -> BiSequence:
-    """G(k) = F(k + tau)."""
-    t = int(tau)
-    return BiSequence(F.dim, lambda w: F.window_values(w.shifted(t)))
-
-
-def seq_reverse(F: BiSequence) -> BiSequence:
-    """G(k) = F(-k); applying it twice reproduces F's values exactly."""
-    return BiSequence(F.dim, lambda w: F.window_values(w.reflected())[::-1])
 
 
 # ---------------------------------------------------------------------------

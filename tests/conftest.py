@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apseq import OperatorSequence
-from apseq.operator_model import induced_bound
+from apseq import BiSequence, OperatorSequence
+from apseq.operator_model import COND_LIMIT, induced_bound
 
 # CLI tests run ``python -m apseq.cli`` in subprocesses, which import the
 # package from src/ as the tests do (pyproject's pytest pythonpath)
@@ -79,6 +79,30 @@ def reference_sweep(A, f_rows, start, keep, backward=False):
             if i >= lead:
                 out[i - lead] = x
     return out[::-1] if backward else out
+
+
+def dense_selection(sys_, k):
+    """The companion reduction selection at k as the dense triple product
+    bold_B(k) [bold_A(k)]^{-1} bold_C, the reference for its blockwise
+    assembly."""
+    return sys_.bold_B(k) @ np.linalg.solve(sys_.bold_A(k), sys_.bold_C())
+
+
+def companion_forward_oracle(sys_, f, k0, vec0, window):
+    """Forward iteration of a companion system from vec u(k0) = vec0,
+    solving boldC boldB(k+1) vec u(k+1) = boldA(k) vec u(k) + boldC vec f(k)
+    step by step with dense solves (needs invertible boldC boldB): the
+    reference for the order-2 solver, which shares none of its arithmetic.
+    Returns vec u on [k0, window[1]]."""
+    vec_f = sys_.lift(f)
+    bc = sys_.bold_C()
+    values = [np.asarray(vec0, dtype=np.complex128)]
+    for k in range(k0, window[1]):
+        lhs = bc @ sys_.bold_B(k + 1)
+        assert np.linalg.cond(lhs) <= COND_LIMIT, f"singular step at k={k}"
+        values.append(np.linalg.solve(
+            lhs, sys_.bold_A(k) @ values[-1] + bc @ vec_f(k)))
+    return BiSequence.from_table(k0, values)
 
 
 def reference_row_values(sn, rows):

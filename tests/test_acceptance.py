@@ -15,13 +15,13 @@ import pytest
 from apseq import (BiSequence, ConvergencePreconditionError,
                    OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, Window, besicovitch_distance, bohr_check,
-                   build_companion, companion_selection, companion_D_dense,
-                   forward_oracle, omega_c_check, residual,
+                   build_companion, companion_selection, forward_oracle, omega_c_check, residual,
                    solve_degenerate_vb, solve_inclusion, solve_second_order,
                    solve_series)
 from apseq.discretization import laplacian_1d
 from apseq.resolvent import inverse_selection, solve_degenerate_vb1
-from conftest import inverse_of, random_certified_operator, random_matrix
+from conftest import (dense_selection, inverse_of, random_certified_operator,
+                      random_matrix)
 
 SUP = Seminorm.sup()
 
@@ -264,7 +264,7 @@ def test_criterion_08_companion_structure():
                 np.linalg.solve(seqs[0].matrix(0), C))
             k = int(rng.integers(-6, 6))
             got = companion_selection(sys_, G).matrix(k)
-            dense = companion_D_dense(sys_, k)
+            dense = dense_selection(sys_, k)
             scale = max(1.0, float(np.abs(dense).max()))
             assert np.abs(got - dense).max() / scale <= 1e-13
             draws += 1
@@ -280,7 +280,7 @@ def test_criterion_08_companion_structure():
                            [[1.0]])
     G2 = OperatorSequence.constant([[0.5]])
     got = companion_selection(sys2, G2).matrix(0)
-    dense = companion_D_dense(sys2, 0)
+    dense = dense_selection(sys2, 0)
     assert np.abs(got - dense).max() <= 1e-15
     assert np.array_equal(got, np.array([[-0.5, 1.0], [-0.5, 0.0]]))
     _report(8, f"{draws} random draws match dense multiplication to 1e-13; "

@@ -1144,3 +1144,73 @@ def test_subcommands_take_only_the_options_they_read(tmp_path, capsys,
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+ANALYZE = {"schema_version": 1, "kind": "analyze", "dim": 1,
+           "window": [-10, 10], "seminorms": [{"kind": "sup"}],
+           "sequences": {"target": {"backend": "constant",
+                                    "value": [[1.0, 0.0]]}}}
+BOHR = {"epsilon": 0.1, "k_window": [-5, 5], "tau_range": [0, 10], "L": 4}
+WEYL = {"l": 8, "s_range": [-10, 10]}
+
+
+@pytest.mark.parametrize("base,patch,message", [
+    ("solve", {"window": [-5.7, 5.2]}, "window start must be an integer, "
+                                       "got -5.7"),
+    ("solve", {"window": [-5, True]}, "window end must be an integer, "
+                                      "got True"),
+    ("solve", {"dim": 1.9}, "dim descriptor must be an integer, got 1.9"),
+    ("solve", {"dim": True}, "dim descriptor must be an integer, got True"),
+    ("heat", {"params": {"n": 4.7}},
+     "params descriptor 'n' must be an integer, got 4.7"),
+    ("reduce-order", {"params": {"p": 2.5}},
+     "params descriptor 'p' must be an integer, got 2.5"),
+    ("solve", {"forcing": {"backend": "table", "start": -0.5, "extend": "zero",
+                           "values": [[[1.0, 0.0]]]}},
+     "table start must be an integer, got -0.5"),
+    ("solve", {"forcing": {"backend": "spike", "k": 2.5,
+                           "value": [[1.0, 0.0]]}},
+     "spike k must be an integer, got 2.5"),
+    ("solve", {"forcing": {"backend": "omega_c", "omega": 2.5, "c": [1.0, 0.0],
+                           "base": [[[1.0, 0.0]], [[2.0, 0.0]]]}},
+     "omega_c omega must be an integer, got 2.5"),
+    ("solve", {"analysis": {"omega_c": {"omega": 1.5, "c": [1.0, 0.0]}}},
+     "omega_c omega must be an integer, got 1.5"),
+    ("analyze", {"bohr": {**BOHR, "L": 4.5}}, "bohr L must be an integer"),
+    ("analyze", {"bohr": {**BOHR, "k_window": [-5.5, 5]}},
+     "window start must be an integer, got -5.5"),
+    ("analyze", {"bohr": {**BOHR, "tau_range": [0, 10.5]}},
+     "window end must be an integer, got 10.5"),
+    ("analyze", {"weyl": {**WEYL, "l": 8.5}}, "weyl l must be an integer"),
+    ("analyze", {"weyl": {**WEYL, "s_range": [-10, 10.5]}},
+     "window end must be an integer, got 10.5"),
+    ("analyze", {"weyl": {**WEYL, "fit_N": 32.5}},
+     "weyl fit_N must be an integer, got 32.5"),
+    ("analyze", {"besicovitch": {"l_grid": [8, 16.5]}},
+     "besicovitch l_grid must be an integer, got 16.5")],
+    ids=["window-start", "window-end-bool", "dim", "dim-bool", "heat-n",
+         "reduce-order-p", "table-start", "spike-k", "omega_c-backend-omega",
+         "omega_c-omega", "bohr-L", "bohr-k_window", "bohr-tau_range",
+         "weyl-l", "weyl-s_range", "weyl-fit_N", "besicovitch-l_grid"])
+def test_integer_fields_reject_non_integral_values(tmp_path, capsys, base,
+                                                   patch, message):
+    # each of these was truncated by int() and solved: the window
+    # [-5.7, 5.2] on [-5, 5], [-5, true] on [-5, 1], dim 1.9 as 1
+    from apseq import cli
+    from apseq.seq_core import Window
+    if base == "heat":
+        data = {**cli.example_config("heat", 4, 1.0, Window(-5, 5), 1e-10),
+                **patch}
+        command = "solve-degenerate"
+    elif base == "reduce-order":
+        data = {**TWO_DIM, "kind": "second_order", **patch,
+                "operators": {"A0": GOOD, "A1": SMALL, "A2": SMALL}}
+        command = "reduce-order"
+    elif base == "analyze":
+        data, command = {**ANALYZE, "analysis": patch}, "analyze"
+    else:
+        data, command = {**MINIMAL_FIRST_ORDER, **patch}, "solve"
+    cfg = write_config(tmp_path, data)
+    assert cli.main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err

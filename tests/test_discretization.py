@@ -32,7 +32,7 @@ def test_laplacian_1d_closed_form_spectrum():
 
 def resolvent(L, b):
     """(b I - Lap)^{-1} by a dense solve."""
-    eye = np.eye(L.size)
+    eye = np.eye(L.n)
     return np.linalg.solve(b * eye - L.matrix, eye)
 
 

@@ -3,10 +3,9 @@ import pytest
 
 from apseq import (BiSequence, OperatorSequence, SeminormFamily, TrigPoly,
                    build_companion, build_B_from_D, companion_selection,
-                   companion_D_dense, companion_forward_oracle, omega_c_check,
-                   solve_second_order)
+                   omega_c_check, solve_second_order)
 from apseq.higher_order import second_order_residual
-from conftest import random_matrix
+from conftest import companion_forward_oracle, dense_selection, random_matrix
 
 FAM1 = SeminormFamily.sup_only(1)
 
@@ -62,7 +61,7 @@ def test_selection_block_p2_scalar_matches_dense_product():
     sys_ = scalar_system(2.0, 1.0, 1.0)
     G = const(0.5)  # [A0]^{-1} C
     got = companion_selection(sys_, G).matrix(0)
-    dense = companion_D_dense(sys_, 0)
+    dense = dense_selection(sys_, 0)
     assert np.abs(got - dense).max() <= 1e-15
     assert np.array_equal(got, np.array([[-0.5, 1.0], [-0.5, 0.0]]))
 
@@ -87,7 +86,7 @@ def test_selection_block_matches_dense_on_random_draws(p, rng):
         G = OperatorSequence.from_function(
             d, lambda j: np.linalg.solve(seqs[0].matrix(j), C))
         got = companion_selection(sys_, G).matrix(k)
-        dense = companion_D_dense(sys_, k)
+        dense = dense_selection(sys_, k)
         scale = max(1.0, np.abs(dense).max())
         assert np.abs(got - dense).max() / scale <= 1e-13
 
@@ -231,12 +230,12 @@ def test_build_B_from_D_examples(rng):
     # D = 0 gives B = 0
     A = OperatorSequence.constant(random_matrix(rng, 2))
     D0 = OperatorSequence.constant(np.zeros((2, 2)))
-    B, warnings = build_B_from_D(A, D0, 2)
+    B, warnings = build_B_from_D(A, D0, 2, FAM1, (0, 0))
     assert np.abs(B.matrix(1)).max() == 0.0 and not warnings
 
     # p = 1 scalars: B(k+1) = a d
     a, dsel = 0.8, 0.1
-    B1, _ = build_B_from_D(const(a), const(dsel), 1)
+    B1, _ = build_B_from_D(const(a), const(dsel), 1, FAM1, (0, 0))
     assert B1.matrix(1)[0, 0] == pytest.approx(a * dsel)
 
     # p = 2 diagonal: A = 2I, D = I/8 -> B = I/4

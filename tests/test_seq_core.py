@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from apseq import (BiSequence, InputContractError, RangeError, Seminorm,
                    SeminormFamily, ShapeError, TrigPoly, Window, read_csv,
-                   seq_axpy, seq_reverse, seq_shift, write_csv)
+                   seq_axpy, write_csv)
 from apseq.seq_core import (_CSV_BLOCK_FLOATS, _FIELD, FLOAT_FMT, PerK,
                             _format_floats, write_grid_csv)
 from conftest import reference_row_values
@@ -83,32 +83,14 @@ def test_axpy_dimension_mismatch():
                  1.0, BiSequence.constant([1.0, 2.0]))
 
 
-def test_shift_by_zero_and_omega():
-    F = BiSequence.omega_c([[1.0], [2.0]], 2, 0.5 + 0.2j)
-    same = seq_shift(F, 0)
-    moved = seq_shift(F, 2)
-    for k in range(-10, 10):
-        assert np.array_equal(same(k), F(k))
-        assert np.abs(moved(k) - (0.5 + 0.2j) * F(k)).max() <= 1e-13 * max(
-            1.0, np.abs(F(k)).max())
-
-
 def test_shift_of_trig_poly_matches_rotated_coefficients():
     lam, y = 0.9, np.array([1.0 - 2.0j, 0.5j])
     P = BiSequence.from_trig_poly(TrigPoly.of([(lam, y)]))
-    shifted = seq_shift(P, 7)
     rotated = BiSequence.from_trig_poly(TrigPoly.of([(lam, y * np.exp(1j * lam * 7))]))
     for k in range(-5, 5):
         direct = y * np.exp(1j * lam * (k + 7))  # oracle: direct evaluation
-        assert np.abs(shifted(k) - direct).max() <= 1e-12
+        assert np.abs(P(k + 7) - direct).max() <= 1e-12
         assert np.abs(rotated(k) - direct).max() <= 1e-12
-
-
-def test_reverse_is_an_involution_bit_identical(rng):
-    F = BiSequence.from_table(-4, rng.standard_normal((9, 2)))
-    G = seq_reverse(seq_reverse(F))
-    for k in range(-4, 5):
-        assert np.array_equal(G(k), F(k))
 
 
 ALL_SEMINORMS = [
@@ -405,14 +387,9 @@ WINDOW_CASES = {
     "spike": lambda: BiSequence.spike(2, [1.0, -2.0, 0.5j]),
     "generator": lambda: BiSequence.from_function(
         3, lambda k: [np.sin(k), 1j * k, 0.5]),
-    "shift_trig": lambda: seq_shift(_trig(), 3),
-    "shift_omega_c": lambda: seq_shift(_omega_c(0.5 + 0.2j), -7),
-    "reverse_trig": lambda: seq_reverse(_trig()),
-    "reverse_omega_c": lambda: seq_reverse(_omega_c(0.5 + 0.2j)),
-    "reverse_table": lambda: seq_reverse(_table()),
     "axpy": lambda: seq_axpy(0.3 + 1.0j, _trig(), -2.0, _omega_c(2.0)),
     "axpy_of_views": lambda: seq_axpy(
-        1.5, seq_shift(_table(), 2), 0.5j, seq_reverse(_omega_c(1j))),
+        1.5, seq_axpy(1.0, _table(), -0.5, _trig()), 0.5j, _omega_c(1j)),
 }
 
 
@@ -441,17 +418,6 @@ def test_table_window_outside_its_domain_raises_like_per_k():
         with pytest.raises(RangeError) as by_k:
             np.stack([F(k) for k in range(window[0], window[1] + 1)])
         assert str(by_window.value) == str(by_k.value)
-
-
-@pytest.mark.parametrize("parent", ["trig", "omega_c_complex", "table_zero"])
-def test_shifted_and_reversed_views_evaluate_windows(parent):
-    # views used to copy the parent's backend name but not its data, so a
-    # shifted or reversed trig polynomial raised AttributeError here
-    F = WINDOW_CASES[parent]()
-    shifted = seq_shift(F, 3).window_values((0, 3))
-    assert shifted.tobytes() == F.window_values((3, 6)).tobytes()
-    reversed_ = seq_reverse(F).window_values((0, 3))
-    assert reversed_.tobytes() == np.stack([F(-k) for k in range(4)]).tobytes()
 
 
 def test_from_table_copies_the_callers_array():
