@@ -4,9 +4,8 @@ difference equations on the integers, with certified truncation control."""
 from .ap_analysis import (APReport, BesicovitchReport, besicovitch_distance,
                           bohr_check, fit_trig_poly, omega_c_check,
                           weyl_distance)
-from .discretization import (GridLaplacian, HeatProblem, WaveProblem,
-                             difference_family, heat_problem, laplacian_1d,
-                             wave_problem)
+from .discretization import (HeatProblem, WaveProblem, heat_problem,
+                             laplacian_1d, wave_problem)
 from .errors import (ApseqError, CertificateError,
                      ConvergencePreconditionError, InputContractError,
                      NumericError, RangeError, ShapeError)

@@ -52,24 +52,32 @@ def _fit_N(name: str, req: dict) -> int:
     return as_int(req.get("fit_N", default), f"{name} fit_N")
 
 
+def _request_window(req: dict, name: str, key: str) -> Window:
+    """req[key] as a Window; an error names its bound "{name} {key} end"."""
+    w = req[key]
+    return Window(as_int(w[0], f"{name} {key} start"),
+                  as_int(w[1], f"{name} {key} end"))
+
+
 def _bohr_read(req: dict) -> tuple[int, int]:
     """(start, end) of the k a Bohr request's scan reads: its k_window and
     the shifts of it by tau in [tau_range.start, tau_range.end + L]."""
-    kw = as_window(req["k_window"])
-    tr = as_window(req["tau_range"])
+    kw = _request_window(req, "bohr", "k_window")
+    tr = _request_window(req, "bohr", "tau_range")
     return (kw.start + min(0, tr.start),
             kw.end + max(0, tr.end + as_int(req["L"], "bohr L")))
 
 
 def _required_window(cfg: ScenarioConfig
-                     ) -> tuple[Window, int, list[tuple[int, int]]]:
-    """Hull of the config window and everything the analyses will touch,
-    the pad the omega_c request reads beyond its end (at least 1), and the
-    (start, end) of each window the analysis requests read."""
+                     ) -> tuple[Window, list[tuple[int, int]]]:
+    """The window every solve covers and the (start, end) of each window
+    the analysis requests read.  The window is the hull of the config
+    window and the reads, but ends at end + omega - 1 for the omega_c read
+    (start, end + omega): each solve's table holds the k past its window."""
     lo, hi = cfg.window.start, cfg.window.end
     a = cfg.analysis
     omega = (as_int(a["omega_c"]["omega"], "omega_c omega")
-             if "omega_c" in a else 1)
+             if "omega_c" in a else None)
     reads = []
     if "bohr" in a:
         reads.append(_bohr_read(a["bohr"]))
@@ -79,15 +87,16 @@ def _required_window(cfg: ScenarioConfig
         fit = _fit_N("besicovitch", a["besicovitch"])
         reads += [(-lmax, lmax), (-fit, fit)]
     if "weyl" in a:
-        sr = as_window(a["weyl"]["s_range"])
+        sr = _request_window(a["weyl"], "weyl", "s_range")
         fit = _fit_N("weyl", a["weyl"])
         reads += [(sr.start, sr.end + as_int(a["weyl"]["l"], "weyl l")),
                   (-fit, fit)]
     for start, end in reads:
         lo, hi = min(lo, start), max(hi, end)
-    if "omega_c" in a:
+    if omega is not None:
         reads.append((cfg.window.start, cfg.window.end + omega))
-    return Window(lo, hi), max(1, omega), reads
+        hi = max(hi, cfg.window.end + omega - 1)
+    return Window(lo, hi), reads
 
 
 def _table_window(reads: list[tuple[int, int]]) -> Window | None:
@@ -117,8 +126,8 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
         req = a["bohr"]
         sn = family.by_label(req.get("seminorm", family.labels()[0]))
         rep = ap_analysis.bohr_check(x, sn, float(req["epsilon"]),
-                                     as_window(req["k_window"]),
-                                     as_window(req["tau_range"]),
+                                     _request_window(req, "bohr", "k_window"),
+                                     _request_window(req, "bohr", "tau_range"),
                                      as_int(req["L"], "bohr L"))
         out["bohr"] = rep.to_dict()
     if "besicovitch" in a:
@@ -139,9 +148,9 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
         freqs = [float(v) for v in req.get("frequencies", [0.0])]
         l = as_int(req["l"], "weyl l")
         poly = ap_analysis.fit_trig_poly(x, freqs, _fit_N("weyl", req))
-        val = ap_analysis.weyl_distance(x, BiSequence.from_trig_poly(poly),
-                                        sn, float(req.get("p", 1.0)), l,
-                                        as_window(req["s_range"]))
+        val = ap_analysis.weyl_distance(
+            x, BiSequence.from_trig_poly(poly), sn, float(req.get("p", 1.0)),
+            l, _request_window(req, "weyl", "s_range"))
         out["weyl"] = {"l": l, "value": val,
                        "seminorm_label": sn.label, "frequencies": freqs}
     return out
@@ -164,7 +173,7 @@ def _config_C(cfg: ScenarioConfig, dim: int):
 def _dispatch(cfg: ScenarioConfig):
     """Solve per the config kind.  Returns (solution, aux, report, family)."""
     with _descriptor("analysis descriptor"):
-        hull, pad, reads = _required_window(cfg)
+        hull, reads = _required_window(cfg)
     family = cfg.family()
 
     def forcing(dim=None):
@@ -173,7 +182,7 @@ def _dispatch(cfg: ScenarioConfig):
     if cfg.kind == "first_order":
         f = forcing()
         A = cfg.operator("A", family=family)
-        x, rep = solve_series(A, f, hull, tol=cfg.tol, pad_right=pad)
+        x, rep = solve_series(A, f, hull, tol=cfg.tol)
         return x, {}, rep, family
 
     if cfg.kind == "inclusion":
@@ -183,7 +192,7 @@ def _dispatch(cfg: ScenarioConfig):
             D = cfg.operator("D", family=family)
         else:
             D = inverse_selection(cfg.operator("A", plain=True), C, family)
-        x, rep = solve_inclusion(D, f, hull, tol=cfg.tol, pad_right=pad)
+        x, rep = solve_inclusion(D, f, hull, tol=cfg.tol)
         return x, {}, rep, family
 
     if cfg.kind == "degenerate_vb":
@@ -192,8 +201,7 @@ def _dispatch(cfg: ScenarioConfig):
         B = cfg.operator("B", family=family)
         A = cfg.operator("A", plain=True)
         ainv = _ainv_c(cfg, A, C, family)
-        v, u, rep = solve_degenerate_vb(B, ainv, C, f, hull, tol=cfg.tol,
-                                        A=A, pad_right=pad)
+        v, u, rep = solve_degenerate_vb(B, ainv, C, f, hull, tol=cfg.tol, A=A)
         return u, {"v": v}, rep, family
 
     if cfg.kind == "degenerate_vb1":
@@ -209,7 +217,7 @@ def _dispatch(cfg: ScenarioConfig):
                 lambda w, a, b_next: checked_solve(a, b_next @ C, "A", w),
                 A, B, shifts=(0, 1), family=family)
         u, rep = solve_degenerate_vb1(B, ainv_bc, C, g, f, hull, tol=cfg.tol,
-                                      A=A, pad_right=pad)
+                                      A=A)
         return u, {}, rep, family
 
     if cfg.kind == "second_order":
@@ -219,7 +227,7 @@ def _dispatch(cfg: ScenarioConfig):
         A1 = cfg.operator("A1", plain=True)
         A2 = cfg.operator("A2", plain=True)
         u, rep = solve_second_order(A0, A1, A2, C, f, hull, tol=cfg.tol,
-                                    family=family, pad_right=pad)
+                                    family=family)
         return u, {}, rep, family
 
     if cfg.kind == "system_bm":
@@ -243,7 +251,7 @@ def _dispatch(cfg: ScenarioConfig):
 
         g = BiSequence(block_dim, g_rule)
         u, rep = solve_degenerate_vb1(B, D, C, g, vec_f, hull, tol=cfg.tol,
-                                      A=A, pad_right=pad)
+                                      A=A)
         rep.warnings.extend(warnings)
         return u, {}, rep, lifted
 
@@ -253,9 +261,8 @@ def _dispatch(cfg: ScenarioConfig):
             n, cfg.param("h", float, 1.0),
             cfg.sequence(cfg.sequences.get("m"), dim=1),
             cfg.sequence(cfg.sequences.get("b"), dim=1),
-            forcing(dim=n),
-            family=cfg.family(n), window=hull)
-        v, u, rep = problem.solve(hull, tol=cfg.tol, pad_right=pad)
+            forcing(dim=n), family=cfg.family(n), window=hull)
+        v, u, rep = problem.solve(cfg.tol)
         return u, {"v": v, "grid": True}, rep, problem.family
 
     if cfg.kind == "wave":
@@ -265,9 +272,8 @@ def _dispatch(cfg: ScenarioConfig):
             cfg.sequence(cfg.sequences.get("m1"), dim=1),
             cfg.sequence(cfg.sequences.get("m2"), dim=1),
             cfg.sequence(cfg.sequences.get("b"), dim=1),
-            forcing(dim=n),
-            family=cfg.family(n), window=hull)
-        u, rep = problem.solve(hull, tol=cfg.tol, pad_right=pad)
+            forcing(dim=n), family=cfg.family(n), window=hull)
+        u, rep = problem.solve(cfg.tol)
         return u, {"grid": True}, rep, problem.family
 
     if cfg.kind == "analyze":

@@ -5,8 +5,9 @@ The grid operator is the desk-scale stand-in for the Dirichlet Laplacian:
 symmetric, negative definite, with the 1-D spectrum
 -(2 - 2 cos(j pi / (n+1))) / h^2.
 
-Seminorm families for these problems follow the derivative-seminorm idiom:
-grid sup norm plus first- and second-difference sup seminorms.
+A problem takes its seminorm family and the window it is solved on from
+the caller; the canned examples use the derivative-seminorm idiom, grid
+sup norm plus first- and second-difference sup seminorms.
 """
 
 from __future__ import annotations
@@ -20,20 +21,11 @@ from .first_order import SolveReport
 from .higher_order import second_order_selection, solve_second_order
 from .operator_model import Matrix, OperatorSequence
 from .resolvent import compose_selection, solve_degenerate_vb
-from .seq_core import BiSequence, Seminorm, SeminormFamily, Window, as_window
+from .seq_core import BiSequence, SeminormFamily, Window, as_window
 
 
-@dataclass(frozen=True)
-class GridLaplacian:
-    """Dirichlet finite-difference Laplacian on an interior grid."""
-
-    n: int
-    h: float
-    matrix: Matrix
-
-
-def laplacian_1d(n: int, h: float) -> GridLaplacian:
-    """Tridiagonal (1, -2, 1)/h^2 with Dirichlet truncation."""
+def laplacian_1d(n: int, h: float) -> Matrix:
+    """Tridiagonal (1, -2, 1)/h^2 with Dirichlet truncation, read-only."""
     if n < 1:
         raise InputContractError("need at least one interior point")
     if not 0 < h < np.inf:
@@ -44,24 +36,12 @@ def laplacian_1d(n: int, h: float) -> GridLaplacian:
         raise InputContractError(
             f"grid spacing h = {h} is out of range: the Laplacian's entries "
             f"1/h^2 and -2/h^2 must be finite and nonzero")
-    m = np.zeros((n, n), dtype=np.complex128)
-    np.fill_diagonal(m, -2.0)
-    for i in range(n - 1):
-        m[i, i + 1] = 1.0
-        m[i + 1, i] = 1.0
+    m = np.diag(np.full(n, -2.0 + 0j))
+    i = np.arange(n - 1)
+    m[i, i + 1] = m[i + 1, i] = 1.0
     m /= h * h
     m.flags.writeable = False
-    return GridLaplacian(n=n, h=float(h), matrix=m)
-
-
-def difference_family(dim: int) -> SeminormFamily:
-    """Grid sup norm plus first- and second-difference sup seminorms, the
-    derivative-seminorm family at desk scale."""
-    sns = [Seminorm.sup()]
-    if dim >= 2:
-        sns.append(Seminorm.first_difference())
-        sns.append(Seminorm.second_difference())
-    return SeminormFamily.of(sns, dim)
+    return m
 
 
 def _grid_operator(seq: BiSequence, size: int, build,
@@ -94,9 +74,22 @@ def _multiplier(seq: BiSequence, size: int, what: str):
     return build
 
 
-def _check_scalar(seq: BiSequence, what: str) -> None:
-    if seq.dim != 1:
-        raise InputContractError(f"{what} must be a scalar sequence")
+def _shift(b: BiSequence, rule):
+    """``_grid_operator`` rule ``rule(shift)`` over the scalar shift b, with
+    shift its values as a (len, 1, 1) stack; Re b(k) <= 0 is an
+    input-contract error naming the first such k wherever b is read."""
+    if b.dim != 1:
+        raise InputContractError("shift b must be a scalar sequence")
+
+    def build(k0: int, vals: np.ndarray) -> np.ndarray:
+        re = vals[:, 0].real
+        bad = np.flatnonzero(re <= 0)
+        if bad.size:
+            raise InputContractError(f"Re b({k0 + int(bad[0])}) = "
+                                     f"{float(re[bad[0]])} is not positive")
+        return rule(vals[:, 0, None, None])
+
+    return build
 
 
 @dataclass
@@ -109,13 +102,13 @@ class HeatProblem:
     B is a constant sequence when m is constant, and A and Ainv_C when b
     is; otherwise they are generators whose matrices come a window at a
     time (Ainv_C as one stacked solve of Lap - b(k) I per block, read
-    through by D's rule and not cached).  ``D``
-    is the composite selection whose certificates ``heat_problem``
-    validated, one stacked product B Ainv_C per window; the solve reuses
-    it and derives B(k)^{-1} the same way, as a window rule over B.
+    through by D's rule and not cached).  ``D`` is the composite selection
+    whose certificates ``heat_problem`` validated on ``window``, one
+    stacked product B Ainv_C per window; the solve covers ``window``,
+    reuses D, and derives B(k)^{-1} the same way, as a window rule over B.
     """
 
-    laplacian: GridLaplacian
+    window: Window
     B: OperatorSequence
     A: OperatorSequence
     Ainv_C: OperatorSequence
@@ -124,43 +117,37 @@ class HeatProblem:
     family: SeminormFamily
     certificate_sup: dict[str, float] = field(default_factory=dict)
 
-    def solve(self, window, tol: float = 1e-10, pad_right: int = 1
+    def solve(self, tol: float = 1e-10
               ) -> tuple[BiSequence, BiSequence, SolveReport]:
         return solve_degenerate_vb(
-            self.B, self.Ainv_C, np.eye(self.laplacian.n), self.f,
-            window, tol=tol, A=self.A, pad_right=pad_right, D=self.D)
+            self.B, self.Ainv_C, np.eye(self.family.dim), self.f,
+            self.window, tol=tol, A=self.A, D=self.D)
 
 
 SMALLNESS_GATE = 0.9  # sup of the composite certificate must stay below this
 
 
-def _heat_operators(L: GridLaplacian, m: BiSequence, b: BiSequence,
-                    family: SeminormFamily):
-    size = L.n
-    mult = _multiplier(m, size, "multiplier m")
-    _check_scalar(b, "shift b")
-    eye = np.eye(size)
-
-    def a_stack(k0: int, vals: np.ndarray) -> np.ndarray:
-        re = vals[:, 0].real
-        bad = np.flatnonzero(re <= 0)
-        if bad.size:
-            raise InputContractError(f"Re b({k0 + int(bad[0])}) = "
-                                     f"{float(re[bad[0]])} is not positive")
-        return L.matrix - vals[:, 0, None, None] * eye
-
-    B = _grid_operator(m, size, mult, family=family)
-    A = _grid_operator(b, size, a_stack)
-    Ainv = _grid_operator(
-        b, size, lambda k0, vals: np.linalg.solve(a_stack(k0, vals), eye))
-    Ainv.cache = False  # read only by the rule of D = B Ainv
-    return B, A, Ainv
+def _gate_sups(D: OperatorSequence, gate: Window, what: str
+               ) -> dict[str, float]:
+    """D's certificate sup per seminorm over ``gate``; sups at or above
+    SMALLNESS_GATE are an input-contract error, ``what`` followed by the
+    failing sups and the failing k on the gate."""
+    sups = {lbl: D.sup_over(lbl, gate) for lbl in D.labels()}
+    bad = {lbl: s for lbl, s in sups.items() if s >= SMALLNESS_GATE}
+    if bad:
+        worst = np.max([D.certificate_array(lbl, gate) for lbl in bad], axis=0)
+        failing = [k for k, c in zip(gate, worst) if c >= SMALLNESS_GATE]
+        raise InputContractError(
+            f"{what} {bad} reach the gate {SMALLNESS_GATE}; failing k on the "
+            f"gate: {failing[:8]}")
+    return sups
 
 
 def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
-                 f: BiSequence, family: SeminormFamily | None = None,
-                 window=None) -> HeatProblem:
-    """Build and validate the heat instance on an n-point 1-D grid.
+                 f: BiSequence, family: SeminormFamily,
+                 window) -> HeatProblem:
+    """Build and validate the heat instance on an n-point 1-D grid, to be
+    solved on ``window``.
 
     Validation checks Re b(k) > 0 and the composite selection certificate
     on the gate window [window.start - 1, window.end + 1]; sups at or above
@@ -170,24 +157,22 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     generator D there itself, and evaluating A(k) checks Re b(k) there.
     """
     L = laplacian_1d(n, h)
-    family = family or difference_family(n)
     if family.dim != n:
         raise InputContractError(f"family dim {family.dim} vs grid {n}")
     if f.dim != n:
         raise InputContractError(f"forcing dim {f.dim} vs grid {n}")
-    window = as_window(window) if window is not None else Window(-64, 64)
-    gate = window.extended(left=1, right=1)
-    B, A, Ainv = _heat_operators(L, m, b, family)
+    window = as_window(window)
+    eye = np.eye(n)
+    B = _grid_operator(m, n, _multiplier(m, n, "multiplier m"), family=family)
+    a_stack = _shift(b, lambda shift: L - shift * eye)
+    A = _grid_operator(b, n, a_stack)
+    Ainv = _grid_operator(
+        b, n, lambda k0, vals: np.linalg.solve(a_stack(k0, vals), eye))
+    Ainv.cache = False  # read only by the rule of D = B Ainv
     D = compose_selection(B, Ainv, family)
-    sups = {lbl: D.sup_over(lbl, gate) for lbl in D.labels()}
-    bad = {lbl: s for lbl, s in sups.items() if s >= SMALLNESS_GATE}
-    if bad:
-        worst = np.max([D.certificate_array(lbl, gate) for lbl in bad], axis=0)
-        failing = [k for k, c in zip(gate, worst) if c >= SMALLNESS_GATE]
-        raise InputContractError(
-            f"multiplier is not small enough: certificate sups {bad} reach "
-            f"the gate {SMALLNESS_GATE}; failing k on the gate: {failing[:8]}")
-    return HeatProblem(laplacian=L, B=B, A=A, Ainv_C=Ainv, D=D, f=f,
+    sups = _gate_sups(D, window.extended(left=1, right=1),
+                      "multiplier is not small enough: certificate sups")
+    return HeatProblem(window=window, B=B, A=A, Ainv_C=Ainv, D=D, f=f,
                        family=family, certificate_sup=sups)
 
 
@@ -197,11 +182,12 @@ class WaveProblem:
     m2(k+2,.) u(k+2) + m1(k+1,.) u(k+1) = Lap u(k) - b(k) u(k) + f(k),
     rewritten with A2 = m2 multiplier, A1 = m1 multiplier,
     A0(k) = b(k) I - Lap and C = I.  ``D`` is the companion selection
-    whose certificates the builder validated; the solve reuses it.  It is
-    constant when m1, m2 and b are, and otherwise a generator whose window
-    rule is one stacked solve of A0 and one stacked block assembly."""
+    whose certificates the builder validated on ``window``; the solve
+    covers ``window`` and reuses D.  It is constant when m1, m2 and b are,
+    and otherwise a generator whose window rule is one stacked solve of A0
+    and one stacked block assembly."""
 
-    laplacian: GridLaplacian
+    window: Window
     A0: OperatorSequence
     A1: OperatorSequence
     A2: OperatorSequence
@@ -210,44 +196,34 @@ class WaveProblem:
     D: OperatorSequence
     certificate_sup: dict[str, float] = field(default_factory=dict)
 
-    def solve(self, window, tol: float = 1e-10, pad_right: int = 2
-              ) -> tuple[BiSequence, SolveReport]:
-        return solve_second_order(self.A0, self.A1, self.A2,
-                                  np.eye(self.laplacian.n), self.f, window,
-                                  tol=tol, family=self.family,
-                                  pad_right=pad_right, D=self.D)
+    def solve(self, tol: float = 1e-10) -> tuple[BiSequence, SolveReport]:
+        return solve_second_order(
+            self.A0, self.A1, self.A2, np.eye(self.family.dim), self.f,
+            self.window, tol=tol, family=self.family, D=self.D)
 
 
 def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
-                 b: BiSequence, f: BiSequence,
-                 family: SeminormFamily | None = None,
-                 window=None) -> WaveProblem:
-    """Build and validate the wave instance (same hypotheses as heat, with
-    the certificate of the order-2 selection on the lifted family, checked
-    on the gate window [window.start - 1, window.end + 2]).  Constant m1,
-    m2 and b give a constant selection, certified once with exact sups."""
+                 b: BiSequence, f: BiSequence, family: SeminormFamily,
+                 window) -> WaveProblem:
+    """Build and validate the wave instance, to be solved on ``window``
+    (same hypotheses as heat, with the certificate of the order-2
+    selection on the lifted family, checked on the gate window
+    [window.start - 1, window.end + 2]).  As for heat, evaluating A0(k)
+    checks Re b(k) wherever it is read.  Constant m1, m2 and b give a
+    constant selection, certified once with exact sups."""
     L = laplacian_1d(n, h)
-    family = family or difference_family(n)
     if family.dim != n or f.dim != n:
         raise InputContractError("family/forcing dimensions must match the grid")
-    window = as_window(window) if window is not None else Window(-64, 64)
-    gate = window.extended(left=1, right=2)
+    window = as_window(window)
     eye = np.eye(n)
-    _check_scalar(b, "shift b")
+    a0_stack = _shift(b, lambda shift: shift * eye - L)
     A1 = _grid_operator(m1, n, _multiplier(m1, n, "multiplier m1"))
     A2 = _grid_operator(m2, n, _multiplier(m2, n, "multiplier m2"))
-
-    if b.window_values(gate)[:, 0].real.min() <= 0:
-        raise InputContractError("Re b(k) must be positive on the gate window")
-    A0 = _grid_operator(
-        b, n, lambda k0, vals: vals[:, 0, None, None] * eye - L.matrix)
+    A0 = _grid_operator(b, n, a0_stack)
 
     D = second_order_selection(A0, A1, A2, eye, family)
-    sups = {lbl: D.sup_over(lbl, gate) for lbl in D.labels()}
-    bad = {lbl: s for lbl, s in sups.items() if s >= SMALLNESS_GATE}
-    if bad:
-        raise InputContractError(
-            f"wave multipliers are not small enough: combined certificate "
-            f"sups {bad} reach the gate {SMALLNESS_GATE}")
-    return WaveProblem(laplacian=L, A0=A0, A1=A1, A2=A2, f=f, family=family,
-                       D=D, certificate_sup=sups)
+    sups = _gate_sups(D, window.extended(left=1, right=2),
+                      "wave multipliers are not small enough: combined "
+                      "certificate sups")
+    return WaveProblem(window=window, A0=A0, A1=A1, A2=A2, f=f,
+                       family=family, D=D, certificate_sup=sups)

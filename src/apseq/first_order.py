@@ -239,10 +239,10 @@ def _truncation_depths(A: OperatorSequence, labels, sups: dict,
                                          for lbl, t in tails.items()}
 
 
-def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DEFAULT,
-                 pad_right: int = 1, *, backward: bool = False
+def solve_series(A: OperatorSequence, f: BiSequence, window,
+                 tol: float = TOL_DEFAULT, *, backward: bool = False
                  ) -> tuple[BiSequence, SolveReport]:
-    """Truncated series solution on ``window`` (table extends pad_right further).
+    """Truncated series solution on ``window``, tabled one k further right.
 
     Solves x(k+1) = A(k) x(k) + f(k), or with ``backward`` the equation
     x(k) = A(k) x(k+1) + f(k), in the caller's k.  Preconditions: every
@@ -255,18 +255,19 @@ def solve_series(A: OperatorSequence, f: BiSequence, window, tol: float = TOL_DE
     certificate product decay geometrically, so the bounded solution is
     unique: "certified".
     """
-    x, report, f_rows = _solve_series(A, f, window, tol, pad_right, backward)
+    x, report, f_rows = _solve_series(A, f, window, tol, 1, backward)
     report.max_residual = residual(A, f_rows, x, window, A.family, backward)
     return x, report
 
 
 def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
-                  pad_right: int, backward: bool
+                  extent: int, backward: bool
                   ) -> tuple[BiSequence, SolveReport, np.ndarray]:
     """solve_series without the residual, for callers that report the
-    residual of another equation; also returns f's rows on ``window``,
-    which the forcing probe read.  A generator A is derived once per probe
-    round where its certificates and an inclusion's g = -D f read it."""
+    residual of another equation, with the table ``extent`` k longer than
+    ``window`` on the right; also returns f's rows on ``window``, which the
+    forcing probe read.  A generator A is derived once per probe round
+    where its certificates and an inclusion's g = -D f read it."""
     window = as_window(window)
     if not 0 < tol < inf:
         raise InputContractError(f"tol must be a finite number > 0, got {tol}")
@@ -275,8 +276,7 @@ def _solve_series(A: OperatorSequence, f: BiSequence, window, tol: float,
     if f.dim != A.dim:
         raise InputContractError(f"forcing dim {f.dim} vs operator dim {A.dim}")
     family = A.family
-    # the table always extends one step right so the residual is measurable
-    work = window.extended(right=max(1, pad_right))
+    work = window.extended(right=extent)
     far, side = ("+inf", "right") if backward else ("-inf", "left")
 
     labels = [sn.label for sn in family]

@@ -170,15 +170,14 @@ def second_order_selection(A0: OperatorSequence, A1: OperatorSequence,
 def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
                        A2: OperatorSequence, C, f: BiSequence, window,
                        tol: float = 1e-10, *, family: SeminormFamily,
-                       pad_right: int = 2,
                        D: OperatorSequence | None = None
                        ) -> tuple[BiSequence, SolveReport]:
     """Solve C A_2(k+2) u(k+2) + C A_1(k+1) u(k+1) + A_0(k) u(k) = C f(k).
 
     Runs through the selection D of ``second_order_selection`` (or the
     given ``D``, built by it from the same coefficients); its certificate
-    sups must stay below 1.  The scalar-level residual of the order-2
-    equation is certified on the returned u.
+    sups must stay below 1.  The order-2 residual is certified on the
+    returned u, which holds the two k past the window that it reads.
     """
     C = as_matrix(C, A0.dim)
     if D is None:
@@ -201,7 +200,7 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
         return BiSequence.from_table(u_window.start, vec_u[:, :d])
 
     _, u, report = _solve_reduced(
-        D, vec_f, window, tol, pad_right, "second_order_direct",
+        D, vec_f, window, tol, "second_order_direct",
         lambda u, w, _: second_order_residual(A0, A1, A2, C, f, u, w,
                                               family),
         amplify=4.0 * amplification(family, C), reach=2, recover=recover)

@@ -62,31 +62,31 @@ def inverse_selection(A: OperatorSequence, C,
 
 
 def solve_inclusion(D: OperatorSequence, f: BiSequence, window,
-                    tol: float = 1e-10,
-                    pad_right: int = 1) -> tuple[BiSequence, SolveReport]:
+                    tol: float = 1e-10) -> tuple[BiSequence, SolveReport]:
     """Solve the inclusion through its selection D as the backward series
     of the equation x(k) = D(k) x(k+1) + g(k) with g = -D f.
 
-    Returns x on [window.start - 1, window.end + pad_right] (table backend)
-    with the selection-form residual x(k) - D(k) x(k+1) + D(k) f(k) measured
+    Returns x on [window.start - 1, window.end + 1] (table backend) with
+    the selection-form residual x(k) - D(k) x(k+1) + D(k) f(k) measured
     over the requested window, from the rows of g the solve read.
     """
     _, x, report = _solve_reduced(
-        D, f, window, tol, pad_right, "inclusion_selection",
+        D, f, window, tol, "inclusion_selection",
         lambda x, w, g_rows: inclusion_residual(D, f, x, w, D.family, g_rows))
     return x, report
 
 
 def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
-                   pad_right: int, form: str, residual, amplify: float = 1.0,
+                   form: str, residual, amplify: float = 1.0,
                    reach: int = 1, recover=None
                    ) -> tuple[BiSequence, BiSequence, SolveReport]:
     """(v, u, report) of an equation reduced to the inclusion with
     selection D and forcing f: v solved at tol / ``amplify``, the
     reduction's residual amplification; u = ``recover(v, u_window,
     report)``, a window rule reading v one k right of u_window, or v
-    itself; u padded to the ``reach`` of its ``residual(u, window,
-    g_rows)``, which the report holds as max_residual under ``form``.
+    itself; u holds ``window`` and the ``reach`` k past it that its
+    ``residual(u, window, g_rows)`` reads, which the report holds as
+    max_residual under ``form``.
     g_rows are the rows of the reduced forcing g = -D f on the window, as
     the solve read them; ``_solve_series`` derives a generator D once per
     probe round where its certificates and g read it."""
@@ -95,15 +95,14 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
         raise InputContractError("selection operator carries no seminorm family")
     if f.dim != D.dim:
         raise InputContractError(f"forcing dim {f.dim} vs operator dim {D.dim}")
-    u_pad = max(reach, pad_right)
     g = BiSequence(D.dim,
                    lambda w: -D.apply_rows(w.start, f.window_values(w)))
     v, report, g_rows = _solve_series(
         D, g, window.extended(left=1), tol / amplify,
-        u_pad + (recover is not None), backward=True)
+        reach + (recover is not None), backward=True)
     report.window = (window.start, window.end)
     report.tol = tol
-    u = v if recover is None else recover(v, window.extended(right=u_pad),
+    u = v if recover is None else recover(v, window.extended(right=reach),
                                           report)
     report.residual_form = form
     report.max_residual = residual(u, window, g_rows[1:])
@@ -153,7 +152,7 @@ def _inverse_or_zero(w: Window, b: np.ndarray) -> np.ndarray:
 
 def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                         C, f: BiSequence, window, tol: float = 1e-10, *,
-                        A: OperatorSequence, pad_right: int = 1,
+                        A: OperatorSequence,
                         D: OperatorSequence | None = None
                         ) -> tuple[BiSequence, BiSequence, SolveReport]:
     """Solve C B(k+1) u(k+1) = A(k) u(k) + C f(k) via v(k) = B(k) u(k).
@@ -164,7 +163,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     is chosen automatically: u is recovered from v by inverting B, or,
     when some B(k) fails its condition check, through the selection
     u(k) = Ainv_C(k) (v(k+1) - f(k)).  The vb residual is certified
-    directly on u.
+    directly on u, which covers the window and the k right of it.
     """
     window = as_window(window)
     family = Ainv_C.family or B.family
@@ -205,7 +204,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
         return BiSequence._adopt_table(u_window.start, u_vals)
 
     return _solve_reduced(
-        D, f, window, tol, pad_right, "vb_direct",
+        D, f, window, tol, "vb_direct",
         lambda u, w, _: vb_residual(B, A, C, f, u, w, family),
         amplify=2.0 * amplification(family, C, products), recover=recover)
 
@@ -220,8 +219,8 @@ def vb_residual(B: OperatorSequence, A: OperatorSequence, C, f: BiSequence,
 
 def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
                          C, g: BiSequence, f: BiSequence, window,
-                         tol: float = 1e-10, *, A: OperatorSequence,
-                         pad_right: int = 1) -> tuple[BiSequence, SolveReport]:
+                         tol: float = 1e-10, *, A: OperatorSequence
+                         ) -> tuple[BiSequence, SolveReport]:
     """Solve B(k+1) C u(k+1) = A(k) u(k) + C g(k) via the inclusion with
     selection D(k) = [A(k)]^{-1} B(k+1) C and forcing f.
 
@@ -246,7 +245,7 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
 
     stacks = map(A.matrices, window_blocks(window))
     _, u, report = _solve_reduced(
-        Ainv_BC, f, window, tol, pad_right, "vb1_direct",
+        Ainv_BC, f, window, tol, "vb1_direct",
         lambda u, w, _: vb1_residual(B, A, C, g, u, w, family),
         amplify=2.0 * amplification(family, C, stacks))
     return u, report

@@ -882,6 +882,35 @@ def test_second_order_config_pads_its_table_for_the_omega_c_check(tmp_path):
     assert analysis["omega_c"]["defect"] <= 1e-12
 
 
+@pytest.mark.parametrize("omega", [1, 2, 3])
+def test_solve_window_reaches_one_k_short_of_the_omega_c_read(tmp_path,
+                                                              omega):
+    # the check reads x on [start, end + omega]; the solve covers
+    # [start, end + omega - 1] and its table the k past that, which its
+    # residual reads, and the written solution is that of the same config
+    # without the request
+    from apseq import cli
+    data = {
+        **MINIMAL_FIRST_ORDER,
+        "operators": {"A": {"backend": "periodic",
+                            "matrices": [[[[0.5, 0.1]]], [[[0.3, -0.2]]]]}},
+        "forcing": {"backend": "trig_poly",
+                    "terms": [{"frequency": 1.0, "coefficient": [[1.0, 0.5]]},
+                              {"frequency": 0.0, "coefficient": [[0.2, 0.0]]}]},
+    }
+    outs = []
+    for name, extra in (("plain", {}), ("checked", {"analysis": {
+            "omega_c": {"omega": omega, "c": [1.0, 0.0]}}})):
+        cfg = write_config(tmp_path, {**data, **extra}, f"{name}.json")
+        outs.append(tmp_path / name)
+        assert cli.main(["solve", "--config", str(cfg), "--out",
+                         str(outs[-1])]) == 0
+    report = json.loads((outs[1] / "report.json").read_text())
+    assert report["solve"]["window"] == [-20, 20 + omega - 1]
+    assert ((outs[1] / "solution.csv").read_bytes()
+            == (outs[0] / "solution.csv").read_bytes())
+
+
 def test_inclusion_growth_warning_reaches_the_report(tmp_path):
     # f(k) = 1.5^(k div 5) grows toward +inf, where the backward series
     # reads it
@@ -1178,12 +1207,12 @@ WEYL = {"l": 8, "s_range": [-10, 10]}
      "omega_c omega must be an integer, got 1.5"),
     ("analyze", {"bohr": {**BOHR, "L": 4.5}}, "bohr L must be an integer"),
     ("analyze", {"bohr": {**BOHR, "k_window": [-5.5, 5]}},
-     "window start must be an integer, got -5.5"),
+     "bohr k_window start must be an integer, got -5.5"),
     ("analyze", {"bohr": {**BOHR, "tau_range": [0, 10.5]}},
-     "window end must be an integer, got 10.5"),
+     "bohr tau_range end must be an integer, got 10.5"),
     ("analyze", {"weyl": {**WEYL, "l": 8.5}}, "weyl l must be an integer"),
     ("analyze", {"weyl": {**WEYL, "s_range": [-10, 10.5]}},
-     "window end must be an integer, got 10.5"),
+     "weyl s_range end must be an integer, got 10.5"),
     ("analyze", {"weyl": {**WEYL, "fit_N": 32.5}},
      "weyl fit_N must be an integer, got 32.5"),
     ("analyze", {"besicovitch": {"l_grid": [8, 16.5]}},

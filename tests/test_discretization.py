@@ -4,27 +4,27 @@ import pytest
 from apseq import (BiSequence, InputContractError, OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, Window, bohr_check,
                    omega_c_check, seq_axpy)
-from apseq.discretization import (difference_family, heat_problem,
-                                  laplacian_1d, wave_problem)
+from apseq.discretization import heat_problem, laplacian_1d, wave_problem
 from apseq.higher_order import build_B_from_D
 from apseq.resolvent import solve_degenerate_vb1
 
 
 def test_laplacian_1d_examples():
-    assert np.array_equal(laplacian_1d(1, 1.0).matrix, [[-2.0]])
+    assert np.array_equal(laplacian_1d(1, 1.0), [[-2.0]])
     L3 = laplacian_1d(3, 1.0)
-    eigs = np.sort(np.linalg.eigvalsh(L3.matrix.real))
+    assert not L3.flags.writeable
+    eigs = np.sort(np.linalg.eigvalsh(L3.real))
     expected = np.sort([-(2 - np.sqrt(2)), -2.0, -(2 + np.sqrt(2))])
     assert np.abs(eigs - expected).max() <= 1e-14
     L2 = laplacian_1d(2, 0.5)
-    assert np.array_equal(L2.matrix, 4.0 * np.array([[-2.0, 1.0],
-                                                     [1.0, -2.0]]))
+    assert np.array_equal(L2, 4.0 * np.array([[-2.0, 1.0],
+                                              [1.0, -2.0]]))
 
 
 def test_laplacian_1d_closed_form_spectrum():
     n, h = 7, 0.3
     L = laplacian_1d(n, h)
-    eigs = np.sort(np.linalg.eigvalsh(L.matrix.real))
+    eigs = np.sort(np.linalg.eigvalsh(L.real))
     js = np.arange(1, n + 1)
     expected = np.sort(-(2 - 2 * np.cos(js * np.pi / (n + 1))) / h ** 2)
     assert np.abs(eigs - expected).max() <= 1e-11
@@ -32,8 +32,8 @@ def test_laplacian_1d_closed_form_spectrum():
 
 def resolvent(L, b):
     """(b I - Lap)^{-1} by a dense solve."""
-    eye = np.eye(L.n)
-    return np.linalg.solve(b * eye - L.matrix, eye)
+    eye = np.eye(len(L))
+    return np.linalg.solve(b * eye - L, eye)
 
 
 def test_resolvent_norm_example_n3():
@@ -54,6 +54,12 @@ def test_resolvent_bound_random_b(rng):
             assert measured <= 1.0 / b.real + 1e-12
 
 
+def grid_family(n):
+    """Grid sup norm plus first- and second-difference sup seminorms."""
+    return SeminormFamily.of([Seminorm.sup(), Seminorm.first_difference(),
+                              Seminorm.second_difference()], n)
+
+
 def grid_forcing(n):
     prof = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
     return BiSequence.from_trig_poly(TrigPoly.of(
@@ -66,11 +72,12 @@ def test_heat_zero_multiplier_static_elliptic_solve():
     L = laplacian_1d(n, 1.0)
     f = grid_forcing(n)
     hp = heat_problem(n, 1.0, BiSequence.constant([0.0]),
-                      BiSequence.constant([3.0]), f, window=(-10, 10))
-    v, u, rep = hp.solve((-10, 10), tol=1e-10)
+                      BiSequence.constant([3.0]), f, family=grid_family(n),
+                      window=(-10, 10))
+    v, u, rep = hp.solve(tol=1e-10)
     for k in (-10, -3, 0, 7):
         assert np.abs(v(k)).max() == 0.0
-        direct = np.linalg.solve(3.0 * np.eye(n) - L.matrix, f(k))
+        direct = np.linalg.solve(3.0 * np.eye(n) - L, f(k))
         assert np.abs(u(k) - direct).max() <= 1e-12
     assert any("selection" in w for w in rep.warnings)
 
@@ -79,8 +86,8 @@ def test_heat_zero_forcing():
     n = 4
     hp = heat_problem(n, 1.0, BiSequence.constant([0.1]),
                       BiSequence.constant([2.0]), BiSequence.zeros(n),
-                      window=(-6, 6))
-    _, u, _ = hp.solve((-6, 6))
+                      family=grid_family(n), window=(-6, 6))
+    _, u, _ = hp.solve()
     assert all(np.abs(u(k)).max() == 0.0 for k in range(-6, 7))
 
 
@@ -92,7 +99,8 @@ def test_heat_rejects_nonpositive_re_b_on_the_probe():
     with pytest.raises(InputContractError,
                        match=r"Re b\(-11\) = -1\.0 is not positive"):
         heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
-                     BiSequence.zeros(4), window=(-10, 10))
+                     BiSequence.zeros(4), family=grid_family(4),
+                     window=(-10, 10))
 
 
 def test_heat_reads_b_only_where_build_and_solve_read_it():
@@ -101,8 +109,9 @@ def test_heat_reads_b_only_where_build_and_solve_read_it():
     b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0,
                  BiSequence.spike(-60, [-4.0]))
     hp = heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
-                      BiSequence.zeros(4), window=(-10, 10))
-    _, u, _ = hp.solve((-10, 10))
+                      BiSequence.zeros(4), family=grid_family(4),
+                      window=(-10, 10))
+    _, u, _ = hp.solve()
     assert all(np.abs(u(k)).max() == 0.0 for k in range(-10, 11))
 
 
@@ -118,7 +127,8 @@ def test_heat_reports_the_first_nonpositive_re_b(per_k):
     with pytest.raises(InputContractError,
                        match=r"Re b\(-8\) = -1\.0 is not positive"):
         heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
-                     BiSequence.zeros(4), window=(-10, 10))
+                     BiSequence.zeros(4), family=grid_family(4),
+                     window=(-10, 10))
 
 
 def test_heat_window_rules_match_per_k_generators():
@@ -133,14 +143,15 @@ def test_heat_window_rules_match_per_k_generators():
     f = grid_forcing(n)
     runs = []
     for per_k in (False, True):
-        hp = heat_problem(n, 1.0, m, b, f, window=(-30, 30))
+        hp = heat_problem(n, 1.0, m, b, f, family=grid_family(n),
+                          window=(-30, 30))
         ops = (hp.B, hp.A, hp.Ainv_C, hp.D)
         assert {op.backend for op in ops} == {"generator"}
         if per_k:
             for op in ops:
                 for k in range(60, -80, -1):
                     op.matrix(k)
-        _, u, rep = hp.solve((-30, 30), tol=1e-10)
+        _, u, rep = hp.solve(tol=1e-10)
         runs.append((hp.certificate_sup, rep.truncation_V,
                      u.window_values((-30, 30)).tobytes(),
                      [op.matrices(Window(-79, 60)).tobytes() for op in ops]))
@@ -154,8 +165,9 @@ def test_heat_ap_data_residual_and_bohr():
         [(0.0, [3.0]), (1.0, [-0.5j]), (-1.0, [0.5j])]))  # 3 + sin k
     f = grid_forcing(n)
     # the Bohr scan below consumes u on k_window + tau_range + L
-    hp = heat_problem(n, 1.0, m, b, f, window=(-80, 120))
-    v, u, rep = hp.solve((-80, 120), tol=1e-10)
+    hp = heat_problem(n, 1.0, m, b, f, family=grid_family(n),
+                      window=(-80, 120))
+    v, u, rep = hp.solve(tol=1e-10)
     assert rep.residual_form == "vb_direct"
     assert max(rep.max_residual.values()) <= 1e-9
     assert all(s < 0.9 for s in hp.certificate_sup.values())
@@ -175,9 +187,9 @@ def test_heat_periodic_data_is_periodic():
     b = BiSequence.omega_c([[2.0], [3.0], [2.5]], omega, 1.0)
     base = np.outer([1.0, 0.5, -0.25], np.ones(n))
     f = BiSequence.omega_c(base, omega, 1.0)
-    hp = heat_problem(n, 1.0, m, b, f, window=(-12, 12))
-    _, u, _ = hp.solve((-12, 12), tol=1e-10)
-    fam = difference_family(n)
+    hp = heat_problem(n, 1.0, m, b, f, family=grid_family(n), window=(-12, 12))
+    _, u, _ = hp.solve(tol=1e-10)
+    fam = hp.family
     assert omega_c_check(u, omega, 1.0, fam, (-12, 10)) <= 2e-10
 
 
@@ -189,12 +201,12 @@ def test_heat_family_does_not_change_solution():
     b = BiSequence.constant([3.0])
     f = grid_forcing(n)
     tol = 1e-10
-    hp_full = heat_problem(n, 1.0, m, b, f, family=difference_family(n),
+    hp_full = heat_problem(n, 1.0, m, b, f, family=grid_family(n),
                            window=(-8, 8))
     hp_sup = heat_problem(n, 1.0, m, b, f, family=SeminormFamily.sup_only(n),
                           window=(-8, 8))
-    _, u1, _ = hp_full.solve((-8, 8), tol=tol)
-    _, u2, _ = hp_sup.solve((-8, 8), tol=tol)
+    _, u1, _ = hp_full.solve(tol=tol)
+    _, u2, _ = hp_sup.solve(tol=tol)
     worst = max(np.abs(u1(k) - u2(k)).max() for k in range(-8, 9))
     assert worst <= 2 * tol
 
@@ -204,11 +216,44 @@ def test_heat_rejects_bad_shift_or_large_multiplier():
     f = BiSequence.zeros(n)
     with pytest.raises(InputContractError):
         heat_problem(n, 1.0, BiSequence.constant([0.1]),
-                     BiSequence.constant([-1.0]), f, window=(-4, 4))
+                     BiSequence.constant([-1.0]), f, family=grid_family(n),
+                     window=(-4, 4))
     with pytest.raises(InputContractError):
         # multiplier so large the composite certificate reaches the gate
         heat_problem(n, 1.0, BiSequence.constant([10.0]),
-                     BiSequence.constant([2.0]), f, window=(-4, 4))
+                     BiSequence.constant([2.0]), f, family=grid_family(n),
+                     window=(-4, 4))
+
+
+@pytest.mark.parametrize("k", [-11, 13])
+def test_wave_rejects_nonpositive_re_b_as_heat_does(k):
+    # b = 3 except b(k) = -1.  k = -11 lies on the gate window [-11, 12],
+    # which the build reads; k = 13 lies right of it, where only the solve
+    # reads A0.  Either way evaluating A0(k) names k, as heat's A(k) does,
+    # rather than failing on a certificate sup of the selection
+    n = 4
+    b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0,
+                 BiSequence.spike(k, [-4.0]))
+    with pytest.raises(InputContractError,
+                       match=rf"Re b\({k}\) = -1\.0 is not positive"):
+        wave_problem(n, 1.0, BiSequence.constant([0.05]),
+                     BiSequence.constant([0.05]), b,
+                     BiSequence.constant(np.ones(n)), family=grid_family(n),
+                     window=(-10, 10)).solve()
+
+
+def test_wave_gate_names_the_failing_k():
+    # m2(3) = 0.95 puts A2(3) in the selection D(2), whose certificate
+    # max(c1 + c2, c3) then reaches the gate
+    n = 4
+    m2 = seq_axpy(1.0, BiSequence.constant([0.05]), 1.0,
+                  BiSequence.spike(3, [0.9]))
+    with pytest.raises(InputContractError,
+                       match=r"reach the gate 0\.9; failing k on the gate: "
+                             r"\[2\]$"):
+        wave_problem(n, 1.0, BiSequence.constant([0.05]), m2,
+                     BiSequence.constant([3.0]), BiSequence.zeros(n),
+                     family=grid_family(n), window=(-10, 10))
 
 
 def test_wave_trivial_and_constant_fixed_point():
@@ -217,17 +262,17 @@ def test_wave_trivial_and_constant_fixed_point():
     zero = BiSequence.zeros(n)
     wp = wave_problem(n, 1.0, BiSequence.constant([0.0]),
                       BiSequence.constant([0.0]), BiSequence.constant([3.0]),
-                      zero, window=(-6, 6))
-    u, _ = wp.solve((-6, 6))
+                      zero, family=grid_family(n), window=(-6, 6))
+    u, _ = wp.solve()
     assert all(np.abs(u(k)).max() == 0.0 for k in range(-6, 7))
 
     ones = BiSequence.constant(np.ones(n))
     wp2 = wave_problem(n, 1.0, BiSequence.constant([0.05]),
                        BiSequence.constant([0.05]), BiSequence.constant([3.0]),
-                       ones, window=(-6, 6))
-    u2, rep2 = wp2.solve((-6, 6), tol=1e-10)
+                       ones, family=grid_family(n), window=(-6, 6))
+    u2, rep2 = wp2.solve(tol=1e-10)
     # constant fixed point: (m1 + m2 + b) u - Lap u = f, dense solve oracle
-    expected = np.linalg.solve(3.1 * np.eye(n) - L.matrix, np.ones(n))
+    expected = np.linalg.solve(3.1 * np.eye(n) - L, np.ones(n))
     assert np.abs(np.asarray(u2(0)) - expected).max() <= 1e-9
     assert max(rep2.max_residual.values()) <= 3e-10 * (
         1 + max(wp2.certificate_sup.values()))
@@ -239,10 +284,10 @@ def test_wave_static_elliptic_when_multipliers_vanish():
     f = grid_forcing(n)
     wp = wave_problem(n, 1.0, BiSequence.constant([0.0]),
                       BiSequence.constant([0.0]), BiSequence.constant([2.0]),
-                      f, window=(-5, 5))
-    u, _ = wp.solve((-5, 5), tol=1e-11)
+                      f, family=grid_family(n), window=(-5, 5))
+    u, _ = wp.solve(tol=1e-11)
     for k in (-4, 0, 3):
-        direct = np.linalg.solve(2.0 * np.eye(n) - L.matrix, f(k))
+        direct = np.linalg.solve(2.0 * np.eye(n) - L, f(k))
         assert np.abs(u(k) - direct).max() <= 1e-10
 
 
@@ -256,7 +301,7 @@ def test_resolvent_block_selection_and_system_solve(rng):
     D = OperatorSequence.constant(
         np.kron(np.ones((p, p)), resolvent(L, 16.0 * p * p)),
         family=fam.lifted(p))
-    A_blocks = np.kron(np.eye(p), 2.0 * np.eye(n) - L.matrix)
+    A_blocks = np.kron(np.eye(p), 2.0 * np.eye(n) - L)
     A = OperatorSequence.constant(A_blocks)
     B, warnings = build_B_from_D(A, D, p, base_family=fam, window=(-2, 2))
     assert not warnings  # sum of block resolvent norms <= 1/(2 p^2)
@@ -276,8 +321,8 @@ def test_heat_grid_varying_multiplier(rng):
     b = BiSequence.from_trig_poly(TrigPoly.of(
         [(0.0, [3.0]), (1.0, [-0.5j]), (-1.0, [0.5j])]))
     f = grid_forcing(n)
-    hp = heat_problem(n, 1.0, m, b, f, window=(-15, 15))
-    v, u, rep = hp.solve((-15, 15), tol=1e-10)
+    hp = heat_problem(n, 1.0, m, b, f, family=grid_family(n), window=(-15, 15))
+    v, u, rep = hp.solve(tol=1e-10)
     assert max(rep.max_residual.values()) <= 1e-9
     # sampled soundness of the composite selection certificates
     from apseq.resolvent import compose_selection
@@ -313,7 +358,7 @@ def test_heat_sup_covers_every_certificate_the_solve_multiplies():
     b = BiSequence.from_trig_poly(TrigPoly.of(
         [(0.0, [3.0]), (1.0, [-0.5j]), (-1.0, [0.5j])]))
     hp = heat_problem(n, 1.0, BiSequence.constant([0.1]), b, grid_forcing(n),
-                      window=(-20, 20))
+                      family=grid_family(n), window=(-20, 20))
     read = []
     certificate_array = hp.D.certificate_array
 
@@ -323,7 +368,7 @@ def test_heat_sup_covers_every_certificate_the_solve_multiplies():
         return cs
 
     hp.D.certificate_array = recording
-    _, _, rep = hp.solve((-20, 20), tol=1e-10)
+    _, _, rep = hp.solve(tol=1e-10)
     assert rep.uniqueness == "not certified"
     lo, hi = rep.sup_probe
     assert (lo, hi) == (min(k for _, k, _ in read), max(k for _, k, _ in read))
@@ -336,14 +381,14 @@ def test_constant_grid_data_certify_uniqueness():
     n = 5
     hp = heat_problem(n, 1.0, BiSequence.constant([0.1]),
                       BiSequence.constant([3.0]), grid_forcing(n),
-                      window=(-8, 8))
-    _, _, rep = hp.solve((-8, 8), tol=1e-10)
+                      family=grid_family(n), window=(-8, 8))
+    _, _, rep = hp.solve(tol=1e-10)
     assert rep.uniqueness == "certified" and rep.sup_probe is None
     assert rep.sup_certificates == hp.certificate_sup
     wp = wave_problem(n, 1.0, BiSequence.constant([0.05]),
                       BiSequence.constant([0.05]), BiSequence.constant([3.0]),
-                      grid_forcing(n), window=(-8, 8))
-    _, rep = wp.solve((-8, 8), tol=1e-10)
+                      grid_forcing(n), family=grid_family(n), window=(-8, 8))
+    _, rep = wp.solve(tol=1e-10)
     assert rep.uniqueness == "certified" and rep.sup_probe is None
 
 
@@ -364,8 +409,8 @@ def test_heat_solve_derives_each_certificate_of_D_once(monkeypatch):
     b = BiSequence.from_trig_poly(TrigPoly.of(
         [(0.0, [3.0]), (1.0, [-0.5j]), (-1.0, [0.5j])]))
     hp = heat_problem(n, 1.0, BiSequence.constant([0.1]), b, grid_forcing(n),
-                      window=(-20, 20))
-    _, _, rep = hp.solve((-20, 20), tol=1e-10)
+                      family=grid_family(n), window=(-20, 20))
+    _, _, rep = hp.solve(tol=1e-10)
     assert hp.D.backend == "generator" and hp.B.backend == "constant"
     derived = hp.D._cert_cache
     assert counts == {lbl: 1 + len(derived) for lbl in hp.D.labels()}
@@ -386,10 +431,11 @@ def test_canned_wave_sup_is_the_induced_bound_of_its_selection():
         return cfg.sequence(cfg.sequences[name], dim=1)
 
     wp = wave_problem(n, 1.0, seq("m1"), seq("m2"), seq("b"),
-                      cfg.sequence(cfg.forcing), window=cfg.window)
+                      cfg.sequence(cfg.forcing), family=cfg.family(n),
+                      window=cfg.window)
     # D(0) = [[-m1 G, m2 I], [-G, 0]] with G = (3 I - Lap)^{-1}
     eye = np.eye(n)
-    G = np.linalg.solve(3.0 * eye - laplacian_1d(n, 1.0).matrix, eye)
+    G = np.linalg.solve(3.0 * eye - laplacian_1d(n, 1.0), eye)
     D0 = wp.D.matrix(0)
     assert np.abs(D0 - np.block([[-0.05 * G, 0.05 * eye],
                                  [-G, 0 * eye]])).max() <= 1e-15

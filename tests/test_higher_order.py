@@ -220,8 +220,10 @@ def test_second_order_omega_c_transfer(omega, c, rng):
     A2 = OperatorSequence.periodic(mats2)
     base = rng.standard_normal((omega, 1)) + 1j * rng.standard_normal((omega, 1))
     f = BiSequence.omega_c(base, omega, c)
-    u, _ = solve_second_order(A0, A1, A2, [[1.0]], f, (-9, 9), tol=1e-10,
-                              family=fam, pad_right=omega)
+    # the check reads u on [-9, 9 + omega]; u covers at least one k past
+    # the window it solves
+    u, _ = solve_second_order(A0, A1, A2, [[1.0]], f, (-9, 9 + omega - 1),
+                              tol=1e-10, family=fam)
     assert omega_c_check(u, omega, c, fam, (-9, 9)) <= 2e-10
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apseq import (BiSequence, InputContractError, OperatorSequence,
-                   SeminormFamily, TrigPoly, Window,
+                   RangeError, SeminormFamily, TrigPoly, Window,
                    forward_oracle, inclusion_residual, omega_c_check,
                    solve_degenerate_vb, solve_degenerate_vb1, solve_inclusion)
 from apseq.operator_model import induced_bound
@@ -159,7 +159,7 @@ def test_vb_u_recovery_is_the_per_k_inverse_bit_for_bit(backend, rng):
 
 @pytest.mark.parametrize("kind", ["vb", "vb1", "second_order"])
 def test_reductions_pad_u_to_their_residuals_reach(kind):
-    # pad_right=0 still leaves u the k past the window its residual reads:
+    # u covers the k past the window that its residual reads, and no more:
     # one for vb and vb1, two for order 2.  Each u is the constant
     # solution of a scalar equation with C = 1 and f = 1.
     from apseq import solve_second_order
@@ -170,22 +170,22 @@ def test_reductions_pad_u_to_their_residuals_reach(kind):
     window, one = (-5, 5), BiSequence.constant([1.0])
     if kind == "vb":
         _, u, rep = solve_degenerate_vb(const(0.4, FAM1), const(1.0, FAM1),
-                                        [[1.0]], one, window, A=const(1.0),
-                                        pad_right=0)
+                                        [[1.0]], one, window, A=const(1.0))
         want, reach = -1.0 / 0.6, 1
     elif kind == "vb1":
         u, rep = solve_degenerate_vb1(const(0.4), const(0.4, FAM1), [[1.0]],
                                       one, BiSequence.constant([2.5]),
-                                      window, A=const(1.0), pad_right=0)
+                                      window, A=const(1.0))
         want, reach = -1.0 / 0.6, 1
     else:
         u, rep = solve_second_order(const(-8.0), const(1.0), const(0.125),
-                                    [[1.0]], one, window, family=FAM1,
-                                    pad_right=0)
+                                    [[1.0]], one, window, family=FAM1)
         want, reach = 1.0 / (0.125 + 1.0 - 8.0), 2
     vals = u.window_values((-5, 5 + reach))
     assert np.abs(vals - want).max() <= 1e-9
     assert rep.max_residual["sup"] <= 1e-9
+    with pytest.raises(RangeError):
+        u(5 + reach + 1)
 
 
 def test_vb1_identity_B_with_matching_g_reduces_to_inclusion(rng):
@@ -248,7 +248,9 @@ def test_inclusion_omega_c_transfer(omega, c, rng):
     sel = D
     base = rng.standard_normal((omega, 2)) + 1j * rng.standard_normal((omega, 2))
     f = BiSequence.omega_c(base, omega, c)
-    x, _ = solve_inclusion(sel, f, (-10, 10), tol=1e-10, pad_right=omega)
+    # the check reads x on [-10, 10 + omega]; the table holds one k past
+    # the window it solves
+    x, _ = solve_inclusion(sel, f, (-10, 10 + omega - 1), tol=1e-10)
     assert omega_c_check(x, omega, c, fam, (-10, 10)) <= 2e-10
 
 
