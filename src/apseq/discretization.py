@@ -19,13 +19,14 @@ import numpy as np
 from .errors import InputContractError
 from .first_order import SolveReport
 from .higher_order import second_order_selection, solve_second_order
-from .operator_model import Matrix, OperatorSequence
+from .operator_model import Matrix, OperatorSequence, real_or_complex
 from .resolvent import compose_selection, solve_degenerate_vb
 from .seq_core import BiSequence, SeminormFamily, Window, as_window
 
 
 def laplacian_1d(n: int, h: float) -> Matrix:
-    """Tridiagonal (1, -2, 1)/h^2 with Dirichlet truncation, read-only."""
+    """Tridiagonal (1, -2, 1)/h^2 with Dirichlet truncation, read-only
+    float64."""
     if n < 1:
         raise InputContractError("need at least one interior point")
     if not 0 < h < np.inf:
@@ -36,7 +37,7 @@ def laplacian_1d(n: int, h: float) -> Matrix:
         raise InputContractError(
             f"grid spacing h = {h} is out of range: the Laplacian's entries "
             f"1/h^2 and -2/h^2 must be finite and nonzero")
-    m = np.diag(np.full(n, -2.0 + 0j))
+    m = np.diag(np.full(n, -2.0))
     i = np.arange(n - 1)
     m[i, i + 1] = m[i + 1, i] = 1.0
     m /= h * h
@@ -60,14 +61,15 @@ def _grid_operator(seq: BiSequence, size: int, build,
 
 def _multiplier(seq: BiSequence, size: int, what: str):
     """``_grid_operator`` rule for diag(seq(k)); dim 1 broadcasts to the
-    grid."""
+    grid, and a window of real values gives a float64 stack."""
     if seq.dim not in (1, size):
         raise InputContractError(f"{what} must have dim 1 or {size}, "
                                  f"got {seq.dim}")
     diag = np.arange(size)
 
     def build(k0: int, vals: np.ndarray) -> np.ndarray:
-        out = np.zeros((vals.shape[0], size, size), dtype=np.complex128)
+        vals = real_or_complex(vals)
+        out = np.zeros((vals.shape[0], size, size), dtype=vals.dtype)
         out[:, diag, diag] = vals
         return out
 
@@ -76,8 +78,9 @@ def _multiplier(seq: BiSequence, size: int, what: str):
 
 def _shift(b: BiSequence, rule):
     """``_grid_operator`` rule ``rule(shift)`` over the scalar shift b, with
-    shift its values as a (len, 1, 1) stack; Re b(k) <= 0 is an
-    input-contract error naming the first such k wherever b is read."""
+    shift its values as a (len, 1, 1) stack, float64 where they are real;
+    Re b(k) <= 0 is an input-contract error naming the first such k
+    wherever b is read."""
     if b.dim != 1:
         raise InputContractError("shift b must be a scalar sequence")
 
@@ -87,7 +90,7 @@ def _shift(b: BiSequence, rule):
         if bad.size:
             raise InputContractError(f"Re b({k0 + int(bad[0])}) = "
                                      f"{float(re[bad[0]])} is not positive")
-        return rule(vals[:, 0, None, None])
+        return rule(real_or_complex(vals[:, 0, None, None]))
 
     return build
 
@@ -101,11 +104,14 @@ class HeatProblem:
     certificate per seminorm is the induced bound of D(k) = B(k) Ainv_C(k).
     B is a constant sequence when m is constant, and A and Ainv_C when b
     is; otherwise they are generators whose matrices come a window at a
-    time (Ainv_C as one stacked solve of Lap - b(k) I per block, read
-    through by D's rule and not cached).  ``D`` is the composite selection
-    whose certificates ``heat_problem`` validated on ``window``, one
-    stacked product B Ainv_C per window; the solve covers ``window``,
-    reuses D, and derives B(k)^{-1} the same way, as a window rule over B.
+    time (Ainv_C as one stacked solve of A's stack per block, read through
+    by D's rule and not cached, so A(k) is built once per k and cached for
+    the residual).  ``D`` is the composite selection whose certificates
+    ``heat_problem`` validated on ``window``, one stacked product B Ainv_C
+    per window; the solve covers ``window``, reuses D, and derives
+    B(k)^{-1} the same way, as a window rule over B.  Real m and b give
+    float64 stacks, which are certified, solved and multiplied in real
+    arithmetic; complex ones keep complex128.
     """
 
     window: Window
@@ -155,6 +161,8 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     Constant m and b are certified once, with exact sups.  The solve reads
     D further right, up to its truncation depth, takes the sup of a
     generator D there itself, and evaluating A(k) checks Re b(k) there.
+    The resolvent Ainv_C is a window rule over A; B, A, Ainv_C and D hold
+    float64 matrices where m and b have no imaginary part.
     """
     L = laplacian_1d(n, h)
     if family.dim != n:
@@ -164,10 +172,8 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     window = as_window(window)
     eye = np.eye(n)
     B = _grid_operator(m, n, _multiplier(m, n, "multiplier m"), family=family)
-    a_stack = _shift(b, lambda shift: L - shift * eye)
-    A = _grid_operator(b, n, a_stack)
-    Ainv = _grid_operator(
-        b, n, lambda k0, vals: np.linalg.solve(a_stack(k0, vals), eye))
+    A = _grid_operator(b, n, _shift(b, lambda shift: L - shift * eye))
+    Ainv = OperatorSequence.map(lambda w, a: np.linalg.solve(a, eye), A)
     Ainv.cache = False  # read only by the rule of D = B Ainv
     D = compose_selection(B, Ainv, family)
     sups = _gate_sups(D, window.extended(left=1, right=1),

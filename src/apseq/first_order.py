@@ -32,13 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from math import ceil, inf, log
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConvergencePreconditionError, InputContractError,
                      NumericError)
-from .operator_model import OperatorSequence
+from .operator_model import OperatorSequence, complex_stack
 from .seq_core import (BiSequence, PerK, Record, SeminormFamily, Window,
                        as_vector, as_window)
 
@@ -97,23 +98,25 @@ def _apply_level(A: OperatorSequence, f_rows: np.ndarray, start: int,
     run-in, and each state overwrites the row that held its forcing, as
     f(k) + A(k) x (IEEE addition commutes, so the state has the bits of
     A(k) x + f(k)).  A constant or periodic A is read once per distinct
-    matrix.  A state that overflows is kept as it comes out, inf or nan,
-    for the caller to reject."""
+    matrix and a generator once per run, each cast to complex128 once, so
+    a real A steps with the bits of the same A held complex.  A state that
+    overflows is kept as it comes out, inf or nan, for the caller to
+    reject."""
     n = len(f_rows)
     if backward:
-        ks = range(start + n - 1, start - 1, -1)
         table, run_in = f_rows[:keep].copy(), f_rows[keep:].copy()
         rows = chain(run_in[::-1], table[::-1])
     else:
-        ks = range(start, start + n)
         run_in, table = f_rows[:n - keep].copy(), f_rows[n - keep:].copy()
         rows = chain(run_in, table)
     p = A.period
     if p is None:
-        mats = map(A.matrix, ks)
+        mats = _stepped_matrices(A, Window(start, start + n - 1), backward)
     else:
-        distinct = [A.matrix(r) for r in range(p)]
-        mats = [distinct[k % p] for k in ks]
+        distinct = [A.matrix(r).astype(np.complex128, copy=False)
+                    for r in range(p)]
+        ks = range(start, start + n)
+        mats = [distinct[k % p] for k in (ks[::-1] if backward else ks)]
     x = np.zeros(A.dim, dtype=np.complex128)
     ax = np.empty(A.dim, dtype=np.complex128)
     # the ufuncs with their outputs passed positionally: each call is most
@@ -125,6 +128,17 @@ def _apply_level(A: OperatorSequence, f_rows: np.ndarray, start: int,
             add(row, ax, row)
             x = row
     return table
+
+
+def _stepped_matrices(A: OperatorSequence, window: Window,
+                      backward: bool) -> Iterator[np.ndarray]:
+    """A generator's A(k) over ``window`` in the order the sweep steps
+    through them, read run by run; a real run is cast to complex128 once,
+    so each step multiplies as with a complex A."""
+    runs = A.runs(window)
+    for _, stack in (runs[::-1] if backward else runs):
+        stack = complex_stack(stack)
+        yield from (stack[::-1] if backward else stack)
 
 
 def _probe_forcing(f: BiSequence, probe: Window, family: SeminormFamily,

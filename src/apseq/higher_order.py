@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InputContractError, ShapeError
 from .first_order import SolveReport, linear_residual
 from .operator_model import (Matrix, OperatorSequence, as_matrix,
-                             induced_bound, window_blocks)
+                             complex_stack, induced_bound, window_blocks)
 from .resolvent import _solve_reduced, amplification, inverse_selection
 from .seq_core import BiSequence, SeminormFamily, as_window
 
@@ -194,15 +194,16 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
         for w, stack in D.runs(u_window):
             head = vec_u[w.start - u_window.start:w.end - u_window.start + 1,
                          :d]
-            head[...] = (stack[:, d:, :d] @ head[..., None])[..., 0]
+            head[...] = (complex_stack(stack[:, d:, :d])
+                         @ head[..., None])[..., 0]
         report.extras["shift_consistency_defect"] = float(
             np.abs(vec_u[:-1, d:] - vec_u[1:, :d]).max())
         return BiSequence.from_table(u_window.start, vec_u[:, :d])
 
     _, u, report = _solve_reduced(
         D, vec_f, window, tol, "second_order_direct",
-        lambda u, w, _: second_order_residual(A0, A1, A2, C, f, u, w,
-                                              family),
+        lambda u, w, *_: second_order_residual(A0, A1, A2, C, f, u, w,
+                                               family),
         amplify=4.0 * amplification(family, C), reach=2, recover=recover)
     return u, report
 

@@ -31,6 +31,16 @@ All of these are sound upper bounds, so randomized soundness checks hold
 up to roundoff with no fudge factor.  They apply to stacks of matrices
 too: a generator derives the certificates of exactly the windows it is
 asked for, one stack per CERT_BLOCK-aligned run of k it has not cached.
+
+Matrices are float64 when every imaginary part is exactly zero and
+complex128 otherwise; ``real_or_complex`` alone decides, for ``as_matrix``,
+for each stack a window rule gives and for the grid builders.  Real data
+are then certified, solved and multiplied on one plane by numpy's dtype
+dispatch.  Their certificates have the bits of the same data held complex
+(l2 bounds a real stack by the complex SVD), and so do their products with
+complex vectors, for which numpy or ``complex_stack`` casts the stack; a
+real dense solve may differ from the complex one in the last bits.  Vectors, forcings and
+solution tables stay complex128.
 """
 
 from __future__ import annotations
@@ -45,7 +55,8 @@ from .errors import (CertificateError, InputContractError, NumericError,
                      ShapeError)
 from .seq_core import Seminorm, SeminormFamily, Vector, Window, as_window
 
-Matrix = np.ndarray  # (d, d) complex128
+#: (d, d) float64 when real, else complex128, as real_or_complex decides
+Matrix = np.ndarray
 
 #: condition estimates above this make a dense solve untrustworthy
 COND_LIMIT = 1e12
@@ -54,8 +65,31 @@ COND_LIMIT = 1e12
 CERT_BLOCK = 64
 
 
+def real_or_complex(a) -> np.ndarray:
+    """``a`` as float64 when every imaginary part is exactly zero, else as
+    complex128: the one place an operator's matrices get their dtype.  A
+    real stack meeting complex data is cast, which gives the bits of the
+    complex stack with zero imaginary parts."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and a.imag.any():
+        return a.astype(np.complex128, copy=False)
+    return np.ascontiguousarray(a.real, dtype=np.float64)
+
+
+def complex_stack(stack: np.ndarray) -> np.ndarray:
+    """``stack`` as complex128 for a stacked product with complex data,
+    with the bits of numpy's own cast; a constant's broadcast view stays a
+    view, of its one matrix cast once, where numpy would cast a copy per k.
+    """
+    if stack.dtype == np.complex128:
+        return stack
+    if stack.strides[0] == 0:
+        return np.broadcast_to(stack[0].astype(np.complex128), stack.shape)
+    return stack.astype(np.complex128)
+
+
 def as_matrix(m, dim: int | None = None) -> Matrix:
-    a = np.asarray(m, dtype=np.complex128)
+    a = real_or_complex(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
@@ -83,7 +117,10 @@ def induced_bound(matrix: Matrix, sn: Seminorm) -> float | np.ndarray:
         if sn.p == 1:
             return _bound(n1)
         if sn.p == 2:
-            return _bound(np.linalg.norm(matrix, 2, axis=(-2, -1)))
+            # a complex SVD also of a real stack: dgesvd and zgesvd differ
+            # in the last bits
+            return _bound(np.linalg.norm(
+                matrix.astype(np.complex128, copy=False), 2, axis=(-2, -1)))
         ninf = a.sum(axis=-1).max(axis=-1)
         # Python float powers: numpy's vectorized power rounds differently
         lp = np.vectorize(lambda x, y: float(x) ** (1.0 / sn.p)
@@ -99,8 +136,10 @@ def induced_bound(matrix: Matrix, sn: Seminorm) -> float | np.ndarray:
         real = _real_stencil(sn, d)
         if real is None:
             conj = (sn.stencil_matrix(d) @ matrix) @ s_inv
-        else:
+        elif np.iscomplexobj(matrix):
             conj = _real_conjugate(matrix, *real)
+        else:
+            conj = (real[0] @ matrix) @ real[1]
         return _bound(np.abs(conj).sum(axis=-1).max(axis=-1))
     if sn.kind == "block_sum":
         p = sn.blocks
@@ -340,7 +379,7 @@ class OperatorSequence:
 
     def _rule(self, w: Window) -> np.ndarray:
         """The window rule's read-only stack on ``w``, shape-checked."""
-        stack = np.asarray(self._window_fn(w), dtype=np.complex128)
+        stack = real_or_complex(self._window_fn(w))
         if stack.shape != (len(w), self.dim, self.dim):
             raise ShapeError(
                 f"window rule gave shape {stack.shape} for {len(w)} "

@@ -43,8 +43,8 @@ import numpy as np
 from .errors import InputContractError
 from .first_order import SolveReport, _solve_series, linear_residual
 from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
-                             checked_solve, induced_bound, well_conditioned,
-                             window_blocks)
+                             checked_solve, complex_stack, induced_bound,
+                             well_conditioned, window_blocks)
 from .seq_core import BiSequence, SeminormFamily, Window, as_window
 
 CONSISTENCY_TOL = 1e-10  # relative defect allowed in B(k+1) C f(k) = C g(k)
@@ -72,7 +72,8 @@ def solve_inclusion(D: OperatorSequence, f: BiSequence, window,
     """
     _, x, report = _solve_reduced(
         D, f, window, tol, "inclusion_selection",
-        lambda x, w, g_rows: inclusion_residual(D, f, x, w, D.family, g_rows))
+        lambda x, w, g_rows, _: inclusion_residual(D, f, x, w, D.family,
+                                                   g_rows))
     return x, report
 
 
@@ -85,18 +86,29 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
     reduction's residual amplification; u = ``recover(v, u_window,
     report)``, a window rule reading v one k right of u_window, or v
     itself; u holds ``window`` and the ``reach`` k past it that its
-    ``residual(u, window, g_rows)`` reads, which the report holds as
-    max_residual under ``form``.
-    g_rows are the rows of the reduced forcing g = -D f on the window, as
-    the solve read them; ``_solve_series`` derives a generator D once per
-    probe round where its certificates and g read it."""
+    ``residual(u, window, g_rows, f_rows)`` reads, which the report holds
+    as max_residual under ``form``.
+    g_rows and f_rows are the rows of the reduced forcing g = -D f and of
+    f on the window, as the solve read them: g's window rule keeps the f
+    rows it reads there, so f is read once.  ``_solve_series`` derives a
+    generator D once per probe round where its certificates and g read
+    it."""
     window = as_window(window)
     if D.family is None:
         raise InputContractError("selection operator carries no seminorm family")
     if f.dim != D.dim:
         raise InputContractError(f"forcing dim {f.dim} vs operator dim {D.dim}")
-    g = BiSequence(D.dim,
-                   lambda w: -D.apply_rows(w.start, f.window_values(w)))
+    f_rows = np.empty((len(window), f.dim), dtype=np.complex128)
+
+    def g_rule(w: Window) -> np.ndarray:
+        vals = f.window_values(w)
+        lo, hi = max(w.start, window.start), min(w.end, window.end)
+        if lo <= hi:
+            f_rows[lo - window.start:hi - window.start + 1] = \
+                vals[lo - w.start:hi - w.start + 1]
+        return -D.apply_rows(w.start, vals)
+
+    g = BiSequence(D.dim, g_rule)
     v, report, g_rows = _solve_series(
         D, g, window.extended(left=1), tol / amplify,
         reach + (recover is not None), backward=True)
@@ -105,7 +117,7 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
     u = v if recover is None else recover(v, window.extended(right=reach),
                                           report)
     report.residual_form = form
-    report.max_residual = residual(u, window, g_rows[1:])
+    report.max_residual = residual(u, window, g_rows[1:], f_rows)
     return v, u, report
 
 
@@ -145,7 +157,7 @@ def _inverse_or_zero(w: Window, b: np.ndarray) -> np.ndarray:
     condition check; a true inverse is never zero, so zero marks the
     failure."""
     _, ok = well_conditioned(b)
-    out = np.zeros(b.shape, dtype=np.complex128)
+    out = np.zeros_like(b)
     out[ok] = np.linalg.solve(b[ok], np.eye(b.shape[-1]))
     return out
 
@@ -181,7 +193,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
 
     def recover(v, u_window, report):
         # u(k) = B(k)^{-1} v(k) as stacked mat-vecs run by run, which keep
-        # the bits of each B(k)^{-1} @ v(k)
+        # the bits of each B(k)^{-1} @ v(k); a constant B^{-1} is cast once
         runs = B_inv.runs(u_window)
         ok = np.concatenate([inv.any(axis=(1, 2)) for _, inv in runs])
         if ok.all():
@@ -190,7 +202,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
             u_vals = np.empty_like(v_vals)
             for w, inv in runs:
                 i = slice(w.start - u_window.start, w.end - u_window.start + 1)
-                u_vals[i] = (inv @ v_vals[i, :, None])[..., 0]
+                u_vals[i] = (complex_stack(inv) @ v_vals[i, :, None])[..., 0]
         else:
             bad = u_window.start + int(np.argmin(ok))
             report.warnings.append(
@@ -205,13 +217,15 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
 
     return _solve_reduced(
         D, f, window, tol, "vb_direct",
-        lambda u, w, _: vb_residual(B, A, C, f, u, w, family),
+        lambda u, w, _, f_rows: vb_residual(B, A, C, f_rows, u, w, family),
         amplify=2.0 * amplification(family, C, products), recover=recover)
 
 
-def vb_residual(B: OperatorSequence, A: OperatorSequence, C, f: BiSequence,
-                u: BiSequence, window, family: SeminormFamily) -> dict[str, float]:
-    """max of kappa(C B(k+1) u(k+1) - A(k) u(k) - C f(k))."""
+def vb_residual(B: OperatorSequence, A: OperatorSequence, C,
+                f: BiSequence | np.ndarray, u: BiSequence, window,
+                family: SeminormFamily) -> dict[str, float]:
+    """max of kappa(C B(k+1) u(k+1) - A(k) u(k) - C f(k)); f is the
+    forcing, or its rows on the window as an array."""
     C = as_matrix(C, u.dim)
     return linear_residual(u, {1: (C, (B, 1)), 0: (-1.0, (A, 0))}, ((C,), f),
                            window, family)
@@ -246,7 +260,7 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
     stacks = map(A.matrices, window_blocks(window))
     _, u, report = _solve_reduced(
         Ainv_BC, f, window, tol, "vb1_direct",
-        lambda u, w, _: vb1_residual(B, A, C, g, u, w, family),
+        lambda u, w, *_: vb1_residual(B, A, C, g, u, w, family),
         amplify=2.0 * amplification(family, C, stacks))
     return u, report
 

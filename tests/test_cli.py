@@ -751,9 +751,9 @@ def test_example_heat_evaluates_each_generator_once_and_keeps_no_resolvent(
     assert set(seen) == {problem.A, problem.Ainv_C, problem.D}
     assert all(max(c.values()) == 1 for c in seen.values())
     assert [sum(seen[s].values()) for s in (problem.A, problem.Ainv_C,
-                                            problem.D)] == [421, 445, 445]
+                                            problem.D)] == [445, 445, 445]
     assert problem.Ainv_C._mat_cache == {}
-    assert len(problem.A._mat_cache) == 421
+    assert len(problem.A._mat_cache) == 445
     assert len(problem.D._mat_cache) == 445
 
 

@@ -448,3 +448,65 @@ def test_canned_wave_sup_is_the_induced_bound_of_its_selection():
         three = (induced_bound(G, sn) + induced_bound(0.05 * G, sn)
                  + induced_bound(0.05 * eye, sn))
         assert abs(three - 0.05 - sup) <= 1e-12
+
+
+def canned_heat(n):
+    from apseq.cli import example_config
+    from apseq.config import ScenarioConfig
+    cfg = ScenarioConfig.from_dict(
+        example_config("heat", n, 1.0, Window(-20, 20), 1e-10))
+    return heat_problem(n, 1.0, cfg.sequence(cfg.sequences["m"], dim=1),
+                        cfg.sequence(cfg.sequences["b"], dim=1),
+                        cfg.sequence(cfg.forcing, dim=n),
+                        family=cfg.family(n), window=cfg.window)
+
+
+def test_canned_heat_holds_real_stacks():
+    # L, m = 0.1 and b = 3 + sin k are real: A, Ainv_C and D hold float64
+    hp = canned_heat(8)
+    _, u, rep = hp.solve(tol=1e-10)
+    assert hp.A.backend == hp.D.backend == "generator"
+    for seq in (hp.A, hp.D):
+        assert {s.dtype for _, s in seq._mat_cache.values()} == {
+            np.dtype(np.float64)}
+    assert hp.Ainv_C.matrices(Window(-3, 3)).dtype == np.float64
+    assert hp.B.matrix(0).dtype == np.float64
+    assert u.table_values.dtype == np.complex128
+    assert max(rep.max_residual.values()) <= 1e-10
+
+
+def test_heat_complex_shift_keeps_complex_stacks():
+    n = 8
+    b = BiSequence.from_trig_poly(TrigPoly.of([(0.0, [3.0]), (1.0, [0.5])]))
+    hp = heat_problem(n, 1.0, BiSequence.constant([0.1]), b, grid_forcing(n),
+                      family=grid_family(n), window=(-20, 20))
+    _, _, rep = hp.solve(tol=1e-10)
+    for seq in (hp.A, hp.D):
+        assert {s.dtype for _, s in seq._mat_cache.values()} == {
+            np.dtype(np.complex128)}
+    assert hp.Ainv_C.matrices(Window(-3, 3)).dtype == np.complex128
+    assert max(rep.max_residual.values()) <= 1e-10
+
+
+def test_heat_solve_reads_each_k_of_the_forcing_once():
+    # the probe of g = -D f keeps f's rows on the window for the vb
+    # residual, which has the bits of one that reads f afresh
+    from apseq.resolvent import vb_residual
+    n = 8
+    reads = []
+    f = grid_forcing(n)
+
+    def rule(w):
+        reads.append(w)
+        return f.window_values(w)
+
+    b = BiSequence.from_trig_poly(TrigPoly.of([(0.0, [3.0]), (1.0, [0.5])]))
+    window = Window(-20, 20)
+    hp = heat_problem(n, 1.0, BiSequence.constant([0.1]), b,
+                      BiSequence(n, rule), family=grid_family(n),
+                      window=window)
+    _, u, rep = hp.solve(tol=1e-10)
+    ks = sorted(k for w in reads for k in w)
+    assert ks == list(range(rep.f_probe[0], rep.f_probe[1] + 1))
+    assert rep.max_residual == vb_residual(hp.B, hp.A, np.eye(n), f, u,
+                                           window, hp.family)

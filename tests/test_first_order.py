@@ -195,6 +195,25 @@ def test_in_place_sweep_has_the_bits_of_the_reference(backend, dim,
 
 @pytest.mark.parametrize("backward", [False, True],
                          ids=["forward", "backward"])
+def test_sweep_reads_a_generator_run_by_run(backward, rng, monkeypatch):
+    # the sweep's window is read once, as the CERT_BLOCK-aligned runs the
+    # rule evaluates, with no matrix(k) per step; a real run is cast once
+    A = sweep_operator(rng, "generator", 4, True)
+    rows = sweep_rows(rng, 150, 4, True)
+    want = reference_sweep(A, rows, -70, 100, backward)
+    A._mat_cache.clear()
+    evaluated, rule = [], A._rule
+    monkeypatch.setattr(A, "_rule", lambda w: evaluated.append(w) or rule(w))
+    monkeypatch.setattr(A, "matrix", None)
+    got = _apply_level(A, rows, -70, 100, backward)
+    assert got.tobytes() == want.tobytes()
+    assert evaluated == [Window(-70, -65), Window(-64, -1), Window(0, 63),
+                         Window(64, 79)]
+    assert A.matrices(Window(-70, 79)).dtype == np.float64
+
+
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "backward"])
 @pytest.mark.parametrize("backend", ["constant", "periodic", "generator"])
 def test_in_place_sweep_keeps_an_overflowing_state_as_it_comes(backend,
                                                                backward, rng):
@@ -622,7 +641,7 @@ def test_inclusion_probe_reads_each_k_of_the_forcing_once(backend, rng):
         reads = []
         # a residual that reads nothing, so that only the probe reads f
         _, x, rep = _solve_reduced(D, recording(f, reads), (-10, 10), tol,
-                                   "none", lambda x, w, _: {})
+                                   "none", lambda x, w, *_: {})
         assert_probe_read_once(reads, rep)
         short += any(len(w) < 2 * 3 for w in reads[1:])
         probe = Window(*rep.f_probe)

@@ -6,7 +6,7 @@ from apseq import (BiSequence, CertificateError,
                    OperatorSequence, Seminorm, SeminormFamily, ShapeError,
                    Window, induced_bound, op_product_apply, solve_series)
 from apseq.first_order import _truncation_depths
-from apseq.operator_model import CERT_BLOCK, window_blocks
+from apseq.operator_model import CERT_BLOCK, complex_stack, window_blocks
 from conftest import random_matrix
 
 SUP_FAM = SeminormFamily.sup_only(1)
@@ -366,6 +366,75 @@ def test_stacked_bounds_have_per_matrix_bits(sn, rng):
     nested = induced_bound(stack.reshape(7, 1, d, d), sn)
     assert nested.shape == (7, 1)
     assert np.array_equal(nested[:, 0], got)
+
+
+@pytest.mark.parametrize("sn", FAMILY_KINDS + STENCILS[2:] + [
+    Seminorm.block_sum(Seminorm.first_difference(), 2)],
+    ids=lambda s: f"{s.kind}-{s.label}")
+def test_real_stack_bounds_have_the_bits_of_the_complex_cast(sn, rng):
+    # a real stack is bounded in real arithmetic, and l2 by the complex
+    # SVD all the same, with the bits of the stack held complex
+    blocks = sn.blocks if sn.kind == "block_sum" else 1
+    for d in (1, 2, 3, 8, 32):
+        for n in (1, 7, 64):
+            stack = rng.standard_normal((n, blocks * d, blocks * d))
+            got = induced_bound(stack, sn)
+            want = induced_bound(stack.astype(np.complex128), sn)
+            assert got.tobytes() == want.tobytes(), (d, n)
+
+
+def test_operators_with_no_imaginary_part_hold_float64():
+    real = [[0.5, -0.25], [0.0, 1.0 + 0j]]
+    assert OperatorSequence.constant(real).matrix(3).dtype == np.float64
+    skew = OperatorSequence.periodic([real, [[0.5j, 0.0], [0.0, 1.0]]])
+    assert [skew.matrix(k).dtype for k in (0, 1)] == [np.float64,
+                                                      np.complex128]
+    # a generator decides per run: A(k) is complex left of 0 only
+    gen = OperatorSequence(2, lambda w: np.stack(
+        [(1.0 + 1j * (k < 0)) * np.eye(2) for k in w]))
+    assert [s.dtype for _, s in gen.runs(Window(-3, 3))] == [np.complex128,
+                                                             np.float64]
+
+
+def test_real_operators_apply_rows_with_the_bits_of_complex_products(rng):
+    # a real operator meets complex rows through numpy's cast of its
+    # matrices: the bits of explicit complex128 products
+    d = 5
+    mats = [rng.standard_normal((d, d)) for _ in range(3)]
+    held = [m.astype(np.complex128) for m in mats]
+    rows = rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d))
+    const = OperatorSequence.constant(mats[0])
+    assert const.matrix(0).dtype == np.float64
+    assert (const.apply_rows(-7, rows).tobytes()
+            == (rows @ held[0].T).tobytes())
+    want = np.empty_like(rows)
+    for r in range(3):
+        want[r::3] = rows[r::3] @ held[(r - 7) % 3].T
+    assert (OperatorSequence.periodic(mats).apply_rows(-7, rows).tobytes()
+            == want.tobytes())
+    gen = OperatorSequence(d, lambda w: np.cos(np.arange(w.start, w.end + 1))[
+        :, None, None] * mats[0])
+    stack = gen.matrices(Window(-7, 32))  # two runs, cut at k = 0
+    assert stack.dtype == np.float64
+    want = np.einsum("pij,pj->pi", stack.astype(np.complex128), rows)
+    assert gen.apply_rows(-7, rows).tobytes() == want.tobytes()
+
+
+def test_complex_stack_casts_a_broadcast_view_once(rng):
+    # a constant's broadcast view meets complex rows as a view of its one
+    # matrix cast once, with the bits of numpy's cast of the whole view
+    m = rng.standard_normal((6, 6))
+    view = np.broadcast_to(m, (500, 6, 6))
+    got = complex_stack(view)
+    assert got.dtype == np.complex128 and got.strides[0] == 0
+    rows = (rng.standard_normal((500, 6, 1))
+            + 1j * rng.standard_normal((500, 6, 1)))
+    assert (got @ rows).tobytes() == (view @ rows).tobytes()
+    stack = rng.standard_normal((5, 6, 6))
+    assert (complex_stack(stack).tobytes()
+            == stack.astype(np.complex128).tobytes())
+    held = stack + 1j
+    assert complex_stack(held) is held
 
 
 def test_singular_stencil_raises_certificate_error(rng):
