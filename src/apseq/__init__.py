@@ -13,8 +13,7 @@ from .first_order import SolveReport, forward_oracle, residual, solve_series
 from .higher_order import (CompanionSystem, build_companion, build_B_from_D,
                            companion_D_block, companion_selection,
                            solve_second_order)
-from .operator_model import (OperatorSequence, induced_bound,
-                             op_product_apply)
+from .operator_model import OperatorSequence, induced_bound
 from .resolvent import (compose_selection, inclusion_residual,
                         inverse_selection, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)

@@ -16,23 +16,22 @@ requested tolerance for every seminorm, then sums the series in one sweep
 in the direction the equation runs: forward from a zero state at
 k0 = start - max V - 1 it steps x(k+1) = A(k) x(k) + f(k), so x(k) holds the
 first k - k0 terms, at least V(k) of them; backward it steps
-x(k) = A(k) x(k+1) + f(k) down from a zero state at end + max V + 1.  Tail
-bounds only shrink with depth, so the certified bounds still hold.  The
-report gives the measured residual of the returned table rather than
-assuming it.
+x(k) = A(k) x(k+1) + f(k) down from a zero state at end + max V + 1, a
+generator k by k and a constant or periodic A in anchored blocks with a
+carry.  Tail bounds only shrink with depth, so the certified bounds still
+hold.  The report gives the returned table's measured residual.
 
 ``forward_oracle`` iterates the same recurrence from a caller-chosen seed
 and is the brute-force reference for longer run-ins; the tests also check
-the sweep against the explicit products of ``op_product_apply``, which
-share no code with it.
+the sweep against the explicit products of the series, which share no
+code with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import reduce
 from math import ceil, inf, log
-from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,6 +46,7 @@ TOL_DEFAULT = 1e-10
 V_MAX_DEFAULT = 10_000  # cap on the certified truncation depth
 #: certificate products held at once by the depth search
 _DEPTH_BLOCK_CELLS = 1 << 17
+_SWEEP_BLOCK = 32  # steps per block of a periodic sweep, before rounding up
 
 
 @dataclass
@@ -84,6 +84,7 @@ class SolveReport(Record):
     extras: dict[str, float] = field(default_factory=dict)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _apply_level(A: OperatorSequence, f_rows: np.ndarray, start: int,
                  keep: int, backward: bool = False) -> np.ndarray:
     """The sweep that sums the series.  f_rows[i] = f(start + i) are the
@@ -93,52 +94,62 @@ def _apply_level(A: OperatorSequence, f_rows: np.ndarray, start: int,
     state after step k is x(k+1), with k falling it is x(k); either way it
     holds as many terms of the series as steps were taken.
 
-    It sums in place and allocates nothing per step: the rows are copied
-    once, the ``keep`` that become the returned table apart from the
-    run-in, and each state overwrites the row that held its forcing, as
-    f(k) + A(k) x (IEEE addition commutes, so the state has the bits of
-    A(k) x + f(k)).  A constant or periodic A is read once per distinct
-    matrix and a generator once per run, each cast to complex128 once, so
-    a real A steps with the bits of the same A held complex.  A state that
-    overflows is kept as it comes out, inf or nan, for the caller to
-    reject."""
-    n = len(f_rows)
-    if backward:
-        table, run_in = f_rows[:keep].copy(), f_rows[keep:].copy()
-        rows = chain(run_in[::-1], table[::-1])
-    else:
-        run_in, table = f_rows[:n - keep].copy(), f_rows[n - keep:].copy()
-        rows = chain(run_in, table)
-    p = A.period
-    if p is None:
-        mats = _stepped_matrices(A, Window(start, start + n - 1), backward)
-    else:
-        distinct = [A.matrix(r).astype(np.complex128, copy=False)
-                    for r in range(p)]
-        ks = range(start, start + n)
-        mats = [distinct[k % p] for k in (ks[::-1] if backward else ks)]
-    x = np.zeros(A.dim, dtype=np.complex128)
-    ax = np.empty(A.dim, dtype=np.complex128)
+    A is cast to complex128 once per distinct matrix or run, so a real A
+    steps with the bits of the same A held complex.  A generator is read
+    run by run and stepped k by k.  A constant or periodic A is swept in
+    blocks of b steps, _SWEEP_BLOCK rounded up to a whole period, anchored
+    at the k the sweep starts from, so no state's bits depend on how far
+    the sweep runs: all blocks step in lockstep from zero, their end states
+    carry the block starts through the one b-step product, and all blocks
+    step again from there.  An overflowing state is kept as it comes out,
+    inf or nan, for the caller to reject."""
+    n, d, p = len(f_rows), A.dim, A.period
+    table = np.empty((keep, d), dtype=np.complex128)
+    # the rows, the table and k in the order the sweep steps through them
+    step, lead = (-1 if backward else 1), n - keep
+    rows, out = f_rows[::step], table[::step]
     # the ufuncs with their outputs passed positionally: each call is most
     # of a step's cost, and keyword parsing a measurable part of it
     matmul, add = np.matmul, np.add
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, row in zip(mats, rows):
+    if p is None:
+        x, ax = np.zeros((2, d), dtype=np.complex128)  # the state, A(k) x
+        runs = A.runs(Window(start, start + n - 1))[::step]
+        mats = (m for _, stack in runs for m in complex_stack(stack)[::step])
+        for j, (m, f) in enumerate(zip(mats, rows)):
             matmul(m, x, ax)
-            add(row, ax, row)
-            x = row
+            if j >= lead:
+                x = out[j - lead]
+            add(f, ax, x)
+        return table
+    # states are rows, stepped by A(k).T; two blocks at least, as numpy
+    # multiplies a lone row by gemv, whose bits differ from gemm's
+    b = p * -(-_SWEEP_BLOCK // p)
+    nb = max(2, -(-n // b))
+    anchor = start + n - 1 if backward else start
+    distinct = [A.matrix(r).astype(np.complex128).T for r in range(p)]
+    mats = [distinct[(anchor + step * i) % p] for i in range(b)]
+
+    def lockstep(x: np.ndarray, write: bool) -> np.ndarray:
+        ax = np.empty_like(x)
+        for i, m in enumerate(mats[:n]):
+            f = rows[i::b]
+            c = len(f)
+            matmul(x, m, ax)
+            add(f, ax[:c], ax[:c])  # blocks past the rows step unforced
+            x, ax = ax, x
+            if write:
+                lo = max(0, -(-(lead - i) // b))
+                out[lo * b + i - lead::b] = x[lo:c]
+        return x
+
+    starts = np.zeros((nb, d), dtype=np.complex128)
+    if n > b:  # else only the first block has rows, and it starts at zero
+        ends = lockstep(np.zeros_like(starts), False)
+        phi = reduce(matmul, mats)
+        for B in range(1, nb):
+            starts[B] = ends[B - 1] + starts[B - 1] @ phi
+    lockstep(starts, True)
     return table
-
-
-def _stepped_matrices(A: OperatorSequence, window: Window,
-                      backward: bool) -> Iterator[np.ndarray]:
-    """A generator's A(k) over ``window`` in the order the sweep steps
-    through them, read run by run; a real run is cast to complex128 once,
-    so each step multiplies as with a complex A."""
-    runs = A.runs(window)
-    for _, stack in (runs[::-1] if backward else runs):
-        stack = complex_stack(stack)
-        yield from (stack[::-1] if backward else stack)
 
 
 def _probe_forcing(f: BiSequence, probe: Window, family: SeminormFamily,

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InputContractError, ShapeError
 from .first_order import SolveReport, linear_residual
 from .operator_model import (Matrix, OperatorSequence, as_matrix,
-                             complex_stack, induced_bound, window_blocks)
+                             induced_bound, stack_product, window_blocks)
 from .resolvent import _solve_reduced, amplification, inverse_selection
 from .seq_core import BiSequence, SeminormFamily, as_window
 
@@ -123,7 +123,7 @@ def companion_D_block(sys: CompanionSystem, g: np.ndarray,
     """
     d, p = sys.dim, sys.p
     m = sys._zeros(len(g))
-    sys._set_block(m, 0, 0, -(heads[0] @ g))
+    sys._set_block(m, 0, 0, -stack_product(heads[0], g))
     for col in range(1, p):
         sys._set_block(m, 0, col, heads[col])
     sys._set_block(m, 1, 0, -g)
@@ -194,8 +194,8 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
         for w, stack in D.runs(u_window):
             head = vec_u[w.start - u_window.start:w.end - u_window.start + 1,
                          :d]
-            head[...] = (complex_stack(stack[:, d:, :d])
-                         @ head[..., None])[..., 0]
+            head[...] = stack_product(stack[:, d:, :d],
+                                      head[..., None])[..., 0]
         report.extras["shift_consistency_defect"] = float(
             np.abs(vec_u[:-1, d:] - vec_u[1:, :d]).max())
         return BiSequence.from_table(u_window.start, vec_u[:, :d])

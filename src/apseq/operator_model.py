@@ -38,9 +38,9 @@ for each stack a window rule gives and for the grid builders.  Real data
 are then certified, solved and multiplied on one plane by numpy's dtype
 dispatch.  Their certificates have the bits of the same data held complex
 (l2 bounds a real stack by the complex SVD), and so do their products with
-complex vectors, for which numpy or ``complex_stack`` casts the stack; a
-real dense solve may differ from the complex one in the last bits.  Vectors, forcings and
-solution tables stay complex128.
+complex data, which ``stack_product`` casts; a real dense solve may differ
+from the complex one in the last bits.  Vectors, forcings and solution
+tables stay complex128.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import (CertificateError, InputContractError, NumericError,
                      ShapeError)
-from .seq_core import Seminorm, SeminormFamily, Vector, Window, as_window
+from .seq_core import Seminorm, SeminormFamily, Window, as_window
 
 #: (d, d) float64 when real, else complex128, as real_or_complex decides
 Matrix = np.ndarray
@@ -86,6 +86,13 @@ def complex_stack(stack: np.ndarray) -> np.ndarray:
     if stack.strides[0] == 0:
         return np.broadcast_to(stack[0].astype(np.complex128), stack.shape)
     return stack.astype(np.complex128)
+
+
+def stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with numpy's bits; complex_stack casts a real operand."""
+    if a.dtype != b.dtype:
+        a, b = complex_stack(a), complex_stack(b)
+    return a @ b
 
 
 def as_matrix(m, dim: int | None = None) -> Matrix:
@@ -387,12 +394,6 @@ class OperatorSequence:
         stack.flags.writeable = False
         return stack
 
-    def apply(self, k: int, x: Vector) -> Vector:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (self.dim,):
-            raise ShapeError(f"operator dim {self.dim} vs value shape {x.shape}")
-        return self.matrix(k) @ x
-
     def apply_rows(self, start: int, rows: np.ndarray) -> np.ndarray:
         """Row i -> A(start + i) rows[i], with the same bits for each row
         however the rows are cut.  Constant and periodic backends apply
@@ -465,14 +466,3 @@ class OperatorSequence:
         return {sn.label: float(self.certificate_array(sn.label,
                                                        distinct).max())
                 for sn in self.family}
-
-
-def op_product_apply(A: OperatorSequence, k: int, v: int, x: Vector) -> Vector:
-    """A(k-1) A(k-2) ... A(k-v) x, applied right to left as matrix-vector
-    products; the full product matrix is never formed."""
-    if v < 1:
-        raise InputContractError(f"product depth must be >= 1, got {v}")
-    y = np.asarray(x, dtype=np.complex128)
-    for i in range(v, 0, -1):
-        y = A.apply(k - i, y)
-    return y

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import InputContractError
 from .first_order import SolveReport, _solve_series, linear_residual
 from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
-                             checked_solve, complex_stack, induced_bound,
+                             checked_solve, induced_bound, stack_product,
                              well_conditioned, window_blocks)
 from .seq_core import BiSequence, SeminormFamily, Window, as_window
 
@@ -188,7 +188,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     # tighten the series tolerance by the measured residual amplification
     # of A(k) B(k)^{-1}; a B(k) that fails its check contributes zero
     B_inv = OperatorSequence.map(_inverse_or_zero, B)
-    products = (A.matrices(w) @ B_inv.matrices(w)
+    products = (stack_product(A.matrices(w), B_inv.matrices(w))
                 for w in window_blocks(window))
 
     def recover(v, u_window, report):
@@ -202,7 +202,7 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
             u_vals = np.empty_like(v_vals)
             for w, inv in runs:
                 i = slice(w.start - u_window.start, w.end - u_window.start + 1)
-                u_vals[i] = (complex_stack(inv) @ v_vals[i, :, None])[..., 0]
+                u_vals[i] = stack_product(inv, v_vals[i, :, None])[..., 0]
         else:
             bad = u_window.start + int(np.argmin(ok))
             report.warnings.append(

@@ -61,10 +61,30 @@ def inverse_of(G):
     return OperatorSequence.map(lambda w, g: np.linalg.inv(g), G)
 
 
+def apply(A, k, x):
+    """A(k) x for one vector, as one matrix-vector product: the reference
+    for the stacked products the solver forms."""
+    x = np.asarray(x, dtype=np.complex128)
+    assert x.shape == (A.dim,)
+    return A.matrix(k) @ x
+
+
+def op_product_apply(A, k, v, x):
+    """A(k-1) A(k-2) ... A(k-v) x, applied right to left as matrix-vector
+    products; the full product matrix is never formed.  The explicit terms
+    of the series, which share no code with the solver's sweep."""
+    assert v >= 1
+    y = np.asarray(x, dtype=np.complex128)
+    for i in range(v, 0, -1):
+        y = apply(A, k - i, y)
+    return y
+
+
 def reference_sweep(A, f_rows, start, keep, backward=False):
     """The series sweep as it was first written, x = A(k) x + f(k) into a
-    fresh array at every step; the reference for the in-place sweep of
-    first_order._apply_level, with its arguments and result."""
+    fresh array at every step; the reference for the step loop and the
+    blocked sweep of first_order._apply_level, with its arguments and
+    result."""
     n = len(f_rows)
     if backward:
         ks, rows = range(start + n - 1, start - 1, -1), f_rows[::-1]

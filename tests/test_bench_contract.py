@@ -77,6 +77,9 @@ def solve_config(kind: str) -> dict:
 
 
 def test_traced_examples_reach_every_solver_path(tmp_path):
+    periodic = solve_config("first_order")
+    periodic["operators"]["A"] = {"backend": "periodic", "matrices": [
+        [[[0.5, 0.1]]], [[[0.3, -0.2]]], [[[-0.4, 0.0]]]]}
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
@@ -88,18 +91,26 @@ def test_traced_examples_reach_every_solver_path(tmp_path):
                          str(tmp_path / "wave")]) == 0
         # the examples report their own equations' residuals; the
         # first-order and selection-form residuals are those of these
-        for command, kind in (("solve", "first_order"),
-                              ("solve-inclusion", "inclusion")):
-            path = tmp_path / f"{kind}.json"
-            path.write_text(json.dumps(solve_config(kind)))
+        sweep, sweeps = tracer.names.index("first_order._apply_level"), []
+        for command, name, cfg in (
+                ("solve", "first_order", solve_config("first_order")),
+                ("solve-inclusion", "inclusion", solve_config("inclusion")),
+                ("solve", "periodic", periodic)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            before = tracer.calls[sweep]
             assert cli.main([command, "--config", str(path), "--out",
-                             str(tmp_path / kind)]) == 0
+                             str(tmp_path / name)]) == 0
+            sweeps.append(tracer.calls[sweep] - before)
     finally:
         tracer.op = -1
         tracer.uninstall()
     calls = dict(zip(tracer.names, tracer.calls))
     assert not [n for n in SOLVER_PATHS if not calls[n]]
     assert not any(tracer.errors)
+    # one traced sweep per solve, a periodic A's blocked sweep included,
+    # so the sweep's self time stays its own layer
+    assert sweeps == [1, 1, 1]
     metrics = tracer.metrics(2, 1.0)
     assert np.isfinite(metrics["operator_model.cert_cache_hit_ratio"][0])
     assert np.isfinite(metrics["operator_model.matrix_cache_hit_ratio"][0])

@@ -5,10 +5,10 @@ from apseq import (BiSequence, ConvergencePreconditionError,
                    InputContractError, NumericError, OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, Window, bohr_check, forward_oracle,
                    omega_c_check, residual, seq_axpy, solve_series)
-from apseq.first_order import SolveReport, _apply_level
+from apseq.first_order import _SWEEP_BLOCK, SolveReport, _apply_level
 from apseq.ap_analysis import besicovitch_distance
-from apseq.operator_model import op_product_apply
-from conftest import random_certified_operator, reference_sweep
+from conftest import (op_product_apply, random_certified_operator,
+                      reference_sweep)
 
 SUP = Seminorm.sup()
 FAM1 = SeminormFamily.sup_only(1)
@@ -171,6 +171,17 @@ def sweep_rows(rng, n, dim, real, scale=1.0):
     return rows
 
 
+def assert_sweep_matches(got, want, backend, rel=1e-15):
+    """A generator's sweep has the bits of the reference; a constant or
+    periodic sweep runs in blocks with a carry and agrees with it within
+    ``rel`` of the largest state."""
+    assert got.shape == want.shape
+    if backend == "generator":
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
 @pytest.mark.parametrize("backward", [False, True],
                          ids=["forward", "backward"])
 @pytest.mark.parametrize("dim", [1, 2, 8, 32])
@@ -187,10 +198,57 @@ def test_in_place_sweep_has_the_bits_of_the_reference(backend, dim,
     for keep in (25, 40, 1):
         got = _apply_level(A, rows, -13, keep, backward)
         want = reference_sweep(A, rows, -13, keep, backward)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert_sweep_matches(got, want, backend)
         assert got.flags.owndata and got.flags.c_contiguous
     assert rows.tobytes() == before.tobytes()
+
+
+def periodic_operator(rng, period, dim):
+    """A plain complex periodic sequence whose matrices have norm 0.9."""
+    mats = rng.standard_normal((period, dim, dim)) + 1j * rng.standard_normal(
+        (period, dim, dim))
+    return OperatorSequence.periodic(
+        [0.9 * m / np.linalg.norm(m, 2) for m in mats])
+
+
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("dim", [1, 2, 8, 32])
+@pytest.mark.parametrize("period", [1, 3, 7, 32, 40])
+def test_blocked_sweep_bits_do_not_depend_on_how_far_it_runs(period, dim,
+                                                             backward, rng):
+    # the blocks are anchored at the k the sweep starts from, so a sweep
+    # that runs further gives each k it shares the same bits; the shorter
+    # sweeps end below, at and one past a block of b steps
+    A = periodic_operator(rng, period, dim)
+    b = period * -(-_SWEEP_BLOCK // period)
+    rows = sweep_rows(rng, 5 * b + 7, dim, False)
+    top = 40
+
+    def sweep(n):
+        # the states of the first n steps from k = top, in the sweep's order
+        if backward:
+            return _apply_level(A, rows[-n:], top - n + 1, n, True)[::-1]
+        return _apply_level(A, rows[:n], top, n)
+
+    longest = sweep(len(rows))
+    for n in (b // 2, b, b + 1, 2 * b + 3):
+        assert sweep(n).tobytes() == longest[:n].tobytes()
+
+
+@pytest.mark.parametrize("backward", [False, True],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("period", [1, 3, 40])
+def test_blocked_sweep_reads_each_matrix_once(period, backward, rng,
+                                              monkeypatch):
+    # a constant or periodic A is read once per residue, however long the
+    # sweep, and never as a stack
+    A = periodic_operator(rng, period, 4)
+    reads, matrix = [], A.matrix
+    monkeypatch.setattr(A, "matrix", lambda k: reads.append(k) or matrix(k))
+    monkeypatch.setattr(A, "runs", None)
+    _apply_level(A, sweep_rows(rng, 1000, 4, False), -13, 900, backward)
+    assert len(reads) <= period
 
 
 @pytest.mark.parametrize("backward", [False, True],
@@ -217,12 +275,36 @@ def test_sweep_reads_a_generator_run_by_run(backward, rng, monkeypatch):
 @pytest.mark.parametrize("backend", ["constant", "periodic", "generator"])
 def test_in_place_sweep_keeps_an_overflowing_state_as_it_comes(backend,
                                                                backward, rng):
-    A = sweep_operator(rng, backend, 3, False, gain=2.5, with_zero=False)
-    rows = sweep_rows(rng, 60, 3, False, scale=1e300)
-    got = _apply_level(A, rows, 4, 50, backward)
-    want = reference_sweep(A, rows, 4, 50, backward)
-    assert np.isnan(want).any()
-    assert got.tobytes() == want.tobytes()
+    # states overflow and are kept as inf or nan: grown past the float
+    # range by an A of norm 2.5 from forcing of 1e300, or pushed past it
+    # by rows of the largest float under an A of norm 0.9.  A generator
+    # keeps the reference's bits.  A blocked sweep has inf or nan in the
+    # same entries; under the contracting A the states before the push
+    # agree within 1e-15 of their largest, while the growing A magnifies
+    # the carry's rounding past that bound (1.1e-15 of the largest state),
+    # so those values are not compared
+    grown = sweep_operator(rng, backend, 3, False, gain=2.5,
+                           with_zero=False)
+    grown_rows = sweep_rows(rng, 60, 3, False, scale=1e300)
+    contracting = sweep_operator(rng, backend, 3, False, with_zero=False)
+    # six rows from ten steps before the end, in the third block
+    pushed_rows = sweep_rows(rng, 100, 3, False)
+    pushed_rows[slice(4, 10) if backward else slice(90, 96)] = np.finfo(
+        float).max
+    for A, rows, compared in ((grown, grown_rows, False),
+                              (contracting, pushed_rows, True)):
+        for keep in (50, 60):
+            got = _apply_level(A, rows, 4, keep, backward)
+            want = reference_sweep(A, rows, 4, keep, backward)
+            assert np.isnan(want).any()
+            if backend == "generator":
+                assert got.tobytes() == want.tobytes()
+                continue
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            if compared:
+                calm = np.abs(want).max(axis=1) < 1e300
+                assert calm.sum() == keep - 10
+                assert_sweep_matches(got[calm], want[calm], backend)
 
 
 def loop_depths(A, rep, tol):
@@ -307,8 +389,9 @@ def generator_twin(A):
 @pytest.mark.parametrize("period", [1, 3, 40])
 def test_periodic_solve_is_bit_identical_to_its_generator_twin(
         period, backward, rng):
-    # one depth row and one matrix per residue: the same depths, tails and
-    # table as forming every row and reading every matrix; period 40 is
+    # one depth row and one matrix per residue: the same depths and tails
+    # as forming every row and reading every matrix, and the table of the
+    # generator's step loop within 1e-15 of its largest state; period 40 is
     # longer than the 13 k of the solve
     fam = SeminormFamily.of(SUP_L1, 3)
     A = random_certified_operator(rng, fam, 0.9, backend="periodic",
@@ -325,7 +408,8 @@ def test_periodic_solve_is_bit_identical_to_its_generator_twin(
     # distinct matrices give depths that vary with k
     assert (len({V for _, V in rep.truncation_V}) > 1) == (period > 1)
     work = (-6, 6)
-    assert x.window_values(work).tobytes() == x2.window_values(work).tobytes()
+    assert_sweep_matches(x.window_values(work), x2.window_values(work),
+                         "periodic")
 
 
 @pytest.mark.parametrize("backward", [False, True])

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from apseq import (BiSequence, CertificateError,
                    ConvergencePreconditionError, InputContractError,
                    OperatorSequence, Seminorm, SeminormFamily, ShapeError,
-                   Window, induced_bound, op_product_apply, solve_series)
+                   Window, induced_bound, solve_series)
 from apseq.first_order import _truncation_depths
-from apseq.operator_model import CERT_BLOCK, complex_stack, window_blocks
-from conftest import random_matrix
+from apseq.operator_model import (CERT_BLOCK, complex_stack, stack_product,
+                                  window_blocks)
+from conftest import apply, op_product_apply, random_matrix
 
 SUP_FAM = SeminormFamily.sup_only(1)
 
@@ -22,11 +25,11 @@ def scalar_seq(values_or_value, family=SUP_FAM):
 def test_apply_examples():
     half = OperatorSequence.constant(0.5 * np.eye(2),
                                      family=SeminormFamily.sup_only(2))
-    assert np.array_equal(half.apply(3, np.array([2.0, 2.0])),
+    assert np.array_equal(apply(half, 3, np.array([2.0, 2.0])),
                           np.array([1.0, 1.0]))
     zero = OperatorSequence.constant(np.zeros((2, 2)),
                                      family=SeminormFamily.sup_only(2))
-    assert np.abs(zero.apply(-7, np.array([5.0, 1.0]))).max() == 0.0
+    assert np.abs(apply(zero, -7, np.array([5.0, 1.0]))).max() == 0.0
 
 
 def test_apply_periodic_index_arithmetic(rng):
@@ -36,14 +39,14 @@ def test_apply_periodic_index_arithmetic(rng):
     G = OperatorSequence.from_function(3, lambda k: mats[k % 2])
     x = rng.standard_normal(3)
     for k in (-4, -1, 0, 1, 5):
-        assert np.array_equal(A.apply(k, x), G.matrix(k) @ x)
+        assert np.array_equal(apply(A, k, x), G.matrix(k) @ x)
     assert np.array_equal(A.matrix(5), mats[1])
 
 
 def test_op_product_single_factor_is_one_apply():
     A = scalar_seq([0.5, 0.25])
     x = np.array([1.0])
-    assert np.array_equal(op_product_apply(A, 3, 1, x), A.apply(2, x))
+    assert np.array_equal(op_product_apply(A, 3, 1, x), apply(A, 2, x))
 
 
 def test_op_product_constant_power_against_repeated_apply():
@@ -54,7 +57,7 @@ def test_op_product_constant_power_against_repeated_apply():
     # oracle: repeated apply right to left
     y = np.array(x)
     for i in range(5, 0, -1):
-        y = A.apply(2 - i, y)
+        y = apply(A, 2 - i, y)
     assert np.array_equal(got, y)
     assert got[0] == pytest.approx(a ** 5, rel=1e-14)
 
@@ -148,7 +151,7 @@ def test_certificate_soundness_randomized(sn, rng):
     for _ in range(1000):
         k = int(rng.integers(-50, 50))
         x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        lhs = sn(A.apply(k, x))
+        lhs = sn(apply(A, k, x))
         rhs = A.certificate(sn.label, k) * sn(x)
         assert lhs <= rhs * (1 + 1e-12) + 1e-300
 
@@ -435,6 +438,30 @@ def test_complex_stack_casts_a_broadcast_view_once(rng):
             == stack.astype(np.complex128).tobytes())
     held = stack + 1j
     assert complex_stack(held) is held
+
+
+@pytest.mark.parametrize("real_left", [True, False],
+                         ids=["real_left", "real_right"])
+def test_stack_product_casts_a_real_broadcast_view_once(real_left, rng):
+    # a constant real matrix against a complex (64, 32, 32) stack: numpy
+    # casts the broadcast view to a complex copy of the whole stack, the
+    # product casts its one matrix, with the bits of numpy's product
+    m = np.broadcast_to(rng.standard_normal((32, 32)), (64, 32, 32))
+    z = (rng.standard_normal((64, 32, 32))
+         + 1j * rng.standard_normal((64, 32, 32)))
+    a, b = (m, z) if real_left else (z, m)
+    want = a @ b
+    tracemalloc.start()
+    try:
+        got = stack_product(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 1.5 * got.nbytes
+    # operands of one dtype multiply as they are
+    r = rng.standard_normal((3, 4, 4))
+    assert stack_product(r, r).tobytes() == (r @ r).tobytes()
 
 
 def test_singular_stencil_raises_certificate_error(rng):
