@@ -3,7 +3,10 @@ heat and wave example problems on interior grids.
 
 The grid operator is the desk-scale stand-in for the Dirichlet Laplacian:
 symmetric, negative definite, with the 1-D spectrum
--(2 - 2 cos(j pi / (n+1))) / h^2.
+mu_j = -4 sin^2(j pi / (2(n+1))) / h^2, diagonalised by the orthogonal
+DST-I matrix Q (``sine_basis``).  Heat's resolvent (L - b I)^{-1} is
+Q diag(1/(mu_j - b)) Q^T, refined once against L - b I, with no dense
+solve (Strang, "The discrete cosine transform", SIAM Review 41, 1999).
 
 A problem takes its seminorm family and the window it is solved on from
 the caller; the canned examples use the derivative-seminorm idiom, grid
@@ -45,6 +48,44 @@ def laplacian_1d(n: int, h: float) -> Matrix:
     return m
 
 
+def sine_basis(n: int, h: float) -> tuple[Matrix, np.ndarray]:
+    """(Q, mu) with laplacian_1d(n, h) = Q diag(mu) Q^T: Q is the orthogonal
+    DST-I matrix sqrt(2/(n+1)) sin(i j pi/(n+1)), i, j = 1..n, symmetric to
+    the bit, and mu_j = -4 sin^2(j pi / (2(n+1))) / h^2.  The angles are
+    reduced mod 2 pi in integers first, so each sine is taken of an angle
+    below 2 pi.  Both are read-only float64."""
+    j = np.arange(1, n + 1)
+    q = np.sqrt(2.0 / (n + 1)) * np.sin(
+        np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1)))
+    mu = -4.0 * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2 / (h * h)
+    q.flags.writeable = mu.flags.writeable = False
+    return q, mu
+
+
+def _sine_resolvent(L: Matrix, h: float):
+    """``OperatorSequence.map`` rule (L - b(k) I)^{-1} over the stack of
+    A(k) = L - b(k) I.  b(k) is read off A(k)'s diagonal; the spectral
+    inverse X0 = Q diag(1/(mu - b(k))) Q^T is refined once against A(k)
+    itself, X = X0 + X0 (I - A(k) X0), which brings its residual back to
+    a dense solve's.  Every product is one stacked matmul, a gemm per k,
+    so a k has the same bits however its run is cut; a real A stack
+    stays float64."""
+    q, mu = sine_basis(len(L), h)
+    eye = np.eye(len(L))
+
+    def rule(w: Window, a: np.ndarray) -> np.ndarray:
+        b = L[0, 0] - a[:, 0, 0]
+        s = q * (1.0 / (mu - b[:, None]))[:, None, :]
+        x0 = np.matmul(s, q)
+        np.matmul(a, x0, out=s)
+        np.subtract(eye, s, out=s)
+        x = np.matmul(x0, s)
+        x += x0
+        return x
+
+    return rule
+
+
 def _grid_operator(seq: BiSequence, size: int, build,
                    family: SeminormFamily | None = None) -> OperatorSequence:
     """The grid operators ``build`` makes of seq, certified over ``family``
@@ -76,6 +117,17 @@ def _multiplier(seq: BiSequence, size: int, what: str):
     return build
 
 
+def _minus_diagonal(L: Matrix, shift: np.ndarray) -> np.ndarray:
+    """The stack L - shift(k) I for a (len, 1, 1) shift: L copied per k,
+    with shift(k) subtracted on the diagonal.  Each entry has the bits of
+    ``L - shift * np.eye(n)``, signed zeros included."""
+    out = np.empty((len(shift),) + L.shape, dtype=shift.dtype)
+    out[...] = L
+    diag = np.arange(len(L))
+    out[:, diag, diag] -= shift[:, 0]
+    return out
+
+
 def _shift(b: BiSequence, rule):
     """``_grid_operator`` rule ``rule(shift)`` over the scalar shift b, with
     shift its values as a (len, 1, 1) stack, float64 where they are real;
@@ -104,14 +156,16 @@ class HeatProblem:
     certificate per seminorm is the induced bound of D(k) = B(k) Ainv_C(k).
     B is a constant sequence when m is constant, and A and Ainv_C when b
     is; otherwise they are generators whose matrices come a window at a
-    time (Ainv_C as one stacked solve of A's stack per block, read through
-    by D's rule and not cached, so A(k) is built once per k and cached for
-    the residual).  ``D`` is the composite selection whose certificates
-    ``heat_problem`` validated on ``window``, one stacked product B Ainv_C
-    per window; the solve covers ``window``, reuses D, and derives
-    B(k)^{-1} the same way, as a window rule over B.  Real m and b give
-    float64 stacks, which are certified, solved and multiplied in real
-    arithmetic; complex ones keep complex128.
+    time.  A(k) is L copied with b(k) subtracted on its diagonal, built
+    once per k and cached for the residual; Ainv_C is a window rule over
+    A's stack in the sine basis, Q diag(1/(mu_j - b(k))) Q^T refined once
+    against A(k), read through by D's rule and not cached.  ``D`` is the
+    composite selection whose certificates ``heat_problem`` validated on
+    ``window``, one stacked product B Ainv_C per window; the solve covers
+    ``window``, reuses D, and derives B(k)^{-1} the same way, as a window
+    rule over B.  Real m and b give float64 stacks, which are certified,
+    inverted and multiplied in real arithmetic; complex ones keep
+    complex128.
     """
 
     window: Window
@@ -161,7 +215,9 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     Constant m and b are certified once, with exact sups.  The solve reads
     D further right, up to its truncation depth, takes the sup of a
     generator D there itself, and evaluating A(k) checks Re b(k) there.
-    The resolvent Ainv_C is a window rule over A; B, A, Ainv_C and D hold
+    The resolvent Ainv_C is a window rule over A that solves nothing: it
+    scales the shared DST-I matrix Q of ``sine_basis`` by n numbers per k
+    and refines the product once against A(k).  B, A, Ainv_C and D hold
     float64 matrices where m and b have no imaginary part.
     """
     L = laplacian_1d(n, h)
@@ -170,10 +226,9 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     if f.dim != n:
         raise InputContractError(f"forcing dim {f.dim} vs grid {n}")
     window = as_window(window)
-    eye = np.eye(n)
     B = _grid_operator(m, n, _multiplier(m, n, "multiplier m"), family=family)
-    A = _grid_operator(b, n, _shift(b, lambda shift: L - shift * eye))
-    Ainv = OperatorSequence.map(lambda w, a: np.linalg.solve(a, eye), A)
+    A = _grid_operator(b, n, _shift(b, lambda s: _minus_diagonal(L, s)))
+    Ainv = OperatorSequence.map(_sine_resolvent(L, h), A)
     Ainv.cache = False  # read only by the rule of D = B Ainv
     D = compose_selection(B, Ainv, family)
     sups = _gate_sups(D, window.extended(left=1, right=1),

@@ -4,8 +4,11 @@ import pytest
 from apseq import (BiSequence, InputContractError, OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, Window, bohr_check,
                    omega_c_check, seq_axpy)
-from apseq.discretization import heat_problem, laplacian_1d, wave_problem
+from apseq.discretization import (_minus_diagonal, _sine_resolvent,
+                                  heat_problem, laplacian_1d, sine_basis,
+                                  wave_problem)
 from apseq.higher_order import build_B_from_D
+from apseq.operator_model import real_or_complex
 from apseq.resolvent import solve_degenerate_vb1
 
 
@@ -28,6 +31,76 @@ def test_laplacian_1d_closed_form_spectrum():
     js = np.arange(1, n + 1)
     expected = np.sort(-(2 - 2 * np.cos(js * np.pi / (n + 1))) / h ** 2)
     assert np.abs(eigs - expected).max() <= 1e-11
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("h", [1.0, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+def test_sine_basis_diagonalises_the_laplacian(n, h):
+    L = laplacian_1d(n, h)
+    q, mu = sine_basis(n, h)
+    assert np.array_equal(q, q.T)
+    assert np.abs(q @ q - np.eye(n)).max() <= n * EPS
+    ev, V = np.linalg.eigh(L)
+    order = np.argsort(mu)
+    assert np.abs(mu[order] - ev).max() <= 2 * n * EPS * np.abs(ev).max()
+    # the spectrum is simple, so eigh's vectors are Q's columns up to sign;
+    # their error grows like eps ||L|| / gap, and the gap like 1/n^2
+    assert np.abs(np.abs(q[:, order].T @ V) - np.eye(n)).max() <= n * n * EPS
+
+
+@pytest.mark.parametrize("h", [1.0, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+def test_sine_resolvent_matches_a_dense_solve(n, h):
+    L = laplacian_1d(n, h)
+    rule = _sine_resolvent(L, h)
+    eye = np.eye(n)
+    shifts = np.array([3.0, 2 + 0.5j, 0.01 + 3j])
+    stack = _minus_diagonal(L, shifts[:, None, None])
+    for b in shifts:
+        a = _minus_diagonal(L, real_or_complex([[[b]]]))
+        x = rule(Window(0, 0), a)
+        x_lu = np.linalg.solve(a, eye)
+        assert x.dtype == a.dtype == (float if b.imag == 0 else complex)
+        assert np.abs(x - x_lu).max() <= 2 * n * EPS * np.abs(x_lu).max()
+        # one refinement step brings the residual back to the LU solve's,
+        # taken no lower than one unit roundoff
+        res, res_lu = (np.abs(a[0] @ y[0] - eye).sum(axis=1).max()
+                       for y in (x, x_lu))
+        assert res <= 2 * max(res_lu, EPS)
+    # a k has the same bits alone as in a stack
+    x = rule(Window(0, 2), stack)
+    assert all(rule(Window(k, k), stack[k:k + 1]).tobytes()
+               == x[k:k + 1].tobytes() for k in range(3))
+
+
+@pytest.mark.parametrize("shift", [
+    [3.0, 0.25, 2.0 ** -30],
+    [3 + 0.0j, complex(2.0, -0.0), 1 + 1j, 0.5 - 2j, complex(1e-300, -0.0)],
+])
+def test_shifted_laplacian_has_the_bits_of_the_broadcast_product(shift):
+    L = laplacian_1d(5, 0.3)
+    shift = np.array(shift)[:, None, None]
+    a = _minus_diagonal(L, shift)
+    want = L - shift * np.eye(5)
+    assert a.dtype == want.dtype
+    assert a.tobytes() == want.tobytes()
+
+
+def test_heat_resolvent_solves_nothing(monkeypatch):
+    hp = heat_problem(8, 1.0, BiSequence.constant([0.1]),
+                      BiSequence.from_trig_poly(TrigPoly.of(
+                          [(0.0, [3.0]), (1.0, [0.5])])),
+                      grid_forcing(8), family=grid_family(8),
+                      window=(-20, 20))
+
+    def no_solve(*args):
+        raise AssertionError("np.linalg.solve on the resolvent path")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    assert hp.Ainv_C.matrices(Window(-70, 70)).shape == (141, 8, 8)
 
 
 def resolvent(L, b):
@@ -134,28 +207,32 @@ def test_heat_reports_the_first_nonpositive_re_b(per_k):
 def test_heat_window_rules_match_per_k_generators():
     # non-constant m and b make B, A, Ainv and D generators; matrices read
     # k by k, through one-k windows, have the bits of whole windows, so the
-    # solve does not depend on the order the k are read in
-    n = 6
+    # solve does not depend on the order the k are read in.  With
+    # OpenBLAS's Haswell kernels one gemm over a whole run of the
+    # resolvent's (len * n, n) rows rounds a row by its place in it at
+    # n = 33, though not at 6 or 32, so n = 33 catches such a fold.
     m = BiSequence.from_trig_poly(TrigPoly.of(
         [(0.0, [0.05]), (0.7, [0.01]), (-0.7, [0.01])]))
     b = BiSequence.from_trig_poly(TrigPoly.of(
         [(0.0, [3.0]), (1.0, [-0.5j]), (-1.0, [0.5j])]))
-    f = grid_forcing(n)
-    runs = []
-    for per_k in (False, True):
-        hp = heat_problem(n, 1.0, m, b, f, family=grid_family(n),
-                          window=(-30, 30))
-        ops = (hp.B, hp.A, hp.Ainv_C, hp.D)
-        assert {op.backend for op in ops} == {"generator"}
-        if per_k:
-            for op in ops:
-                for k in range(60, -80, -1):
-                    op.matrix(k)
-        _, u, rep = hp.solve(tol=1e-10)
-        runs.append((hp.certificate_sup, rep.truncation_V,
-                     u.window_values((-30, 30)).tobytes(),
-                     [op.matrices(Window(-79, 60)).tobytes() for op in ops]))
-    assert runs[0] == runs[1]
+    for n in (6, 32, 33):
+        f = grid_forcing(n)
+        runs = []
+        for per_k in (False, True):
+            hp = heat_problem(n, 1.0, m, b, f, family=grid_family(n),
+                              window=(-30, 30))
+            ops = (hp.B, hp.A, hp.Ainv_C, hp.D)
+            assert {op.backend for op in ops} == {"generator"}
+            if per_k:
+                for op in ops:
+                    for k in range(60, -80, -1):
+                        op.matrix(k)
+            _, u, rep = hp.solve(tol=1e-10)
+            runs.append((hp.certificate_sup, rep.truncation_V,
+                         u.window_values((-30, 30)).tobytes(),
+                         [op.matrices(Window(-79, 60)).tobytes()
+                          for op in ops]))
+        assert runs[0] == runs[1], n
 
 
 def test_heat_ap_data_residual_and_bohr():
