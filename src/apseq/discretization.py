@@ -102,13 +102,19 @@ def _grid_operator(seq: BiSequence, size: int, build,
 
 def _multiplier(seq: BiSequence, size: int, what: str):
     """``_grid_operator`` rule for diag(seq(k)); dim 1 broadcasts to the
-    grid, and a window of real values gives a float64 stack."""
+    grid, and a window of real values gives a float64 stack.  A non-finite
+    seq(k) is an input-contract error naming ``what`` and the first such k
+    wherever seq is read."""
     if seq.dim not in (1, size):
         raise InputContractError(f"{what} must have dim 1 or {size}, "
                                  f"got {seq.dim}")
     diag = np.arange(size)
 
     def build(k0: int, vals: np.ndarray) -> np.ndarray:
+        bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+        if bad.size:
+            raise InputContractError(f"{what}({k0 + int(bad[0])}) is not "
+                                     f"finite")
         vals = real_or_complex(vals)
         out = np.zeros((vals.shape[0], size, size), dtype=vals.dtype)
         out[:, diag, diag] = vals
@@ -131,17 +137,21 @@ def _minus_diagonal(L: Matrix, shift: np.ndarray) -> np.ndarray:
 def _shift(b: BiSequence, rule):
     """``_grid_operator`` rule ``rule(shift)`` over the scalar shift b, with
     shift its values as a (len, 1, 1) stack, float64 where they are real;
-    Re b(k) <= 0 is an input-contract error naming the first such k
-    wherever b is read."""
+    a b(k) that is not finite or has Re b(k) <= 0 is an input-contract
+    error naming the first such k wherever b is read."""
     if b.dim != 1:
         raise InputContractError("shift b must be a scalar sequence")
 
     def build(k0: int, vals: np.ndarray) -> np.ndarray:
-        re = vals[:, 0].real
-        bad = np.flatnonzero(re <= 0)
+        v = vals[:, 0]
+        bad = np.flatnonzero(~(np.isfinite(v) & (v.real > 0)))
         if bad.size:
-            raise InputContractError(f"Re b({k0 + int(bad[0])}) = "
-                                     f"{float(re[bad[0]])} is not positive")
+            i = int(bad[0])
+            if not np.isfinite(v[i]):
+                raise InputContractError(f"b({k0 + i}) = {complex(v[i])} is "
+                                         f"not finite")
+            raise InputContractError(f"Re b({k0 + i}) = {float(v[i].real)} "
+                                     f"is not positive")
         return rule(real_or_complex(vals[:, 0, None, None]))
 
     return build
@@ -189,14 +199,14 @@ SMALLNESS_GATE = 0.9  # sup of the composite certificate must stay below this
 
 def _gate_sups(D: OperatorSequence, gate: Window, what: str
                ) -> dict[str, float]:
-    """D's certificate sup per seminorm over ``gate``; sups at or above
-    SMALLNESS_GATE are an input-contract error, ``what`` followed by the
-    failing sups and the failing k on the gate."""
+    """D's certificate sup per seminorm over ``gate``; sups that are not
+    below SMALLNESS_GATE, NaN included, are an input-contract error,
+    ``what`` followed by the failing sups and the failing k on the gate."""
     sups = {lbl: D.sup_over(lbl, gate) for lbl in D.labels()}
-    bad = {lbl: s for lbl, s in sups.items() if s >= SMALLNESS_GATE}
+    bad = {lbl: s for lbl, s in sups.items() if not s < SMALLNESS_GATE}
     if bad:
         worst = np.max([D.certificate_array(lbl, gate) for lbl in bad], axis=0)
-        failing = [k for k, c in zip(gate, worst) if c >= SMALLNESS_GATE]
+        failing = [k for k, c in zip(gate, worst) if not c < SMALLNESS_GATE]
         raise InputContractError(
             f"{what} {bad} reach the gate {SMALLNESS_GATE}; failing k on the "
             f"gate: {failing[:8]}")
@@ -209,12 +219,13 @@ def heat_problem(n: int, h: float, m: BiSequence, b: BiSequence,
     """Build and validate the heat instance on an n-point 1-D grid, to be
     solved on ``window``.
 
-    Validation checks Re b(k) > 0 and the composite selection certificate
-    on the gate window [window.start - 1, window.end + 1]; sups at or above
-    the smallness gate are an input-contract error listing the failing k.
+    Validation checks that m(k) and b(k) are finite, Re b(k) > 0 and the
+    composite selection certificate on the gate window
+    [window.start - 1, window.end + 1]; sups not below the smallness gate
+    are an input-contract error listing the failing k.
     Constant m and b are certified once, with exact sups.  The solve reads
     D further right, up to its truncation depth, takes the sup of a
-    generator D there itself, and evaluating A(k) checks Re b(k) there.
+    generator D there itself, and evaluating A(k) checks b(k) there.
     The resolvent Ainv_C is a window rule over A that solves nothing: it
     scales the shared DST-I matrix Q of ``sine_basis`` by n numbers per k
     and refines the product once against A(k).  B, A, Ainv_C and D hold
@@ -270,7 +281,7 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
     (same hypotheses as heat, with the certificate of the order-2
     selection on the lifted family, checked on the gate window
     [window.start - 1, window.end + 2]).  As for heat, evaluating A0(k)
-    checks Re b(k) wherever it is read.  Constant m1, m2 and b give a
+    checks b(k) wherever it is read.  Constant m1, m2 and b give a
     constant selection, certified once with exact sups."""
     L = laplacian_1d(n, h)
     if family.dim != n or f.dim != n:

@@ -22,9 +22,8 @@ seminorm kind:
   lp, 1<p<inf   interpolation bound ||A||_1^(1/p) * ||A||_inf^(1-1/p)
   stencil S     max absolute row sum of (S A) S^{-1} (S is the zero-padded
                 stencil matrix, which is invertible for difference stencils;
-                S^{-1} is formed once per stencil and dimension; a stencil
-                whose S and S^{-1} are real, as every difference stencil's
-                are, multiplies in real arithmetic)
+                S and S^{-1} are formed once per stencil and dimension, in
+                the dtype of the stencil's weights)
   block_sum     max over block columns j of sum_i c_base(A_ij)
 
 All of these are sound upper bounds, so randomized soundness checks hold
@@ -36,16 +35,19 @@ Matrices are float64 when every imaginary part is exactly zero and
 complex128 otherwise; ``real_or_complex`` alone decides, for ``as_matrix``,
 for each stack a window rule gives and for the grid builders.  Real data
 are then certified, solved and multiplied on one plane by numpy's dtype
-dispatch.  Their certificates have the bits of the same data held complex
-(l2 bounds a real stack by the complex SVD), and so do their products with
-complex data, which ``stack_product`` casts; a real dense solve may differ
-from the complex one in the last bits.  Vectors, forcings and solution
-tables stay complex128.
+dispatch, and a stencil's S and S^{-1} are float64 when its weights are
+real, as every difference stencil's are: the stencil bound is the one
+product (S A) S^{-1}, in real arithmetic for a real stack and in numpy's
+complex products, with S cast, for a complex one.  Certificates of real
+data have the bits of the same data held complex (l2 bounds a real stack
+by the complex SVD), and so do their products with complex data, which
+``stack_product`` casts; a real dense solve may differ from the complex
+one in the last bits.  Vectors, forcings and solution tables stay
+complex128.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import lcm
 from typing import Callable, Container, Iterator, Sequence
 
@@ -140,13 +142,7 @@ def induced_bound(matrix: Matrix, sn: Seminorm) -> float | np.ndarray:
             raise CertificateError(
                 f"stencil seminorm {sn.label!r} has a singular stencil "
                 f"matrix, so it has no induced bound")
-        real = _real_stencil(sn, d)
-        if real is None:
-            conj = (sn.stencil_matrix(d) @ matrix) @ s_inv
-        elif np.iscomplexobj(matrix):
-            conj = _real_conjugate(matrix, *real)
-        else:
-            conj = (real[0] @ matrix) @ real[1]
+        conj = (sn.stencil_matrix(d) @ matrix) @ s_inv
         return _bound(np.abs(conj).sum(axis=-1).max(axis=-1))
     if sn.kind == "block_sum":
         p = sn.blocks
@@ -161,34 +157,6 @@ def induced_bound(matrix: Matrix, sn: Seminorm) -> float | np.ndarray:
                 col_sums[..., j] += induced_bound(block, sn.base)
         return _bound(col_sums.max(axis=-1))
     raise InputContractError(f"unknown seminorm kind {sn.kind!r}")
-
-
-@lru_cache(maxsize=None)
-def _real_stencil(sn: Seminorm, dim: int
-                  ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The real planes of the stencil matrix S and of S^{-1} when both are
-    real, as they are for every difference stencil; else None."""
-    s, s_inv = sn.stencil_matrix(dim), sn.stencil_inverse(dim)
-    if s.imag.any() or s_inv.imag.any():
-        return None
-    planes = np.ascontiguousarray(s.real), np.ascontiguousarray(s_inv.real)
-    for a in planes:
-        a.flags.writeable = False
-    return planes
-
-
-def _real_conjugate(matrix: np.ndarray, s: np.ndarray,
-                    s_inv: np.ndarray) -> np.ndarray:
-    """(S M) S^{-1} for real S and S^{-1} in real arithmetic: S M as one
-    product over M's interleaved re/im columns, then its real and imaginary
-    planes times S^{-1}, at half the multiplications of the complex
-    products."""
-    m = np.ascontiguousarray(matrix, dtype=np.complex128)
-    sm = s @ m.view(np.float64)
-    conj = np.empty(m.shape, dtype=np.complex128)
-    np.matmul(sm[..., 0::2], s_inv, out=conj.real)
-    np.matmul(sm[..., 1::2], s_inv, out=conj.imag)
-    return conj
 
 
 def well_conditioned(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

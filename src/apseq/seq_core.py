@@ -88,17 +88,17 @@ def as_window(w) -> Window:
 
 @lru_cache(maxsize=None)
 def _stencil_matrix(offsets: tuple, weights: tuple, dim: int) -> np.ndarray:
-    """Square stencil matrix with zero padding outside [0, dim).
+    """Square stencil matrix with zero padding outside [0, dim), float64
+    when every weight is real and complex128 otherwise.
 
     Zero padding models values that vanish at the boundary, so difference
     stencils stay injective and induced operator bounds remain finite.
     """
-    s = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        for o, w in zip(offsets, weights):
-            j = i + o
-            if 0 <= j < dim:
-                s[i, j] += w
+    if all(w.imag == 0 for w in weights):
+        weights = tuple(w.real for w in weights)
+    s = np.zeros((dim, dim), dtype=np.result_type(*weights, np.float64))
+    for o, w in zip(offsets, weights):
+        s += w * np.eye(dim, k=o)
     s.flags.writeable = False
     return s
 
@@ -106,7 +106,8 @@ def _stencil_matrix(offsets: tuple, weights: tuple, dim: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _stencil_inverse(offsets: tuple, weights: tuple,
                      dim: int) -> np.ndarray | None:
-    """Inverse of ``_stencil_matrix``, or None when that matrix is singular."""
+    """Inverse of ``_stencil_matrix``, in its dtype, or None when that
+    matrix is singular."""
     try:
         inv = np.linalg.solve(_stencil_matrix(offsets, weights, dim),
                               np.eye(dim))

@@ -967,6 +967,34 @@ def test_grid_spacing_must_be_finite(tmp_path, capsys, name, h):
     assert err.count("grid spacing must be a finite number > 0") == 2
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name,field,value", [
+    (name, "b", b) for name in ("heat", "wave")
+    for b in ([NAN, 0.0], [INF, 0.0], [NAN, 1.0], [3.0, INF])] + [
+    ("heat", "m", [NAN, 0.0]), ("wave", "m1", [NAN, 0.0]),
+    ("wave", "m2", [NAN, 0.0])])
+def test_grid_coefficients_must_be_finite(tmp_path, capsys, name, field,
+                                          value):
+    # heat failed its certificate sups (exit 3; b = inf warned first) or
+    # its SVD (m = nan, exit 4), and wave its SVD or its sups
+    import warnings
+    from apseq import cli
+    from apseq.seq_core import Window
+    data = cli.example_config(name, 5, 1.0, Window(-10, 10), 1e-10)
+    data["sequences"][field] = {"backend": "constant", "value": [value]}
+    command = {"heat": "solve-degenerate", "wave": "solve-p2"}[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, "--config",
+                         str(write_config(tmp_path, data)), "--out",
+                         str(tmp_path / "out")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert f" {field}(0) " in err and "is not finite" in err, err
+
+
 @pytest.mark.parametrize("h", ["1e-160", "1e200"])
 @pytest.mark.parametrize("name", ["heat", "wave"])
 def test_grid_spacing_must_keep_the_laplacian_finite_and_nonzero(

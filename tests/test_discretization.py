@@ -4,9 +4,9 @@ import pytest
 from apseq import (BiSequence, InputContractError, OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, Window, bohr_check,
                    omega_c_check, seq_axpy)
-from apseq.discretization import (_minus_diagonal, _sine_resolvent,
-                                  heat_problem, laplacian_1d, sine_basis,
-                                  wave_problem)
+from apseq.discretization import (_gate_sups, _minus_diagonal,
+                                  _sine_resolvent, heat_problem, laplacian_1d,
+                                  sine_basis, wave_problem)
 from apseq.higher_order import build_B_from_D
 from apseq.operator_model import real_or_complex
 from apseq.resolvent import solve_degenerate_vb1
@@ -174,6 +174,16 @@ def test_heat_rejects_nonpositive_re_b_on_the_probe():
         heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
                      BiSequence.zeros(4), family=grid_family(4),
                      window=(-10, 10))
+
+
+def test_gate_fails_a_nan_sup():
+    # nan >= gate is False, so a nan sup passed the gate
+    D = OperatorSequence.periodic([[[0.5]], [[np.nan]]],
+                                  family=SeminormFamily.sup_only(1))
+    with pytest.raises(InputContractError,
+                       match=r"\{'sup': nan\} reach the gate 0\.9; failing "
+                             r"k on the gate: \[-1, 1\]"):
+        _gate_sups(D, Window(-2, 1), "sups")
 
 
 def test_heat_reads_b_only_where_build_and_solve_read_it():

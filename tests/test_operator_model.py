@@ -323,8 +323,8 @@ def test_stencil_bound_matches_solve_conjugation(sn, rng):
 
 
 def complex_stencil_bound(m, sn):
-    """The stencil bound as complex products, (S M) S^{-1}: the reference
-    for the real-arithmetic products of real stencils."""
+    """The stencil bound as numpy's products (S M) S^{-1} of the stencil's
+    own S and S^{-1}."""
     d = m.shape[-1]
     conj = (sn.stencil_matrix(d) @ m) @ sn.stencil_inverse(d)
     return np.abs(conj).sum(axis=-1).max(axis=-1)
@@ -332,21 +332,13 @@ def complex_stencil_bound(m, sn):
 
 @pytest.mark.parametrize("sn", STENCILS, ids=lambda s: s.label)
 def test_real_stencil_bound_matches_the_complex_products(sn, rng):
-    # real S and S^{-1} multiply in real arithmetic, whose sums of products
-    # run in another order than the complex ones at some dimensions: bit
-    # for bit at these, within 1e-15 elsewhere; a complex stencil keeps the
-    # complex products
-    exact = {5, 8, 12, 16, 32}
+    # a complex stack takes numpy's complex products with S and S^{-1},
+    # real or not: bit for bit at every dimension
     for d in range(1, 41):
         stack = np.stack([random_matrix(rng, d) for _ in range(6)])
         got, want = induced_bound(stack, sn), complex_stencil_bound(stack, sn)
-        one = induced_bound(stack[0], sn)
-        if d in exact or sn.label == "skew":
-            assert got.tobytes() == want.tobytes(), d
-            assert one == want[0], d
-        else:
-            assert np.all(np.abs(got - want) <= 1e-15 * want), d
-            assert abs(one - want[0]) <= 1e-15 * want[0], d
+        assert got.tobytes() == want.tobytes(), d
+        assert induced_bound(stack[0], sn) == want[0], d
     # real matrices and read-only broadcast views take the same route
     m = np.ascontiguousarray(random_matrix(rng, 8).real)
     assert induced_bound(m, sn) == complex_stencil_bound(m.astype(complex),
@@ -354,6 +346,24 @@ def test_real_stencil_bound_matches_the_complex_products(sn, rng):
     view = np.broadcast_to(random_matrix(rng, 8), (3, 8, 8))
     assert np.array_equal(induced_bound(view, sn),
                           complex_stencil_bound(view, sn))
+
+
+@pytest.mark.parametrize("sn,dtype", zip(STENCILS, [np.float64, np.float64,
+                                                  np.complex128]),
+                         ids=[sn.label for sn in STENCILS])
+def test_stencil_matrices_keep_the_dtype_of_their_weights(sn, dtype):
+    # difference stencils have real weights, so S and S^{-1} are float64
+    for d in (1, 2, 3, 17, 64, 256):
+        want = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            for o, w in zip(sn.offsets, sn.weights):
+                if 0 <= i + o < d:
+                    want[i, i + o] += w
+        s, s_inv = sn.stencil_matrix(d), sn.stencil_inverse(d)
+        for a in (s, s_inv):
+            assert a.dtype == dtype and not a.flags.writeable, d
+        assert np.array_equal(s, want), d
+        assert np.abs(want @ s_inv - np.eye(d)).max() <= 1e-15 * d, d
 
 
 @pytest.mark.parametrize("sn", FAMILY_KINDS + STENCILS[2:] + [
