@@ -18,6 +18,6 @@ from .resolvent import (compose_selection, inclusion_residual,
                         inverse_selection, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
 from .seq_core import (BiSequence, Seminorm, SeminormFamily, TrigPoly, Window,
-                       read_csv, seq_axpy, write_csv)
+                       read_csv, write_csv)
 
 __version__ = "0.1.0"

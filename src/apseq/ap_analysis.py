@@ -261,8 +261,8 @@ def omega_c_check(F: BiSequence, omega: int, c: complex,
     zero means (omega, c)-periodic on the window."""
     if omega < 1:
         raise InputContractError("omega must be a positive integer")
-    if c == 0:
-        raise InputContractError("c must be nonzero")
+    if c == 0 or not np.isfinite(c):
+        raise InputContractError(f"c must be finite and nonzero, got {c}")
     k_window = as_window(k_window)
     vals = F.window_values(k_window.extended(right=omega))
     n = len(k_window)

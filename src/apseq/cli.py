@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ap_analysis, discretization
 from .config import (ScenarioConfig, _descriptor, build_sequence, cmat, cnum,
-                     cpair, mat_out)
+                     cpair, finite, mat_out)
 from .errors import ApseqError, InputContractError
 from .first_order import solve_series
 from .higher_order import (build_companion, build_B_from_D,
@@ -166,7 +166,8 @@ def _ainv_c(cfg: ScenarioConfig, A: OperatorSequence, C,
 def _config_C(cfg: ScenarioConfig, dim: int):
     if "C" in cfg.operators:
         with _descriptor("operators.C descriptor"):
-            return as_matrix(cmat(cfg.operators["C"]), dim)
+            return as_matrix(finite(cmat(cfg.operators["C"]),
+                                    "operators.C descriptor"), dim)
     return np.eye(dim, dtype=np.complex128)
 
 
@@ -240,16 +241,9 @@ def _dispatch(cfg: ScenarioConfig):
                                      window=cfg.window)
         vec_f = forcing(dim=block_dim)
         C = np.eye(block_dim, dtype=np.complex128)
-        def g_rule(w):
-            # g(k) = B(k+1) vec f(k), as stacked mat-vecs run by run
-            rows = vec_f.window_values(w)
-            out = np.empty_like(rows)
-            for r, b in B.runs(w.shifted(1)):
-                i = slice(r.start - 1 - w.start, r.end - w.start)
-                out[i] = (b @ rows[i, :, None])[..., 0]
-            return out
-
-        g = BiSequence(block_dim, g_rule)
+        # g(k) = B(k+1) vec f(k)
+        g = BiSequence(block_dim, lambda w: B.apply_rows(
+            w.start + 1, vec_f.window_values(w)))
         u, rep = solve_degenerate_vb1(B, D, C, g, vec_f, hull, tol=cfg.tol,
                                       A=A)
         rep.warnings.extend(warnings)

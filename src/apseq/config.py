@@ -154,7 +154,8 @@ class ScenarioConfig:
         if name not in self.operators:
             raise InputContractError(f"config lacks operators.{name}")
         return build_operator(self.operators[name], dim or self.dim,
-                              None if plain else (family or self.family(dim)))
+                              None if plain else (family or self.family(dim)),
+                              f"operators.{name}")
 
     def sequence(self, desc: dict | None, dim: int | None = None) -> BiSequence:
         if desc is None:
@@ -234,33 +235,43 @@ def build_sequence(desc: dict, dim: int) -> BiSequence:
     return seq
 
 
-def build_operator(desc: dict, dim: int,
-                   family: SeminormFamily | None) -> OperatorSequence:
-    """The operator sequence a descriptor names, certified over ``family``
-    (plain without one).  ``scaled_constant`` (k -> sum_j c_j e^(i lam_j k)
-    M) declares the global sup sum_j |c_j| c(M) per seminorm, so its sups
-    are exact."""
-    backend = _object(desc, "operator descriptor").get("backend")
-    kw = dict(family=family)
-    with _descriptor(f"operator descriptor with backend {backend!r}"):
+def finite(value, what: str):
+    """``value`` if all its entries are finite, else an error naming what."""
+    if not np.isfinite(value).all():
+        raise InputContractError(f"{what} has a non-finite value")
+    return value
+
+
+def build_operator(desc: dict, dim: int, family: SeminormFamily | None,
+                   name: str) -> OperatorSequence:
+    """The operator sequence ``operators.name`` names, certified over
+    ``family`` (plain without one).  ``scaled_constant`` (k -> sum_j c_j
+    e^(i lam_j k) M) declares the global sup sum_j |c_j| c(M) per seminorm,
+    so its sups are exact."""
+    backend = _object(desc, f"{name} descriptor").get("backend")
+    what = f"{name} descriptor with backend {backend!r}"
+    with _descriptor(what):
         if backend == "constant":
-            return OperatorSequence.constant(
-                as_matrix(cmat(desc["matrix"]), dim), **kw)
+            return OperatorSequence.constant(as_matrix(
+                finite(cmat(desc["matrix"]), f"{what}: matrix"), dim), family)
         if backend == "periodic":
             return OperatorSequence.periodic(
-                [as_matrix(cmat(m), dim) for m in desc["matrices"]], **kw)
+                [as_matrix(finite(cmat(m), f"{what}: matrices[{i}]"), dim)
+                 for i, m in enumerate(desc["matrices"])], family)
         if backend == "scaled_constant":
-            base = as_matrix(cmat(desc["matrix"]), dim)
+            base = as_matrix(finite(cmat(desc["matrix"]), f"{what}: matrix"),
+                             dim)
             terms = [(float(t["frequency"]), cnum(t["coefficient"]))
                      for t in desc["scale"]]
+            finite(np.array(terms), f"{what}: scale")
 
             def scale(k: int) -> complex:
                 return sum(c * np.exp(1j * lam * k) for lam, c in terms)
 
-            if family is not None:
-                kw["sup_bounds"] = {
-                    sn.label: sum(abs(c) for _, c in terms)
-                    * induced_bound(base, sn) for sn in family}
-            return OperatorSequence.from_function(
-                dim, lambda k: scale(k) * base, **kw)
+            sups = None if family is None else {
+                sn.label: sum(abs(c) for _, c in terms)
+                * induced_bound(base, sn) for sn in family}
+            return OperatorSequence(
+                dim, lambda w: np.stack([as_matrix(scale(k) * base, dim)
+                                         for k in w]), family, sups)
         raise InputContractError(f"unknown operator backend {backend!r}")

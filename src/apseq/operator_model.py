@@ -12,9 +12,9 @@ A sequence holds one rule for its matrices: the distinct matrices it
 cycles through, or a generator's window rule, whose A(k) is the matrix of
 the one-k window.  A sequence with a seminorm family derives its
 certificates from its own matrices, as exact induced bounds; one without
-a family is plain and has none.  Analytic knowledge enters only as a
-declared global sup (``sup_bounds``) or as the induced bound of a
-seminorm kind:
+a family is plain and has none.  Analytic knowledge enters only as the
+induced bound of a seminorm kind or, for a window rule alone, as a
+declared global sup (``sup_bounds``):
 
   sup norm      max absolute row sum
   l1            max absolute column sum
@@ -213,9 +213,9 @@ class OperatorSequence:
 
     With a ``family``, c(k) for each of its seminorms is the induced bound
     of A(k), derived once per distinct matrix and cached; without one the
-    sequence is plain.  ``sup_bounds[label]`` caps c(k) on all of Z: exact
-    for constant and periodic sequences, and for a generator only what it
-    declares.
+    sequence is plain.  ``sup_bounds[label]`` caps c(k) on all of Z: the
+    exact max of the certificates of a constant or periodic sequence, which
+    refuses a declared one, and for a generator only what it declares.
     """
 
     def __init__(self, dim: int, rule, family: SeminormFamily | None = None,
@@ -224,16 +224,22 @@ class OperatorSequence:
         self.dim = int(dim)
         self.family = family
         self.cache = True
+        self._mat_cache: dict[int, tuple[Window, np.ndarray]] = {}
+        self._cert_cache: dict[int, dict[str, float]] = {}
         if callable(rule):
-            self._window_fn, self._distinct = rule, None
-            self.period = None
+            self._window_fn, self._distinct, self.period = rule, None, None
+            self.sup_bounds = sup_bounds or {}
+        elif sup_bounds is not None:
+            raise InputContractError("a constant or periodic sequence takes "
+                                     "no declared sup bounds")
         else:
             self._window_fn, self._distinct = None, tuple(rule)
             self.period = len(self._distinct)
-        self._mat_cache: dict[int, tuple[Window, np.ndarray]] = {}
-        self._cert_cache: dict[int, dict[str, float]] = {}
-        self.sup_bounds = (self._exact_sup_bounds() if sup_bounds is None
-                           else sup_bounds)
+            # the one source of a constant or periodic sup: the exact max
+            # of the certificates of its distinct matrices
+            distinct = Window(0, self.period - 1)
+            self.sup_bounds = {sn.label: float(self.certificate_array(
+                sn.label, distinct).max()) for sn in family or ()}
 
     @property
     def backend(self) -> str:
@@ -242,14 +248,13 @@ class OperatorSequence:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def constant(matrix, family: SeminormFamily | None = None,
-                 sup_bounds=None) -> "OperatorSequence":
-        return OperatorSequence.periodic([matrix], family=family,
-                                         sup_bounds=sup_bounds)
+    def constant(matrix, family: SeminormFamily | None = None
+                 ) -> "OperatorSequence":
+        return OperatorSequence.periodic([matrix], family=family)
 
     @staticmethod
-    def periodic(matrices: Sequence, family: SeminormFamily | None = None,
-                 sup_bounds=None) -> "OperatorSequence":
+    def periodic(matrices: Sequence, family: SeminormFamily | None = None
+                 ) -> "OperatorSequence":
         mats = [as_matrix(m) for m in matrices]
         if not mats:
             raise InputContractError("periodic backend needs >= 1 matrix")
@@ -257,18 +262,7 @@ class OperatorSequence:
         for m in mats:
             if m.shape[0] != dim:
                 raise ShapeError("periodic matrices have mixed dimensions")
-        return OperatorSequence(dim, mats, family=family,
-                                sup_bounds=sup_bounds)
-
-    @staticmethod
-    def from_function(dim: int, fn: Callable[[int], Matrix],
-                      family: SeminormFamily | None = None,
-                      sup_bounds=None) -> "OperatorSequence":
-        """Generator of the user rule k -> fn(k), read k by k over each
-        window."""
-        return OperatorSequence(
-            dim, lambda w: np.stack([as_matrix(fn(k), dim) for k in w]),
-            family=family, sup_bounds=sup_bounds)
+        return OperatorSequence(dim, mats, family=family)
 
     @staticmethod
     def map(fn: Callable[..., np.ndarray], *seqs: "OperatorSequence",
@@ -425,12 +419,3 @@ class OperatorSequence:
 
     def labels(self) -> list[str]:
         return sorted(self.family.labels()) if self.family else []
-
-    def _exact_sup_bounds(self) -> dict[str, float]:
-        """max c(k) over the distinct matrices; none for a generator."""
-        if self.period is None or self.family is None:
-            return {}
-        distinct = Window(0, self.period - 1)
-        return {sn.label: float(self.certificate_array(sn.label,
-                                                       distinct).max())
-                for sn in self.family}

@@ -281,7 +281,7 @@ class SeminormFamily:
 
 @dataclass(frozen=True)
 class TrigPoly:
-    """P(k) = sum_j y_j * exp(i * lambda_j * k) with real frequencies."""
+    """P(k) = sum_j y_j * exp(i * lambda_j * k), frequencies finite reals."""
 
     terms: tuple[tuple[float, Vector], ...]
 
@@ -292,7 +292,11 @@ class TrigPoly:
         for lam, y in terms:
             v = as_vector(y, dim)
             dim = v.shape[0]
-            out.append((float(lam), v))
+            lam = float(lam)
+            if not np.isfinite(lam):
+                raise InputContractError(
+                    f"trig polynomial frequency {lam} is not finite")
+            out.append((lam, v))
         if not out:
             raise InputContractError("trig polynomial needs at least one term")
         return TrigPoly(tuple(out))
@@ -316,12 +320,12 @@ class TrigPoly:
 class BiSequence:
     """A Z-indexed sequence of C^dim values, evaluable on any finite window.
 
-    Backends: finite table (optionally zero-extended), user rule k -> F(k),
-    trigonometric polynomial, and the (omega, c) extension of a base window
-    which satisfies F(k + omega) = c * F(k) for all k by construction.
-    Each holds one window rule, ``window_fn(w)`` -> a new (len(w), dim)
-    array of the values on w; ``F(k)`` is the read-only row of the one-k
-    window, so a value has the same bits however it is read.
+    Backends: finite table (optionally zero-extended), trigonometric
+    polynomial, the (omega, c) extension of a base window which satisfies
+    F(k + omega) = c * F(k) for all k by construction, and a window rule
+    ``window_fn(w)`` -> a new (len(w), dim) array of the values on w, which
+    every backend holds; ``F(k)`` is the read-only row of the one-k window,
+    so a value has the same bits however it is read.
     ``constant_value`` is the value of a constant sequence, else None.
     """
 
@@ -381,12 +385,6 @@ class BiSequence:
         seq = BiSequence(dim, window_fn)
         seq.table_values = vals
         return seq
-
-    @staticmethod
-    def from_function(dim: int, fn: Callable[[int], Vector]) -> "BiSequence":
-        """The user rule k -> fn(k), read k by k over each window."""
-        return BiSequence(dim, lambda w: np.stack([as_vector(fn(k), dim)
-                                                   for k in w]))
 
     @staticmethod
     def constant(value) -> "BiSequence":
@@ -463,16 +461,6 @@ class BiSequence:
         """Values on a window as a new (len, dim) array, rows in k order,
         from one call of the window rule (views call their parents')."""
         return self._window_fn(as_window(window))
-
-
-def seq_axpy(alpha: complex, F: BiSequence, beta: complex,
-             G: BiSequence) -> BiSequence:
-    """Pointwise alpha*F + beta*G as a lazy view."""
-    if F.dim != G.dim:
-        raise ShapeError(f"dimension mismatch {F.dim} vs {G.dim}")
-    a, b = complex(alpha), complex(beta)
-    return BiSequence(F.dim, lambda w: (a * F.window_values(w)
-                                        + b * G.window_values(w)))
 
 
 # ---------------------------------------------------------------------------

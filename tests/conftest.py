@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from apseq import BiSequence, OperatorSequence
-from apseq.operator_model import COND_LIMIT, induced_bound
+from apseq.operator_model import COND_LIMIT, as_matrix, induced_bound
+from apseq.seq_core import as_vector
 
 # CLI tests run ``python -m apseq.cli`` in subprocesses, which import the
 # package from src/ as the tests do (pyproject's pytest pythonpath)
@@ -17,6 +18,27 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def per_k_operator(dim, fn, family=None, sup_bounds=None):
+    """The generator of the per-k rule k -> fn(k), as the window rule that
+    stacks fn(k) over each window."""
+    return OperatorSequence(
+        dim, lambda w: np.stack([as_matrix(fn(k), dim) for k in w]),
+        family, sup_bounds)
+
+
+def per_k_sequence(dim, fn):
+    """The value sequence of the per-k rule k -> fn(k) as a window rule."""
+    return BiSequence(dim, lambda w: np.stack([as_vector(fn(k), dim)
+                                               for k in w]))
+
+
+def axpy(alpha, F, beta, G):
+    """Pointwise alpha F + beta G as a window rule over F's and G's."""
+    a, b = complex(alpha), complex(beta)
+    return BiSequence(F.dim, lambda w: (a * F.window_values(w)
+                                        + b * G.window_values(w)))
 
 
 def random_matrix(rng, dim):
@@ -51,7 +73,7 @@ def random_certified_operator(rng, family, target_sup, backend="constant",
         def fn(k, _b=base):
             return _b * (0.55 + 0.45 * np.sin(0.7 * k))
 
-        return OperatorSequence.from_function(dim, fn, family=family)
+        return per_k_operator(dim, fn, family=family)
     raise ValueError(backend)
 
 

@@ -20,8 +20,8 @@ from apseq import (BiSequence, ConvergencePreconditionError,
                    solve_series)
 from apseq.discretization import laplacian_1d
 from apseq.resolvent import inverse_selection, solve_degenerate_vb1
-from conftest import (dense_selection, inverse_of, random_certified_operator,
-                      random_matrix)
+from conftest import (axpy, dense_selection, inverse_of, per_k_sequence,
+                      random_certified_operator, random_matrix)
 
 SUP = Seminorm.sup()
 
@@ -87,7 +87,7 @@ def test_criterion_02_residual_certification():
 
     AinvBC = OperatorSequence.constant(
         np.linalg.solve(Amat.matrix(0), B.matrix(1)), family=fam)
-    g = BiSequence.from_function(2, lambda k: B.matrix(k + 1) @ f(k))
+    g = per_k_sequence(2, lambda k: B.matrix(k + 1) @ f(k))
     _, rep = solve_degenerate_vb1(B, AinvBC, np.eye(2), g, f, window, tol=tol,
                                   A=Amat)
     results["vb1"] = (rep.max_residual, rep.sup_certificates)
@@ -237,8 +237,7 @@ def test_criterion_07_besicovitch_transfer():
     # at most 3/l at every grid length
     A = OperatorSequence.constant([[0.5]], family=SeminormFamily.sup_only(1))
     base = BiSequence.from_trig_poly(TrigPoly.of([(1.0, [1.0]), (0.0, [0.4])]))
-    from apseq import seq_axpy
-    spiked = seq_axpy(1.0, base, 1.0, BiSequence.spike(0, [1.0]))
+    spiked = axpy(1.0, base, 1.0, BiSequence.spike(0, [1.0]))
     grid = [64, 128, 256, 512]
     window = (-513, 514)
     x_base, _ = solve_series(A, base, window, tol=1e-12)
@@ -314,8 +313,8 @@ def test_criterion_09_resolvent_bound():
 def test_criterion_10_heat_example_end_to_end(tmp_path):
     t0 = time.monotonic()
     res = subprocess.run(
-        [sys.executable, "-m", "apseq.cli", "example", "heat", "--n", "5",
-         "--out", str(tmp_path / "heat")],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "apseq.cli",
+         "example", "heat", "--n", "5", "--out", str(tmp_path / "heat")],
         capture_output=True, text=True)
     elapsed = time.monotonic() - t0
     assert res.returncode == 0, res.stderr
@@ -352,8 +351,8 @@ def test_criterion_11_determinism(tmp_path):
 
     def run(out):
         r = subprocess.run(
-            [sys.executable, "-m", "apseq.cli", "solve", "--config", str(cfg),
-             "--out", str(out)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "apseq.cli",
+             "solve", "--config", str(cfg), "--out", str(out)],
             capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         return ((Path(out) / "solution.csv").read_bytes(),

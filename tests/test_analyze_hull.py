@@ -6,6 +6,7 @@ import json
 import pytest
 
 from apseq import BiSequence, RangeError, TrigPoly, cli, config
+from conftest import per_k_sequence
 
 ALL_REQUESTS = {
     "omega_c": {"omega": 3, "c": [0.0, 1.0]},
@@ -110,7 +111,7 @@ def test_tabulated_target_gives_the_lazy_results(backend, monkeypatch, rng):
         rows = BiSequence.from_trig_poly(poly)
 
         def F():
-            return BiSequence.from_function(2, lambda k: rows(k) * (1 + k % 5))
+            return per_k_sequence(2, lambda k: rows(k) * (1 + k % 5))
 
         monkeypatch.setattr(config, "build_sequence", lambda d, dim: F())
     else:

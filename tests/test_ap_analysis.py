@@ -9,7 +9,8 @@ from apseq import (BiSequence, Seminorm, SeminormFamily, TrigPoly,
 from apseq import ap_analysis
 from apseq.ap_analysis import translation_defects
 from apseq.errors import InputContractError
-from conftest import exhaustive_bohr_check, reference_row_values
+from conftest import (axpy, exhaustive_bohr_check, per_k_sequence,
+                      reference_row_values)
 
 SUP = Seminorm.sup()
 
@@ -81,7 +82,7 @@ def test_weyl_distance_constant_difference(l):
 def test_weyl_distance_alternating_difference_by_summation_oracle():
     # difference alternates 0, a; l = 2
     a = 1.3
-    F = BiSequence.from_function(1, lambda k: np.array([a * (k % 2)]))
+    F = per_k_sequence(1, lambda k: np.array([a * (k % 2)]))
     P = BiSequence.zeros(1)
     s_range = (-8, 8)
     got = weyl_distance(F, P, SUP, 1.0, 2, s_range)
@@ -179,8 +180,7 @@ def test_linear_combination_defect_bound(rng):
     F = BiSequence.from_trig_poly(TrigPoly.of([(1.0, [1.0, 0.5])]))
     G = BiSequence.from_trig_poly(TrigPoly.of([(np.sqrt(3), [0.25, -1.0])]))
     alpha, beta = 2.0 - 1.0j, 0.7
-    from apseq import seq_axpy
-    H = seq_axpy(alpha, F, beta, G)
+    H = axpy(alpha, F, beta, G)
     taus = rng.integers(-200, 200, size=25)
     dF = translation_defects(F, SUP, (-10, 10), taus)
     dG = translation_defects(G, SUP, (-10, 10), taus)

@@ -26,7 +26,8 @@ def run_cli(*args, env=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
-    return subprocess.run([sys.executable, "-m", "apseq.cli", *args],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "apseq.cli", *args],
                           capture_output=True, text=True, env=full_env)
 
 
@@ -835,6 +836,26 @@ def test_scaled_constant_declares_a_global_sup(tmp_path):
         0.9 * np.abs(base).sum(axis=0).max(), rel=1e-15)
 
 
+def test_scaled_constant_matrices_are_the_per_k_products_byte_for_byte():
+    # the window rule stacks scale(k) * M formed k by k, with each k's
+    # scalar np.exp, over a window across CERT_BLOCK runs
+    from apseq.config import cmat, cnum
+    from apseq.seq_core import Window
+    desc = SCALED_CONSTANT["operators"]["A"]
+    A = ScenarioConfig.from_dict(SCALED_CONSTANT).operator("A")
+    M = cmat(desc["matrix"])
+
+    def scale(k):
+        return sum(cnum(t["coefficient"]) * np.exp(1j * t["frequency"] * k)
+                   for t in desc["scale"])
+
+    w = Window(-70, 70)
+    want = np.stack([scale(k) * M for k in w])
+    got = A.matrices(w)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert A.matrix(200).tobytes() == (scale(200) * M).tobytes()
+
+
 def _omega_c_run(tmp_path, data, subcommand, omega):
     # an (omega, c) check reads the solution omega steps right of the
     # window, which the solve's table must cover
@@ -1271,3 +1292,60 @@ def test_integer_fields_reject_non_integral_values(tmp_path, capsys, base,
     assert cli.main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+def _scaled(frequency, coefficient):
+    return {"operators": {"A": {
+        "backend": "scaled_constant", "matrix": [[[0.5, 0.0]]],
+        "scale": [{"frequency": frequency, "coefficient": coefficient}]}}}
+
+
+DEGENERATE = {**MINIMAL_FIRST_ORDER, "kind": "degenerate_vb", "operators": {
+    "B": {"backend": "constant", "matrix": [[[0.4, 0.0]]]},
+    "A": {"backend": "constant", "matrix": [[[1.0, 0.0]]]}}}
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("solve", {"operators": {"A": {"backend": "constant",
+                                   "matrix": [[[NAN, 0.0]]]}}},
+     "operators.A descriptor with backend 'constant': matrix has a "
+     "non-finite value"),
+    ("solve", {"operators": {"A": {"backend": "constant",
+                                   "matrix": [[[INF, 0.0]]]}}},
+     "operators.A descriptor with backend 'constant': matrix has a "
+     "non-finite value"),
+    ("solve", {"operators": {"A": {"backend": "periodic", "matrices": [
+        [[[0.5, 0.0]]], [[[0.5, INF]]]]}}},
+     "operators.A descriptor with backend 'periodic': matrices[1] has a "
+     "non-finite value"),
+    ("solve-degenerate", {**DEGENERATE, "operators": {
+        **DEGENERATE["operators"], "C": [[[NAN, 0.0]]]}},
+     "operators.C descriptor has a non-finite value"),
+    ("solve", _scaled(NAN, [0.5, 0.0]),
+     "operators.A descriptor with backend 'scaled_constant': scale has a "
+     "non-finite value"),
+    ("solve", _scaled(0.0, [INF, 0.0]),
+     "'scaled_constant': scale has a non-finite value"),
+    ("analyze", {**ANALYZE, "analysis": {"weyl": {**WEYL,
+                                                  "frequencies": [NAN]}}},
+     "trig polynomial frequency nan is not finite"),
+    ("analyze", {**ANALYZE, "analysis": {"omega_c": {"omega": 2,
+                                                     "c": [NAN, 0.0]}}},
+     "c must be finite and nonzero, got (nan+0j)"),
+    ("analyze", {**ANALYZE, "sequences": {"target": {
+        "backend": "trig_poly",
+        "terms": [{"frequency": NAN, "coefficient": [[1.0, 0.0]]}]}},
+        "analysis": {"bohr": BOHR}},
+     "trig polynomial frequency nan is not finite")],
+    ids=["constant-nan", "constant-inf", "periodic-inf", "C-nan",
+         "scale-frequency-nan", "scale-coefficient-inf", "weyl-frequency",
+         "omega_c-c", "trig-target-frequency"])
+def test_non_finite_operator_data_and_analysis_parameters_exit_2(
+        tmp_path, command, data, message):
+    # each exited 3 (operators) or wrote NaN results with exit 0 (analysis)
+    base = ANALYZE if command == "analyze" else MINIMAL_FIRST_ORDER
+    cfg = write_config(tmp_path, {**base, **data})
+    res = run_cli(command, "--config", str(cfg), "--out",
+                  str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    assert message in res.stderr

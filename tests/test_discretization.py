@@ -3,13 +3,14 @@ import pytest
 
 from apseq import (BiSequence, InputContractError, OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, Window, bohr_check,
-                   omega_c_check, seq_axpy)
+                   omega_c_check)
 from apseq.discretization import (_gate_sups, _minus_diagonal,
                                   _sine_resolvent, heat_problem, laplacian_1d,
                                   sine_basis, wave_problem)
 from apseq.higher_order import build_B_from_D
 from apseq.operator_model import real_or_complex
 from apseq.resolvent import solve_degenerate_vb1
+from conftest import axpy, per_k_sequence
 
 
 def test_laplacian_1d_examples():
@@ -167,8 +168,8 @@ def test_heat_zero_forcing():
 def test_heat_rejects_nonpositive_re_b_on_the_probe():
     # b = 3 except b(-11) = -1: k = -11 lies left of the window but on the
     # gate window [window.start - 1, window.end + 1], which the solve reads
-    b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0,
-                 BiSequence.spike(-11, [-4.0]))
+    b = axpy(1.0, BiSequence.constant([3.0]), 1.0,
+             BiSequence.spike(-11, [-4.0]))
     with pytest.raises(InputContractError,
                        match=r"Re b\(-11\) = -1\.0 is not positive"):
         heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
@@ -189,8 +190,8 @@ def test_gate_fails_a_nan_sup():
 def test_heat_reads_b_only_where_build_and_solve_read_it():
     # b(-60) = -1 lies left of the gate window [-11, 11], and the solve
     # reads b only from there rightwards: neither rejects it
-    b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0,
-                 BiSequence.spike(-60, [-4.0]))
+    b = axpy(1.0, BiSequence.constant([3.0]), 1.0,
+             BiSequence.spike(-60, [-4.0]))
     hp = heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
                       BiSequence.zeros(4), family=grid_family(4),
                       window=(-10, 10))
@@ -202,11 +203,11 @@ def test_heat_reads_b_only_where_build_and_solve_read_it():
 def test_heat_reports_the_first_nonpositive_re_b(per_k):
     # two bad k in one certificate block of the gate window: the first is
     # named, also when b is a user rule read k by k within each window
-    b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0, seq_axpy(
+    b = axpy(1.0, BiSequence.constant([3.0]), 1.0, axpy(
         1.0, BiSequence.spike(-8, [-4.0]), 1.0,
         BiSequence.spike(-3, [-5.0])))
     if per_k:
-        b = BiSequence.from_function(1, b)
+        b = per_k_sequence(1, b)
     with pytest.raises(InputContractError,
                        match=r"Re b\(-8\) = -1\.0 is not positive"):
         heat_problem(4, 1.0, BiSequence.constant([0.1]), b,
@@ -319,8 +320,8 @@ def test_wave_rejects_nonpositive_re_b_as_heat_does(k):
     # reads A0.  Either way evaluating A0(k) names k, as heat's A(k) does,
     # rather than failing on a certificate sup of the selection
     n = 4
-    b = seq_axpy(1.0, BiSequence.constant([3.0]), 1.0,
-                 BiSequence.spike(k, [-4.0]))
+    b = axpy(1.0, BiSequence.constant([3.0]), 1.0,
+             BiSequence.spike(k, [-4.0]))
     with pytest.raises(InputContractError,
                        match=rf"Re b\({k}\) = -1\.0 is not positive"):
         wave_problem(n, 1.0, BiSequence.constant([0.05]),
@@ -333,8 +334,8 @@ def test_wave_gate_names_the_failing_k():
     # m2(3) = 0.95 puts A2(3) in the selection D(2), whose certificate
     # max(c1 + c2, c3) then reaches the gate
     n = 4
-    m2 = seq_axpy(1.0, BiSequence.constant([0.05]), 1.0,
-                  BiSequence.spike(3, [0.9]))
+    m2 = axpy(1.0, BiSequence.constant([0.05]), 1.0,
+              BiSequence.spike(3, [0.9]))
     with pytest.raises(InputContractError,
                        match=r"reach the gate 0\.9; failing k on the gate: "
                              r"\[2\]$"):
@@ -393,7 +394,7 @@ def test_resolvent_block_selection_and_system_solve(rng):
     B, warnings = build_B_from_D(A, D, p, base_family=fam, window=(-2, 2))
     assert not warnings  # sum of block resolvent norms <= 1/(2 p^2)
     vec_f = BiSequence.constant(np.ones(p * n))
-    g = BiSequence.from_function(p * n, lambda k: B.matrix(k + 1) @ vec_f(k))
+    g = per_k_sequence(p * n, lambda k: B.matrix(k + 1) @ vec_f(k))
     u, rep = solve_degenerate_vb1(B, D, np.eye(p * n), g, vec_f, (-4, 4),
                                   tol=1e-10, A=A)
     assert max(rep.max_residual.values()) <= 1e-9

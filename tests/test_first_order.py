@@ -4,11 +4,11 @@ import pytest
 from apseq import (BiSequence, ConvergencePreconditionError,
                    InputContractError, NumericError, OperatorSequence, Seminorm,
                    SeminormFamily, TrigPoly, Window, bohr_check, forward_oracle,
-                   omega_c_check, residual, seq_axpy, solve_series)
+                   omega_c_check, residual, solve_series)
 from apseq.first_order import _SWEEP_BLOCK, SolveReport, _apply_level
 from apseq.ap_analysis import besicovitch_distance
-from conftest import (op_product_apply, random_certified_operator,
-                      reference_sweep)
+from conftest import (axpy, op_product_apply, per_k_operator, per_k_sequence,
+                      random_certified_operator, reference_sweep)
 
 SUP = Seminorm.sup()
 FAM1 = SeminormFamily.sup_only(1)
@@ -157,7 +157,7 @@ def sweep_operator(rng, backend, dim, real, gain=0.9, with_zero=True):
     if backend == "periodic":
         return OperatorSequence.periodic([draw(), zero, draw()])
     base = [draw(), zero, draw(), draw(), draw()]
-    return OperatorSequence.from_function(
+    return per_k_operator(
         dim, lambda k: base[k % 5] * (1.0 + 0.1 * np.cos(0.3 * k)))
 
 
@@ -363,7 +363,7 @@ def test_depth_search_equals_per_k_loop(case, rng):
 def test_depth_search_error_matches_per_k_loop():
     # certificates above the declared sup left of k = -20: no product
     # within the probed depth reaches tol, and the error names the first k
-    A = OperatorSequence.from_function(
+    A = per_k_operator(
         1, lambda k: [[0.99 if k < -20 else 0.5]], family=FAM1,
         sup_bounds={"sup": 0.5})
     f = BiSequence.constant([1.0])
@@ -381,8 +381,8 @@ def test_depth_search_error_matches_per_k_loop():
 def generator_twin(A):
     """A's matrices served k by k through a generator with A's global sups,
     so a solve forms every row of the depth search and reads A(k) per k."""
-    return OperatorSequence.from_function(A.dim, A.matrix, family=A.family,
-                                          sup_bounds=dict(A.sup_bounds))
+    return per_k_operator(A.dim, A.matrix, family=A.family,
+                          sup_bounds=dict(A.sup_bounds))
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -412,20 +412,22 @@ def test_periodic_solve_is_bit_identical_to_its_generator_twin(
                          "periodic")
 
 
-@pytest.mark.parametrize("backward", [False, True])
-def test_periodic_depth_failure_matches_its_generator_twin(backward):
-    # a declared sup below the third matrix's certificate: the products do
-    # not reach tol within the depth the sup promises, at the same first k
-    A = OperatorSequence.periodic([[[0.5]], [[0.5]], [[0.99]]], family=FAM1,
-                                  sup_bounds={"sup": 0.5})
-    f = BiSequence.constant([1.0])
-    with pytest.raises(ConvergencePreconditionError) as got:
-        solve_series(A, f, (-10, 10), tol=1e-10, backward=backward)
-    with pytest.raises(ConvergencePreconditionError) as want:
-        solve_series(generator_twin(A), f, (-10, 10), tol=1e-10,
-                     backward=backward)
-    assert str(got.value) == str(want.value)
-    assert "do not reach tol" in str(got.value)
+def test_periodic_sequence_refuses_a_declared_sup():
+    # certificates 0.1 and 0.95 declared at sup 0.5: the solve would report
+    # a tail below tol and uniqueness certified on a sup its certificates
+    # break, so the sequence is refused; its sup is the exact max
+    mats = [np.array([[0.1]]), np.array([[0.95]])]
+    for rule in (mats, mats[1:]):
+        with pytest.raises(InputContractError, match="no declared sup"):
+            OperatorSequence(1, rule, FAM1, {"sup": 0.5})
+    A = OperatorSequence.periodic(mats, family=FAM1)
+    assert A.sup_bounds == {"sup": 0.95}
+    x, rep = solve_series(A, BiSequence.constant([1.0]), (-10, 10), tol=1e-8)
+    assert rep.sup_certificates == {"sup": 0.95}
+    # x(k) = (1 + a(k-1)) / (1 - a(k-1) a(k-2)) lies within each k's tail
+    for k, tail in rep.tail_bounds["sup"]:
+        exact = (1 + A.matrix(k - 1)[0, 0]) / (1 - 0.1 * 0.95)
+        assert abs(x(k)[0] - exact) <= tail
 
 
 def test_solver_rejects_unit_certificates():
@@ -436,7 +438,7 @@ def test_solver_rejects_unit_certificates():
 
 def test_solver_rejects_non_finite_forcing():
     A = half_identity()
-    bad = BiSequence.from_function(1, lambda k: np.array([np.nan]))
+    bad = per_k_sequence(1, lambda k: np.array([np.nan]))
     with pytest.raises(InputContractError):
         solve_series(A, bad, (-2, 2))
 
@@ -501,8 +503,8 @@ def test_backward_products_examples():
 def test_uniqueness_reads_no_certificate_beyond_the_solve():
     # a declared sup below 1 certifies uniqueness by itself: the only
     # certificates derived are the ones the depth search multiplies
-    A = OperatorSequence.from_function(1, lambda k: [[0.1]], family=FAM1,
-                                       sup_bounds={"sup": 0.1})
+    A = per_k_operator(1, lambda k: [[0.1]], family=FAM1,
+                       sup_bounds={"sup": 0.1})
     _, rep = solve_series(A, BiSequence.constant([1.0]), (0, 0), tol=1e-10)
     assert rep.uniqueness == "certified" and rep.sup_probe is None
     assert rep.uniqueness_by_label == {"sup": True}
@@ -546,8 +548,8 @@ def test_generator_sup_is_probed_where_the_solve_reads(rng):
     probed = A.certificate_array("sup", Window(*rep.sup_probe))
     assert rep.sup_certificates["sup"] == probed.max()
     # a declared global sup makes the same operator certified
-    B = OperatorSequence.from_function(2, A.matrix, family=fam,
-                                       sup_bounds={"sup": 0.7})
+    B = per_k_operator(2, A.matrix, family=fam,
+                       sup_bounds={"sup": 0.7})
     _, rep_b = solve_series(B, f, (-10, 10), tol=1e-10)
     assert rep_b.uniqueness == "certified" and rep_b.sup_probe is None
 
@@ -608,9 +610,9 @@ def test_besicovitch_transfer_finite_perturbation(rng):
     # distance between the solutions decreases monotonically along the grid
     A = half_identity()
     P = BiSequence.from_trig_poly(TrigPoly.of([(1.0, [1.0]), (0.0, [0.5])]))
-    spikes = seq_axpy(1.0, BiSequence.spike(0, [1.0]), 1.0,
-                      BiSequence.spike(5, [-2.0]))
-    f = seq_axpy(1.0, P, 1.0, spikes)
+    spikes = axpy(1.0, BiSequence.spike(0, [1.0]), 1.0,
+                  BiSequence.spike(5, [-2.0]))
+    f = axpy(1.0, P, 1.0, spikes)
     grid = [64, 128, 256, 512]
     xg, _ = solve_series(A, f, (-520, 520), tol=1e-12)
     xp, _ = solve_series(A, P, (-520, 520), tol=1e-12)
@@ -646,7 +648,7 @@ def test_polynomial_weight_forcing_and_growth(rng):
     # weighted growth proxy of the solution stays bounded by the input's
     alpha = 1.0
     A = half_identity()
-    f = BiSequence.from_function(
+    f = per_k_sequence(
         1, lambda k: np.array([(1.0 + abs(k)) ** alpha * np.cos(0.7 * k)]))
     window = (-30, 30)
     x, rep = solve_series(A, f, window, tol=1e-9)

@@ -5,7 +5,8 @@ from apseq import (BiSequence, OperatorSequence, SeminormFamily, TrigPoly,
                    build_companion, build_B_from_D, companion_selection,
                    omega_c_check, solve_second_order)
 from apseq.higher_order import second_order_residual
-from conftest import companion_forward_oracle, dense_selection, random_matrix
+from conftest import (companion_forward_oracle, dense_selection, per_k_operator,
+                      random_matrix)
 
 FAM1 = SeminormFamily.sup_only(1)
 
@@ -83,7 +84,7 @@ def test_selection_block_matches_dense_on_random_draws(p, rng):
         C = random_matrix(rng, d)
         sys_ = build_companion(p, seqs, C)
         k = int(rng.integers(-5, 5))
-        G = OperatorSequence.from_function(
+        G = per_k_operator(
             d, lambda j: np.linalg.solve(seqs[0].matrix(j), C))
         got = companion_selection(sys_, G).matrix(k)
         dense = dense_selection(sys_, k)
@@ -188,7 +189,7 @@ def test_second_order_recovery_is_the_per_k_product_bit_for_bit(
     d = 3
     fam = SeminormFamily.sup_only(d)
     a0 = 5.0 * np.eye(d) + 0.4 * random_matrix(rng, d)
-    A0 = (OperatorSequence.from_function(
+    A0 = (per_k_operator(
         d, lambda k: a0 * (1 + 0.1 * np.sin(k))) if generator
         else OperatorSequence.constant(a0))
     A1 = OperatorSequence.constant(0.15 * random_matrix(rng, d))

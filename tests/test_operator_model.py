@@ -10,7 +10,7 @@ from apseq import (BiSequence, CertificateError,
 from apseq.first_order import _truncation_depths
 from apseq.operator_model import (CERT_BLOCK, complex_stack, stack_product,
                                   window_blocks)
-from conftest import apply, op_product_apply, random_matrix
+from conftest import apply, op_product_apply, per_k_operator, random_matrix
 
 SUP_FAM = SeminormFamily.sup_only(1)
 
@@ -36,7 +36,7 @@ def test_apply_periodic_index_arithmetic(rng):
     mats = [random_matrix(rng, 3) for _ in range(2)]
     A = OperatorSequence.periodic(mats, family=SeminormFamily.sup_only(3))
     # oracle: a generator evaluating the same rule directly
-    G = OperatorSequence.from_function(3, lambda k: mats[k % 2])
+    G = per_k_operator(3, lambda k: mats[k % 2])
     x = rng.standard_normal(3)
     for k in (-4, -1, 0, 1, 5):
         assert np.array_equal(apply(A, k, x), G.matrix(k) @ x)
@@ -126,7 +126,7 @@ def test_rac_representation_invariance(rng):
     mats = [random_matrix(rng, 2) * 0.2 for _ in range(3)]
     fam = SeminormFamily.sup_only(2)
     P = OperatorSequence.periodic(mats, family=fam)
-    G = OperatorSequence.from_function(2, lambda k: mats[k % 3], family=fam)
+    G = per_k_operator(2, lambda k: mats[k % 3], family=fam)
     assert partial_sums(P, "sup", 4, 30) == partial_sums(G, "sup", 4, 30)
     assert P.sup_bound("sup") == G.sup_over("sup", Window(-8, 8)) < 1.0
     assert depths_at(P, 4, 1e-12, 200) == depths_at(G, 4, 1e-12, 200)
@@ -183,15 +183,15 @@ def test_product_bound_randomized(rng):
 
 def test_generator_sup_is_global_only_when_declared(rng):
     fam = SeminormFamily.sup_only(2)
-    A = OperatorSequence.from_function(
+    A = per_k_operator(
         2, lambda k: np.eye(2) * (0.5 if k < 0 else 0.25), family=fam)
     assert A.sup_bounds == {}
     with pytest.raises(CertificateError, match="no global sup bound"):
         A.sup_bound("sup")
     assert A.sup_over("sup", Window(-4, 4)) == 0.5
     assert A.sup_over("sup", Window(0, 4)) == 0.25
-    D = OperatorSequence.from_function(2, lambda k: np.eye(2) * 0.25,
-                                       family=fam, sup_bounds={"sup": 0.5})
+    D = per_k_operator(2, lambda k: np.eye(2) * 0.25,
+                       family=fam, sup_bounds={"sup": 0.5})
     assert D.sup_bound("sup") == D.sup_over("sup", Window(0, 4)) == 0.5
     with pytest.raises(CertificateError):
         D.sup_bound("nope")
@@ -217,7 +217,7 @@ def test_map_joint_backend_and_period(rng):
     P3 = OperatorSequence.periodic([random_matrix(rng, 2) for _ in range(3)],
                                    family=fam)
     K = OperatorSequence.constant(random_matrix(rng, 2), family=fam)
-    G = OperatorSequence.from_function(2, lambda k: (1 + 0.1 * k) * np.eye(2))
+    G = per_k_operator(2, lambda k: (1 + 0.1 * k) * np.eye(2))
     prod = OperatorSequence.map(lambda w, a, b: a @ b, P2, P3, shifts=(0, 1),
                                 family=fam)
     assert prod.backend == "periodic" and prod.period == 6
@@ -244,7 +244,7 @@ def test_apply_rows_matches_per_row_products(rng):
     mats = [random_matrix(rng, 3) for _ in range(3)]
     seqs = [OperatorSequence.constant(mats[0], family=fam),
             OperatorSequence.periodic(mats, family=fam),
-            OperatorSequence.from_function(3, lambda k: mats[k % 3] * k)]
+            per_k_operator(3, lambda k: mats[k % 3] * k)]
     rows = random_matrix(rng, 3)[:2].repeat(4, axis=0)  # 8 rows
     for A in seqs:
         got = A.apply_rows(-5, rows)
@@ -482,16 +482,16 @@ def test_singular_stencil_raises_certificate_error(rng):
 
 
 def test_window_rule_generator_matches_per_k_rule(rng):
-    # a per-k user rule adapted by from_function and the same rule given as
-    # a window rule derive the same matrices and certificates
+    # a per-k rule stacked k by k over each window and the same rule given
+    # as a blocked window rule derive the same matrices and certificates
     fam = SeminormFamily.of(STENCILS[:2] + [Seminorm.sup()], 5)
     base = [random_matrix(rng, 5) for _ in range(3)]
 
     def stack(w):
         return np.stack([base[k % 3] * np.cos(k) for k in w])
 
-    per_k = OperatorSequence.from_function(5, lambda k: stack([k])[0],
-                                           family=fam)
+    per_k = per_k_operator(5, lambda k: stack([k])[0],
+                           family=fam)
     blocked = OperatorSequence(5, stack, family=fam)
     assert blocked.backend == per_k.backend == "generator"
     for sn in fam:
@@ -578,7 +578,7 @@ def test_certificate_miss_derives_only_the_asked_window(rng):
 def test_generator_map_calls_its_rule_once_per_block(rng):
     # the rule sees each input's whole stack for a block, never one k
     K = OperatorSequence.constant(random_matrix(rng, 2))
-    G = OperatorSequence.from_function(2, lambda k: (1 + 0.1 * k) * np.eye(2))
+    G = per_k_operator(2, lambda k: (1 + 0.1 * k) * np.eye(2))
     calls = []
 
     def rule(w, a, g):

@@ -20,7 +20,8 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("code", BLOCKS,
                          ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_runs(code):
-    res = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-c", code], cwd=ROOT,
                          env={**os.environ, "PYTHONPATH": "src"},
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

@@ -8,7 +8,8 @@ from apseq import (BiSequence, InputContractError, OperatorSequence,
 from apseq.operator_model import induced_bound
 from apseq.resolvent import (compose_selection, inverse_selection,
                              vb1_residual, vb_residual)
-from conftest import inverse_of, random_certified_operator
+from conftest import (inverse_of, per_k_operator, per_k_sequence,
+                      random_certified_operator)
 
 FAM1 = SeminormFamily.sup_only(1)
 
@@ -288,10 +289,10 @@ def test_triple_equivalence_vb_inclusion_reversed_series(rng):
     x_inc, _ = solve_inclusion(D, f, window, tol=tol)
 
     # manual reversal: w(j+1) = D(-j-1) w(j) - D(-j-1) f(-j-1), x(k) = w(-k)
-    A_rev = OperatorSequence.from_function(
+    A_rev = per_k_operator(
         2, lambda j: D.matrix(-j - 1), family=fam,
         sup_bounds=dict(D.sup_bounds))
-    f_rev = BiSequence.from_function(
+    f_rev = per_k_sequence(
         2, lambda j: -(D.matrix(-j - 1) @ f(-j - 1)))
     w, _ = solve_series(A_rev, f_rev, Window(-7, 7), tol=tol)
 
@@ -314,9 +315,9 @@ def test_backward_depth_search_matches_the_reversed_series(rng):
     # hand-built reversal as in the triple equivalence above: its table on
     # j in [-10, 10] holds x(k) = w(-k) for k in [-10, 10]
     from apseq import solve_series
-    A_rev = OperatorSequence.from_function(
+    A_rev = per_k_operator(
         2, lambda j: D.matrix(-j - 1), family=fam)
-    f_rev = BiSequence.from_function(
+    f_rev = per_k_sequence(
         2, lambda j: -(D.matrix(-j - 1) @ f(-j - 1)))
     _, hand = solve_series(A_rev, f_rev, (-10, 9), tol=1e-10)
     assert rep.truncation_V == sorted((-j, V) for j, V in hand.truncation_V)
@@ -377,7 +378,7 @@ def test_inclusion_reads_A_only_where_the_solve_reads_it():
     # A(-50) = 0 is singular but lies left of everything the reversed
     # series reads, which starts at k = -6
     fam = SeminormFamily.sup_only(1)
-    A = OperatorSequence.from_function(
+    A = per_k_operator(
         1, lambda k: [[0.0 if k == -50 else 4.0]])
     sel = inverse_selection(A, [[1.0]], fam)
     x, rep = solve_inclusion(sel, BiSequence.constant([1.0]), (-5, 5))
