@@ -412,6 +412,22 @@ def test_periodic_solve_is_bit_identical_to_its_generator_twin(
                          "periodic")
 
 
+@pytest.mark.parametrize("backward", [False, True])
+def test_periodic_depth_failure_matches_its_generator_twin(backward):
+    # the third matrix's certificate 0.999 is the exact sup: the depth it
+    # certifies exceeds V_max, and the twin fails with the same error
+    A = OperatorSequence.periodic([[[0.5]], [[0.5]], [[0.999]]], family=FAM1)
+    assert A.sup_bounds == {"sup": 0.999}
+    f = BiSequence.constant([1.0])
+    with pytest.raises(ConvergencePreconditionError) as got:
+        solve_series(A, f, (-10, 10), tol=1e-10, backward=backward)
+    with pytest.raises(ConvergencePreconditionError) as want:
+        solve_series(generator_twin(A), f, (-10, 10), tol=1e-10,
+                     backward=backward)
+    assert str(got.value) == str(want.value)
+    assert "exceeds V_max" in str(got.value)
+
+
 def test_periodic_sequence_refuses_a_declared_sup():
     # certificates 0.1 and 0.95 declared at sup 0.5: the solve would report
     # a tail below tol and uniqueness certified on a sup its certificates
