@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputContractError
 from .seq_core import (BiSequence, Record, Seminorm, SeminormFamily,
-                       TrigPoly, Vector, Window, as_window)
+                       TrigPoly, Vector, Window, as_window, check_phases)
 
 
 @dataclass
@@ -289,6 +289,7 @@ def fit_trig_poly(F: BiSequence, frequencies, N: int) -> TrigPoly:
         raise InputContractError("need at least one frequency")
     if N < 1:
         raise InputContractError("N must be >= 1")
+    check_phases(freqs, -N, N)
     vals = F.window_values(Window(-N, N))
     return TrigPoly.of([(lam, _fourier_mean(vals, lam, N))
                         for lam in freqs])

@@ -28,7 +28,7 @@ from .errors import InputContractError, ShapeError
 from .first_order import SolveReport, linear_residual
 from .operator_model import (Matrix, OperatorSequence, as_matrix,
                              induced_bound, stack_product, window_blocks)
-from .resolvent import _solve_reduced, amplification, inverse_selection
+from .resolvent import _solve_reduced, inverse_selection
 from .seq_core import BiSequence, SeminormFamily, as_window
 
 
@@ -176,8 +176,10 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
 
     Runs through the selection D of ``second_order_selection`` (or the
     given ``D``, built by it from the same coefficients); its certificate
-    sups must stay below 1.  The order-2 residual is certified on the
-    returned u, which holds the two k past the window that it reads.
+    sups must stay below 1.  The series runs at tol: u(k) = -G(k) (head of
+    v(k+1) - f(k)), and on the lifted family c_G <= c_D < 1.  The order-2
+    residual is certified on the returned u, which holds the two k past
+    the window that it reads.
     """
     C = as_matrix(C, A0.dim)
     if D is None:
@@ -204,7 +206,7 @@ def solve_second_order(A0: OperatorSequence, A1: OperatorSequence,
         D, vec_f, window, tol, "second_order_direct",
         lambda u, w, *_: second_order_residual(A0, A1, A2, C, f, u, w,
                                                family),
-        amplify=4.0 * amplification(family, C), reach=2, recover=recover)
+        reach=2, recover=(None, recover))
     return u, report
 
 

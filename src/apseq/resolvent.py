@@ -23,9 +23,10 @@ reduce to inclusions with selections B(k) [A(k)]^{-1} C and
 [A(k)]^{-1} B(k+1) C respectively.
 
 One core, ``_solve_reduced``, solves every reduction; the inclusion
-itself, vb, vb1 and order 2 are builders on it.  A is required for vb
-and vb1, as their residuals read it.  A bound on the error of the
-recovered u, and orders p > 2, belong in the core.
+itself, vb, vb1 and order 2 are builders on it.  It tightens the series
+tol by the sup bound of the recovery u <- v, so the written u meets tol;
+orders p > 2 belong in it too.  A is required for vb and vb1, as their
+residuals read it.
 
 Every selection is an ``OperatorSequence`` derived by
 ``OperatorSequence.map``: one window rule over the stacks of its inputs,
@@ -36,15 +37,12 @@ selection D, which carries the regularizer C.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .errors import InputContractError
 from .first_order import SolveReport, _solve_series, linear_residual
-from .operator_model import (COND_LIMIT, Matrix, OperatorSequence, as_matrix,
-                             checked_solve, induced_bound, stack_product,
-                             well_conditioned, window_blocks)
+from .operator_model import (COND_LIMIT, OperatorSequence, as_matrix,
+                             checked_solve, stack_product, well_conditioned)
 from .seq_core import BiSequence, SeminormFamily, Window, as_window
 
 CONSISTENCY_TOL = 1e-10  # relative defect allowed in B(k+1) C f(k) = C g(k)
@@ -78,16 +76,16 @@ def solve_inclusion(D: OperatorSequence, f: BiSequence, window,
 
 
 def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
-                   form: str, residual, amplify: float = 1.0,
-                   reach: int = 1, recover=None
+                   form: str, residual, reach: int = 1, recover=None
                    ) -> tuple[BiSequence, BiSequence, SolveReport]:
     """(v, u, report) of an equation reduced to the inclusion with
-    selection D and forcing f: v solved at tol / ``amplify``, the
-    reduction's residual amplification; u = ``recover(v, u_window,
-    report)``, a window rule reading v one k right of u_window, or v
-    itself; u holds ``window`` and the ``reach`` k past it that its
-    ``residual(u, window, g_rows, f_rows)`` reads, which the report holds
-    as max_residual under ``form``.
+    selection D and forcing f.  u is v, or with ``recover = (R, rule)``
+    ``rule(v, u_window, report)``, a window rule reading v one k right of
+    u_window, whose error at k is R(k) times v's (R None: at most v's).
+    v is solved at tol / max(1, R's certificate sups on u_window), the
+    report's extras["series_tol"], so v and u both meet tol.  u holds
+    ``window`` and the ``reach`` k past it that its ``residual(u, window,
+    g_rows, f_rows)`` reads, held as max_residual under ``form``.
     g_rows and f_rows are the rows of the reduced forcing g = -D f and of
     f on the window, as the solve read them: g's window rule keeps the f
     rows it reads there, so f is read once.  ``_solve_series`` derives a
@@ -98,6 +96,11 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
         raise InputContractError("selection operator carries no seminorm family")
     if f.dim != D.dim:
         raise InputContractError(f"forcing dim {f.dim} vs operator dim {D.dim}")
+    R, rule = recover or (None, None)
+    u_window = window.extended(right=reach)
+    sups = [] if R is None else [R.sup_over(lbl, u_window)
+                                 for lbl in R.labels()]
+    series_tol = tol / max([1.0, *sups])
     f_rows = np.empty((len(window), f.dim), dtype=np.complex128)
 
     def g_rule(w: Window) -> np.ndarray:
@@ -110,12 +113,12 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
 
     g = BiSequence(D.dim, g_rule)
     v, report, g_rows = _solve_series(
-        D, g, window.extended(left=1), tol / amplify,
-        reach + (recover is not None), backward=True)
+        D, g, window.extended(left=1), series_tol,
+        reach + (rule is not None), backward=True)
     report.window = (window.start, window.end)
     report.tol = tol
-    u = v if recover is None else recover(v, window.extended(right=reach),
-                                          report)
+    report.extras["series_tol"] = series_tol
+    u = v if rule is None else rule(v, u_window, report)
     report.residual_form = form
     report.max_residual = residual(u, window, g_rows[1:], f_rows)
     return v, u, report
@@ -144,14 +147,6 @@ def compose_selection(B: OperatorSequence, G: OperatorSequence,
     return OperatorSequence.map(lambda w, b, g: b @ g, B, G, family=family)
 
 
-def amplification(family: SeminormFamily, C: Matrix, stacks=()) -> float:
-    """max(1, the induced bounds of C and of every matrix in ``stacks``, an
-    iterable of (len, d, d) stacks, over the family): the factor a series
-    tolerance is tightened by."""
-    return max(1.0, *(float(np.max(induced_bound(m, sn)))
-                      for m in chain([C], stacks) for sn in family))
-
-
 def _inverse_or_zero(w: Window, b: np.ndarray) -> np.ndarray:
     """B(k)^{-1} for each B(k) of the stack, or zero where B(k) fails its
     condition check; a true inverse is never zero, so zero marks the
@@ -171,10 +166,11 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
 
     Solves the substituted inclusion for v with the composite selection
     D(k) = B(k) Ainv_C(k) (or the given ``D``, built by
-    ``compose_selection`` from the same B and Ainv_C).  The recovery route
-    is chosen automatically: u is recovered from v by inverting B, or,
-    when some B(k) fails its condition check, through the selection
-    u(k) = Ainv_C(k) (v(k+1) - f(k)).  The vb residual is certified
+    ``compose_selection`` from the same B and Ainv_C).  Before the solve,
+    B^{-1} on u's window picks the recovery: u(k) = B(k)^{-1} v(k), or,
+    when some B(k) there fails its condition check, the selection u(k) =
+    Ainv_C(k) (v(k+1) - f(k)); v's series tol is tol over that operator's
+    certificate sup there, when above 1.  The vb residual is certified
     directly on u, which covers the window and the k right of it.
     """
     window = as_window(window)
@@ -185,40 +181,40 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     if D is None:
         D = compose_selection(B, Ainv_C, family)
 
-    # tighten the series tolerance by the measured residual amplification
-    # of A(k) B(k)^{-1}; a B(k) that fails its check contributes zero
-    B_inv = OperatorSequence.map(_inverse_or_zero, B)
-    products = (stack_product(A.matrices(w), B_inv.matrices(w))
-                for w in window_blocks(window))
+    B_inv = OperatorSequence.map(_inverse_or_zero, B, family=family)
+    u_window = window.extended(right=1)
+    runs = B_inv.runs(u_window)
+    ok = np.concatenate([inv.any(axis=(1, 2)) for _, inv in runs])
+    if ok.all():
+        R, notes = B_inv, ["u recovered via b_inverse"]
 
-    def recover(v, u_window, report):
-        # u(k) = B(k)^{-1} v(k) as stacked mat-vecs run by run, which keep
-        # the bits of each B(k)^{-1} @ v(k); a constant B^{-1} is cast once
-        runs = B_inv.runs(u_window)
-        ok = np.concatenate([inv.any(axis=(1, 2)) for _, inv in runs])
-        if ok.all():
-            route = "b_inverse"
+        def recover(v, u_window, _):
+            # stacked mat-vecs run by run keep the bits of each
+            # B(k)^{-1} @ v(k); a constant B^{-1} is cast once
             v_vals = v.window_values(u_window)
             u_vals = np.empty_like(v_vals)
             for w, inv in runs:
                 i = slice(w.start - u_window.start, w.end - u_window.start + 1)
                 u_vals[i] = stack_product(inv, v_vals[i, :, None])[..., 0]
-        else:
-            bad = u_window.start + int(np.argmin(ok))
-            report.warnings.append(
-                f"B({bad}) condition estimate above {COND_LIMIT:.1e}; "
-                f"B-inverse recovery abandoned")
-            route = "selection"
-            u_vals = Ainv_C.apply_rows(u_window.start,
-                                       v.window_values(u_window.shifted(1))
-                                       - f.window_values(u_window))
-        report.warnings.append(f"u recovered via {route}")
-        return BiSequence._adopt_table(u_window.start, u_vals)
+            return BiSequence._adopt_table(u_window.start, u_vals)
+    else:
+        bad = u_window.start + int(np.argmin(ok))
+        notes = [f"B({bad}) condition estimate above {COND_LIMIT:.1e}; "
+                 f"B-inverse recovery abandoned", "u recovered via selection"]
+        R = Ainv_C if Ainv_C.family else OperatorSequence.map(
+            lambda w, a: a, Ainv_C, family=family)
 
-    return _solve_reduced(
+        def recover(v, u_window, _):
+            return BiSequence._adopt_table(u_window.start, R.apply_rows(
+                u_window.start, v.window_values(u_window.shifted(1))
+                - f.window_values(u_window)))
+
+    v, u, report = _solve_reduced(
         D, f, window, tol, "vb_direct",
         lambda u, w, _, f_rows: vb_residual(B, A, C, f_rows, u, w, family),
-        amplify=2.0 * amplification(family, C, products), recover=recover)
+        recover=(R, recover))
+    report.warnings.extend(notes)
+    return v, u, report
 
 
 def vb_residual(B: OperatorSequence, A: OperatorSequence, C,
@@ -239,8 +235,9 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
     selection D(k) = [A(k)]^{-1} B(k+1) C and forcing f.
 
     The supplied f must satisfy B(k+1) C f(k) = C g(k) on the window
-    (checked to CONSISTENCY_TOL relative to 1 + the data scale); the vb1
-    residual is certified directly on u.
+    (checked to CONSISTENCY_TOL relative to 1 + the data scale).  u is the
+    series' own solution, solved at tol; the vb1 residual is certified
+    directly on it.
     """
     window = as_window(window)
     family = Ainv_BC.family
@@ -257,11 +254,9 @@ def solve_degenerate_vb1(B: OperatorSequence, Ainv_BC: OperatorSequence,
             f"consistency B(k+1) C f(k) = C g(k) fails on the window: "
             f"max relative defect {worst:.3e} > {CONSISTENCY_TOL:.1e}")
 
-    stacks = map(A.matrices, window_blocks(window))
     _, u, report = _solve_reduced(
         Ainv_BC, f, window, tol, "vb1_direct",
-        lambda u, w, *_: vb1_residual(B, A, C, g, u, w, family),
-        amplify=2.0 * amplification(family, C, stacks))
+        lambda u, w, *_: vb1_residual(B, A, C, g, u, w, family))
     return u, report
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from math import isfinite
 from typing import Callable, Iterable
 
 import numpy as np
@@ -279,6 +280,24 @@ class SeminormFamily:
 # Trigonometric polynomials
 # ---------------------------------------------------------------------------
 
+def check_phases(frequencies: Iterable[float], *ks: float) -> None:
+    """Raise InputContractError naming the first frequency lam that is not
+    finite, or whose phase lam * k is not finite at some k of ``ks``.
+    Given the two ends of a window of k, where |lam * k| is largest, it
+    passes only if every k of the window has a finite phase, and each
+    evaluation then keeps its bits."""
+    for lam in frequencies:
+        lam = float(lam)
+        if not isfinite(lam):
+            raise InputContractError(
+                f"trig polynomial frequency {lam} is not finite")
+        for k in ks:
+            if not isfinite(lam * k):
+                raise InputContractError(
+                    f"trig polynomial frequency {lam} overflows at k = "
+                    f"{k:g}: the phase frequency * k is not finite")
+
+
 @dataclass(frozen=True)
 class TrigPoly:
     """P(k) = sum_j y_j * exp(i * lambda_j * k), frequencies finite reals."""
@@ -293,9 +312,7 @@ class TrigPoly:
             v = as_vector(y, dim)
             dim = v.shape[0]
             lam = float(lam)
-            if not np.isfinite(lam):
-                raise InputContractError(
-                    f"trig polynomial frequency {lam} is not finite")
+            check_phases([lam])
             out.append((lam, v))
         if not out:
             raise InputContractError("trig polynomial needs at least one term")
@@ -307,6 +324,9 @@ class TrigPoly:
 
     def eval_many(self, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.float64)
+        if ks.size:
+            check_phases((lam for lam, _ in self.terms), float(ks.min()),
+                         float(ks.max()))
         out = np.zeros((ks.shape[0], self.dim), dtype=np.complex128)
         for lam, y in self.terms:
             out += np.exp(1j * lam * ks)[:, None] * y[None, :]

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -198,3 +199,89 @@ def reference_json_text(value, indent: str = "") -> str:
                                 f"{reference_json_text(v, inner)}"
                                 for key, v in sorted(value.items()))
             + "\n" + indent + "}")
+
+
+def _exact(x) -> Fraction:
+    """A real config number, plain or an [re, im] pair with im == 0, as
+    the exact rational value of the float it is."""
+    if isinstance(x, (list, tuple)):
+        re, im = x
+        assert im == 0, "the exact reference takes real data only"
+        x = re
+    return Fraction(x)
+
+
+def _exact_matrix(desc) -> list[list[Fraction]]:
+    """A constant operator descriptor, or operators.C's bare matrix."""
+    if isinstance(desc, dict):
+        assert desc["backend"] == "constant", desc
+        desc = desc["matrix"]
+    return [[_exact(x) for x in row] for row in desc]
+
+
+def _exact_vector(desc) -> list[Fraction]:
+    assert desc["backend"] == "constant", desc
+    return [_exact(x) for x in desc["value"]]
+
+
+def _mat_mul(a, b):
+    return [[sum((a[i][j] * b[j][c] for j in range(len(b))), Fraction(0))
+             for c in range(len(b[0]))] for i in range(len(a))]
+
+
+def _mat_add(a, b, sign=1):
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _exact_solve(m, r):
+    """m^{-1} r by Gauss-Jordan elimination over Fraction."""
+    n = len(m)
+    rows = [list(m[i]) + [r[i]] for i in range(n)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if rows[i][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [row[n] for row in rows]
+
+
+def exact_constant_solution(config: dict) -> list[Fraction]:
+    """The constant solution u of a scenario config whose operators and
+    forcing are constant and real, from the config's own numbers in exact
+    rational arithmetic: each float is taken at its exact binary value and
+    u solves M u = r by Gauss-Jordan elimination over Fraction, with
+
+        degenerate_vb   C B(k+1) u(k+1) = A(k) u(k) + C f(k):
+                        M = C B - A,             r = C f
+        degenerate_vb1  B(k+1) C u(k+1) = A(k) u(k) + C g(k):
+                        M = B C - A,             r = C g
+        second_order    C A2 u(k+2) + C A1 u(k+1) + A0 u(k) = C f(k):
+                        M = C A2 + C A1 + A0,    r = C f
+
+    C is operators.C, else the identity.  When the reduction's selection
+    has certificate sups below 1 this is the unique bounded solution.  The
+    reference shares no code or arithmetic with apseq: it reads the config
+    as plain data and imports nothing of the package."""
+    ops, dim = config["operators"], config.get("dim", 1)
+    eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    C = _exact_matrix(ops["C"]) if "C" in ops else eye
+    kind = config["kind"]
+    if kind == "degenerate_vb":
+        m = _mat_add(_mat_mul(C, _exact_matrix(ops["B"])),
+                     _exact_matrix(ops["A"]), -1)
+        rhs = config["forcing"]
+    elif kind == "degenerate_vb1":
+        m = _mat_add(_mat_mul(_exact_matrix(ops["B"]), C),
+                     _exact_matrix(ops["A"]), -1)
+        rhs = config["sequences"]["g"]
+    else:
+        assert kind == "second_order", kind
+        lead = _mat_add(_exact_matrix(ops["A2"]), _exact_matrix(ops["A1"]))
+        m = _mat_add(_mat_mul(C, lead), _exact_matrix(ops["A0"]))
+        rhs = config["forcing"]
+    r = [row[0] for row in _mat_mul(C, [[x] for x in _exact_vector(rhs)])]
+    return _exact_solve(m, r)

@@ -712,7 +712,7 @@ def test_wave_varying_multiplier_derives_each_certificate_once(
     # reads what it cached; each generator's rule sees each k once
     assert set(seen) == {problem.A1, problem.D}
     assert all(max(c.values()) == 1 for c in seen.values())
-    assert [sum(seen[s].values()) for s in (problem.A1, problem.D)] == [68, 68]
+    assert [sum(seen[s].values()) for s in (problem.A1, problem.D)] == [66, 66]
 
 
 def _rule_reads(monkeypatch):
@@ -752,10 +752,10 @@ def test_example_heat_evaluates_each_generator_once_and_keeps_no_resolvent(
     assert set(seen) == {problem.A, problem.Ainv_C, problem.D}
     assert all(max(c.values()) == 1 for c in seen.values())
     assert [sum(seen[s].values()) for s in (problem.A, problem.Ainv_C,
-                                            problem.D)] == [445, 445, 445]
+                                            problem.D)] == [442, 442, 442]
     assert problem.Ainv_C._mat_cache == {}
-    assert len(problem.A._mat_cache) == 445
-    assert len(problem.D._mat_cache) == 445
+    assert len(problem.A._mat_cache) == 442
+    assert len(problem.D._mat_cache) == 442
 
 
 def test_example_heat_exits_4_on_failed_bohr_verdict(tmp_path, monkeypatch):
@@ -1349,3 +1349,29 @@ def test_non_finite_operator_data_and_analysis_parameters_exit_2(
                   str(tmp_path / "out"))
     assert res.returncode == 2, res.stderr
     assert message in res.stderr
+
+
+HUGE = 1e308
+HUGE_TRIG = {"backend": "trig_poly",
+             "terms": [{"frequency": HUGE, "coefficient": [[1.0, 0.0]]}]}
+
+
+@pytest.mark.parametrize("command,data", [
+    ("solve", {"forcing": HUGE_TRIG}),
+    ("analyze", {**ANALYZE, "sequences": {"target": HUGE_TRIG},
+                 "analysis": {"bohr": BOHR}}),
+    ("solve", _scaled(HUGE, [0.5, 0.0])),
+    ("analyze", {**ANALYZE, "analysis": {"weyl": {**WEYL,
+                                                  "frequencies": [HUGE]}}})],
+    ids=["forcing", "analyze-target", "scaled_constant", "weyl-frequency"])
+def test_overflowing_frequency_exits_2_naming_it(tmp_path, command, data):
+    # a finite frequency whose phase frequency * k overflows on the window
+    # read: these exited 2 or 3 with a RuntimeWarning, or 1 under
+    # -W error::RuntimeWarning, which run_cli sets
+    base = ANALYZE if command == "analyze" else MINIMAL_FIRST_ORDER
+    cfg = write_config(tmp_path, {**base, **data})
+    res = run_cli(command, "--config", str(cfg), "--out",
+                  str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    assert "trig polynomial frequency 1e+308 overflows at k = " in res.stderr
+    assert "Warning" not in res.stderr

@@ -481,8 +481,9 @@ def test_constant_grid_data_certify_uniqueness():
 
 
 def test_heat_solve_derives_each_certificate_of_D_once(monkeypatch):
-    # B is the only other certified sequence (constant: one matrix per
-    # seminorm); the backward solve reads D's certificates
+    # B and the recovery's B^{-1} are the only other certified sequences
+    # (constant: one matrix per seminorm each); the backward solve reads
+    # D's certificates
     from apseq import operator_model
     counts = {}
     bound = operator_model.induced_bound
@@ -501,7 +502,7 @@ def test_heat_solve_derives_each_certificate_of_D_once(monkeypatch):
     _, _, rep = hp.solve(tol=1e-10)
     assert hp.D.backend == "generator" and hp.B.backend == "constant"
     derived = hp.D._cert_cache
-    assert counts == {lbl: 1 + len(derived) for lbl in hp.D.labels()}
+    assert counts == {lbl: 2 + len(derived) for lbl in hp.D.labels()}
     lo, hi = rep.sup_probe
     assert set(derived) >= set(range(lo, hi + 1))
 
@@ -561,6 +562,19 @@ def test_canned_heat_holds_real_stacks():
     assert hp.B.matrix(0).dtype == np.float64
     assert u.table_values.dtype == np.complex128
     assert max(rep.max_residual.values()) <= 1e-10
+
+
+def test_canned_heat_series_runs_at_tol_over_c_of_B_inverse(tmp_path):
+    # u = B^{-1} v with B = m I, m = 0.1: c(B^{-1}) = 1/m = 10 in every
+    # seminorm of the family, so report.json records v's series at tol / 10
+    import json
+
+    from apseq import cli
+    assert cli.main(["example", "heat", "--n", "8", "--out",
+                     str(tmp_path)]) == 0
+    solve = json.loads((tmp_path / "report.json").read_text())["solve"]
+    assert solve["tol"] == 1e-10
+    assert solve["extras"]["series_tol"] == pytest.approx(1e-11, rel=1e-13)
 
 
 def test_heat_complex_shift_keeps_complex_stacks():
