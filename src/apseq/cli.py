@@ -26,8 +26,9 @@ from .higher_order import (build_companion, build_B_from_D,
 from .operator_model import OperatorSequence, as_matrix, checked_solve
 from .resolvent import (inverse_selection, solve_degenerate_vb,
                         solve_degenerate_vb1, solve_inclusion)
-from .seq_core import (BiSequence, PerK, Seminorm, SeminormFamily, Window,
-                       as_int, as_window, write_csv, write_grid_csv)
+from .seq_core import (BiSequence, PerK, PhaseTable, Seminorm,
+                       SeminormFamily, Window, as_int, as_window, write_csv,
+                       write_grid_csv)
 
 SUBCOMMAND_KINDS = {
     "solve": ("first_order",),
@@ -112,7 +113,10 @@ def _table_window(reads: list[tuple[int, int]]) -> Window | None:
 
 
 def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
-                  family: SeminormFamily) -> dict:
+                  family: SeminormFamily,
+                  phases: PhaseTable | None = None) -> dict:
+    """The analysis requests' results; each trig fit and approximant reads
+    its phases from ``phases`` where it holds their window."""
     out: dict = {}
     a = cfg.analysis
     if "omega_c" in a:
@@ -136,9 +140,9 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
         grid = [as_int(l, "besicovitch l_grid") for l in req["l_grid"]]
         freqs = [float(v) for v in req.get("frequencies", [0.0])]
         poly = ap_analysis.fit_trig_poly(x, freqs,
-                                         _fit_N("besicovitch", req))
+                                         _fit_N("besicovitch", req), phases)
         rep = ap_analysis.besicovitch_distance(
-            x, BiSequence.from_trig_poly(poly), sn,
+            x, BiSequence.from_trig_poly(poly, phases), sn,
             float(req.get("p", 1.0)), grid)
         out["besicovitch"] = rep.to_dict()
         out["besicovitch"]["frequencies"] = freqs
@@ -147,9 +151,11 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
         sn = family.by_label(req.get("seminorm", family.labels()[0]))
         freqs = [float(v) for v in req.get("frequencies", [0.0])]
         l = as_int(req["l"], "weyl l")
-        poly = ap_analysis.fit_trig_poly(x, freqs, _fit_N("weyl", req))
+        poly = ap_analysis.fit_trig_poly(x, freqs, _fit_N("weyl", req),
+                                         phases)
         val = ap_analysis.weyl_distance(
-            x, BiSequence.from_trig_poly(poly), sn, float(req.get("p", 1.0)),
+            x, BiSequence.from_trig_poly(poly, phases), sn,
+            float(req.get("p", 1.0)),
             l, _request_window(req, "weyl", "s_range"))
         out["weyl"] = {"l": l, "value": val,
                        "seminorm_label": sn.label, "frequencies": freqs}
@@ -277,11 +283,15 @@ def _dispatch(cfg: ScenarioConfig):
         # table is a copy: under glibc's malloc, holding the evaluated array
         # itself left the checkers' temporaries about 1,300 more fresh pages
         # to fault in per op on a 16,385 x 4 target, which cost more time
-        # than the copy saves
+        # than the copy saves.  The run's trig phases are one PhaseTable
+        # over the same k: a trig target evaluated on it reads them from
+        # it, and so do the analyses' fits and approximants
         table = _table_window(reads)
-        if table is not None:
-            x = BiSequence.from_table(table.start, x.window_values(table))
-        return x, {"analysis_only": True}, None, family
+        if table is None:
+            return x, {"analysis_only": True}, None, family
+        phases = PhaseTable(table.start, table.end)
+        x = BiSequence.from_table(table.start, x.window_values(phases))
+        return x, {"analysis_only": True, "phases": phases}, None, family
 
     raise InputContractError(f"unhandled kind {cfg.kind!r}")
 
@@ -343,7 +353,8 @@ def run(cfg: ScenarioConfig, out_dir,
     out.mkdir(parents=True, exist_ok=True)
     x, aux, rep, family = _dispatch(cfg)
     with _descriptor("analysis descriptor"):
-        analysis = _run_analysis(cfg, x, family) if cfg.analysis else {}
+        analysis = (_run_analysis(cfg, x, family, aux.get("phases"))
+                    if cfg.analysis else {})
     analysis.update(extra_analysis or {})
 
     if not aux.get("analysis_only"):

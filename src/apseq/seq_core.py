@@ -11,7 +11,7 @@ window to its values; F(k) is the read-only row of the one-k window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import isfinite
 from typing import Callable, Iterable
@@ -212,6 +212,14 @@ class Seminorm:
             return out
         raise InputContractError(f"unknown seminorm kind {self.kind!r}")
 
+    def max_of_rows(self, rows: np.ndarray) -> float:
+        """max over the rows of kappa(row), as of_rows(rows).max(); for the
+        sup kind it is one reduction of |rows| over every entry, with the
+        same bits (max is exact)."""
+        if self.kind == "sup":
+            return float(np.abs(np.asarray(rows, dtype=np.complex128)).max())
+        return float(self.of_rows(rows).max())
+
     def stencil_matrix(self, dim: int) -> np.ndarray:
         if self.kind != "stencil":
             raise InputContractError("not a stencil seminorm")
@@ -298,6 +306,53 @@ def check_phases(frequencies: Iterable[float], *ks: float) -> None:
                     f"{k:g}: the phase frequency * k is not finite")
 
 
+def trig_phases(lam: float, ks: np.ndarray) -> np.ndarray:
+    """e^{i lam k} for each k of the float64 array ``ks``: the one formula
+    a trig polynomial's phases are computed by, in a PhaseTable's rows or
+    on a window of their own, so a phase has the same bits wherever it is
+    read."""
+    return np.exp(1j * lam * ks)
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseTable(Window):
+    """A window of k with e^{i lam k} tabulated on it: each distinct
+    frequency's row is computed by trig_phases on first use and held by this
+    table alone, so the phases live as long as the table.  Being a Window,
+    it is also what a trig sequence is evaluated on to read its phases from
+    the table."""
+
+    rows: dict = field(default_factory=dict, init=False, repr=False)
+
+    def row(self, lam: float, window: Window) -> np.ndarray | None:
+        """e^{i lam k} for k in ``window``, a read-only slice of lam's row;
+        None when ``window`` is not inside the table or lam * k is not
+        finite at its ends (the caller then computes, and checks, its own
+        window)."""
+        if not (self.start <= window.start and window.end <= self.end
+                and isfinite(lam * self.start) and isfinite(lam * self.end)):
+            return None
+        key = float(lam).hex()  # -0.0's phases differ from 0.0's in zeros
+        row = self.rows.get(key)
+        if row is None:
+            row = trig_phases(lam, np.arange(self.start, self.end + 1,
+                                             dtype=np.float64))
+            row.flags.writeable = False
+            self.rows[key] = row
+        return row[window.start - self.start:window.end - self.start + 1]
+
+
+def phase_row(lam: float, window: Window,
+              phases: PhaseTable | None = None) -> np.ndarray:
+    """e^{i lam k} for k in ``window``: a slice of ``phases`` where it
+    holds the window, else computed by trig_phases."""
+    row = phases.row(lam, window) if phases is not None else None
+    if row is None:
+        row = trig_phases(lam, np.arange(window.start, window.end + 1,
+                                         dtype=np.float64))
+    return row
+
+
 @dataclass(frozen=True)
 class TrigPoly:
     """P(k) = sum_j y_j * exp(i * lambda_j * k), frequencies finite reals."""
@@ -322,14 +377,17 @@ class TrigPoly:
     def dim(self) -> int:
         return self.terms[0][1].shape[0]
 
-    def eval_many(self, ks: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.float64)
-        if ks.size:
-            check_phases((lam for lam, _ in self.terms), float(ks.min()),
-                         float(ks.max()))
-        out = np.zeros((ks.shape[0], self.dim), dtype=np.complex128)
+    def on_window(self, window: Window,
+                  phases: PhaseTable | None = None) -> np.ndarray:
+        """P(k) for k in ``window`` as a new (len, dim) array, its phases
+        read from ``phases`` (a window that is a PhaseTable serves as its
+        own) by phase_row."""
+        if phases is None and isinstance(window, PhaseTable):
+            phases = window
+        check_phases((lam for lam, _ in self.terms), window.start, window.end)
+        out = np.zeros((len(window), self.dim), dtype=np.complex128)
         for lam, y in self.terms:
-            out += np.exp(1j * lam * ks)[:, None] * y[None, :]
+            out += phase_row(lam, window, phases)[:, None] * y[None, :]
         return out
 
 
@@ -425,9 +483,11 @@ class BiSequence:
         return BiSequence.from_table(k0, v[None, :], extend="zero")
 
     @staticmethod
-    def from_trig_poly(poly: TrigPoly) -> "BiSequence":
-        return BiSequence(poly.dim, lambda w: poly.eval_many(
-            np.arange(w.start, w.end + 1)))
+    def from_trig_poly(poly: TrigPoly,
+                       phases: PhaseTable | None = None) -> "BiSequence":
+        """P as a sequence whose phases are read from ``phases`` on the
+        windows it holds (see TrigPoly.on_window)."""
+        return BiSequence(poly.dim, lambda w: poly.on_window(w, phases))
 
     @staticmethod
     def omega_c(base_values, omega: int, c: complex) -> "BiSequence":

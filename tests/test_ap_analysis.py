@@ -261,6 +261,12 @@ def test_bohr_rejects_epsilon_that_is_not_a_number_ge_zero(epsilon):
         bohr_check(F, SUP, epsilon, (-5, 5), (0, 10), 2)
 
 
+#: scales of a random table: squares that are subnormal or zero, and
+#: squares that overflow
+BOHR_SCALES = {"scaled-1e-160": 1e-160, "scaled-1e-310": 1e-310,
+               "scaled-1e150": 1e150, "scaled-3e299": 3e299}
+
+
 def bohr_target(name: str) -> BiSequence:
     rng = np.random.default_rng(23)
     base = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
@@ -273,6 +279,10 @@ def bohr_target(name: str) -> BiSequence:
     if name == "omega_c-contracting":
         return BiSequence.omega_c(base, 6, 0.8 + 0.5j)
     table = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+    if name.startswith("scaled-"):
+        # a target whose squares underflow or overflow
+        return BiSequence.from_table(-40, table * BOHR_SCALES[name],
+                                     extend="zero")
     if name == "nan-table":
         table[190, 1] = np.nan
     elif name == "inf-table":
@@ -293,13 +303,19 @@ BOHR_SHAPES = [((-70, 70), (0, 200), 24), ((-70, 70), (-20, 60), 1),
                          ids=lambda sn: sn.kind + sn.label)
 @pytest.mark.parametrize("target", ["trig", "omega_c-unimodular",
                                     "omega_c-contracting", "zero-table",
-                                    "nan-table", "inf-table"])
+                                    "nan-table", "inf-table",
+                                    *BOHR_SCALES])
 def test_bohr_check_matches_exhaustive_scan(target, sn):
     F = bohr_target(target)
-    # a difference stencil over the +-inf entries meets inf - inf
-    overflow = target == "inf-table" and sn.kind in ("stencil", "block_sum")
-    with (pytest.warns(RuntimeWarning, match="invalid value") if overflow
-          else contextlib.nullcontext()):
+    # a difference stencil over the +-inf entries meets inf - inf, and a p
+    # norm of values near 1e300 raises them to a power beyond the floats
+    if target == "inf-table" and sn.kind in ("stencil", "block_sum"):
+        warns = pytest.warns(RuntimeWarning, match="invalid value")
+    elif target == "scaled-3e299" and sn.kind == "p":
+        warns = pytest.warns(RuntimeWarning, match="overflow")
+    else:
+        warns = contextlib.nullcontext()
+    with warns:
         for k_window, tau_range, L in BOHR_SHAPES:
             exact = exhaustive_bohr_check(F, sn, np.inf, k_window, tau_range,
                                           L).max_defect
@@ -327,6 +343,27 @@ def test_bohr_check_keeps_nan_from_stencil_overflow(epsilon):
     got = bohr_check(*args)
     assert np.isnan(got.max_defect) and 10 not in got.translation_numbers
     assert repr(got.to_dict()) == repr(exhaustive_bohr_check(*args).to_dict())
+
+
+def test_window_reductions_match_every_window_reduced_alone():
+    rng = np.random.default_rng(11)
+    for trial in range(900):
+        n = int(rng.integers(1, 50))
+        width = int(rng.integers(1, n + 1))
+        # ties, +-inf and plain values, and NaN for the min and max
+        x = [rng.integers(0, 3, n).astype(float), rng.standard_normal(n),
+             rng.choice([0.0, 1.0, np.inf, -np.inf], n)][trial % 3]
+        windows = np.lib.stride_tricks.sliding_window_view(x, width)
+        want = np.arange(n - width + 1) + windows.argmin(axis=1)
+        assert np.array_equal(ap_analysis._window_argmin(x, width), want), \
+            (x, width)
+        if trial % 2:
+            x[rng.integers(0, n)] = np.nan
+            windows = np.lib.stride_tricks.sliding_window_view(x, width)
+        for op, want in [(np.minimum, windows.min(axis=1)),
+                         (np.maximum, windows.max(axis=1))]:
+            got = ap_analysis._window_reduce(x, width, op)
+            assert got.tobytes() == want.tobytes(), (x, width)
 
 
 @pytest.mark.parametrize("epsilon", [0.5, np.inf])

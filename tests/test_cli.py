@@ -400,6 +400,29 @@ def test_analyze_rejects_nan_epsilon(tmp_path):
     assert "apseq: error" in res.stderr and "epsilon" in res.stderr
 
 
+@pytest.mark.parametrize("request_name", ["besicovitch", "weyl"])
+@pytest.mark.parametrize("frequencies, repeated",
+                         [([0.5, 0.5], "0.5"), ([0.0, 0.5, -0.0], "-0.0")])
+def test_analyze_rejects_a_repeated_frequency(tmp_path, request_name,
+                                              frequencies, repeated):
+    # each copy of a repeated frequency would get the full empirical mean:
+    # for the target e^{0.5ik}, [0.5, 0.5] fits 2 e^{0.5ik}
+    req = ({"l_grid": [64, 128]} if request_name == "besicovitch"
+           else {"l": 16, "s_range": [-20, 20]})
+    data = {"schema_version": 1, "kind": "analyze", "dim": 1,
+            "window": [-10, 10], "seminorms": [{"kind": "sup"}],
+            "sequences": {"target": {"backend": "trig_poly", "terms": [
+                {"frequency": 0.5, "coefficient": [[1.0, 0.0]]}]}},
+            "analysis": {request_name: {**req,
+                                        "frequencies": frequencies}}}
+    cfg = write_config(tmp_path, data)
+    res = run_cli("analyze", "--config", str(cfg), "--out",
+                  str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    assert f"frequency {repeated} is declared more than once" in res.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_reduce_order_emits_reduction(tmp_path):
     data = {
         "schema_version": 1,
