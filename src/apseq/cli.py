@@ -44,15 +44,6 @@ SUBCOMMAND_KINDS = {
 WEYL_FIT_N = 256
 
 
-def _fit_N(name: str, req: dict) -> int:
-    """N of the window [-N, N] a Weyl or Besicovitch request fits its trig
-    polynomial on: the declared fit_N, else WEYL_FIT_N for Weyl and the
-    largest l of the grid for Besicovitch."""
-    default = (WEYL_FIT_N if name == "weyl" else
-               max(as_int(l, "besicovitch l_grid") for l in req["l_grid"]))
-    return as_int(req.get("fit_N", default), f"{name} fit_N")
-
-
 def _request_window(req: dict, name: str, key: str) -> Window:
     """req[key] as a Window; an error names its bound "{name} {key} end"."""
     w = req[key]
@@ -60,43 +51,74 @@ def _request_window(req: dict, name: str, key: str) -> Window:
                   as_int(w[1], f"{name} {key} end"))
 
 
-def _bohr_read(req: dict) -> tuple[int, int]:
-    """(start, end) of the k a Bohr request's scan reads: its k_window and
-    the shifts of it by tau in [tau_range.start, tau_range.end + L]."""
-    kw = _request_window(req, "bohr", "k_window")
-    tr = _request_window(req, "bohr", "tau_range")
-    return (kw.start + min(0, tr.start),
-            kw.end + max(0, tr.end + as_int(req["L"], "bohr L")))
+def _requests(cfg: ScenarioConfig, family: SeminormFamily) -> dict:
+    """The analysis requests with every field parsed and each seminorm
+    label looked up in ``family`` (default its first), so that a malformed
+    request fails before any solve.  A Weyl or Besicovitch fit is on
+    [-fit_N, fit_N], by default WEYL_FIT_N or the grid's largest l."""
+    a, out = cfg.analysis, {}
+
+    def seminorm(req: dict) -> dict:
+        return {"sn": family.by_label(req.get("seminorm",
+                                              family.labels()[0]))}
+
+    def fit(req: dict, name: str, default: int) -> dict:
+        return {**seminorm(req), "p": float(req.get("p", 1.0)),
+                "frequencies": [float(v)
+                                for v in req.get("frequencies", [0.0])],
+                "fit_N": as_int(req.get("fit_N", default), f"{name} fit_N")}
+
+    if "omega_c" in a:
+        req = a["omega_c"]
+        out["omega_c"] = {"omega": as_int(req["omega"], "omega_c omega"),
+                          "c": cnum(req["c"])}
+    if "bohr" in a:
+        req = a["bohr"]
+        out["bohr"] = {**seminorm(req), "epsilon": float(req["epsilon"]),
+                       "k_window": _request_window(req, "bohr", "k_window"),
+                       "tau_range": _request_window(req, "bohr", "tau_range"),
+                       "L": as_int(req["L"], "bohr L")}
+    if "besicovitch" in a:
+        req = a["besicovitch"]
+        grid = [as_int(l, "besicovitch l_grid") for l in req["l_grid"]]
+        out["besicovitch"] = {**fit(req, "besicovitch", max(grid)),
+                              "l_grid": grid}
+    if "weyl" in a:
+        req = a["weyl"]
+        out["weyl"] = {**fit(req, "weyl", WEYL_FIT_N),
+                       "l": as_int(req["l"], "weyl l"),
+                       "s_range": _request_window(req, "weyl", "s_range")}
+    return out
 
 
-def _required_window(cfg: ScenarioConfig
+def _required_window(window: Window, requests: dict
                      ) -> tuple[Window, list[tuple[int, int]]]:
     """The window every solve covers and the (start, end) of each window
-    the analysis requests read.  The window is the hull of the config
-    window and the reads, but ends at end + omega - 1 for the omega_c read
-    (start, end + omega): each solve's table holds the k past its window."""
-    lo, hi = cfg.window.start, cfg.window.end
-    a = cfg.analysis
-    omega = (as_int(a["omega_c"]["omega"], "omega_c omega")
-             if "omega_c" in a else None)
+    the parsed ``requests`` read: a Bohr scan reads its k_window shifted by
+    every tau in [tau_range.start, tau_range.end + L].  The window is the
+    hull of the config ``window`` and the reads, but ends at end + omega -
+    1 for the omega_c read (start, end + omega): each solve's table holds
+    the k past its window."""
     reads = []
-    if "bohr" in a:
-        reads.append(_bohr_read(a["bohr"]))
-    if "besicovitch" in a:
-        lmax = max(as_int(l, "besicovitch l_grid")
-                   for l in a["besicovitch"]["l_grid"])
-        fit = _fit_N("besicovitch", a["besicovitch"])
-        reads += [(-lmax, lmax), (-fit, fit)]
-    if "weyl" in a:
-        sr = _request_window(a["weyl"], "weyl", "s_range")
-        fit = _fit_N("weyl", a["weyl"])
-        reads += [(sr.start, sr.end + as_int(a["weyl"]["l"], "weyl l")),
-                  (-fit, fit)]
-    for start, end in reads:
-        lo, hi = min(lo, start), max(hi, end)
-    if omega is not None:
-        reads.append((cfg.window.start, cfg.window.end + omega))
-        hi = max(hi, cfg.window.end + omega - 1)
+    if "bohr" in requests:
+        kw, tr, L = (requests["bohr"][key]
+                     for key in ("k_window", "tau_range", "L"))
+        reads.append((kw.start + min(0, tr.start),
+                      kw.end + max(0, tr.end + L)))
+    if "besicovitch" in requests:
+        r = requests["besicovitch"]
+        lmax = max(r["l_grid"])
+        reads += [(-lmax, lmax), (-r["fit_N"], r["fit_N"])]
+    if "weyl" in requests:
+        r = requests["weyl"]
+        reads += [(r["s_range"].start, r["s_range"].end + r["l"]),
+                  (-r["fit_N"], r["fit_N"])]
+    lo = min([window.start] + [start for start, _ in reads])
+    hi = max([window.end] + [end for _, end in reads])
+    if "omega_c" in requests:
+        omega = requests["omega_c"]["omega"]
+        reads.append((window.start, window.end + omega))
+        hi = max(hi, window.end + omega - 1)
     return Window(lo, hi), reads
 
 
@@ -118,47 +140,37 @@ def _run_analysis(cfg: ScenarioConfig, x: BiSequence,
     """The analysis requests' results; each trig fit and approximant reads
     its phases from ``phases`` where it holds their window."""
     out: dict = {}
-    a = cfg.analysis
-    if "omega_c" in a:
-        req = a["omega_c"]
-        omega = as_int(req["omega"], "omega_c omega")
-        defect = ap_analysis.omega_c_check(x, omega, cnum(req["c"]), family,
+    requests = _requests(cfg, family)
+    if "omega_c" in requests:
+        r = requests["omega_c"]
+        defect = ap_analysis.omega_c_check(x, r["omega"], r["c"], family,
                                            cfg.window)
-        out["omega_c"] = {"omega": omega,
-                          "c": cpair(cnum(req["c"])), "defect": defect}
-    if "bohr" in a:
-        req = a["bohr"]
-        sn = family.by_label(req.get("seminorm", family.labels()[0]))
-        rep = ap_analysis.bohr_check(x, sn, float(req["epsilon"]),
-                                     _request_window(req, "bohr", "k_window"),
-                                     _request_window(req, "bohr", "tau_range"),
-                                     as_int(req["L"], "bohr L"))
-        out["bohr"] = rep.to_dict()
-    if "besicovitch" in a:
-        req = a["besicovitch"]
-        sn = family.by_label(req.get("seminorm", family.labels()[0]))
-        grid = [as_int(l, "besicovitch l_grid") for l in req["l_grid"]]
-        freqs = [float(v) for v in req.get("frequencies", [0.0])]
-        poly = ap_analysis.fit_trig_poly(x, freqs,
-                                         _fit_N("besicovitch", req), phases)
+        out["omega_c"] = {"omega": r["omega"], "c": cpair(r["c"]),
+                          "defect": defect}
+    if "bohr" in requests:
+        r = requests["bohr"]
+        out["bohr"] = ap_analysis.bohr_check(
+            x, r["sn"], r["epsilon"], r["k_window"], r["tau_range"],
+            r["L"]).to_dict()
+    if "besicovitch" in requests:
+        r = requests["besicovitch"]
+        poly = ap_analysis.fit_trig_poly(x, r["frequencies"], r["fit_N"],
+                                         phases)
         rep = ap_analysis.besicovitch_distance(
-            x, BiSequence.from_trig_poly(poly, phases), sn,
-            float(req.get("p", 1.0)), grid)
+            x, BiSequence.from_trig_poly(poly, phases), r["sn"], r["p"],
+            r["l_grid"])
         out["besicovitch"] = rep.to_dict()
-        out["besicovitch"]["frequencies"] = freqs
-    if "weyl" in a:
-        req = a["weyl"]
-        sn = family.by_label(req.get("seminorm", family.labels()[0]))
-        freqs = [float(v) for v in req.get("frequencies", [0.0])]
-        l = as_int(req["l"], "weyl l")
-        poly = ap_analysis.fit_trig_poly(x, freqs, _fit_N("weyl", req),
+        out["besicovitch"]["frequencies"] = r["frequencies"]
+    if "weyl" in requests:
+        r = requests["weyl"]
+        poly = ap_analysis.fit_trig_poly(x, r["frequencies"], r["fit_N"],
                                          phases)
         val = ap_analysis.weyl_distance(
-            x, BiSequence.from_trig_poly(poly, phases), sn,
-            float(req.get("p", 1.0)),
-            l, _request_window(req, "weyl", "s_range"))
-        out["weyl"] = {"l": l, "value": val,
-                       "seminorm_label": sn.label, "frequencies": freqs}
+            x, BiSequence.from_trig_poly(poly, phases), r["sn"], r["p"],
+            r["l"], r["s_range"])
+        out["weyl"] = {"l": r["l"], "value": val,
+                       "seminorm_label": r["sn"].label,
+                       "frequencies": r["frequencies"]}
     return out
 
 
@@ -179,9 +191,9 @@ def _config_C(cfg: ScenarioConfig, dim: int):
 
 def _dispatch(cfg: ScenarioConfig):
     """Solve per the config kind.  Returns (solution, aux, report, family)."""
-    with _descriptor("analysis descriptor"):
-        hull, reads = _required_window(cfg)
     family = cfg.family()
+    with _descriptor("analysis descriptor"):
+        hull, reads = _required_window(cfg.window, _requests(cfg, family))
 
     def forcing(dim=None):
         return cfg.sequence(cfg.forcing, dim=dim)
@@ -447,14 +459,10 @@ def run_example(name: str, n: int, h: float, window: Window, tol: float,
         # Bohr transfer check with epsilon matched to the forcing: measure
         # the forcing's minimax defect, allow the solution twice that.  The
         # request goes into the config, so the one solve covers the hull
-        # the scan consumes.  The scan reads the forcing as a table over
-        # what it reads, evaluated once.
+        # the scan consumes.  The scan reads the forcing once.
         scan = {"k_window": [-40, 40], "tau_range": [-150, 150], "L": 40}
-        read = Window(*_bohr_read(scan))
-        forcing = BiSequence._adopt_table(read.start, build_sequence(
-            data["forcing"], n).window_values(read))
         eps_f = ap_analysis.bohr_check(
-            forcing, Seminorm.sup(), float("inf"),
+            build_sequence(data["forcing"], n), Seminorm.sup(), float("inf"),
             as_window(scan["k_window"]), as_window(scan["tau_range"]),
             scan["L"]).max_defect * (1 + 1e-9)
         data["analysis"] = {"bohr": {**scan, "epsilon": 2 * eps_f,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InputContractError
 from .operator_model import OperatorSequence, as_matrix, induced_bound
 from .seq_core import (BiSequence, Seminorm, SeminormFamily, TrigPoly, Window,
-                       as_int, as_window, check_phases)
+                       as_int, as_window)
 
 SCHEMA_VERSION = 1
 
@@ -264,16 +264,11 @@ def build_operator(desc: dict, dim: int, family: SeminormFamily | None,
             terms = [(float(t["frequency"]), cnum(t["coefficient"]))
                      for t in desc["scale"]]
             finite(np.array(terms), f"{what}: scale")
-
-            def scale(k: int) -> complex:
-                return sum(c * np.exp(1j * lam * k) for lam, c in terms)
-
-            def rule(w: Window) -> np.ndarray:
-                check_phases((lam for lam, _ in terms), w.start, w.end)
-                return np.stack([as_matrix(scale(k) * base, dim) for k in w])
-
+            scale = TrigPoly.of((lam, [c]) for lam, c in terms)
             sups = None if family is None else {
                 sn.label: sum(abs(c) for _, c in terms)
                 * induced_bound(base, sn) for sn in family}
-            return OperatorSequence(dim, rule, family, sups)
+            return OperatorSequence(
+                dim, lambda w: scale.on_window(w)[:, :, None] * base,
+                family, sups)
         raise InputContractError(f"unknown operator backend {backend!r}")

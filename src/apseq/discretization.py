@@ -287,13 +287,15 @@ def wave_problem(n: int, h: float, m1: BiSequence, m2: BiSequence,
     if family.dim != n or f.dim != n:
         raise InputContractError("family/forcing dimensions must match the grid")
     window = as_window(window)
-    eye = np.eye(n)
-    a0_stack = _shift(b, lambda shift: shift * eye - L)
+    # b(k) I - L as (-L) - (-b(k)) I: 0.0 - L keeps its zeros unsigned, so
+    # each entry has the bits of b(k) * np.eye(n) - L
+    minus_L = 0.0 - L
+    A0 = _grid_operator(
+        b, n, _shift(b, lambda s: _minus_diagonal(minus_L, -s)))
     A1 = _grid_operator(m1, n, _multiplier(m1, n, "multiplier m1"))
     A2 = _grid_operator(m2, n, _multiplier(m2, n, "multiplier m2"))
-    A0 = _grid_operator(b, n, a0_stack)
 
-    D = second_order_selection(A0, A1, A2, eye, family)
+    D = second_order_selection(A0, A1, A2, np.eye(n), family)
     sups = _gate_sups(D, window.extended(left=1, right=2),
                       "wave multipliers are not small enough: combined "
                       "certificate sups")

@@ -32,18 +32,21 @@ Every selection is an ``OperatorSequence`` derived by
 ``OperatorSequence.map``: one window rule over the stacks of its inputs,
 such as the condition-checked stacked solve of ``inverse_selection`` or
 the stacked product of ``compose_selection``.  The solvers read only the
-selection D, which carries the regularizer C.
+selection D, which carries the regularizer C.  vb's B^{-1} is the same
+``checked_solve`` rule over B; where it refuses a B(k), the recovery of u
+takes the selection instead.  Each solve reads f only through g = -D f,
+except a residual, which reads f itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputContractError
+from .errors import InputContractError, NumericError
 from .first_order import SolveReport, _solve_series, linear_residual
-from .operator_model import (COND_LIMIT, OperatorSequence, as_matrix,
-                             checked_solve, stack_product, well_conditioned)
-from .seq_core import BiSequence, SeminormFamily, Window, as_window
+from .operator_model import (OperatorSequence, as_matrix, checked_solve,
+                             stack_product)
+from .seq_core import BiSequence, SeminormFamily, as_window
 
 CONSISTENCY_TOL = 1e-10  # relative defect allowed in B(k+1) C f(k) = C g(k)
 
@@ -70,8 +73,8 @@ def solve_inclusion(D: OperatorSequence, f: BiSequence, window,
     """
     _, x, report = _solve_reduced(
         D, f, window, tol, "inclusion_selection",
-        lambda x, w, g_rows, _: inclusion_residual(D, f, x, w, D.family,
-                                                   g_rows))
+        lambda x, w, g_rows: inclusion_residual(D, f, x, w, D.family,
+                                                g_rows))
     return x, report
 
 
@@ -85,12 +88,10 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
     v is solved at tol / max(1, R's certificate sups on u_window), the
     report's extras["series_tol"], so v and u both meet tol.  u holds
     ``window`` and the ``reach`` k past it that its ``residual(u, window,
-    g_rows, f_rows)`` reads, held as max_residual under ``form``.
-    g_rows and f_rows are the rows of the reduced forcing g = -D f and of
-    f on the window, as the solve read them: g's window rule keeps the f
-    rows it reads there, so f is read once.  ``_solve_series`` derives a
-    generator D once per probe round where its certificates and g read
-    it."""
+    g_rows)`` reads, held as max_residual under ``form``.  g_rows are the
+    rows of the reduced forcing g = -D f on the window, as the solve read
+    them.  ``_solve_series`` derives a generator D once per probe round
+    where its certificates and g read it."""
     window = as_window(window)
     if D.family is None:
         raise InputContractError("selection operator carries no seminorm family")
@@ -101,17 +102,8 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
     sups = [] if R is None else [R.sup_over(lbl, u_window)
                                  for lbl in R.labels()]
     series_tol = tol / max([1.0, *sups])
-    f_rows = np.empty((len(window), f.dim), dtype=np.complex128)
-
-    def g_rule(w: Window) -> np.ndarray:
-        vals = f.window_values(w)
-        lo, hi = max(w.start, window.start), min(w.end, window.end)
-        if lo <= hi:
-            f_rows[lo - window.start:hi - window.start + 1] = \
-                vals[lo - w.start:hi - w.start + 1]
-        return -D.apply_rows(w.start, vals)
-
-    g = BiSequence(D.dim, g_rule)
+    g = BiSequence(D.dim,
+                   lambda w: -D.apply_rows(w.start, f.window_values(w)))
     v, report, g_rows = _solve_series(
         D, g, window.extended(left=1), series_tol,
         reach + (rule is not None), backward=True)
@@ -120,7 +112,7 @@ def _solve_reduced(D: OperatorSequence, f: BiSequence, window, tol: float,
     report.extras["series_tol"] = series_tol
     u = v if rule is None else rule(v, u_window, report)
     report.residual_form = form
-    report.max_residual = residual(u, window, g_rows[1:], f_rows)
+    report.max_residual = residual(u, window, g_rows[1:])
     return v, u, report
 
 
@@ -147,16 +139,6 @@ def compose_selection(B: OperatorSequence, G: OperatorSequence,
     return OperatorSequence.map(lambda w, b, g: b @ g, B, G, family=family)
 
 
-def _inverse_or_zero(w: Window, b: np.ndarray) -> np.ndarray:
-    """B(k)^{-1} for each B(k) of the stack, or zero where B(k) fails its
-    condition check; a true inverse is never zero, so zero marks the
-    failure."""
-    _, ok = well_conditioned(b)
-    out = np.zeros_like(b)
-    out[ok] = np.linalg.solve(b[ok], np.eye(b.shape[-1]))
-    return out
-
-
 def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                         C, f: BiSequence, window, tol: float = 1e-10, *,
                         A: OperatorSequence,
@@ -167,11 +149,13 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     Solves the substituted inclusion for v with the composite selection
     D(k) = B(k) Ainv_C(k) (or the given ``D``, built by
     ``compose_selection`` from the same B and Ainv_C).  Before the solve,
-    B^{-1} on u's window picks the recovery: u(k) = B(k)^{-1} v(k), or,
-    when some B(k) there fails its condition check, the selection u(k) =
-    Ainv_C(k) (v(k+1) - f(k)); v's series tol is tol over that operator's
-    certificate sup there, when above 1.  The vb residual is certified
-    directly on u, which covers the window and the k right of it.
+    B^{-1} on u's window, by ``checked_solve``, picks the recovery: u(k) =
+    B(k)^{-1} v(k), or, when the check refuses some B(k) there (for a
+    constant or periodic B, any residue, named in [0, period - 1]), the
+    selection u(k) = Ainv_C(k) (v(k+1) - f(k)), with checked_solve's
+    message noted.  v's series tol is tol over that operator's certificate
+    sup there, when above 1.  The vb residual is certified directly on u,
+    which covers the window and the k right of it.
     """
     window = as_window(window)
     family = Ainv_C.family or B.family
@@ -181,11 +165,23 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
     if D is None:
         D = compose_selection(B, Ainv_C, family)
 
-    B_inv = OperatorSequence.map(_inverse_or_zero, B, family=family)
+    eye = np.eye(B.dim)
     u_window = window.extended(right=1)
-    runs = B_inv.runs(u_window)
-    ok = np.concatenate([inv.any(axis=(1, 2)) for _, inv in runs])
-    if ok.all():
+    try:
+        B_inv = OperatorSequence.map(
+            lambda w, b: checked_solve(b, eye, "B", w), B, family=family)
+        runs = B_inv.runs(u_window)
+    except NumericError as exc:
+        notes = [f"{exc}; B-inverse recovery abandoned",
+                 "u recovered via selection"]
+        R = Ainv_C if Ainv_C.family else OperatorSequence.map(
+            lambda w, a: a, Ainv_C, family=family)
+
+        def recover(v, u_window, _):
+            return BiSequence._adopt_table(u_window.start, R.apply_rows(
+                u_window.start, v.window_values(u_window.shifted(1))
+                - f.window_values(u_window)))
+    else:
         R, notes = B_inv, ["u recovered via b_inverse"]
 
         def recover(v, u_window, _):
@@ -197,31 +193,19 @@ def solve_degenerate_vb(B: OperatorSequence, Ainv_C: OperatorSequence,
                 i = slice(w.start - u_window.start, w.end - u_window.start + 1)
                 u_vals[i] = stack_product(inv, v_vals[i, :, None])[..., 0]
             return BiSequence._adopt_table(u_window.start, u_vals)
-    else:
-        bad = u_window.start + int(np.argmin(ok))
-        notes = [f"B({bad}) condition estimate above {COND_LIMIT:.1e}; "
-                 f"B-inverse recovery abandoned", "u recovered via selection"]
-        R = Ainv_C if Ainv_C.family else OperatorSequence.map(
-            lambda w, a: a, Ainv_C, family=family)
-
-        def recover(v, u_window, _):
-            return BiSequence._adopt_table(u_window.start, R.apply_rows(
-                u_window.start, v.window_values(u_window.shifted(1))
-                - f.window_values(u_window)))
 
     v, u, report = _solve_reduced(
         D, f, window, tol, "vb_direct",
-        lambda u, w, _, f_rows: vb_residual(B, A, C, f_rows, u, w, family),
+        lambda u, w, _: vb_residual(B, A, C, f, u, w, family),
         recover=(R, recover))
     report.warnings.extend(notes)
     return v, u, report
 
 
 def vb_residual(B: OperatorSequence, A: OperatorSequence, C,
-                f: BiSequence | np.ndarray, u: BiSequence, window,
+                f: BiSequence, u: BiSequence, window,
                 family: SeminormFamily) -> dict[str, float]:
-    """max of kappa(C B(k+1) u(k+1) - A(k) u(k) - C f(k)); f is the
-    forcing, or its rows on the window as an array."""
+    """max of kappa(C B(k+1) u(k+1) - A(k) u(k) - C f(k))."""
     C = as_matrix(C, u.dim)
     return linear_residual(u, {1: (C, (B, 1)), 0: (-1.0, (A, 0))}, ((C,), f),
                            window, family)

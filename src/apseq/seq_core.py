@@ -251,11 +251,13 @@ class SeminormFamily:
         if len(set(labels)) != len(labels):
             raise InputContractError(f"duplicate seminorm labels: {labels}")
         eye = np.eye(self.dim, dtype=np.complex128)
-        for j in range(self.dim):
-            if not any(sn(eye[j]) > 0.0 for sn in self.seminorms):
-                raise InputContractError(
-                    f"family is not separating: basis vector {j} is null "
-                    f"for every seminorm")
+        seen = np.zeros(self.dim, dtype=bool)
+        for sn in self.seminorms:
+            seen |= sn.of_rows(eye) > 0.0
+        if not seen.all():
+            raise InputContractError(
+                f"family is not separating: basis vector "
+                f"{int(np.argmin(seen))} is null for every seminorm")
 
     @staticmethod
     def of(seminorms: Iterable[Seminorm], dim: int) -> "SeminormFamily":
@@ -308,9 +310,10 @@ def check_phases(frequencies: Iterable[float], *ks: float) -> None:
 
 def trig_phases(lam: float, ks: np.ndarray) -> np.ndarray:
     """e^{i lam k} for each k of the float64 array ``ks``: the one formula
-    a trig polynomial's phases are computed by, in a PhaseTable's rows or
-    on a window of their own, so a phase has the same bits wherever it is
-    read."""
+    every trig phase in apseq is computed by (a trig polynomial's, in a
+    PhaseTable's rows or on a window of their own, a fit's and a
+    ``scaled_constant`` operator's scale), so a phase has the same bits
+    wherever it is read."""
     return np.exp(1j * lam * ks)
 
 

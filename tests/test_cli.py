@@ -1169,6 +1169,39 @@ def test_singular_derived_inverse_names_its_first_k(tmp_path, capsys,
         f"refusing the dense solve\n")
 
 
+BOHR_REQUEST = {"k_window": [-4, 4], "tau_range": [0, 6], "L": 2,
+                "epsilon": 0.1}
+
+
+@pytest.mark.parametrize("request_,message", [
+    ({k: v for k, v in BOHR_REQUEST.items() if k != "epsilon"},
+     "analysis descriptor is malformed: KeyError('epsilon')"),
+    ({**BOHR_REQUEST, "seminorm": "nope"}, "no seminorm labeled 'nope'"),
+    ({**BOHR_REQUEST, "L": 2.5}, "bohr L must be an integer, got 2.5"),
+    (BOHR_REQUEST, None)],
+    ids=["no-epsilon", "unknown-seminorm", "fractional-L", "well-formed"])
+def test_malformed_analysis_request_exits_2_before_the_solve(
+        tmp_path, capsys, monkeypatch, request_, message):
+    from apseq import cli
+    calls = []
+    solve = cli.solve_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_series", counted)
+    data = {**MINIMAL_FIRST_ORDER, "window": [-8, 8],
+            "analysis": {"bohr": request_}}
+    code = cli.main(["solve", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(tmp_path / "out")])
+    if message is None:
+        assert code == 0 and len(calls) == 1
+        return
+    assert code == 2 and calls == []
+    assert capsys.readouterr().err == f"apseq: error: {message}\n"
+
+
 @pytest.mark.parametrize("tau_range", [[5, 10], [-30, -25]],
                          ids=["right", "left"])
 def test_bohr_scan_with_tau_range_excluding_zero(tmp_path, tau_range):

@@ -591,8 +591,8 @@ def test_heat_complex_shift_keeps_complex_stacks():
 
 
 def test_heat_solve_reads_each_k_of_the_forcing_once():
-    # the probe of g = -D f keeps f's rows on the window for the vb
-    # residual, which has the bits of one that reads f afresh
+    # the probe of g = -D f reads each k of f once; the vb residual then
+    # reads f on the window once more, itself, as a fresh vb_residual does
     from apseq.resolvent import vb_residual
     n = 8
     reads = []
@@ -608,7 +608,9 @@ def test_heat_solve_reads_each_k_of_the_forcing_once():
                       BiSequence(n, rule), family=grid_family(n),
                       window=window)
     _, u, rep = hp.solve(tol=1e-10)
-    ks = sorted(k for w in reads for k in w)
+    *probe, residual_read = reads
+    ks = sorted(k for w in probe for k in w)
     assert ks == list(range(rep.f_probe[0], rep.f_probe[1] + 1))
+    assert residual_read == window
     assert rep.max_residual == vb_residual(hp.B, hp.A, np.eye(n), f, u,
                                            window, hp.family)

@@ -139,6 +139,55 @@ def test_vb_singular_B_selection_recovery():
     assert rep.max_residual["sup"] <= 1e-12
 
 
+def abandoned(k, B_k):
+    """The vb note of a B(k) that the condition check refuses."""
+    return (f"B({k}) has condition estimate {np.linalg.cond(B_k):.3e} "
+            f"above 1.0e+12; refusing the dense solve; B-inverse recovery "
+            f"abandoned")
+
+
+def vb_with(B, window, tol=1e-10):
+    """solve_degenerate_vb with A = diag(1, 2), C = I and f = (1, -1)."""
+    A = OperatorSequence.constant(np.diag([1.0, 2.0]))
+    ainv = OperatorSequence.constant(np.diag([1.0, 0.5]),
+                                     family=SeminormFamily.sup_only(2))
+    return solve_degenerate_vb(B, ainv, np.eye(2), BiSequence.constant(
+        [1.0, -1.0]), window, tol=tol, A=A)
+
+
+def test_vb_generator_B_singular_at_one_k_takes_the_selection_route():
+    # only B(3) fails the check, with a finite condition estimate of 1e13
+    def b(k):
+        return np.diag([0.3, 3e-14 if k == 3 else 0.3])
+
+    B = per_k_operator(2, b, family=SeminormFamily.sup_only(2))
+    _, u, rep = vb_with(B, (-6, 6))
+    assert rep.warnings[-2:] == [abandoned(3, b(3)),
+                                 "u recovered via selection"]
+    assert "1.000e+13" in rep.warnings[-2]
+    assert rep.max_residual["sup"] <= 1e-10
+
+
+@pytest.mark.parametrize("window", [(-6, 6), (3, 3)],
+                         ids=["holds-the-residue", "misses-the-residue"])
+def test_vb_periodic_B_singular_at_one_residue_takes_the_selection_route(
+        window):
+    # B(k) is singular for k = 2 mod 3, which the recovery on [3, 4] of the
+    # short window never reads: the note names the residue, k = 2, and u
+    # is the bounded solution either way
+    good = np.diag([0.3, 0.2])
+    bad = np.diag([0.3, 0.0])
+    B = OperatorSequence.periodic([good, good, bad],
+                                  family=SeminormFamily.sup_only(2))
+    _, u, rep = vb_with(B, window)
+    assert rep.warnings[-2:] == [abandoned(2, bad),
+                                 "u recovered via selection"]
+    assert rep.max_residual["sup"] <= 1e-10
+    _, ref, _ = vb_with(B, (-10, 10))
+    w = (window[0], window[1] + 1)
+    assert np.abs(u.window_values(w) - ref.window_values(w)).max() <= 1e-10
+
+
 @pytest.mark.parametrize("backend", ["constant", "periodic", "generator"])
 def test_vb_u_recovery_is_the_per_k_inverse_bit_for_bit(backend, rng):
     # the recovery's stacked mat-vecs, over more than one block of k, keep

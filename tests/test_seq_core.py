@@ -134,6 +134,26 @@ def test_family_separating_check():
         SeminormFamily.of([Seminorm.sup(), Seminorm.sup()], 2)  # dup labels
 
 
+UP = Seminorm.stencil((1,), (1.0,), "up")  # x -> (x_1, ..., x_{d-1}, 0)
+DOWN = Seminorm.stencil((-1,), (1.0,), "down")  # x -> (0, x_0, ...)
+
+
+@pytest.mark.parametrize("seminorms,null", [
+    ([UP], 0), ([DOWN], 2), ([UP, Seminorm.p_norm(2), DOWN], None),
+    ([UP, DOWN], None), ([DOWN, Seminorm.block_sum(UP, 3)], 2)],
+    ids=["up", "down", "with-l2", "up-down", "block"])
+def test_family_names_its_first_null_basis_vector(seminorms, null):
+    # a basis vector seen by any member is seen: up and down together
+    # separate C^3 though each misses one end
+    if null is None:
+        SeminormFamily.of(seminorms, 3)
+        return
+    with pytest.raises(InputContractError) as err:
+        SeminormFamily.of(seminorms, 3)
+    assert str(err.value) == (f"family is not separating: basis vector "
+                              f"{null} is null for every seminorm")
+
+
 def test_family_lifted_product_space():
     fam = SeminormFamily.sup_only(2).lifted(3)
     assert fam.dim == 6
