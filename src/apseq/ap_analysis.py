@@ -225,6 +225,14 @@ def _bohr_defects(F: BiSequence, sn: Seminorm, epsilon: float,
     return defects
 
 
+def check_bohr(epsilon: float, L: int) -> None:
+    """bohr_check's checks of epsilon and L."""
+    if L < 1:
+        raise InputContractError("interval length L must be >= 1")
+    if not epsilon >= 0:
+        raise InputContractError(f"epsilon must be >= 0, got {epsilon}")
+
+
 def bohr_check(F: BiSequence, sn: Seminorm, epsilon: float, k_window,
                tau_range, L: int) -> APReport:
     """Scan every start t in tau_range for a translation number in [t, t+L].
@@ -246,10 +254,7 @@ def bohr_check(F: BiSequence, sn: Seminorm, epsilon: float, k_window,
     difference: np.hypot of its parts differs from it in the last bit for
     about a third of random values.
     """
-    if L < 1:
-        raise InputContractError("interval length L must be >= 1")
-    if not epsilon >= 0:
-        raise InputContractError(f"epsilon must be >= 0, got {epsilon}")
+    check_bohr(epsilon, L)
     k_window = as_window(k_window)
     tau_range = as_window(tau_range)
     taus = np.arange(tau_range.start, tau_range.end + L + 1)
@@ -275,17 +280,26 @@ def _difference_values(F: BiSequence, P: BiSequence, sn: Seminorm,
     return sn.of_rows(vals)
 
 
+def _check_exponent(p: float) -> None:
+    if not 1 <= p < np.inf:
+        raise InputContractError(f"exponent p must be a finite number >= 1, "
+                                 f"got {p}")
+
+
+def check_weyl(p: float, l: int) -> None:
+    """weyl_distance's checks of p and l."""
+    if l < 1:
+        raise InputContractError("window length l must be >= 1")
+    _check_exponent(p)
+
+
 def weyl_distance(F: BiSequence, P: BiSequence, sn: Seminorm, p: float,
                   l: int, s_range) -> float:
     """max over s in s_range of l^{-1} sum_{j=s}^{s+l} kappa(F(j)-P(j))^p.
 
     The sum has l+1 terms by definition; the normalizer is l.
     """
-    if l < 1:
-        raise InputContractError("window length l must be >= 1")
-    if not 1 <= p < np.inf:
-        raise InputContractError(f"exponent p must be a finite number >= 1, "
-                                 f"got {p}")
+    check_weyl(p, l)
     s_range = as_window(s_range)
     vals = _difference_values(F, P, sn,
                               Window(s_range.start, s_range.end + l)) ** p
@@ -293,6 +307,13 @@ def weyl_distance(F: BiSequence, P: BiSequence, sn: Seminorm, p: float,
     n_starts = len(s_range)
     sums = csum[l + 1:l + 1 + n_starts] - csum[:n_starts]
     return float(sums.max() / l)
+
+
+def check_besicovitch(p: float, grid: list[int]) -> None:
+    """besicovitch_distance's checks of p and the int list l_grid."""
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
+        raise InputContractError("l_grid must be nonempty and increasing")
+    _check_exponent(p)
 
 
 def besicovitch_distance(F: BiSequence, P: BiSequence, sn: Seminorm, p: float,
@@ -303,11 +324,7 @@ def besicovitch_distance(F: BiSequence, P: BiSequence, sn: Seminorm, p: float,
     grid, a declared estimator in place of the unreachable limsup.
     """
     grid = [int(l) for l in l_grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-        raise InputContractError("l_grid must be nonempty and increasing")
-    if not 1 <= p < np.inf:
-        raise InputContractError(f"exponent p must be a finite number >= 1, "
-                                 f"got {p}")
+    check_besicovitch(p, grid)
     lmax = grid[-1]
     vals = _difference_values(F, P, sn, Window(-lmax, lmax)) ** p
     csum = np.concatenate([[0.0], np.cumsum(vals)])
@@ -323,19 +340,40 @@ def besicovitch_distance(F: BiSequence, P: BiSequence, sn: Seminorm, p: float,
                              seminorm_label=sn.label)
 
 
-def omega_c_check(F: BiSequence, omega: int, c: complex,
-                  family: SeminormFamily, k_window) -> float:
-    """max over k in k_window and kappa of kappa(F(k+omega) - c F(k));
-    zero means (omega, c)-periodic on the window."""
+def check_omega_c(omega: int, c: complex) -> None:
+    """omega_c_check's checks of omega and c."""
     if omega < 1:
         raise InputContractError("omega must be a positive integer")
     if c == 0 or not np.isfinite(c):
         raise InputContractError(f"c must be finite and nonzero, got {c}")
+
+
+def omega_c_check(F: BiSequence, omega: int, c: complex,
+                  family: SeminormFamily, k_window) -> float:
+    """max over k in k_window and kappa of kappa(F(k+omega) - c F(k));
+    zero means (omega, c)-periodic on the window."""
+    check_omega_c(omega, c)
     k_window = as_window(k_window)
     vals = F.window_values(k_window.extended(right=omega))
     n = len(k_window)
     diff = vals[omega:omega + n] - complex(c) * vals[:n]
     return max(sn.max_of_rows(diff) for sn in family)
+
+
+def check_fit(freqs: list[float], N: int) -> None:
+    """fit_trig_poly's checks of the float list of frequencies and N."""
+    if not freqs:
+        raise InputContractError("need at least one frequency")
+    if N < 1:
+        raise InputContractError("N must be >= 1")
+    seen = set()
+    for lam in freqs:
+        if lam in seen:
+            raise InputContractError(
+                f"frequency {lam} is declared more than once: each copy "
+                f"would get the full empirical mean at it")
+        seen.add(lam)
+    check_phases(freqs, -N, N)
 
 
 def fit_trig_poly(F: BiSequence, frequencies, N: int,
@@ -352,18 +390,7 @@ def fit_trig_poly(F: BiSequence, frequencies, N: int,
     rejected: each copy would get the full mean at it.
     """
     freqs = [float(l) for l in frequencies]
-    if not freqs:
-        raise InputContractError("need at least one frequency")
-    if N < 1:
-        raise InputContractError("N must be >= 1")
-    seen = set()
-    for lam in freqs:
-        if lam in seen:
-            raise InputContractError(
-                f"frequency {lam} is declared more than once: each copy "
-                f"would get the full empirical mean at it")
-        seen.add(lam)
-    check_phases(freqs, -N, N)
+    check_fit(freqs, N)
     window = Window(-N, N)
     vals = F.window_values(window)
     return TrigPoly.of([

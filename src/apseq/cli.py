@@ -52,10 +52,11 @@ def _request_window(req: dict, name: str, key: str) -> Window:
 
 
 def _requests(cfg: ScenarioConfig, family: SeminormFamily) -> dict:
-    """The analysis requests with every field parsed and each seminorm
-    label looked up in ``family`` (default its first), so that a malformed
-    request fails before any solve.  A Weyl or Besicovitch fit is on
-    [-fit_N, fit_N], by default WEYL_FIT_N or the grid's largest l."""
+    """The analysis requests with every field parsed and range-checked by
+    ap_analysis' own checks, and each seminorm label looked up in
+    ``family`` (default its first), so that a malformed request fails
+    before any solve.  A Weyl or Besicovitch fit is on [-fit_N, fit_N], by
+    default WEYL_FIT_N or the grid's largest l."""
     a, out = cfg.analysis, {}
 
     def seminorm(req: dict) -> dict:
@@ -63,24 +64,30 @@ def _requests(cfg: ScenarioConfig, family: SeminormFamily) -> dict:
                                               family.labels()[0]))}
 
     def fit(req: dict, name: str, default: int) -> dict:
-        return {**seminorm(req), "p": float(req.get("p", 1.0)),
-                "frequencies": [float(v)
-                                for v in req.get("frequencies", [0.0])],
-                "fit_N": as_int(req.get("fit_N", default), f"{name} fit_N")}
+        r = {**seminorm(req), "p": float(req.get("p", 1.0)),
+             "frequencies": [float(v)
+                             for v in req.get("frequencies", [0.0])],
+             "fit_N": as_int(req.get("fit_N", default), f"{name} fit_N")}
+        ap_analysis.check_fit(r["frequencies"], r["fit_N"])
+        return r
 
     if "omega_c" in a:
         req = a["omega_c"]
         out["omega_c"] = {"omega": as_int(req["omega"], "omega_c omega"),
                           "c": cnum(req["c"])}
+        ap_analysis.check_omega_c(out["omega_c"]["omega"],
+                                  out["omega_c"]["c"])
     if "bohr" in a:
         req = a["bohr"]
         out["bohr"] = {**seminorm(req), "epsilon": float(req["epsilon"]),
                        "k_window": _request_window(req, "bohr", "k_window"),
                        "tau_range": _request_window(req, "bohr", "tau_range"),
                        "L": as_int(req["L"], "bohr L")}
+        ap_analysis.check_bohr(out["bohr"]["epsilon"], out["bohr"]["L"])
     if "besicovitch" in a:
         req = a["besicovitch"]
         grid = [as_int(l, "besicovitch l_grid") for l in req["l_grid"]]
+        ap_analysis.check_besicovitch(float(req.get("p", 1.0)), grid)
         out["besicovitch"] = {**fit(req, "besicovitch", max(grid)),
                               "l_grid": grid}
     if "weyl" in a:
@@ -88,6 +95,7 @@ def _requests(cfg: ScenarioConfig, family: SeminormFamily) -> dict:
         out["weyl"] = {**fit(req, "weyl", WEYL_FIT_N),
                        "l": as_int(req["l"], "weyl l"),
                        "s_range": _request_window(req, "weyl", "s_range")}
+        ap_analysis.check_weyl(out["weyl"]["p"], out["weyl"]["l"])
     return out
 
 

@@ -604,9 +604,9 @@ class PerK:
 
     def to_json(self) -> str:
         """json.dumps(list(self)), from one uint8 row per pair laid out
-        like a CSV row (see _write_rows): _format_ints writes the k and int
-        values, and each distinct float is formatted once, as json.dumps
-        formats it, and gathered into the rows it appears in."""
+        like a CSV row (see _write_rows): '[', k, ', ', v, '], ' with k and
+        an int v from _int_cells, and each distinct float formatted once,
+        as json.dumps formats it, and gathered into the rows it is in."""
         n = len(self.values)
         if n == 0:
             return "[]"
@@ -625,17 +625,9 @@ class PerK:
             cells = np.take(np.array(texts, dtype="S").view(np.uint8).reshape(
                 len(texts), -1), index, axis=0)
         else:
-            cells = np.zeros((n, _int_width(vals)), dtype=np.uint8)
-            _format_ints(vals, cells)
-        # '[', k, ', ', v, '], '
-        kw = _int_width(ks)
-        rows = np.zeros((n, kw + cells.shape[1] + 6), dtype=np.uint8)
-        rows[:, 0] = ord("[")
-        _format_ints(ks, rows[:, 1:kw + 1])
-        rows[:, kw + 1:kw + 3] = np.frombuffer(b", ", dtype=np.uint8)
-        rows[:, kw + 3:-3] = cells
-        rows[:, -3:] = np.frombuffer(b"], ", dtype=np.uint8)
-        return "[" + _packed(rows)[:-2].decode() + "]"
+            cells = _int_cells(vals)
+        rows = _joined(n, [b"[", _int_cells(ks), b", ", cells, b"], "])
+        return "[" + rows.tobytes().replace(b"\0", b"")[:-2].decode() + "]"
 
 
 #: json.dumps' names of the floats whose repr is nan, inf or -inf
@@ -644,46 +636,41 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 FLOAT_FMT = "{:.16e}"  # 17 significant digits, lowercase scientific
 #: floats formatted per block of rows, which keeps the scratch arrays small
-_CSV_BLOCK_FLOATS = 4096
+_CSV_BLOCK_FLOATS = 8192
 #: the vector path's range of |x|: 10^s, its splits and every partial
 #: product stay normal and finite for each exponent s it needs
 _SAFE_MIN, _SAFE_MAX = 1e-250, 1e250
 #: a field with |frac(y) - 1/2| at or below this is formatted by '%'
 _TIE_MARGIN = 1e-6
-#: bytes per float field: sign, digit, '.', 16 digits, 'e', sign, 3 digits
-_FIELD = 24
+#: E = floor(log10 |v|) over the safe range, one more either side
+_E_MIN, _E_MAX = -251, 250
 
 
 @lru_cache(maxsize=None)
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """As one uint32 each: the four ASCII digits of 0..9999, and the four
-    bytes after 'e' of each exponent E in [-400, 400] (at E + 400): sign,
-    hundreds digit (a zero pad byte below 100) and two digits.  Built on
-    the first write, so a run that writes no CSV never pays for them."""
-    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
-                          dtype=np.uint8).reshape(100, 2)
-    quads = np.empty((100, 100, 4), dtype=np.uint8)
-    quads[..., :2] = pairs[:, None]
-    quads[..., 2:] = pairs[None, :]
-    e = np.arange(-400, 401)
-    exps = np.empty((len(e), 4), dtype=np.uint8)
-    exps[:, 0] = np.where(e < 0, ord("-"), ord("+"))
-    exps[:, 1] = np.where(abs(e) >= 100, abs(e) // 100 + ord("0"), 0)
-    exps[:, 2:] = pairs[abs(e) % 100]
-    tables = quads.view(np.uint32).reshape(-1), exps.view(np.uint32)[:, 0]
+def _tables() -> tuple[np.ndarray, ...]:
+    """Built on the first write: rows hi, lo and hi's Veltkamp halves of
+    10^(16 - E) at E - _E_MIN (hi = fl(10^s) and lo = fl(10^s - hi), exact
+    as int / int is), and a field's uint32 lanes, zero for an absent byte:
+    ',' sign d0 '.' at 10 sign + d0, the digits of 0..9999, and two lanes
+    per exponent E at E + 400: 'e', sign and its two or three digits."""
+    pairs = []
+    for s in range(16 - _E_MIN, 15 - _E_MAX, -1):
+        p, q = 10 ** max(s, 0), 10 ** max(-s, 0)
+        hi = p / q
+        num, den = hi.as_integer_ratio()
+        pairs.append((hi, (p * den - num * q) / (q * den)))
+    hi, lo = np.array(pairs).T
+    lead, exps = (np.frombuffer(b, dtype=np.uint32) for b in (
+        b"".join(b",%c%d." % (s, d) for s in b"\0-" for d in range(10)),
+        b"".join(f"e{e:+03d}".encode().ljust(8, b"\0")
+                 for e in range(-400, 401))))
+    quads = (np.arange(10 ** 4)[:, None] // [1000, 100, 10, 1] % 10
+             + ord("0")).astype(np.uint8).view(np.uint32).reshape(-1)
+    tables = (np.stack([hi, lo, *_split(hi)]), lead, quads,
+              *exps.reshape(-1, 2).T.copy())
     for t in tables:
         t.flags.writeable = False
     return tables
-
-
-@lru_cache(maxsize=None)
-def _pow10_pair(s: int) -> tuple[float, float]:
-    """(hi, lo) with hi = fl(10^s) and lo = fl(10^s - hi); int / int is
-    correctly rounded, so both are exact roundings."""
-    p, q = 10 ** max(s, 0), 10 ** max(-s, 0)
-    hi = p / q
-    num, den = hi.as_integer_ratio()
-    return hi, (p * den - num * q) / (q * den)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -694,19 +681,15 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, a - h
 
 
-def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10^s as a double-double (y_hi, y_lo) with y_hi = fl(a * hi):
-    Dekker's product gives a * hi - y_hi exactly, and y_lo adds a * lo."""
-    s0 = int(s.min())
-    s = s - s0
-    his, los = np.zeros((2, int(s.max()) + 1))
-    for i in np.flatnonzero(np.bincount(s.ravel())):
-        his[i], los[i] = _pow10_pair(s0 + int(i))
-    hi = np.take(his, s)
+def _scaled(a: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^(16 - E) as a double-double (y_hi, y_lo) with
+    y_hi = fl(a * hi): Dekker's product gives a * hi - y_hi exactly, and
+    y_lo adds a * lo."""
+    hi, lo, bh, bl = np.take(_tables()[0], E - _E_MIN, axis=1)
     y_hi = a * hi
-    (ah, al), (bh, bl) = _split(a), _split(hi)
+    ah, al = _split(a)
     err = (((ah * bh - y_hi) + ah * bl) + al * bh) + al * bl
-    return y_hi, err + a * np.take(los, s)
+    return y_hi, err + a * lo
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -732,12 +715,12 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vec = (ax > _SAFE_MIN) & (ax < _SAFE_MAX)
     a = np.where(vec, ax, 1.0)
     E = np.floor(np.log10(a)).astype(np.int64)
-    y_hi, y_lo = _scaled(a, 16 - E)
+    y_hi, y_lo = _scaled(a, E)
     low = (y_hi - 1e16) + y_lo < 0
     fix = low | ((y_hi - 1e17) + y_lo >= 0)
     if fix.any():
         E[fix] += np.where(low[fix], -1, 1)
-        y_hi[fix], y_lo[fix] = _scaled(a[fix], 16 - E[fix])
+        y_hi[fix], y_lo[fix] = _scaled(a[fix], E[fix])
     floor = np.floor(y_lo)
     frac = y_lo - floor
     N = y_hi.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
@@ -751,60 +734,62 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return N, E, exact
 
 
-def _format_floats(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the bytes of '%.16e' % v for each v of the float array x into
-    ``out[..., :_FIELD]``, which holds zero bytes: in fixed columns (sign,
-    digit, '.', 16 digits, 'e', exponent sign, 3 exponent digits) with a
-    zero byte for an absent sign or hundreds digit, from _decimal's digits,
-    or left-aligned for a field it marks exact, formatted by '%'."""
+def _format_floats(x: np.ndarray) -> np.ndarray:
+    """',' + '%.16e' % v for each v of the float array x, as uint32 lanes
+    of shape x.shape + (L,) with zero pad bytes: ',' sign d0 '.', four
+    lanes of four digits, then 'e' with the exponent's sign and digits in
+    one lane, or in two (L = 7) when some field needs more than 24 bytes:
+    a three-digit exponent or a 24-character '%' field.  The digits come
+    from _decimal; a field it marks exact is formatted by '%'."""
     N, E, exact = _decimal(x)
-    # N = q 10^8 + r; q < 10^9 and r < 10^8 are exact as floats
-    q = N // 10 ** 8
-    r = (N - q * 10 ** 8).astype(np.float64)
-    q = q.astype(np.float64)
-    d0 = np.floor(q / 1e8)
-    q -= d0 * 1e8
-    q_hi, r_hi = np.floor(q / 1e4), np.floor(r / 1e4)
-    quads = np.stack([q_hi, q - q_hi * 1e4, r_hi, r - r_hi * 1e4], axis=-1)
+    texts = [("," + "%.16e" % v).encode() for v in x[exact].tolist()]
+    wide = bool((np.abs(E) >= 100).any()) or any(len(t) > 24 for t in texts)
+    _, lead, quads, exp_a, exp_b = _tables()
+    out = np.empty(x.shape + (7 if wide else 6,), dtype=np.uint32)
+    # N = d0 10^16 + hi 10^8 + lo, hi and lo of two quads each
+    hi = N // 10 ** 8
+    lo = N - hi * 10 ** 8
+    d0 = hi // 10 ** 8
+    hi -= d0 * 10 ** 8
+    out[..., 0] = np.take(lead, d0 + 10 * np.signbit(x))
+    for j, half in ((1, hi), (3, lo)):
+        top = half // 10 ** 4
+        out[..., j] = np.take(quads, top)
+        out[..., j + 1] = np.take(quads, half - top * 10 ** 4)
+    E += 400
+    out[..., 5] = np.take(exp_a, E)
+    if wide:
+        out[..., 6] = np.take(exp_b, E)
+    if texts:
+        lanes = b"".join(t.ljust(4 * out.shape[-1], b"\0") for t in texts)
+        out[exact] = np.frombuffer(lanes, dtype=np.uint32).reshape(
+            len(texts), -1)
+    return out
 
-    digits4, exponents = _digit_tables()
-    out[..., 0] = np.signbit(x) * np.uint8(ord("-"))
-    out[..., 1] = d0 + ord("0")
-    out[..., 2] = ord(".")
-    out[..., 3:19] = np.take(digits4, quads.astype(np.intp)).view(np.uint8)
-    out[..., 19] = ord("e")
-    out[..., 20:24] = np.take(exponents, E + 400)[..., None].view(np.uint8)
-    for i in zip(*np.nonzero(exact)):
-        field = ("%.16e" % x[i]).encode()
-        out[i] = 0
-        out[i][:len(field)] = np.frombuffer(field, dtype=np.uint8)
 
-
-def _format_ints(k: np.ndarray, out: np.ndarray) -> None:
-    """Write the bytes of '%d' % v for each v of the 1-D int array k into
-    ``out`` (zero bytes beforehand, one more column than the widest |v| has
-    digits): a sign column, then the digits right-aligned after zero pad
-    bytes."""
+def _int_cells(k: np.ndarray) -> np.ndarray:
+    """'%d' % v for each v of the 1-D int array k, as uint8 rows: a sign
+    byte, then the digits right-aligned after zero pad bytes."""
     a = np.abs(k)
+    width = len(str(a.max()))
+    out = np.zeros((len(k), width + 1), dtype=np.uint8)
     out[k < 0, 0] = ord("-")
-    width = out.shape[1] - 1
     for j in range(width):
         p = 10 ** j
         col = out[:, width - j]
         col[:] = a // p % 10 + ord("0")
         if j:
             col[a < p] = 0
+    return out
 
 
-def _int_width(k: np.ndarray) -> int:
-    """Columns _format_ints needs for the int array k: a sign column and
-    the digits of the largest |v|."""
-    return len(str(np.abs(k).max())) + 1
-
-
-def _packed(rows: np.ndarray) -> bytes:
-    """The bytes of a uint8 row matrix without its zero pad bytes."""
-    return rows.tobytes().replace(b"\0", b"")
+def _joined(n: int, parts: list) -> np.ndarray:
+    """n uint8 rows of the parts side by side: an (n, w) uint8 array, or
+    bytes repeated in every row."""
+    return np.concatenate([np.broadcast_to(np.frombuffer(p, np.uint8),
+                                           (n, len(p)))
+                           if isinstance(p, bytes) else p for p in parts],
+                          axis=1)
 
 
 def _write_rows(path, header: str, eol: str, keys: np.ndarray,
@@ -814,34 +799,30 @@ def _write_rows(path, header: str, eol: str, keys: np.ndarray,
         ",".join(["%d"] * nk + ["%.16e"] * m) % (*keys[i], *vals[i]) + eol
 
     for the (n, nk) int table ``keys`` and the (n, m) float table ``vals``.
-
-    A block of rows is laid out as one uint8 matrix of zero bytes, each
-    field in columns of its own, filled by _format_ints and _format_floats
-    and written with one call once the zero pad bytes are dropped.  Both
-    match '%' byte for byte; _format_floats hands each float it cannot
-    decide within its error bound to '%' itself.
-    """
+    A row is uint32 lanes with zero pad bytes: eol (the row before's, so the header goes out without its
+    own and the file ends with one) and the keys, formatted once per file,
+    then the fields of _format_floats, which matches '%' byte for byte.
+    Each block of rows is copied into one row buffer, allocated once, and
+    written with one call without its pad bytes."""
     n, m = vals.shape
     step = max(1, _CSV_BLOCK_FLOATS // m)
-    widths = [_int_width(col) for col in keys.T]
-    # each int, then a ',' (the last is the first float's), then ',' and
-    # a field per float, then eol
-    ends = np.cumsum([w + 1 for w in widths])
-    width = ends[-1] - 1 + m * (_FIELD + 1) + len(eol)
-    tail = np.frombuffer(eol.encode(), dtype=np.uint8)
+    parts = [eol.encode()]
+    for col in keys.T:
+        parts += [_int_cells(col), b","]
+    heads = _joined(n, parts[:-1])
+    heads = _joined(n, [bytes(-heads.shape[1] % 4), heads]).view(np.uint32)
+    nk = heads.shape[1]
+    buf = np.empty(min(step, n) * (nk + 7 * m), dtype=np.uint32)
     with open(path, "wb") as fh:
-        fh.write(header.encode())
+        fh.write(header.removesuffix(eol).encode())
         for a in range(0, n, step):
-            kb, vb = keys[a:a + step], vals[a:a + step]
-            rows = np.zeros((len(vb), width), dtype=np.uint8)
-            for j, w in enumerate(widths):
-                _format_ints(kb[:, j], rows[:, ends[j] - 1 - w:ends[j] - 1])
-            fields = rows[:, ends[-1] - 1:width - len(tail)].reshape(
-                len(vb), m, _FIELD + 1)
-            rows[:, ends - 1] = fields[..., 0] = ord(",")
-            _format_floats(vb, fields[..., 1:])
-            rows[:, width - len(tail):] = tail
-            fh.write(_packed(rows))
+            fields = _format_floats(vals[a:a + step])
+            rows = buf[:fields.size + len(fields) * nk].reshape(len(fields),
+                                                                -1)
+            rows[:, :nk] = heads[a:a + step]
+            rows[:, nk:] = fields.reshape(len(fields), -1)
+            fh.write(rows.tobytes().replace(b"\0", b""))
+        fh.write(eol.encode())
 
 
 def _float_table(F: BiSequence, window: Window) -> np.ndarray:

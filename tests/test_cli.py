@@ -1173,15 +1173,45 @@ BOHR_REQUEST = {"k_window": [-4, 4], "tau_range": [0, 6], "L": 2,
                 "epsilon": 0.1}
 
 
-@pytest.mark.parametrize("request_,message", [
-    ({k: v for k, v in BOHR_REQUEST.items() if k != "epsilon"},
+WEYL_REQUEST = {"l": 4, "s_range": [-4, 4]}
+
+
+@pytest.mark.parametrize("analysis,message", [
+    ({"bohr": {k: v for k, v in BOHR_REQUEST.items() if k != "epsilon"}},
      "analysis descriptor is malformed: KeyError('epsilon')"),
-    ({**BOHR_REQUEST, "seminorm": "nope"}, "no seminorm labeled 'nope'"),
-    ({**BOHR_REQUEST, "L": 2.5}, "bohr L must be an integer, got 2.5"),
-    (BOHR_REQUEST, None)],
-    ids=["no-epsilon", "unknown-seminorm", "fractional-L", "well-formed"])
+    ({"bohr": {**BOHR_REQUEST, "seminorm": "nope"}},
+     "no seminorm labeled 'nope'"),
+    ({"bohr": {**BOHR_REQUEST, "L": 2.5}},
+     "bohr L must be an integer, got 2.5"),
+    ({"bohr": BOHR_REQUEST}, None),
+    # out of range: ap_analysis' own checks, made as the request is parsed
+    ({"bohr": {**BOHR_REQUEST, "epsilon": -1}},
+     "epsilon must be >= 0, got -1.0"),
+    ({"bohr": {**BOHR_REQUEST, "epsilon": NAN}},
+     "epsilon must be >= 0, got nan"),
+    ({"bohr": {**BOHR_REQUEST, "L": 0}}, "interval length L must be >= 1"),
+    ({"weyl": {**WEYL_REQUEST, "l": 0}}, "window length l must be >= 1"),
+    ({"weyl": {**WEYL_REQUEST, "p": 0.5}},
+     "exponent p must be a finite number >= 1, got 0.5"),
+    ({"besicovitch": {"l_grid": [2, 4], "p": 0.5}},
+     "exponent p must be a finite number >= 1, got 0.5"),
+    ({"omega_c": {"omega": 0, "c": [1.0, 0.0]}},
+     "omega must be a positive integer"),
+    ({"omega_c": {"omega": 1, "c": [0.0, 0.0]}},
+     "c must be finite and nonzero, got 0j"),
+    ({"besicovitch": {"l_grid": [4, 2]}},
+     "l_grid must be nonempty and increasing"),
+    ({"besicovitch": {"l_grid": []}},
+     "l_grid must be nonempty and increasing"),
+    ({"weyl": {**WEYL_REQUEST, "fit_N": 0}}, "N must be >= 1"),
+    ({"weyl": {**WEYL_REQUEST, "frequencies": []}},
+     "need at least one frequency")],
+    ids=["no-epsilon", "unknown-seminorm", "fractional-L", "well-formed",
+         "bohr-epsilon-negative", "bohr-epsilon-nan", "bohr-L", "weyl-l",
+         "weyl-p", "besicovitch-p", "omega_c-omega", "omega_c-c",
+         "l_grid-decreasing", "l_grid-empty", "fit_N", "no-frequency"])
 def test_malformed_analysis_request_exits_2_before_the_solve(
-        tmp_path, capsys, monkeypatch, request_, message):
+        tmp_path, capsys, monkeypatch, analysis, message):
     from apseq import cli
     calls = []
     solve = cli.solve_series
@@ -1191,8 +1221,7 @@ def test_malformed_analysis_request_exits_2_before_the_solve(
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_series", counted)
-    data = {**MINIMAL_FIRST_ORDER, "window": [-8, 8],
-            "analysis": {"bohr": request_}}
+    data = {**MINIMAL_FIRST_ORDER, "window": [-8, 8], "analysis": analysis}
     code = cli.main(["solve", "--config", str(write_config(tmp_path, data)),
                      "--out", str(tmp_path / "out")])
     if message is None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from apseq import (BiSequence, InputContractError, RangeError, Seminorm,
                    SeminormFamily, TrigPoly, Window, read_csv,
                    write_csv)
-from apseq.seq_core import (_CSV_BLOCK_FLOATS, _FIELD, FLOAT_FMT, PerK,
+from apseq.seq_core import (_CSV_BLOCK_FLOATS, FLOAT_FMT, PerK,
                             _format_floats, write_grid_csv)
 from conftest import axpy, per_k_sequence, reference_row_values
 
@@ -241,11 +241,11 @@ def test_grid_csv_edge_values(tmp_path):
 
 
 def kernel_fields(values) -> list[bytes]:
-    """The CSV kernel's bytes for each float, pad bytes dropped."""
-    x = np.asarray(values, dtype=np.float64)
-    out = np.zeros(x.shape + (_FIELD,), dtype=np.uint8)
-    _format_floats(x, out)
-    return [bytes(f[f != 0]) for f in out]
+    """The CSV kernel's bytes for each float, pad bytes and the leading
+    ',' dropped."""
+    fields = _format_floats(np.asarray(values, dtype=np.float64))
+    assert all(f.tobytes()[0:1] == b"," for f in fields)
+    return [f.tobytes().replace(b"\0", b"")[1:] for f in fields]
 
 
 def assert_fields_exact(values):
@@ -296,7 +296,7 @@ def test_csv_kernel_decade_and_carry():
 
 @pytest.mark.parametrize("dim, start, n", [(1, -10000, 20001),
                                            (8, -10000, 20001),
-                                           (32, -150, 301)])
+                                           (32, -300, 601)])
 def test_csv_multi_block_exact(tmp_path, rng, dim, start, n):
     # longer than two blocks, every %d width and sign (all of them over
     # -10000..10000), and fields formatted by '%' (a tie, out of range,
@@ -326,6 +326,83 @@ def test_csv_multi_block_exact(tmp_path, rng, dim, start, n):
         f"{FLOAT_FMT.format(x.imag)}\n"
         for i, row in enumerate(vals.tolist()) for j, x in enumerate(row))
     assert path.read_bytes() == expected.encode()
+
+
+def grid_reference(vals, start) -> bytes:
+    """The bytes of write_grid_csv with every float formatted by '%'."""
+    return ("k,idx,re,im\n" + "".join(
+        f"{start + i},{j},{FLOAT_FMT.format(x.real)},"
+        f"{FLOAT_FMT.format(x.imag)}\n"
+        for i, row in enumerate(vals.tolist())
+        for j, x in enumerate(row))).encode()
+
+
+def edge_values() -> np.ndarray:
+    """Floats at the CSV kernel's edges, of each sign: decimal exponents
+    +-99, +-100 and +-101 (a power of ten, its neighbours and a value
+    mid-decade), 1e+-250 (formatted by '%') and the floats just inside
+    them, exact ties (which '%' rounds half-even: 1e15 + 0.75 up, 1e15 +
+    0.25 down), zeros and subnormals."""
+    vals = [0.0, 5e-324, 2.2250738585072009e-308, 1e-250, 1e250,
+            np.nextafter(1e-250, 1.0), np.nextafter(1e250, 0.0),
+            1e15 + 0.25, 1e15 + 0.75, 2.0 ** 52 + 0.5, 1e16 + 2.0]
+    for p in (99, 100, 101):
+        for v in (float(f"1e{p}"), float(f"1e-{p}")):
+            vals += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf),
+                     3.7 * v]
+    return np.array(vals + [-v for v in vals])
+
+
+def test_csv_kernel_edge_values():
+    assert_fields_exact(edge_values())
+    # six lanes per field, or seven for every field of a block where one
+    # field needs more than 24 bytes with its ',': a three-digit exponent
+    # on the vector path, or a long field formatted by '%'
+    for value, lanes in [(-1e99, 6), (1e-99, 6), (5e-324, 6), (1e100, 7),
+                         (-1e-100, 7), (-1e300, 7)]:
+        assert _format_floats(np.array([1.5, value])).shape == (2, lanes)
+        assert_fields_exact([1.5, value, -0.0])
+
+
+@pytest.mark.parametrize("dim", [1, 8, 32])
+def test_csv_edge_values_at_row_and_block_edges(tmp_path, rng, dim,
+                                                monkeypatch):
+    # block i holds edge value i in the first and the last field of its
+    # first and its last row, so each block picks its own lane count;
+    # blocks of 256 floats (4 rows at dim 32) keep the '%' reference cheap
+    from apseq import seq_core
+    monkeypatch.setattr(seq_core, "_CSV_BLOCK_FLOATS", 256)
+    edges = edge_values()
+    step = 256 // (2 * dim)
+    n = len(edges) * step
+    vals = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    flat = vals.view(np.float64)
+    for i, v in enumerate(edges):
+        flat[np.ix_([i * step, (i + 1) * step - 1], [0, 2 * dim - 1])] = v
+    F = BiSequence.from_table(-n // 2, vals)
+    window = (-n // 2, -n // 2 + n - 1)
+    path, ref = tmp_path / "seq.csv", tmp_path / "ref.csv"
+    write_csv(path, F, window)
+    csv_writer_reference(ref, vals, -n // 2)
+    assert path.read_bytes() == ref.read_bytes()
+    write_grid_csv(tmp_path / "grid.csv", F, window)
+    assert (tmp_path / "grid.csv").read_bytes() == grid_reference(vals,
+                                                                  -n // 2)
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_per_k_json_keys_of_every_width(kind, rng):
+    import json
+    n = 2 * 10 ** 5 + 1
+    values = (np.arange(n) - 3 * 10 ** 5 if kind == "int"
+              else rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n))
+    got = PerK(-10 ** 5, values).to_json()
+    want = json.dumps(list(zip(range(-10 ** 5, 10 ** 5 + 1),
+                               values.tolist())))
+    if got != want:  # a diff of two whole texts would take minutes
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        assert got == want, (got[at - 40:at + 40], want[at - 40:at + 40])
 
 
 def test_window_validation():
